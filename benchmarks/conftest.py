@@ -1,8 +1,8 @@
 """Shared fixtures for the benchmark harness.
 
 Every benchmark regenerates one element of the paper's demonstration
-(claims C1–C3, the GUI figures, or a parameter-scaling note) — see
-EXPERIMENTS.md for the experiment index.  Sizes are chosen so that the whole
+(claims C1–C3, the GUI figures, or a parameter-scaling note); each
+``bench_*.py`` docstring names the one it regenerates.  Sizes are chosen so that the whole
 harness runs in a few minutes on a laptop: the populations are in the 10^2
 range (like the demo, which uses "on the order of 10^3 participants rather
 than 10^6"), and costs at larger scales are extrapolated by the cost model

@@ -85,7 +85,7 @@ def _config_from_args(args: argparse.Namespace) -> ChiaroscuroConfig:
         crypto={"backend": args.backend, "packing": normalize_packing(args.packing),
                 "fastmath": args.fastmath, "pool_file": args.pool_file},
         simulation={"n_participants": args.participants, "seed": args.seed},
-        network={"wire": args.wire, "corruption_rate": args.corruption_rate,
+        network={"corruption_rate": args.corruption_rate,
                  "batching": args.batching, "compression": args.compression},
         runtime={
             "mode": "live" if args.live else "cycle",
@@ -129,13 +129,9 @@ def _add_common_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--fastmath", default="auto", choices=["auto", "off"],
                         help="modular-arithmetic fast path (CRT, pools, multi-exp); "
                              "off reproduces the seed arithmetic bit for bit")
-    parser.add_argument("--wire", default="auto", choices=["auto", "off"],
-                        help="binary wire format: auto transports serialized byte "
-                             "frames and reports measured sizes, off reproduces the "
-                             "modelled-size simulation (results are bit-identical)")
     parser.add_argument("--corruption-rate", type=float, default=0.0,
                         help="probability that a delivered wire frame has one bit "
-                             "flipped in transit (requires --wire auto)")
+                             "flipped in transit")
     parser.add_argument("--batching", action="store_true",
                         help="pack same-destination wire frames into one batched "
                              "socket record (live runner; protocol accounting is "

@@ -23,7 +23,6 @@ from ._validation import (
 )
 from .crypto.backends import normalize_packing
 from .crypto.fastmath import normalize_fastmath
-from .crypto.wire import normalize_wire
 from .exceptions import ConfigurationError, ValidationError
 
 #: Budget-distribution strategies shipped with the library (Section II.B,
@@ -290,21 +289,18 @@ class GossipConfig:
 class NetworkConfig:
     """Transport-layer parameters of the simulated network.
 
+    Every protocol message travels as a serialized, versioned byte frame
+    (see :mod:`repro.crypto.wire` and :mod:`repro.gossip.messages`):
+    recipients deserialize on receipt and the network accounts *measured*
+    frame bytes next to the modelled size formula.
+
     Attributes
     ----------
-    wire:
-        ``"auto"`` (default) transports every protocol message as a
-        serialized, versioned byte frame (see :mod:`repro.crypto.wire` and
-        :mod:`repro.gossip.messages`): recipients deserialize on receipt and
-        the network accounts *measured* frame bytes.  ``"off"`` reproduces
-        the historical simulation that passes object references and charges
-        modelled sizes.  Both modes produce bit-identical protocol results.
     corruption_rate:
         Probability that a delivered wire frame has one random bit flipped
         in transit.  Corrupted frames fail their checksum, raise
         :class:`~repro.exceptions.WireFormatError` in the decoder and are
-        treated as losses by the protocol.  Only meaningful with
-        ``wire="auto"``; must be 0 when the wire format is off.
+        treated as losses by the protocol.
     batching:
         Pack several wire frames per socket record where the protocol
         allows it (currently the live runner's committee-decryption
@@ -312,32 +308,18 @@ class NetworkConfig:
         Default ``False`` keeps every record byte-identical to the
         unbatched runner.  Batching changes only the on-socket encoding:
         protocol-level byte accounting, results and per-helper operation
-        counts are unchanged.  Requires the wire format.
+        counts are unchanged.
     compression:
         zlib-compress batched records when that actually shrinks them.
         Requires ``batching``; default ``False``.
     """
 
-    wire: str = "auto"
     corruption_rate: float = 0.0
     batching: bool = False
     compression: bool = False
 
     def __post_init__(self) -> None:
-        try:
-            normalize_wire(self.wire)
-        except ValidationError as exc:
-            raise ConfigurationError(str(exc)) from exc
         check_probability(self.corruption_rate, "corruption_rate")
-        if self.wire == "off" and self.corruption_rate > 0:
-            raise ConfigurationError(
-                "corruption_rate requires the wire format (set network.wire='auto')"
-            )
-        if self.batching and self.wire == "off":
-            raise ConfigurationError(
-                "batching packs wire frames and requires the wire format "
-                "(set network.wire='auto')"
-            )
         if self.compression and not self.batching:
             raise ConfigurationError(
                 "compression applies to batched records (set network.batching=True)"
@@ -356,10 +338,9 @@ class RuntimeConfig:
         ``"live"`` spawns ``processes`` OS worker processes, each hosting a
         shard of the participants, and runs the protocol by moving the
         serialized wire frames over real asyncio TCP sockets (see
-        :mod:`repro.net.live`).  Live mode requires the wire format
-        (``network.wire="auto"``) and currently supports only the fault-free
-        configuration (no churn, drops or corruption; see the README's
-        "Live runner" caveats).
+        :mod:`repro.net.live`).  Live mode currently supports only the
+        fault-free configuration (no churn, drops or corruption; see the
+        README's "Live runner" caveats).
     processes:
         Number of worker processes of the live runner.
     host:
@@ -569,11 +550,6 @@ class ChiaroscuroConfig:
 
     def __post_init__(self) -> None:
         if self.runtime.mode == "live":
-            if self.network.wire == "off":
-                raise ConfigurationError(
-                    "the live runner moves serialized frames over sockets and "
-                    "requires the wire format (set network.wire='auto')"
-                )
             if self.simulation.churn_rate > 0:
                 raise ConfigurationError(
                     "the live runner does not support churn yet "

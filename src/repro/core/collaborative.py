@@ -5,20 +5,19 @@ number of distinct participants their partial decryptions" (paper, Section
 II.B).  In the simulation, key shares are held by the first ``n_shares``
 participants (a decryption committee); a participant wanting to decrypt its
 perturbed encrypted means sends each committee member the ciphertexts and
-receives a partial decryption back, then combines locally.  Message and byte
-counts are charged to the network so that the cost analysis reflects the
-decryption traffic.
+receives a partial decryption back, then combines locally.
 
-With the wire format enabled every round-trip moves serialized byte frames
+Every round-trip moves serialized byte frames
 (:class:`~repro.gossip.messages.DecryptRequest` /
 :class:`~repro.gossip.messages.DecryptResponse`): helpers partially decrypt
 the ciphertexts they *deserialize from the received bytes*, responses are
-decoded the same way, and the network accounts measured frame lengths.  A
-frame corrupted in transit fails its checksum, that helper contributes no
-partial decryptions, and when fewer than ``threshold`` distinct shares
-survive the round the usual :class:`~repro.exceptions.ThresholdError`
-surfaces — the caller retries at the next cycle, exactly as it does when
-committee members are offline.
+decoded the same way, and the network accounts measured frame lengths, so
+the cost analysis reflects the decryption traffic.  A frame corrupted in
+transit fails its checksum, that helper contributes no partial decryptions,
+and when fewer than ``threshold`` distinct shares survive the round the
+usual :class:`~repro.exceptions.ThresholdError` surfaces — the caller
+retries at the next cycle, exactly as it does when committee members are
+offline.
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ from ..crypto.backends import CipherBackend, PartialVectorDecryption
 from ..crypto.wire import wire_ciphertext_bytes
 from ..exceptions import ThresholdError, WireFormatError
 from ..gossip.encrypted_sum import EncryptedEstimate, estimate_payload_bytes
+from ..gossip.messages import DecryptRequest, DecryptResponse, WireMessage, deserialize
 from ..simulation.engine import CycleEngine
 
 
@@ -75,28 +75,42 @@ def build_decrypt_request(backend: CipherBackend,
     round and the live runner's transport round, so the two execution modes
     can never diverge in what they put on the wire.
     """
-    from ..gossip.messages import DecryptRequest
-
-    width = wire_ciphertext_bytes(backend)
     return DecryptRequest(
-        estimates=tuple(estimates), ciphertext_bytes=width
+        estimates=tuple(estimates), ciphertext_bytes=wire_ciphertext_bytes(backend)
     ).serialize()
 
 
-def decode_decrypt_response(frame: bytes, expected_partials: int):
-    """Decode a helper's response frame; ``None`` means "treat as a loss".
+def serve_decrypt_request(backend: CipherBackend, helper_id: int,
+                          request: DecryptRequest) -> bytes:
+    """A committee member's serialized answer to one decoded request.
 
-    A frame that fails its checksum, decodes to a different message type,
-    or carries the wrong number of partial decryptions simply removes that
+    The helper half of the round, shared by the cycle engine's committee
+    round and the live worker's frame handler: one partial decryption per
+    requested estimate, under the key share *helper_id* holds.  Raises
+    :class:`ThresholdError` when that node holds none.
+    """
+    share_index = share_index_of(helper_id, backend.n_shares)
+    if share_index is None:
+        raise ThresholdError(f"node {helper_id} holds no key share")
+    partials = tuple(
+        backend.partial_decrypt_vector(share_index, estimate.vector)
+        for estimate in request.estimates
+    )
+    return DecryptResponse(
+        partials=partials, ciphertext_bytes=wire_ciphertext_bytes(backend)
+    ).serialize()
+
+
+def response_partials(
+    response: WireMessage | None, expected_partials: int
+) -> tuple[PartialVectorDecryption, ...] | None:
+    """A decoded helper response's partials; ``None`` means "treat as a loss".
+
+    A response that never arrived, decoded to a different message type, or
+    carries the wrong number of partial decryptions simply removes that
     helper's contribution from the round — shared loss semantics of both
     execution modes.
     """
-    from ..gossip.messages import DecryptResponse, deserialize
-
-    try:
-        response = deserialize(frame)
-    except WireFormatError:
-        return None
     if not isinstance(response, DecryptResponse):
         return None
     if len(response.partials) != expected_partials:
@@ -104,27 +118,32 @@ def decode_decrypt_response(frame: bytes, expected_partials: int):
     return response.partials
 
 
-def build_decrypt_response(backend: CipherBackend, partials: tuple) -> bytes:
-    """Serialize one helper's partial-decryption response frame."""
-    from ..gossip.messages import DecryptResponse
-
-    width = wire_ciphertext_bytes(backend)
-    return DecryptResponse(partials=partials, ciphertext_bytes=width).serialize()
+def decode_decrypt_response(frame: bytes, expected_partials: int):
+    """:func:`response_partials` of a raw response frame; a frame that fails
+    its checksum is a loss too."""
+    try:
+        return response_partials(deserialize(frame), expected_partials)
+    except WireFormatError:
+        return None
 
 
 def finalize_decryption(
     backend: CipherBackend,
-    per_estimate: Sequence[Sequence[PartialVectorDecryption]],
+    per_helper: Sequence[Sequence[PartialVectorDecryption] | None],
     estimates: Sequence[EncryptedEstimate],
 ) -> list[np.ndarray]:
-    """Combine gathered partials and undo each estimate's public exponent.
+    """Combine the helpers' partials and undo each estimate's public exponent.
 
-    Raises :class:`ThresholdError` (from the backend) when a round left
-    fewer than ``threshold`` distinct usable partials for some estimate.
+    *per_helper* holds one entry per helper asked: its partials, one per
+    estimate, or ``None`` when its contribution was lost.  Raises
+    :class:`ThresholdError` (from the backend) when the round left fewer
+    than ``threshold`` distinct usable partials for some estimate.
     """
+    usable = [partials for partials in per_helper if partials is not None]
     return [
-        backend.combine_vector(partials) / float(1 << estimate.halvings)
-        for partials, estimate in zip(per_estimate, estimates)
+        backend.combine_vector([partials[position] for partials in usable])
+        / float(1 << estimate.halvings)
+        for position, estimate in enumerate(estimates)
     ]
 
 
@@ -145,78 +164,39 @@ def _committee_round(
     requester_id: int,
     backend: CipherBackend,
     estimates: Sequence[EncryptedEstimate],
-    wire: bool,
-) -> tuple[list[list[PartialVectorDecryption]], tuple[int, ...], int, int]:
+) -> BatchDecryptionOutcome:
     """One request/response round with every online helper.
 
-    Returns the per-estimate partial decryptions gathered, the helper ids,
-    and the message/byte counts charged to the network.  With *wire* on,
-    helpers operate on the ciphertexts decoded from the received frames; an
+    Helpers operate on the ciphertexts decoded from the received frames; an
     undecodable (corrupted) frame simply removes that helper's contribution
-    from the round.
+    from the round.  A *dropped* request is served regardless: the committee
+    round-trip is atomic in the cycle model (drops are modelled at the
+    gossip layer).  The outcome's message and byte counts are what the
+    network ledger charged over the round.
     """
     helpers = _online_helpers(engine, backend)
     modelled = sum(estimate_payload_bytes(backend, estimate) for estimate in estimates)
-    per_estimate_partials: list[list[PartialVectorDecryption]] = [[] for _ in estimates]
-    messages = 0
-    bytes_transferred = 0
-    request_frame = b""
-    if wire:
-        request_frame = build_decrypt_request(backend, estimates)
-    for helper_id in helpers:
-        share_index = share_index_of(helper_id, backend.n_shares)
-        if share_index is None:  # pragma: no cover - committee construction guarantees this
-            raise ThresholdError(f"node {helper_id} holds no key share")
-        if wire:
-            from ..gossip.messages import deserialize
-
-            received = engine.transmit(
-                requester_id, helper_id, "decrypt-request", request_frame,
-                modelled_bytes=modelled,
-            )
-            messages += 1
-            bytes_transferred += len(request_frame)
-            if received is None:
-                # The committee round-trip is atomic in the cycle model
-                # (drops are modelled at the gossip layer); the frame is
-                # still parsed so the helper works from decoded bytes.
-                received = request_frame
-            try:
-                request = deserialize(received)
-            except WireFormatError:
-                continue  # corrupted request: this helper cannot serve
-            helper_partials = tuple(
-                backend.partial_decrypt_vector(share_index, estimate.vector)
-                for estimate in request.estimates
-            )
-            response_frame = build_decrypt_response(backend, helper_partials)
-            returned = engine.transmit(
-                helper_id, requester_id, "decrypt-response", response_frame,
-                modelled_bytes=modelled,
-            )
-            messages += 1
-            bytes_transferred += len(response_frame)
-            if returned is None:
-                returned = response_frame
-            partials = decode_decrypt_response(returned, len(estimates))
-            if partials is None:
-                continue  # corrupted response: discard this helper's shares
-            for position, partial in enumerate(partials):
-                per_estimate_partials[position].append(partial)
-        else:
-            engine.send(requester_id, helper_id, "decrypt-request", None,
-                        size_bytes=modelled)
-            messages += 1
-            bytes_transferred += modelled
-            for position, estimate in enumerate(estimates):
-                per_estimate_partials[position].append(
-                    backend.partial_decrypt_vector(share_index, estimate.vector)
-                )
-            engine.send(helper_id, requester_id, "decrypt-response", None,
-                        size_bytes=modelled)
-            messages += 1
-            bytes_transferred += modelled
-    return per_estimate_partials, helpers, messages, bytes_transferred
+    request_frame = build_decrypt_request(backend, estimates)
+    ledger = engine.network.total
+    messages, transferred = ledger.messages_sent, ledger.bytes_sent
+    per_helper = [
+        response_partials(
+            engine.exchange(
+                requester_id, helper_id, ("decrypt-request", "decrypt-response"),
+                request_frame,
+                lambda request: serve_decrypt_request(backend, helper_id, request),
+                modelled_bytes=modelled, lossy_request=False,
+            ),
+            len(estimates),
+        )
+        for helper_id in helpers
+    ]
+    return BatchDecryptionOutcome(
+        values=finalize_decryption(backend, per_helper, estimates),
+        helpers=helpers,
+        messages=ledger.messages_sent - messages,
+        bytes_transferred=ledger.bytes_sent - transferred,
+    )
 
 
 def collaborative_decrypt(
@@ -224,24 +204,20 @@ def collaborative_decrypt(
     requester_id: int,
     backend: CipherBackend,
     estimate: EncryptedEstimate,
-    wire: bool = False,
 ) -> DecryptionOutcome:
     """Decrypt *estimate* by gathering partial decryptions from online helpers.
 
     Raises :class:`ThresholdError` when fewer than ``backend.threshold``
-    committee members are currently online — or, with the wire format on,
-    when corruption left fewer than ``threshold`` usable partial
-    decryptions (the caller typically retries at the next cycle).
+    committee members are currently online, or when corruption left fewer
+    than ``threshold`` usable partial decryptions (the caller typically
+    retries at the next cycle).
     """
-    per_estimate, helpers, messages, bytes_transferred = _committee_round(
-        engine, requester_id, backend, [estimate], wire
-    )
-    values = finalize_decryption(backend, per_estimate, [estimate])[0]
+    outcome = _committee_round(engine, requester_id, backend, [estimate])
     return DecryptionOutcome(
-        values=values,
-        helpers=tuple(helpers),
-        messages=messages,
-        bytes_transferred=bytes_transferred,
+        values=outcome.values[0],
+        helpers=outcome.helpers,
+        messages=outcome.messages,
+        bytes_transferred=outcome.bytes_transferred,
     )
 
 
@@ -250,7 +226,6 @@ def collaborative_decrypt_many(
     requester_id: int,
     backend: CipherBackend,
     estimates: Sequence[EncryptedEstimate],
-    wire: bool = False,
 ) -> BatchDecryptionOutcome:
     """Decrypt several estimates in one committee round-trip when possible.
 
@@ -261,28 +236,15 @@ def collaborative_decrypt_many(
     :func:`collaborative_decrypt` call per estimate, reproducing the
     historical message pattern byte for byte.
     """
-    if not backend.is_packed:
-        values: list[np.ndarray] = []
-        helpers: tuple[int, ...] = ()
-        messages = 0
-        bytes_transferred = 0
-        for estimate in estimates:
-            outcome = collaborative_decrypt(engine, requester_id, backend, estimate,
-                                            wire=wire)
-            values.append(outcome.values)
-            helpers = outcome.helpers
-            messages += outcome.messages
-            bytes_transferred += outcome.bytes_transferred
-        return BatchDecryptionOutcome(
-            values=values, helpers=helpers, messages=messages,
-            bytes_transferred=bytes_transferred,
-        )
-
-    per_estimate, helpers, messages, bytes_transferred = _committee_round(
-        engine, requester_id, backend, estimates, wire
-    )
-    values = finalize_decryption(backend, per_estimate, estimates)
+    if backend.is_packed:
+        return _committee_round(engine, requester_id, backend, estimates)
+    outcomes = [
+        collaborative_decrypt(engine, requester_id, backend, estimate)
+        for estimate in estimates
+    ]
     return BatchDecryptionOutcome(
-        values=values, helpers=helpers, messages=messages,
-        bytes_transferred=bytes_transferred,
+        values=[outcome.values for outcome in outcomes],
+        helpers=outcomes[-1].helpers if outcomes else (),
+        messages=sum(outcome.messages for outcome in outcomes),
+        bytes_transferred=sum(outcome.bytes_transferred for outcome in outcomes),
     )

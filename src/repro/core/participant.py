@@ -28,14 +28,15 @@ from ..clustering.kmeans import centroid_displacement, reseed_centroid
 from ..clustering.smoothing import smooth_centroids
 from ..config import ChiaroscuroConfig
 from ..crypto.backends import CipherBackend
-from ..crypto.wire import normalize_wire, wire_ciphertext_bytes
-from ..exceptions import ProtocolError, ThresholdError, WireFormatError
+from ..crypto.wire import wire_ciphertext_bytes
+from ..exceptions import ProtocolError, ThresholdError
 from ..gossip.encrypted_sum import (
     EncryptedEstimate,
     add_estimates,
     estimate_payload_bytes,
     rerandomize_estimate,
 )
+from ..gossip.messages import DiptychExchange, DiptychReply
 from ..gossip.overlay import Overlay
 from ..privacy.budget import PrivacyAccountant
 from ..privacy.laplace import SensitivityModel
@@ -138,7 +139,6 @@ class ChiaroscuroParticipant(Node):
         self.config = config
         self.backend = backend
         self.overlay = overlay
-        self.wire_enabled = normalize_wire(config.network.wire) != "off"
         self.noise_contributor = noise_contributor
         self.n_noise_contributors = max(1, int(n_noise_contributors))
         self._rng = np.random.default_rng(seed)
@@ -284,75 +284,27 @@ class ChiaroscuroParticipant(Node):
         """Late-participant synchronisation: jump to the peer's iteration."""
         self.adopt_peer_state(peer.centroids, peer.iteration)
 
-    def _forwarded_estimates(
-        self, diptych: Diptych
-    ) -> tuple[list[EncryptedEstimate], list[EncryptedEstimate]]:
-        """Re-randomized copies of a diptych's estimates, ready to forward.
+    def exchange_frame(
+        self, message_type: type[DiptychExchange] | type[DiptychReply]
+    ) -> bytes:
+        """This device's half of a gossip exchange, serialized.
 
-        Only these copies ever travel (or stand in for travelling, with the
-        wire format off): the stored estimates never leave the device, so a
-        hop-by-hop observer sees unlinkable ciphertexts that decrypt to the
-        same plaintexts.
+        The one place a diptych frame is built — by the initiator
+        (:class:`~repro.gossip.messages.DiptychExchange`) and by the
+        responder (:class:`~repro.gossip.messages.DiptychReply`), in the
+        cycle engine and in the live runner alike.  It carries the current
+        iteration and re-randomized copies of the stored estimates: only
+        these copies ever travel, so a hop-by-hop observer sees unlinkable
+        ciphertexts that decrypt to the same plaintexts.
         """
-        data = [rerandomize_estimate(self.backend, estimate)
-                for estimate in diptych.data_estimates]
-        noise = [rerandomize_estimate(self.backend, estimate)
-                 for estimate in diptych.noise_estimates]
-        return data, noise
-
-    def _wire_exchange(
-        self,
-        engine: CycleEngine,
-        peer: "ChiaroscuroParticipant",
-        peer_id: int,
-        outgoing: tuple[list[EncryptedEstimate], list[EncryptedEstimate]],
-        modelled: int,
-    ) -> bool:
-        """One gossip exchange over serialized byte frames.
-
-        Returns True when the exchange completed (diptychs merged from the
-        decoded reply), False when the request was dropped or either frame
-        arrived corrupted.  A dropped *reply* is still merged: the pairwise
-        exchange is atomic in the cycle model (the responder has already
-        applied the average), matching the reference transport bit for bit.
-        """
-        from ..gossip.messages import DiptychExchange, DiptychReply, deserialize
-
-        width = wire_ciphertext_bytes(self.backend)
-        data_out, noise_out = outgoing
-        frame = DiptychExchange(
-            iteration=self.iteration, data_estimates=tuple(data_out),
-            noise_estimates=tuple(noise_out), ciphertext_bytes=width,
+        return message_type(
+            iteration=self.iteration,
+            data_estimates=tuple(rerandomize_estimate(self.backend, estimate)
+                                 for estimate in self.diptych.data_estimates),
+            noise_estimates=tuple(rerandomize_estimate(self.backend, estimate)
+                                  for estimate in self.diptych.noise_estimates),
+            ciphertext_bytes=wire_ciphertext_bytes(self.backend),
         ).serialize()
-        received = engine.transmit(
-            self.node_id, peer_id, "diptych-exchange", frame, modelled_bytes=modelled
-        )
-        if received is None:
-            return False
-        try:
-            deserialize(received)
-        except WireFormatError:
-            return False  # corrupted request: the peer cannot take part
-        peer_data, peer_noise = self._forwarded_estimates(peer.diptych)
-        reply_frame = DiptychReply(
-            iteration=peer.iteration, data_estimates=tuple(peer_data),
-            noise_estimates=tuple(peer_noise), ciphertext_bytes=width,
-        ).serialize()
-        reply = engine.transmit(
-            peer_id, self.node_id, "diptych-reply", reply_frame,
-            modelled_bytes=modelled,
-        )
-        if reply is None:
-            reply = reply_frame
-        try:
-            message = deserialize(reply)
-        except WireFormatError:
-            return False  # corrupted reply: treat like a loss
-        merge_diptychs(
-            self.backend, self.diptych, peer.diptych,
-            theirs_view=(list(message.data_estimates), list(message.noise_estimates)),
-        )
-        return True
 
     def _gossip_step(self, engine: CycleEngine) -> None:
         if self.diptych is None:  # pragma: no cover - state machine guarantees this
@@ -382,23 +334,18 @@ class ChiaroscuroParticipant(Node):
                 estimate_payload_bytes(self.backend, estimate)
                 for estimate in self.diptych.data_estimates + self.diptych.noise_estimates
             )
-            # Per-hop unlinkability: every estimate that leaves a device is
-            # a re-randomized copy (fresh ciphertext randomness, identical
-            # plaintexts), so consecutive forwards cannot be linked.
-            outgoing = self._forwarded_estimates(self.diptych)
-            if self.wire_enabled:
-                if not self._wire_exchange(engine, peer, peer_id, outgoing, payload):
-                    continue
-            else:
-                delivered = engine.send(
-                    self.node_id, peer_id, "diptych-exchange", None, size_bytes=payload
-                )
-                if not delivered:
-                    continue
-                engine.send(peer_id, self.node_id, "diptych-reply", None,
-                            size_bytes=payload)
-                merge_diptychs(self.backend, self.diptych, peer.diptych,
-                               theirs_view=self._forwarded_estimates(peer.diptych))
+            reply = engine.exchange(
+                self.node_id, peer_id, ("diptych-exchange", "diptych-reply"),
+                self.exchange_frame(DiptychExchange),
+                lambda _request: peer.exchange_frame(DiptychReply),
+                modelled_bytes=payload,
+            )
+            if reply is None:
+                continue  # lost or corrupted: no exchange this attempt
+            merge_diptychs(
+                self.backend, self.diptych, peer.diptych,
+                theirs_view=(list(reply.data_estimates), list(reply.noise_estimates)),
+            )
         self.gossip_cycles_done += 1
         if self.gossip_cycles_done >= self.config.gossip.cycles_per_aggregation:
             self.phase = Phase.DECRYPT
@@ -428,7 +375,6 @@ class ChiaroscuroParticipant(Node):
                 ]
                 decrypted = collaborative_decrypt_many(
                     engine, self.node_id, self.backend, combined,
-                    wire=self.wire_enabled,
                 ).values
             else:
                 # Historical layout: one noise addition and one decryption
@@ -443,7 +389,6 @@ class ChiaroscuroParticipant(Node):
                         collaborative_decrypt(
                             engine, self.node_id, self.backend,
                             self.combined_estimate(cluster),
-                            wire=self.wire_enabled,
                         ).values
                     )
         except ThresholdError:

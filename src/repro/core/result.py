@@ -20,10 +20,9 @@ class CostSummary:
     All figures are totals over the run unless stated otherwise.
 
     ``bytes_sent`` is what the network accounted: *measured* serialized
-    frame lengths when the run used the wire format (``wire="auto"``), the
-    modelled size formula otherwise.  ``bytes_sent_modelled`` always holds
-    the modelled figure, so wire runs report both and the difference is the
-    exact framing overhead.
+    frame lengths.  ``bytes_sent_modelled`` holds what the size formula
+    charges for the same messages, so the difference is the exact framing
+    overhead.
 
     ``iteration_costs`` holds the per-iteration cost deltas recorded in the
     execution log (one mapping per protocol iteration, in order): both the
@@ -72,7 +71,6 @@ class CostSummary:
     partial_decryptions: int
     combinations: int
     bytes_sent_modelled: int = 0
-    wire: str = "off"
     iteration_costs: tuple[Mapping[str, float], ...] = ()
     extrapolated: Mapping[str, Any] | None = None
     envelope: Mapping[str, Any] | None = None
@@ -100,8 +98,7 @@ class CostSummary:
     def byte_accounting(self) -> ByteAccounting:
         """Measured-vs-modelled view of this run's bytes.
 
-        See :class:`~repro.simulation.network.ByteAccounting`; with the
-        wire format off both figures coincide.
+        See :class:`~repro.simulation.network.ByteAccounting`.
         """
         return ByteAccounting(
             bytes_modelled=float(self.bytes_sent_modelled),
@@ -112,8 +109,7 @@ class CostSummary:
     def wire_overhead_fraction(self) -> float:
         """Measured-over-modelled byte overhead of the wire format.
 
-        Zero when the run did not measure frames (``wire="off"``) or when
-        no bytes were sent.
+        Zero when no bytes were sent.
         """
         return self.byte_accounting.overhead_fraction
 

@@ -18,7 +18,6 @@ import numpy as np
 from ..clustering.kmeans import assign_to_centroids, compute_inertia, public_initial_centroids
 from ..config import ChiaroscuroConfig
 from ..crypto.backends import CipherBackend, make_backend
-from ..crypto.wire import normalize_wire
 from ..exceptions import ConfigurationError, ProtocolError
 from ..gossip.encrypted_sum import check_headroom
 from ..gossip.overlay import build_overlay
@@ -141,7 +140,7 @@ class RunSetup:
 
     def wire_info(self) -> dict[str, Any]:
         return {
-            "mode": normalize_wire(self.config.network.wire),
+            "mode": "auto",
             "corruption_rate": self.config.network.corruption_rate,
         }
 
@@ -381,7 +380,6 @@ def assemble_result(
         partial_decryptions=crypto_counts["partial_decryptions"],
         combinations=crypto_counts["combinations"],
         bytes_sent_modelled=bytes_modelled,
-        wire=wire_info["mode"],
         iteration_costs=tuple(
             {str(key): float(value) for key, value in record.costs.items()}
             for record in log

@@ -836,9 +836,6 @@ def _run_sampled(
         partial_decryptions=int(crypto.get("partial_decryptions", 0)),
         combinations=int(crypto.get("combinations", 0)),
         bytes_sent_modelled=int(sample_totals["bytes_modelled"]),
-        wire=(
-            sample["setup"].wire_info()["mode"] if sample is not None else "off"
-        ),
         iteration_costs=tuple(
             {str(key): float(value) for key, value in record.costs.items()}
             for record in log

@@ -39,7 +39,7 @@ from __future__ import annotations
 import struct
 from typing import TYPE_CHECKING
 
-from ..exceptions import ValidationError, WireFormatError
+from ..exceptions import WireFormatError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from .backends import CipherBackend, EncryptedVector, PartialVectorDecryption
@@ -47,11 +47,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
 #: Version byte stamped on every frame (and the suffix of the golden vector
 #: file name).  Bump on any incompatible encoding change.
 WIRE_VERSION = 1
-
-#: Wire knob values accepted everywhere (configuration, CLI, factories):
-#: ``"auto"`` transports serialized byte frames, ``"off"`` reproduces the
-#: historical reference-passing simulation with modelled sizes.
-WIRE_CHOICES = ("auto", "off")
 
 #: Fixed frame-envelope bytes outside the body: magic (2) + version (1) +
 #: type (1) + CRC32 (4).  The body-length varint adds 1-4 more depending on
@@ -69,15 +64,6 @@ MAX_NAME_BYTES = 64  # backend-name strings
 MAX_VARINT_BYTES = 10  # varints hold values < 2**64
 
 _VARINT_LIMIT = 1 << 64
-
-
-def normalize_wire(wire: str) -> str:
-    """Validate and canonicalise a ``wire`` knob value (``"auto"``/``"off"``)."""
-    if isinstance(wire, str) and wire in WIRE_CHOICES:
-        return wire
-    raise ValidationError(
-        f"invalid wire option {wire!r}: expected one of {WIRE_CHOICES}"
-    )
 
 
 def wire_ciphertext_bytes(backend: "CipherBackend") -> int:

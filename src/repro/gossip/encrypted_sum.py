@@ -38,8 +38,8 @@ import numpy as np
 
 from .._validation import check_non_negative_int, check_positive_int
 from ..crypto.backends import CipherBackend, EncryptedVector
-from ..crypto.wire import normalize_wire, wire_ciphertext_bytes
-from ..exceptions import GossipError, WireFormatError
+from ..crypto.wire import wire_ciphertext_bytes
+from ..exceptions import GossipError
 from ..simulation.engine import CycleEngine
 from ..simulation.node import Node
 from .overlay import Overlay, build_overlay
@@ -194,24 +194,34 @@ class EncryptedAveragingNode(Node):
     Every estimate that leaves the node is first passed through
     :func:`rerandomize_estimate`, so an observer of two consecutive hops
     cannot link the forwarded ciphertexts (same plaintexts, fresh
-    randomness).  With *wire* enabled the exchange additionally travels as
-    serialized byte frames (:mod:`repro.gossip.messages`): the peer's
-    contribution to the average is whatever decodes from the received
-    bytes, and the network accounts measured frame lengths alongside the
-    modelled sizes.
+    randomness).  The exchange travels as serialized byte frames
+    (:mod:`repro.gossip.messages`): the peer's contribution to the average
+    is whatever decodes from the received bytes, and the network accounts
+    measured frame lengths alongside the modelled sizes.
     """
 
     def __init__(self, node_id: int, backend: CipherBackend,
-                 initial_value: Sequence[float] | np.ndarray, overlay: Overlay,
-                 wire: bool = False) -> None:
+                 initial_value: Sequence[float] | np.ndarray, overlay: Overlay) -> None:
         super().__init__(node_id)
         self.backend = backend
         self.estimate = fresh_estimate(backend, initial_value)
         self.overlay = overlay
-        self.wire = bool(wire)
         self.exchanges_done = 0
 
+    def _frame(
+        self, message_type: type[EncryptedAvgRequest] | type[EncryptedAvgReply]
+    ) -> bytes:
+        # Per-hop unlinkability: the ciphertexts put on the wire are a
+        # re-randomized copy, never the node's stored estimate.
+        return message_type(
+            estimate=rerandomize_estimate(self.backend, self.estimate),
+            ciphertext_bytes=wire_ciphertext_bytes(self.backend),
+        ).serialize()
+
     def next_cycle(self, engine: CycleEngine, cycle: int) -> None:
+        # Deferred: the message module builds on this one's EncryptedEstimate.
+        from .messages import EncryptedAvgReply, EncryptedAvgRequest
+
         rng = engine.rng_registry.stream(f"gossip.encrypted.{self.node_id}")
         online = set(engine.online_ids())
         peer_id = self.overlay.sample_neighbor(self.node_id, rng, online=online)
@@ -220,56 +230,15 @@ class EncryptedAveragingNode(Node):
         peer = engine.node(peer_id)
         if not isinstance(peer, EncryptedAveragingNode):
             raise GossipError("encrypted averaging requires homogeneous nodes")
-        modelled = estimate_payload_bytes(self.backend, self.estimate)
-        # Per-hop unlinkability: the ciphertexts put on the wire are a
-        # re-randomized copy, never the node's stored estimate.
-        outgoing = rerandomize_estimate(self.backend, self.estimate)
-        if self.wire:
-            from .messages import EncryptedAvgReply, EncryptedAvgRequest, deserialize
-
-            width = wire_ciphertext_bytes(self.backend)
-            frame = EncryptedAvgRequest(
-                estimate=outgoing, ciphertext_bytes=width
-            ).serialize()
-            received = engine.transmit(
-                self.node_id, peer_id, "encrypted-avg-request", frame,
-                modelled_bytes=modelled,
-            )
-            if received is None:
-                return
-            try:
-                deserialize(received)
-            except WireFormatError:
-                return  # corrupted request: the peer cannot serve the exchange
-            peer_outgoing = rerandomize_estimate(self.backend, peer.estimate)
-            reply_frame = EncryptedAvgReply(
-                estimate=peer_outgoing, ciphertext_bytes=width
-            ).serialize()
-            reply = engine.transmit(
-                peer_id, self.node_id, "encrypted-avg-reply", reply_frame,
-                modelled_bytes=modelled,
-            )
-            if reply is None:
-                # The pairwise exchange is atomic in the cycle model (the
-                # responder has already applied the average); a dropped
-                # reply is accounted but still decoded, matching the
-                # reference semantics bit for bit.
-                reply = reply_frame
-            try:
-                peer_view = deserialize(reply).estimate
-            except WireFormatError:
-                return  # corrupted reply: treat like a loss
-        else:
-            delivered = engine.send(
-                self.node_id, peer_id, "encrypted-avg-request", None,
-                size_bytes=modelled,
-            )
-            if not delivered:
-                return
-            peer_view = rerandomize_estimate(self.backend, peer.estimate)
-            engine.send(peer_id, self.node_id, "encrypted-avg-reply", None,
-                        size_bytes=modelled)
-        averaged = average_estimates(self.backend, self.estimate, peer_view)
+        reply = engine.exchange(
+            self.node_id, peer_id, ("encrypted-avg-request", "encrypted-avg-reply"),
+            self._frame(EncryptedAvgRequest),
+            lambda _request: peer._frame(EncryptedAvgReply),
+            modelled_bytes=estimate_payload_bytes(self.backend, self.estimate),
+        )
+        if reply is None:
+            return  # lost or corrupted: no exchange
+        averaged = average_estimates(self.backend, self.estimate, reply.estimate)
         self.estimate = averaged
         peer.estimate = averaged
         self.exchanges_done += 1
@@ -283,27 +252,22 @@ def encrypted_gossip_average(
     topology: str = "complete",
     seed: int = 0,
     share_indices: Sequence[int] | None = None,
-    wire: str = "auto",
 ) -> np.ndarray:
     """Run encrypted push-pull averaging and decrypt every node's estimate.
 
     Returns the ``(n_nodes, dimension)`` matrix of decrypted estimates; used
     by tests and by the gossip-convergence experiment under encryption.
-    ``wire="auto"`` (default) moves every exchange as serialized byte
-    frames; ``"off"`` reproduces the reference-passing transport.  Both
-    produce identical decrypted estimates.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise GossipError(f"values must be two-dimensional, got shape {values.shape}")
     check_positive_int(cycles, "cycles")
-    wire_enabled = normalize_wire(wire) != "off"
     n_nodes = values.shape[0]
     value_bound = float(np.abs(values).max()) if values.size else 1.0
     check_headroom(backend, max(value_bound, 1.0), total_halvings=2 * cycles + 2)
     overlay = build_overlay(n_nodes, topology=topology, seed=seed)
     nodes = [
-        EncryptedAveragingNode(i, backend, values[i], overlay, wire=wire_enabled)
+        EncryptedAveragingNode(i, backend, values[i], overlay)
         for i in range(n_nodes)
     ]
     engine = CycleEngine(nodes, seed=seed)

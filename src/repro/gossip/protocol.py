@@ -23,31 +23,32 @@ from typing import Sequence
 import numpy as np
 
 from .._validation import as_2d_float_array, check_positive_int
-from ..crypto.wire import normalize_wire
 from ..exceptions import GossipError, WireFormatError
 from ..simulation.engine import CycleEngine
 from ..simulation.node import Node
+from .messages import GossipAvgReply, GossipAvgRequest, PushSumMessage, deserialize
 from .overlay import Overlay, build_overlay
 
 
 class PushPullAveragingNode(Node):
     """Node holding a vector estimate updated by pairwise averaging.
 
-    With *wire* enabled the exchange travels as framed byte messages
+    The exchange travels as framed byte messages
     (:class:`~repro.gossip.messages.GossipAvgRequest` /
     :class:`~repro.gossip.messages.GossipAvgReply`); floats cross the wire
-    as IEEE-754 doubles, so the averaged estimates are bit-identical to the
-    reference-passing transport.
+    as IEEE-754 doubles, so the averaged estimates are exact.
     """
 
     def __init__(self, node_id: int, initial_value: np.ndarray, overlay: Overlay,
-                 exchanges_per_cycle: int = 1, wire: bool = False) -> None:
+                 exchanges_per_cycle: int = 1) -> None:
         super().__init__(node_id)
         self.estimate = np.array(initial_value, dtype=float)
         self.overlay = overlay
         self.exchanges_per_cycle = check_positive_int(exchanges_per_cycle, "exchanges_per_cycle")
-        self.wire = bool(wire)
         self.exchanges_done = 0
+
+    def _frame(self, message_type: type[GossipAvgRequest] | type[GossipAvgReply]) -> bytes:
+        return message_type(values=tuple(float(v) for v in self.estimate)).serialize()
 
     def next_cycle(self, engine: CycleEngine, cycle: int) -> None:
         rng = engine.rng_registry.stream(f"gossip.peer_sampling.{self.node_id}")
@@ -59,47 +60,15 @@ class PushPullAveragingNode(Node):
             peer = engine.node(peer_id)
             if not isinstance(peer, PushPullAveragingNode):
                 raise GossipError("push-pull averaging requires homogeneous nodes")
-            payload_bytes = 8 * self.estimate.size
-            if self.wire:
-                from .messages import GossipAvgReply, GossipAvgRequest, deserialize
-
-                frame = GossipAvgRequest(
-                    values=tuple(float(v) for v in self.estimate)
-                ).serialize()
-                received = engine.transmit(
-                    self.node_id, peer_id, "gossip-avg-request", frame,
-                    modelled_bytes=payload_bytes,
-                )
-                if received is None:
-                    continue
-                try:
-                    deserialize(received)
-                except WireFormatError:
-                    continue  # corrupted request: no exchange
-                reply_frame = GossipAvgReply(
-                    values=tuple(float(v) for v in peer.estimate)
-                ).serialize()
-                reply = engine.transmit(
-                    peer_id, self.node_id, "gossip-avg-reply", reply_frame,
-                    modelled_bytes=payload_bytes,
-                )
-                if reply is None:
-                    reply = reply_frame  # atomic pairwise exchange (cycle model)
-                try:
-                    peer_values = np.array(deserialize(reply).values, dtype=float)
-                except WireFormatError:
-                    continue
-            else:
-                delivered = engine.send(
-                    self.node_id, peer_id, "gossip-avg-request", None,
-                    size_bytes=payload_bytes,
-                )
-                if not delivered:
-                    continue
-                engine.send(peer_id, self.node_id, "gossip-avg-reply", None,
-                            size_bytes=payload_bytes)
-                peer_values = peer.estimate
-            average = (self.estimate + peer_values) / 2.0
+            reply = engine.exchange(
+                self.node_id, peer_id, ("gossip-avg-request", "gossip-avg-reply"),
+                self._frame(GossipAvgRequest),
+                lambda _request: peer._frame(GossipAvgReply),
+                modelled_bytes=8 * self.estimate.size,
+            )
+            if reply is None:
+                continue  # lost or corrupted: no exchange
+            average = (self.estimate + np.array(reply.values, dtype=float)) / 2.0
             self.estimate = average
             peer.estimate = average.copy()
             self.exchanges_done += 1
@@ -109,19 +78,17 @@ class PushPullAveragingNode(Node):
 class PushSumNode(Node):
     """Node running the Kempe et al. push-sum protocol.
 
-    With *wire* enabled each mass transfer travels as a framed
+    Each mass transfer travels as a framed
     :class:`~repro.gossip.messages.PushSumMessage`; an undecodable
     (corrupted) frame is treated exactly like a loss, so the protocol stays
     mass-conserving under every fault model.
     """
 
-    def __init__(self, node_id: int, initial_value: np.ndarray, overlay: Overlay,
-                 wire: bool = False) -> None:
+    def __init__(self, node_id: int, initial_value: np.ndarray, overlay: Overlay) -> None:
         super().__init__(node_id)
         self.value = np.array(initial_value, dtype=float)
         self.weight = 1.0
         self.overlay = overlay
-        self.wire = bool(wire)
         self._incoming_values: list[np.ndarray] = []
         self._incoming_weights: list[float] = []
 
@@ -149,39 +116,25 @@ class PushSumNode(Node):
         half_weight = self.weight / 2.0
         self.value = half_value
         self.weight = half_weight
-        payload_bytes = 8 * (self.value.size + 1)
-        incoming_value: np.ndarray | None = None
-        incoming_weight = 0.0
-        if self.wire:
-            from .messages import PushSumMessage, deserialize
-
-            frame = PushSumMessage(
-                values=tuple(float(v) for v in half_value), weight=float(half_weight)
-            ).serialize()
-            received = engine.transmit(
-                self.node_id, peer_id, "push-sum", frame, modelled_bytes=payload_bytes
-            )
-            if received is not None:
-                try:
-                    message = deserialize(received)
-                    incoming_value = np.array(message.values, dtype=float)
-                    incoming_weight = float(message.weight)
-                except WireFormatError:
-                    incoming_value = None  # corrupted in transit: counts as a loss
-        else:
-            delivered = engine.send(
-                self.node_id, peer_id, "push-sum", (half_value, half_weight),
-                size_bytes=payload_bytes,
-            )
-            if delivered:
-                incoming_value = half_value
-                incoming_weight = half_weight
-        if incoming_value is not None:
+        frame = PushSumMessage(
+            values=tuple(float(v) for v in half_value), weight=float(half_weight)
+        ).serialize()
+        received = engine.transmit(
+            self.node_id, peer_id, "push-sum", frame,
+            modelled_bytes=8 * (self.value.size + 1),
+        )
+        message = None
+        if received is not None:
+            try:
+                message = deserialize(received)
+            except WireFormatError:
+                pass  # corrupted in transit: counts as a loss
+        if message is not None:
             peer = engine.node(peer_id)
             if not isinstance(peer, PushSumNode):
                 raise GossipError("push-sum requires homogeneous nodes")
-            peer._incoming_values.append(incoming_value)
-            peer._incoming_weights.append(incoming_weight)
+            peer._incoming_values.append(np.array(message.values, dtype=float))
+            peer._incoming_weights.append(float(message.weight))
         else:
             # The mass was sent but lost (or arrived undecodable); conserve
             # it locally so the protocol remains mass-conserving under both
@@ -203,7 +156,6 @@ def gossip_average(
     drop_probability: float = 0.0,
     protocol: str = "push_pull",
     return_history: bool = False,
-    wire: str = "auto",
     corruption_rate: float = 0.0,
 ) -> np.ndarray | tuple[np.ndarray, list[float]]:
     """Run a gossip averaging protocol over the rows of *values*.
@@ -221,13 +173,9 @@ def gossip_average(
     return_history:
         When true, also return the per-cycle maximum relative error with
         respect to the true average (used by the convergence experiment).
-    wire:
-        ``"auto"`` (default) moves every message as a serialized byte frame
-        with measured sizes; ``"off"`` reproduces the reference-passing
-        transport.  Estimates are bit-identical either way.
     corruption_rate:
         Probability that a delivered frame has one bit flipped in transit
-        (requires the wire format; corrupted frames count as losses).
+        (corrupted frames count as losses).
 
     Returns
     -------
@@ -236,20 +184,15 @@ def gossip_average(
     """
     values = as_2d_float_array(values, "values")
     check_positive_int(cycles, "cycles")
-    wire_enabled = normalize_wire(wire) != "off"
-    if corruption_rate > 0 and not wire_enabled:
-        raise GossipError("corruption_rate requires the wire format (wire='auto')")
     n_nodes = values.shape[0]
     overlay = build_overlay(n_nodes, topology=topology, seed=seed)
     if protocol == "push_pull":
         nodes: list[Node] = [
-            PushPullAveragingNode(i, values[i], overlay, exchanges_per_cycle,
-                                  wire=wire_enabled)
+            PushPullAveragingNode(i, values[i], overlay, exchanges_per_cycle)
             for i in range(n_nodes)
         ]
     elif protocol == "push_sum":
-        nodes = [PushSumNode(i, values[i], overlay, wire=wire_enabled)
-                 for i in range(n_nodes)]
+        nodes = [PushSumNode(i, values[i], overlay) for i in range(n_nodes)]
     else:
         raise GossipError(f"unknown gossip protocol {protocol!r}")
     engine = CycleEngine(nodes, seed=seed, drop_probability=drop_probability,

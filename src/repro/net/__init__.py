@@ -3,10 +3,9 @@
 This package owns *how bytes move* between participants, independently of
 *what the protocol does* with them:
 
-* :mod:`repro.net.transport` — the :class:`~repro.net.transport.Transport`
-  abstraction and the deterministic in-process
+* :mod:`repro.net.transport` — the deterministic in-process
   :class:`~repro.net.transport.LoopbackTransport` that the cycle engine
-  delegates to (bit-identical to the historical engine-internal delivery);
+  delegates to, and the request/reply rule of the cycle model;
 * :mod:`repro.net.envelope` — length-prefixed socket records that carry
   wire frames (and JSON control metadata) over a TCP stream;
 * :mod:`repro.net.bootstrap` — the membership/key bootstrap driven by the
@@ -28,7 +27,7 @@ from .envelope import (
     decode_envelope,
     encode_envelope,
 )
-from .transport import LoopbackTransport, Transport
+from .transport import LoopbackTransport
 
 #: Names resolved lazily: bootstrap/faults import :mod:`repro.gossip.messages`,
 #: which imports the simulation engine — and the engine imports this package
@@ -61,7 +60,6 @@ __all__ = [
     "LoopbackTransport",
     "MembershipDirectory",
     "TargetedMutation",
-    "Transport",
     "decode_envelope",
     "encode_envelope",
     "key_announcement_for",

@@ -70,11 +70,10 @@ import numpy as np
 from ..config import ChiaroscuroConfig
 from ..core.collaborative import (
     build_decrypt_request,
-    build_decrypt_response,
     decode_decrypt_response,
     finalize_decryption,
+    serve_decrypt_request,
     share_holder_ids,
-    share_index_of,
 )
 from ..core.execution_log import ExecutionLog, IterationRecord
 from ..core.participant import (
@@ -93,7 +92,6 @@ from ..core.runner import (
     run_chiaroscuro,
     run_log_metadata,
 )
-from ..crypto.wire import wire_ciphertext_bytes
 from ..exceptions import ProtocolError, ThresholdError, WireFormatError
 from ..gossip.encrypted_sum import average_estimates, estimate_payload_bytes
 from ..gossip.messages import (
@@ -588,7 +586,10 @@ class WorkerProtocolHandler:
     def _handle_probe(self, header: dict[str, Any]) -> dict[str, Any]:
         """Peer-state query: the live stand-in for the cycle engine's
         shared-memory reads, answered by the same shared predicate."""
-        peer = self.participants[int(header["recipient"])]
+        peer = self.participants.get(int(header["recipient"]))
+        if peer is None:
+            # Not this worker's node: the initiator skips the exchange.
+            return {"status": "error", "error": "not_hosted"}
         decision = gossip_decision(peer, int(header["iteration"]))
         if decision == "sync":
             return {"status": "sync", "profiles": peer.final_profiles.tolist()}
@@ -616,17 +617,22 @@ class WorkerProtocolHandler:
             message = deserialize(frame)
         except WireFormatError as exc:
             return {"error": "wire_format", "detail": str(exc)}, b""
+        peer = self.participants.get(int(header["recipient"]))
+        if peer is None:
+            # A frame for a node hosted elsewhere is answered like any other
+            # unusable frame — the initiator counts a loss — instead of
+            # raising out of the peer link's pump and closing the link.
+            return {"error": "not_hosted"}, b""
         if op == "diptych-exchange":
-            return self._handle_exchange(header, message)
+            return self._handle_exchange(peer, message)
         if op == "decrypt-request":
-            return self._handle_decrypt(header, message)
+            return self._handle_decrypt(peer.node_id, message)
         return {"error": "unknown_op", "detail": str(op)}, b""
 
-    def _handle_exchange(self, header: dict[str, Any],
+    def _handle_exchange(self, peer: ChiaroscuroParticipant,
                          message: Any) -> tuple[dict[str, Any], bytes]:
         if not isinstance(message, DiptychExchange):
             return {"error": "unexpected_type", "detail": type(message).__name__}, b""
-        peer = self.participants[int(header["recipient"])]
         if peer.phase is not Phase.GOSSIP or peer.diptych is None \
                 or peer.iteration != message.iteration:
             return {"error": "state"}, b""
@@ -635,34 +641,21 @@ class WorkerProtocolHandler:
         # reply frame does; then the peer adopts the average of its stored
         # estimates and the received view.  Both sides end up holding the
         # same plaintext average.
-        reply_data, reply_noise = peer._forwarded_estimates(peer.diptych)
+        reply = peer.exchange_frame(DiptychReply)
         _merge_view_into(
             self.setup.backend, peer,
             list(message.data_estimates), list(message.noise_estimates),
         )
-        width = wire_ciphertext_bytes(self.setup.backend)
-        reply = DiptychReply(
-            iteration=peer.iteration,
-            data_estimates=tuple(reply_data),
-            noise_estimates=tuple(reply_noise),
-            ciphertext_bytes=width,
-        ).serialize()
         return {}, reply
 
-    def _handle_decrypt(self, header: dict[str, Any],
+    def _handle_decrypt(self, helper_id: int,
                         message: Any) -> tuple[dict[str, Any], bytes]:
         if not isinstance(message, DecryptRequest):
             return {"error": "unexpected_type", "detail": type(message).__name__}, b""
-        backend = self.setup.backend
-        helper_id = int(header["recipient"])
-        share_index = share_index_of(helper_id, backend.n_shares)
-        if share_index is None:
+        try:
+            return {}, serve_decrypt_request(self.setup.backend, helper_id, message)
+        except ThresholdError:
             return {"error": "no_share"}, b""
-        partials = tuple(
-            backend.partial_decrypt_vector(share_index, estimate.vector)
-            for estimate in message.estimates
-        )
-        return {}, build_decrypt_response(backend, partials)
 
 
 def _merge_view_into(backend, participant: ChiaroscuroParticipant,
@@ -742,16 +735,9 @@ class LiveParticipantDriver:
                 estimate_payload_bytes(backend, estimate)
                 for estimate in diptych.data_estimates + diptych.noise_estimates
             )
-            outgoing_data, outgoing_noise = participant._forwarded_estimates(diptych)
-            width = wire_ciphertext_bytes(backend)
-            frame = DiptychExchange(
-                iteration=participant.iteration,
-                data_estimates=tuple(outgoing_data),
-                noise_estimates=tuple(outgoing_noise),
-                ciphertext_bytes=width,
-            ).serialize()
             header, reply_frame = await self.transport.frame_request(
-                participant.node_id, peer_id, "diptych-exchange", frame,
+                participant.node_id, peer_id, "diptych-exchange",
+                participant.exchange_frame(DiptychExchange),
                 modelled_bytes=payload,
             )
             if header.get("error") or not reply_frame:
@@ -797,7 +783,7 @@ class LiveParticipantDriver:
 
     async def _decrypt_many(self, participant: ChiaroscuroParticipant,
                             estimates: Sequence) -> list[np.ndarray]:
-        """One committee round over the transport (the wire-mode pattern)."""
+        """One committee round over the transport."""
         backend = self.setup.backend
         committee = share_holder_ids(backend.n_shares)
         if len(committee) < backend.threshold:  # pragma: no cover - config-validated
@@ -805,7 +791,6 @@ class LiveParticipantDriver:
         helpers = tuple(committee[: backend.threshold])
         modelled = sum(estimate_payload_bytes(backend, estimate) for estimate in estimates)
         request_frame = build_decrypt_request(backend, estimates)
-        per_estimate: list[list] = [[] for _ in estimates]
         network = self.setup.config.network
         if network.batching:
             # Every helper receives the same request frame, so helpers
@@ -821,15 +806,12 @@ class LiveParticipantDriver:
                     participant.node_id, helper_id, "decrypt-request",
                     request_frame, modelled_bytes=modelled,
                 ))
-        for header, response_frame in responses:
-            if header.get("error") or not response_frame:
-                continue
-            partials = decode_decrypt_response(response_frame, len(estimates))
-            if partials is None:
-                continue
-            for position, partial in enumerate(partials):
-                per_estimate[position].append(partial)
-        return finalize_decryption(backend, per_estimate, estimates)
+        per_helper = [
+            None if header.get("error") or not response_frame
+            else decode_decrypt_response(response_frame, len(estimates))
+            for header, response_frame in responses
+        ]
+        return finalize_decryption(backend, per_helper, estimates)
 
 
 # ---------------------------------------------------------------------- worker

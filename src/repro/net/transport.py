@@ -1,13 +1,11 @@
-"""The :class:`Transport` abstraction: delivery plus authoritative accounting.
+"""The cycle engine's transport: delivery plus authoritative accounting.
 
 A transport moves protocol messages between participants and is the *single*
 place where traffic is counted.  Two implementations exist:
 
-* :class:`LoopbackTransport` — the deterministic in-memory delivery the
-  cycle-driven simulation has always used.  :meth:`CycleEngine.send` and
-  :meth:`CycleEngine.transmit` delegate here verbatim, so refactoring the
-  seam out of the engine changed no behaviour: results, logs and byte
-  counts are bit-identical to the pre-transport engine.
+* :class:`LoopbackTransport` — the deterministic in-memory delivery of the
+  cycle-driven simulation.  :meth:`CycleEngine.transmit` and
+  :meth:`CycleEngine.exchange` delegate here verbatim.
 * :class:`~repro.net.live.WorkerTransport` (in :mod:`repro.net.live`) — the
   asyncio TCP transport of the multi-process runner, which moves the same
   serialized frames over real sockets between OS processes.
@@ -32,54 +30,24 @@ approximate while its sum over iterations remains exact.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
-from ..exceptions import SimulationError
+from ..exceptions import SimulationError, WireFormatError
 from ..simulation.network import Message, Network, TrafficStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
+    from ..gossip.messages import WireMessage
     from ..simulation.engine import CycleEngine
 
 
-class Transport(ABC):
-    """Moves protocol messages and owns the traffic counters.
-
-    ``send`` carries an opaque object payload with a declared (modelled)
-    size — the historical simulation path; ``transmit`` carries a serialized
-    wire frame whose *measured* length is charged.  Both return delivery
-    information the protocol layer can react to (loss, offline peer).
-    """
-
-    @abstractmethod
-    def send(self, sender: int, recipient: int, kind: str, payload: object,
-             size_bytes: int = 0) -> bool:
-        """Deliver an object payload; return False on loss/offline recipient."""
-
-    @abstractmethod
-    def transmit(self, sender: int, recipient: int, kind: str, frame: bytes,
-                 modelled_bytes: int | None = None) -> bytes | None:
-        """Deliver a byte frame; return the bytes as received (None on loss)."""
-
-    @abstractmethod
-    def stats_for(self, node_id: int) -> TrafficStats:
-        """Traffic counters of one node."""
-
-    @property
-    @abstractmethod
-    def total(self) -> TrafficStats:
-        """Aggregate traffic counters."""
-
-
-class LoopbackTransport(Transport):
+class LoopbackTransport:
     """Deterministic in-process delivery backed by a :class:`Network` ledger.
 
     This is the cycle engine's transport: delivery is synchronous (the
     recipient's ``receive`` hook runs before the call returns), loss and
     corruption come from the network fault models, and the accounting site
-    is the wrapped :class:`Network`.  The implementation is the exact code
-    that used to live inside ``CycleEngine.send``/``CycleEngine.transmit``.
+    is the wrapped :class:`Network`.
     """
 
     def __init__(self, engine: "CycleEngine", network: Network) -> None:
@@ -87,21 +55,9 @@ class LoopbackTransport(Transport):
         self.network = network
 
     # ------------------------------------------------------------------ delivery
-    def send(self, sender: int, recipient: int, kind: str, payload: object,
-             size_bytes: int = 0) -> bool:
-        message = Message(
-            sender=sender, recipient=recipient, kind=kind, payload=payload,
-            size_bytes=size_bytes,
-        )
-        delivered = self.network.send(message)
-        recipient_node = self._engine.node(recipient)
-        if not delivered or not recipient_node.online:
-            return False
-        recipient_node.receive(self._engine, message)
-        return True
-
     def transmit(self, sender: int, recipient: int, kind: str, frame: bytes,
                  modelled_bytes: int | None = None) -> bytes | None:
+        """Deliver a byte frame; return the bytes as received (None on loss)."""
         if not isinstance(frame, (bytes, bytearray)):
             raise SimulationError("transmit() carries serialized byte frames only")
         frame = bytes(frame)
@@ -118,6 +74,45 @@ class LoopbackTransport(Transport):
             message = replace(message, payload=received)
         recipient_node.receive(self._engine, message)
         return received
+
+    def exchange(self, sender: int, recipient: int, kinds: tuple[str, str],
+                 frame: bytes, serve: "Callable[[WireMessage], bytes]",
+                 modelled_bytes: int | None = None,
+                 lossy_request: bool = True) -> "WireMessage | None":
+        """One request/reply round-trip; the decoded reply, or None on failure.
+
+        The cycle model's pairwise-exchange policy, stated once: the request
+        (*kinds[0]*) travels, the recipient decodes it and *serve* turns the
+        decoded request into the reply frame (*kinds[1]*), which travels
+        back and is decoded for the caller.  A frame that arrives corrupted
+        fails its checksum and ends the exchange like a loss.  A dropped
+        *reply* is accounted as dropped yet still decoded: the exchange is
+        atomic in the cycle model (the responder has already applied its
+        half).  A dropped *request* ends the exchange unless
+        *lossy_request* is false — the committee decryption round, whose
+        drops are modelled at the gossip layer, is served regardless.
+        """
+        from ..gossip.messages import deserialize
+
+        received = self.transmit(sender, recipient, kinds[0], frame,
+                                 modelled_bytes=modelled_bytes)
+        if received is None:
+            if lossy_request:
+                return None
+            received = frame
+        try:
+            request = deserialize(received)
+        except WireFormatError:
+            return None
+        reply_frame = serve(request)
+        reply = self.transmit(recipient, sender, kinds[1], reply_frame,
+                              modelled_bytes=modelled_bytes)
+        if reply is None:
+            reply = reply_frame
+        try:
+            return deserialize(reply)
+        except WireFormatError:
+            return None
 
     # ------------------------------------------------------------------ accounting views
     def stats_for(self, node_id: int) -> TrafficStats:

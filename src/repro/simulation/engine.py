@@ -17,7 +17,7 @@ cycle.  :class:`CycleEngine` reproduces that model:
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -28,6 +28,9 @@ from .network import Network
 from .node import Node
 from .observers import Observer
 from .rng import RngRegistry
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
+    from ..gossip.messages import WireMessage
 
 
 class CycleEngine:
@@ -48,8 +51,7 @@ class CycleEngine:
         Per-message loss probability of the network.
     corruption_rate:
         Per-frame probability that a delivered wire frame has one random
-        bit flipped (see :meth:`Network.maybe_corrupt`); only byte-frame
-        traffic sent through :meth:`transmit` can be corrupted.
+        bit flipped (see :meth:`Network.maybe_corrupt`).
     """
 
     def __init__(
@@ -150,34 +152,32 @@ class CycleEngine:
         return self.nodes[candidates[index]]
 
     # ------------------------------------------------------------------ messaging
-    def send(self, sender: int, recipient: int, kind: str, payload: object,
-             size_bytes: int = 0) -> bool:
-        """Send a message through the transport; deliver it immediately.
-
-        Returns False when the network dropped the message or the recipient
-        is offline (the message still counts as sent).  Delegates to the
-        engine's :class:`~repro.net.transport.LoopbackTransport`, which owns
-        delivery and the authoritative traffic accounting.
-        """
-        return self.transport.send(sender, recipient, kind, payload,
-                                   size_bytes=size_bytes)
-
     def transmit(self, sender: int, recipient: int, kind: str, frame: bytes,
                  modelled_bytes: int | None = None) -> bytes | None:
         """Send a serialized wire frame; return the bytes as received.
 
-        This is the byte-accurate counterpart of :meth:`send`: the payload
-        is an opaque frame, ``size_bytes`` is its measured length, and the
-        returned value is what the recipient actually got — ``None`` when
-        the network dropped the frame or the recipient is offline, the
-        (possibly bit-flipped, when the corruption fault model is active)
-        frame bytes otherwise.  *modelled_bytes* optionally records what the
-        historical size formula would have charged, feeding the
-        measured-vs-modelled byte accounting.  Delegates to the engine's
-        :class:`~repro.net.transport.LoopbackTransport`.
+        The payload is an opaque frame, ``size_bytes`` is its measured
+        length, and the returned value is what the recipient actually got —
+        ``None`` when the network dropped the frame or the recipient is
+        offline (the frame still counts as sent), the (possibly bit-flipped,
+        when the corruption fault model is active) frame bytes otherwise.
+        *modelled_bytes* optionally records what the size formula charges,
+        feeding the measured-vs-modelled byte accounting.  Delegates to the
+        engine's :class:`~repro.net.transport.LoopbackTransport`, which owns
+        delivery and the authoritative traffic accounting.
         """
         return self.transport.transmit(sender, recipient, kind, frame,
                                        modelled_bytes=modelled_bytes)
+
+    def exchange(self, sender: int, recipient: int, kinds: tuple[str, str],
+                 frame: bytes, serve: "Callable[[WireMessage], bytes]",
+                 modelled_bytes: int | None = None,
+                 lossy_request: bool = True) -> "WireMessage | None":
+        """One request/reply round-trip; see :meth:`LoopbackTransport.exchange`."""
+        return self.transport.exchange(
+            sender, recipient, kinds, frame, serve,
+            modelled_bytes=modelled_bytes, lossy_request=lossy_request,
+        )
 
     # ------------------------------------------------------------------ observers
     def add_observer(self, observer: Observer) -> None:

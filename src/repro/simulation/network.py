@@ -22,12 +22,11 @@ from ..exceptions import SimulationError
 class Message:
     """One point-to-point message.
 
-    ``size_bytes`` is declared by the sender; with the wire format enabled
-    it is the *measured* length of the serialized frame carried in
-    ``payload``, otherwise the modelled size the protocol layer computed.
-    ``modelled_bytes`` optionally carries the modelled size alongside a
-    measured frame, so the cost analysis can report measured-vs-modelled
-    byte accounting; it defaults to ``size_bytes``.
+    ``size_bytes`` is declared by the sender: the *measured* length of the
+    serialized frame carried in ``payload``.  ``modelled_bytes`` optionally
+    carries what the protocol layer's size formula charges for the same
+    message, so the cost analysis can report measured-vs-modelled byte
+    accounting; it defaults to ``size_bytes``.
     """
 
     sender: int
@@ -49,11 +48,10 @@ class Message:
 class TrafficStats:
     """Traffic counters for one node (or aggregated over all nodes).
 
-    ``bytes_sent`` accounts what actually crossed the (simulated) network —
-    measured frame lengths when the wire format is on, modelled sizes
-    otherwise.  ``bytes_modelled`` always accumulates the modelled sizes, so
-    the two columns coincide with the wire format off and diverge by exactly
-    the framing overhead with it on.
+    ``bytes_sent`` accounts what actually crossed the (simulated) network:
+    measured frame lengths.  ``bytes_modelled`` accumulates the modelled
+    sizes of the same messages, so the two columns diverge by exactly the
+    framing overhead.
     """
 
     messages_sent: int = 0
@@ -165,7 +163,7 @@ class Network:
         """Account *message* to its sender; return False when it was dropped.
 
         This is the sender half of the authoritative byte-count site (see
-        :class:`~repro.net.transport.Transport`): every transport charges a
+        :mod:`repro.net.transport`): every transport charges a
         message's ``bytes_sent``/``bytes_modelled`` exactly once, here, at
         the sending side.  The drop draw also lives here so that the loss
         fault model consumes its randomness in global send order.

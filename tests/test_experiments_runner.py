@@ -257,8 +257,13 @@ class TestLivePortSlots:
                 "gossip": {"cycles_per_aggregation": 3},
                 "crypto": {"backend": "plain", "threshold": 2,
                            "n_key_shares": 3},
+                # Below the kernel's ephemeral range (32768-60999 here): an
+                # outbound connection that happens to be given one of these
+                # six ports makes a worker's bind() fail, which surfaces as
+                # a 120 s coordinator timeout (seen once in 14 full runs
+                # with 44100).
                 "runtime": {"mode": "live", "processes": 2,
-                            "base_port": 44100, "run_timeout": 120.0},
+                            "base_port": 24100, "run_timeout": 120.0},
             },
             sweep={"privacy.epsilon": [2.0, 4.0]},
             repeats=1,

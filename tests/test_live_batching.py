@@ -101,12 +101,6 @@ class TestBatchingConfigValidation:
         with pytest.raises(ConfigurationError):
             ChiaroscuroConfig().with_overrides(network={"compression": True})
 
-    def test_batching_requires_the_wire_format(self):
-        with pytest.raises(ConfigurationError):
-            ChiaroscuroConfig().with_overrides(
-                network={"wire": "off", "batching": True},
-            )
-
     def test_batching_off_is_the_default(self):
         config = ChiaroscuroConfig()
         assert config.network.batching is False

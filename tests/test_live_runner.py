@@ -154,12 +154,6 @@ class TestLiveRunnerShapes:
 
 
 class TestLiveConfigValidation:
-    def test_live_requires_the_wire_format(self):
-        with pytest.raises(ConfigurationError):
-            ChiaroscuroConfig().with_overrides(
-                runtime={"mode": "live"}, network={"wire": "off"},
-            )
-
     def test_live_rejects_fault_models_for_now(self):
         with pytest.raises(ConfigurationError):
             ChiaroscuroConfig().with_overrides(

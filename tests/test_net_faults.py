@@ -131,6 +131,25 @@ class _SinkNode(Node):
         self.received.append(message.payload)
 
 
+def _handler_hosting_node_zero():
+    """A live worker's protocol handler hosting node 0 of a 4-node run."""
+    from repro.config import ChiaroscuroConfig
+    from repro.core.runner import build_run_setup
+    from repro.datasets import load_dataset
+    from repro.net.live import WorkerProtocolHandler
+
+    config = ChiaroscuroConfig().with_overrides(
+        kmeans={"n_clusters": 2, "max_iterations": 2},
+        privacy={"noise_shares": 2},
+        crypto={"backend": "plain", "threshold": 2, "n_key_shares": 2},
+        simulation={"n_participants": 4},
+    )
+    collection = load_dataset("gaussian", n_series=4, series_length=4,
+                              n_clusters=2, seed=0)
+    setup = build_run_setup(collection, config)
+    return WorkerProtocolHandler(setup, {0: setup.make_participant(0)})
+
+
 class TestRejectionOnBothTransports:
     @pytest.mark.parametrize("case", ALL_MUTATIONS, ids=_mutation_id)
     def test_loopback_transport_delivers_and_decoder_rejects(self, case):
@@ -149,26 +168,31 @@ class TestRejectionOnBothTransports:
     def test_live_worker_handler_degrades_to_loss(self, case):
         """The live transport's frame handler answers an error header (the
         initiator treats it as a loss) and never raises."""
-        from repro.config import ChiaroscuroConfig
-        from repro.core.runner import build_run_setup
-        from repro.datasets import load_dataset
-        from repro.net.live import WorkerProtocolHandler
-
         _, mutation = case
-        config = ChiaroscuroConfig().with_overrides(
-            kmeans={"n_clusters": 2, "max_iterations": 2},
-            privacy={"noise_shares": 2},
-            crypto={"backend": "plain", "threshold": 2, "n_key_shares": 2},
-            simulation={"n_participants": 4},
-        )
-        collection = load_dataset("gaussian", n_series=4, series_length=4,
-                                  n_clusters=2, seed=0)
-        setup = build_run_setup(collection, config)
-        participants = {0: setup.make_participant(0)}
-        handler = WorkerProtocolHandler(setup, participants)
-        header, payload = handler.handle_frame(
+        header, payload = _handler_hosting_node_zero().handle_frame(
             {"op": "diptych-exchange", "sender": 1, "recipient": 0},
             mutation.frame,
         )
         assert header["error"] == "wire_format"
         assert payload == b""
+
+
+class TestFramesForNodesHostedElsewhere:
+    """A frame or probe naming a node this worker does not host is answered
+    as a loss; raising instead would escape ``RequestChannel.pump``, close
+    the peer link and fail every request in flight on it."""
+
+    @pytest.mark.parametrize("op, frame, recipient", [
+        ("diptych-exchange", FRAMES["diptych"], 5),
+        # Node 1 holds a key share, but on another worker.
+        ("decrypt-request", FRAMES["decrypt-request"], 1),
+    ])
+    def test_frame(self, op, frame, recipient):
+        assert _handler_hosting_node_zero().handle_frame(
+            {"op": op, "sender": 0, "recipient": recipient}, frame,
+        ) == ({"error": "not_hosted"}, b"")
+
+    def test_probe(self):
+        assert _handler_hosting_node_zero().handle_control(
+            {"op": "probe", "sender": 0, "recipient": 5, "iteration": 1},
+        ) == {"status": "error", "error": "not_hosted"}

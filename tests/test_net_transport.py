@@ -1,4 +1,5 @@
-"""The transport seam: loopback equivalence, envelopes, byte accounting.
+"""The transport seam: loopback delivery, the exchange rule, envelopes,
+byte accounting.
 
 The refactor that pulled :class:`~repro.net.transport.LoopbackTransport` out
 of the cycle engine must be invisible: identical delivery semantics and —
@@ -6,7 +7,9 @@ the regression this file pins down with golden numbers — identical byte
 accounting.  The accounting rule ("one authoritative byte-count site in the
 transport") is exercised at both the unit level (``account_send`` /
 ``account_receive`` split) and end to end (a seeded run's byte totals are
-frozen against the pre-refactor values).
+frozen against the pre-refactor values).  The cycle model's request/reply
+policy lives in :meth:`LoopbackTransport.exchange` and is tested there, case
+by case.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from repro.net.envelope import (
     encode_envelope,
     read_length_prefix,
 )
-from repro.net.transport import LoopbackTransport, Transport
+from repro.gossip.messages import GossipAvgReply, GossipAvgRequest
+from repro.net.transport import LoopbackTransport
 from repro.simulation.engine import CycleEngine
 from repro.simulation.network import Message, Network
 from repro.simulation.node import Node
@@ -44,14 +48,13 @@ class _EchoNode(Node):
         self.received.append(message)
 
 
-def _tiny_config(wire: str = "auto") -> ChiaroscuroConfig:
+def _tiny_config() -> ChiaroscuroConfig:
     return ChiaroscuroConfig().with_overrides(
         kmeans={"n_clusters": 2, "max_iterations": 3},
         privacy={"epsilon": 2.0, "noise_shares": 4},
         gossip={"cycles_per_aggregation": 4},
         crypto={"backend": "plain", "threshold": 3, "n_key_shares": 4},
         simulation={"n_participants": 8, "seed": 0},
-        network={"wire": wire},
     )
 
 
@@ -62,22 +65,20 @@ def _tiny_collection():
 class TestLoopbackTransport:
     def test_engine_delegates_to_a_loopback_transport(self):
         engine = CycleEngine([_EchoNode(0), _EchoNode(1)], seed=0)
-        assert isinstance(engine.transport, Transport)
         assert isinstance(engine.transport, LoopbackTransport)
         assert engine.transport.network is engine.network
 
-    def test_send_and_transmit_deliver_and_account(self):
+    def test_transmit_delivers_and_accounts(self):
         nodes = [_EchoNode(0), _EchoNode(1)]
         engine = CycleEngine(nodes, seed=0)
-        assert engine.send(0, 1, "ping", {"x": 1}, size_bytes=10) is True
         frame = b"\x01\x02\x03\x04"
         assert engine.transmit(0, 1, "frame", frame, modelled_bytes=3) == frame
-        assert len(nodes[1].received) == 2
+        assert [message.payload for message in nodes[1].received] == [frame]
         stats = engine.transport.stats_for(0)
-        assert stats.messages_sent == 2
-        assert stats.bytes_sent == 10 + len(frame)
-        assert stats.bytes_modelled == 10 + 3
-        assert engine.transport.total.messages_received == 2
+        assert stats.messages_sent == 1
+        assert stats.bytes_sent == len(frame)
+        assert stats.bytes_modelled == 3
+        assert engine.transport.total.messages_received == 1
 
     def test_transmit_rejects_object_payloads(self):
         engine = CycleEngine([_EchoNode(0), _EchoNode(1)], seed=0)
@@ -88,12 +89,110 @@ class TestLoopbackTransport:
         nodes = [_EchoNode(0), _EchoNode(1)]
         engine = CycleEngine(nodes, seed=0)
         nodes[1].online = False
-        assert engine.send(0, 1, "ping", None, size_bytes=5) is False
         assert engine.transmit(0, 1, "frame", b"abc") is None
         assert nodes[1].received == []
-        assert engine.network.stats_for(0).messages_sent == 2
+        assert engine.network.stats_for(0).messages_sent == 1
         # Reception was accounted (the network delivered; the node was off).
-        assert engine.network.total.messages_received == 2
+        assert engine.network.total.messages_received == 1
+
+
+class _ScriptedFaults:
+    """Stands in for a fault stream: yields the scripted draws, then 1.0.
+
+    ``Network`` drops (or corrupts) a message when its draw is below the
+    configured probability, so with probability 0.5 a scripted 0.0 is a
+    fault and the trailing 1.0s are clean deliveries.
+    """
+
+    def __init__(self, *draws: float) -> None:
+        self._draws = list(draws)
+
+    def random(self) -> float:
+        return self._draws.pop(0) if self._draws else 1.0
+
+    def integers(self, low: int, high: int) -> int:
+        return low  # which bit a corruption flips
+
+
+class TestExchange:
+    """The cycle model's pairwise-exchange policy, one case at a time."""
+
+    REQUEST = GossipAvgRequest(values=(1.0, 2.0)).serialize()
+    REPLY = GossipAvgReply(values=(3.0, 4.0))
+    KINDS = ("request", "reply")
+
+    def _exchange(self, drops=(), corruptions=(), **options):
+        nodes = [_EchoNode(0), _EchoNode(1)]
+        engine = CycleEngine(nodes, seed=0, drop_probability=0.5,
+                             corruption_rate=0.5)
+        engine.network._rng = _ScriptedFaults(*drops)
+        engine.network._corruption_rng = _ScriptedFaults(*corruptions)
+        served = []
+
+        def serve(request):
+            served.append(request)
+            return self.REPLY.serialize()
+
+        reply = engine.exchange(0, 1, self.KINDS, self.REQUEST, serve,
+                                modelled_bytes=16, **options)
+        return engine, nodes, served, reply
+
+    def test_clean_round_trip(self):
+        engine, nodes, served, reply = self._exchange()
+        assert reply == self.REPLY
+        assert served == [GossipAvgRequest(values=(1.0, 2.0))]
+        assert [message.kind for message in nodes[1].received] == ["request"]
+        assert [message.kind for message in nodes[0].received] == ["reply"]
+        total = engine.network.total
+        assert (total.messages_sent, total.messages_dropped) == (2, 0)
+        assert total.bytes_sent == len(self.REQUEST) + len(self.REPLY.serialize())
+        assert total.bytes_modelled == 32
+
+    def test_dropped_request_ends_the_exchange(self):
+        engine, _, served, reply = self._exchange(drops=[0.0])
+        assert reply is None
+        assert served == []
+        total = engine.network.total
+        assert (total.messages_sent, total.messages_dropped) == (1, 1)
+
+    def test_dropped_reply_is_still_decoded(self):
+        engine, nodes, served, reply = self._exchange(drops=[1.0, 0.0])
+        assert reply == self.REPLY
+        assert len(served) == 1
+        assert nodes[0].received == []  # the drop is real: nothing delivered
+        total = engine.network.total
+        assert (total.messages_sent, total.messages_dropped) == (2, 1)
+
+    def test_corrupted_request_is_never_answered(self):
+        engine, _, served, reply = self._exchange(corruptions=[0.0])
+        assert reply is None
+        assert served == []
+        total = engine.network.total
+        assert (total.messages_sent, total.messages_corrupted) == (1, 1)
+
+    def test_corrupted_reply_counts_as_a_loss(self):
+        engine, _, served, reply = self._exchange(corruptions=[1.0, 0.0])
+        assert reply is None
+        assert len(served) == 1
+        total = engine.network.total
+        assert (total.messages_sent, total.messages_corrupted) == (2, 1)
+
+    def test_committee_rule_serves_a_dropped_request(self):
+        engine, nodes, served, reply = self._exchange(drops=[0.0],
+                                                      lossy_request=False)
+        assert reply == self.REPLY
+        assert served == [GossipAvgRequest(values=(1.0, 2.0))]
+        assert nodes[1].received == []
+        total = engine.network.total
+        assert (total.messages_sent, total.messages_dropped) == (2, 1)
+
+    def test_offline_recipient_ends_the_exchange(self):
+        nodes = [_EchoNode(0), _EchoNode(1)]
+        nodes[1].online = False
+        engine = CycleEngine(nodes, seed=0)
+        assert engine.exchange(0, 1, self.KINDS, self.REQUEST,
+                               lambda request: self.REPLY.serialize()) is None
+        assert engine.network.total.messages_sent == 1
 
 
 class TestAccountingSplit:
@@ -137,13 +236,11 @@ class TestGoldenByteAccounting:
     GOLDEN = {
         "auto": {"messages_sent": 318, "bytes_sent": 520428,
                  "bytes_sent_modelled": 511680},
-        "off": {"messages_sent": 318, "bytes_sent": 511680,
-                "bytes_sent_modelled": 511680},
     }
 
-    @pytest.mark.parametrize("wire", ["auto", "off"])
+    @pytest.mark.parametrize("wire", ["auto"])
     def test_cycle_mode_byte_totals_unchanged_vs_seed(self, wire):
-        result = run_chiaroscuro(_tiny_collection(), _tiny_config(wire))
+        result = run_chiaroscuro(_tiny_collection(), _tiny_config())
         golden = self.GOLDEN[wire]
         assert result.costs.messages_sent == golden["messages_sent"]
         assert result.costs.bytes_sent == golden["bytes_sent"]

@@ -138,14 +138,14 @@ class TestEngine:
     def test_messages_reach_receive_hook(self):
         nodes = [CountingNode(i) for i in range(2)]
         engine = CycleEngine(nodes, seed=0)
-        assert engine.send(0, 1, "ping", "hello", size_bytes=5)
-        assert nodes[1].received == ["hello"]
+        assert engine.transmit(0, 1, "ping", b"hello") == b"hello"
+        assert nodes[1].received == [b"hello"]
 
     def test_message_to_offline_node_not_delivered(self):
         nodes = [CountingNode(i) for i in range(2)]
         nodes[1].online = False
         engine = CycleEngine(nodes, seed=0)
-        assert not engine.send(0, 1, "ping", "hello")
+        assert engine.transmit(0, 1, "ping", b"hello") is None
         assert nodes[1].received == []
 
     def test_churn_takes_nodes_offline_and_back(self):

@@ -1,27 +1,43 @@
 """End-to-end guarantees of the wire format inside the full protocol.
 
-* a complete run with ``network.wire="auto"`` is bit-identical (profiles,
-  assignments, execution log, operation counts) to ``wire="off"``, while
-  ``bytes_sent`` switches from the modelled formula to measured frame
-  lengths — within 5% of the model on the default scenario;
-* the cleartext gossip protocols are bit-identical over the wire;
+* a complete run over byte frames reproduces, bit for bit, what the
+  retired object-reference transport (``network.wire="off"``) computed:
+  profiles, assignments, execution log, operation counts and the modelled
+  byte total — while ``bytes_sent`` holds measured frame lengths, within 5%
+  of the model on the default scenario;
+* the cleartext gossip protocols reproduce that transport's outputs too;
 * the corruption fault model degrades but never crashes a run, and every
   undecodable frame is contained as a :class:`WireFormatError`-mediated
   loss;
 * forwarded gossip ciphertexts are re-randomized per hop: what travels
   differs from what is stored, yet decrypts identically (unlinkability);
 * the fastmath-aware cost sweep measures both modes.
+
+The object-reference transport survives as data only.
+``tests/vectors/cycle_reference_v1.json`` holds its answers (floats as
+``float.hex()``), written at commit ``c65450d`` — the last one carrying the
+``"off"`` path — by this module against that commit's sources::
+
+    git archive c65450d src | tar -x -C /tmp/parent
+    PYTHONPATH=/tmp/parent/src python tests/test_wire_e2e.py off
+
+The file is immutable.  Without the argument the same entry point rewrites
+it from the byte-frame path, which must leave it unchanged::
+
+    PYTHONPATH=src python tests/test_wire_e2e.py && git diff --exit-code tests/vectors
 """
 
 from __future__ import annotations
+
+import json
+from collections.abc import Mapping
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.analysis import sweep_crypto_costs
-from repro.config import ChiaroscuroConfig
 from repro.core import run_chiaroscuro
-from repro.exceptions import ConfigurationError
 from repro.gossip import (
     build_overlay,
     deserialize,
@@ -36,92 +52,123 @@ from repro.gossip.encrypted_sum import (
 )
 from repro.simulation import CycleEngine
 
+REFERENCE_FILE = Path(__file__).parent / "vectors" / "cycle_reference_v1.json"
+
+
+def _hexed(value):
+    """JSON-native copy of *value* with every float as ``float.hex()``."""
+    if isinstance(value, np.ndarray):
+        return _hexed(value.tolist())
+    if isinstance(value, (float, np.floating)):
+        return float(value).hex()
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, Mapping):
+        return {str(key): _hexed(entry) for key, entry in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_hexed(entry) for entry in value]
+    return value
+
+
+def _run_snapshot(result):
+    """Everything of a run that must not depend on how messages travel."""
+    return _hexed({
+        "profiles": result.profiles,
+        "assignments": result.assignments,
+        "per_participant_profiles": result.per_participant_profiles,
+        "n_iterations": result.n_iterations,
+        "stop_reasons": result.stop_reasons,
+        "epsilon_spent": result.epsilon_spent,
+        "messages_sent": result.costs.messages_sent,
+        "bytes_sent_modelled": result.costs.bytes_sent_modelled,
+        "iterations": [
+            {
+                "iteration": record.iteration,
+                "epsilon_spent": record.epsilon_spent,
+                "displacement": record.displacement,
+                "centroids_before": record.centroids_before,
+                "perturbed_means": record.perturbed_means,
+                "noise_free_means": record.noise_free_means,
+                "tracked_assignments": record.tracked_assignments,
+                "costs": {key: value for key, value in record.costs.items()
+                          if key != "bytes_sent"},
+            }
+            for record in result.log
+        ],
+    })
+
+
+def _gossip_snapshots(plain_backend, **transport):
+    """Outputs of the three cleartext/encrypted gossip reference cases."""
+    return _hexed({
+        "push_pull": gossip_average(
+            np.random.default_rng(5).normal(size=(16, 6)), cycles=8, seed=2,
+            **transport),
+        "push_sum": gossip_average(
+            np.random.default_rng(6).normal(size=(12, 4)), cycles=8, seed=3,
+            protocol="push_sum", **transport),
+        "encrypted": encrypted_gossip_average(
+            plain_backend, np.random.default_rng(7).uniform(0, 1, size=(10, 5)),
+            cycles=4, seed=4, **transport),
+    })
+
 
 @pytest.fixture(scope="module")
-def wire_runs(small_collection, fast_config):
-    """One protocol run per wire mode on the default (fault-free) scenario."""
-    auto = run_chiaroscuro(small_collection, fast_config)
-    off = run_chiaroscuro(
-        small_collection, fast_config.with_overrides(network={"wire": "off"})
-    )
-    return auto, off
+def reference():
+    return json.loads(REFERENCE_FILE.read_text())
+
+
+@pytest.fixture(scope="module")
+def wire_run(small_collection, fast_config):
+    """One protocol run on the default (fault-free) scenario."""
+    return run_chiaroscuro(small_collection, fast_config)
+
+
+@pytest.fixture(scope="module")
+def wire_snapshot(wire_run):
+    return _run_snapshot(wire_run)
 
 
 class TestWireEquivalence:
-    def test_results_bit_identical(self, wire_runs):
-        auto, off = wire_runs
-        assert np.array_equal(auto.profiles, off.profiles)
-        assert np.array_equal(auto.assignments, off.assignments)
-        assert auto.n_iterations == off.n_iterations
-        assert auto.stop_reasons == off.stop_reasons
-        assert auto.epsilon_spent == off.epsilon_spent
-        for node_id in auto.per_participant_profiles:
-            assert np.array_equal(
-                auto.per_participant_profiles[node_id],
-                off.per_participant_profiles[node_id],
-            )
+    def test_results_bit_identical(self, wire_snapshot, reference):
+        for key in ("profiles", "assignments", "per_participant_profiles",
+                    "n_iterations", "stop_reasons", "epsilon_spent"):
+            assert wire_snapshot[key] == reference["run"][key], key
 
-    def test_execution_logs_identical_apart_from_measured_bytes(self, wire_runs):
-        auto, off = wire_runs
-        records_auto, records_off = list(auto.log), list(off.log)
-        assert len(records_auto) == len(records_off)
-        for record_a, record_o in zip(records_auto, records_off):
-            assert record_a.iteration == record_o.iteration
-            assert record_a.epsilon_spent == record_o.epsilon_spent
-            assert record_a.displacement == record_o.displacement
-            assert np.array_equal(record_a.centroids_before, record_o.centroids_before)
-            assert np.array_equal(record_a.perturbed_means, record_o.perturbed_means)
-            assert np.array_equal(record_a.noise_free_means, record_o.noise_free_means)
-            assert record_a.tracked_assignments == record_o.tracked_assignments
-            costs_a = {k: v for k, v in record_a.costs.items() if k != "bytes_sent"}
-            costs_o = {k: v for k, v in record_o.costs.items() if k != "bytes_sent"}
-            assert costs_a == costs_o
+    def test_execution_logs_identical_apart_from_measured_bytes(
+            self, wire_snapshot, reference):
+        assert len(wire_snapshot["iterations"]) == len(reference["run"]["iterations"])
+        for ours, theirs in zip(wire_snapshot["iterations"],
+                                reference["run"]["iterations"]):
+            assert ours == theirs, ours["iteration"]
 
-    def test_bytes_switch_from_modelled_to_measured(self, wire_runs):
-        auto, off = wire_runs
-        # Off: the network accounted the modelled formula, both columns agree.
-        assert off.costs.bytes_sent == off.costs.bytes_sent_modelled
-        # Auto: measured frame bytes, with the modelled figure still reported.
-        assert auto.costs.bytes_sent_modelled == off.costs.bytes_sent
-        assert auto.costs.bytes_sent > auto.costs.bytes_sent_modelled
-        assert auto.costs.wire == "auto"
-        assert off.costs.wire == "off"
-        assert auto.costs.messages_sent == off.costs.messages_sent
+    def test_bytes_switch_from_modelled_to_measured(self, wire_run, reference):
+        # The modelled column is what the object-reference transport charged;
+        # the measured one adds the framing overhead on the same messages.
+        assert wire_run.costs.bytes_sent_modelled == \
+            reference["run"]["bytes_sent_modelled"]
+        assert wire_run.costs.bytes_sent > wire_run.costs.bytes_sent_modelled
+        assert wire_run.costs.messages_sent == reference["run"]["messages_sent"]
 
-    def test_measured_within_five_percent_of_modelled(self, wire_runs):
-        auto, _ = wire_runs
-        assert 0.0 < auto.costs.wire_overhead_fraction < 0.05
-        accounting = auto.costs.byte_accounting
-        assert accounting.bytes_measured == auto.costs.bytes_sent
-        assert accounting.bytes_modelled == auto.costs.bytes_sent_modelled
-        assert accounting.overhead_fraction == auto.costs.wire_overhead_fraction
+    def test_measured_within_five_percent_of_modelled(self, wire_run):
+        assert 0.0 < wire_run.costs.wire_overhead_fraction < 0.05
+        accounting = wire_run.costs.byte_accounting
+        assert accounting.bytes_measured == wire_run.costs.bytes_sent
+        assert accounting.bytes_modelled == wire_run.costs.bytes_sent_modelled
+        assert accounting.overhead_fraction == wire_run.costs.wire_overhead_fraction
 
-    def test_wire_metadata_recorded(self, wire_runs):
-        auto, off = wire_runs
-        assert auto.metadata["wire"] == {"mode": "auto", "corruption_rate": 0.0}
-        assert off.metadata["wire"]["mode"] == "off"
+    def test_wire_metadata_recorded(self, wire_run):
+        assert wire_run.metadata["wire"] == {"mode": "auto", "corruption_rate": 0.0}
 
 
 class TestCleartextGossipEquivalence:
-    def test_push_pull_bit_identical(self):
-        values = np.random.default_rng(5).normal(size=(16, 6))
-        on = gossip_average(values, cycles=8, seed=2, wire="auto")
-        off = gossip_average(values, cycles=8, seed=2, wire="off")
-        assert np.array_equal(on, off)
+    @pytest.fixture(scope="class")
+    def gossip_snapshots(self, plain_backend):
+        return _gossip_snapshots(plain_backend)
 
-    def test_push_sum_bit_identical(self):
-        values = np.random.default_rng(6).normal(size=(12, 4))
-        on = gossip_average(values, cycles=8, seed=3, protocol="push_sum", wire="auto")
-        off = gossip_average(values, cycles=8, seed=3, protocol="push_sum", wire="off")
-        assert np.array_equal(on, off)
-
-    def test_encrypted_average_identical(self, plain_backend):
-        values = np.random.default_rng(7).uniform(0, 1, size=(10, 5))
-        on = encrypted_gossip_average(plain_backend, values, cycles=4, seed=4,
-                                      wire="auto")
-        off = encrypted_gossip_average(plain_backend, values, cycles=4, seed=4,
-                                       wire="off")
-        assert np.array_equal(on, off)
+    @pytest.mark.parametrize("case", ["push_pull", "push_sum", "encrypted"])
+    def test_bit_identical_to_reference(self, gossip_snapshots, reference, case):
+        assert gossip_snapshots[case] == reference["gossip"][case]
 
 
 class TestCorruptionScenarios:
@@ -137,8 +184,7 @@ class TestCorruptionScenarios:
 
         values = np.random.default_rng(8).normal(size=(6, 4))
         overlay = build_overlay(6, topology="complete", seed=5)
-        nodes = [PushPullAveragingNode(i, values[i], overlay, wire=True)
-                 for i in range(6)]
+        nodes = [PushPullAveragingNode(i, values[i], overlay) for i in range(6)]
         engine = CycleEngine(nodes, seed=5, corruption_rate=1.0)
         engine.run(3)
         # Every frame was corrupted: counted, rejected by the decoder, and
@@ -154,15 +200,9 @@ class TestCorruptionScenarios:
     def test_push_sum_conserves_mass_under_corruption(self):
         values = np.random.default_rng(9).normal(size=(12, 3))
         estimates = gossip_average(values, cycles=12, seed=6, protocol="push_sum",
-                                   wire="auto", corruption_rate=0.3)
+                                   corruption_rate=0.3)
         # Mass conservation: estimates still converge towards the average.
         assert np.all(np.isfinite(estimates))
-
-    def test_corruption_requires_wire(self):
-        with pytest.raises(ConfigurationError):
-            ChiaroscuroConfig().with_overrides(
-                network={"wire": "off", "corruption_rate": 0.1}
-            )
 
 
 class TestPerHopRerandomization:
@@ -183,20 +223,20 @@ class TestPerHopRerandomization:
         values = np.array([[0.5, 0.1], [0.3, 0.7]])
         overlay = build_overlay(2, topology="complete", seed=0)
         nodes = [
-            EncryptedAveragingNode(i, dj_backend, values[i], overlay, wire=True)
+            EncryptedAveragingNode(i, dj_backend, values[i], overlay)
             for i in range(2)
         ]
         engine = CycleEngine(nodes, seed=0)
         before = {node.node_id: node.estimate for node in nodes}
         captured = []
-        original_transmit = engine.transmit
+        original_transmit = engine.transport.transmit
 
         def spy(sender, recipient, kind, frame, modelled_bytes=None):
             captured.append((sender, kind, frame))
             return original_transmit(sender, recipient, kind, frame,
                                      modelled_bytes=modelled_bytes)
 
-        engine.transmit = spy
+        engine.transport.transmit = spy
         nodes[0].next_cycle(engine, 0)  # one full request/reply exchange
         assert [kind for _, kind, _ in captured] == [
             "encrypted-avg-request", "encrypted-avg-reply",
@@ -245,3 +285,36 @@ class TestFastmathSweep:
         payload = json.loads(capsys.readouterr().out)
         assert set(payload["profiles"]) == {"auto", "off"}
         assert set(payload["rows"]) == {"auto", "off"}
+
+
+def _regenerate(target: Path, wire: str | None) -> None:
+    from repro.config import ChiaroscuroConfig
+    from repro.crypto.backends import PlainBackend
+    from repro.datasets import generate_gaussian_clusters
+
+    # The conftest fixtures, spelled out (fixtures are not importable).
+    collection = generate_gaussian_clusters(
+        n_series=30, series_length=12, n_clusters=3, noise_std=0.05, seed=7)
+    config = ChiaroscuroConfig().with_overrides(
+        kmeans={"n_clusters": 3, "max_iterations": 4, "convergence_threshold": 1e-3},
+        privacy={"epsilon": 4.0, "noise_shares": 10},
+        gossip={"cycles_per_aggregation": 6},
+        crypto={"threshold": 2, "n_key_shares": 4},
+        simulation={"n_participants": 40, "seed": 3},
+    )
+    transport = {}
+    if wire is not None:
+        config = config.with_overrides(network={"wire": wire})
+        transport = {"wire": wire}
+    backend = PlainBackend(threshold=2, n_shares=4, encoding_scale=10**6)
+    payload = {
+        "run": _run_snapshot(run_chiaroscuro(collection, config)),
+        "gossip": _gossip_snapshots(backend, **transport),
+    }
+    target.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    import sys
+
+    _regenerate(REFERENCE_FILE, sys.argv[1] if len(sys.argv) > 1 else None)

@@ -24,13 +24,12 @@ from repro.crypto.backends import EncryptedVector, PartialVectorDecryption
 from repro.crypto import wire
 from repro.crypto.wire import (
     WireReader,
-    normalize_wire,
     read_encrypted_vector,
     write_bigint,
     write_encrypted_vector,
     write_varint,
 )
-from repro.exceptions import ValidationError, WireFormatError
+from repro.exceptions import WireFormatError
 from repro.gossip.encrypted_sum import EncryptedEstimate
 from repro.gossip import messages
 from repro.gossip.messages import (
@@ -210,14 +209,6 @@ class TestPrimitives:
         reader.read_bytes(1)
         with pytest.raises(WireFormatError):
             reader.expect_end()
-
-    def test_normalize_wire(self):
-        assert normalize_wire("auto") == "auto"
-        assert normalize_wire("off") == "off"
-        with pytest.raises(ValidationError):
-            normalize_wire("on")
-        with pytest.raises(ValidationError):
-            normalize_wire(True)
 
 
 class TestVectorBlocks:

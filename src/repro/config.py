@@ -373,12 +373,6 @@ class RuntimeConfig:
         assignment churn, byte spread) in ``costs.envelope``: ``"auto"``
         (default) does, ``"off"`` skips the reference run (e.g. throughput
         benchmarks, where the reference would dominate the wall clock).
-    write_buffer_limit:
-        High-water mark in bytes of every live-runner socket writer.  A
-        writer whose OS-level send buffer backs up past this limit blocks in
-        ``drain()`` until the peer catches up (asyncio flow control), so a
-        slow reader bounds the sender's memory instead of growing an
-        unbounded write buffer.
     engine:
         Population engine of cycle mode.  ``"object"`` (default) instantiates
         one :class:`~repro.core.participant.ChiaroscuroParticipant` per node.
@@ -425,7 +419,6 @@ class RuntimeConfig:
     stepping: str = "sequential"
     concurrency: int = 8
     envelope: str = "auto"
-    write_buffer_limit: int = 1 << 16
     engine: str = "object"
     slab_shards: int = 1
     slab_dtype: str = "float64"
@@ -438,7 +431,6 @@ class RuntimeConfig:
         check_in_choices(self.stepping, RUNTIME_STEPPING, "stepping")
         check_in_choices(self.envelope, RUNTIME_ENVELOPE, "envelope")
         check_positive_int(self.concurrency, "concurrency")
-        check_positive_int(self.write_buffer_limit, "write_buffer_limit")
         check_in_choices(self.engine, RUNTIME_ENGINES, "engine")
         check_positive_int(self.slab_shards, "slab_shards")
         check_in_choices(self.slab_dtype, SLAB_DTYPES, "slab_dtype")

@@ -71,9 +71,9 @@ def build_decrypt_request(backend: CipherBackend,
                           estimates: Sequence[EncryptedEstimate]) -> bytes:
     """Serialize one committee decryption request frame.
 
-    The single frame-building site shared by the cycle engine's committee
-    round and the live runner's transport round, so the two execution modes
-    can never diverge in what they put on the wire.
+    The single frame-building site: both drivers' committee fan-outs
+    (:func:`_committee_round` here, the live driver's over its transport)
+    call it, so they can never diverge in what they put on the wire.
     """
     return DecryptRequest(
         estimates=tuple(estimates), ciphertext_bytes=wire_ciphertext_bytes(backend)

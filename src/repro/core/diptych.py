@@ -18,6 +18,7 @@ the cluster mean is recovered after decryption as ``sum_part / count_part``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -77,6 +78,32 @@ class Diptych:
                 raise ProtocolError(
                     f"estimate length {len(estimate)} differs from expected {expected_length}"
                 )
+
+    def fits(self, view_data: Sequence[EncryptedEstimate],
+             view_noise: Sequence[EncryptedEstimate]) -> bool:
+        """Whether a received view has this diptych's shape: one estimate
+        per cluster on each side, each of length ``series_length + 1``."""
+        return all(
+            len(view) == self.n_clusters
+            and all(len(estimate) == self.series_length + 1 for estimate in view)
+            for view in (view_data, view_noise)
+        )
+
+    def absorb(self, backend: CipherBackend,
+               view_data: Sequence[EncryptedEstimate],
+               view_noise: Sequence[EncryptedEstimate]) -> None:
+        """Adopt the pairwise average of the stored estimates and a peer's
+        view — its (data, noise) estimates as decoded from the frame that
+        carried them.  One device's half of a gossip exchange."""
+        if len(view_data) != self.n_clusters or len(view_noise) != self.n_clusters:
+            raise ProtocolError("peer view does not carry one estimate per cluster")
+        for cluster in range(self.n_clusters):
+            self.data_estimates[cluster] = average_estimates(
+                backend, self.data_estimates[cluster], view_data[cluster]
+            )
+            self.noise_estimates[cluster] = average_estimates(
+                backend, self.noise_estimates[cluster], view_noise[cluster]
+            )
 
 
 def build_contribution(
@@ -147,7 +174,7 @@ def merge_diptychs(
     backend: CipherBackend,
     mine: Diptych,
     theirs: Diptych,
-    theirs_view: tuple[list[EncryptedEstimate], list[EncryptedEstimate]] | None = None,
+    theirs_view: tuple[Sequence[EncryptedEstimate], Sequence[EncryptedEstimate]] | None = None,
 ) -> None:
     """Pairwise gossip exchange between two diptychs (both sides updated).
 
@@ -156,31 +183,20 @@ def merge_diptychs(
     (steps 2a and 2b), performed in a single exchange.
 
     *theirs_view*, when given, is the peer's contribution *as it travelled*
-    — the (data, noise) estimate lists decoded from the received wire frame
-    (and re-randomized per hop).  The averages are then computed against
-    that view instead of the peer's in-memory objects, while both
-    participants still adopt the single merged result (in the real protocol
-    each side computes the identical plaintext average locally; the shared
-    object is the cycle simulation's shortcut for that).
+    — the (data, noise) estimates decoded from the received wire frame
+    (and re-randomized per hop).  *mine* absorbs that view instead of the
+    peer's in-memory objects, and *theirs* then adopts the same merged
+    estimates (in the real protocol each side computes the identical
+    plaintext average locally; the shared objects are the cycle
+    simulation's shortcut for that, and the reason a cycle-mode exchange
+    charges one average where a live one charges two).
     """
     mine.check_consistent()
     theirs.check_consistent()
     if mine.n_clusters != theirs.n_clusters or mine.series_length != theirs.series_length:
         raise ProtocolError("cannot merge diptychs with different shapes")
     if theirs_view is None:
-        view_data, view_noise = theirs.data_estimates, theirs.noise_estimates
-    else:
-        view_data, view_noise = theirs_view
-        if len(view_data) != mine.n_clusters or len(view_noise) != mine.n_clusters:
-            raise ProtocolError("peer view does not carry one estimate per cluster")
-    for cluster in range(mine.n_clusters):
-        averaged_data = average_estimates(
-            backend, mine.data_estimates[cluster], view_data[cluster]
-        )
-        averaged_noise = average_estimates(
-            backend, mine.noise_estimates[cluster], view_noise[cluster]
-        )
-        mine.data_estimates[cluster] = averaged_data
-        theirs.data_estimates[cluster] = averaged_data
-        mine.noise_estimates[cluster] = averaged_noise
-        theirs.noise_estimates[cluster] = averaged_noise
+        theirs_view = theirs.data_estimates, theirs.noise_estimates
+    mine.absorb(backend, *theirs_view)
+    theirs.data_estimates[:] = mine.data_estimates
+    theirs.noise_estimates[:] = mine.noise_estimates

@@ -3,7 +3,8 @@
 Every participant runs the same code (the paper stresses that the execution
 sequence "is iterative, identical for all participants, and proceeds without
 any global synchronization").  The participant is a :class:`~repro.simulation.node.Node`
-whose ``next_cycle`` method implements the execution sequence of Section II.B:
+whose ``step`` generator implements the execution sequence of Section II.B
+(``next_cycle`` drives it inside the cycle engine):
 
 * **ASSIGN** (local) — find the closest perturbed centroid, draw the optional
   noise-shares, and initialise the encrypted side of the diptych;
@@ -20,7 +21,8 @@ whose ``next_cycle`` method implements the execution sequence of Section II.B:
 from __future__ import annotations
 
 import enum
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Collection, Generator, Sequence
 
 import numpy as np
 
@@ -44,7 +46,7 @@ from ..privacy.noise_shares import NoiseShareSpec, draw_noise_share
 from ..privacy.strategies import BudgetStrategy, make_budget_strategy
 from ..simulation.engine import CycleEngine
 from ..simulation.node import Node
-from .collaborative import collaborative_decrypt, collaborative_decrypt_many
+from .collaborative import collaborative_decrypt_many
 from .convergence import TerminationCriteria
 from .diptych import Diptych, build_contribution, merge_diptychs
 
@@ -58,36 +60,48 @@ class Phase(enum.Enum):
     DONE = "done"
 
 
-def gossip_decision(peer: "ChiaroscuroParticipant", initiator_iteration: int) -> str:
-    """What one gossip attempt does, given the sampled peer's state.
+@dataclass(frozen=True)
+class Probe:
+    """Effect: ask *peer* what a gossip attempt at *iteration* should do.
+    Answered with the peer's :meth:`ChiaroscuroParticipant.answer_probe`
+    mapping; any other ``status`` (a peer that could not be asked) means
+    no exchange."""
 
-    Returns ``"sync"`` (adopt the finished peer's profiles), ``"adopt"``
-    (jump to the peer's more advanced iteration), ``"skip"`` (peer cannot
-    take part this cycle) or ``"merge"`` (run the pairwise exchange).  This
-    single predicate — including its evaluation order — is shared by the
-    cycle engine's gossip step (which reads the peer from shared memory)
-    and the live runner's probe handler (which answers over the socket), so
-    the two execution modes cannot diverge in the decision.
-    """
-    if peer.is_done and peer.final_profiles is not None:
-        return "sync"
-    if peer.iteration > initiator_iteration and not peer.is_done:
-        return "adopt"
-    if (
-        peer.phase is not Phase.GOSSIP
-        or peer.iteration != initiator_iteration
-        or peer.diptych is None
-    ):
-        return "skip"
-    return "merge"
+    peer: int
+    iteration: int
+
+
+@dataclass(frozen=True)
+class Exchange:
+    """Effect: run the pairwise diptych exchange with *peer*; *frame* is
+    this device's serialized half, *modelled_bytes* the size formula's
+    charge for it.  The driver performs all of it, merge included: on
+    return the initiator's diptych holds the pairwise average, or is
+    untouched when the exchange was lost, corrupted or refused."""
+
+    peer: int
+    frame: bytes
+    modelled_bytes: int
+
+
+@dataclass(frozen=True)
+class CommitteeRound:
+    """Effect: one collaborative decryption round.  Answered with one
+    decrypted vector per estimate, or ``None`` when fewer than ``threshold``
+    usable partial decryptions came back."""
+
+    estimates: tuple[EncryptedEstimate, ...]
+
+
+Effect = Probe | Exchange | CommitteeRound
 
 
 def peer_sampling_stream(node_id: int) -> str:
     """Name of one participant's peer-sampling random stream.
 
-    Both the cycle engine's gossip step and the live runner's driver draw
-    this node's gossip peers from the stream registered under this name, so
-    the two execution modes consume identical peer-sampling randomness.
+    Both drivers hand :meth:`ChiaroscuroParticipant.step` the stream
+    registered under this name, so the two execution modes consume
+    identical peer-sampling randomness.
     """
     return f"chiaroscuro.peer_sampling.{node_id}"
 
@@ -198,17 +212,70 @@ class ChiaroscuroParticipant(Node):
         return self.series_values.shape[0]
 
     # ------------------------------------------------------------------ execution sequence
-    def next_cycle(self, engine: CycleEngine, cycle: int) -> None:
-        if self.phase is Phase.DONE:
-            return
+    def step(self, rng: np.random.Generator,
+             online: Callable[[], Collection[int]],
+             n_nodes: int) -> Generator[Effect, Any, None]:
+        """One cycle of the execution sequence, as a sans-IO generator.
+
+        The protocol step, written once: it *decides* — peer sampling from
+        *rng* (this node's :func:`peer_sampling_stream`) among the ids
+        *online()* returns, the sync/adopt/skip/merge handling, the phase
+        transitions, the packed/unpacked decryption split — and moves no
+        byte.  What needs another device is yielded as an effect and the
+        driver sends the answer back in: :meth:`next_cycle` (cycle engine)
+        and :meth:`repro.net.live.LiveParticipantDriver.step` (sockets).
+        *n_nodes* is the population size.
+        """
         if self.phase is Phase.ASSIGN:
             self._assignment_step()
-            return
-        if self.phase is Phase.GOSSIP:
-            self._gossip_step(engine)
-            return
-        if self.phase is Phase.DECRYPT:
-            self._decrypt_and_converge(engine)
+        elif self.phase is Phase.GOSSIP:
+            yield from self._gossip_step(rng, online())
+        elif self.phase is Phase.DECRYPT:
+            yield from self._decrypt_and_converge(n_nodes)
+
+    def next_cycle(self, engine: CycleEngine, cycle: int) -> None:
+        """The cycle engine's driver of :meth:`step`: synchronous, over
+        ``engine.exchange``, peers read from the engine's memory."""
+        steps = self.step(
+            engine.rng_registry.stream(peer_sampling_stream(self.node_id)),
+            lambda: set(engine.online_ids()),
+            engine.n_nodes,
+        )
+        answer = None
+        try:
+            while True:
+                answer = self._perform(engine, steps.send(answer))
+        except StopIteration:
+            pass
+
+    def _perform(self, engine: CycleEngine, effect: Effect) -> Any:
+        if isinstance(effect, CommitteeRound):
+            try:
+                return collaborative_decrypt_many(
+                    engine, self.node_id, self.backend, effect.estimates,
+                ).values
+            except ThresholdError:
+                # Not enough decryption helpers online this cycle.
+                return None
+        peer = engine.node(effect.peer)
+        if not isinstance(peer, ChiaroscuroParticipant):
+            raise ProtocolError("gossip exchange with a non-Chiaroscuro node")
+        if isinstance(effect, Probe):
+            return peer.answer_probe(effect.iteration)
+        reply = engine.exchange(
+            self.node_id, effect.peer, ("diptych-exchange", "diptych-reply"),
+            effect.frame,
+            lambda _request: peer.exchange_frame(DiptychReply),
+            modelled_bytes=effect.modelled_bytes,
+        )
+        if reply is not None:
+            # The cycle model's one shortcut: a single average, both ends
+            # adopting the same objects (see merge_diptychs).
+            merge_diptychs(
+                self.backend, self.diptych, peer.diptych,
+                theirs_view=(reply.data_estimates, reply.noise_estimates),
+            )
+        return None
 
     # -- Step 1: assignment (local) -------------------------------------------------
     def _closest_centroid(self) -> int:
@@ -262,13 +329,33 @@ class ChiaroscuroParticipant(Node):
         self.phase = Phase.GOSSIP
 
     # -- Step 2a/2b: gossip computation (distributed) --------------------------------
-    def adopt_peer_state(self, centroids: np.ndarray, iteration: int) -> None:
-        """Late-participant synchronisation: jump to an observed iteration.
+    def answer_probe(self, initiator_iteration: int) -> dict[str, Any]:
+        """This device's answer to a peer's :class:`Probe`: what one gossip
+        attempt does, and the state the initiator needs to do it.
 
-        Shared by the cycle engine (which reads the peer's state directly)
-        and the live runner (which receives it in a gossip probe reply):
-        both modes must make this transition identically.
+        ``"sync"`` (adopt this finished device's profiles), ``"adopt"``
+        (jump to its more advanced iteration), ``"skip"`` (it cannot take
+        part this cycle) or ``"merge"`` (run the pairwise exchange), tested
+        in that order.  The arrays are this device's own — the cycle driver
+        passes them as they are, the live handler as lists in the control
+        header.
         """
+        if self.is_done and self.final_profiles is not None:
+            return {"status": "sync", "profiles": self.final_profiles}
+        if self.iteration > initiator_iteration and not self.is_done:
+            return {"status": "adopt", "iteration": self.iteration,
+                    "centroids": self.centroids}
+        if (
+            self.phase is not Phase.GOSSIP
+            or self.iteration != initiator_iteration
+            or self.diptych is None
+        ):
+            return {"status": "skip"}
+        return {"status": "merge"}
+
+    def adopt_peer_state(self, centroids: np.ndarray, iteration: int) -> None:
+        """Late-participant synchronisation: jump to the iteration (and
+        centroids) a probed peer reported."""
         self.centroids = np.asarray(centroids, dtype=float).copy()
         self.iteration = iteration - 1
         self.phase = Phase.ASSIGN
@@ -276,13 +363,9 @@ class ChiaroscuroParticipant(Node):
 
     def synchronize_with_profiles(self, profiles: np.ndarray) -> None:
         """Adopt a finished peer's profiles (the "late participants simply
-        synchronize" behaviour); shared by both execution modes."""
+        synchronize" behaviour) and stop."""
         self.centroids = np.asarray(profiles, dtype=float).copy()
         self._finish("synchronized")
-
-    def _adopt_iteration(self, peer: "ChiaroscuroParticipant") -> None:
-        """Late-participant synchronisation: jump to the peer's iteration."""
-        self.adopt_peer_state(peer.centroids, peer.iteration)
 
     def exchange_frame(
         self, message_type: type[DiptychExchange] | type[DiptychReply]
@@ -290,9 +373,10 @@ class ChiaroscuroParticipant(Node):
         """This device's half of a gossip exchange, serialized.
 
         The one place a diptych frame is built — by the initiator
-        (:class:`~repro.gossip.messages.DiptychExchange`) and by the
-        responder (:class:`~repro.gossip.messages.DiptychReply`), in the
-        cycle engine and in the live runner alike.  It carries the current
+        (:class:`~repro.gossip.messages.DiptychExchange`, inside
+        :meth:`step`) and by the responder
+        (:class:`~repro.gossip.messages.DiptychReply`, served by either
+        driver's transport).  It carries the current
         iteration and re-randomized copies of the stored estimates: only
         these copies ever travel, so a hop-by-hop observer sees unlinkable
         ciphertexts that decrypt to the same plaintexts.
@@ -306,46 +390,32 @@ class ChiaroscuroParticipant(Node):
             ciphertext_bytes=wire_ciphertext_bytes(self.backend),
         ).serialize()
 
-    def _gossip_step(self, engine: CycleEngine) -> None:
+    def _gossip_step(self, rng: np.random.Generator,
+                     online: Collection[int]) -> Generator[Effect, Any, None]:
         if self.diptych is None:  # pragma: no cover - state machine guarantees this
             raise ProtocolError("gossip phase reached without a diptych")
-        rng = engine.rng_registry.stream(peer_sampling_stream(self.node_id))
-        online = set(engine.online_ids())
         for _ in range(self.config.gossip.exchanges_per_cycle):
             peer_id = self.overlay.sample_neighbor(self.node_id, rng, online=online)
             if peer_id is None:
                 break
-            peer = engine.node(peer_id)
-            if not isinstance(peer, ChiaroscuroParticipant):
-                raise ProtocolError("gossip exchange with a non-Chiaroscuro node")
-            decision = gossip_decision(peer, self.iteration)
-            if decision == "sync":
+            probe = yield Probe(peer_id, self.iteration)
+            status = probe.get("status")
+            if status == "sync":
                 # A finished peer already holds the converged profiles.
-                self.synchronize_with_profiles(peer.final_profiles)
+                self.synchronize_with_profiles(probe["profiles"])
                 return
-            if decision == "adopt":
-                self._adopt_iteration(peer)
+            if status == "adopt":
+                self.adopt_peer_state(probe["centroids"], int(probe["iteration"]))
                 if self.phase is not Phase.GOSSIP:
                     return
                 continue
-            if decision == "skip":
+            if status != "merge":
                 continue
             payload = sum(
                 estimate_payload_bytes(self.backend, estimate)
                 for estimate in self.diptych.data_estimates + self.diptych.noise_estimates
             )
-            reply = engine.exchange(
-                self.node_id, peer_id, ("diptych-exchange", "diptych-reply"),
-                self.exchange_frame(DiptychExchange),
-                lambda _request: peer.exchange_frame(DiptychReply),
-                modelled_bytes=payload,
-            )
-            if reply is None:
-                continue  # lost or corrupted: no exchange this attempt
-            merge_diptychs(
-                self.backend, self.diptych, peer.diptych,
-                theirs_view=(list(reply.data_estimates), list(reply.noise_estimates)),
-            )
+            yield Exchange(peer_id, self.exchange_frame(DiptychExchange), payload)
         self.gossip_cycles_done += 1
         if self.gossip_cycles_done >= self.config.gossip.cycles_per_aggregation:
             self.phase = Phase.DECRYPT
@@ -353,58 +423,48 @@ class ChiaroscuroParticipant(Node):
     # -- Steps 2c/2d + 3: noise addition, decryption, convergence --------------------
     def combined_estimate(self, cluster: int) -> EncryptedEstimate:
         """One cluster's data estimate with its noise homomorphically added
-        (step 2c); shared by both execution modes' decrypt steps."""
+        (step 2c)."""
         return add_estimates(
             self.backend,
             self.diptych.data_estimates[cluster],
             self.diptych.noise_estimates[cluster],
         )
 
-    def _decrypt_and_converge(self, engine: CycleEngine) -> None:
+    def _decrypt_and_converge(self, n_nodes: int) -> Generator[Effect, Any, None]:
         if self.diptych is None:  # pragma: no cover - state machine guarantees this
             raise ProtocolError("decrypt phase reached without a diptych")
-        try:
-            if self.backend.is_packed:
-                # Packed/batched mode: homomorphically add the noise to every
-                # per-cluster estimate, then decrypt all of them in a single
-                # committee round-trip (2·threshold messages instead of
-                # 2·threshold per cluster).
-                combined = [
-                    self.combined_estimate(cluster)
-                    for cluster in range(self.n_clusters)
-                ]
-                decrypted = collaborative_decrypt_many(
-                    engine, self.node_id, self.backend, combined,
-                ).values
-            else:
-                # Historical layout: one noise addition and one decryption
-                # round-trip per cluster, byte-for-byte as before packing.
-                # Deliberately NOT routed through collaborative_decrypt_many:
-                # the add for cluster c must stay interleaved with cluster
-                # c's decryption so that a ThresholdError retry cycle charges
-                # exactly the operations the pre-packing code charged.
-                decrypted = []
-                for cluster in range(self.n_clusters):
-                    decrypted.append(
-                        collaborative_decrypt(
-                            engine, self.node_id, self.backend,
-                            self.combined_estimate(cluster),
-                        ).values
-                    )
-        except ThresholdError:
-            # Not enough decryption helpers online this cycle; retry later.
-            return
-        self._converge_from_decrypted(decrypted, engine.n_nodes)
+        if self.backend.is_packed:
+            # Packed/batched mode: homomorphically add the noise to every
+            # per-cluster estimate, then decrypt all of them in a single
+            # committee round-trip (2·threshold messages instead of
+            # 2·threshold per cluster).
+            decrypted = yield CommitteeRound(tuple(
+                self.combined_estimate(cluster) for cluster in range(self.n_clusters)
+            ))
+            if decrypted is None:
+                return  # retry at the next cycle
+        else:
+            # Historical layout: one noise addition and one decryption
+            # round-trip per cluster, byte-for-byte as before packing.
+            # Deliberately NOT one round over all clusters: the add for
+            # cluster c must stay interleaved with cluster c's decryption
+            # so that a failed round's retry cycle charges exactly the
+            # operations the pre-packing code charged.
+            decrypted = []
+            for cluster in range(self.n_clusters):
+                values = yield CommitteeRound((self.combined_estimate(cluster),))
+                if values is None:
+                    return  # retry at the next cycle
+                decrypted.append(values[0])
+        self._converge_from_decrypted(decrypted, n_nodes)
 
     def _converge_from_decrypted(
         self, decrypted: Sequence[np.ndarray], n_nodes: int
     ) -> None:
         """Rebuild, repair, smooth and adopt the perturbed means (step 3).
 
-        Everything after the collaborative decryption is local and
-        transport-independent; the live runner's driver calls this with the
-        values it decrypted over sockets, so both execution modes share one
-        convergence implementation.
+        Everything after the collaborative decryption is local; called
+        by :meth:`step` with the vectors its driver decrypted.
         """
         perturbed = np.empty((self.n_clusters, self.series_length))
         counts = np.zeros(self.n_clusters)

@@ -417,6 +417,74 @@ def assemble_result(
     )
 
 
+@dataclass(frozen=True)
+class NodeHistory:
+    """What one participant's run leaves behind for the execution log: one
+    entry per iteration it took part in.  Read off the participant, in the
+    cycle runner directly, in the live runner on the hosting worker."""
+
+    node_id: int
+    assignments: Sequence[int]
+    perturbed_means: Sequence[Any]
+    displacements: Sequence[float]
+    epsilons: Sequence[float]
+
+
+def history_of(participant: ChiaroscuroParticipant) -> NodeHistory:
+    return NodeHistory(
+        node_id=participant.node_id,
+        assignments=participant.assignment_history,
+        perturbed_means=participant.perturbed_means_history,
+        displacements=participant.displacement_history,
+        epsilons=[spend.epsilon for spend in participant.accountant],
+    )
+
+
+def iteration_record(
+    index: int,
+    histories: Sequence[NodeHistory],
+    data: np.ndarray,
+    tracked_ids: Sequence[int],
+    centroids_before: np.ndarray,
+    costs: dict[str, float],
+) -> IterationRecord:
+    """The execution-log record of iteration ``index + 1``, in both engines.
+
+    *histories* are in node-id order; the first participant that completed
+    the iteration reports its perturbed means, displacement and budget
+    spend.  The noise-free means are the plain means of each cluster's
+    assigned members (the perturbed mean where a cluster has none).
+    """
+    reporter = next(
+        history for history in histories if len(history.perturbed_means) > index
+    )
+    perturbed = np.array(reporter.perturbed_means[index], dtype=float)
+    assigned = {
+        history.node_id: history.assignments[index]
+        for history in histories
+        if len(history.assignments) > index
+    }
+    noise_free = perturbed.copy()
+    for cluster in range(perturbed.shape[0]):
+        member_ids = [node_id for node_id, choice in assigned.items() if choice == cluster]
+        if member_ids:
+            noise_free[cluster] = data[member_ids].mean(axis=0)
+    return IterationRecord(
+        iteration=index + 1,
+        epsilon_spent=(
+            float(reporter.epsilons[index]) if index < len(reporter.epsilons) else 0.0
+        ),
+        centroids_before=centroids_before.copy(),
+        perturbed_means=perturbed,
+        noise_free_means=noise_free,
+        displacement=float(reporter.displacements[index]),
+        tracked_assignments={
+            node_id: assigned[node_id] for node_id in tracked_ids if node_id in assigned
+        },
+        costs=costs,
+    )
+
+
 class _RunObserver:
     """Engine observer that fills the execution log as iterations complete."""
 
@@ -426,46 +494,25 @@ class _RunObserver:
         data: np.ndarray,
         initial_centroids: np.ndarray,
         tracked_ids: list[int],
-        engine: CycleEngine,
         backend: CipherBackend,
         log: ExecutionLog,
     ) -> None:
         self._participants = participants
         self._data = data
-        self._previous_centroids = initial_centroids.copy()
+        self._previous_centroids = initial_centroids
         self._tracked_ids = tracked_ids
-        self._engine = engine
         self._backend = backend
         self._log = log
-        self._records_emitted = 0
         self._last_messages = 0
         self._last_bytes = 0
         self._last_crypto = backend.counter.as_dict()
 
-    def _noise_free_means(self, iteration_index: int, reference: np.ndarray) -> np.ndarray:
-        """Means the iteration would produce without noise or gossip error."""
-        n_clusters = reference.shape[0]
-        means = reference.copy()
-        assignments: list[tuple[int, int]] = []
-        for participant in self._participants:
-            if len(participant.assignment_history) > iteration_index:
-                assignments.append(
-                    (participant.node_id, participant.assignment_history[iteration_index])
-                )
-        for cluster in range(n_clusters):
-            member_ids = [node_id for node_id, assigned in assignments if assigned == cluster]
-            if member_ids:
-                means[cluster] = self._data[member_ids].mean(axis=0)
-        return means
-
     def after_cycle(self, engine: CycleEngine, cycle: int) -> None:
         completed = max(len(p.perturbed_means_history) for p in self._participants)
-        while self._records_emitted < completed:
-            index = self._records_emitted
-            reporter = next(
-                p for p in self._participants if len(p.perturbed_means_history) > index
-            )
-            perturbed = reporter.perturbed_means_history[index]
+        if len(self._log) == completed:
+            return
+        histories = [history_of(participant) for participant in self._participants]
+        for index in range(len(self._log), completed):
             crypto_now = self._backend.counter.as_dict()
             costs = {
                 "messages_sent": float(engine.network.total.messages_sent - self._last_messages),
@@ -476,28 +523,12 @@ class _RunObserver:
             self._last_messages = engine.network.total.messages_sent
             self._last_bytes = engine.network.total.bytes_sent
             self._last_crypto = crypto_now
-            tracked = {
-                node_id: self._participants[node_id].assignment_history[index]
-                for node_id in self._tracked_ids
-                if len(self._participants[node_id].assignment_history) > index
-            }
-            epsilon = 0.0
-            spends = list(reporter.accountant)
-            if index < len(spends):
-                epsilon = spends[index].epsilon
-            record = IterationRecord(
-                iteration=index + 1,
-                epsilon_spent=epsilon,
-                centroids_before=self._previous_centroids.copy(),
-                perturbed_means=perturbed.copy(),
-                noise_free_means=self._noise_free_means(index, perturbed),
-                displacement=reporter.displacement_history[index],
-                tracked_assignments=tracked,
-                costs=costs,
+            record = iteration_record(
+                index, histories, self._data, self._tracked_ids,
+                self._previous_centroids, costs,
             )
             self._log.append(record)
-            self._previous_centroids = perturbed.copy()
-            self._records_emitted += 1
+            self._previous_centroids = record.perturbed_means
 
 
 def run_chiaroscuro(
@@ -572,7 +603,7 @@ def run_chiaroscuro(
     log = ExecutionLog(metadata=run_log_metadata(setup, collection.name))
     observer = _RunObserver(
         participants, setup.data, setup.initial_centroids, setup.tracked_ids,
-        engine, setup.backend, log,
+        setup.backend, log,
     )
     engine.add_observer(observer)
 

@@ -60,8 +60,6 @@ MAX_RECORD_BYTES = MAX_FRAME_BYTES + (1 << 20)
 #: this much is queued, instead of buffering records without bound.  64 KiB
 #: holds a handful of typical diptych frames — deep enough to pipeline,
 #: shallow enough that backpressure engages before memory does.
-#: ``RuntimeConfig.write_buffer_limit`` (which overrides this per run)
-#: defaults to the same value.
 DEFAULT_WRITE_BUFFER_LIMIT = 1 << 16
 
 _PREFIX_BYTES = 4

@@ -23,7 +23,11 @@ Architecture::
       - collects per-node histories + traffic, assembles the result
 
     worker i (OS process)
-      - hosts participants {id : id % N == i}
+      - hosts participants {id : id % N == i} and drives their protocol
+        step: :meth:`ChiaroscuroParticipant.step` is a generator that
+        decides and yields what needs another device (``Probe``,
+        ``Exchange``, ``CommitteeRound``); :class:`LiveParticipantDriver`
+        answers each over the sockets, as ``next_cycle`` does in memory
       - announces them with MembershipAnnouncement frames, verifies the
         KeyAnnouncement against its (fork-inherited) key material
       - serves gossip/decrypt frames from peer workers over its TCP server
@@ -75,25 +79,31 @@ from ..core.collaborative import (
     serve_decrypt_request,
     share_holder_ids,
 )
-from ..core.execution_log import ExecutionLog, IterationRecord
+from ..core.execution_log import ExecutionLog
 from ..core.participant import (
     ChiaroscuroParticipant,
+    CommitteeRound,
+    Effect,
+    Exchange,
     Phase,
-    gossip_decision,
+    Probe,
     peer_sampling_stream,
 )
 from ..analysis.envelope import nondeterminism_envelope
 from ..core.runner import (
+    NodeHistory,
     ParticipantOutcome,
     RunSetup,
     assemble_result,
     build_run_setup,
+    history_of,
+    iteration_record,
     plan_max_cycles,
     run_chiaroscuro,
     run_log_metadata,
 )
-from ..exceptions import ProtocolError, ThresholdError, WireFormatError
-from ..gossip.encrypted_sum import average_estimates, estimate_payload_bytes
+from ..exceptions import CryptoError, ProtocolError, ThresholdError, WireFormatError
+from ..gossip.encrypted_sum import EncryptedEstimate, estimate_payload_bytes
 from ..gossip.messages import (
     BatchEnvelope,
     DecryptRequest,
@@ -321,7 +331,6 @@ class WorkerTransport:
         handler: "WorkerProtocolHandler",
         stats: SocketStats,
         connect_timeout: float,
-        write_buffer_limit: int | None = None,
     ) -> None:
         self.worker_index = worker_index
         self.local_ids = local_ids
@@ -329,7 +338,6 @@ class WorkerTransport:
         self.handler = handler
         self.socket_stats = stats
         self.connect_timeout = connect_timeout
-        self.write_buffer_limit = write_buffer_limit
         self.ledger = Network(n_nodes=n_nodes, drop_probability=0.0)
         self.iteration_traffic: dict[int, dict[str, float]] = {}
         self._peer_channels: dict[tuple[str, int], RequestChannel] = {}
@@ -385,10 +393,9 @@ class WorkerTransport:
                     asyncio.open_connection(address[0], address[1]),
                     timeout=self.connect_timeout,
                 )
-                channel = RequestChannel(FrameConnection(
-                    reader, writer, self.socket_stats,
-                    write_buffer_limit=self.write_buffer_limit,
-                ))
+                channel = RequestChannel(
+                    FrameConnection(reader, writer, self.socket_stats)
+                )
                 self._peer_channels[address] = channel
                 self._peer_tasks.append(asyncio.create_task(channel.pump()))
         return channel
@@ -416,6 +423,25 @@ class WorkerTransport:
         ))
         return reply.header
 
+    def _deliver_local(
+        self, sender: int, recipient: int, kind: str, frame: bytes,
+        modelled_bytes: int | None,
+    ) -> tuple[dict[str, Any], bytes]:
+        """The round-trip to a recipient this worker hosts, the request
+        already charged: receive, serve, and both sides of the reply."""
+        self._account_receive(sender, recipient, kind, len(frame), modelled_bytes)
+        reply_header, reply_frame = self.handler.handle_frame(
+            {"op": kind, "sender": sender, "recipient": recipient,
+             "modelled": modelled_bytes},
+            frame,
+        )
+        if reply_frame:
+            self._account_send(recipient, sender, kind + "-reply",
+                               len(reply_frame), modelled_bytes)
+            self._account_receive(recipient, sender, kind + "-reply",
+                                  len(reply_frame), modelled_bytes)
+        return reply_header, reply_frame
+
     async def frame_request(
         self, sender: int, recipient: int, kind: str, frame: bytes,
         modelled_bytes: int | None = None,
@@ -428,22 +454,13 @@ class WorkerTransport:
         *recipient* there and received by *sender* here.
         """
         self._account_send(sender, recipient, kind, len(frame), modelled_bytes)
-        header = {
-            "op": kind, "sender": sender, "recipient": recipient,
-            "modelled": modelled_bytes,
-        }
         if recipient in self.local_ids:
-            self._account_receive(sender, recipient, kind, len(frame), modelled_bytes)
-            reply_header, reply_frame = self.handler.handle_frame(header, frame)
-            if reply_frame:
-                self._account_send(recipient, sender, kind + "-reply",
-                                   len(reply_frame), modelled_bytes)
-                self._account_receive(recipient, sender, kind + "-reply",
-                                      len(reply_frame), modelled_bytes)
-            return reply_header, reply_frame
+            return self._deliver_local(sender, recipient, kind, frame, modelled_bytes)
         channel = await self._channel_to(recipient)
         reply = await channel.request(Envelope(
-            kind=KIND_FRAME, correlation_id=0, header=header, payload=frame,
+            kind=KIND_FRAME, correlation_id=0, payload=frame,
+            header={"op": kind, "sender": sender, "recipient": recipient,
+                    "modelled": modelled_bytes},
         ))
         if reply.payload:
             self._account_receive(recipient, sender, kind + "-reply",
@@ -470,19 +487,9 @@ class WorkerTransport:
         for recipient in recipients:
             self._account_send(sender, recipient, kind, len(frame), modelled_bytes)
             if recipient in self.local_ids:
-                self._account_receive(sender, recipient, kind, len(frame),
-                                      modelled_bytes)
-                header = {
-                    "op": kind, "sender": sender, "recipient": recipient,
-                    "modelled": modelled_bytes,
-                }
-                reply_header, reply_frame = self.handler.handle_frame(header, frame)
-                if reply_frame:
-                    self._account_send(recipient, sender, kind + "-reply",
-                                       len(reply_frame), modelled_bytes)
-                    self._account_receive(recipient, sender, kind + "-reply",
-                                          len(reply_frame), modelled_bytes)
-                results[recipient] = (reply_header, reply_frame)
+                results[recipient] = self._deliver_local(
+                    sender, recipient, kind, frame, modelled_bytes
+                )
             else:
                 address = self.directory.address_of(recipient)
                 remote_groups.setdefault(address, []).append(recipient)
@@ -578,39 +585,34 @@ class WorkerProtocolHandler:
 
     # ------------------------------------------------------------------ control
     def handle_control(self, header: dict[str, Any]) -> dict[str, Any]:
-        op = header.get("op")
-        if op == "probe":
-            return self._handle_probe(header)
-        raise ProtocolError(f"unknown control operation {op!r}")
-
-    def _handle_probe(self, header: dict[str, Any]) -> dict[str, Any]:
-        """Peer-state query: the live stand-in for the cycle engine's
-        shared-memory reads, answered by the same shared predicate."""
-        peer = self.participants.get(int(header["recipient"]))
+        """Answer a gossip probe, the one control operation: the live
+        stand-in for the cycle engine's shared-memory reads — the hosted
+        participant's own answer, its arrays as lists for the header."""
+        if header.get("op") != "probe":
+            raise ProtocolError(f"unknown control operation {header.get('op')!r}")
+        recipient, iteration = header.get("recipient"), header.get("iteration")
+        if not (isinstance(recipient, int) and isinstance(iteration, int)):
+            return {"status": "error", "error": "bad_probe"}
+        peer = self.participants.get(recipient)
         if peer is None:
             # Not this worker's node: the initiator skips the exchange.
             return {"status": "error", "error": "not_hosted"}
-        decision = gossip_decision(peer, int(header["iteration"]))
-        if decision == "sync":
-            return {"status": "sync", "profiles": peer.final_profiles.tolist()}
-        if decision == "adopt":
-            return {
-                "status": "adopt",
-                "iteration": peer.iteration,
-                "centroids": peer.centroids.tolist(),
-            }
-        return {"status": decision}
+        return {
+            key: value.tolist() if isinstance(value, np.ndarray) else value
+            for key, value in peer.answer_probe(iteration).items()
+        }
 
     # ------------------------------------------------------------------ frames
     def handle_frame(self, header: dict[str, Any],
                      frame: bytes) -> tuple[dict[str, Any], bytes]:
         """Decode and serve one protocol frame; never raises on bad frames.
 
-        A frame that fails to decode is answered with an ``error`` header
-        (the initiator treats it as a loss), mirroring the cycle-mode rule
-        that corruption degrades into loss and only
-        :class:`~repro.exceptions.WireFormatError` is ever raised by
-        decoding.
+        A frame that fails to decode, or decodes to something this worker
+        cannot use (wrong node, wrong state, wrong shape), is answered with
+        an ``error`` header (the initiator treats it as a loss), mirroring
+        the cycle-mode rule that corruption degrades into loss: raising
+        instead would escape ``RequestChannel.pump``, close the peer link
+        and fail every request in flight on it.
         """
         op = header.get("op")
         try:
@@ -619,9 +621,6 @@ class WorkerProtocolHandler:
             return {"error": "wire_format", "detail": str(exc)}, b""
         peer = self.participants.get(int(header["recipient"]))
         if peer is None:
-            # A frame for a node hosted elsewhere is answered like any other
-            # unusable frame — the initiator counts a loss — instead of
-            # raising out of the peer link's pump and closing the link.
             return {"error": "not_hosted"}, b""
         if op == "diptych-exchange":
             return self._handle_exchange(peer, message)
@@ -636,15 +635,16 @@ class WorkerProtocolHandler:
         if peer.phase is not Phase.GOSSIP or peer.diptych is None \
                 or peer.iteration != message.iteration:
             return {"error": "state"}, b""
+        if not peer.diptych.fits(message.data_estimates, message.noise_estimates):
+            return {"error": "shape"}, b""
         # The reply carries the peer's *pre-merge* re-randomized estimates
         # (the view that travels), exactly as the cycle-mode responder's
         # reply frame does; then the peer adopts the average of its stored
         # estimates and the received view.  Both sides end up holding the
         # same plaintext average.
         reply = peer.exchange_frame(DiptychReply)
-        _merge_view_into(
-            self.setup.backend, peer,
-            list(message.data_estimates), list(message.noise_estimates),
+        peer.diptych.absorb(
+            self.setup.backend, message.data_estimates, message.noise_estimates
         )
         return {}, reply
 
@@ -656,31 +656,19 @@ class WorkerProtocolHandler:
             return {}, serve_decrypt_request(self.setup.backend, helper_id, message)
         except ThresholdError:
             return {"error": "no_share"}, b""
-
-
-def _merge_view_into(backend, participant: ChiaroscuroParticipant,
-                     view_data, view_noise) -> None:
-    """Adopt the pairwise average of the stored diptych and a received view."""
-    diptych = participant.diptych
-    if len(view_data) != diptych.n_clusters or len(view_noise) != diptych.n_clusters:
-        raise ProtocolError("peer view does not carry one estimate per cluster")
-    for cluster in range(diptych.n_clusters):
-        diptych.data_estimates[cluster] = average_estimates(
-            backend, diptych.data_estimates[cluster], view_data[cluster]
-        )
-        diptych.noise_estimates[cluster] = average_estimates(
-            backend, diptych.noise_estimates[cluster], view_noise[cluster]
-        )
+        except CryptoError:
+            # Well-formed frame, ciphertexts this backend cannot decrypt
+            # (e.g. another packing layout).
+            return {"error": "bad_request"}, b""
 
 
 # ---------------------------------------------------------------------- driver
 class LiveParticipantDriver:
-    """Steps hosted participants, with gossip/decrypt over the transport.
+    """The socket driver of :meth:`ChiaroscuroParticipant.step`.
 
-    The assignment and convergence steps run the participant's own local
-    code; only the two distributed steps are re-implemented message-driven
-    — same decisions, in the same order, from the same random streams as
-    the cycle engine's version.
+    The step itself — every decision, in the same order, from the same
+    random streams as in cycle mode — is the participant's generator; this
+    class only answers what it yields, over the worker's transport.
     """
 
     def __init__(self, setup: RunSetup,
@@ -694,101 +682,54 @@ class LiveParticipantDriver:
 
     async def step(self, node_id: int) -> dict[str, Any]:
         participant = self.participants[node_id]
-        if participant.phase is Phase.ASSIGN:
-            participant._assignment_step()
-        elif participant.phase is Phase.GOSSIP:
-            await self._gossip_step(participant)
-        elif participant.phase is Phase.DECRYPT:
-            await self._decrypt_step(participant)
+        steps = participant.step(
+            self.registry.stream(peer_sampling_stream(node_id)),
+            lambda: self._online,
+            self.setup.n_participants,
+        )
+        answer = None
+        try:
+            while True:
+                answer = await self._perform(participant, steps.send(answer))
+        except StopIteration:
+            pass
         return {"done": participant.is_done, "iteration": participant.iteration}
 
-    # ------------------------------------------------------------------ gossip
-    async def _gossip_step(self, participant: ChiaroscuroParticipant) -> None:
-        config = self.setup.config
-        backend = self.setup.backend
-        rng = self.registry.stream(peer_sampling_stream(participant.node_id))
-        for _ in range(config.gossip.exchanges_per_cycle):
-            peer_id = participant.overlay.sample_neighbor(
-                participant.node_id, rng, online=self._online
-            )
-            if peer_id is None:
-                break
-            probe = await self.transport.control_request(peer_id, {
-                "op": "probe", "recipient": peer_id,
-                "sender": participant.node_id,
-                "iteration": participant.iteration,
+    async def _perform(self, participant: ChiaroscuroParticipant,
+                       effect: Effect) -> Any:
+        if isinstance(effect, Probe):
+            return await self.transport.control_request(effect.peer, {
+                "op": "probe", "recipient": effect.peer,
+                "sender": participant.node_id, "iteration": effect.iteration,
             })
-            status = probe.get("status")
-            if status == "sync":
-                participant.synchronize_with_profiles(probe["profiles"])
-                return
-            if status == "adopt":
-                participant.adopt_peer_state(probe["centroids"],
-                                             int(probe["iteration"]))
-                if participant.phase is not Phase.GOSSIP:
-                    return
-                continue
-            if status != "merge":
-                continue
-            diptych = participant.diptych
-            payload = sum(
-                estimate_payload_bytes(backend, estimate)
-                for estimate in diptych.data_estimates + diptych.noise_estimates
-            )
-            header, reply_frame = await self.transport.frame_request(
-                participant.node_id, peer_id, "diptych-exchange",
-                participant.exchange_frame(DiptychExchange),
-                modelled_bytes=payload,
-            )
-            if header.get("error") or not reply_frame:
-                continue
-            try:
-                reply = deserialize(reply_frame)
-            except WireFormatError:
-                continue
-            if not isinstance(reply, DiptychReply):
-                continue
-            _merge_view_into(
-                backend, participant,
-                list(reply.data_estimates), list(reply.noise_estimates),
-            )
-        participant.gossip_cycles_done += 1
-        if participant.gossip_cycles_done >= config.gossip.cycles_per_aggregation:
-            participant.phase = Phase.DECRYPT
-
-    # ------------------------------------------------------------------ decryption
-    async def _decrypt_step(self, participant: ChiaroscuroParticipant) -> None:
-        backend = self.setup.backend
-        diptych = participant.diptych
-        if diptych is None:  # pragma: no cover - state machine guarantees this
-            raise ProtocolError("decrypt phase reached without a diptych")
+        if isinstance(effect, CommitteeRound):
+            return await self._committee_round(participant.node_id, effect.estimates)
+        header, reply_frame = await self.transport.frame_request(
+            participant.node_id, effect.peer, "diptych-exchange", effect.frame,
+            modelled_bytes=effect.modelled_bytes,
+        )
+        if header.get("error") or not reply_frame:
+            return None
         try:
-            if backend.is_packed:
-                combined = [
-                    participant.combined_estimate(cluster)
-                    for cluster in range(participant.n_clusters)
-                ]
-                decrypted = await self._decrypt_many(participant, combined)
-            else:
-                decrypted = []
-                for cluster in range(participant.n_clusters):
-                    values = await self._decrypt_many(
-                        participant, [participant.combined_estimate(cluster)]
-                    )
-                    decrypted.append(values[0])
-        except ThresholdError:
-            # Not enough usable partial decryptions this round; retry later.
-            return
-        participant._converge_from_decrypted(decrypted, self.setup.n_participants)
+            reply = deserialize(reply_frame)
+        except WireFormatError:
+            return None
+        # The responder absorbed its half on its own worker; a reply of the
+        # wrong type or shape is a lost exchange on this side.
+        if isinstance(reply, DiptychReply) \
+                and participant.diptych.fits(reply.data_estimates, reply.noise_estimates):
+            participant.diptych.absorb(
+                self.setup.backend, reply.data_estimates, reply.noise_estimates
+            )
+        return None
 
-    async def _decrypt_many(self, participant: ChiaroscuroParticipant,
-                            estimates: Sequence) -> list[np.ndarray]:
-        """One committee round over the transport."""
+    async def _committee_round(
+        self, requester_id: int, estimates: Sequence[EncryptedEstimate]
+    ) -> list[np.ndarray] | None:
+        """One committee round over the transport; ``None`` when fewer than
+        ``threshold`` usable partial decryptions came back."""
         backend = self.setup.backend
-        committee = share_holder_ids(backend.n_shares)
-        if len(committee) < backend.threshold:  # pragma: no cover - config-validated
-            raise ThresholdError("committee smaller than the threshold")
-        helpers = tuple(committee[: backend.threshold])
+        helpers = tuple(share_holder_ids(backend.n_shares)[: backend.threshold])
         modelled = sum(estimate_payload_bytes(backend, estimate) for estimate in estimates)
         request_frame = build_decrypt_request(backend, estimates)
         network = self.setup.config.network
@@ -796,27 +737,32 @@ class LiveParticipantDriver:
             # Every helper receives the same request frame, so helpers
             # hosted on the same worker share one batched socket record.
             responses = await self.transport.batched_frame_requests(
-                participant.node_id, helpers, "decrypt-request", request_frame,
+                requester_id, helpers, "decrypt-request", request_frame,
                 modelled_bytes=modelled, compress=network.compression,
             )
         else:
-            responses = []
-            for helper_id in helpers:
-                responses.append(await self.transport.frame_request(
-                    participant.node_id, helper_id, "decrypt-request",
+            responses = [
+                await self.transport.frame_request(
+                    requester_id, helper_id, "decrypt-request",
                     request_frame, modelled_bytes=modelled,
-                ))
+                )
+                for helper_id in helpers
+            ]
         per_helper = [
             None if header.get("error") or not response_frame
             else decode_decrypt_response(response_frame, len(estimates))
             for header, response_frame in responses
         ]
-        return finalize_decryption(backend, per_helper, estimates)
+        try:
+            return finalize_decryption(backend, per_helper, estimates)
+        except ThresholdError:
+            return None
 
 
 # ---------------------------------------------------------------------- worker
 def _collect_node_state(participant: ChiaroscuroParticipant,
                         stats: TrafficStats) -> dict[str, Any]:
+    history = history_of(participant)
     return {
         "node": participant.node_id,
         "iteration": participant.iteration,
@@ -827,15 +773,10 @@ def _collect_node_state(participant: ChiaroscuroParticipant,
             if participant.final_profiles is not None else None
         ),
         "centroids": participant.centroids.tolist(),
-        "assignment_history": [int(a) for a in participant.assignment_history],
-        "displacement_history": [float(d) for d in participant.displacement_history],
-        "perturbed_means_history": [
-            means.tolist() for means in participant.perturbed_means_history
-        ],
-        "spends": [
-            {"epsilon": spend.epsilon, "label": spend.label}
-            for spend in participant.accountant
-        ],
+        "history": {
+            **vars(history),
+            "perturbed_means": [means.tolist() for means in history.perturbed_means],
+        },
         "spent_epsilon": participant.accountant.spent_epsilon,
         "traffic": stats.as_dict(),
     }
@@ -878,88 +819,75 @@ async def _worker_async(worker_index: int, setup: RunSetup, local_ids: list[int]
         handler=handler,
         stats=stats,
         connect_timeout=runtime.connect_timeout,
-        write_buffer_limit=runtime.write_buffer_limit,
     )
     driver = LiveParticipantDriver(setup, participants, transport)
     meter = _CryptoMeter(setup.backend.counter, transport.iteration_traffic)
     bootstrapped = asyncio.Event()
     shutdown = asyncio.Event()
 
+    def serve_frame(op: str, sender: int, recipient: int, modelled: Any,
+                    frame: bytes) -> tuple[dict[str, Any], bytes]:
+        """Serve one frame a peer worker sent to a node hosted here."""
+        transport._account_receive(sender, recipient, op, len(frame), modelled)
+        reply_header, reply_frame = handler.handle_frame(
+            {"op": op, "sender": sender, "recipient": recipient,
+             "modelled": modelled},
+            frame,
+        )
+        # Crypto work serving a peer's frame (decrypt shares, averaging)
+        # is charged to the local recipient's current iteration.
+        recipient_participant = participants.get(recipient)
+        if recipient_participant is not None:
+            meter.charge(recipient_participant.iteration)
+        if reply_frame:
+            transport._account_send(recipient, sender, op + "-reply",
+                                    len(reply_frame), modelled)
+        return reply_header, reply_frame
+
     async def handle_peer_record(envelope: Envelope) -> Envelope | None:
-        if envelope.kind == KIND_FRAME and envelope.is_batch:
-            op = str(envelope.header.get("op", ""))
-            sender = int(envelope.header["sender"])
-            recipients = [int(r) for r in envelope.header.get("recipients", [])]
-            modelled = envelope.header.get("modelled")
-            try:
-                batch = deserialize(envelope.payload)
-            except WireFormatError as exc:
-                return Envelope(kind=KIND_FRAME, correlation_id=0,
-                                header={"error": f"bad batch: {exc}"},
-                                is_reply=True, is_batch=True)
-            if (not isinstance(batch, BatchEnvelope)
-                    or len(batch.frames) != len(recipients)):
-                return Envelope(kind=KIND_FRAME, correlation_id=0,
-                                header={"error": "batch_mismatch"},
-                                is_reply=True, is_batch=True)
-            reply_headers: list[dict[str, Any]] = []
-            reply_frames: list[bytes] = []
-            for recipient, inner in zip(recipients, batch.frames):
-                transport._account_receive(sender, recipient, op,
-                                           len(inner), modelled)
-                reply_header, reply_frame = handler.handle_frame(
-                    {"op": op, "sender": sender, "recipient": recipient,
-                     "modelled": modelled},
-                    inner,
-                )
-                recipient_participant = handler.participants.get(recipient)
-                if recipient_participant is not None:
-                    meter.charge(recipient_participant.iteration)
-                if reply_frame:
-                    transport._account_send(recipient, sender, op + "-reply",
-                                            len(reply_frame), modelled)
-                reply_headers.append(reply_header)
-                reply_frames.append(reply_frame)
-            return Envelope(
-                kind=KIND_FRAME, correlation_id=0,
-                header={"replies": reply_headers},
-                payload=batch_frames(reply_frames, compress=batch.compress),
-                is_reply=True, is_batch=True,
+        if envelope.kind != KIND_FRAME:
+            return Envelope(kind=KIND_CONTROL, correlation_id=0,
+                            header=handler.handle_control(envelope.header),
+                            is_reply=True)
+        op = str(envelope.header.get("op", ""))
+        sender = int(envelope.header["sender"])
+        modelled = envelope.header.get("modelled")
+        if not envelope.is_batch:
+            reply_header, reply_frame = serve_frame(
+                op, sender, int(envelope.header["recipient"]), modelled,
+                envelope.payload,
             )
-        if envelope.kind == KIND_FRAME:
-            recipient = int(envelope.header["recipient"])
-            transport._account_receive(
-                int(envelope.header["sender"]), recipient,
-                str(envelope.header.get("op", "")), len(envelope.payload),
-                envelope.header.get("modelled"),
-            )
-            reply_header, reply_frame = handler.handle_frame(
-                envelope.header, envelope.payload
-            )
-            # Crypto work serving a peer's frame (decrypt shares, averaging)
-            # is charged to the local recipient's current iteration.
-            recipient_participant = handler.participants.get(recipient)
-            if recipient_participant is not None:
-                meter.charge(recipient_participant.iteration)
-            if reply_frame:
-                transport._account_send(
-                    recipient, int(envelope.header["sender"]),
-                    str(envelope.header.get("op", "")) + "-reply",
-                    len(reply_frame), envelope.header.get("modelled"),
-                )
             return Envelope(kind=KIND_FRAME, correlation_id=0,
                             header=reply_header, payload=reply_frame,
                             is_reply=True)
-        return Envelope(kind=KIND_CONTROL, correlation_id=0,
-                        header=handler.handle_control(envelope.header),
-                        is_reply=True)
+        recipients = [int(r) for r in envelope.header.get("recipients", [])]
+        try:
+            batch = deserialize(envelope.payload)
+        except WireFormatError as exc:
+            return Envelope(kind=KIND_FRAME, correlation_id=0,
+                            header={"error": f"bad batch: {exc}"},
+                            is_reply=True, is_batch=True)
+        if (not isinstance(batch, BatchEnvelope)
+                or len(batch.frames) != len(recipients)):
+            return Envelope(kind=KIND_FRAME, correlation_id=0,
+                            header={"error": "batch_mismatch"},
+                            is_reply=True, is_batch=True)
+        replies = [
+            serve_frame(op, sender, recipient, modelled, inner)
+            for recipient, inner in zip(recipients, batch.frames)
+        ]
+        return Envelope(
+            kind=KIND_FRAME, correlation_id=0,
+            header={"replies": [reply_header for reply_header, _ in replies]},
+            payload=batch_frames([reply_frame for _, reply_frame in replies],
+                                 compress=batch.compress),
+            is_reply=True, is_batch=True,
+        )
 
     async def serve_peer(reader: asyncio.StreamReader,
                          writer: asyncio.StreamWriter) -> None:
         channel = RequestChannel(
-            FrameConnection(reader, writer, stats,
-                            write_buffer_limit=runtime.write_buffer_limit),
-            handle_peer_record,
+            FrameConnection(reader, writer, stats), handle_peer_record
         )
         try:
             await channel.pump()
@@ -1067,9 +995,7 @@ async def _worker_async(worker_index: int, setup: RunSetup, local_ids: list[int]
         timeout=runtime.connect_timeout,
     )
     coordinator = RequestChannel(
-        FrameConnection(reader, writer, stats,
-                        write_buffer_limit=runtime.write_buffer_limit),
-        handle_coordinator_record,
+        FrameConnection(reader, writer, stats), handle_coordinator_record
     )
     pump_task = asyncio.create_task(coordinator.pump())
 
@@ -1227,11 +1153,7 @@ class LiveRunner:
             )
             box = [link]
             channel = RequestChannel(
-                FrameConnection(
-                    reader, writer, stats,
-                    write_buffer_limit=setup.config.runtime.write_buffer_limit,
-                ),
-                link_handler(box),
+                FrameConnection(reader, writer, stats), link_handler(box)
             )
             link.channel = channel
             pump_tasks.append(asyncio.create_task(channel.pump()))
@@ -1373,61 +1295,30 @@ class LiveRunOutcome:
 # ---------------------------------------------------------------------- assembly
 def _rebuild_log(setup: RunSetup, collection_name: str,
                  nodes: list[dict[str, Any]],
-                 iteration_traffic: dict[int, dict[str, float]] | None = None,
-                 ) -> ExecutionLog:
+                 iteration_traffic: dict[int, dict[str, float]]) -> ExecutionLog:
     """Rebuild the per-iteration execution log from collected histories.
 
-    Mirrors the cycle runner's observer.  ``iteration_traffic`` is the
-    merged per-worker cost accounting keyed by iteration number: the
-    message/byte deltas (traffic charged to the sending node's current
-    iteration) plus the crypto-operation deltas each worker's
-    :class:`_CryptoMeter` charged to the iteration the work served, so
-    each record's ``costs`` carries the same per-iteration delta keys as
-    a cycle run's.
+    The records are the cycle runner's
+    (:func:`~repro.core.runner.iteration_record`), built from what the
+    workers collected.  ``iteration_traffic`` is the merged per-worker cost
+    accounting keyed by iteration number: the message/byte deltas (traffic
+    charged to the sending node's current iteration) plus the
+    crypto-operation deltas each worker's :class:`_CryptoMeter` charged to
+    the iteration the work served, so each record's ``costs`` carries the
+    same per-iteration delta keys as a cycle run's.
     """
     log = ExecutionLog(metadata=run_log_metadata(setup, collection_name))
-    by_id = {int(node["node"]): node for node in nodes}
-    ordered = [by_id[node_id] for node_id in sorted(by_id)]
-    data = setup.data
-    n_clusters = setup.initial_centroids.shape[0]
-    previous = setup.initial_centroids.copy()
-    completed = max(len(node["perturbed_means_history"]) for node in ordered)
+    histories = sorted((NodeHistory(**node["history"]) for node in nodes),
+                       key=lambda history: history.node_id)
+    previous = setup.initial_centroids
+    completed = max(len(history.perturbed_means) for history in histories)
     for index in range(completed):
-        reporter = next(
-            node for node in ordered
-            if len(node["perturbed_means_history"]) > index
+        record = iteration_record(
+            index, histories, setup.data, setup.tracked_ids, previous,
+            dict(iteration_traffic.get(index + 1, {})),
         )
-        perturbed = np.asarray(reporter["perturbed_means_history"][index], dtype=float)
-        means = perturbed.copy()
-        assignments = [
-            (int(node["node"]), node["assignment_history"][index])
-            for node in ordered
-            if len(node["assignment_history"]) > index
-        ]
-        for cluster in range(n_clusters):
-            member_ids = [nid for nid, assigned in assignments if assigned == cluster]
-            if member_ids:
-                means[cluster] = data[member_ids].mean(axis=0)
-        tracked = {
-            node_id: by_id[node_id]["assignment_history"][index]
-            for node_id in setup.tracked_ids
-            if len(by_id[node_id]["assignment_history"]) > index
-        }
-        epsilon = 0.0
-        if index < len(reporter["spends"]):
-            epsilon = float(reporter["spends"][index]["epsilon"])
-        costs = dict((iteration_traffic or {}).get(index + 1, {}))
-        log.append(IterationRecord(
-            iteration=index + 1,
-            epsilon_spent=epsilon,
-            centroids_before=previous.copy(),
-            perturbed_means=perturbed.copy(),
-            noise_free_means=means,
-            displacement=float(reporter["displacement_history"][index]),
-            tracked_assignments=tracked,
-            costs=costs,
-        ))
-        previous = perturbed.copy()
+        log.append(record)
+        previous = record.perturbed_means
     return log
 
 
@@ -1495,8 +1386,7 @@ def run_live_chiaroscuro(
         )
         for node in nodes
     ]
-    log = _rebuild_log(setup, collection.name, nodes,
-                       iteration_traffic=iteration_traffic)
+    log = _rebuild_log(setup, collection.name, nodes, iteration_traffic)
     runtime = config.runtime
     extra_metadata = {
         "live": {

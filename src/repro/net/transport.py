@@ -1,7 +1,10 @@
 """The cycle engine's transport: delivery plus authoritative accounting.
 
 A transport moves protocol messages between participants and is the *single*
-place where traffic is counted.  Two implementations exist:
+place where traffic is counted.  Two implementations exist, one per driver
+of the protocol step (:meth:`ChiaroscuroParticipant.step
+<repro.core.participant.ChiaroscuroParticipant.step>` yields the exchanges
+and committee rounds; a driver performs them over its transport):
 
 * :class:`LoopbackTransport` — the deterministic in-memory delivery of the
   cycle-driven simulation.  :meth:`CycleEngine.transmit` and

@@ -7,9 +7,18 @@ import pytest
 
 from repro.clustering import public_initial_centroids
 from repro.config import ChiaroscuroConfig
-from repro.core.participant import ChiaroscuroParticipant, Phase
+from repro.core.participant import (
+    ChiaroscuroParticipant,
+    CommitteeRound,
+    Exchange,
+    Phase,
+    Probe,
+)
+from repro.crypto.backends import PlainBackend
 from repro.exceptions import ProtocolError
 from repro.gossip import build_overlay
+from repro.gossip.encrypted_sum import estimate_payload_bytes
+from repro.gossip.messages import DiptychExchange, deserialize
 from repro.simulation import CycleEngine
 
 
@@ -22,11 +31,9 @@ def make_participants(n=6, length=6, config=None, backend=None):
         simulation={"n_participants": n, "seed": 0},
     )
     if backend is None:
-        from repro.crypto.backends import PlainBackend
-
         backend = PlainBackend(threshold=2, n_shares=3)
     overlay = build_overlay(n, topology="complete")
-    centroids = public_initial_centroids(2, length, 0.0, 1.0, seed=0)
+    centroids = public_initial_centroids(config.kmeans.n_clusters, length, 0.0, 1.0, seed=0)
     rng = np.random.default_rng(5)
     data = rng.uniform(0.0, 1.0, size=(n, length))
     participants = [
@@ -157,3 +164,162 @@ class TestStateMachine:
             assert len(participant.assignment_history) >= len(
                 participant.perturbed_means_history
             ) - 1
+
+
+def drive(participant, answers, online=range(6)):
+    """A scripted driver: one ``participant.step(...)`` fed canned answers.
+
+    Returns the effects the step yielded.  The script must be exactly as
+    long as the step's questions: a missing answer raises ``IndexError``, a
+    spare one fails the assertion.
+    """
+    steps = participant.step(np.random.default_rng(0), lambda: set(online), 6)
+    effects, answer, script = [], None, list(answers)
+    while True:
+        try:
+            effect = steps.send(answer)
+        except StopIteration:
+            assert not script, f"the step never asked for {script}"
+            return effects
+        effects.append(effect)
+        answer = script.pop(0)
+
+
+def step_config(n_clusters=2, **gossip):
+    return ChiaroscuroConfig().with_overrides(
+        kmeans={"n_clusters": n_clusters, "max_iterations": 3},
+        privacy={"epsilon": 5.0, "noise_shares": 3},
+        gossip={"cycles_per_aggregation": 3, **gossip},
+        crypto={"threshold": 2, "n_key_shares": 3},
+        simulation={"n_participants": 6, "seed": 0},
+    )
+
+
+def gossiping_participant(config=None, backend=None):
+    """Participant 5 (no noise-shares) past its first assignment — no
+    engine anywhere."""
+    config = config if config is not None else step_config()
+    participant = make_participants(config=config, backend=backend)[0][5]
+    assert drive(participant, []) == []  # the assignment step asks nothing
+    assert participant.phase is Phase.GOSSIP
+    return participant
+
+
+def decrypting_participant(backend):
+    """A participant with three clusters whose one gossip cycle found nobody."""
+    participant = gossiping_participant(
+        step_config(n_clusters=3, cycles_per_aggregation=1), backend
+    )
+    drive(participant, [], online={5})
+    assert participant.phase is Phase.DECRYPT
+    return participant
+
+
+class TestStepWithAScriptedDriver:
+    """The protocol step where it lives: a generator fed canned answers —
+    no engine, no transport, no socket."""
+
+    def test_sync_adopts_the_profiles_and_ends_the_step(self):
+        participant = gossiping_participant()
+        profiles = np.full((2, 6), 0.25)
+        effects = drive(participant, [{"status": "sync", "profiles": profiles}])
+        assert [type(effect) for effect in effects] == [Probe]
+        assert participant.is_done
+        assert participant.stop_reason == "synchronized"
+        assert np.array_equal(participant.final_profiles, profiles)
+        assert participant.gossip_cycles_done == 0
+
+    def test_adopt_jumps_reencrypts_and_keeps_sampling(self):
+        participant = gossiping_participant(step_config(exchanges_per_cycle=2))
+        centroids = participant.centroids + 0.125
+        encryptions = participant.backend.counter.encryptions
+        old_diptych = participant.diptych
+        effects = drive(participant, [
+            {"status": "adopt", "iteration": 2, "centroids": centroids.tolist()},
+            {"status": "skip"},
+        ])
+        assert [type(effect) for effect in effects] == [Probe, Probe]
+        assert [effect.iteration for effect in effects] == [1, 2]
+        assert participant.iteration == 2
+        assert np.array_equal(participant.centroids, centroids)
+        assert participant.assignment_history[-1] == participant.assigned_cluster
+        assert len(participant.assignment_history) == 2
+        assert participant.diptych is not old_diptych
+        assert participant.backend.counter.encryptions > encryptions
+        assert participant.phase is Phase.GOSSIP
+        assert participant.gossip_cycles_done == 1
+
+    @pytest.mark.parametrize("answer", [
+        {"status": "skip"},
+        {"status": "error", "error": "not_hosted"},
+    ])
+    def test_skip_and_error_yield_no_exchange(self, answer):
+        participant = gossiping_participant()
+        diptych = (list(participant.diptych.data_estimates),
+                   list(participant.diptych.noise_estimates))
+        effects = drive(participant, [answer])
+        assert [type(effect) for effect in effects] == [Probe]
+        assert (participant.diptych.data_estimates,
+                participant.diptych.noise_estimates) == diptych
+        assert participant.gossip_cycles_done == 1
+
+    def test_merge_yields_exactly_one_exchange(self):
+        participant = gossiping_participant()
+        effects = drive(participant, [{"status": "merge"}, None])
+        probe, exchange = effects
+        assert isinstance(probe, Probe) and isinstance(exchange, Exchange)
+        assert probe.iteration == 1
+        assert exchange.peer == probe.peer != participant.node_id
+        message = deserialize(exchange.frame)
+        assert isinstance(message, DiptychExchange)
+        assert message.iteration == participant.iteration == 1
+        diptych = participant.diptych
+        assert exchange.modelled_bytes == sum(
+            estimate_payload_bytes(participant.backend, estimate)
+            for estimate in diptych.data_estimates + diptych.noise_estimates
+        )
+        assert participant.gossip_cycles_done == 1
+
+    def test_a_cycle_without_neighbour_still_counts(self):
+        participant = gossiping_participant()
+        assert drive(participant, [], online={participant.node_id}) == []
+        assert participant.gossip_cycles_done == 1
+        assert participant.phase is Phase.GOSSIP
+        drive(participant, [], online={participant.node_id})
+        drive(participant, [], online={participant.node_id})
+        assert participant.phase is Phase.DECRYPT
+
+    def test_packed_round_answered_none_retries_next_cycle(self):
+        backend = PlainBackend(threshold=2, n_shares=3, packing="auto",
+                               packing_value_bound=2.0)
+        assert backend.is_packed
+        participant = decrypting_participant(backend)
+        diptych = participant.diptych
+        (round_,) = drive(participant, [None])
+        assert isinstance(round_, CommitteeRound)
+        assert len(round_.estimates) == 3
+        assert participant.phase is Phase.DECRYPT
+        assert participant.diptych is diptych
+        assert participant.perturbed_means_history == []
+
+    def test_unpacked_second_round_answered_none_retries_next_cycle(self):
+        backend = PlainBackend(threshold=2, n_shares=3)
+        assert not backend.is_packed
+        participant = decrypting_participant(backend)
+        diptych = participant.diptych
+        additions = backend.counter.additions
+        first, second = drive(participant, [[np.zeros(7)], None])
+        assert len(first.estimates) == len(second.estimates) == 1
+        assert participant.phase is Phase.DECRYPT
+        assert participant.diptych is diptych
+        # The retry cost of the per-cluster layout: the noise was added for
+        # clusters 0 and 1 only — cluster 2's add never happened.
+        assert backend.counter.additions - additions == 2 * 7
+
+    def test_answered_rounds_converge(self):
+        participant = decrypting_participant(PlainBackend(threshold=2, n_shares=3))
+        values = np.append(np.linspace(0.1, 0.9, 6) / 6.0, 1.0 / 6.0)
+        drive(participant, [[values], [np.zeros(7)], [np.zeros(7)]])
+        assert participant.phase in (Phase.ASSIGN, Phase.DONE)
+        assert participant.diptych is None
+        assert len(participant.perturbed_means_history) == 1

@@ -32,7 +32,7 @@ from repro.core.result import CostSummary
 from repro.core.runner import run_chiaroscuro
 from repro.datasets import load_dataset
 from repro.exceptions import ReproError
-from repro.net import DEFAULT_WRITE_BUFFER_LIMIT, KIND_CONTROL, Envelope
+from repro.net import KIND_CONTROL, Envelope
 
 #: Bounds the envelope metrics must respect on the smoke scenario, across
 #: seeds.  Seeds 5 and 7 sit well inside.  Seed 2 does not: ten consecutive
@@ -214,9 +214,6 @@ class TestConcurrentConfigValidation:
     def test_positive_integers(self):
         with pytest.raises(ReproError):
             ChiaroscuroConfig().with_overrides(runtime={"concurrency": 0})
-        with pytest.raises(ReproError):
-            ChiaroscuroConfig().with_overrides(
-                runtime={"write_buffer_limit": 0})
 
 
 class TestBackpressure:
@@ -279,7 +276,3 @@ class TestBackpressure:
         assert stats.drain_waits > 0
         assert stats.records_sent == n_records
         assert len(received) == stats.bytes_sent
-
-    def test_default_limit_is_the_envelope_constant(self):
-        assert ChiaroscuroConfig().runtime.write_buffer_limit \
-            == DEFAULT_WRITE_BUFFER_LIMIT

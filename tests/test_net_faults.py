@@ -10,6 +10,9 @@ transports (the in-process loopback and the live worker's frame handler).
 
 from __future__ import annotations
 
+import asyncio
+
+import numpy as np
 import pytest
 
 from repro.crypto.backends import EncryptedVector, PartialVectorDecryption
@@ -19,6 +22,7 @@ from repro.gossip.messages import (
     DecryptRequest,
     DecryptResponse,
     DiptychExchange,
+    DiptychReply,
     EncryptedAvgRequest,
     GossipAvgRequest,
     KeyAnnouncement,
@@ -150,6 +154,22 @@ def _handler_hosting_node_zero():
     return WorkerProtocolHandler(setup, {0: setup.make_participant(0)})
 
 
+def _handler_with_node_zero_gossiping():
+    """The same handler, node 0 past its first assignment: GOSSIP phase,
+    iteration 1, a diptych of 2 + 2 estimates of length 5."""
+    handler = _handler_hosting_node_zero()
+    participant = handler.participants[0]
+    assert list(participant.step(np.random.default_rng(0), set, 4)) == []
+    assert participant.iteration == 1 and len(participant.diptych.data_estimates[0]) == 5
+    return handler
+
+
+def _diptych_frame(message_type, count: int, length: int) -> bytes:
+    estimates = tuple(_estimate(length=length) for _ in range(count))
+    return message_type(iteration=1, data_estimates=estimates,
+                        noise_estimates=estimates, ciphertext_bytes=8).serialize()
+
+
 class TestRejectionOnBothTransports:
     @pytest.mark.parametrize("case", ALL_MUTATIONS, ids=_mutation_id)
     def test_loopback_transport_delivers_and_decoder_rejects(self, case):
@@ -196,3 +216,65 @@ class TestFramesForNodesHostedElsewhere:
         assert _handler_hosting_node_zero().handle_control(
             {"op": "probe", "sender": 0, "recipient": 5, "iteration": 1},
         ) == {"status": "error", "error": "not_hosted"}
+
+
+class TestWellFormedFramesOfTheWrongShape:
+    """A frame that passes its checksum but does not fit the hosted state is
+    answered as a loss too: raising would escape ``RequestChannel.pump``,
+    close the peer link and fail every request in flight on it."""
+
+    @pytest.mark.parametrize("count, length", [
+        (3, 5),  # one estimate too many per side
+        (2, 3),  # the right count, estimates of the wrong length
+    ])
+    def test_diptych_exchange(self, count, length):
+        handler = _handler_with_node_zero_gossiping()
+        diptych = handler.participants[0].diptych
+        before = list(diptych.data_estimates), list(diptych.noise_estimates)
+        assert handler.handle_frame(
+            {"op": "diptych-exchange", "sender": 1, "recipient": 0},
+            _diptych_frame(DiptychExchange, count, length),
+        ) == ({"error": "shape"}, b"")
+        assert (diptych.data_estimates, diptych.noise_estimates) == before
+
+    def test_decrypt_request_in_another_packing_layout(self):
+        """Node 0 holds a key share; the request's vector is unpacked, the
+        backend packed."""
+        assert _handler_hosting_node_zero().handle_frame(
+            {"op": "decrypt-request", "sender": 1, "recipient": 0},
+            FRAMES["decrypt-request"],
+        ) == ({"error": "bad_request"}, b"")
+
+    @pytest.mark.parametrize("count, length", [(3, 5), (2, 3)])
+    def test_initiator_treats_a_wrong_shape_reply_as_a_lost_exchange(
+            self, count, length):
+        from repro.net.live import LiveParticipantDriver
+
+        handler = _handler_with_node_zero_gossiping()
+        participant = handler.participants[0]
+
+        class ScriptedTransport:
+            async def control_request(self, node_id, header):
+                return {"status": "merge"}
+
+            async def frame_request(self, sender, recipient, kind, frame,
+                                    modelled_bytes=None):
+                return {}, _diptych_frame(DiptychReply, count, length)
+
+        diptych = participant.diptych
+        before = list(diptych.data_estimates), list(diptych.noise_estimates)
+        driver = LiveParticipantDriver(
+            handler.setup, handler.participants, ScriptedTransport()
+        )
+        assert asyncio.run(driver.step(0)) == {"done": False, "iteration": 1}
+        assert (diptych.data_estimates, diptych.noise_estimates) == before
+        assert participant.gossip_cycles_done == 1
+
+    @pytest.mark.parametrize("header", [
+        {"op": "probe", "recipient": 0},
+        {"op": "probe"},
+        {"op": "probe", "recipient": "0", "iteration": 1},
+    ])
+    def test_probe_with_missing_or_non_integer_fields(self, header):
+        assert _handler_hosting_node_zero().handle_control(header) \
+            == {"status": "error", "error": "bad_probe"}

@@ -567,9 +567,9 @@ class ExtrapolatedCost:
     ``"sampled"``
         a node subset ran the real pipeline; totals are ``population x`` the
         bootstrap-resampled per-node mean.
-    ``"modelled"``
-        nothing was measured; totals come from the symbolic
-        :class:`CostModel` / :class:`ProtocolWorkload` prediction.
+
+    (Symbolic totals, with nothing measured, are
+    :meth:`CostModel.sweep_population`.)
     """
 
     population: int

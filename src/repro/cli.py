@@ -175,8 +175,9 @@ def _add_common_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sample-fraction", type=float, default=1.0,
                         help="fraction of nodes running the real crypto pipeline "
                              "under --engine slab (1.0 = everything, results "
-                             "bit-identical to the object engine; 0 = purely "
-                             "modelled costs)")
+                             "bit-identical to the object engine; 0 = the "
+                             "smallest sample that can run the protocol; "
+                             "symbolic totals: repro crypto-bench)")
     parser.add_argument("--slab-shards", type=int, default=1,
                         help="shared-memory worker shards of the slab engine's "
                              "assignment, scatter/means and gossip-averaging "

@@ -406,8 +406,10 @@ class RuntimeConfig:
     crypto_sample_fraction:
         Fraction of the population that runs the real crypto pipeline
         end-to-end under the slab engine.  ``1.0`` (default) runs everything
-        through the object path (bit-identical results); ``0.0`` skips
-        measurement entirely and reports purely modelled costs.
+        through the object path (bit-identical results); the sample is never
+        smaller than one complete miniature run, ``max(threshold, k, 2)``
+        nodes, which is what ``0.0`` asks for (symbolic totals without a
+        run: ``repro crypto-bench``).
     """
 
     mode: str = "cycle"

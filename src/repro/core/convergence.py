@@ -1,6 +1,9 @@
-"""Termination criteria of the Chiaroscuro execution sequence.
+"""Step 3 of the Chiaroscuro execution sequence: convergence.
 
-The basic criterion is the one of Section II.A: stop when the distance
+:func:`perturbed_means` is the local rule every participant applies to the
+decrypted gossip averages — the object engine per device, the slab engine
+once for the whole population.  :class:`TerminationCriteria` then decides
+whether the run goes on.  The basic criterion is the one of Section II.A: stop when the distance
 between the perturbed centroids and the perturbed means falls below a
 threshold, or when the maximum number of iterations is reached.  Footnote 2
 of the paper notes that Chiaroscuro "supports the addition of other
@@ -15,7 +18,50 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .._validation import check_non_negative_float, check_positive_int
+from ..clustering.kmeans import centroid_displacement, reseed_centroid
+from ..clustering.smoothing import smooth_centroids
+from ..config import ChiaroscuroConfig
+
+
+def perturbed_means(
+    averages: np.ndarray,
+    centroids: np.ndarray,
+    n_nodes: int,
+    iteration: int,
+    config: ChiaroscuroConfig,
+) -> tuple[np.ndarray, float]:
+    """Rebuild, repair and smooth the perturbed means of one iteration.
+
+    *averages* is the ``(k, T+1)`` block of gossip averages (per cluster:
+    the noisy sum of its members' series, then their noisy count, both
+    divided by the population size *n_nodes*).  A cluster whose count is
+    above half a member becomes ``sum / count``, any other keeps its old
+    centroid; everything is clipped to the public value bound.  Empty
+    clusters are then repaired by splitting the (noisily) largest one with
+    public randomness only, so every participant derives the same
+    replacement, and the result is smoothed.  Returns the new centroids and
+    their displacement from *centroids*.
+    """
+    averages = np.asarray(averages, dtype=float)
+    sums, counts = averages[:, :-1], averages[:, -1]
+    bound = config.privacy.value_bound
+    min_count = 1.0 / (2.0 * max(1, n_nodes))
+    populated = counts > min_count
+    perturbed = np.array(centroids, dtype=float)
+    perturbed[populated] = sums[populated] / counts[populated][:, None]
+    perturbed = np.clip(perturbed, 0.0, bound)
+    donor = int(np.argmax(counts))
+    for cluster in range(counts.shape[0]):
+        if cluster != donor and counts[cluster] <= min_count:
+            perturbed[cluster] = reseed_centroid(
+                perturbed[donor], bound, iteration, cluster,
+                seed=config.simulation.seed,
+            )
+    perturbed = smooth_centroids(perturbed, config.smoothing)
+    return perturbed, centroid_displacement(centroids, perturbed)
 
 
 @dataclass

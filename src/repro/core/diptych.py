@@ -82,11 +82,19 @@ class Diptych:
     def fits(self, view_data: Sequence[EncryptedEstimate],
              view_noise: Sequence[EncryptedEstimate]) -> bool:
         """Whether a received view has this diptych's shape: one estimate
-        per cluster on each side, each of length ``series_length + 1``."""
+        per cluster on each side, each of length ``series_length + 1`` and
+        in the packing layout of the stored one it would be averaged with."""
         return all(
             len(view) == self.n_clusters
-            and all(len(estimate) == self.series_length + 1 for estimate in view)
-            for view in (view_data, view_noise)
+            and all(
+                len(estimate) == self.series_length + 1
+                and estimate.vector.packed == stored.vector.packed
+                for estimate, stored in zip(view, mine)
+            )
+            for view, mine in (
+                (view_data, self.data_estimates),
+                (view_noise, self.noise_estimates),
+            )
         )
 
     def absorb(self, backend: CipherBackend,

@@ -26,8 +26,6 @@ from typing import Any, Callable, Collection, Generator, Sequence
 
 import numpy as np
 
-from ..clustering.kmeans import centroid_displacement, reseed_centroid
-from ..clustering.smoothing import smooth_centroids
 from ..config import ChiaroscuroConfig
 from ..crypto.backends import CipherBackend
 from ..crypto.wire import wire_ciphertext_bytes
@@ -47,7 +45,7 @@ from ..privacy.strategies import BudgetStrategy, make_budget_strategy
 from ..simulation.engine import CycleEngine
 from ..simulation.node import Node
 from .collaborative import collaborative_decrypt_many
-from .convergence import TerminationCriteria
+from .convergence import TerminationCriteria, perturbed_means
 from .diptych import Diptych, build_contribution, merge_diptychs
 
 
@@ -461,35 +459,16 @@ class ChiaroscuroParticipant(Node):
     def _converge_from_decrypted(
         self, decrypted: Sequence[np.ndarray], n_nodes: int
     ) -> None:
-        """Rebuild, repair, smooth and adopt the perturbed means (step 3).
+        """Adopt the perturbed means of the decrypted averages (step 3) and
+        decide whether to go on.
 
-        Everything after the collaborative decryption is local; called
-        by :meth:`step` with the vectors its driver decrypted.
+        Everything after the collaborative decryption is local; called by
+        :meth:`_decrypt_and_converge` with the vectors the driver of
+        :meth:`step` decrypted.
         """
-        perturbed = np.empty((self.n_clusters, self.series_length))
-        counts = np.zeros(self.n_clusters)
-        min_count = 1.0 / (2.0 * max(1, n_nodes))
-        for cluster, values in enumerate(decrypted):
-            average_sum = values[: self.series_length]
-            average_count = float(values[self.series_length])
-            counts[cluster] = average_count
-            if average_count <= min_count:
-                perturbed[cluster] = self.centroids[cluster]
-            else:
-                perturbed[cluster] = average_sum / average_count
-        bound = self.config.privacy.value_bound
-        perturbed = np.clip(perturbed, 0.0, bound)
-        # Empty-cluster repair: split the (noisily) largest cluster using only
-        # public randomness, so every participant derives the same replacement.
-        donor = int(np.argmax(counts))
-        for cluster in range(self.n_clusters):
-            if counts[cluster] <= min_count and cluster != donor:
-                perturbed[cluster] = reseed_centroid(
-                    perturbed[donor], bound, self.iteration, cluster,
-                    seed=self.config.simulation.seed,
-                )
-        perturbed = smooth_centroids(perturbed, self.config.smoothing)
-        displacement = centroid_displacement(self.centroids, perturbed)
+        perturbed, displacement = perturbed_means(
+            decrypted, self.centroids, n_nodes, self.iteration, self.config
+        )
         self.last_displacement = displacement
         self.displacement_history.append(displacement)
         self.perturbed_means_history.append(perturbed.copy())

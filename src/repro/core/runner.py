@@ -54,6 +54,17 @@ def normalize_collection(
     return normalised, {"offset": low, "scale": scale, "value_bound": value_bound}
 
 
+def prepare_data(
+    collection: TimeSeriesCollection, value_bound: float, normalize: bool
+) -> tuple[np.ndarray, dict[str, float]]:
+    """The matrix a run clusters, inside [0, value_bound], and its transform:
+    min-max normalised, or the raw values clipped to the bound."""
+    if normalize:
+        return normalize_collection(collection, value_bound)
+    data = np.clip(collection.to_matrix(), 0.0, value_bound)
+    return data, {"offset": 0.0, "scale": 1.0, "value_bound": value_bound}
+
+
 def denormalize_profiles(profiles: np.ndarray, transform: dict[str, float]) -> np.ndarray:
     """Map profiles produced on normalised data back to the original units."""
     scale = float(transform.get("scale", 1.0))
@@ -98,11 +109,12 @@ def _packed_slot_bound(
 class RunSetup:
     """Everything a run derives deterministically from (collection, config).
 
-    The cycle runner builds this once; every live-runner worker rebuilds the
-    cheap parts identically from the same inputs (data, overlay, centroids,
-    seeds) while inheriting the expensive/random part — the cipher backend
-    and its key material — from the coordinator process.  Keeping the whole
-    derivation in one place is what makes the two execution modes agree.
+    The cycle runner builds this once, and so does the slab engine for its
+    crypto sample; every live-runner worker rebuilds the cheap parts
+    identically from the same inputs (data, overlay, centroids, seeds) while
+    inheriting the expensive/random part — the cipher backend and its key
+    material — from the coordinator process.  Keeping the whole derivation
+    in one place is what makes the execution modes agree.
     """
 
     config: ChiaroscuroConfig
@@ -188,11 +200,7 @@ def build_run_setup(
             f"({config.kmeans.n_clusters} > {n_participants})"
         )
     value_bound = config.privacy.value_bound
-    if normalize:
-        data, transform = normalize_collection(collection, value_bound)
-    else:
-        data = np.clip(collection.to_matrix(), 0.0, value_bound)
-        transform = {"offset": 0.0, "scale": 1.0, "value_bound": value_bound}
+    data, transform = prepare_data(collection, value_bound, normalize)
     n_participants, series_length = data.shape
 
     # Each iteration performs at most ~2 * cycles averaging steps per estimate
@@ -591,32 +599,14 @@ def run_chiaroscuro(
         collection, config, normalize=normalize,
         n_tracked_participants=n_tracked_participants,
     )
-    participants = setup.make_participants()
-    engine = CycleEngine(
-        participants,
-        seed=config.simulation.seed,
-        churn_rate=config.simulation.churn_rate,
-        rejoin_rate=config.simulation.rejoin_rate,
-        drop_probability=config.gossip.drop_probability,
-        corruption_rate=config.network.corruption_rate,
-    )
+    participants, engine = make_engine(setup)
     log = ExecutionLog(metadata=run_log_metadata(setup, collection.name))
     observer = _RunObserver(
         participants, setup.data, setup.initial_centroids, setup.tracked_ids,
         setup.backend, log,
     )
     engine.add_observer(observer)
-
-    max_cycles = plan_max_cycles(config, max_extra_cycles)
-    engine.run(max_cycles, stop_when=lambda eng: all(p.is_done for p in participants))
-    # Finish any straggler deterministically (e.g. nodes offline at the end).
-    for participant in participants:
-        if not participant.is_done:
-            participant.online = True
-    remaining_guard = 0
-    while not all(p.is_done for p in participants) and remaining_guard < max_cycles:
-        engine.run_cycle()
-        remaining_guard += 1
+    run_to_completion(engine, participants, plan_max_cycles(config, max_extra_cycles))
 
     return assemble_result(
         setup,
@@ -628,6 +618,43 @@ def run_chiaroscuro(
         crypto_counts=setup.backend.counter.as_dict(),
         log=log,
     )
+
+
+def make_engine(setup: RunSetup) -> tuple[list[ChiaroscuroParticipant], CycleEngine]:
+    """The population of an object run and the cycle engine that steps it."""
+    config = setup.config
+    participants = setup.make_participants()
+    engine = CycleEngine(
+        participants,
+        seed=config.simulation.seed,
+        churn_rate=config.simulation.churn_rate,
+        rejoin_rate=config.simulation.rejoin_rate,
+        drop_probability=config.gossip.drop_probability,
+        corruption_rate=config.network.corruption_rate,
+    )
+    return participants, engine
+
+
+def run_to_completion(
+    engine: CycleEngine, participants: Sequence[ChiaroscuroParticipant], max_cycles: int
+) -> None:
+    """Run *engine* until every participant is done or the budget is spent.
+
+    After *max_cycles* cycles, any straggler (e.g. a node offline at the
+    end) is brought online and stepped for at most *max_cycles* more; a
+    participant still unfinished after that is left for the caller to report.
+    """
+    def all_done() -> bool:
+        return all(participant.is_done for participant in participants)
+
+    engine.run(max_cycles, stop_when=lambda _engine: all_done())
+    for participant in participants:
+        if not participant.is_done:
+            participant.online = True
+    extra_cycles = 0
+    while not all_done() and extra_cycles < max_cycles:
+        engine.run_cycle()
+        extra_cycles += 1
 
 
 def plan_max_cycles(config: ChiaroscuroConfig, max_extra_cycles: int = 50) -> int:

@@ -12,16 +12,22 @@ the committed ``BENCH_crypto.json`` per-operation timings, reports the
 population-total crypto cost with confidence intervals (the methodology of
 Section III.B: real measurement on what fits, extrapolation for the rest).
 
-Three regimes, selected by ``runtime.crypto_sample_fraction``:
+Two regimes, selected by ``runtime.crypto_sample_fraction``:
 
 * ``1.0`` (default): the whole run is delegated to the object engine, so the
   result is bit-identical to ``engine="object"``; the cost block is attached
   with ``method="measured"`` and degenerate intervals.
-* ``0 < fraction < 1``: the bulk population runs the plain slab path, the
-  sample runs the full object pipeline; costs are bootstrap-extrapolated
-  (``method="sampled"``).
-* ``0.0``: nothing is measured; costs come from the symbolic
-  :class:`~repro.analysis.costs.CostModel` (``method="modelled"``).
+* ``fraction < 1``: the bulk population runs the plain slab path, the sample
+  runs the full object pipeline; costs are bootstrap-extrapolated
+  (``method="sampled"``).  The sample is never smaller than one complete
+  miniature run, ``max(threshold, k, 2)`` nodes, which is what ``0.0`` asks
+  for.  (Purely symbolic totals: ``repro crypto-bench --populations N``.)
+
+What the slab loop shares with the object engine it calls rather than
+copies, from :mod:`repro.core.runner` and :mod:`repro.core.convergence`:
+``prepare_data`` (the clustered matrix), ``perturbed_means`` (step 3 of the
+execution sequence), and — for the sample — ``build_run_setup``,
+``make_engine`` and ``run_to_completion`` (the object run itself).
 """
 
 from __future__ import annotations
@@ -34,18 +40,12 @@ from typing import Any, Iterator
 import numpy as np
 
 from ..analysis.costs import (
-    CostModel,
     CryptoCostProfile,
     ExtrapolatedCost,
-    ProtocolWorkload,
     bootstrap_extrapolate,
+    load_reference_profile,
 )
-from ..clustering.kmeans import (
-    centroid_displacement,
-    public_initial_centroids,
-    reseed_centroid,
-)
-from ..clustering.smoothing import smooth_centroids
+from ..clustering.kmeans import public_initial_centroids
 from ..config import ChiaroscuroConfig
 from ..exceptions import ProtocolError
 from ..privacy.budget import PrivacyAccountant
@@ -53,7 +53,6 @@ from ..privacy.laplace import SensitivityModel
 from ..privacy.noise_shares import NoiseShareSpec, draw_noise_share
 from ..privacy.probabilistic import guarantee_for_run
 from ..privacy.strategies import make_budget_strategy
-from ..simulation.engine import CycleEngine
 from ..simulation.rng import RngRegistry
 from ..simulation.slab import (
     PopulationSlabs,
@@ -66,9 +65,17 @@ from ..simulation.slab import (
     slab_churn_step,
 )
 from ..timeseries import TimeSeriesCollection
-from .convergence import TerminationCriteria
+from .convergence import TerminationCriteria, perturbed_means
 from .execution_log import ExecutionLog, IterationRecord
 from .result import ChiaroscuroResult, CostSummary
+from .runner import (
+    build_run_setup,
+    make_engine,
+    plan_max_cycles,
+    prepare_data,
+    run_chiaroscuro,
+    run_to_completion,
+)
 
 #: Metrics the sampled-crypto extrapolator reports population totals for.
 EXTRAPOLATED_METRICS = (
@@ -126,24 +133,9 @@ class PhaseTimer:
         }
 
 
-def load_reference_profile(config: ChiaroscuroConfig) -> CryptoCostProfile | None:
-    """Load the committed crypto benchmark profile, when one is available.
-
-    Delegates to :func:`repro.analysis.costs.load_reference_profile` (the
-    shared implementation both execution modes use for phase-tagged cost
-    accounting), selecting the timing column from the run's fastmath mode.
-    """
-    from ..analysis.costs import load_reference_profile as _load
-
-    return _load(fastmath=config.crypto.fastmath)
-
-
 def _sample_size(config: ChiaroscuroConfig, population: int) -> int:
     """Number of nodes the real crypto pipeline runs on."""
-    fraction = config.runtime.crypto_sample_fraction
-    if fraction <= 0.0:
-        return 0
-    requested = int(np.ceil(fraction * population))
+    requested = int(np.ceil(config.runtime.crypto_sample_fraction * population))
     # The sample is a complete miniature run: it needs enough nodes for the
     # decryption committee, the cluster count and a non-trivial gossip.
     floor = max(config.crypto.threshold, config.kmeans.n_clusters, 2)
@@ -197,11 +189,7 @@ def _sub_config(config: ChiaroscuroConfig, sample_size: int) -> ChiaroscuroConfi
     """
     return config.with_overrides(
         runtime={"engine": "object", "crypto_sample_fraction": 1.0},
-        simulation={
-            "n_participants": sample_size,
-            "churn_rate": config.simulation.churn_rate,
-            "rejoin_rate": config.simulation.rejoin_rate,
-        },
+        simulation={"n_participants": sample_size},
         crypto={"threshold": min(config.crypto.threshold, sample_size)},
         privacy={"noise_shares": min(config.privacy.noise_shares, sample_size)},
     )
@@ -222,16 +210,13 @@ def _run_crypto_sample(
     yields *exact* per-node crypto-operation attributions; per-node traffic
     comes from the network's own per-node counters.
     """
-    # Deferred import: runner imports this module back for engine dispatch.
-    from .runner import build_run_setup, plan_max_cycles
-
     sample_size = int(sample_ids.shape[0])
     sub_collection = collection.subset(
         [int(i) for i in sample_ids], name=f"{collection.name}[crypto-sample]"
     )
     sub_config = _sub_config(config, sample_size)
     setup = build_run_setup(sub_collection, sub_config, normalize=normalize)
-    participants = setup.make_participants()
+    participants, engine = make_engine(setup)
     counter = setup.backend.counter
     per_node_ops: dict[str, np.ndarray] = {
         key: np.zeros(sample_size) for key in counter.as_dict()
@@ -240,9 +225,9 @@ def _run_crypto_sample(
     def _meter(participant: Any) -> None:
         inner = participant.next_cycle
 
-        def metered(engine: CycleEngine, cycle: int) -> None:
+        def metered(*args: Any) -> None:
             before = counter.as_dict()
-            inner(engine, cycle)
+            inner(*args)
             after = counter.as_dict()
             for key, value in after.items():
                 delta = value - before.get(key, 0)
@@ -253,23 +238,9 @@ def _run_crypto_sample(
 
     for participant in participants:
         _meter(participant)
-    engine = CycleEngine(
-        participants,
-        seed=sub_config.simulation.seed,
-        churn_rate=sub_config.simulation.churn_rate,
-        rejoin_rate=sub_config.simulation.rejoin_rate,
-        drop_probability=sub_config.gossip.drop_probability,
-        corruption_rate=sub_config.network.corruption_rate,
+    run_to_completion(
+        engine, participants, plan_max_cycles(sub_config, max_extra_cycles)
     )
-    max_cycles = plan_max_cycles(sub_config, max_extra_cycles)
-    engine.run(max_cycles, stop_when=lambda eng: all(p.is_done for p in participants))
-    for participant in participants:
-        if not participant.is_done:
-            participant.online = True
-    guard = 0
-    while not all(p.is_done for p in participants) and guard < max_cycles:
-        engine.run_cycle()
-        guard += 1
     if not all(p.is_done for p in participants):
         raise ProtocolError("crypto sample sub-run did not terminate")
     stats = engine.network.per_node_stats()
@@ -278,12 +249,8 @@ def _run_crypto_sample(
         "per_node_ops": per_node_ops,
         "per_node_messages": np.array([s.messages_sent for s in stats], dtype=float),
         "per_node_bytes": np.array([s.bytes_sent for s in stats], dtype=float),
-        "totals": {
-            "messages_sent": engine.network.total.messages_sent,
-            "bytes_sent": engine.network.total.bytes_sent,
-            "bytes_modelled": engine.network.total.bytes_modelled,
-            "crypto": counter.as_dict(),
-        },
+        "traffic": engine.network.total,
+        "crypto": counter.as_dict(),
         "iterations": max(p.iteration for p in participants),
     }
 
@@ -333,52 +300,6 @@ def _per_node_offline_seconds(
     return served * profile.encryption_seconds
 
 
-def _workload_extrapolation(
-    workload: ProtocolWorkload,
-    config: ChiaroscuroConfig,
-    population: int,
-    profile: CryptoCostProfile | None,
-) -> ExtrapolatedCost:
-    iterations = workload.iterations
-    ciphertext_bytes = (
-        profile.ciphertext_bytes
-        if profile is not None
-        else (config.crypto.key_bits // 8) * (config.crypto.degree + 1)
-    )
-    totals: dict[str, tuple[float, float, float]] = {}
-
-    def exact(key: str, per_node: float) -> None:
-        value = float(per_node) * population
-        totals[key] = (value, value, value)
-
-    exact("encryptions", workload.encryptions_per_iteration * iterations)
-    exact("homomorphic_additions", workload.additions_per_iteration * iterations)
-    exact("partial_decryptions", workload.partial_decryptions_per_iteration * iterations)
-    exact("combinations", workload.combinations_per_iteration * iterations)
-    exact("messages_sent", workload.messages_per_iteration * iterations)
-    exact("bytes_sent", workload.wire_bytes_per_iteration(ciphertext_bytes) * iterations)
-    if profile is not None:
-        estimate = CostModel(profile).estimate(workload)
-        offline = 0.0
-        if workload.amortized_encryptions and profile.pooled_encryption_seconds > 0:
-            # Each amortized encryption consumed one blinder exponentiation
-            # precomputed off the hot path.
-            offline = (
-                workload.encryptions_per_iteration
-                * iterations
-                * profile.encryption_seconds
-            )
-        exact("online_seconds", estimate.total_compute_seconds)
-        exact("offline_seconds", offline)
-        exact("crypto_seconds", estimate.total_compute_seconds + offline)
-    return ExtrapolatedCost(
-        population=population,
-        sample_size=0,
-        method="modelled",
-        totals=totals,
-    )
-
-
 def _bulk_noise_free_means(
     data: np.ndarray,
     assigned: np.ndarray,
@@ -398,6 +319,19 @@ def _bulk_noise_free_means(
     return means
 
 
+def _engine_metadata(config: ChiaroscuroConfig) -> dict[str, Any]:
+    """Leading entries of ``metadata["engine"]``: the slab knobs of the run."""
+    runtime = config.runtime
+    return {
+        "name": "slab",
+        "crypto_sample_fraction": float(runtime.crypto_sample_fraction),
+        "slab_shards": runtime.slab_shards,
+        "slab_dtype": runtime.slab_dtype,
+        "slab_backing": runtime.slab_backing,
+        "slab_chunk_rows": runtime.slab_chunk_rows,
+    }
+
+
 def run_slab_chiaroscuro(
     collection: TimeSeriesCollection,
     config: ChiaroscuroConfig | None = None,
@@ -407,15 +341,10 @@ def run_slab_chiaroscuro(
 ) -> ChiaroscuroResult:
     """Run Chiaroscuro with the slab population engine (see module docstring)."""
     config = config if config is not None else ChiaroscuroConfig()
-    profile = load_reference_profile(config)
-    if config.runtime.crypto_sample_fraction >= 1.0:
-        return _run_full_measured(
-            collection, config, profile,
-            normalize=normalize,
-            n_tracked_participants=n_tracked_participants,
-            max_extra_cycles=max_extra_cycles,
-        )
-    return _run_sampled(
+    profile = load_reference_profile(fastmath=config.crypto.fastmath)
+    full = config.runtime.crypto_sample_fraction >= 1.0
+    run = _run_full_measured if full else _run_sampled
+    return run(
         collection, config, profile,
         normalize=normalize,
         n_tracked_participants=n_tracked_participants,
@@ -433,8 +362,6 @@ def _run_full_measured(
 ) -> ChiaroscuroResult:
     """Sampling fraction 1.0: delegate to the object engine (bit-identical)
     and attach the measured population-cost block."""
-    from .runner import run_chiaroscuro
-
     object_config = config.with_overrides(runtime={"engine": "object"})
     result = run_chiaroscuro(
         collection,
@@ -453,24 +380,13 @@ def _run_full_measured(
         "bytes_sent": float(costs.bytes_sent),
     }
     if profile is not None:
-        # assemble_result attaches the phase split from the full operation
-        # counter (pooled encryptions and rerandomizations included); fall
-        # back to the four summary counts when it could not.
-        online = costs.online_seconds
-        offline = costs.offline_seconds if costs.offline_seconds is not None else 0.0
-        if online is None:
-            online = profile.seconds_for_counts(
-                {
-                    "encryptions": costs.encryptions,
-                    "additions": costs.homomorphic_additions,
-                    "partial_decryptions": costs.partial_decryptions,
-                    "combinations": costs.combinations,
-                }
-            )
-            offline = 0.0
-        measured["online_seconds"] = float(online)
-        measured["offline_seconds"] = float(offline)
-        measured["crypto_seconds"] = float(online) + float(offline)
+        # assemble_result priced the full operation counter (pooled
+        # encryptions and rerandomizations included) with this same profile.
+        measured["online_seconds"] = float(costs.online_seconds)
+        measured["offline_seconds"] = float(costs.offline_seconds)
+        measured["crypto_seconds"] = (
+            measured["online_seconds"] + measured["offline_seconds"]
+        )
     extrapolated = ExtrapolatedCost(
         population=costs.n_participants,
         sample_size=costs.n_participants,
@@ -479,12 +395,7 @@ def _run_full_measured(
     )
     result.costs = replace(costs, extrapolated=extrapolated.as_dict())
     result.metadata["engine"] = {
-        "name": "slab",
-        "crypto_sample_fraction": 1.0,
-        "slab_shards": config.runtime.slab_shards,
-        "slab_dtype": config.runtime.slab_dtype,
-        "slab_backing": config.runtime.slab_backing,
-        "slab_chunk_rows": config.runtime.slab_chunk_rows,
+        **_engine_metadata(config),
         "population": costs.n_participants,
         "sample_size": costs.n_participants,
         "cost_profile": profile.as_dict() if profile is not None else None,
@@ -501,15 +412,9 @@ def _run_sampled(
     max_extra_cycles: int,
 ) -> ChiaroscuroResult:
     """Sampling fraction below 1: vectorised bulk path + sampled crypto."""
-    from .runner import normalize_collection
-
     population = len(collection)
     value_bound = config.privacy.value_bound
-    if normalize:
-        data, transform = normalize_collection(collection, value_bound)
-    else:
-        data = np.clip(collection.to_matrix(), 0.0, value_bound)
-        transform = {"offset": 0.0, "scale": 1.0, "value_bound": value_bound}
+    data, transform = prepare_data(collection, value_bound, normalize)
     n, series_length = data.shape
     k = config.kmeans.n_clusters
 
@@ -590,7 +495,6 @@ def _run_sampled(
             "engine": "slab",
         }
     )
-    min_count = 1.0 / (2.0 * max(1, n))
     progress: float | None = None
     stop_reason = "max_iterations"
     iteration = 0
@@ -689,22 +593,10 @@ def _run_sampled(
                 mean_vector, online_count = coordinator.online_mean()
                 if online_count == 0:
                     raise ProtocolError("every node went offline during gossip")
-                values = mean_vector.reshape(k, series_length + 1)
-                sums = values[:, :series_length]
-                counts = values[:, series_length]
-                perturbed = centroids.copy()
-                populated = counts > min_count
-                perturbed[populated] = sums[populated] / counts[populated][:, None]
-                perturbed = np.clip(perturbed, 0.0, value_bound)
-                donor = int(np.argmax(counts))
-                for cluster in range(k):
-                    if cluster != donor and counts[cluster] <= min_count:
-                        perturbed[cluster] = reseed_centroid(
-                            perturbed[donor], value_bound, iteration, cluster,
-                            seed=config.simulation.seed,
-                        )
-                perturbed = smooth_centroids(perturbed, config.smoothing)
-                displacement = centroid_displacement(centroids, perturbed)
+                perturbed, displacement = perturbed_means(
+                    mean_vector.reshape(k, series_length + 1),
+                    centroids, n, iteration, config,
+                )
             with timer.phase("analysis"):
                 noise_free_means = _bulk_noise_free_means(
                     data, slabs.assigned, perturbed
@@ -755,57 +647,36 @@ def _run_sampled(
 
     # ---------------------------------------------------------------- sample
     with timer.phase("sample"):
-        sample_size = _sample_size(config, population)
-        sample_ids = np.empty(0, dtype=np.int64)
-        sample: dict[str, Any] | None = None
-        if sample_size > 0:
-            sample_ids = _stratified_sample(
-                data, initial_centroids, sample_size, sampling_rng
-            )
-            sample = _run_crypto_sample(
-                collection, config, sample_ids, normalize, max_extra_cycles
-            )
+        sample_ids = _stratified_sample(
+            data, initial_centroids, _sample_size(config, population), sampling_rng
+        )
+        sample = _run_crypto_sample(
+            collection, config, sample_ids, normalize, max_extra_cycles
+        )
         iterations = max(1, iteration)
-        if sample is not None:
-            factor = iterations / max(1, sample["iterations"])
-            ops = sample["per_node_ops"]
-            metrics: dict[str, np.ndarray] = {
-                "encryptions": ops.get("encryptions", np.zeros(sample_size)) * factor,
-                "homomorphic_additions": (
-                    ops.get("additions", np.zeros(sample_size)) * factor
-                ),
-                "partial_decryptions": (
-                    ops.get("partial_decryptions", np.zeros(sample_size)) * factor
-                ),
-                "combinations": ops.get("combinations", np.zeros(sample_size)) * factor,
-                "messages_sent": sample["per_node_messages"] * factor,
-                "bytes_sent": sample["per_node_bytes"] * factor,
-            }
-            if profile is not None:
-                online = _per_node_seconds(ops, profile) * factor
-                offline = _per_node_offline_seconds(ops, profile) * factor
-                metrics["online_seconds"] = online
-                metrics["offline_seconds"] = offline
-                metrics["crypto_seconds"] = online + offline
-            extrapolated = bootstrap_extrapolate(
-                metrics,
-                population=population,
-                n_boot=200,
-                confidence=0.95,
-                seed=config.simulation.seed,
-            )
-        else:
-            workload = ProtocolWorkload(
-                n_clusters=k,
-                series_length=series_length,
-                iterations=iterations,
-                gossip_cycles=config.gossip.cycles_per_aggregation,
-                exchanges_per_cycle=config.gossip.exchanges_per_cycle,
-                threshold=config.crypto.threshold,
-            )
-            extrapolated = _workload_extrapolation(
-                workload, config, population, profile
-            )
+        factor = iterations / max(1, sample["iterations"])
+        ops = sample["per_node_ops"]
+        metrics: dict[str, np.ndarray] = {
+            "encryptions": ops["encryptions"] * factor,
+            "homomorphic_additions": ops["additions"] * factor,
+            "partial_decryptions": ops["partial_decryptions"] * factor,
+            "combinations": ops["combinations"] * factor,
+            "messages_sent": sample["per_node_messages"] * factor,
+            "bytes_sent": sample["per_node_bytes"] * factor,
+        }
+        if profile is not None:
+            online = _per_node_seconds(ops, profile) * factor
+            offline = _per_node_offline_seconds(ops, profile) * factor
+            metrics["online_seconds"] = online
+            metrics["offline_seconds"] = offline
+            metrics["crypto_seconds"] = online + offline
+        extrapolated = bootstrap_extrapolate(
+            metrics,
+            population=population,
+            n_boot=200,
+            confidence=0.95,
+            seed=config.simulation.seed,
+        )
     slab_wall_seconds = time.perf_counter() - wall_begin
 
     # ---------------------------------------------------------------- result
@@ -817,25 +688,17 @@ def _run_sampled(
         cycles=config.gossip.cycles_per_aggregation,
         n_participants=population,
     )
-    sample_totals = (
-        sample["totals"]
-        if sample is not None
-        else {
-            "messages_sent": 0, "bytes_sent": 0, "bytes_modelled": 0,
-            "crypto": {},
-        }
-    )
-    crypto = sample_totals["crypto"]
+    traffic, crypto = sample["traffic"], sample["crypto"]
     costs = CostSummary(
         n_participants=population,
         n_iterations=iterations,
-        messages_sent=int(sample_totals["messages_sent"]),
-        bytes_sent=int(sample_totals["bytes_sent"]),
-        encryptions=int(crypto.get("encryptions", 0)),
-        homomorphic_additions=int(crypto.get("additions", 0)),
-        partial_decryptions=int(crypto.get("partial_decryptions", 0)),
-        combinations=int(crypto.get("combinations", 0)),
-        bytes_sent_modelled=int(sample_totals["bytes_modelled"]),
+        messages_sent=traffic.messages_sent,
+        bytes_sent=traffic.bytes_sent,
+        encryptions=crypto["encryptions"],
+        homomorphic_additions=crypto["additions"],
+        partial_decryptions=crypto["partial_decryptions"],
+        combinations=crypto["combinations"],
+        bytes_sent_modelled=traffic.bytes_modelled,
         iteration_costs=tuple(
             {str(key): float(value) for key, value in record.costs.items()}
             for record in log
@@ -850,32 +713,15 @@ def _run_sampled(
         "normalization": transform,
         "tracked_participants": tracked_ids,
         "dataset": collection.name,
-        "packing": (
-            sample["setup"].packing_info()
-            if sample is not None
-            else {"enabled": False, "slots": 1, "slot_bits": 0}
-        ),
-        "fastmath": (
-            sample["setup"].fastmath_info()
-            if sample is not None
-            else {"mode": "off", "pooled": False}
-        ),
-        "wire": (
-            sample["setup"].wire_info()
-            if sample is not None
-            else {"mode": "off", "corruption_rate": 0.0}
-        ),
+        "packing": sample["setup"].packing_info(),
+        "fastmath": sample["setup"].fastmath_info(),
+        "wire": sample["setup"].wire_info(),
         "engine": {
-            "name": "slab",
-            "crypto_sample_fraction": config.runtime.crypto_sample_fraction,
-            "slab_shards": config.runtime.slab_shards,
-            "slab_dtype": config.runtime.slab_dtype,
-            "slab_backing": config.runtime.slab_backing,
-            "slab_chunk_rows": config.runtime.slab_chunk_rows,
+            **_engine_metadata(config),
             "slab_wall_seconds": float(slab_wall_seconds),
             "population": population,
             "sample_size": int(sample_ids.shape[0]),
-            "sample_iterations": sample["iterations"] if sample is not None else 0,
+            "sample_iterations": sample["iterations"],
             "bulk_messages_modelled": bulk_messages,
             "bulk_bytes_modelled": bulk_bytes,
             "bulk_dropped_frames": bulk_dropped,

@@ -607,19 +607,24 @@ class WorkerProtocolHandler:
                      frame: bytes) -> tuple[dict[str, Any], bytes]:
         """Decode and serve one protocol frame; never raises on bad frames.
 
-        A frame that fails to decode, or decodes to something this worker
-        cannot use (wrong node, wrong state, wrong shape), is answered with
-        an ``error`` header (the initiator treats it as a loss), mirroring
-        the cycle-mode rule that corruption degrades into loss: raising
-        instead would escape ``RequestChannel.pump``, close the peer link
-        and fail every request in flight on it.
+        A frame that fails to decode, names no node, or decodes to something
+        this worker cannot use (wrong node, wrong state, wrong shape or
+        packing layout), is answered with an ``error`` header (the initiator
+        treats it as a loss), mirroring the cycle-mode rule that corruption
+        degrades into loss: raising instead would escape
+        ``RequestChannel.pump``, close the peer link and fail every request
+        in flight on it.
         """
         op = header.get("op")
         try:
             message = deserialize(frame)
         except WireFormatError as exc:
             return {"error": "wire_format", "detail": str(exc)}, b""
-        peer = self.participants.get(int(header["recipient"]))
+        route = frame_route(header)
+        if route is None:
+            return {"error": "bad_header"}, b""
+        _sender, (recipient,) = route
+        peer = self.participants.get(recipient)
         if peer is None:
             return {"error": "not_hosted"}, b""
         if op == "diptych-exchange":
@@ -660,6 +665,19 @@ class WorkerProtocolHandler:
             # Well-formed frame, ciphertexts this backend cannot decrypt
             # (e.g. another packing layout).
             return {"error": "bad_request"}, b""
+
+
+def frame_route(header: dict[str, Any],
+                is_batch: bool = False) -> tuple[int, list[int]] | None:
+    """``(sender, recipients)`` named by a frame record's header — its one
+    ``recipient``, or the ``recipients`` of a batch — or ``None`` when any
+    of them is missing or not an integer: the header is a peer's JSON."""
+    sender = header.get("sender")
+    recipients = header.get("recipients") if is_batch else [header.get("recipient")]
+    if not isinstance(recipients, list) \
+            or not all(isinstance(node_id, int) for node_id in (sender, *recipients)):
+        return None
+    return sender, recipients
 
 
 # ---------------------------------------------------------------------- driver
@@ -715,7 +733,7 @@ class LiveParticipantDriver:
         except WireFormatError:
             return None
         # The responder absorbed its half on its own worker; a reply of the
-        # wrong type or shape is a lost exchange on this side.
+        # wrong type, shape or packing layout is a lost exchange on this side.
         if isinstance(reply, DiptychReply) \
                 and participant.diptych.fits(reply.data_estimates, reply.noise_estimates):
             participant.diptych.absorb(
@@ -850,17 +868,20 @@ async def _worker_async(worker_index: int, setup: RunSetup, local_ids: list[int]
                             header=handler.handle_control(envelope.header),
                             is_reply=True)
         op = str(envelope.header.get("op", ""))
-        sender = int(envelope.header["sender"])
+        route = frame_route(envelope.header, envelope.is_batch)
+        if route is None:
+            return Envelope(kind=KIND_FRAME, correlation_id=0,
+                            header={"error": "bad_header"},
+                            is_reply=True, is_batch=envelope.is_batch)
+        sender, recipients = route
         modelled = envelope.header.get("modelled")
         if not envelope.is_batch:
             reply_header, reply_frame = serve_frame(
-                op, sender, int(envelope.header["recipient"]), modelled,
-                envelope.payload,
+                op, sender, recipients[0], modelled, envelope.payload,
             )
             return Envelope(kind=KIND_FRAME, correlation_id=0,
                             header=reply_header, payload=reply_frame,
                             is_reply=True)
-        recipients = [int(r) for r in envelope.header.get("recipients", [])]
         try:
             batch = deserialize(envelope.payload)
         except WireFormatError as exc:

@@ -8,9 +8,14 @@ import pytest
 from repro import ChiaroscuroConfig, run_chiaroscuro
 from repro.baselines import centralized_kmeans
 from repro.clustering import adjusted_rand_index
-from repro.core.runner import denormalize_profiles, normalize_collection
+from repro.core.runner import (
+    denormalize_profiles,
+    normalize_collection,
+    run_to_completion,
+)
 from repro.datasets import generate_gaussian_clusters, generate_numed_like
 from repro.exceptions import ConfigurationError, ProtocolError
+from repro.simulation import CycleEngine, Node
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +51,46 @@ class TestNormalization:
     def test_denormalize_rejects_zero_scale(self):
         with pytest.raises(ProtocolError):
             denormalize_profiles(np.zeros((2, 2)), {"scale": 0.0, "offset": 0.0})
+
+
+class ScriptedNode(Node):
+    """Done after *steps* cycles; optionally drops offline at its first."""
+
+    def __init__(self, node_id, steps, drops_offline=False):
+        super().__init__(node_id)
+        self.steps_left = steps
+        self.drops_offline = drops_offline
+
+    @property
+    def is_done(self):
+        return self.steps_left == 0
+
+    def next_cycle(self, engine, cycle):
+        self.steps_left = max(0, self.steps_left - 1)
+        if self.drops_offline:
+            self.drops_offline = False
+            self.online = False
+
+
+class TestRunToCompletion:
+    """The catch-up loop the object run and the slab sample share."""
+
+    def test_an_offline_straggler_is_woken_and_finished(self):
+        nodes = [ScriptedNode(0, steps=2), ScriptedNode(1, steps=3, drops_offline=True)]
+        engine = CycleEngine(nodes, seed=0)
+        run_to_completion(engine, nodes, max_cycles=4)
+        # engine.run spent its 4 cycles waiting for the offline node, which
+        # then needed two more.
+        assert all(node.is_done for node in nodes)
+        assert nodes[1].online
+        assert engine.current_cycle + 1 == 4 + 2
+
+    def test_gives_up_after_max_cycles_extra_cycles(self):
+        nodes = [ScriptedNode(0, steps=1), ScriptedNode(1, steps=100)]
+        engine = CycleEngine(nodes, seed=0)
+        run_to_completion(engine, nodes, max_cycles=4)
+        assert not nodes[1].is_done
+        assert engine.current_cycle + 1 == 4 + 4
 
 
 class TestRunOutcome:

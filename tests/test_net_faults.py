@@ -219,13 +219,15 @@ class TestFramesForNodesHostedElsewhere:
 
 
 class TestWellFormedFramesOfTheWrongShape:
-    """A frame that passes its checksum but does not fit the hosted state is
-    answered as a loss too: raising would escape ``RequestChannel.pump``,
-    close the peer link and fail every request in flight on it."""
+    """A frame that passes its checksum but does not fit the hosted state —
+    or whose header names no node — is answered as a loss too: raising would
+    escape ``RequestChannel.pump``, close the peer link and fail every
+    request in flight on it."""
 
     @pytest.mark.parametrize("count, length", [
         (3, 5),  # one estimate too many per side
         (2, 3),  # the right count, estimates of the wrong length
+        (2, 5),  # the right count and length, unpacked for a packed backend
     ])
     def test_diptych_exchange(self, count, length):
         handler = _handler_with_node_zero_gossiping()
@@ -245,7 +247,32 @@ class TestWellFormedFramesOfTheWrongShape:
             FRAMES["decrypt-request"],
         ) == ({"error": "bad_request"}, b"")
 
-    @pytest.mark.parametrize("count, length", [(3, 5), (2, 3)])
+    @pytest.mark.parametrize("header", [
+        {"op": "diptych-exchange", "sender": 1},
+        {"op": "diptych-exchange", "sender": 1, "recipient": "x"},
+        {"op": "diptych-exchange", "recipient": 0},
+        {"op": "diptych-exchange", "sender": None, "recipient": 0},
+    ])
+    def test_frame_header_with_missing_or_non_integer_node_ids(self, header):
+        assert _handler_with_node_zero_gossiping().handle_frame(
+            header, _diptych_frame(DiptychExchange, 2, 5),
+        ) == ({"error": "bad_header"}, b"")
+
+    @pytest.mark.parametrize("header, route", [
+        ({"sender": 1, "recipients": [0, 2]}, (1, [0, 2])),
+        ({"sender": 1}, None),
+        ({"sender": 1, "recipients": 0}, None),
+        ({"sender": 1, "recipients": [0, "x"]}, None),
+        ({"sender": "1", "recipients": [0, 2]}, None),
+    ])
+    def test_batch_header_with_missing_or_non_integer_node_ids(self, header, route):
+        """What the worker's record handler asks before it serves a batch
+        (on ``None`` it answers ``bad_header`` for the whole record)."""
+        from repro.net.live import frame_route
+
+        assert frame_route(header, is_batch=True) == route
+
+    @pytest.mark.parametrize("count, length", [(3, 5), (2, 3), (2, 5)])
     def test_initiator_treats_a_wrong_shape_reply_as_a_lost_exchange(
             self, count, length):
         from repro.net.live import LiveParticipantDriver

@@ -3,8 +3,8 @@
 The acceptance contract of the slab engine: with sampling fraction 1.0 and
 one shard on the plain backend, ``engine="slab"`` is bit-identical to
 ``engine="object"``; below 1.0 it reports population cost totals with
-bootstrap confidence intervals; at 0.0 it falls back to the symbolic
-workload model.
+bootstrap confidence intervals, from a sample that is never smaller than
+one complete miniature run (which is what 0.0 asks for).
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.clustering.kmeans import reseed_centroid
 from repro.config import ChiaroscuroConfig
 from repro.core.runner import run_chiaroscuro
 from repro.datasets import load_dataset_for_population
@@ -141,17 +142,50 @@ class TestLabelAgreementStream:
             assert "label_agreement" in entry
 
 
-class TestModelledFallback:
-    def test_zero_fraction_uses_workload_model(self, collection):
+class TestSmallestSample:
+    def test_zero_fraction_runs_the_smallest_sample(self, collection):
+        """A fraction of 0.0 means what the sample-size formula says: the
+        smallest population that can run the protocol, max(threshold, k, 2)
+        nodes, measured like any other sample."""
         result = run_chiaroscuro(
             collection, make_config(60, crypto_sample_fraction=0.0)
         )
         extrapolated = result.costs.extrapolated
-        assert extrapolated["method"] == "modelled"
-        assert extrapolated["sample_size"] == 0
+        assert extrapolated["method"] == "sampled"
+        assert extrapolated["sample_size"] == 3
+        assert result.metadata["engine"]["sample_size"] == 3
+        assert result.costs.encryptions > 0
         assert extrapolated["totals"]["encryptions"]["estimate"] > 0
-        # Nothing was executed.
-        assert result.costs.encryptions == 0
+        assert result.metadata["wire"]["mode"] == "auto"
+
+
+class TestEmptyClusterRepair:
+    def test_slab_run_reseeds_empty_clusters(self, collection):
+        """Six clusters over three blobs under heavy noise: some clusters
+        come out of gossip empty, and the slab loop repairs them by the same
+        public rule the participants use — a jittered copy of the (clipped)
+        donor centroid.  Smoothing is off so the logged rows are the rule's
+        own output."""
+        config = make_config(60, crypto_sample_fraction=0.25).with_overrides(
+            kmeans={"n_clusters": 6},
+            privacy={"epsilon": 0.05},
+            smoothing={"method": "none"},
+        )
+        result = run_chiaroscuro(collection, config)
+        bound = config.privacy.value_bound
+        reseeded = [
+            (record.iteration, cluster)
+            for record in result.log
+            for cluster, row in enumerate(record.perturbed_means)
+            if any(
+                np.array_equal(
+                    row,
+                    reseed_centroid(donor, bound, record.iteration, cluster, seed=5),
+                )
+                for donor in np.delete(record.perturbed_means, cluster, axis=0)
+            )
+        ]
+        assert reseeded
 
 
 class TestConfigGuards:

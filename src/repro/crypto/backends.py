@@ -695,10 +695,11 @@ class PlainBackend(CipherBackend):
     counts are identical to the real backend's, so the cost model can charge
     measured per-operation times.
 
-    The modular arithmetic runs on NumPy slabs — int64 when the modulus (and
-    scalar factor) leave enough room, Python-object arrays otherwise — so
-    large crypto-free simulations are not bottlenecked on per-coordinate
-    Python loops.
+    The modular arithmetic runs on int64 NumPy slabs when the modulus (and
+    scalar factor) leave enough room, so large crypto-free simulations are
+    not bottlenecked on per-coordinate Python loops; above 62 bits it is a
+    plain loop over Python integers (an object array runs the same ``+`` and
+    ``%`` per element and pays for building the arrays on top).
 
     With packing enabled the simulated plaintext space is widened to match
     the plaintext of the simulated ciphertext (``simulated_ciphertext_bits /
@@ -752,17 +753,14 @@ class PlainBackend(CipherBackend):
             a = np.fromiter(first, dtype=np.int64, count=len(first))
             b = np.fromiter(second, dtype=np.int64, count=len(second))
             return tuple(int(value) for value in (a + b) % modulus)
-        a = np.array(first, dtype=object)
-        b = np.array(second, dtype=object)
-        return tuple(int(value) for value in (a + b) % modulus)
+        return tuple([(x + y) % modulus for x, y in zip(first, second, strict=True)])
 
     def _multiply_payload(self, payload: Sequence[int], factor: int) -> tuple[int, ...]:
         modulus = self.codec.modulus
         if modulus.bit_length() + factor.bit_length() <= 62:
             a = np.fromiter(payload, dtype=np.int64, count=len(payload))
             return tuple(int(value) for value in (a * factor) % modulus)
-        a = np.array(payload, dtype=object)
-        return tuple(int(value) for value in (a * factor) % modulus)
+        return tuple([(x * factor) % modulus for x in payload])
 
     def _partial_decrypt_payload(
         self, share_index: int, payload: Sequence[int]

@@ -1,11 +1,18 @@
 """Canonical binary wire encoding of the cryptographic payloads.
 
-The simulation historically shipped Python object references between nodes
-and *estimated* message sizes with a formula; this module gives every
-cryptographic value an actual, versioned byte representation so that the
-transport layer can move real frames and the cost analysis can report
-*measured* bytes (see :mod:`repro.gossip.messages` for the framed message
-types built on top of these primitives).
+Every message of every engine travels as a byte frame (cycle mode through
+:class:`~repro.net.transport.LoopbackTransport`, live mode over sockets);
+this module gives each cryptographic value in those frames its versioned
+byte representation, so that ``bytes_sent`` is a measured figure and the
+modelled size a computed one beside it (see :mod:`repro.gossip.messages`
+for the framed message types built on top of these primitives).
+
+A frame is mostly vector blocks — a backend name, the logical length, the
+packed flag, the homomorphic weight, a count and that many fixed-width
+ciphertexts — so the block codec is the hot path of a run that is not
+dominated by modular exponentiation: :meth:`WireReader.read_vector_block`
+and :func:`_write_vector_block` handle one block in one pass instead of one
+primitive call per field.
 
 Design rules, chosen so that encodings are deterministic, bit-exact across
 backends and safe to decode from untrusted bytes:
@@ -37,12 +44,9 @@ which CI enforces).
 from __future__ import annotations
 
 import struct
-from typing import TYPE_CHECKING
 
 from ..exceptions import WireFormatError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
-    from .backends import CipherBackend, EncryptedVector, PartialVectorDecryption
+from .backends import CipherBackend, EncryptedVector, PartialVectorDecryption
 
 #: Version byte stamped on every frame (and the suffix of the golden vector
 #: file name).  Bump on any incompatible encoding change.
@@ -66,7 +70,7 @@ MAX_VARINT_BYTES = 10  # varints hold values < 2**64
 _VARINT_LIMIT = 1 << 64
 
 
-def wire_ciphertext_bytes(backend: "CipherBackend") -> int:
+def wire_ciphertext_bytes(backend: CipherBackend) -> int:
     """Fixed on-wire width of one of *backend*'s ciphertexts, in bytes."""
     return (backend.ciphertext_bits + 7) // 8
 
@@ -88,6 +92,9 @@ def varint_size(value: int) -> int:
 
 def write_varint(out: bytearray, value: int) -> None:
     """Append the canonical unsigned-LEB128 encoding of *value*."""
+    if 0 <= value < 0x80:
+        out.append(value)
+        return
     if not 0 <= value < _VARINT_LIMIT:
         raise WireFormatError(f"varint out of range: {value}")
     while True:
@@ -138,23 +145,32 @@ def write_float(out: bytearray, value: float) -> None:
     out.extend(struct.pack(">d", value))
 
 
+def _unfit_ciphertext(value: int, width: int) -> WireFormatError:
+    """Why ``value.to_bytes(width)`` refused *value*."""
+    if value < 0:
+        return WireFormatError(f"ciphertexts are non-negative, got {value}")
+    return WireFormatError(
+        f"ciphertext needs {(value.bit_length() + 7) // 8} bytes but the "
+        f"declared width is {width}"
+    )
+
+
 def write_ciphertext(out: bytearray, value: int, width: int) -> None:
     """Append one ciphertext as exactly *width* big-endian bytes."""
     value = int(value)
-    if value < 0:
-        raise WireFormatError(f"ciphertexts are non-negative, got {value}")
     try:
         out.extend(value.to_bytes(width, "big"))
     except OverflowError as exc:
-        raise WireFormatError(
-            f"ciphertext needs {(value.bit_length() + 7) // 8} bytes but the "
-            f"declared width is {width}"
-        ) from exc
+        raise _unfit_ciphertext(value, width) from exc
 
 
 # ---------------------------------------------------------------------------
 # reader
 # ---------------------------------------------------------------------------
+
+def _truncated(need: int, have: int) -> WireFormatError:
+    return WireFormatError(f"truncated frame: need {need} bytes, have {have}")
+
 
 class WireReader:
     """Sequential decoder over one byte buffer.
@@ -164,6 +180,8 @@ class WireReader:
     with :meth:`expect_end` so trailing garbage is rejected too.
     """
 
+    __slots__ = ("_data", "_offset", "_end")
+
     def __init__(self, data: bytes) -> None:
         if not isinstance(data, (bytes, bytearray, memoryview)):
             raise WireFormatError(
@@ -171,30 +189,35 @@ class WireReader:
             )
         self._data = bytes(data)
         self._offset = 0
+        self._end = len(self._data)
 
     @property
     def remaining(self) -> int:
         """Bytes not yet consumed."""
-        return len(self._data) - self._offset
+        return self._end - self._offset
 
     def read_bytes(self, count: int) -> bytes:
         """Consume exactly *count* raw bytes."""
-        if count < 0 or count > self.remaining:
-            raise WireFormatError(
-                f"truncated frame: need {count} bytes, have {self.remaining}"
-            )
         start = self._offset
-        self._offset += count
-        return self._data[start:self._offset]
+        if count < 0 or count > self._end - start:
+            raise _truncated(count, self._end - start)
+        self._offset = start + count
+        return self._data[start:start + count]
 
     def read_varint(self, limit: int = _VARINT_LIMIT - 1) -> int:
         """Consume a canonical varint and check it against *limit*."""
+        data = self._data
+        end = self._end
+        offset = self._offset
         value = 0
         shift = 0
         for position in range(MAX_VARINT_BYTES):
-            byte = self.read_bytes(1)[0]
+            if offset >= end:
+                raise _truncated(1, 0)
+            byte = data[offset]
+            offset += 1
             value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
+            if byte < 0x80:
                 if position > 0 and byte == 0:
                     raise WireFormatError("non-canonical varint (redundant byte)")
                 if value >= _VARINT_LIMIT:
@@ -203,9 +226,20 @@ class WireReader:
                     raise WireFormatError(
                         f"varint {value} exceeds the field limit {limit}"
                     )
+                self._offset = offset
                 return value
             shift += 7
         raise WireFormatError("varint longer than 10 bytes")
+
+    def _varint_at(self, offset: int, limit: int) -> tuple[int, int]:
+        """The varint at *offset* and the offset after it.
+
+        The slow half of :meth:`read_vector_block`, which reads one-byte
+        varints itself and comes here for anything else: longer ones, a
+        value over its limit, the end of the buffer.
+        """
+        self._offset = offset
+        return self.read_varint(limit), self._offset
 
     def read_bigint(self, max_bytes: int = MAX_CIPHERTEXT_BYTES) -> int:
         """Consume a canonical length-prefixed big-endian integer."""
@@ -239,6 +273,93 @@ class WireReader:
         """Consume one fixed-width big-endian ciphertext."""
         return int.from_bytes(self.read_bytes(width), "big")
 
+    def read_vector_block(
+        self, ciphertext_bytes: int
+    ) -> tuple[str, int, bool, int, tuple[int, ...]]:
+        """Consume one vector block: name, length, packed flag, weight, payload.
+
+        This runs once per estimate of every frame, so it walks the header
+        with a local offset (a one-byte varint is the byte itself; anything
+        else goes through :meth:`_varint_at`) and cuts the payload with one
+        bounds check and one slice per ciphertext.  It accepts and rejects
+        exactly what ``read_string``, ``read_varint``, ``read_bool``,
+        ``read_bigint``, ``read_varint`` and *count* ``read_ciphertext``
+        calls would.
+        """
+        data = self._data
+        end = self._end
+        offset = self._offset
+
+        name_length = data[offset] if offset < end else 0x80
+        offset += 1
+        if name_length >= 0x80 or name_length > MAX_NAME_BYTES:
+            name_length, offset = self._varint_at(offset - 1, MAX_NAME_BYTES)
+        raw = data[offset:offset + name_length]
+        if len(raw) < name_length:
+            raise _truncated(name_length, end - offset)
+        offset += name_length
+        try:
+            backend_name = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise WireFormatError("invalid UTF-8 in wire string") from exc
+
+        length = data[offset] if offset < end else 0x80
+        offset += 1
+        if length >= 0x80:
+            length, offset = self._varint_at(offset - 1, MAX_VECTOR_COMPONENTS)
+
+        if offset >= end:
+            raise _truncated(1, 0)
+        packed = data[offset]
+        offset += 1
+        if packed > 1:
+            raise WireFormatError(f"invalid boolean byte 0x{packed:02x}")
+
+        weight_length = data[offset] if offset < end else 0x80
+        offset += 1
+        if weight_length >= 0x80:
+            weight_length, offset = self._varint_at(offset - 1, MAX_CIPHERTEXT_BYTES)
+        raw = data[offset:offset + weight_length]
+        if len(raw) < weight_length:
+            raise _truncated(weight_length, end - offset)
+        offset += weight_length
+        if weight_length and raw[0] == 0:
+            raise WireFormatError("non-canonical bigint (leading zero byte)")
+        weight = int.from_bytes(raw, "big")
+        if weight < 1:
+            raise WireFormatError("homomorphic weight must be >= 1")
+
+        count = data[offset] if offset < end else 0x80
+        offset += 1
+        if count >= 0x80:
+            count, offset = self._varint_at(offset - 1, MAX_VECTOR_COMPONENTS)
+        stop = offset + count * ciphertext_bytes
+        if stop > end:
+            raise WireFormatError(
+                f"truncated vector: {count} ciphertexts of {ciphertext_bytes} bytes "
+                f"declared, {end - offset} bytes available"
+            )
+        if packed:
+            # A packed vector never carries more ciphertexts than coordinates —
+            # a frame claiming otherwise has overflowing slot metadata.
+            if count > length or (length > 0 and count == 0):
+                raise WireFormatError(
+                    f"inconsistent packed layout: {count} ciphertexts for "
+                    f"{length} coordinates"
+                )
+        elif count != length:
+            raise WireFormatError(
+                f"unpacked vector must carry one ciphertext per coordinate "
+                f"(length {length}, ciphertexts {count})"
+            )
+        from_bytes = int.from_bytes
+        payload = tuple([
+            from_bytes(data[start:start + ciphertext_bytes], "big")
+            for start in range(offset, stop, ciphertext_bytes)
+        ])
+        self._offset = stop
+        return backend_name, length, packed == 1, weight, payload
+
     def expect_end(self) -> None:
         """Raise unless the buffer was consumed exactly."""
         if self.remaining:
@@ -271,44 +392,20 @@ def _write_vector_block(
     write_bool(out, packed)
     write_bigint(out, weight)
     write_varint(out, len(payload))
-    for ciphertext in payload:
-        write_ciphertext(out, ciphertext, ciphertext_bytes)
-
-
-def _read_vector_block(
-    reader: WireReader, ciphertext_bytes: int
-) -> tuple[str, int, bool, int, tuple[int, ...]]:
-    backend_name = reader.read_string()
-    length = reader.read_varint(limit=MAX_VECTOR_COMPONENTS)
-    packed = reader.read_bool()
-    weight = reader.read_bigint(max_bytes=MAX_CIPHERTEXT_BYTES)
-    if weight < 1:
-        raise WireFormatError("homomorphic weight must be >= 1")
-    count = reader.read_varint(limit=MAX_VECTOR_COMPONENTS)
-    if count * ciphertext_bytes > reader.remaining:
-        raise WireFormatError(
-            f"truncated vector: {count} ciphertexts of {ciphertext_bytes} bytes "
-            f"declared, {reader.remaining} bytes available"
-        )
-    if packed:
-        # A packed vector never carries more ciphertexts than coordinates —
-        # a frame claiming otherwise has overflowing slot metadata.
-        if count > length or (length > 0 and count == 0):
-            raise WireFormatError(
-                f"inconsistent packed layout: {count} ciphertexts for "
-                f"{length} coordinates"
-            )
-    elif count != length:
-        raise WireFormatError(
-            f"unpacked vector must carry one ciphertext per coordinate "
-            f"(length {length}, ciphertexts {count})"
-        )
-    payload = tuple(reader.read_ciphertext(ciphertext_bytes) for _ in range(count))
-    return backend_name, length, packed, weight, payload
+    try:
+        out += b"".join([
+            int(ciphertext).to_bytes(ciphertext_bytes, "big") for ciphertext in payload
+        ])
+    except OverflowError as exc:
+        limit = 1 << (8 * ciphertext_bytes)
+        raise next(
+            _unfit_ciphertext(value, ciphertext_bytes)
+            for value in map(int, payload) if not 0 <= value < limit
+        ) from exc
 
 
 def write_encrypted_vector(
-    out: bytearray, vector: "EncryptedVector", ciphertext_bytes: int
+    out: bytearray, vector: EncryptedVector, ciphertext_bytes: int
 ) -> None:
     """Append the wire block of an :class:`~repro.crypto.backends.EncryptedVector`."""
     _write_vector_block(
@@ -317,12 +414,10 @@ def write_encrypted_vector(
     )
 
 
-def read_encrypted_vector(reader: WireReader, ciphertext_bytes: int) -> "EncryptedVector":
+def read_encrypted_vector(reader: WireReader, ciphertext_bytes: int) -> EncryptedVector:
     """Decode one encrypted-vector block."""
-    from .backends import EncryptedVector
-
-    backend_name, length, packed, weight, payload = _read_vector_block(
-        reader, ciphertext_bytes
+    backend_name, length, packed, weight, payload = reader.read_vector_block(
+        ciphertext_bytes
     )
     return EncryptedVector(
         payload=payload, backend_name=backend_name, length=length,
@@ -336,7 +431,7 @@ MAX_SHARE_INDEX = 1 << 20
 
 
 def write_partial_decryption(
-    out: bytearray, partial: "PartialVectorDecryption", ciphertext_bytes: int
+    out: bytearray, partial: PartialVectorDecryption, ciphertext_bytes: int
 ) -> None:
     """Append the wire block of a partial vector decryption."""
     if not 1 <= partial.share_index <= MAX_SHARE_INDEX:
@@ -352,15 +447,13 @@ def write_partial_decryption(
 
 def read_partial_decryption(
     reader: WireReader, ciphertext_bytes: int
-) -> "PartialVectorDecryption":
+) -> PartialVectorDecryption:
     """Decode one partial-vector-decryption block."""
-    from .backends import PartialVectorDecryption
-
     share_index = reader.read_varint(limit=MAX_SHARE_INDEX)
     if share_index < 1:
         raise WireFormatError("share indices are 1-based")
-    backend_name, length, packed, weight, payload = _read_vector_block(
-        reader, ciphertext_bytes
+    backend_name, length, packed, weight, payload = reader.read_vector_block(
+        ciphertext_bytes
     )
     return PartialVectorDecryption(
         share_index=share_index, payload=payload, backend_name=backend_name,

@@ -33,12 +33,14 @@ message alone — identical across cipher backends, platforms and runs.
 
 from __future__ import annotations
 
+import struct
 import zlib
 from dataclasses import dataclass, field
 from typing import ClassVar, Sequence
 
 from ..crypto.wire import (
     FRAME_FIXED_OVERHEAD_BYTES,
+    MAX_CIPHERTEXT_BYTES,
     MAX_FRAME_BYTES,
     MAX_SHARE_INDEX,
     MAX_VECTOR_COMPONENTS,
@@ -90,8 +92,6 @@ def _read_estimate(reader: WireReader, width: int) -> EncryptedEstimate:
 
 
 def _write_width(out: bytearray, width: int) -> None:
-    from ..crypto.wire import MAX_CIPHERTEXT_BYTES
-
     if not 1 <= width <= MAX_CIPHERTEXT_BYTES:
         raise WireFormatError(
             f"ciphertext width {width} outside [1, {MAX_CIPHERTEXT_BYTES}]"
@@ -100,8 +100,6 @@ def _write_width(out: bytearray, width: int) -> None:
 
 
 def _read_width(reader: WireReader) -> int:
-    from ..crypto.wire import MAX_CIPHERTEXT_BYTES
-
     width = reader.read_varint(limit=MAX_CIPHERTEXT_BYTES)
     if width < 1:
         raise WireFormatError("ciphertext width must be >= 1")
@@ -112,8 +110,7 @@ def _write_float_vector(out: bytearray, values: Sequence[float]) -> None:
     if len(values) > MAX_VECTOR_COMPONENTS:
         raise WireFormatError(f"float vector too long for the wire: {len(values)}")
     write_varint(out, len(values))
-    for value in values:
-        write_float(out, float(value))
+    out += struct.pack(f">{len(values)}d", *map(float, values))
 
 
 def _read_float_vector(reader: WireReader) -> tuple[float, ...]:
@@ -123,7 +120,7 @@ def _read_float_vector(reader: WireReader) -> tuple[float, ...]:
             f"truncated float vector: {count} doubles declared, "
             f"{reader.remaining} bytes available"
         )
-    return tuple(reader.read_float() for _ in range(count))
+    return struct.unpack(f">{count}d", reader.read_bytes(count * 8))
 
 
 class WireMessage:
@@ -147,13 +144,12 @@ class WireMessage:
             raise WireFormatError(
                 f"message body of {len(body)} bytes exceeds the frame limit"
             )
-        frame = bytearray(FRAME_MAGIC)
-        frame.append(WIRE_VERSION)
-        frame.append(self.TYPE)
-        write_varint(frame, len(body))
-        frame.extend(body)
-        frame.extend(zlib.crc32(frame).to_bytes(4, "big"))
-        return bytes(frame)
+        header = bytearray(FRAME_MAGIC)
+        header.append(WIRE_VERSION)
+        header.append(self.TYPE)
+        write_varint(header, len(body))
+        checksum = zlib.crc32(body, zlib.crc32(header))
+        return b"".join((header, body, checksum.to_bytes(4, "big")))
 
 
 @dataclass(frozen=True)
@@ -336,8 +332,9 @@ class MembershipAnnouncement(WireMessage):
     """A node announcing that it joined or left the overlay.
 
     The cycle-driven simulation applies churn directly (no messages), but a
-    real deployment gossips join/leave events; the frame type exists so the
-    future socket runner and the corruption/loss scenarios can exercise
+    real deployment gossips join/leave events.  The live runner's bootstrap
+    sends one per node (:class:`~repro.net.bootstrap.MembershipDirectory`
+    is fed with them), and the corruption/loss scenarios exercise
     membership traffic through the same conformance-tested wire format.
     """
 
@@ -516,9 +513,16 @@ def deserialize(frame: bytes) -> WireMessage:
     length, CRC32, full-body consumption) before handing the body to the
     message-specific decoder.
     """
+    if isinstance(frame, memoryview):
+        size = frame.nbytes
+    elif isinstance(frame, (bytes, bytearray)):
+        size = len(frame)
+    else:
+        raise WireFormatError(f"wire frames are bytes, got {type(frame).__name__}")
+    if size > MAX_FRAME_BYTES + FRAME_FIXED_OVERHEAD_BYTES + 5:
+        raise WireFormatError(f"frame of {size} bytes exceeds the wire limit")
+    frame = bytes(frame)
     reader = WireReader(frame)
-    if len(frame) > MAX_FRAME_BYTES + FRAME_FIXED_OVERHEAD_BYTES + 5:
-        raise WireFormatError(f"frame of {len(frame)} bytes exceeds the wire limit")
     if reader.read_bytes(2) != FRAME_MAGIC:
         raise WireFormatError("bad frame magic")
     version = reader.read_bytes(1)[0]
@@ -537,7 +541,7 @@ def deserialize(frame: bytes) -> WireMessage:
             f"({reader.remaining - 4} bytes before the checksum)"
         )
     checksum = int.from_bytes(frame[-4:], "big")
-    if zlib.crc32(frame[:-4]) != checksum:
+    if zlib.crc32(memoryview(frame)[:-4]) != checksum:
         raise WireFormatError("frame checksum mismatch (corrupted frame)")
     message = message_cls._read_body(reader)
     if reader.remaining != 4:

@@ -429,17 +429,37 @@ class WorkerTransport:
     ) -> tuple[dict[str, Any], bytes]:
         """The round-trip to a recipient this worker hosts, the request
         already charged: receive, serve, and both sides of the reply."""
-        self._account_receive(sender, recipient, kind, len(frame), modelled_bytes)
+        reply_header, reply_frame = self.serve_frame(
+            kind, sender, recipient, modelled_bytes, frame
+        )
+        if reply_frame:
+            self._account_receive(recipient, sender, kind + "-reply",
+                                  len(reply_frame), modelled_bytes)
+        return reply_header, reply_frame
+
+    def serve_frame(
+        self, op: str, sender: int, recipient: int, modelled_bytes: Any,
+        frame: bytes,
+    ) -> tuple[dict[str, Any], bytes]:
+        """The recipient's half of a frame round-trip: receive, serve, and
+        the sending side of the reply.
+
+        A record for a node this worker does not host, or from a sender that
+        is no node of the run, is answered ``not_hosted`` before the ledger
+        sees it: the ledger raises on an id outside ``[0, N)``, and raising
+        here would escape ``RequestChannel.pump`` and close the peer link.
+        """
+        if recipient not in self.local_ids or not 0 <= sender < self.ledger.n_nodes:
+            return {"error": "not_hosted"}, b""
+        self._account_receive(sender, recipient, op, len(frame), modelled_bytes)
         reply_header, reply_frame = self.handler.handle_frame(
-            {"op": kind, "sender": sender, "recipient": recipient,
+            {"op": op, "sender": sender, "recipient": recipient,
              "modelled": modelled_bytes},
             frame,
         )
         if reply_frame:
-            self._account_send(recipient, sender, kind + "-reply",
+            self._account_send(recipient, sender, op + "-reply",
                                len(reply_frame), modelled_bytes)
-            self._account_receive(recipient, sender, kind + "-reply",
-                                  len(reply_frame), modelled_bytes)
         return reply_header, reply_frame
 
     async def frame_request(
@@ -591,7 +611,7 @@ class WorkerProtocolHandler:
         if header.get("op") != "probe":
             raise ProtocolError(f"unknown control operation {header.get('op')!r}")
         recipient, iteration = header.get("recipient"), header.get("iteration")
-        if not (isinstance(recipient, int) and isinstance(iteration, int)):
+        if not (_is_node_id(recipient) and isinstance(iteration, int)):
             return {"status": "error", "error": "bad_probe"}
         peer = self.participants.get(recipient)
         if peer is None:
@@ -667,6 +687,11 @@ class WorkerProtocolHandler:
             return {"error": "bad_request"}, b""
 
 
+def _is_node_id(value: Any) -> bool:
+    """JSON ``true`` is a Python ``int`` too, and would name node 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def frame_route(header: dict[str, Any],
                 is_batch: bool = False) -> tuple[int, list[int]] | None:
     """``(sender, recipients)`` named by a frame record's header — its one
@@ -675,7 +700,7 @@ def frame_route(header: dict[str, Any],
     sender = header.get("sender")
     recipients = header.get("recipients") if is_batch else [header.get("recipient")]
     if not isinstance(recipients, list) \
-            or not all(isinstance(node_id, int) for node_id in (sender, *recipients)):
+            or not all(_is_node_id(node_id) for node_id in (sender, *recipients)):
         return None
     return sender, recipients
 
@@ -845,22 +870,14 @@ async def _worker_async(worker_index: int, setup: RunSetup, local_ids: list[int]
 
     def serve_frame(op: str, sender: int, recipient: int, modelled: Any,
                     frame: bytes) -> tuple[dict[str, Any], bytes]:
-        """Serve one frame a peer worker sent to a node hosted here."""
-        transport._account_receive(sender, recipient, op, len(frame), modelled)
-        reply_header, reply_frame = handler.handle_frame(
-            {"op": op, "sender": sender, "recipient": recipient,
-             "modelled": modelled},
-            frame,
-        )
+        """Serve one frame a peer worker sent, and meter the crypto it took."""
+        reply = transport.serve_frame(op, sender, recipient, modelled, frame)
         # Crypto work serving a peer's frame (decrypt shares, averaging)
         # is charged to the local recipient's current iteration.
         recipient_participant = participants.get(recipient)
         if recipient_participant is not None:
             meter.charge(recipient_participant.iteration)
-        if reply_frame:
-            transport._account_send(recipient, sender, op + "-reply",
-                                    len(reply_frame), modelled)
-        return reply_header, reply_frame
+        return reply
 
     async def handle_peer_record(envelope: Envelope) -> Envelope | None:
         if envelope.kind != KIND_FRAME:

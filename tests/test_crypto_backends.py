@@ -112,6 +112,62 @@ class TestSemanticSecurityOfRealBackend:
         assert first.payload == second.payload
 
 
+class TestPlainArithmeticAboveTheInt64Threshold:
+    """Above 62 modulus bits the plain backend loops over Python integers;
+    it used to build ``dtype=object`` arrays.  Same integers, same charges,
+    on both sides of the threshold (60 and 61 bits still take the int64
+    slab; a scalar factor pushes 61 over)."""
+
+    @staticmethod
+    def object_array_add(first, second, modulus):
+        a = np.array(first, dtype=object)
+        b = np.array(second, dtype=object)
+        return tuple(int(value) for value in (a + b) % modulus)
+
+    @staticmethod
+    def object_array_multiply(payload, factor, modulus):
+        a = np.array(payload, dtype=object)
+        return tuple(int(value) for value in (a * factor) % modulus)
+
+    @pytest.mark.parametrize("size", [1, 2, 25, 1000])
+    @pytest.mark.parametrize("modulus_bits", [60, 61, 62, 63, 256, 2048])
+    def test_add_multiply_and_linear_combination(self, modulus_bits, size):
+        backend = PlainBackend(modulus_bits=modulus_bits)
+        modulus = backend.codec.modulus
+        rng = np.random.default_rng(modulus_bits * 1009 + size)
+
+        def vector():
+            payload = tuple(
+                int.from_bytes(rng.bytes(modulus_bits // 8 + 1), "big") % modulus
+                for _ in range(size)
+            )
+            return EncryptedVector(payload=payload + (modulus - 1,) * (size == 1000),
+                                   backend_name="plain")
+
+        first, second, third = vector(), vector(), vector()
+        n = len(first)
+        for value in (backend.add(first, second),
+                      backend.multiply_scalar(first, 1 << 7),
+                      backend.linear_combination([first, second, third], [4, 1, 2])):
+            assert all(type(element) is int for element in value.payload)
+        assert backend.counter.additions == n + n + n * (2 + 2)
+
+        add, multiply = self.object_array_add, self.object_array_multiply
+        assert backend.add(first, second).payload == add(
+            first.payload, second.payload, modulus)
+        for factor in (0, 1, 3, 1 << 7, (1 << 70) + 1):
+            assert backend.multiply_scalar(first, factor).payload == multiply(
+                first.payload, factor, modulus)
+        assert backend.linear_combination([first, second, third], [4, 1, 2]).payload \
+            == add(add(multiply(first.payload, 4, modulus), second.payload, modulus),
+                   multiply(third.payload, 2, modulus), modulus)
+
+    def test_payloads_of_different_sizes_are_refused(self):
+        backend = PlainBackend(modulus_bits=256)
+        with pytest.raises(ValueError):
+            backend._add_payloads((1, 2), (1,))
+
+
 class TestOperationCounter:
     def test_merge_and_reset(self):
         a = OperationCounter(encryptions=1, additions=2, pooled_encryptions=1)

@@ -355,8 +355,10 @@ class TestPackedProtocolRun:
 
 
 class TestPlainSlabArithmetic:
-    """The plain backend's vectorised slab has two regimes: int64 for small
-    moduli, object arrays otherwise.  Both must agree with the scalar maths."""
+    """The plain backend's arithmetic has two regimes: an int64 slab for small
+    moduli, a loop over Python integers otherwise (named "object path" below
+    after the object arrays it used to build).  Both must agree with the
+    scalar maths."""
 
     @pytest.fixture()
     def small_modulus_backend(self) -> PlainBackend:
@@ -380,8 +382,8 @@ class TestPlainSlabArithmetic:
 
     def test_large_factor_falls_back_to_object_path(self, small_modulus_backend):
         backend = small_modulus_backend
-        # factor bits + modulus bits > 62: must route through the object-array
-        # path and still wrap correctly modulo 2^48.
+        # factor bits + modulus bits > 62: must leave the int64 slab and still
+        # wrap correctly modulo 2^48.
         vector = backend.encrypt_integer_vector([3])
         scaled = backend.multiply_scalar(vector, 1 << 20)
         decoded = backend.decrypt_with_shares(scaled, [1, 2], integer=True)

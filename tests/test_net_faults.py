@@ -32,6 +32,7 @@ from repro.gossip.messages import (
 )
 from repro.net.faults import TargetedMutation, reframe_body, targeted_mutations
 from repro.simulation.engine import CycleEngine
+from repro.simulation.network import TrafficStats
 from repro.simulation.node import Node
 
 
@@ -164,6 +165,18 @@ def _handler_with_node_zero_gossiping():
     return handler
 
 
+def _transport_of(handler):
+    """The worker transport around *handler* (4-node run, node 0 hosted
+    here), never connected: only its ledger and frame service are used."""
+    from repro.net.bootstrap import MembershipDirectory
+    from repro.net.live import SocketStats, WorkerTransport
+
+    return WorkerTransport(
+        worker_index=0, n_nodes=4, local_ids={0}, directory=MembershipDirectory(),
+        handler=handler, stats=SocketStats(), connect_timeout=1.0,
+    )
+
+
 def _diptych_frame(message_type, count: int, length: int) -> bytes:
     estimates = tuple(_estimate(length=length) for _ in range(count))
     return message_type(iteration=1, data_estimates=estimates,
@@ -217,6 +230,32 @@ class TestFramesForNodesHostedElsewhere:
             {"op": "probe", "sender": 0, "recipient": 5, "iteration": 1},
         ) == {"status": "error", "error": "not_hosted"}
 
+    @pytest.mark.parametrize("sender, recipient", [
+        (1, 4), (1, 7), (1, -1),  # no node of the 4-node run
+        (1, 2),                   # a node of the run, on another worker
+        (4, 0), (-1, 0),          # node 0 is hosted here; the sender is no node
+    ])
+    def test_peer_record_never_reaches_the_ledger(self, sender, recipient):
+        """The receive ledger raises ``SimulationError`` on an id outside
+        ``[0, N)``; the frame service must answer before it is asked."""
+        transport = _transport_of(_handler_with_node_zero_gossiping())
+        assert transport.serve_frame(
+            "diptych-exchange", sender, recipient, None,
+            _diptych_frame(DiptychExchange, 2, 5),
+        ) == ({"error": "not_hosted"}, b"")
+        assert transport.ledger.total == TrafficStats()
+
+    def test_batched_peer_record_is_answered_recipient_by_recipient(self):
+        """A batch record is served one ``serve_frame`` per recipient: the
+        hosted one gets its reply, the others ``not_hosted``."""
+        transport = _transport_of(_handler_with_node_zero_gossiping())
+        frame = _diptych_frame(DiptychExchange, 2, 5)
+        replies = [transport.serve_frame("diptych-exchange", 1, recipient, None, frame)
+                   for recipient in (9, 0, 2)]
+        assert [header for header, _ in replies] == [
+            {"error": "not_hosted"}, {"error": "shape"}, {"error": "not_hosted"}]
+        assert transport.ledger.total.messages_received == 1
+
 
 class TestWellFormedFramesOfTheWrongShape:
     """A frame that passes its checksum but does not fit the hosted state —
@@ -252,6 +291,8 @@ class TestWellFormedFramesOfTheWrongShape:
         {"op": "diptych-exchange", "sender": 1, "recipient": "x"},
         {"op": "diptych-exchange", "recipient": 0},
         {"op": "diptych-exchange", "sender": None, "recipient": 0},
+        {"op": "diptych-exchange", "sender": 1, "recipient": False},
+        {"op": "diptych-exchange", "sender": True, "recipient": 0},
     ])
     def test_frame_header_with_missing_or_non_integer_node_ids(self, header):
         assert _handler_with_node_zero_gossiping().handle_frame(
@@ -264,6 +305,8 @@ class TestWellFormedFramesOfTheWrongShape:
         ({"sender": 1, "recipients": 0}, None),
         ({"sender": 1, "recipients": [0, "x"]}, None),
         ({"sender": "1", "recipients": [0, 2]}, None),
+        ({"sender": 1, "recipients": [0, True]}, None),
+        ({"sender": True, "recipients": [0, 2]}, None),
     ])
     def test_batch_header_with_missing_or_non_integer_node_ids(self, header, route):
         """What the worker's record handler asks before it serves a batch
@@ -301,6 +344,7 @@ class TestWellFormedFramesOfTheWrongShape:
         {"op": "probe", "recipient": 0},
         {"op": "probe"},
         {"op": "probe", "recipient": "0", "iteration": 1},
+        {"op": "probe", "recipient": False, "iteration": 1},
     ])
     def test_probe_with_missing_or_non_integer_fields(self, header):
         assert _handler_hosting_node_zero().handle_control(header) \

@@ -282,8 +282,9 @@ def measure_rss_ratio(n_participants: int, sample_fraction: float = 0.01,
     chunked_options = {
         "slab_dtype": "float32",
         "slab_backing": "mmap:/tmp",
-        # Smaller than the canonical reduce block: the pair-averaging
-        # gathers are the dominant transient at gate scale.
+        # Only the madvise cadence of the mapped slab since the kernels
+        # went blockwise (and capped at ADVISE_PAIR_CHUNK there): kept so
+        # the gate runs the knobs an out-of-core user sets.
         "slab_chunk_rows": 16384,
         "matrix_backed": True,
     }

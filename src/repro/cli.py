@@ -194,9 +194,9 @@ def _add_common_run_options(parser: argparse.ArgumentParser) -> None:
                              "temporary file so huge populations run in "
                              "bounded resident memory (bit-identical)")
     parser.add_argument("--slab-chunk-rows", type=int, default=0,
-                        help="row-block size for the slab engine's elementwise "
-                             "phases (0 = whole slab at once); bounds peak "
-                             "temporaries without changing results")
+                        help="pairs averaged between two page releases of an "
+                             "mmap-backed slab (0 = the built-in cap of 8192); "
+                             "never changes results")
     parser.add_argument("--matrix-backed", action="store_true",
                         help="generate the dataset as one flat array instead "
                              "of per-node TimeSeries objects (gaussian only); "

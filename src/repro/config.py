@@ -398,11 +398,12 @@ class RuntimeConfig:
         (``madvise(DONTNEED)``) so huge populations run in bounded resident
         memory.
     slab_chunk_rows:
-        Row-block size of the slab engine's elementwise phases (contribution
-        scatter and pair averaging).  ``0`` (default) processes whole slabs
-        at once; any positive value bounds the temporaries without changing
-        a single bit — reductions always run over fixed canonical blocks, so
-        results are chunk-size invariant by construction.
+        Pairs averaged between two page releases of an ``mmap`` slab (capped
+        at 8192; ``0``, the default, means the cap).  The elementwise phases
+        (contribution scatter and pair averaging) run in cache-sized row
+        blocks whatever this says — a smaller positive value shrinks the
+        block — and reductions run over fixed canonical blocks, so results
+        never depend on it.
     crypto_sample_fraction:
         Fraction of the population that runs the real crypto pipeline
         end-to-end under the slab engine.  ``1.0`` (default) runs everything

@@ -24,14 +24,9 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .._validation import check_positive_int
+from .._validation import check_in_choices, check_positive_int
 from ..crypto import damgard_jurik as dj
-from ..crypto.fastmath import (
-    FASTMATH_CHOICES,
-    BlinderPool,
-    PrecomputedKey,
-    normalize_fastmath,
-)
+from ..crypto.fastmath import BlinderPool, PrecomputedKey
 from ..crypto.threshold import (
     combine_partial_decryptions,
     generate_threshold_keypair,
@@ -50,6 +45,12 @@ from ..simulation.network import ByteAccounting
 #: homomorphic weight bigint, ciphertext width, count, halvings exponent).
 WIRE_FRAME_OVERHEAD_BYTES = FRAME_FIXED_OVERHEAD_BYTES + 4
 WIRE_ESTIMATE_OVERHEAD_BYTES = 28
+
+#: Arithmetic a cost measurement can time: ``"off"`` is the textbook
+#: functions every device can run, ``"auto"`` the accelerations of
+#: :mod:`repro.crypto.fastmath`.  (Runs always use the latter; comparing the
+#: two is what ``repro crypto-bench`` is for.)
+FASTMATH_CHOICES = ("auto", "off")
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,7 @@ class CryptoCostProfile:
         there and is reported as 0 (it is a one-off setup cost, not a
         per-run operation the extrapolator charges).
         """
-        fastmath = normalize_fastmath(fastmath)
+        check_in_choices(fastmath, FASTMATH_CHOICES, "fastmath")
         column = "off_seconds" if fastmath == "off" else "fastmath_seconds"
         try:
             operations = payload["operations"]
@@ -195,14 +196,14 @@ class CryptoCostProfile:
         }
 
 
-def load_reference_profile(fastmath: str = "off") -> CryptoCostProfile | None:
+def load_reference_profile() -> CryptoCostProfile | None:
     """Load the committed crypto benchmark profile, when one is available.
 
     Looks for ``BENCH_crypto.json`` in the working directory and at the
     repository root; returns ``None`` (callers then omit the seconds
     metrics or fall back to pure operation counts) when neither exists or
-    the payload is malformed.  *fastmath* selects the timing column, so the
-    profile prices operations the way the run actually executed them.
+    the payload is malformed.  The profile is the file's fast column: it
+    prices operations the way a run executes them.
     """
     candidates = [
         Path.cwd() / "BENCH_crypto.json",
@@ -213,8 +214,8 @@ def load_reference_profile(fastmath: str = "off") -> CryptoCostProfile | None:
             continue
         try:
             payload = json.loads(candidate.read_text(encoding="utf-8"))
-            return CryptoCostProfile.from_bench_json(payload, fastmath=fastmath)
-        except Exception:
+            return CryptoCostProfile.from_bench_json(payload, fastmath="auto")
+        except (OSError, ValueError, AnalysisError):
             return None
     return None
 
@@ -242,7 +243,7 @@ def measure_crypto_costs(
     that is a wall-clock shortcut, not a device-cost claim).
     """
     check_positive_int(repetitions, "repetitions")
-    fastmath = normalize_fastmath(fastmath)
+    check_in_choices(fastmath, FASTMATH_CHOICES, "fastmath")
     start = time.perf_counter()
     public, shares, _private = generate_threshold_keypair(
         key_bits=key_bits, s=degree, threshold=threshold, n_shares=n_shares
@@ -329,7 +330,6 @@ def sweep_crypto_costs(
     """
     profiles: dict[str, CryptoCostProfile] = {}
     for mode in modes:
-        mode = normalize_fastmath(mode)
         profiles[mode] = measure_crypto_costs(
             key_bits=key_bits, degree=degree, threshold=threshold,
             n_shares=n_shares, repetitions=repetitions, fastmath=mode,

@@ -82,8 +82,7 @@ def _config_from_args(args: argparse.Namespace) -> ChiaroscuroConfig:
                  "budget_strategy": args.budget_strategy},
         gossip={"cycles_per_aggregation": args.gossip_cycles},
         smoothing={"method": args.smoothing},
-        crypto={"backend": args.backend, "packing": normalize_packing(args.packing),
-                "fastmath": args.fastmath, "pool_file": args.pool_file},
+        crypto={"backend": args.backend, "packing": normalize_packing(args.packing)},
         simulation={"n_participants": args.participants, "seed": args.seed},
         network={"corruption_rate": args.corruption_rate,
                  "batching": args.batching, "compression": args.compression},
@@ -126,9 +125,6 @@ def _add_common_run_options(parser: argparse.ArgumentParser) -> None:
                         help="cipher backend (plain = demo mode with simulated crypto)")
     parser.add_argument("--packing", default="auto",
                         help="ciphertext slot packing: auto, off, or a slot count")
-    parser.add_argument("--fastmath", default="auto", choices=["auto", "off"],
-                        help="modular-arithmetic fast path (CRT, pools, multi-exp); "
-                             "off reproduces the seed arithmetic bit for bit")
     parser.add_argument("--corruption-rate", type=float, default=0.0,
                         help="probability that a delivered wire frame has one bit "
                              "flipped in transit")
@@ -138,10 +134,6 @@ def _add_common_run_options(parser: argparse.ArgumentParser) -> None:
                              "unchanged, only on-socket bytes shrink)")
     parser.add_argument("--compression", action="store_true",
                         help="zlib-compress batched records (requires --batching)")
-    parser.add_argument("--pool-file", default="",
-                        help="persisted precomputation pool file: consumed on "
-                             "startup if present, refreshed with a new offline "
-                             "batch for the next run (damgard_jurik + fastmath)")
     parser.add_argument("--live", action="store_true",
                         help="run over real TCP sockets between worker processes "
                              "(the live runner) instead of the in-process cycle "

@@ -9,7 +9,7 @@ them and performs cross-field validation in ``__post_init__``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping
 
 from ._validation import (
@@ -22,7 +22,6 @@ from ._validation import (
     check_probability,
 )
 from .crypto.backends import normalize_packing
-from .crypto.fastmath import normalize_fastmath
 from .exceptions import ConfigurationError, ValidationError
 
 #: Budget-distribution strategies shipped with the library (Section II.B,
@@ -192,20 +191,6 @@ class CryptoConfig:
         slot count.  Packing divides the number of bigint encryptions,
         homomorphic operations and ciphertext bytes per vector by roughly
         the slot count.
-    fastmath:
-        Modular-arithmetic fast path: ``"auto"`` (default) enables CRT
-        private-key operations, amortized blinder pools and
-        multi-exponentiation in the real backends — the same integers,
-        several times faster; ``"off"`` reproduces the seed arithmetic bit
-        for bit given the same randomness stream.
-    pool_file:
-        Path of a persisted precomputation pool file (empty disables).
-        When set (and fastmath is on), a run absorbs the file's blinders
-        before its online phase — deleting the file, so no two runs ever
-        share a blinder — and writes a fresh batch for the next run.  See
-        :class:`~repro.crypto.precompute.PrecomputationService`.  Loaded
-        blinders bypass this process's randomness stream, so pooled runs
-        with a pool file are no longer bit-identical to unpooled ones.
     """
 
     backend: str = "plain"
@@ -215,8 +200,6 @@ class CryptoConfig:
     n_key_shares: int = 8
     encoding_scale: int = 10**6
     packing: int | str = "auto"
-    fastmath: str = "auto"
-    pool_file: str = ""
 
     def __post_init__(self) -> None:
         check_in_choices(self.backend, CRYPTO_BACKENDS, "backend")
@@ -233,13 +216,8 @@ class CryptoConfig:
             )
         try:
             normalize_packing(self.packing)
-            normalize_fastmath(self.fastmath)
         except ValidationError as exc:
             raise ConfigurationError(str(exc)) from exc
-        if not isinstance(self.pool_file, str):
-            raise ConfigurationError(
-                f"pool_file must be a path string, got {self.pool_file!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -592,30 +570,34 @@ class ChiaroscuroConfig:
         >>> cfg2.privacy.epsilon
         0.5
         """
-        valid = {
-            "kmeans", "privacy", "crypto", "gossip", "simulation", "smoothing",
-            "network", "runtime",
-        }
         updates: dict[str, Any] = {}
-        for section, fields_ in sections.items():
-            if section not in valid:
-                raise ConfigurationError(f"unknown configuration section {section!r}")
+        for section, overrides in sections.items():
+            if section not in CONFIG_SECTIONS:
+                raise ConfigurationError(
+                    f"unknown configuration section {section!r}; "
+                    f"expected one of {sorted(CONFIG_SECTIONS)}"
+                )
             current = getattr(self, section)
-            updates[section] = replace(current, **dict(fields_))
+            valid = [item.name for item in fields(current)]
+            for fieldname in overrides:
+                if fieldname not in valid:
+                    raise ConfigurationError(
+                        f"unknown configuration field {section}.{fieldname}; "
+                        f"section {section!r} has {sorted(valid)}"
+                    )
+            updates[section] = replace(current, **dict(overrides))
         return replace(self, **updates)
 
     def describe(self) -> dict[str, dict[str, Any]]:
         """Return a plain nested dictionary view, convenient for logging."""
         return {
-            "kmeans": vars(self.kmeans).copy(),
-            "privacy": vars(self.privacy).copy(),
-            "crypto": vars(self.crypto).copy(),
-            "gossip": vars(self.gossip).copy(),
-            "simulation": vars(self.simulation).copy(),
-            "smoothing": vars(self.smoothing).copy(),
-            "network": vars(self.network).copy(),
-            "runtime": vars(self.runtime).copy(),
+            section: vars(getattr(self, section)).copy() for section in CONFIG_SECTIONS
         }
+
+
+#: Section names of :class:`ChiaroscuroConfig`, in declaration order — the
+#: dataclass's field list is the one place they are written.
+CONFIG_SECTIONS: tuple[str, ...] = tuple(item.name for item in fields(ChiaroscuroConfig))
 
 
 #: Default configuration mirroring the demonstration's default parameters.

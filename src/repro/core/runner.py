@@ -144,12 +144,6 @@ class RunSetup:
             "slot_bits": backend.packing.slot_bits if backend.packing is not None else 0,
         }
 
-    def fastmath_info(self) -> dict[str, Any]:
-        return {
-            "mode": getattr(self.backend, "fastmath", "off"),
-            "pooled": getattr(self.backend, "fastmath_enabled", False),
-        }
-
     def wire_info(self) -> dict[str, Any]:
         return {
             "mode": "auto",
@@ -224,7 +218,6 @@ def build_run_setup(
         packing=config.crypto.packing,
         packing_value_bound=_packed_slot_bound(config, series_length, value_bound),
         packing_weight_bits=packed_halving_budget,
-        fastmath=config.crypto.fastmath,
     )
     if hasattr(backend, "configure_pool"):
         # Size the amortized blinder pool from the cost model's per-round
@@ -242,10 +235,7 @@ def build_run_setup(
             slots=backend.packing.slots if backend.packing is not None else 1,
             amortized_encryptions=True,
         )
-        backend.configure_pool(
-            demand.encryptions_per_iteration,
-            pool_file=config.crypto.pool_file or None,
-        )
+        backend.configure_pool(demand.encryptions_per_iteration)
     check_headroom(
         backend,
         value_bound=max(value_bound, 1.0),
@@ -360,7 +350,7 @@ def assemble_result(
     # imports this module back for the quality comparisons.
     from ..analysis.costs import load_reference_profile
 
-    profile = load_reference_profile(fastmath=setup.config.crypto.fastmath)
+    profile = load_reference_profile()
     offline_seconds: float | None = None
     online_seconds: float | None = None
     phase_ops: dict[str, dict[str, int]] | None = None
@@ -404,7 +394,6 @@ def assemble_result(
         "tracked_participants": setup.tracked_ids,
         "dataset": collection_name,
         "packing": setup.packing_info(),
-        "fastmath": setup.fastmath_info(),
         "wire": wire_info,
     }
     if extra_metadata:
@@ -673,6 +662,5 @@ def run_log_metadata(setup: RunSetup, collection_name: str) -> dict[str, Any]:
         "normalization": setup.transform,
         "tracked_participants": setup.tracked_ids,
         "packing": setup.packing_info(),
-        "fastmath": setup.fastmath_info(),
         "wire": setup.wire_info(),
     }

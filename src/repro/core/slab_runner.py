@@ -341,7 +341,7 @@ def run_slab_chiaroscuro(
 ) -> ChiaroscuroResult:
     """Run Chiaroscuro with the slab population engine (see module docstring)."""
     config = config if config is not None else ChiaroscuroConfig()
-    profile = load_reference_profile(fastmath=config.crypto.fastmath)
+    profile = load_reference_profile()
     full = config.runtime.crypto_sample_fraction >= 1.0
     run = _run_full_measured if full else _run_sampled
     return run(
@@ -714,7 +714,6 @@ def _run_sampled(
         "tracked_participants": tracked_ids,
         "dataset": collection.name,
         "packing": sample["setup"].packing_info(),
-        "fastmath": sample["setup"].fastmath_info(),
         "wire": sample["setup"].wire_info(),
         "engine": {
             **_engine_metadata(config),

@@ -20,12 +20,10 @@ from .damgard_jurik import (
 )
 from .encoding import DEFAULT_WEIGHT_BITS, FixedPointCodec, PackedCodec
 from .fastmath import (
-    FASTMATH_CHOICES,
     BlinderPool,
     FixedBaseTable,
     PrecomputedKey,
     multi_pow,
-    normalize_fastmath,
     plan_pool_batch,
 )
 from .math_utils import (
@@ -67,12 +65,10 @@ __all__ = [
     "OperationCounter",
     "make_backend",
     "normalize_packing",
-    "FASTMATH_CHOICES",
     "BlinderPool",
     "FixedBaseTable",
     "PrecomputedKey",
     "multi_pow",
-    "normalize_fastmath",
     "plan_pool_batch",
     "DamgardJurikPublicKey",
     "DamgardJurikPrivateKey",

@@ -44,14 +44,7 @@ import numpy as np
 from ..exceptions import CryptoError, ThresholdError, ValidationError
 from . import damgard_jurik as dj
 from .encoding import DEFAULT_WEIGHT_BITS, FixedPointCodec, PackedCodec
-from .fastmath import (
-    FASTMATH_CHOICES,
-    BlinderPool,
-    PrecomputedKey,
-    multi_pow,
-    normalize_fastmath,
-    plan_pool_batch,
-)
+from .fastmath import BlinderPool, PrecomputedKey, multi_pow, plan_pool_batch
 from .threshold import (
     KeyShare,
     PartialDecryption,
@@ -100,7 +93,7 @@ class OperationCounter:
     the cost model should charge for.
 
     ``pooled_encryptions`` counts the subset of ``encryptions`` whose
-    blinder came from the amortized fastmath pool (one multiplication on
+    blinder came from the amortized blinder pool (one multiplication on
     the hot path instead of one exponentiation) so the cost model can
     charge amortized and fresh exponentiations differently;
     ``rerandomizations`` counts ciphertext randomness refreshes.
@@ -442,7 +435,7 @@ class CipherBackend(ABC):
     def rerandomize(self, vector: EncryptedVector) -> EncryptedVector:
         """Refresh every ciphertext's randomness without changing the plaintexts.
 
-        With the fastmath blinder pool this costs one multiplication per
+        With the blinder pool this costs one multiplication per
         ciphertext, which makes per-hop re-randomisation of forwarded gossip
         payloads affordable.
         """
@@ -494,6 +487,18 @@ class CipherBackend(ABC):
             )
         return self.codec.decode_vector(plaintexts)
 
+    # ------------------------------------------------------------------ process lifecycle
+    def after_fork(self) -> None:
+        """Make a backend inherited through ``fork`` safe to encrypt with.
+
+        A worker process calls this once, before its first encryption, and
+        :meth:`close` when it is done.  Backends without per-process
+        randomness state have nothing to do.
+        """
+
+    def close(self) -> None:
+        """Stop whatever :meth:`after_fork` started; idempotent."""
+
     # ------------------------------------------------------------------ conveniences
     def decrypt_with_shares(
         self, vector: EncryptedVector, share_indices: Sequence[int], integer: bool = False
@@ -506,15 +511,15 @@ class CipherBackend(ABC):
 class DamgardJurikBackend(CipherBackend):
     """Backend performing real Damgård–Jurik threshold encryption.
 
-    With ``fastmath="auto"`` (the default) the backend builds a
-    :class:`~repro.crypto.fastmath.PrecomputedKey` from the dealer key it
-    already holds (this is an in-process simulation: the dealer key is the
-    test oracle) and an amortized
+    The backend builds a :class:`~repro.crypto.fastmath.PrecomputedKey`
+    from the dealer key it already holds (this is an in-process simulation:
+    the dealer key is the test oracle) and an amortized
     :class:`~repro.crypto.fastmath.BlinderPool`, which together give CRT
     private-key operations, pooled one-multiply encryption/rerandomisation
     and Straus multi-exponentiation for share combination and homomorphic
-    weighted sums.  Every produced integer is identical to the
-    ``fastmath="off"`` path given the same randomness stream.
+    weighted sums.  Every produced integer is identical to what the textbook
+    functions of :mod:`~repro.crypto.damgard_jurik` and
+    :mod:`~repro.crypto.threshold` produce given the same randomness stream.
     """
 
     name = "damgard_jurik"
@@ -529,8 +534,6 @@ class DamgardJurikBackend(CipherBackend):
         packing: int | str = "off",
         packing_value_bound: float = 1.0,
         packing_weight_bits: int = DEFAULT_WEIGHT_BITS,
-        fastmath: str = "auto",
-        pool_batch: int | None = None,
     ) -> None:
         public, shares, dealer_key = generate_threshold_keypair(
             key_bits=key_bits, s=degree, threshold=threshold, n_shares=n_shares
@@ -545,20 +548,10 @@ class DamgardJurikBackend(CipherBackend):
         self.threshold_public: ThresholdPublicKey = public
         self._shares: dict[int, KeyShare] = {share.index: share for share in shares}
         self._dealer_key = dealer_key
-        self.fastmath = normalize_fastmath(fastmath)
-        self._precomputed: PrecomputedKey | None = None
-        self._pool: BlinderPool | None = None
-        self._service = None
-        if self.fastmath_enabled:
-            self._precomputed = PrecomputedKey.from_private_key(dealer_key)
-            self._pool = BlinderPool(self._precomputed, batch_size=pool_batch or 32)
+        self._precomputed = PrecomputedKey.from_private_key(dealer_key)
+        self._pool = BlinderPool(self._precomputed)
 
     # ------------------------------------------------------------------ properties
-    @property
-    def fastmath_enabled(self) -> bool:
-        """Whether the modular-arithmetic fast path is active."""
-        return self.fastmath != "off"
-
     @property
     def public_key(self) -> dj.DamgardJurikPublicKey:
         """The underlying Damgård–Jurik public key."""
@@ -575,53 +568,37 @@ class DamgardJurikBackend(CipherBackend):
         except KeyError as exc:
             raise ThresholdError(f"no key share with index {index}") from exc
 
-    def precomputation_service(self):
-        """The backend's offline precomputation service (pool-sharing).
-
-        Lazily built around the backend's own blinder pool, so pooled state
-        has exactly one owner; ``None`` when fastmath is off.  See
-        :class:`~repro.crypto.precompute.PrecomputationService`.
-        """
-        if self._pool is None or self._precomputed is None:
-            return None
-        if self._service is None:
-            from .precompute import PrecomputationService
-
-            self._service = PrecomputationService(self._precomputed, pool=self._pool)
-        return self._service
-
-    def configure_pool(self, expected_per_round: int,
-                       background: bool = False,
-                       pool_file: str | None = None) -> None:
+    def configure_pool(self, expected_per_round: int) -> None:
         """Size and prefill the blinder pool from the cost model's demand.
 
         *expected_per_round* is the number of hot-path encryptions the
         protocol performs per round (see
-        :attr:`~repro.analysis.costs.ProtocolWorkload.encryptions_per_iteration`);
-        a no-op when fastmath is off.  *background* additionally starts the
-        pool's refill worker thread (see
-        :meth:`~repro.crypto.fastmath.BlinderPool.start_background_refill`),
-        which the live runner's workers enable after forking.  *pool_file*
-        runs the persisted-pool protocol first: absorb-and-delete the file
-        if present, then write a fresh batch for the next run (see
-        :meth:`~repro.crypto.precompute.PrecomputationService.adopt_pool_file`).
+        :attr:`~repro.analysis.costs.ProtocolWorkload.encryptions_per_iteration`).
         """
-        if self._pool is None:
-            return
         self._pool.batch_size = plan_pool_batch(expected_per_round)
-        if pool_file:
-            service = self.precomputation_service()
-            if service is not None:
-                service.adopt_pool_file(pool_file)
         if not len(self._pool):
             self._pool.refill()
-        if background:
-            self._pool.start_background_refill()
+
+    def after_fork(self) -> None:
+        """Discard the inherited blinders, then refill in the background.
+
+        The pool was prefilled before the fork: two processes serving the
+        same blinders would produce ciphertexts with identical randomness,
+        whose quotient reveals the plaintext difference (see
+        :meth:`~repro.crypto.fastmath.BlinderPool.reset`).  Real deployments
+        fill encryption pools in idle time, so the worker's own supply comes
+        from the pool's refill thread (started here, after the fork —
+        threads are never inherited).
+        """
+        self._pool.reset()
+        self._pool.start_background_refill()
+
+    def close(self) -> None:
+        self._pool.stop_background_refill()
 
     # ------------------------------------------------------------------ primitives
     def _encrypt_plaintexts(self, plaintexts: Sequence[int]) -> tuple[int, ...]:
-        if self._pool is not None:
-            self.counter.pooled_encryptions += len(plaintexts)
+        self.counter.pooled_encryptions += len(plaintexts)
         return tuple(
             dj.encrypt(self.public_key, value,
                        precomputed=self._precomputed, pool=self._pool)
@@ -651,7 +628,7 @@ class DamgardJurikBackend(CipherBackend):
     def _linear_combination_payloads(
         self, payloads: Sequence[Sequence[int]], factors: Sequence[int]
     ) -> tuple[int, ...]:
-        if not self.fastmath_enabled or len(payloads) == 1:
+        if len(payloads) == 1:
             return super()._linear_combination_payloads(payloads, factors)
         modulus = self.public_key.ciphertext_modulus
         return tuple(
@@ -677,10 +654,7 @@ class DamgardJurikBackend(CipherBackend):
                 for partial in partials
             ]
             plaintexts.append(
-                combine_partial_decryptions(
-                    self.threshold_public, component_partials,
-                    multiexp=self.fastmath_enabled,
-                )
+                combine_partial_decryptions(self.threshold_public, component_partials)
             )
         return plaintexts
 
@@ -721,7 +695,6 @@ class PlainBackend(CipherBackend):
         packing: int | str = "off",
         packing_value_bound: float = 1.0,
         packing_weight_bits: int = DEFAULT_WEIGHT_BITS,
-        fastmath: str = "auto",
     ) -> None:
         if normalize_packing(packing) != "off":
             modulus_bits = max(modulus_bits, simulated_ciphertext_bits // 2)
@@ -733,9 +706,6 @@ class PlainBackend(CipherBackend):
         super().__init__(codec=codec, threshold=threshold, n_shares=n_shares,
                          packed_codec=packed_codec)
         self._simulated_ciphertext_bits = simulated_ciphertext_bits
-        # The plain backend has no bigints to accelerate; the knob is kept
-        # (and validated) so configurations stay backend-portable.
-        self.fastmath = normalize_fastmath(fastmath)
 
     @property
     def ciphertext_bits(self) -> int:
@@ -812,7 +782,6 @@ def make_backend(
     packing: int | str = "off",
     packing_value_bound: float = 1.0,
     packing_weight_bits: int = DEFAULT_WEIGHT_BITS,
-    fastmath: str = "auto",
 ) -> CipherBackend:
     """Factory mapping a configuration string to a backend instance.
 
@@ -825,11 +794,6 @@ def make_backend(
     largest magnitude one fresh slot must hold (inflate it to cover noise
     shares); ``packing_weight_bits`` is the per-slot headroom for gossip
     halvings.
-
-    ``fastmath`` is ``"auto"`` (CRT private-key operations, amortized
-    blinder pools, multi-exponentiation — same integers, less time) or
-    ``"off"`` (the seed's arithmetic, bit for bit given the same randomness
-    stream).
     """
     if backend == "damgard_jurik":
         return DamgardJurikBackend(
@@ -841,7 +805,6 @@ def make_backend(
             packing=packing,
             packing_value_bound=packing_value_bound,
             packing_weight_bits=packing_weight_bits,
-            fastmath=fastmath,
         )
     if backend == "paillier":
         return DamgardJurikBackend(
@@ -853,12 +816,11 @@ def make_backend(
             packing=packing,
             packing_value_bound=packing_value_bound,
             packing_weight_bits=packing_weight_bits,
-            fastmath=fastmath,
         )
     if backend == "plain":
         return PlainBackend(
             threshold=threshold, n_shares=n_shares, encoding_scale=encoding_scale,
             packing=packing, packing_value_bound=packing_value_bound,
-            packing_weight_bits=packing_weight_bits, fastmath=fastmath,
+            packing_weight_bits=packing_weight_bits,
         )
     raise ValidationError(f"unknown backend {backend!r}")

@@ -28,17 +28,18 @@ changing a single decrypted bit:
   ``Π bᵢ^{eᵢ} mod m`` (threshold share combination, homomorphic weighted
   accumulation in the gossip layer).
 
-All of these are *exact* accelerations: with ``fastmath = off`` the library
-reproduces the seed behaviour bit for bit given the same randomness stream,
-and with ``fastmath = auto`` every decrypted plaintext is the same integer —
-only the wall-clock changes.
+All of these are *exact* accelerations: the textbook bodies of
+:mod:`~repro.crypto.damgard_jurik` and :mod:`~repro.crypto.threshold`
+(called without a precomputed key or pool) produce the same integers given
+the same randomness stream, which is what the tests compare against — only
+the wall-clock changes.
 
 When `gmpy2 <https://gmpy2.readthedocs.io>`_ is importable, the hot
 modular primitives (:func:`powmod`, :func:`invert`) ride its ``mpz``
 implementations instead of CPython's ``pow`` — same integers, GMP speed.
 The library never requires gmpy2: absent, the pure-Python path runs.  Both
-helpers live inside the fastmath machinery only, so ``fastmath = off``
-keeps the seed arithmetic untouched either way.
+helpers live inside this module only, so the textbook reference arithmetic
+is untouched either way.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import threading
 from collections import deque
 from typing import Callable, Sequence
 
-from ..exceptions import CryptoError, ValidationError
+from ..exceptions import CryptoError
 from .math_utils import mod_inverse, random_coprime
 
 try:  # pragma: no cover - exercised only where gmpy2 is installed
@@ -94,8 +95,6 @@ def invert(value: int, modulus: int) -> int:
             raise CryptoError(f"{value} has no inverse modulo {modulus}") from exc
     return mod_inverse(value, modulus)
 
-#: Fastmath knob values accepted everywhere (configuration, CLI, factories).
-FASTMATH_CHOICES = ("auto", "off")
 
 #: Below this exponent bit length a plain ``pow`` beats the CRT split (two
 #: half-width exponentiations plus the recombination overhead).  Gossip lift
@@ -112,15 +111,6 @@ _EXPONENT_CACHE_LIMIT = 256
 #: table has ``2^group`` entries, so 4 keeps precomputation negligible while
 #: still merging the squaring chains of up to four exponentiations.
 _STRAUS_GROUP = 4
-
-
-def normalize_fastmath(fastmath: str) -> str:
-    """Validate and canonicalise a ``fastmath`` knob value."""
-    if isinstance(fastmath, str) and fastmath in FASTMATH_CHOICES:
-        return fastmath
-    raise ValidationError(
-        f"invalid fastmath option {fastmath!r}: expected one of {FASTMATH_CHOICES}"
-    )
 
 
 # --------------------------------------------------------------------------- multi-exponentiation
@@ -449,7 +439,7 @@ class BlinderPool:
         self._condition = threading.Condition()
         self._refill_thread: threading.Thread | None = None
         self._refill_stop: threading.Event | None = None
-        self.low_water = max(1, batch_size // 2)
+        self._low_water: int | None = None
         self._table: FixedBaseTable | None = None
         if mode == "derived":
             generator = precomputed.crt_pow(
@@ -463,6 +453,18 @@ class BlinderPool:
 
     def __len__(self) -> int:
         return len(self._pool)
+
+    @property
+    def low_water(self) -> int:
+        """Pool level at which :meth:`take` wakes the refill thread.
+
+        Half the *current* batch size (the backend resizes the batch from
+        the run's demand after construction) unless
+        :meth:`start_background_refill` was given an explicit mark.
+        """
+        if self._low_water is not None:
+            return self._low_water
+        return max(1, self.batch_size // 2)
 
     def _fresh_blinder(self) -> int:
         if self._table is not None:
@@ -502,21 +504,6 @@ class BlinderPool:
                 self._condition.notify_all()
             return blinder
 
-    def preload(self, blinders: Sequence[int]) -> None:
-        """Append externally precomputed blinders to the pool.
-
-        This is the persisted-pool-file path: blinders generated by an
-        earlier offline phase re-enter the pool without drawing from this
-        process's randomness stream.  Preloaded blinders therefore break
-        the exact-mode bit-identity with the unpooled path — callers only
-        use this behind the explicit ``crypto.pool_file`` opt-in.
-        """
-        with self._condition:
-            for blinder in blinders:
-                self._pool.append(int(blinder))
-            self.generated += len(blinders)
-            self._condition.notify_all()
-
     def reset(self) -> None:
         """Discard every pooled blinder (counters untouched).
 
@@ -547,7 +534,7 @@ class BlinderPool:
             if low_water is not None:
                 if low_water < 1:
                     raise CryptoError(f"low_water must be >= 1, got {low_water}")
-                self.low_water = low_water
+                self._low_water = low_water
             if self._refill_thread is not None:
                 return
             # Each thread gets its own stop event: even if a stop times out

@@ -35,18 +35,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from ..config import ChiaroscuroConfig, PrivacyConfig
+from ..config import CONFIG_SECTIONS, ChiaroscuroConfig, PrivacyConfig
 from ..exceptions import ExperimentError
 from ..timeseries import TimeSeriesCollection
 
 #: Version of the cell-identity schema; bump to invalidate cached results
 #: when the row format or the resolution rules change incompatibly.
 CELL_SCHEMA_VERSION = 1
-
-_CONFIG_SECTIONS = (
-    "kmeans", "privacy", "crypto", "gossip", "simulation", "smoothing",
-    "network", "runtime",
-)
 
 #: Valid field names per configuration section, derived from the config
 #: dataclasses themselves so a misspelled field in a spec fails at load
@@ -87,10 +82,10 @@ def _check_override_key(key: str) -> None:
     if key == "participants" or key.startswith("dataset."):
         return
     section, _, fieldname = key.partition(".")
-    if not fieldname or section not in _CONFIG_SECTIONS:
+    if not fieldname or section not in CONFIG_SECTIONS:
         raise ExperimentError(
             f"override key {key!r} is not 'participants', 'dataset.<param>' or "
-            f"'<section>.<field>' with a section in {sorted(_CONFIG_SECTIONS)}"
+            f"'<section>.<field>' with a section in {sorted(CONFIG_SECTIONS)}"
         )
     if fieldname not in _SECTION_FIELDS[section]:
         raise ExperimentError(
@@ -327,10 +322,10 @@ class ExperimentSpec:
         if not isinstance(self.base, Mapping):
             raise ExperimentError("base must map section names to field mappings")
         for section, fields_ in self.base.items():
-            if section not in _CONFIG_SECTIONS:
+            if section not in CONFIG_SECTIONS:
                 raise ExperimentError(
                     f"unknown configuration section {section!r} in base; "
-                    f"expected one of {sorted(_CONFIG_SECTIONS)}"
+                    f"expected one of {sorted(CONFIG_SECTIONS)}"
                 )
             if not isinstance(fields_, Mapping):
                 raise ExperimentError(f"base section {section!r} must be a mapping")

@@ -16,7 +16,7 @@ Row layout::
       "cell":       {index, scenario, repeat, dataset, participants, seed,
                      overrides},
       "result":     {profiles_digest, summary, quality, guarantee, costs,
-                     iteration_costs, stop_reasons, packing, fastmath, wire},
+                     iteration_costs, stop_reasons, packing, wire},
       "timing":     {wall_clock_seconds},
       "error":      "<message>"            # error/timeout rows only
     }
@@ -104,7 +104,6 @@ def result_row(
             "iteration_costs": iteration_costs,
             "stop_reasons": dict(result.stop_reasons),
             "packing": result.metadata.get("packing", {}),
-            "fastmath": result.metadata.get("fastmath", {}),
             "wire": result.metadata.get("wire", {}),
         },
         "timing": {"wall_clock_seconds": float(wall_clock_seconds)},

@@ -133,7 +133,7 @@ def rerandomize_estimate(backend: CipherBackend,
                          estimate: EncryptedEstimate) -> EncryptedEstimate:
     """Refresh the ciphertext randomness of an estimate (same value, exponent).
 
-    With the fastmath blinder pool this costs one bigint multiplication per
+    With the blinder pool this costs one bigint multiplication per
     ciphertext, making per-hop re-randomisation of forwarded estimates
     affordable for unlinkability-sensitive deployments.
     """

@@ -830,23 +830,14 @@ async def _worker_async(worker_index: int, setup: RunSetup, local_ids: list[int]
     config = setup.config
     runtime = config.runtime
     stats = SocketStats()
+    # Before anything can encrypt: every worker must draw its own
+    # randomness, not the blinders the coordinator pooled before the fork.
+    setup.backend.after_fork()
     participants = {
         node_id: setup.make_participant(node_id) for node_id in local_ids
     }
     handler = WorkerProtocolHandler(setup, participants)
     directory = MembershipDirectory()
-
-    # The pool was prefilled in the coordinator before the fork: discard
-    # those blinders — every worker must draw its own randomness, or two
-    # workers would encrypt with identical blinders and their ciphertexts
-    # would be linkable.  Then refill in the background: real deployments
-    # fill encryption pools in idle time, and the worker is the right place
-    # to demonstrate it (threads are started after the fork, never
-    # inherited).
-    pool = getattr(setup.backend, "_pool", None)
-    if pool is not None and hasattr(pool, "start_background_refill"):
-        pool.reset()
-        pool.start_background_refill()
 
     server_socket = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     server_socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -1065,8 +1056,7 @@ async def _worker_async(worker_index: int, setup: RunSetup, local_ids: list[int]
             raise pump_task.exception()
     finally:
         shutdown_task.cancel()
-        if pool is not None and hasattr(pool, "stop_background_refill"):
-            pool.stop_background_refill()
+        setup.backend.close()
         transport.close()
         pump_task.cancel()
         server.close()

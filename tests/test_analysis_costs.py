@@ -196,3 +196,55 @@ class TestByteAccounting:
         assert accounting.bytes_measured == 1050.0
         assert accounting.bytes_modelled == 1000.0
         assert accounting.overhead_fraction == pytest.approx(0.05)
+
+
+class TestLoadReferenceProfile:
+    """A missing or unreadable benchmark file means "no seconds metrics";
+    a bug in the loader must not look like one."""
+
+    @pytest.fixture()
+    def nowhere(self, tmp_path, monkeypatch):
+        """No ``BENCH_crypto.json`` in the working directory or at the root
+        the module derives from its own location."""
+        from repro.analysis import costs
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(costs, "__file__", str(tmp_path / "src/repro/analysis/costs.py"))
+        return tmp_path
+
+    def test_committed_file_gives_the_fast_column(self):
+        import json
+        from pathlib import Path
+
+        from repro.analysis.costs import load_reference_profile
+
+        payload = json.loads(
+            (Path(__file__).resolve().parents[1] / "BENCH_crypto.json").read_text()
+        )
+        assert load_reference_profile() == CryptoCostProfile.from_bench_json(
+            payload, fastmath="auto"
+        )
+
+    def test_absent_file_gives_none(self, nowhere):
+        from repro.analysis.costs import load_reference_profile
+
+        assert load_reference_profile() is None
+
+    @pytest.mark.parametrize("text", ["{not json", "[]", '{"operations": {}}'])
+    def test_malformed_file_gives_none(self, nowhere, text):
+        from repro.analysis.costs import load_reference_profile
+
+        (nowhere / "BENCH_crypto.json").write_text(text, encoding="utf-8")
+        assert load_reference_profile() is None
+
+    def test_programming_error_propagates(self, nowhere, monkeypatch):
+        from repro.analysis.costs import load_reference_profile
+
+        (nowhere / "BENCH_crypto.json").write_text("{}", encoding="utf-8")
+
+        def stale_signature(payload):  # a call site this PR could have missed
+            raise AssertionError("unreachable")
+
+        monkeypatch.setattr(CryptoCostProfile, "from_bench_json", stale_signature)
+        with pytest.raises(TypeError):
+            load_reference_profile()

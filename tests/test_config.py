@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
+import inspect
+
 import pytest
 
 from repro.config import (
+    CONFIG_SECTIONS,
     ChiaroscuroConfig,
     CryptoConfig,
     GossipConfig,
@@ -115,6 +120,25 @@ class TestAggregateConfig:
         with pytest.raises(ConfigurationError):
             ChiaroscuroConfig().with_overrides(nonexistent={"x": 1})
 
+    @pytest.mark.parametrize("section, fieldname", [
+        ("crypto", "fastmath"), ("crypto", "pool_file"),
+        ("runtime", "write_buffer_limit"),
+    ])
+    def test_with_overrides_refuses_a_removed_knob_by_name(self, section, fieldname):
+        # Not the raw TypeError of dataclasses.replace().
+        with pytest.raises(ConfigurationError) as raised:
+            ChiaroscuroConfig().with_overrides(**{section: {fieldname: "off"}})
+        message = str(raised.value)
+        assert f"{section}.{fieldname}" in message
+        for valid in dataclasses.fields(getattr(ChiaroscuroConfig(), section)):
+            assert valid.name in message
+
+    def test_sections_are_the_aggregate_fields(self):
+        assert CONFIG_SECTIONS == tuple(
+            item.name for item in dataclasses.fields(ChiaroscuroConfig)
+        )
+        assert tuple(ChiaroscuroConfig().describe()) == CONFIG_SECTIONS
+
     def test_with_overrides_validates_new_values(self):
         with pytest.raises(ValidationError):
             ChiaroscuroConfig().with_overrides(privacy={"epsilon": -3.0})
@@ -131,3 +155,44 @@ class TestAggregateConfig:
         config = ChiaroscuroConfig()
         with pytest.raises(AttributeError):
             config.privacy = PrivacyConfig()  # type: ignore[misc]
+
+
+def _subcommand_options(parser, path=()):
+    """``{"run": n, "experiment run": m, ...}``: options each subcommand takes."""
+    counts = {}
+    nested = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not nested:
+        counts[" ".join(path)] = sum(
+            1 for action in parser._actions
+            if not isinstance(action, argparse._HelpAction)
+        )
+    for action in nested:
+        for name, subparser in action.choices.items():
+            counts.update(_subcommand_options(subparser, path + (name,)))
+    return counts
+
+
+def test_knob_budget():
+    """Upper bounds on what a user can set: lower freely; raising needs the
+    measured reason ROADMAP aim 2 asks for."""
+    from repro import cli
+
+    section_budget = {
+        "kmeans": 6, "privacy": 7, "crypto": 7, "gossip": 7, "simulation": 4,
+        "smoothing": 4, "network": 3, "runtime": 15,
+    }
+    config = ChiaroscuroConfig()
+    assert set(section_budget) == set(CONFIG_SECTIONS)
+    for section, budget in section_budget.items():
+        assert len(dataclasses.fields(getattr(config, section))) <= budget, section
+
+    option_budget = {
+        "run": 30, "compare": 30, "crypto-bench": 12,
+        "experiment run": 7, "experiment list": 3, "experiment report": 4,
+    }
+    options = _subcommand_options(cli.build_parser())
+    assert set(options) == set(option_budget)
+    for subcommand, budget in option_budget.items():
+        assert options[subcommand] <= budget, subcommand
+    # ``run`` and ``compare`` share one declaration of their options.
+    assert inspect.getsource(cli).count(".add_argument(") <= 56

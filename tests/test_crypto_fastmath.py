@@ -4,33 +4,34 @@ The whole point of the fastmath layer is that it changes wall-clock time and
 *nothing else*: CRT decryption must agree with plain decryption, pooled
 encryption/rerandomisation must agree with the fresh path (bit for bit given
 the same randomness stream), multi-exponentiation must agree with a product
-of ``pow`` calls, and ``fastmath=off`` must reproduce the seed pipeline.
-Most invariants are property-based (Hypothesis) over all supported degrees.
+of ``pow`` calls, and the backend — which always runs the fast path — must
+produce the integers the textbook functions of ``damgard_jurik`` /
+``threshold`` produce.  Most invariants are property-based (Hypothesis) over
+all supported degrees.
 """
 
 from __future__ import annotations
+
+import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import ChiaroscuroConfig
-from repro.core import run_chiaroscuro
 from repro.crypto import damgard_jurik as dj
 from repro.crypto import paillier
 from repro.crypto import threshold as th
-from repro.crypto.backends import DamgardJurikBackend, make_backend
+from repro.crypto.backends import DamgardJurikBackend
 from repro.crypto.fastmath import (
     BlinderPool,
     FixedBaseTable,
     PrecomputedKey,
     multi_pow,
-    normalize_fastmath,
     plan_pool_batch,
 )
-from repro.datasets import load_dataset
-from repro.exceptions import ConfigurationError, CryptoError, ValidationError
+from repro.exceptions import CryptoError
 from repro.gossip.encrypted_sum import (
     average_estimates,
     fresh_estimate,
@@ -247,19 +248,58 @@ class TestBackgroundRefill:
         with pytest.raises(CryptoError):
             pool.start_background_refill(low_water=0)
 
-    def test_configure_pool_background_starts_thread(self):
-        backend = make_backend(
-            "damgard_jurik", key_bits=128, threshold=2, n_shares=3,
-            fastmath="auto",
-        )
+    def test_wake_up_mark_follows_a_resized_batch(self):
+        """The backend sizes the batch after construction; the mark at which
+        take() wakes the refiller must be half the *current* batch."""
+        pool = BlinderPool(PRECOMPUTED[1], batch_size=32)
+        assert pool.low_water == 16
+        pool.batch_size = plan_pool_batch(10**6)
+        assert pool.low_water == 512
+        pool.batch_size = 1
+        assert pool.low_water == 1
+        pool.start_background_refill(low_water=5)
+        pool.stop_background_refill()
+        pool.batch_size = 64
+        assert pool.low_water == 5  # an explicit mark is kept
+
+    def test_configure_pool_sizes_the_batch_and_the_mark(self):
+        backend = DamgardJurikBackend(key_bits=128, threshold=2, n_shares=3)
+        backend.configure_pool(36)
+        assert backend._pool.batch_size == 36
+        assert backend._pool.low_water == 18
+        assert len(backend._pool) == 36  # refilled ahead of need
+
+
+class TestAfterFork:
+    """The no-shared-blinder rule: a process that inherits a backend through
+    fork serves none of the blinders pooled before the fork."""
+
+    def test_discards_inherited_blinders_and_starts_the_refill_thread(self):
+        backend = DamgardJurikBackend(key_bits=128, threshold=2, n_shares=3)
+        backend.configure_pool(8)
+        inherited = set(backend._pool._pool)
+        assert len(inherited) == 16
         try:
-            backend.configure_pool(8, background=True)
-            assert backend._pool._refill_thread is not None
+            backend.after_fork()
+            thread = backend._pool._refill_thread
+            assert thread is not None and thread.is_alive()
+            served = {backend._pool.take() for _ in range(40)}
+            assert not served & inherited
             vector = backend.encrypt_vector([0.25, 0.5])
             decrypted = backend.decrypt_with_shares(vector, [1, 2])
             assert decrypted == pytest.approx([0.25, 0.5], abs=1e-5)
         finally:
-            backend._pool.stop_background_refill()
+            backend.close()
+        assert backend._pool._refill_thread is None
+        assert not thread.is_alive()
+        backend.close()  # idempotent
+
+    def test_plain_backend_has_nothing_to_do(self):
+        from repro.crypto.backends import PlainBackend
+
+        backend = PlainBackend()
+        backend.after_fork()
+        backend.close()
 
 
 class TestMultiExponentiation:
@@ -368,135 +408,161 @@ class TestPaillierCrt:
         assert paillier.decrypt(legacy, ciphertext) == 424242
 
 
-class TestBackendFastmath:
-    @pytest.fixture(scope="class")
-    def backends(self):
-        fast = DamgardJurikBackend(key_bits=128, threshold=2, n_shares=3, fastmath="auto")
-        slow = DamgardJurikBackend(key_bits=128, threshold=2, n_shares=3, fastmath="off")
-        return fast, slow
+def recorded_stream(seed: int):
+    """A replayable stand-in for ``random_coprime``: the same seed yields the
+    same draws for the same modulus, in order."""
+    rng = random.Random(seed)
 
-    def test_round_trip_agrees_between_modes(self, backends):
-        fast, slow = backends
-        values = np.linspace(-0.9, 0.9, 7)
-        for backend in backends:
-            decoded = backend.decrypt_with_shares(backend.encrypt_vector(values), [1, 2])
-            np.testing.assert_allclose(decoded, values, atol=1e-5)
-        assert fast.fastmath_enabled and not slow.fastmath_enabled
+    def draw(n: int) -> int:
+        while True:
+            candidate = rng.randrange(1, n)
+            if math.gcd(candidate, n) == 1:
+                return candidate
 
-    def test_pooled_encryptions_are_counted(self, backends):
-        fast, slow = backends
-        fast.counter.reset()
-        slow.counter.reset()
-        fast.encrypt_vector([0.25, -0.5])
-        slow.encrypt_vector([0.25, -0.5])
-        assert fast.counter.pooled_encryptions == 2
-        assert fast.counter.encryptions == 2
-        assert slow.counter.pooled_encryptions == 0
-        assert slow.counter.encryptions == 2
+    return draw
 
-    def test_rerandomize_preserves_decryption_and_counts(self, backends):
-        fast, _slow = backends
-        vector = fast.encrypt_vector([0.125, 0.75])
-        before = fast.counter.rerandomizations
-        refreshed = fast.rerandomize(vector)
-        assert fast.counter.rerandomizations == before + 2
-        assert refreshed.payload != vector.payload
-        np.testing.assert_allclose(
-            fast.decrypt_with_shares(refreshed, [1, 2]),
-            fast.decrypt_with_shares(vector, [1, 2]),
-            atol=1e-6,
+
+class TestBackendAgainstTextbook:
+    """The backend has no "off" switch; what keeps its arithmetic honest is
+    this comparison, integer for integer, with the textbook functions called
+    with ``precomputed=None, pool=None, multiexp=False`` on the same key and
+    the same randomness stream."""
+
+    VALUES = np.linspace(-0.9, 0.9, 7)
+    OTHER = np.linspace(0.8, -0.7, 7)
+
+    @pytest.fixture(params=[(1, "off"), (1, "auto"), (2, "off"), (2, "auto")],
+                    ids=lambda param: f"s{param[0]}-packing-{param[1]}")
+    def backend(self, request, monkeypatch):
+        degree, packing = request.param
+        # The pool binds its randomness source at construction; the textbook
+        # functions look theirs up per call.  Two replays of one recording.
+        monkeypatch.setattr("repro.crypto.fastmath.random_coprime", recorded_stream(2024))
+        monkeypatch.setattr("repro.crypto.damgard_jurik.random_coprime",
+                            recorded_stream(2024))
+        backend = DamgardJurikBackend(
+            key_bits=256, degree=degree, threshold=2, n_shares=3, packing=packing,
         )
-
-    def test_linear_combination_matches_lift_then_add(self, backends):
-        fast, slow = backends
-        for backend in (fast, slow):
-            first = backend.encrypt_vector([0.5, -0.25])
-            second = backend.encrypt_vector([0.125, 0.5])
-            combined = backend.linear_combination([first, second], [4, 2])
-            reference = backend.add(
-                backend.multiply_scalar(first, 4), backend.multiply_scalar(second, 2)
-            )
-            assert combined.weight == reference.weight == 6
-            np.testing.assert_allclose(
-                backend.decrypt_with_shares(combined, [1, 2]),
-                backend.decrypt_with_shares(reference, [1, 2]),
-                atol=1e-6,
-            )
-
-    def test_linear_combination_counts_like_the_historical_path(self, backends):
-        fast, slow = backends
-        results = {}
-        for backend in (fast, slow):
-            first = backend.encrypt_vector([0.5, -0.25])
-            second = backend.encrypt_vector([0.125, 0.5])
-            backend.counter.reset()
-            backend.linear_combination([first, second], [4, 1])
-            results[backend.fastmath] = backend.counter.additions
-        # One non-unit factor (one lift) plus one fold over 2 ciphertexts.
-        assert results["auto"] == results["off"] == 4
-
-    def test_linear_combination_validation(self, backends):
-        fast, _slow = backends
-        vector = fast.encrypt_vector([0.5])
-        with pytest.raises(CryptoError):
-            fast.linear_combination([], [])
-        with pytest.raises(CryptoError):
-            fast.linear_combination([vector], [1, 2])
-        with pytest.raises(CryptoError):
-            fast.linear_combination([vector], [0])
-
-    def test_gossip_average_identical_across_modes(self, backends):
-        fast, slow = backends
-        for backend in (fast, slow):
-            first = fresh_estimate(backend, [0.8, -0.4])
-            second = fresh_estimate(backend, [0.2, 0.6])
-            averaged = average_estimates(backend, first, second)
-            refreshed = rerandomize_estimate(backend, averaged)
-            decoded = backend.decrypt_with_shares(refreshed.vector, [1, 2])
-            np.testing.assert_allclose(
-                decoded / (1 << refreshed.halvings), [0.5, 0.1], atol=1e-5
-            )
-
-    def test_make_backend_accepts_fastmath(self):
-        backend = make_backend("plain", fastmath="off")
-        assert backend.fastmath == "off"
-        with pytest.raises(ValidationError):
-            make_backend("plain", fastmath="fast")
-
-    def test_normalize_fastmath(self):
-        assert normalize_fastmath("auto") == "auto"
-        assert normalize_fastmath("off") == "off"
-        with pytest.raises(ValidationError):
-            normalize_fastmath("on")
-
-
-class TestEndToEndEquivalence:
-    """``fastmath=off`` reproduces the seed pipeline; ``auto`` matches it."""
+        assert backend.is_packed == (packing == "auto")
+        return backend
 
     @staticmethod
-    def _run(fastmath: str):
-        collection = load_dataset("gaussian", n_series=12, series_length=6,
-                                  n_clusters=2, seed=3)
-        config = ChiaroscuroConfig().with_overrides(
-            kmeans={"n_clusters": 2, "max_iterations": 2},
-            privacy={"epsilon": 4.0, "noise_shares": 8},
-            gossip={"cycles_per_aggregation": 4},
-            crypto={"backend": "paillier", "key_bits": 128, "threshold": 2,
-                    "n_key_shares": 3, "packing": "off", "fastmath": fastmath},
-            simulation={"n_participants": 12, "seed": 3},
+    def plaintexts(backend, values):
+        array = np.asarray(values, dtype=float)
+        if backend.packing is not None:
+            return backend.packing.pack_vector(array)
+        return backend.codec.encode_vector(array)
+
+    def textbook_encrypt(self, backend, values):
+        return tuple(
+            dj.encrypt(backend.public_key, plaintext, precomputed=None, pool=None)
+            for plaintext in self.plaintexts(backend, values)
         )
-        return run_chiaroscuro(collection, config)
 
-    def test_profiles_identical_with_and_without_fastmath(self):
-        off = self._run("off")
-        auto = self._run("auto")
-        np.testing.assert_array_equal(off.profiles, auto.profiles)
-        assert off.assignments.tolist() == auto.assignments.tolist()
-        assert off.metadata["fastmath"] == {"mode": "off", "pooled": False}
-        assert auto.metadata["fastmath"] == {"mode": "auto", "pooled": True}
-        assert auto.costs.encryptions == off.costs.encryptions
-        assert auto.costs.homomorphic_additions == off.costs.homomorphic_additions
+    def test_encrypt_vector(self, backend):
+        vector = backend.encrypt_vector(self.VALUES)
+        assert vector.payload == self.textbook_encrypt(backend, self.VALUES)
+        count = len(vector.payload)
+        assert backend.counter.encryptions == count
+        assert backend.counter.pooled_encryptions == count
 
-    def test_config_rejects_bad_fastmath(self):
-        with pytest.raises(ConfigurationError):
-            ChiaroscuroConfig().with_overrides(crypto={"fastmath": "turbo"})
+    def test_rerandomize(self, backend):
+        vector = backend.encrypt_vector(self.VALUES)
+        refreshed = backend.rerandomize(vector)
+        reference = tuple(
+            dj.rerandomize(backend.public_key, ciphertext, pool=None)
+            for ciphertext in self.textbook_encrypt(backend, self.VALUES)
+        )
+        assert refreshed.payload == reference != vector.payload
+        assert refreshed.weight == vector.weight
+        assert backend.counter.rerandomizations == len(reference)
+
+    def test_linear_combination(self, backend):
+        first = backend.encrypt_vector(self.VALUES)
+        second = backend.encrypt_vector(self.OTHER)
+        backend.counter.reset()
+        combined = backend.linear_combination([first, second], [4, 1])
+        public = backend.public_key
+        reference = tuple(
+            dj.add_ciphertexts(
+                public, dj.multiply_plaintext(public, a, 4, precomputed=None), b
+            )
+            for a, b in zip(self.textbook_encrypt(backend, self.VALUES),
+                            self.textbook_encrypt(backend, self.OTHER))
+        )
+        assert combined.payload == reference
+        assert combined.weight == 5
+        # One non-unit factor (one lift) plus one fold, per ciphertext.
+        assert backend.counter.additions == 2 * len(reference)
+
+    def test_partial_decrypt_and_combine(self, backend):
+        vector = backend.encrypt_vector(self.VALUES)
+        partials = [backend.partial_decrypt_vector(index, vector) for index in (1, 3)]
+        ciphertexts = self.textbook_encrypt(backend, self.VALUES)
+        reference = {
+            index: [
+                th.partial_decrypt(backend.threshold_public, backend.share_for(index),
+                                   ciphertext, precomputed=None)
+                for ciphertext in ciphertexts
+            ]
+            for index in (1, 3)
+        }
+        for partial in partials:
+            assert partial.payload == tuple(
+                entry.value for entry in reference[partial.share_index]
+            )
+        count = len(vector.payload)
+        assert backend.counter.partial_decryptions == 2 * count
+
+        decoded = backend.combine_vector(partials)
+        combined = [
+            th.combine_partial_decryptions(
+                backend.threshold_public,
+                [reference[1][component], reference[3][component]],
+                multiexp=False,
+            )
+            for component in range(count)
+        ]
+        assert combined == self.plaintexts(backend, self.VALUES)
+        if backend.packing is not None:
+            expected = backend.packing.unpack_vector(combined, len(self.VALUES), weight=1)
+        else:
+            expected = backend.codec.decode_vector(combined)
+        np.testing.assert_array_equal(decoded, expected)
+        np.testing.assert_allclose(decoded, self.VALUES, atol=1e-5)
+        assert backend.counter.combinations == count
+
+
+class TestBackendOperations:
+    @pytest.fixture(scope="class")
+    def backend(self):
+        return DamgardJurikBackend(key_bits=128, threshold=2, n_shares=3)
+
+    def test_linear_combination_matches_lift_then_add(self, backend):
+        first = backend.encrypt_vector([0.5, -0.25])
+        second = backend.encrypt_vector([0.125, 0.5])
+        combined = backend.linear_combination([first, second], [4, 2])
+        reference = backend.add(
+            backend.multiply_scalar(first, 4), backend.multiply_scalar(second, 2)
+        )
+        assert combined.weight == reference.weight == 6
+        assert combined.payload == reference.payload
+
+    def test_linear_combination_validation(self, backend):
+        vector = backend.encrypt_vector([0.5])
+        with pytest.raises(CryptoError):
+            backend.linear_combination([], [])
+        with pytest.raises(CryptoError):
+            backend.linear_combination([vector], [1, 2])
+        with pytest.raises(CryptoError):
+            backend.linear_combination([vector], [0])
+
+    def test_gossip_average_then_rerandomize_decrypts_to_the_mean(self, backend):
+        first = fresh_estimate(backend, [0.8, -0.4])
+        second = fresh_estimate(backend, [0.2, 0.6])
+        averaged = average_estimates(backend, first, second)
+        refreshed = rerandomize_estimate(backend, averaged)
+        decoded = backend.decrypt_with_shares(refreshed.vector, [1, 2])
+        np.testing.assert_allclose(
+            decoded / (1 << refreshed.halvings), [0.5, 0.1], atol=1e-5
+        )

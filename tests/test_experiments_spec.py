@@ -238,6 +238,21 @@ class TestValidation:
         with pytest.raises(ExperimentError, match="unknown field"):
             _spec(cells=[{"gossip.fanoutt": 2}])
 
+    @pytest.mark.parametrize("key", [
+        "crypto.fastmath", "crypto.pool_file", "runtime.write_buffer_limit",
+    ])
+    def test_spec_file_naming_a_removed_knob_is_refused_by_name(self, tmp_path, key):
+        section, _, fieldname = key.partition(".")
+        for payload in (
+            {**_spec().to_dict(), "sweep": {key: ["off"]}},
+            {**_spec().to_dict(), "base": {section: {fieldname: "off"}}},
+        ):
+            path = tmp_path / "removed.json"
+            path.write_text(json.dumps(payload), encoding="utf-8")
+            with pytest.raises(ExperimentError, match="unknown field") as raised:
+                ExperimentSpec.from_file(path)
+            assert fieldname in str(raised.value) and section in str(raised.value)
+
     def test_rejects_empty_axes(self):
         with pytest.raises(ExperimentError):
             _spec(sweep={"privacy.epsilon": []})

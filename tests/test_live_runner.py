@@ -168,6 +168,53 @@ class TestLiveRunnerShapes:
         assert result.metadata["live"]["processes"] == 4
 
 
+class TestWorkerBlinderSupply:
+    def test_worker_calls_after_fork_before_its_first_encryption(self, tmp_path, monkeypatch):
+        """Each worker inherits the coordinator's prefilled blinder pool; it
+        must discard it (``after_fork``) before anything draws a blinder."""
+        import os
+
+        from repro.crypto.backends import DamgardJurikBackend
+
+        events = tmp_path / "events.log"
+
+        def recording(name):
+            original = getattr(DamgardJurikBackend, name)
+
+            def wrapper(self, *args):
+                with events.open("a") as handle:  # one short line: appended whole
+                    handle.write(f"{os.getpid()} {name}\n")
+                return original(self, *args)
+
+            return wrapper
+
+        # Patched before the fork, so the workers inherit the recorders.
+        for name in ("after_fork", "_encrypt_plaintexts", "_rerandomize_payload"):
+            monkeypatch.setattr(DamgardJurikBackend, name, recording(name))
+        collection = load_dataset("gaussian", n_series=6, series_length=4,
+                                  n_clusters=2, seed=3)
+        config = ChiaroscuroConfig().with_overrides(
+            kmeans={"n_clusters": 2, "max_iterations": 1},
+            privacy={"noise_shares": 4},
+            gossip={"cycles_per_aggregation": 2},
+            crypto={"backend": "paillier", "key_bits": 128, "threshold": 2,
+                    "n_key_shares": 3},
+            simulation={"n_participants": 6, "seed": 0},
+            runtime={"mode": "live", "processes": 2, "run_timeout": 60.0},
+        )
+        run_chiaroscuro(collection, config)
+        per_process: dict[int, list[str]] = {}
+        for line in events.read_text().splitlines():
+            pid, name = line.split()
+            per_process.setdefault(int(pid), []).append(name)
+        workers = {pid: names for pid, names in per_process.items() if pid != os.getpid()}
+        assert len(workers) == 2
+        for names in workers.values():
+            assert names[0] == "after_fork"
+            assert names.count("after_fork") == 1
+            assert "_encrypt_plaintexts" in names and "_rerandomize_payload" in names
+
+
 class TestLiveConfigValidation:
     def test_live_rejects_fault_models_for_now(self):
         with pytest.raises(ConfigurationError):

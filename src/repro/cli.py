@@ -50,7 +50,7 @@ from .datasets import (
     load_dataset,
     load_dataset_for_population,
 )
-from .exceptions import ReproError
+from .exceptions import ConfigurationError, ReproError
 
 
 def _dataset_from_args(args: argparse.Namespace):
@@ -75,6 +75,10 @@ def _dataset_from_args(args: argparse.Namespace):
 
 
 def _config_from_args(args: argparse.Namespace) -> ChiaroscuroConfig:
+    if args.stepping == "concurrent" and not args.live:
+        # ChiaroscuroConfig accepts the pair (the envelope's cycle-mode
+        # reference is derived from a concurrent configuration).
+        raise ConfigurationError("--stepping concurrent needs --live")
     return ChiaroscuroConfig().with_overrides(
         kmeans={"n_clusters": args.clusters, "max_iterations": args.iterations},
         privacy={"epsilon": args.epsilon,
@@ -84,15 +88,13 @@ def _config_from_args(args: argparse.Namespace) -> ChiaroscuroConfig:
         smoothing={"method": args.smoothing},
         crypto={"backend": args.backend, "packing": normalize_packing(args.packing)},
         simulation={"n_participants": args.participants, "seed": args.seed},
-        network={"corruption_rate": args.corruption_rate,
-                 "batching": args.batching, "compression": args.compression},
+        network={"corruption_rate": args.corruption_rate},
         runtime={
             "mode": "live" if args.live else "cycle",
             "processes": args.processes,
             "base_port": args.live_port,
             "run_timeout": args.live_timeout,
             "stepping": args.stepping,
-            "concurrency": args.live_concurrency,
             "envelope": args.envelope,
             "engine": args.engine,
             "slab_shards": args.slab_shards,
@@ -128,12 +130,6 @@ def _add_common_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--corruption-rate", type=float, default=0.0,
                         help="probability that a delivered wire frame has one bit "
                              "flipped in transit")
-    parser.add_argument("--batching", action="store_true",
-                        help="pack same-destination wire frames into one batched "
-                             "socket record (live runner; protocol accounting is "
-                             "unchanged, only on-socket bytes shrink)")
-    parser.add_argument("--compression", action="store_true",
-                        help="zlib-compress batched records (requires --batching)")
     parser.add_argument("--live", action="store_true",
                         help="run over real TCP sockets between worker processes "
                              "(the live runner) instead of the in-process cycle "
@@ -146,14 +142,12 @@ def _add_common_run_options(parser: argparse.ArgumentParser) -> None:
                         help="hard wall-clock limit in seconds on a live run")
     parser.add_argument("--stepping", default="sequential",
                         choices=["sequential", "concurrent"],
-                        help="live stepping discipline: sequential replays the "
-                             "cycle engine's scheduler (bit-identical results), "
+                        help="live stepping discipline (with --live): sequential "
+                             "replays the cycle engine's scheduler (bit-identical "
+                             "results), "
                              "concurrent drives every worker's shard with many "
                              "exchanges in flight (faster, nondeterministic — "
                              "the divergence is reported as envelope metrics)")
-    parser.add_argument("--live-concurrency", type=int, default=8,
-                        help="per-worker cap on node steps in flight with "
-                             "--stepping concurrent")
     parser.add_argument("--envelope", default="auto", choices=["auto", "off"],
                         help="with --stepping concurrent: auto runs the "
                              "deterministic cycle-mode reference afterwards and "

@@ -186,11 +186,12 @@ class CryptoConfig:
     packing:
         Ciphertext slot packing: ``"auto"`` (default) packs as many
         fixed-point coordinates per ciphertext as the plaintext space
-        supports, ``"off"`` reproduces the historical one-ciphertext-per-
-        coordinate layout byte for byte, and a positive integer caps the
-        slot count.  Packing divides the number of bigint encryptions,
-        homomorphic operations and ciphertext bytes per vector by roughly
-        the slot count.
+        supports, ``"off"`` is the one-ciphertext-per-coordinate layout,
+        and a positive integer caps the slot count.  Packing divides the
+        number of bigint encryptions, homomorphic operations and ciphertext
+        bytes per vector by roughly the slot count; the message pattern
+        (who sends what to whom, and how often) is the same on every
+        layout.
     """
 
     backend: str = "plain"
@@ -233,8 +234,6 @@ class GossipConfig:
     cycles_per_aggregation:
         Number of gossip cycles run for each distributed sum before the value
         is considered converged and handed back to the protocol.
-    fanout:
-        Number of neighbours contacted per exchange.
     topology:
         Overlay topology used for peer sampling.
     topology_degree:
@@ -247,7 +246,6 @@ class GossipConfig:
 
     exchanges_per_cycle: int = 1
     cycles_per_aggregation: int = 12
-    fanout: int = 1
     topology: str = "complete"
     topology_degree: int = 8
     rewiring_probability: float = 0.1
@@ -256,7 +254,6 @@ class GossipConfig:
     def __post_init__(self) -> None:
         check_positive_int(self.exchanges_per_cycle, "exchanges_per_cycle")
         check_positive_int(self.cycles_per_aggregation, "cycles_per_aggregation")
-        check_positive_int(self.fanout, "fanout")
         check_in_choices(self.topology, OVERLAY_TOPOLOGIES, "topology")
         check_positive_int(self.topology_degree, "topology_degree")
         check_probability(self.rewiring_probability, "rewiring_probability")
@@ -270,7 +267,10 @@ class NetworkConfig:
     Every protocol message travels as a serialized, versioned byte frame
     (see :mod:`repro.crypto.wire` and :mod:`repro.gossip.messages`):
     recipients deserialize on receipt and the network accounts *measured*
-    frame bytes next to the modelled size formula.
+    frame bytes next to the modelled size formula.  How frames are grouped
+    into socket records is the live runner's business
+    (:mod:`repro.net.live`), not a setting: it changes neither the
+    protocol-level byte accounting nor results nor operation counts.
 
     Attributes
     ----------
@@ -279,29 +279,12 @@ class NetworkConfig:
         in transit.  Corrupted frames fail their checksum, raise
         :class:`~repro.exceptions.WireFormatError` in the decoder and are
         treated as losses by the protocol.
-    batching:
-        Pack several wire frames per socket record where the protocol
-        allows it (currently the live runner's committee-decryption
-        fan-out, via :class:`~repro.gossip.messages.BatchEnvelope`).
-        Default ``False`` keeps every record byte-identical to the
-        unbatched runner.  Batching changes only the on-socket encoding:
-        protocol-level byte accounting, results and per-helper operation
-        counts are unchanged.
-    compression:
-        zlib-compress batched records when that actually shrinks them.
-        Requires ``batching``; default ``False``.
     """
 
     corruption_rate: float = 0.0
-    batching: bool = False
-    compression: bool = False
 
     def __post_init__(self) -> None:
         check_probability(self.corruption_rate, "corruption_rate")
-        if self.compression and not self.batching:
-            raise ConfigurationError(
-                "compression applies to batched records (set network.batching=True)"
-            )
 
 
 @dataclass(frozen=True)
@@ -327,24 +310,22 @@ class RuntimeConfig:
     base_port:
         First port of the worker peer servers; ``0`` (default) lets the OS
         pick ephemeral ports, which the membership bootstrap then announces.
-    connect_timeout:
-        Seconds a worker waits for a socket connection during bootstrap.
     run_timeout:
         Hard wall-clock limit in seconds on a whole live run; exceeding it
-        terminates the workers and raises a protocol error.
+        terminates the workers and raises a protocol error.  It also bounds
+        the wait for any single socket connection.
     stepping:
         Stepping discipline of the live runner.  ``"sequential"`` (default)
         replays the cycle engine's scheduler stream one node at a time, so
         live results are bit-identical to cycle mode.  ``"concurrent"``
         drops that barrier: each worker steps its whole shard per epoch with
-        up to ``concurrency`` node steps (and their gossip exchanges) in
-        flight simultaneously, the coordinator only synchronising epochs.
+        several node steps (and their gossip exchanges) in flight
+        simultaneously, the coordinator only synchronising epochs.
         Concurrent interleaving perturbs the merge order, so results differ
         from cycle mode within a measured nondeterminism envelope (see
-        ``envelope``).
-    concurrency:
-        Per-worker limit on concurrently in-flight node steps under
-        ``stepping="concurrent"``.
+        ``envelope``).  Read in live mode only; a cycle-mode configuration
+        may carry either value (the envelope reference is derived from a
+        concurrent configuration by switching ``mode`` alone).
     envelope:
         Whether a concurrent live run also executes a cycle-mode reference
         with the same seed and reports the divergence (profile distance,
@@ -395,10 +376,8 @@ class RuntimeConfig:
     processes: int = 2
     host: str = "127.0.0.1"
     base_port: int = 0
-    connect_timeout: float = 10.0
     run_timeout: float = 300.0
     stepping: str = "sequential"
-    concurrency: int = 8
     envelope: str = "auto"
     engine: str = "object"
     slab_shards: int = 1
@@ -411,7 +390,6 @@ class RuntimeConfig:
         check_in_choices(self.mode, RUNTIME_MODES, "mode")
         check_in_choices(self.stepping, RUNTIME_STEPPING, "stepping")
         check_in_choices(self.envelope, RUNTIME_ENVELOPE, "envelope")
-        check_positive_int(self.concurrency, "concurrency")
         check_in_choices(self.engine, RUNTIME_ENGINES, "engine")
         check_positive_int(self.slab_shards, "slab_shards")
         check_in_choices(self.slab_dtype, SLAB_DTYPES, "slab_dtype")
@@ -436,7 +414,6 @@ class RuntimeConfig:
                 f"base_port {self.base_port} leaves no room for "
                 f"{self.processes} worker ports below 65536"
             )
-        check_positive_float(self.connect_timeout, "connect_timeout")
         check_positive_float(self.run_timeout, "run_timeout")
 
 

@@ -1,7 +1,6 @@
 """Chiaroscuro core: diptych, participant state machine, runner and results."""
 
 from .collaborative import (
-    BatchDecryptionOutcome,
     DecryptionOutcome,
     collaborative_decrypt,
     collaborative_decrypt_many,
@@ -23,7 +22,6 @@ __all__ = [
     "Phase",
     "TerminationCriteria",
     "DecryptionOutcome",
-    "BatchDecryptionOutcome",
     "collaborative_decrypt",
     "collaborative_decrypt_many",
     "share_holder_ids",

@@ -22,7 +22,7 @@ offline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -37,19 +37,10 @@ from ..simulation.engine import CycleEngine
 
 @dataclass(frozen=True)
 class DecryptionOutcome:
-    """Result of one collaborative decryption request."""
+    """Result of one collaborative decryption round: one decrypted vector per
+    estimate (:func:`collaborative_decrypt`: the one vector itself)."""
 
-    values: np.ndarray
-    helpers: tuple[int, ...]
-    messages: int
-    bytes_transferred: int
-
-
-@dataclass(frozen=True)
-class BatchDecryptionOutcome:
-    """Result of a batched collaborative decryption of several estimates."""
-
-    values: list[np.ndarray]
+    values: list[np.ndarray] | np.ndarray
     helpers: tuple[int, ...]
     messages: int
     bytes_transferred: int
@@ -72,8 +63,9 @@ def build_decrypt_request(backend: CipherBackend,
     """Serialize one committee decryption request frame.
 
     The single frame-building site: both drivers' committee fan-outs
-    (:func:`_committee_round` here, the live driver's over its transport)
-    call it, so they can never diverge in what they put on the wire.
+    (:func:`collaborative_decrypt_many` here, the live driver's over its
+    transport) call it, so they can never diverge in what they put on the
+    wire.
     """
     return DecryptRequest(
         estimates=tuple(estimates), ciphertext_bytes=wire_ciphertext_bytes(backend)
@@ -159,20 +151,27 @@ def _online_helpers(engine: CycleEngine, backend: CipherBackend) -> tuple[int, .
     return tuple(committee[: backend.threshold])
 
 
-def _committee_round(
+def collaborative_decrypt_many(
     engine: CycleEngine,
     requester_id: int,
     backend: CipherBackend,
     estimates: Sequence[EncryptedEstimate],
-) -> BatchDecryptionOutcome:
-    """One request/response round with every online helper.
+) -> DecryptionOutcome:
+    """Decrypt *estimates* in one request/response round with the online helpers.
 
+    The request to each helper carries all the estimates' ciphertexts at
+    once, on every ciphertext layout: 2·threshold messages per round.
     Helpers operate on the ciphertexts decoded from the received frames; an
     undecodable (corrupted) frame simply removes that helper's contribution
     from the round.  A *dropped* request is served regardless: the committee
     round-trip is atomic in the cycle model (drops are modelled at the
     gossip layer).  The outcome's message and byte counts are what the
     network ledger charged over the round.
+
+    Raises :class:`ThresholdError` when fewer than ``backend.threshold``
+    committee members are currently online, or when corruption left fewer
+    than ``threshold`` usable partial decryptions (the caller typically
+    retries at the next cycle).
     """
     helpers = _online_helpers(engine, backend)
     modelled = sum(estimate_payload_bytes(backend, estimate) for estimate in estimates)
@@ -191,7 +190,7 @@ def _committee_round(
         )
         for helper_id in helpers
     ]
-    return BatchDecryptionOutcome(
+    return DecryptionOutcome(
         values=finalize_decryption(backend, per_helper, estimates),
         helpers=helpers,
         messages=ledger.messages_sent - messages,
@@ -205,46 +204,6 @@ def collaborative_decrypt(
     backend: CipherBackend,
     estimate: EncryptedEstimate,
 ) -> DecryptionOutcome:
-    """Decrypt *estimate* by gathering partial decryptions from online helpers.
-
-    Raises :class:`ThresholdError` when fewer than ``backend.threshold``
-    committee members are currently online, or when corruption left fewer
-    than ``threshold`` usable partial decryptions (the caller typically
-    retries at the next cycle).
-    """
-    outcome = _committee_round(engine, requester_id, backend, [estimate])
-    return DecryptionOutcome(
-        values=outcome.values[0],
-        helpers=outcome.helpers,
-        messages=outcome.messages,
-        bytes_transferred=outcome.bytes_transferred,
-    )
-
-
-def collaborative_decrypt_many(
-    engine: CycleEngine,
-    requester_id: int,
-    backend: CipherBackend,
-    estimates: Sequence[EncryptedEstimate],
-) -> BatchDecryptionOutcome:
-    """Decrypt several estimates in one committee round-trip when possible.
-
-    With a packed backend the request to each helper carries *all* the
-    estimates' ciphertexts at once (2·threshold messages total instead of
-    2·threshold per estimate) — the batched half of the packed/batched cipher
-    layer.  Without packing it falls back to one
-    :func:`collaborative_decrypt` call per estimate, reproducing the
-    historical message pattern byte for byte.
-    """
-    if backend.is_packed:
-        return _committee_round(engine, requester_id, backend, estimates)
-    outcomes = [
-        collaborative_decrypt(engine, requester_id, backend, estimate)
-        for estimate in estimates
-    ]
-    return BatchDecryptionOutcome(
-        values=[outcome.values for outcome in outcomes],
-        helpers=outcomes[-1].helpers if outcomes else (),
-        messages=sum(outcome.messages for outcome in outcomes),
-        bytes_transferred=sum(outcome.bytes_transferred for outcome in outcomes),
-    )
+    """:func:`collaborative_decrypt_many` of the one *estimate*."""
+    outcome = collaborative_decrypt_many(engine, requester_id, backend, [estimate])
+    return replace(outcome, values=outcome.values[0])

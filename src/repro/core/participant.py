@@ -218,10 +218,10 @@ class ChiaroscuroParticipant(Node):
         The protocol step, written once: it *decides* — peer sampling from
         *rng* (this node's :func:`peer_sampling_stream`) among the ids
         *online()* returns, the sync/adopt/skip/merge handling, the phase
-        transitions, the packed/unpacked decryption split — and moves no
-        byte.  What needs another device is yielded as an effect and the
-        driver sends the answer back in: :meth:`next_cycle` (cycle engine)
-        and :meth:`repro.net.live.LiveParticipantDriver.step` (sockets).
+        transitions — and moves no byte.  What needs another device is
+        yielded as an effect and the driver sends the answer back in:
+        :meth:`next_cycle` (cycle engine) and
+        :meth:`repro.net.live.LiveParticipantDriver.step` (sockets).
         *n_nodes* is the population size.
         """
         if self.phase is Phase.ASSIGN:
@@ -419,41 +419,19 @@ class ChiaroscuroParticipant(Node):
             self.phase = Phase.DECRYPT
 
     # -- Steps 2c/2d + 3: noise addition, decryption, convergence --------------------
-    def combined_estimate(self, cluster: int) -> EncryptedEstimate:
-        """One cluster's data estimate with its noise homomorphically added
-        (step 2c)."""
-        return add_estimates(
-            self.backend,
-            self.diptych.data_estimates[cluster],
-            self.diptych.noise_estimates[cluster],
-        )
-
     def _decrypt_and_converge(self, n_nodes: int) -> Generator[Effect, Any, None]:
         if self.diptych is None:  # pragma: no cover - state machine guarantees this
             raise ProtocolError("decrypt phase reached without a diptych")
-        if self.backend.is_packed:
-            # Packed/batched mode: homomorphically add the noise to every
-            # per-cluster estimate, then decrypt all of them in a single
-            # committee round-trip (2·threshold messages instead of
-            # 2·threshold per cluster).
-            decrypted = yield CommitteeRound(tuple(
-                self.combined_estimate(cluster) for cluster in range(self.n_clusters)
-            ))
-            if decrypted is None:
-                return  # retry at the next cycle
-        else:
-            # Historical layout: one noise addition and one decryption
-            # round-trip per cluster, byte-for-byte as before packing.
-            # Deliberately NOT one round over all clusters: the add for
-            # cluster c must stay interleaved with cluster c's decryption
-            # so that a failed round's retry cycle charges exactly the
-            # operations the pre-packing code charged.
-            decrypted = []
-            for cluster in range(self.n_clusters):
-                values = yield CommitteeRound((self.combined_estimate(cluster),))
-                if values is None:
-                    return  # retry at the next cycle
-                decrypted.append(values[0])
+        # Step 2c, then 2d: add each cluster's noise estimate to its data
+        # estimate, and decrypt all k sums in one committee round
+        # (2·threshold messages per iteration).
+        decrypted = yield CommitteeRound(tuple(
+            add_estimates(self.backend, data, noise)
+            for data, noise in zip(self.diptych.data_estimates,
+                                   self.diptych.noise_estimates)
+        ))
+        if decrypted is None:
+            return  # retry at the next cycle
         self._converge_from_decrypted(decrypted, n_nodes)
 
     def _converge_from_decrypted(

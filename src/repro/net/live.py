@@ -30,7 +30,10 @@ Architecture::
         answers each over the sockets, as ``next_cycle`` does in memory
       - announces them with MembershipAnnouncement frames, verifies the
         KeyAnnouncement against its (fork-inherited) key material
-      - serves gossip/decrypt frames from peer workers over its TCP server
+      - serves gossip/decrypt frames from peer workers over its TCP server;
+        a committee round's request travels as one socket record per
+        destination worker (a ``BatchEnvelope`` of the helpers' frames),
+        charged to the ledger per helper
       - accounts traffic for its own nodes only (the authoritative
         byte-count site of :mod:`repro.net.transport`)
 
@@ -41,7 +44,7 @@ live run produces *the same clustering results* as ``mode="cycle"`` with
 the same seed — bit-identical for every backend, since threshold
 decryption is exact integer arithmetic.  With
 ``runtime.stepping="concurrent"`` that barrier is dropped for throughput:
-workers drive their shards with up to ``runtime.concurrency`` node steps
+workers drive their shards with up to :data:`CONCURRENT_STEPS` node steps
 in flight each, the interleaving becomes timing-dependent, and the run is
 no longer bit-reproducible — the divergence from the deterministic
 reference is measured and reported as the ``envelope`` field of the cost
@@ -127,6 +130,14 @@ from .envelope import (
 )
 
 
+#: Per-worker limit on node steps in flight under ``stepping="concurrent"``.
+CONCURRENT_STEPS = 8
+
+#: Seconds a worker waits for a socket connection (to the coordinator at
+#: bootstrap, to a peer worker on first use); never beyond ``run_timeout``.
+CONNECT_TIMEOUT = 10.0
+
+
 # ---------------------------------------------------------------------- sockets
 @dataclass
 class SocketStats:
@@ -142,9 +153,9 @@ class SocketStats:
     observable signature of backpressure engaging against a slow reader.
 
     ``batched_records`` / ``batched_frames`` count the outgoing batched
-    socket records and the protocol frames they carried: their ratio is the
-    record amortisation ``network.batching`` achieved (zero both when
-    batching is off).
+    socket records of the committee fan-out and the protocol frames they
+    carried: their ratio is the record amortisation of sending one record
+    per destination worker instead of one per helper.
     """
 
     bytes_sent: int = 0
@@ -489,7 +500,7 @@ class WorkerTransport:
 
     async def batched_frame_requests(
         self, sender: int, recipients: Sequence[int], kind: str, frame: bytes,
-        modelled_bytes: int | None = None, compress: bool = False,
+        modelled_bytes: int | None = None,
     ) -> list[tuple[dict[str, Any], bytes]]:
         """The same frame to many recipients, one socket record per worker.
 
@@ -497,10 +508,9 @@ class WorkerTransport:
         recipient — same protocol byte accounting, same per-recipient
         replies, in the same order — but remote recipients hosted on the
         same worker share one :class:`~repro.gossip.messages.BatchEnvelope`
-        record instead of one record each (and identical frames compress
-        extremely well when *compress* is set).  Only the on-socket bytes
+        record instead of one record each.  Only the on-socket records
         change; the ledger charges every per-recipient frame exactly as
-        the unbatched path does.
+        :meth:`frame_request` does.
         """
         results: dict[int, tuple[dict[str, Any], bytes]] = {}
         remote_groups: dict[tuple[str, int], list[int]] = {}
@@ -513,8 +523,8 @@ class WorkerTransport:
             else:
                 address = self.directory.address_of(recipient)
                 remote_groups.setdefault(address, []).append(recipient)
-        # Groups go out sequentially so the ledger and meter see the same
-        # deterministic order as the unbatched loop.
+        # Groups go out sequentially so the ledger and meter see one
+        # deterministic order.
         for group in remote_groups.values():
             channel = await self._channel_to(group[0])
             self.socket_stats.batched_records += 1
@@ -523,7 +533,7 @@ class WorkerTransport:
                 kind=KIND_FRAME, correlation_id=0,
                 header={"op": kind, "sender": sender, "recipients": group,
                         "modelled": modelled_bytes},
-                payload=batch_frames([frame] * len(group), compress=compress),
+                payload=batch_frames([frame] * len(group)),
                 is_batch=True,
             ))
             reply_headers = reply.header.get("replies")
@@ -775,22 +785,12 @@ class LiveParticipantDriver:
         helpers = tuple(share_holder_ids(backend.n_shares)[: backend.threshold])
         modelled = sum(estimate_payload_bytes(backend, estimate) for estimate in estimates)
         request_frame = build_decrypt_request(backend, estimates)
-        network = self.setup.config.network
-        if network.batching:
-            # Every helper receives the same request frame, so helpers
-            # hosted on the same worker share one batched socket record.
-            responses = await self.transport.batched_frame_requests(
-                requester_id, helpers, "decrypt-request", request_frame,
-                modelled_bytes=modelled, compress=network.compression,
-            )
-        else:
-            responses = [
-                await self.transport.frame_request(
-                    requester_id, helper_id, "decrypt-request",
-                    request_frame, modelled_bytes=modelled,
-                )
-                for helper_id in helpers
-            ]
+        # Every helper receives the same request frame, so helpers hosted
+        # on the same worker share one batched socket record.
+        responses = await self.transport.batched_frame_requests(
+            requester_id, helpers, "decrypt-request", request_frame,
+            modelled_bytes=modelled,
+        )
         per_helper = [
             None if header.get("error") or not response_frame
             else decode_decrypt_response(response_frame, len(estimates))
@@ -827,8 +827,8 @@ def _collect_node_state(participant: ChiaroscuroParticipant,
 
 async def _worker_async(worker_index: int, setup: RunSetup, local_ids: list[int],
                         coordinator_address: tuple[str, int]) -> None:
-    config = setup.config
-    runtime = config.runtime
+    runtime = setup.config.runtime
+    connect_timeout = min(CONNECT_TIMEOUT, runtime.run_timeout)
     stats = SocketStats()
     # Before anything can encrypt: every worker must draw its own
     # randomness, not the blinders the coordinator pooled before the fork.
@@ -852,7 +852,7 @@ async def _worker_async(worker_index: int, setup: RunSetup, local_ids: list[int]
         directory=directory,
         handler=handler,
         stats=stats,
-        connect_timeout=runtime.connect_timeout,
+        connect_timeout=connect_timeout,
     )
     driver = LiveParticipantDriver(setup, participants, transport)
     meter = _CryptoMeter(setup.backend.counter, transport.iteration_traffic)
@@ -908,8 +908,7 @@ async def _worker_async(worker_index: int, setup: RunSetup, local_ids: list[int]
         return Envelope(
             kind=KIND_FRAME, correlation_id=0,
             header={"replies": [reply_header for reply_header, _ in replies]},
-            payload=batch_frames([reply_frame for _, reply_frame in replies],
-                                 compress=batch.compress),
+            payload=batch_frames([reply_frame for _, reply_frame in replies]),
             is_reply=True, is_batch=True,
         )
 
@@ -971,14 +970,14 @@ async def _worker_async(worker_index: int, setup: RunSetup, local_ids: list[int]
         if op == "run-cycle":
             # Concurrent stepping: drive every not-yet-done local node
             # through one cycle as its own asyncio task, many exchanges in
-            # flight at once, bounded by runtime.concurrency.  The crypto
+            # flight at once, bounded by CONCURRENT_STEPS.  The crypto
             # meter's per-iteration attribution is approximate under this
             # interleaving (totals stay exact); the accounting contract's
             # byte charging is unaffected because every send is still
             # charged synchronously at its sending node.
             if not bootstrapped.is_set():
                 raise ProtocolError("run-cycle before bootstrap completed")
-            semaphore = asyncio.Semaphore(runtime.concurrency)
+            semaphore = asyncio.Semaphore(CONCURRENT_STEPS)
 
             async def step_node(node_id: int) -> bool:
                 async with semaphore:
@@ -1021,7 +1020,7 @@ async def _worker_async(worker_index: int, setup: RunSetup, local_ids: list[int]
 
     reader, writer = await asyncio.wait_for(
         asyncio.open_connection(*coordinator_address),
-        timeout=runtime.connect_timeout,
+        timeout=connect_timeout,
     )
     coordinator = RequestChannel(
         FrameConnection(reader, writer, stats), handle_coordinator_record
@@ -1421,9 +1420,6 @@ def run_live_chiaroscuro(
             "processes": runner.n_processes,
             "cycles_run": outcome.cycles_run,
             "stepping": runtime.stepping,
-            "concurrency": runtime.concurrency,
-            "batching": config.network.batching,
-            "compression": config.network.compression,
             "socket": socket_totals,
             "coordinator_socket": outcome.coordinator_socket,
         },

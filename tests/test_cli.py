@@ -58,16 +58,19 @@ class TestParser:
 
     def test_stepping_flags(self):
         args = build_parser().parse_args([
-            "run", "--live", "--stepping", "concurrent",
-            "--live-concurrency", "4", "--envelope", "off",
+            "run", "--live", "--stepping", "concurrent", "--envelope", "off",
         ])
         assert args.stepping == "concurrent"
-        assert args.live_concurrency == 4
         assert args.envelope == "off"
         defaults = build_parser().parse_args(["run"])
         assert defaults.stepping == "sequential"
-        assert defaults.live_concurrency == 8
         assert defaults.envelope == "auto"
+
+    @pytest.mark.parametrize("flag", ["--batching", "--compression",
+                                      "--live-concurrency"])
+    def test_removed_flags_are_rejected(self, flag):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", flag])
 
     def test_unknown_stepping_rejected(self):
         with pytest.raises(SystemExit):
@@ -86,6 +89,19 @@ class TestCommands:
         assert payload["summary"]["n_clusters"] == 2
         assert payload["summary"]["n_participants"] == 24
         assert payload["guarantee"]["epsilon"] <= 4.0 + 1e-9
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_concurrent_stepping_without_live_is_refused(self, command, capsys):
+        """It used to run a cycle-mode simulation and say nothing."""
+        exit_code = main([
+            command, "--dataset", "gaussian", "--participants", "12", "--clusters", "2",
+            "--iterations", "2", "--gossip-cycles", "3", "--noise-shares", "4",
+            "--stepping", "concurrent", "--json",
+        ])
+        assert exit_code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --stepping concurrent needs --live\n"
 
     def test_run_command_table_output(self, capsys):
         exit_code = main([

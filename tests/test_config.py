@@ -122,7 +122,9 @@ class TestAggregateConfig:
 
     @pytest.mark.parametrize("section, fieldname", [
         ("crypto", "fastmath"), ("crypto", "pool_file"),
-        ("runtime", "write_buffer_limit"),
+        ("runtime", "write_buffer_limit"), ("runtime", "concurrency"),
+        ("runtime", "connect_timeout"), ("gossip", "fanout"),
+        ("network", "batching"), ("network", "compression"),
     ])
     def test_with_overrides_refuses_a_removed_knob_by_name(self, section, fieldname):
         # Not the raw TypeError of dataclasses.replace().
@@ -178,8 +180,8 @@ def test_knob_budget():
     from repro import cli
 
     section_budget = {
-        "kmeans": 6, "privacy": 7, "crypto": 7, "gossip": 7, "simulation": 4,
-        "smoothing": 4, "network": 3, "runtime": 15,
+        "kmeans": 6, "privacy": 7, "crypto": 7, "gossip": 6, "simulation": 4,
+        "smoothing": 4, "network": 1, "runtime": 13,
     }
     config = ChiaroscuroConfig()
     assert set(section_budget) == set(CONFIG_SECTIONS)
@@ -187,7 +189,7 @@ def test_knob_budget():
         assert len(dataclasses.fields(getattr(config, section))) <= budget, section
 
     option_budget = {
-        "run": 30, "compare": 30, "crypto-bench": 12,
+        "run": 27, "compare": 27, "crypto-bench": 12,
         "experiment run": 7, "experiment list": 3, "experiment report": 4,
     }
     options = _subcommand_options(cli.build_parser())
@@ -195,4 +197,29 @@ def test_knob_budget():
     for subcommand, budget in option_budget.items():
         assert options[subcommand] <= budget, subcommand
     # ``run`` and ``compare`` share one declaration of their options.
-    assert inspect.getsource(cli).count(".add_argument(") <= 56
+    assert inspect.getsource(cli).count(".add_argument(") <= 53
+
+
+def test_every_knob_is_read():
+    """A field nothing reads is not a knob: every field of every section is
+    an attribute some module of ``src/repro`` other than ``config.py`` loads."""
+    import ast
+    from pathlib import Path
+
+    import repro
+
+    package = Path(repro.__file__).parent
+    read = {
+        node.attr
+        for path in package.rglob("*.py") if path != package / "config.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    config = ChiaroscuroConfig()
+    unread = [
+        f"{section}.{item.name}"
+        for section in CONFIG_SECTIONS
+        for item in dataclasses.fields(getattr(config, section))
+        if item.name not in read
+    ]
+    assert unread == []

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.collaborative import (
     collaborative_decrypt,
+    collaborative_decrypt_many,
     share_holder_ids,
     share_index_of,
 )
@@ -87,3 +88,19 @@ class TestCollaborativeDecrypt:
         outcome = collaborative_decrypt(engine, 5, plain_backend, estimate)
         assert np.allclose(outcome.values, [0.75], atol=1e-5)
         assert 0 not in outcome.helpers
+
+    def test_many_unpacked_estimates_are_one_round(self, plain_backend):
+        """k estimates, one request and one response per helper — whatever
+        the ciphertext layout."""
+        assert not plain_backend.is_packed
+        engine = make_engine(6)
+        vectors = [np.array([0.25, -0.5, 1.0]), np.zeros(3), np.array([2.0, 0.5, -1.0])]
+        estimates = [fresh_estimate(plain_backend, values) for values in vectors]
+        ledger = engine.network.total
+        messages, transferred = ledger.messages_sent, ledger.bytes_sent
+        outcome = collaborative_decrypt_many(engine, 5, plain_backend, estimates)
+        for decrypted, values in zip(outcome.values, vectors, strict=True):
+            assert np.allclose(decrypted, values, atol=1e-5)
+        assert outcome.messages == 2 * plain_backend.threshold
+        assert ledger.messages_sent - messages == outcome.messages
+        assert ledger.bytes_sent - transferred == outcome.bytes_transferred > 0

@@ -119,7 +119,7 @@ class TestPerturbedMeans:
             np.zeros(7),
             np.append(np.linspace(2.0, -1.0, 6) / 3.0, 1.0 / 3.0),
         ]
-        drive(participant, [[values] for values in decrypted])
+        drive(participant, [decrypted])
         perturbed, displacement = perturbed_means(
             np.stack(decrypted), centroids, 6, 1, participant.config
         )

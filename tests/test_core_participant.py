@@ -215,6 +215,13 @@ def decrypting_participant(backend):
     return participant
 
 
+def backend_with(packing):
+    backend = PlainBackend(threshold=2, n_shares=3, packing=packing,
+                           packing_value_bound=2.0)
+    assert backend.is_packed == (packing == "auto")
+    return backend
+
+
 class TestStepWithAScriptedDriver:
     """The protocol step where it lives: a generator fed canned answers —
     no engine, no transport, no socket."""
@@ -289,37 +296,29 @@ class TestStepWithAScriptedDriver:
         drive(participant, [], online={participant.node_id})
         assert participant.phase is Phase.DECRYPT
 
-    def test_packed_round_answered_none_retries_next_cycle(self):
-        backend = PlainBackend(threshold=2, n_shares=3, packing="auto",
-                               packing_value_bound=2.0)
-        assert backend.is_packed
-        participant = decrypting_participant(backend)
+    @pytest.mark.parametrize("packing", ["auto", "off"])
+    def test_round_answered_none_retries_next_cycle(self, packing):
+        participant = decrypting_participant(backend_with(packing))
         diptych = participant.diptych
+        additions = participant.backend.counter.additions
         (round_,) = drive(participant, [None])
         assert isinstance(round_, CommitteeRound)
         assert len(round_.estimates) == 3
         assert participant.phase is Phase.DECRYPT
         assert participant.diptych is diptych
         assert participant.perturbed_means_history == []
+        # What a failed round costs does not depend on the layout either:
+        # the noise was added for every cluster before the round was asked.
+        assert participant.backend.counter.additions - additions == sum(
+            estimate.vector.n_ciphertexts for estimate in round_.estimates
+        )
 
-    def test_unpacked_second_round_answered_none_retries_next_cycle(self):
-        backend = PlainBackend(threshold=2, n_shares=3)
-        assert not backend.is_packed
-        participant = decrypting_participant(backend)
-        diptych = participant.diptych
-        additions = backend.counter.additions
-        first, second = drive(participant, [[np.zeros(7)], None])
-        assert len(first.estimates) == len(second.estimates) == 1
-        assert participant.phase is Phase.DECRYPT
-        assert participant.diptych is diptych
-        # The retry cost of the per-cluster layout: the noise was added for
-        # clusters 0 and 1 only — cluster 2's add never happened.
-        assert backend.counter.additions - additions == 2 * 7
-
-    def test_answered_rounds_converge(self):
-        participant = decrypting_participant(PlainBackend(threshold=2, n_shares=3))
+    @pytest.mark.parametrize("packing", ["auto", "off"])
+    def test_answered_round_converges(self, packing):
+        participant = decrypting_participant(backend_with(packing))
         values = np.append(np.linspace(0.1, 0.9, 6) / 6.0, 1.0 / 6.0)
-        drive(participant, [[values], [np.zeros(7)], [np.zeros(7)]])
+        (round_,) = drive(participant, [[values, np.zeros(7), np.zeros(7)]])
+        assert len(round_.estimates) == 3
         assert participant.phase in (Phase.ASSIGN, Phase.DONE)
         assert participant.diptych is None
         assert len(participant.perturbed_means_history) == 1

@@ -43,8 +43,9 @@ def _collection():
 #: Homomorphic additions (cycle, live) per ``crypto.packing``.  The one
 #: place the two engines legitimately differ: a cycle-mode exchange averages
 #: once and both ends adopt the same objects, a live one averages on each
-#: side.  ``"off"`` also pins the per-cluster decryption branch of the
-#: protocol step from both drivers.
+#: side.  Both layouts take the same protocol step through both drivers
+#: (one committee round of k estimates); ``"off"`` has one ciphertext per
+#: coordinate to add.
 ADDITIONS = {"auto": (636, 1224), "off": (4452, 8568)}
 
 
@@ -94,6 +95,9 @@ class TestLiveVsCycleEquivalence:
         # protocol byte accounting and is non-trivial.
         assert meta["socket"]["bytes_sent"] > 0
         assert meta["coordinator_socket"]["records_sent"] > 0
+        # A committee round's request is one socket record per destination
+        # worker, and one of the two workers hosts two of the three helpers.
+        assert meta["socket"]["batched_frames"] > meta["socket"]["batched_records"] > 0
 
     def test_execution_log_mirrors_the_iterations(self, results):
         cycle, live = results

@@ -19,6 +19,7 @@ from repro.crypto.backends import EncryptedVector, PartialVectorDecryption
 from repro.exceptions import WireFormatError
 from repro.gossip.encrypted_sum import EncryptedEstimate
 from repro.gossip.messages import (
+    BatchEnvelope,
     DecryptRequest,
     DecryptResponse,
     DiptychExchange,
@@ -28,8 +29,10 @@ from repro.gossip.messages import (
     KeyAnnouncement,
     MembershipAnnouncement,
     PushSumMessage,
+    batch_frames,
     deserialize,
 )
+from repro.net.envelope import KIND_FRAME, Envelope
 from repro.net.faults import TargetedMutation, reframe_body, targeted_mutations
 from repro.simulation.engine import CycleEngine
 from repro.simulation.network import TrafficStats
@@ -255,6 +258,93 @@ class TestFramesForNodesHostedElsewhere:
         assert [header for header, _ in replies] == [
             {"error": "not_hosted"}, {"error": "shape"}, {"error": "not_hosted"}]
         assert transport.ledger.total.messages_received == 1
+
+
+def _reply(header, payload=b"") -> Envelope:
+    return Envelope(kind=KIND_FRAME, correlation_id=0, header=header,
+                    payload=payload, is_reply=True, is_batch=True)
+
+
+def _batch_reply(headers, frames) -> Envelope:
+    return _reply({"replies": headers}, batch_frames(frames))
+
+
+async def _fan_out_to_a_scripted_worker(transport, frame, reply):
+    """Send *frame* from node 0 to helpers 1 and 3, both announced at one
+    loopback server that answers every record with *reply*.  Returns the
+    per-recipient results and the records the server read."""
+    from repro.net.live import FrameConnection, RequestChannel, SocketStats
+
+    seen = []
+
+    async def handle(envelope):
+        seen.append(envelope)
+        return reply
+
+    async def serve(reader, writer):
+        channel = RequestChannel(FrameConnection(reader, writer, SocketStats()), handle)
+        try:
+            await channel.pump()
+        finally:
+            channel.connection.close()
+
+    server = await asyncio.start_server(serve, "127.0.0.1", 0)
+    address = server.sockets[0].getsockname()[:2]
+    for helper in (1, 3):
+        transport.directory.announce(helper, online=True, cycle=0,
+                                     address=address, worker=1)
+    try:
+        results = await transport.batched_frame_requests(
+            0, (1, 3), "decrypt-request", frame, modelled_bytes=24)
+    finally:
+        transport.close()
+        server.close()
+    return results, seen
+
+
+class TestCommitteeFanOutOverOneRecord:
+    """``batched_frame_requests``, the one way a decrypt request is fanned
+    out: helpers hosted on one remote worker share a socket record, the
+    ledger does not notice."""
+
+    def test_two_helpers_on_one_worker_cost_one_record_each_way(self):
+        transport = _transport_of(_handler_hosting_node_zero())
+        request, response = FRAMES["decrypt-request"], FRAMES["decrypt-response"]
+        results, seen = asyncio.run(_fan_out_to_a_scripted_worker(
+            transport, request, _batch_reply([{}, {}], [response, response])))
+        assert results == [({}, response), ({}, response)]
+        (record,) = seen
+        assert record.is_batch and record.header["recipients"] == [1, 3]
+        assert deserialize(record.payload) == BatchEnvelope(frames=(request, request))
+        socket = transport.socket_stats
+        assert (socket.records_sent, socket.records_received) == (1, 1)
+        assert (socket.batched_records, socket.batched_frames) == (1, 2)
+        # The ledger is charged per helper, as two frame_request calls would.
+        requester = transport.stats_for(0)
+        assert (requester.messages_sent, requester.bytes_sent) == (2, 2 * len(request))
+        assert (requester.messages_received, requester.bytes_received) \
+            == (2, 2 * len(response))
+        assert requester.bytes_modelled == 2 * 24
+
+    @pytest.mark.parametrize("reply, error", [
+        # one answer for two recipients
+        (_batch_reply([{}], [FRAMES["decrypt-response"]]), "batch_mismatch"),
+        # two headers, one frame
+        (_batch_reply([{}, {}], [FRAMES["decrypt-response"]]), "batch_mismatch"),
+        (_reply({}), "batch_mismatch"),
+        (_reply({"replies": [{}, {}]}, b"not a frame"), "batch_mismatch"),
+        # a frame, but not a batch of them
+        (_reply({"replies": [{}, {}]}, FRAMES["decrypt-response"]), "batch_mismatch"),
+        # the remote worker's own refusal of the whole record
+        (_reply({"error": "bad_header"}), "bad_header"),
+    ])
+    def test_malformed_batched_reply_is_a_loss_per_recipient(self, reply, error):
+        transport = _transport_of(_handler_hosting_node_zero())
+        results, _ = asyncio.run(_fan_out_to_a_scripted_worker(
+            transport, FRAMES["decrypt-request"], reply))
+        assert results == [({"error": error}, b""), ({"error": error}, b"")]
+        requester = transport.stats_for(0)
+        assert (requester.messages_sent, requester.messages_received) == (2, 0)
 
 
 class TestWellFormedFramesOfTheWrongShape:

@@ -277,8 +277,9 @@ class TestEnvelope:
         assert decoded == envelope
 
     def test_batch_flag_off_keeps_the_record_byte_identical(self):
-        """With batching disabled the flag bit is never set, so records are
-        the exact bytes earlier runner versions produced."""
+        """A record that is no batch (a diptych exchange, a control record)
+        never sets the flag bit: the exact bytes earlier runner versions
+        produced."""
         plain = Envelope(kind=KIND_FRAME, correlation_id=7,
                          header={"op": "x"}, payload=b"f")
         assert encode_envelope(plain)[13] == 0x00

@@ -14,10 +14,6 @@ iteration" range the paper calls affordable for personal devices.
 
 from __future__ import annotations
 
-import argparse
-import json
-import time
-
 import numpy as np
 import pytest
 from conftest import run_once
@@ -26,11 +22,6 @@ from repro.analysis import CostModel, ProtocolWorkload, format_table, measure_cr
 from repro.crypto import damgard_jurik as dj
 from repro.crypto.backends import DamgardJurikBackend, PlainBackend
 from repro.crypto.fastmath import BlinderPool, PrecomputedKey
-from repro.crypto.threshold import (
-    combine_partial_decryptions,
-    generate_threshold_keypair,
-    partial_decrypt,
-)
 from repro.gossip.encrypted_sum import average_estimates, fresh_estimate
 
 KEY_SIZES = [256, 512, 1024]
@@ -132,8 +123,8 @@ def test_packed_real_encryption_walltime(benchmark, packing):
 def test_fastmath_decryption_speedup(benchmark, fastmath):
     """CRT decryption (half-width moduli, half-size exponents) vs full pow.
 
-    At 1024 bits the CRT split is already a multiple; the committed
-    BENCH_crypto.json records the ≥3× figure at the paper's 2048-bit keys.
+    At 1024 bits the CRT split is already a multiple; it grows with the key
+    size (``repro crypto-bench --fastmath sweep`` times both per operation).
     """
     public, private = dj.generate_keypair(key_bits=1024, s=1)
     precomputed = PrecomputedKey.from_private_key(private) if fastmath == "auto" else None
@@ -156,133 +147,6 @@ def test_fastmath_pooled_encrypt_speedup(benchmark, fastmath):
     ciphertext = benchmark(dj.encrypt, public, 123456789, None, precomputed, pool)
     assert dj.decrypt(private, ciphertext) == 123456789
     benchmark.extra_info["fastmath"] = fastmath
-
-
-def _time_op(operation, repetitions: int) -> float:
-    start = time.perf_counter()
-    for _ in range(repetitions):
-        operation()
-    return (time.perf_counter() - start) / repetitions
-
-
-def collect_fastmath_baseline(
-    key_bits: int = 2048,
-    degree: int = 1,
-    threshold: int = 3,
-    n_shares: int = 5,
-    repetitions: int = 5,
-    pooled_repetitions: int = 2000,
-) -> dict:
-    """Ops/sec of every hot operation with and without fastmath.
-
-    This is the machine-readable perf baseline (BENCH_crypto.json): encrypt
-    and rerandomize contrast the fresh exponentiation against the amortized
-    pool, decrypt and the threshold share contrast full-width ``pow``
-    against the CRT split, halve exercises the recurring
-    ``2^{-1} mod n^s`` exponent, and combine contrasts the per-share pow
-    loop against Straus multi-exponentiation.
-
-    These are *simulation wall-clock* figures for the library's hot loop,
-    where the in-process backend legitimately holds the dealer key (CRT).
-    Device-cost extrapolation uses
-    :func:`repro.analysis.costs.measure_crypto_costs`, which deliberately
-    restricts itself to participant-achievable accelerations.
-    """
-    public, shares, private = generate_threshold_keypair(
-        key_bits=key_bits, s=degree, threshold=threshold, n_shares=n_shares
-    )
-    plain_public = public.public_key
-    precomputed = PrecomputedKey.from_private_key(private)
-    pool = BlinderPool(precomputed, batch_size=pooled_repetitions)
-    pool.refill(2 * pooled_repetitions)  # amortized: filled outside the hot path
-    message = 123456789 % plain_public.plaintext_modulus
-    ciphertext = dj.encrypt(plain_public, message)
-    partials = [
-        partial_decrypt(public, share, ciphertext, precomputed=precomputed)
-        for share in shares[:threshold]
-    ]
-
-    operations = {
-        "encrypt": (
-            lambda: dj.encrypt(plain_public, message),
-            lambda: dj.encrypt(plain_public, message, precomputed=precomputed, pool=pool),
-        ),
-        "rerandomize": (
-            lambda: dj.rerandomize(plain_public, ciphertext),
-            lambda: dj.rerandomize(plain_public, ciphertext, pool=pool),
-        ),
-        "decrypt": (
-            lambda: dj.decrypt(private, ciphertext),
-            lambda: dj.decrypt(private, ciphertext, precomputed=precomputed),
-        ),
-        "halve": (
-            lambda: dj.halve_plaintext(plain_public, ciphertext),
-            lambda: dj.halve_plaintext(plain_public, ciphertext, precomputed=precomputed),
-        ),
-        "threshold_share": (
-            lambda: partial_decrypt(public, shares[0], ciphertext),
-            lambda: partial_decrypt(public, shares[0], ciphertext, precomputed=precomputed),
-        ),
-        "combine": (
-            lambda: combine_partial_decryptions(public, partials, multiexp=False),
-            lambda: combine_partial_decryptions(public, partials, multiexp=True),
-        ),
-    }
-    rows = {}
-    for name, (off_operation, fast_operation) in operations.items():
-        # Pool-served operations are microseconds each; use more repetitions
-        # so the timer resolution does not dominate.
-        fast_repetitions = (
-            pooled_repetitions if name in ("encrypt", "rerandomize") else repetitions
-        )
-        off_seconds = _time_op(off_operation, repetitions)
-        fast_seconds = _time_op(fast_operation, fast_repetitions)
-        rows[name] = {
-            "off_seconds": off_seconds,
-            "fastmath_seconds": fast_seconds,
-            "off_ops_per_sec": 1.0 / off_seconds,
-            "fastmath_ops_per_sec": 1.0 / fast_seconds,
-            "speedup": off_seconds / fast_seconds,
-        }
-    return {
-        "benchmark": "crypto_fastmath",
-        "key_bits": key_bits,
-        "degree": degree,
-        "threshold": threshold,
-        "repetitions": repetitions,
-        "operations": rows,
-    }
-
-
-def main(argv=None) -> int:
-    """Write the BENCH_crypto.json perf-trajectory datapoint."""
-    parser = argparse.ArgumentParser(
-        description="Measure fastmath on/off ops/sec and write BENCH_crypto.json"
-    )
-    parser.add_argument("--key-bits", type=int, default=2048)
-    parser.add_argument("--degree", type=int, default=1)
-    parser.add_argument("--repetitions", type=int, default=5)
-    parser.add_argument("--pooled-repetitions", type=int, default=2000)
-    parser.add_argument("--out", default="BENCH_crypto.json")
-    args = parser.parse_args(argv)
-    baseline = collect_fastmath_baseline(
-        key_bits=args.key_bits,
-        degree=args.degree,
-        repetitions=args.repetitions,
-        pooled_repetitions=args.pooled_repetitions,
-    )
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(baseline, handle, indent=2)
-        handle.write("\n")
-    print(format_table(
-        [
-            {"operation": name, **row}
-            for name, row in baseline["operations"].items()
-        ],
-        columns=["operation", "off_ops_per_sec", "fastmath_ops_per_sec", "speedup"],
-        title=f"fastmath baseline, {args.key_bits}-bit key (written to {args.out})",
-    ))
-    return 0
 
 
 def test_extrapolated_run_costs(benchmark):
@@ -309,8 +173,3 @@ def test_extrapolated_run_costs(benchmark):
     # "Affordable": less than an hour of compute per device for the whole run.
     assert rows[0]["total_compute_seconds"] < 3600
 
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

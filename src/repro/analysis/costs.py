@@ -7,7 +7,10 @@ measures performed beforehand (e.g., of encryption/decryption/addition
 times)" (Section III.B).  This module reproduces that methodology:
 
 * :func:`measure_crypto_costs` times the real Damgård–Jurik operations for a
-  given key size and degree;
+  given key size and degree (:data:`REFERENCE_PROFILE` is its committed
+  2048-bit output, the price list of every run's modelled crypto seconds);
+* :meth:`CryptoCostProfile.price` is the one place a count meets a time: run
+  counters, per-node sample arrays and the model's counts all go through it;
 * :class:`CostModel` combines the measured per-operation times with the
   protocol's operation counts to predict the per-participant compute time and
   bandwidth of a run at any population size — including the 10^6 participants
@@ -16,10 +19,8 @@ times)" (Section III.B).  This module reproduces that methodology:
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -60,8 +61,8 @@ class CryptoCostProfile:
     ``pooled_encryption_seconds`` is the hot-path cost of an encryption
     served by the amortized blinder pool (one multiplication; the
     exponentiation happened in idle time) — 0.0 when the profile was
-    measured with ``fastmath="off"``.  The :class:`CostModel` uses it to
-    charge amortized and fresh exponentiations differently.
+    measured with ``fastmath="off"``.  :meth:`price` uses it to charge
+    amortized and fresh exponentiations differently.
     """
 
     key_bits: int
@@ -89,135 +90,65 @@ class CryptoCostProfile:
             "pooled_encryption_seconds": self.pooled_encryption_seconds,
         }
 
-    @classmethod
-    def from_bench_json(
-        cls, payload: Mapping[str, Any], fastmath: str = "off"
-    ) -> "CryptoCostProfile":
-        """Build a profile from a committed ``BENCH_crypto.json`` payload.
-
-        The benchmark file stores per-operation seconds in both arithmetic
-        modes (``off_seconds`` / ``fastmath_seconds``); *fastmath* selects
-        the column.  The homomorphic-halving figure stands in for the
-        per-ciphertext gossip-averaging operation (the protocol's only
-        homomorphic step), and the fastmath encryption figure doubles as the
-        amortized pooled-encryption cost.  Key generation is not benchmarked
-        there and is reported as 0 (it is a one-off setup cost, not a
-        per-run operation the extrapolator charges).
-        """
-        check_in_choices(fastmath, FASTMATH_CHOICES, "fastmath")
-        column = "off_seconds" if fastmath == "off" else "fastmath_seconds"
-        try:
-            operations = payload["operations"]
-            key_bits = int(payload["key_bits"])
-            degree = int(payload["degree"])
-            encryption = float(operations["encrypt"][column])
-            addition = float(operations["halve"][column])
-            partial = float(operations["threshold_share"][column])
-            combination = float(operations["combine"][column])
-            pooled = float(operations["encrypt"]["fastmath_seconds"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise AnalysisError(
-                f"malformed crypto benchmark payload: {exc!r}"
-            ) from exc
-        return cls(
-            key_bits=key_bits,
-            degree=degree,
-            keygen_seconds=0.0,
-            encryption_seconds=encryption,
-            addition_seconds=addition,
-            partial_decryption_seconds=partial,
-            combination_seconds=combination,
-            # A degree-s Damgård–Jurik ciphertext lives in Z_{n^{s+1}}.
-            ciphertext_bytes=(key_bits // 8) * (degree + 1),
-            fastmath=fastmath,
-            pooled_encryption_seconds=pooled if fastmath != "off" else 0.0,
-        )
-
-    @property
-    def _pooled_cost(self) -> float:
-        """Hot-path cost of one pool-served operation (fresh cost sans pool)."""
-        return (
-            self.pooled_encryption_seconds
-            if self.pooled_encryption_seconds > 0
-            else self.encryption_seconds
-        )
-
-    def seconds_for_counts(self, counts: Mapping[str, float]) -> float:
-        """*Online* (hot-path) seconds implied by an operation-count dictionary.
+    def price(self, counts: Mapping[str, Any]) -> dict[str, dict[str, Any]]:
+        """Seconds every primitive in *counts* costs, grouped by phase.
 
         *counts* uses the :class:`~repro.crypto.backends.OperationCounter`
-        key vocabulary (``encryptions``, ``additions``,
-        ``partial_decryptions``, ``combinations``, ``pooled_encryptions``,
-        ``rerandomizations``); unknown keys are ignored.  Pooled encryptions
-        — and rerandomizations, which draw a blinder from the same pool and
-        are a single multiplication on the hot path — are charged the
-        amortized pooled cost when the profile has one; the blinder
-        exponentiations they consumed belong to the *offline* phase
-        (:meth:`offline_seconds_for_counts`).
+        vocabulary (``pooled_encryptions`` is the subset of ``encryptions``
+        the blinder pool served; absent keys count zero), with scalar values
+        or numpy arrays of one shape (per-node counts).  A pool draw — pooled
+        encryption or rerandomization — is one multiplication ``online`` and
+        one blinder exponentiation ``offline``, the input-independent phase;
+        a profile measured without a pool has no offline phase and pays the
+        exponentiation on the hot path.  Offline, online and total seconds
+        are sums of the returned values; nothing else in the package
+        multiplies a count by a cost.
         """
-        pooled_cost = self._pooled_cost
-        return (
-            float(counts.get("encryptions", 0)) * self.encryption_seconds
-            + float(counts.get("pooled_encryptions", 0)) * pooled_cost
-            + float(counts.get("rerandomizations", 0)) * pooled_cost
-            + float(counts.get("additions", 0)) * self.addition_seconds
-            + float(counts.get("partial_decryptions", 0)) * self.partial_decryption_seconds
-            + float(counts.get("combinations", 0)) * self.combination_seconds
+        pooled = counts.get("pooled_encryptions", 0)
+        rerandomized = counts.get("rerandomizations", 0)
+        has_pool = self.pooled_encryption_seconds > 0
+        draw_seconds = (
+            self.pooled_encryption_seconds if has_pool else self.encryption_seconds
         )
-
-    def offline_seconds_for_counts(self, counts: Mapping[str, float]) -> float:
-        """*Offline* (input-independent precomputation) seconds for *counts*.
-
-        Every pool-served operation — pooled encryptions and pool-backed
-        rerandomizations — consumed one precomputed blinder, i.e. one full
-        exponentiation executed off the hot path.  Without a pool
-        (``pooled_encryption_seconds == 0``) nothing was precomputed and the
-        offline phase is empty: the full exponentiations are already charged
-        online by :meth:`seconds_for_counts`.
-        """
-        if self.pooled_encryption_seconds <= 0:
-            return 0.0
-        served = (
-            float(counts.get("pooled_encryptions", 0))
-            + float(counts.get("rerandomizations", 0))
-        )
-        return served * self.encryption_seconds
-
-    def phase_seconds_for_counts(
-        self, counts: Mapping[str, float]
-    ) -> dict[str, float]:
-        """Offline/online/total second split for *counts* (keys sum exactly)."""
-        offline = self.offline_seconds_for_counts(counts)
-        online = self.seconds_for_counts(counts)
         return {
-            "offline_seconds": offline,
-            "online_seconds": online,
-            "total_seconds": offline + online,
+            "offline": {
+                "blinder_exponentiations": (pooled + rerandomized)
+                * (self.encryption_seconds if has_pool else 0.0),
+            },
+            "online": {
+                "encryptions": (counts.get("encryptions", 0) - pooled)
+                * self.encryption_seconds,
+                "pooled_encryptions": pooled * draw_seconds,
+                "rerandomizations": rerandomized * draw_seconds,
+                "additions": counts.get("additions", 0) * self.addition_seconds,
+                "partial_decryptions": counts.get("partial_decryptions", 0)
+                * self.partial_decryption_seconds,
+                "combinations": counts.get("combinations", 0)
+                * self.combination_seconds,
+            },
         }
 
 
-def load_reference_profile() -> CryptoCostProfile | None:
-    """Load the committed crypto benchmark profile, when one is available.
-
-    Looks for ``BENCH_crypto.json`` in the working directory and at the
-    repository root; returns ``None`` (callers then omit the seconds
-    metrics or fall back to pure operation counts) when neither exists or
-    the payload is malformed.  The profile is the file's fast column: it
-    prices operations the way a run executes them.
-    """
-    candidates = [
-        Path.cwd() / "BENCH_crypto.json",
-        Path(__file__).resolve().parents[3] / "BENCH_crypto.json",
-    ]
-    for candidate in candidates:
-        if not candidate.is_file():
-            continue
-        try:
-            payload = json.loads(candidate.read_text(encoding="utf-8"))
-            return CryptoCostProfile.from_bench_json(payload, fastmath="auto")
-        except (OSError, ValueError, AnalysisError):
-            return None
-    return None
+#: The price list every run's crypto seconds are computed from: the output of
+#: ``measure_crypto_costs(key_bits=2048, degree=1, threshold=3, n_shares=5,
+#: repetitions=5, fastmath="auto")`` (what ``repro crypto-bench --key-bits 2048
+#: --fastmath auto --repetitions 5`` measures), rounded to four digits.  Once, on
+#: 2026-10-04, on an Intel Xeon @ 2.10 GHz (2 vCPUs), CPython 3.11.7, without
+#: gmpy2 (pure ``int`` arithmetic).  A constant rather than a file, so a run
+#: prices its counts the same wherever it is started from; to compare another
+#: machine, re-run the command and price with its profile.
+REFERENCE_PROFILE = CryptoCostProfile(
+    key_bits=2048,
+    degree=1,
+    keygen_seconds=0.9690,
+    encryption_seconds=8.773e-2,
+    addition_seconds=5.517e-5,
+    partial_decryption_seconds=1.750e-1,
+    combination_seconds=1.911e-3,
+    ciphertext_bytes=511,
+    fastmath="auto",
+    pooled_encryption_seconds=4.896e-5,
+)
 
 
 def measure_crypto_costs(
@@ -414,6 +345,19 @@ class ProtocolWorkload:
         return self.n_clusters * self.ciphertexts_per_estimate
 
     @property
+    def counts_per_iteration(self) -> dict[str, int]:
+        """Per-iteration counts in the vocabulary :meth:`CryptoCostProfile.price`
+        reads (that of :class:`~repro.crypto.backends.OperationCounter`)."""
+        encryptions = self.encryptions_per_iteration
+        return {
+            "encryptions": encryptions,
+            "pooled_encryptions": encryptions if self.amortized_encryptions else 0,
+            "additions": self.additions_per_iteration,
+            "partial_decryptions": self.partial_decryptions_per_iteration,
+            "combinations": self.combinations_per_iteration,
+        }
+
+    @property
     def messages_per_iteration(self) -> int:
         """Messages sent per participant per iteration (gossip + decryption)."""
         gossip = 2 * self.gossip_cycles * self.exchanges_per_cycle
@@ -501,20 +445,13 @@ class CostModel:
         how many devices participate overall.
         """
         iterations = workload.iterations
-        encryption_seconds = self.profile.encryption_seconds
-        if workload.amortized_encryptions and self.profile.pooled_encryption_seconds > 0:
-            encryption_seconds = self.profile.pooled_encryption_seconds
-        encryption = (
-            workload.encryptions_per_iteration * iterations * encryption_seconds
-        )
-        addition = (
-            workload.additions_per_iteration * iterations * self.profile.addition_seconds
-        )
-        decryption = iterations * (
-            workload.partial_decryptions_per_iteration
-            * self.profile.partial_decryption_seconds
-            + workload.combinations_per_iteration * self.profile.combination_seconds
-        )
+        online = self.profile.price({
+            name: count * iterations
+            for name, count in workload.counts_per_iteration.items()
+        })["online"]
+        encryption = online["encryptions"] + online["pooled_encryptions"]
+        addition = online["additions"]
+        decryption = online["partial_decryptions"] + online["combinations"]
         bytes_sent = iterations * workload.modelled_bytes_per_iteration(
             self.profile.ciphertext_bytes
         )

@@ -45,14 +45,14 @@ class CostSummary:
     profile distance, assignment churn and byte spread — quantifying the
     speed/determinism trade-off the concurrent scheduler makes.
 
-    ``offline_seconds`` / ``online_seconds`` split the run's modelled crypto
-    compute between the input-independent precomputation phase (blinder
-    exponentiations filling the pools) and the hot path (pooled multiplies,
-    homomorphic additions, decryptions), priced from the committed
-    ``BENCH_crypto.json`` profile; the two always sum to the total modelled
-    seconds.  ``phase_ops`` carries the per-phase operation counts behind
-    the split.  All three stay ``None`` (keys absent from :meth:`as_dict`)
-    when no benchmark profile was available.
+    ``crypto_counts`` is the run's full operation counter
+    (:meth:`~repro.crypto.backends.OperationCounter.as_dict`); the four count
+    attributes and the phase split are read off it.  ``offline_seconds`` /
+    ``online_seconds`` split its modelled compute, priced by
+    :data:`~repro.analysis.costs.REFERENCE_PROFILE`, between the
+    input-independent precomputation phase (blinder exponentiations filling
+    the pools) and the hot path (pooled multiplies, homomorphic additions,
+    decryptions); ``phase_ops`` carries the operation counts behind the split.
 
     ``phase_seconds`` is only set by the slab engine's sampled path: the
     *measured* wall-clock totals of the bulk loop's phases (assignment,
@@ -66,18 +66,53 @@ class CostSummary:
     n_iterations: int
     messages_sent: int
     bytes_sent: int
-    encryptions: int
-    homomorphic_additions: int
-    partial_decryptions: int
-    combinations: int
+    crypto_counts: Mapping[str, int]
     bytes_sent_modelled: int = 0
     iteration_costs: tuple[Mapping[str, float], ...] = ()
     extrapolated: Mapping[str, Any] | None = None
     envelope: Mapping[str, Any] | None = None
-    offline_seconds: float | None = None
-    online_seconds: float | None = None
-    phase_ops: Mapping[str, Any] | None = None
     phase_seconds: Mapping[str, float] | None = None
+
+    @property
+    def encryptions(self) -> int:
+        return self.crypto_counts["encryptions"]
+
+    @property
+    def homomorphic_additions(self) -> int:
+        return self.crypto_counts["additions"]
+
+    @property
+    def partial_decryptions(self) -> int:
+        return self.crypto_counts["partial_decryptions"]
+
+    @property
+    def combinations(self) -> int:
+        return self.crypto_counts["combinations"]
+
+    def _modelled_seconds(self, phase: str) -> float:
+        # Deferred import: repro.analysis imports this module back for the
+        # quality comparisons.
+        from ..analysis.costs import REFERENCE_PROFILE
+
+        return float(sum(REFERENCE_PROFILE.price(self.crypto_counts)[phase].values()))
+
+    @property
+    def offline_seconds(self) -> float:
+        """Modelled seconds of blinder precomputation behind this run."""
+        return self._modelled_seconds("offline")
+
+    @property
+    def online_seconds(self) -> float:
+        """Modelled hot-path crypto seconds of this run."""
+        return self._modelled_seconds("online")
+
+    @property
+    def phase_ops(self) -> dict[str, dict[str, int]]:
+        """Operation counts per phase: every pool draw (pooled encryption or
+        rerandomization) consumed one blinder exponentiated offline."""
+        counts = self.crypto_counts
+        drawn = counts.get("pooled_encryptions", 0) + counts.get("rerandomizations", 0)
+        return {"offline": {"blinder_exponentiations": drawn}, "online": dict(counts)}
 
     @property
     def messages_per_participant(self) -> float:
@@ -148,17 +183,12 @@ class CostSummary:
             view["extrapolated"] = dict(self.extrapolated)
         if self.envelope is not None:
             view["envelope"] = dict(self.envelope)
-        # The phase split needs the committed benchmark profile; keys are
-        # absent (not zero) when none was found, for the same reason.
-        if self.offline_seconds is not None:
-            view["offline_seconds"] = float(self.offline_seconds)
-        if self.online_seconds is not None:
-            view["online_seconds"] = float(self.online_seconds)
-        if self.phase_ops is not None:
-            view["phase_ops"] = {
-                phase: {key: float(value) for key, value in ops.items()}
-                for phase, ops in self.phase_ops.items()
-            }
+        view["offline_seconds"] = self.offline_seconds
+        view["online_seconds"] = self.online_seconds
+        view["phase_ops"] = {
+            phase: {key: float(value) for key, value in ops.items()}
+            for phase, ops in self.phase_ops.items()
+        }
         # Per-phase wall-clock of the slab engine's bulk loop (absent for
         # the object engine and for full-measured slab runs).
         if self.phase_seconds is not None:

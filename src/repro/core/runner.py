@@ -219,23 +219,21 @@ def build_run_setup(
         packing_value_bound=_packed_slot_bound(config, series_length, value_bound),
         packing_weight_bits=packed_halving_budget,
     )
-    if hasattr(backend, "configure_pool"):
-        # Size the amortized blinder pool from the cost model's per-round
-        # encryption demand (deferred import: repro.analysis imports this
-        # module back for the quality comparisons).
-        from ..analysis.costs import ProtocolWorkload
+    # Size the amortized blinder pool from the cost model's per-round
+    # encryption demand (deferred import: repro.analysis imports this
+    # module back for the quality comparisons).
+    from ..analysis.costs import ProtocolWorkload
 
-        demand = ProtocolWorkload(
-            n_clusters=config.kmeans.n_clusters,
-            series_length=series_length,
-            iterations=config.kmeans.max_iterations,
-            gossip_cycles=config.gossip.cycles_per_aggregation,
-            exchanges_per_cycle=config.gossip.exchanges_per_cycle,
-            threshold=config.crypto.threshold,
-            slots=backend.packing.slots if backend.packing is not None else 1,
-            amortized_encryptions=True,
-        )
-        backend.configure_pool(demand.encryptions_per_iteration)
+    demand = ProtocolWorkload(
+        n_clusters=config.kmeans.n_clusters,
+        series_length=series_length,
+        iterations=config.kmeans.max_iterations,
+        gossip_cycles=config.gossip.cycles_per_aggregation,
+        exchanges_per_cycle=config.gossip.exchanges_per_cycle,
+        threshold=config.crypto.threshold,
+        slots=backend.packing.slots if backend.packing is not None else 1,
+    )
+    backend.configure_pool(demand.encryptions_per_iteration)
     check_headroom(
         backend,
         value_bound=max(value_bound, 1.0),
@@ -343,58 +341,32 @@ def assemble_result(
         n_participants=setup.n_participants,
     )
     wire_info = setup.wire_info()
-    # Phase-tagged compute accounting: price the full operation counter
-    # (pooled encryptions and rerandomizations included) with the committed
-    # benchmark profile, splitting input-independent blinder precomputation
-    # (offline) from the hot path (online).  Deferred import: repro.analysis
-    # imports this module back for the quality comparisons.
-    from ..analysis.costs import load_reference_profile
-
-    profile = load_reference_profile()
-    offline_seconds: float | None = None
-    online_seconds: float | None = None
-    phase_ops: dict[str, dict[str, int]] | None = None
-    if profile is not None:
-        phases = profile.phase_seconds_for_counts(crypto_counts)
-        offline_seconds = phases["offline_seconds"]
-        online_seconds = phases["online_seconds"]
-        served = (
-            int(crypto_counts.get("pooled_encryptions", 0))
-            + int(crypto_counts.get("rerandomizations", 0))
-            if profile.pooled_encryption_seconds > 0
-            else 0
-        )
-        phase_ops = {
-            "offline": {"blinder_exponentiations": served},
-            "online": {str(key): int(value) for key, value in crypto_counts.items()},
-        }
     costs = CostSummary(
         n_participants=setup.n_participants,
         n_iterations=n_iterations,
         messages_sent=messages_sent,
         bytes_sent=bytes_sent,
-        encryptions=crypto_counts["encryptions"],
-        homomorphic_additions=crypto_counts["additions"],
-        partial_decryptions=crypto_counts["partial_decryptions"],
-        combinations=crypto_counts["combinations"],
+        crypto_counts=crypto_counts,
         bytes_sent_modelled=bytes_modelled,
         iteration_costs=tuple(
             {str(key): float(value) for key, value in record.costs.items()}
             for record in log
         ),
-        offline_seconds=offline_seconds,
-        online_seconds=online_seconds,
-        phase_ops=phase_ops,
     )
     per_participant_profiles = {
         outcome.node_id: outcome.profiles.copy() for outcome in ordered
     }
+    # Deferred import: repro.analysis imports this module back for the
+    # quality comparisons.
+    from ..analysis.costs import REFERENCE_PROFILE
+
     metadata: dict[str, Any] = {
         "normalization": setup.transform,
         "tracked_participants": setup.tracked_ids,
         "dataset": collection_name,
         "packing": setup.packing_info(),
         "wire": wire_info,
+        "cost_profile": REFERENCE_PROFILE.as_dict(),
     }
     if extra_metadata:
         metadata.update(extra_metadata)

@@ -7,8 +7,8 @@ gossip, convergence — as vectorised struct-of-arrays operations over the
 whole population (see :mod:`repro.simulation.slab`), while the *crypto* path
 (Damgård–Jurik, packing, wire frames) executes for real only on a
 statistically chosen node sample.  A bootstrap extrapolator calibrated
-against the sample's measured per-node operation counts and wire bytes, plus
-the committed ``BENCH_crypto.json`` per-operation timings, reports the
+against the sample's measured per-node operation counts and wire bytes,
+priced by :data:`~repro.analysis.costs.REFERENCE_PROFILE`, reports the
 population-total crypto cost with confidence intervals (the methodology of
 Section III.B: real measurement on what fits, extrapolation for the rest).
 
@@ -40,10 +40,9 @@ from typing import Any, Iterator
 import numpy as np
 
 from ..analysis.costs import (
-    CryptoCostProfile,
+    REFERENCE_PROFILE,
     ExtrapolatedCost,
     bootstrap_extrapolate,
-    load_reference_profile,
 )
 from ..clustering.kmeans import public_initial_centroids
 from ..config import ChiaroscuroConfig
@@ -75,19 +74,6 @@ from .runner import (
     prepare_data,
     run_chiaroscuro,
     run_to_completion,
-)
-
-#: Metrics the sampled-crypto extrapolator reports population totals for.
-EXTRAPOLATED_METRICS = (
-    "encryptions",
-    "homomorphic_additions",
-    "partial_decryptions",
-    "combinations",
-    "messages_sent",
-    "bytes_sent",
-    "crypto_seconds",
-    "offline_seconds",
-    "online_seconds",
 )
 
 #: Key prefix of the per-iteration phase wall-clock series in the execution
@@ -255,51 +241,6 @@ def _run_crypto_sample(
     }
 
 
-def _per_node_seconds(
-    per_node_ops: dict[str, np.ndarray], profile: CryptoCostProfile
-) -> np.ndarray:
-    """Per-node *online* crypto seconds implied by per-node operation counts.
-
-    Pool-served operations — pooled encryptions and rerandomizations, which
-    draw a precomputed blinder and are a single multiplication on the hot
-    path — are charged the amortized pooled cost; the blinder
-    exponentiations they consumed are offline work
-    (:func:`_per_node_offline_seconds`).
-    """
-    pooled_cost = (
-        profile.pooled_encryption_seconds
-        if profile.pooled_encryption_seconds > 0
-        else profile.encryption_seconds
-    )
-    weights = {
-        "encryptions": profile.encryption_seconds,
-        "pooled_encryptions": pooled_cost,
-        "rerandomizations": pooled_cost,
-        "additions": profile.addition_seconds,
-        "partial_decryptions": profile.partial_decryption_seconds,
-        "combinations": profile.combination_seconds,
-    }
-    seconds = np.zeros(next(iter(per_node_ops.values())).shape[0])
-    for key, weight in weights.items():
-        if key in per_node_ops:
-            seconds += per_node_ops[key] * weight
-    return seconds
-
-
-def _per_node_offline_seconds(
-    per_node_ops: dict[str, np.ndarray], profile: CryptoCostProfile
-) -> np.ndarray:
-    """Per-node *offline* (precomputed blinder) seconds for operation counts."""
-    shape = next(iter(per_node_ops.values())).shape[0]
-    if profile.pooled_encryption_seconds <= 0:
-        return np.zeros(shape)
-    served = np.zeros(shape)
-    for key in ("pooled_encryptions", "rerandomizations"):
-        if key in per_node_ops:
-            served = served + per_node_ops[key]
-    return served * profile.encryption_seconds
-
-
 def _bulk_noise_free_means(
     data: np.ndarray,
     assigned: np.ndarray,
@@ -341,31 +282,15 @@ def run_slab_chiaroscuro(
 ) -> ChiaroscuroResult:
     """Run Chiaroscuro with the slab population engine (see module docstring)."""
     config = config if config is not None else ChiaroscuroConfig()
-    profile = load_reference_profile()
-    full = config.runtime.crypto_sample_fraction >= 1.0
-    run = _run_full_measured if full else _run_sampled
-    return run(
-        collection, config, profile,
-        normalize=normalize,
-        n_tracked_participants=n_tracked_participants,
-        max_extra_cycles=max_extra_cycles,
-    )
-
-
-def _run_full_measured(
-    collection: TimeSeriesCollection,
-    config: ChiaroscuroConfig,
-    profile: CryptoCostProfile | None,
-    normalize: bool,
-    n_tracked_participants: int,
-    max_extra_cycles: int,
-) -> ChiaroscuroResult:
-    """Sampling fraction 1.0: delegate to the object engine (bit-identical)
-    and attach the measured population-cost block."""
-    object_config = config.with_overrides(runtime={"engine": "object"})
+    if config.runtime.crypto_sample_fraction < 1.0:
+        return _run_sampled(
+            collection, config, normalize, n_tracked_participants, max_extra_cycles
+        )
+    # Sampling fraction 1.0: delegate to the object engine (bit-identical)
+    # and attach the measured population-cost block.
     result = run_chiaroscuro(
         collection,
-        object_config,
+        config.with_overrides(runtime={"engine": "object"}),
         normalize=normalize,
         n_tracked_participants=n_tracked_participants,
         max_extra_cycles=max_extra_cycles,
@@ -378,15 +303,10 @@ def _run_full_measured(
         "combinations": float(costs.combinations),
         "messages_sent": float(costs.messages_sent),
         "bytes_sent": float(costs.bytes_sent),
+        "online_seconds": costs.online_seconds,
+        "offline_seconds": costs.offline_seconds,
+        "crypto_seconds": costs.online_seconds + costs.offline_seconds,
     }
-    if profile is not None:
-        # assemble_result priced the full operation counter (pooled
-        # encryptions and rerandomizations included) with this same profile.
-        measured["online_seconds"] = float(costs.online_seconds)
-        measured["offline_seconds"] = float(costs.offline_seconds)
-        measured["crypto_seconds"] = (
-            measured["online_seconds"] + measured["offline_seconds"]
-        )
     extrapolated = ExtrapolatedCost(
         population=costs.n_participants,
         sample_size=costs.n_participants,
@@ -398,7 +318,6 @@ def _run_full_measured(
         **_engine_metadata(config),
         "population": costs.n_participants,
         "sample_size": costs.n_participants,
-        "cost_profile": profile.as_dict() if profile is not None else None,
     }
     return result
 
@@ -406,7 +325,6 @@ def _run_full_measured(
 def _run_sampled(
     collection: TimeSeriesCollection,
     config: ChiaroscuroConfig,
-    profile: CryptoCostProfile | None,
     normalize: bool,
     n_tracked_participants: int,
     max_extra_cycles: int,
@@ -656,6 +574,9 @@ def _run_sampled(
         iterations = max(1, iteration)
         factor = iterations / max(1, sample["iterations"])
         ops = sample["per_node_ops"]
+        priced = REFERENCE_PROFILE.price(ops)
+        online = sum(priced["online"].values()) * factor
+        offline = sum(priced["offline"].values()) * factor
         metrics: dict[str, np.ndarray] = {
             "encryptions": ops["encryptions"] * factor,
             "homomorphic_additions": ops["additions"] * factor,
@@ -663,13 +584,10 @@ def _run_sampled(
             "combinations": ops["combinations"] * factor,
             "messages_sent": sample["per_node_messages"] * factor,
             "bytes_sent": sample["per_node_bytes"] * factor,
+            "online_seconds": online,
+            "offline_seconds": offline,
+            "crypto_seconds": online + offline,
         }
-        if profile is not None:
-            online = _per_node_seconds(ops, profile) * factor
-            offline = _per_node_offline_seconds(ops, profile) * factor
-            metrics["online_seconds"] = online
-            metrics["offline_seconds"] = offline
-            metrics["crypto_seconds"] = online + offline
         extrapolated = bootstrap_extrapolate(
             metrics,
             population=population,
@@ -694,10 +612,7 @@ def _run_sampled(
         n_iterations=iterations,
         messages_sent=traffic.messages_sent,
         bytes_sent=traffic.bytes_sent,
-        encryptions=crypto["encryptions"],
-        homomorphic_additions=crypto["additions"],
-        partial_decryptions=crypto["partial_decryptions"],
-        combinations=crypto["combinations"],
+        crypto_counts=crypto,
         bytes_sent_modelled=traffic.bytes_modelled,
         iteration_costs=tuple(
             {str(key): float(value) for key, value in record.costs.items()}
@@ -725,8 +640,8 @@ def _run_sampled(
             "bulk_bytes_modelled": bulk_bytes,
             "bulk_dropped_frames": bulk_dropped,
             "bulk_corrupted_frames": bulk_corrupted,
-            "cost_profile": profile.as_dict() if profile is not None else None,
         },
+        "cost_profile": REFERENCE_PROFILE.as_dict(),
     }
     return ChiaroscuroResult(
         profiles=centroids,

@@ -488,6 +488,10 @@ class CipherBackend(ABC):
         return self.codec.decode_vector(plaintexts)
 
     # ------------------------------------------------------------------ process lifecycle
+    def configure_pool(self, expected_per_round: int) -> None:
+        """Prepare for *expected_per_round* hot-path encryptions per protocol
+        round.  Backends without precomputed randomness have nothing to do."""
+
     def after_fork(self) -> None:
         """Make a backend inherited through ``fork`` safe to encrypt with.
 
@@ -795,21 +799,10 @@ def make_backend(
     shares); ``packing_weight_bits`` is the per-slot headroom for gossip
     halvings.
     """
-    if backend == "damgard_jurik":
+    if backend in ("damgard_jurik", "paillier"):
         return DamgardJurikBackend(
             key_bits=key_bits,
-            degree=degree,
-            threshold=threshold,
-            n_shares=n_shares,
-            encoding_scale=encoding_scale,
-            packing=packing,
-            packing_value_bound=packing_value_bound,
-            packing_weight_bits=packing_weight_bits,
-        )
-    if backend == "paillier":
-        return DamgardJurikBackend(
-            key_bits=key_bits,
-            degree=1,
+            degree=1 if backend == "paillier" else degree,
             threshold=threshold,
             n_shares=n_shares,
             encoding_scale=encoding_scale,

@@ -36,7 +36,7 @@ DEFAULT_METRICS = (
     "messages_per_participant",
     "bytes_per_participant",
     "wall_clock_seconds",
-    # Phase-tagged crypto compute (absent without a committed BENCH profile).
+    # Phase-tagged crypto compute, priced by analysis.costs.REFERENCE_PROFILE.
     "offline_seconds",
     "online_seconds",
     # Nondeterminism envelope of concurrent live runs (absent otherwise).
@@ -87,6 +87,8 @@ def _flat_row(spec: ExperimentSpec, cell: ScenarioCell, row: Mapping[str, Any],
         "bytes_sent": result.get("costs", {}).get("bytes_sent"),
         "messages_sent": result.get("costs", {}).get("messages_sent"),
         "encryptions": result.get("costs", {}).get("encryptions"),
+        "offline_seconds": result.get("costs", {}).get("offline_seconds"),
+        "online_seconds": result.get("costs", {}).get("online_seconds"),
         "profiles_digest": result.get("profiles_digest"),
         "wall_clock_seconds": row.get("timing", {}).get("wall_clock_seconds"),
     })
@@ -94,11 +96,6 @@ def _flat_row(spec: ExperimentSpec, cell: ScenarioCell, row: Mapping[str, Any],
     # them under an "envelope." prefix so they render as ordinary columns.
     for key, value in (result.get("costs", {}).get("envelope") or {}).items():
         flat[f"envelope.{key}"] = value
-    # Offline/online phase split (present only when the run found a
-    # committed benchmark profile to price its operation counts with).
-    for key in ("offline_seconds", "online_seconds"):
-        if key in result.get("costs", {}):
-            flat[key] = result["costs"][key]
     # Measured slab phase profile; flatten under a "phase_seconds." prefix
     # so each phase renders as an ordinary column.
     for key, value in (result.get("costs", {}).get("phase_seconds") or {}).items():

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.analysis import CostModel, CryptoCostProfile, ProtocolWorkload, measure_crypto_costs
+from repro.analysis.costs import REFERENCE_PROFILE, bootstrap_extrapolate
 from repro.exceptions import AnalysisError, ValidationError
 
 
@@ -55,6 +59,22 @@ class TestWorkload:
             ProtocolWorkload(0, 24, 5, 4, 1, 3)
 
 
+def phase_seconds(profile, counts):
+    """(offline, online) seconds of *counts*: the sums ``price`` is read by."""
+    priced = profile.price(counts)
+    return sum(priced["offline"].values()), sum(priced["online"].values())
+
+
+SYNTHETIC_UNPOOLED = CryptoCostProfile(
+    key_bits=2048, degree=1, keygen_seconds=1.0, encryption_seconds=0.01,
+    addition_seconds=1e-4, partial_decryption_seconds=0.02,
+    combination_seconds=0.03, ciphertext_bytes=512,
+)
+SYNTHETIC_POOLED = replace(
+    SYNTHETIC_UNPOOLED, fastmath="auto", pooled_encryption_seconds=0.001
+)
+
+
 class TestCostModel:
     def test_estimate_components_add_up(self, measured_profile, workload):
         model = CostModel(measured_profile)
@@ -82,12 +102,7 @@ class TestCostModel:
             CostModel(measured_profile).sweep_population(workload, [])
 
     def test_synthetic_profile_usable_without_measurement(self, workload):
-        profile = CryptoCostProfile(
-            key_bits=2048, degree=1, keygen_seconds=1.0, encryption_seconds=0.01,
-            addition_seconds=1e-4, partial_decryption_seconds=0.02,
-            combination_seconds=0.03, ciphertext_bytes=512,
-        )
-        estimate = CostModel(profile).estimate(workload)
+        estimate = CostModel(SYNTHETIC_UNPOOLED).estimate(workload)
         # 10 iterations * 2*5*49 encryptions * 10 ms each = 49 s of encryption time.
         assert estimate.encryption_seconds == pytest.approx(10 * 2 * 5 * 49 * 0.01)
 
@@ -95,49 +110,107 @@ class TestCostModel:
 class TestPhaseSplit:
     """Offline/online phase attribution of pool-served operations."""
 
-    @pytest.fixture()
-    def pooled_profile(self):
-        return CryptoCostProfile(
-            key_bits=2048, degree=1, keygen_seconds=1.0, encryption_seconds=0.01,
-            addition_seconds=1e-4, partial_decryption_seconds=0.02,
-            combination_seconds=0.03, ciphertext_bytes=512,
-            fastmath="auto", pooled_encryption_seconds=0.001,
-        )
-
-    def test_rerandomizations_are_charged_the_pooled_cost(self, pooled_profile):
+    def test_rerandomizations_are_charged_the_pooled_cost(self):
         """Regression: a rerandomization draws a blinder from the same pool
         as a pooled encryption and is one multiplication on the hot path —
         it must never be billed a full fresh exponentiation online."""
-        counts = {"pooled_encryptions": 10, "rerandomizations": 5}
-        assert pooled_profile.seconds_for_counts(counts) \
-            == pytest.approx(15 * 0.001)
+        counts = {"encryptions": 10, "pooled_encryptions": 10, "rerandomizations": 5}
+        _, online = phase_seconds(SYNTHETIC_POOLED, counts)
+        assert online == pytest.approx(15 * 0.001)
 
-    def test_offline_charges_one_exponentiation_per_pool_draw(self, pooled_profile):
-        counts = {"pooled_encryptions": 10, "rerandomizations": 5,
-                  "additions": 100}
-        assert pooled_profile.offline_seconds_for_counts(counts) \
-            == pytest.approx(15 * 0.01)
+    def test_offline_charges_one_exponentiation_per_pool_draw(self):
+        counts = {"encryptions": 10, "pooled_encryptions": 10,
+                  "rerandomizations": 5, "additions": 100}
+        offline, _ = phase_seconds(SYNTHETIC_POOLED, counts)
+        assert offline == pytest.approx(15 * 0.01)
 
-    def test_phases_sum_to_the_total(self, pooled_profile):
-        counts = {"encryptions": 3, "pooled_encryptions": 10,
+    def test_fresh_encryptions_are_the_ones_the_pool_did_not_serve(self):
+        """``pooled_encryptions`` is a subset of ``encryptions`` (that is how
+        the backends count): only the remainder is a hot-path exponentiation."""
+        priced = SYNTHETIC_POOLED.price({"encryptions": 13, "pooled_encryptions": 10})
+        assert priced["online"]["encryptions"] == pytest.approx(3 * 0.01)
+        assert priced["online"]["pooled_encryptions"] == pytest.approx(10 * 0.001)
+
+    def test_phases_sum_to_the_total(self):
+        counts = {"encryptions": 13, "pooled_encryptions": 10,
                   "rerandomizations": 5, "additions": 100,
                   "partial_decryptions": 7, "combinations": 2}
-        phases = pooled_profile.phase_seconds_for_counts(counts)
-        assert phases["total_seconds"] == pytest.approx(
-            phases["offline_seconds"] + phases["online_seconds"]
+        offline, online = phase_seconds(SYNTHETIC_POOLED, counts)
+        assert offline == pytest.approx(15 * 0.01)
+        assert online == pytest.approx(
+            3 * 0.01 + 15 * 0.001 + 100 * 1e-4 + 7 * 0.02 + 2 * 0.03
         )
-        assert phases["offline_seconds"] > 0
 
-    def test_without_a_pool_everything_is_online(self, workload):
-        profile = CryptoCostProfile(
-            key_bits=2048, degree=1, keygen_seconds=1.0, encryption_seconds=0.01,
-            addition_seconds=1e-4, partial_decryption_seconds=0.02,
-            combination_seconds=0.03, ciphertext_bytes=512,
-        )
-        counts = {"pooled_encryptions": 10, "rerandomizations": 5}
-        assert profile.offline_seconds_for_counts(counts) == 0.0
+    def test_without_a_pool_everything_is_online(self):
+        counts = {"encryptions": 10, "pooled_encryptions": 10, "rerandomizations": 5}
+        offline, online = phase_seconds(SYNTHETIC_UNPOOLED, counts)
+        assert offline == 0.0
         # With no pool the full exponentiation happens on the hot path.
-        assert profile.seconds_for_counts(counts) == pytest.approx(15 * 0.01)
+        assert online == pytest.approx(15 * 0.01)
+
+    def test_per_node_arrays_price_like_their_sums(self):
+        """Pricing ``(sample,)``-shaped per-node counts and summing is pricing
+        the summed counts — and the total ``bootstrap_extrapolate`` reports
+        when the sample is the whole population."""
+        rng = np.random.default_rng(5)
+        per_node = {
+            key: rng.integers(0, 500, size=9).astype(float)
+            for key in ("additions", "partial_decryptions", "combinations",
+                        "pooled_encryptions", "rerandomizations")
+        }
+        per_node["encryptions"] = per_node["pooled_encryptions"] + 2.0
+        offline, online = phase_seconds(SYNTHETIC_POOLED, per_node)
+        assert offline.shape == online.shape == (9,)
+        summed = {key: values.sum() for key, values in per_node.items()}
+        total_offline, total_online = phase_seconds(SYNTHETIC_POOLED, summed)
+        assert offline.sum() == pytest.approx(total_offline, rel=1e-12)
+        assert online.sum() == pytest.approx(total_online, rel=1e-12)
+        measured = bootstrap_extrapolate(
+            {"offline_seconds": offline, "online_seconds": online}, population=9
+        ).totals
+        assert measured["offline_seconds"][0] == pytest.approx(total_offline, rel=1e-12)
+        assert measured["online_seconds"][0] == pytest.approx(total_online, rel=1e-12)
+
+    @pytest.mark.parametrize("profile", [SYNTHETIC_UNPOOLED, SYNTHETIC_POOLED])
+    @pytest.mark.parametrize("amortized", [False, True])
+    def test_cost_model_is_the_pricing_of_the_workload_counts(self, profile, amortized):
+        workload = ProtocolWorkload(
+            n_clusters=5, series_length=48, iterations=10, gossip_cycles=12,
+            exchanges_per_cycle=1, threshold=3, amortized_encryptions=amortized,
+        )
+        estimate = CostModel(profile).estimate(workload)
+        _, online = phase_seconds(profile, {
+            name: count * workload.iterations
+            for name, count in workload.counts_per_iteration.items()
+        })
+        assert estimate.total_compute_seconds == pytest.approx(online, rel=1e-12)
+        per_encryption = (
+            profile.pooled_encryption_seconds
+            if amortized and profile.pooled_encryption_seconds > 0
+            else profile.encryption_seconds
+        )
+        assert estimate.encryption_seconds == pytest.approx(
+            10 * 2 * 5 * 49 * per_encryption
+        )
+
+
+class TestReferenceProfile:
+    """The one committed price list: what each name on it must mean."""
+
+    def test_encryption_is_a_fresh_exponentiation(self):
+        assert REFERENCE_PROFILE.encryption_seconds \
+            >= 100 * REFERENCE_PROFILE.pooled_encryption_seconds > 0
+
+    def test_addition_is_a_ciphertext_multiplication(self):
+        assert 0 < REFERENCE_PROFILE.addition_seconds \
+            < REFERENCE_PROFILE.partial_decryption_seconds / 100
+
+    def test_price_weights_counters(self):
+        priced = REFERENCE_PROFILE.price({"encryptions": 10})
+        assert priced["online"]["encryptions"] == pytest.approx(
+            10 * REFERENCE_PROFILE.encryption_seconds
+        )
+        assert phase_seconds(REFERENCE_PROFILE, {}) == (0.0, 0.0)
 
 
 class TestByteAccounting:
@@ -196,55 +269,3 @@ class TestByteAccounting:
         assert accounting.bytes_measured == 1050.0
         assert accounting.bytes_modelled == 1000.0
         assert accounting.overhead_fraction == pytest.approx(0.05)
-
-
-class TestLoadReferenceProfile:
-    """A missing or unreadable benchmark file means "no seconds metrics";
-    a bug in the loader must not look like one."""
-
-    @pytest.fixture()
-    def nowhere(self, tmp_path, monkeypatch):
-        """No ``BENCH_crypto.json`` in the working directory or at the root
-        the module derives from its own location."""
-        from repro.analysis import costs
-
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(costs, "__file__", str(tmp_path / "src/repro/analysis/costs.py"))
-        return tmp_path
-
-    def test_committed_file_gives_the_fast_column(self):
-        import json
-        from pathlib import Path
-
-        from repro.analysis.costs import load_reference_profile
-
-        payload = json.loads(
-            (Path(__file__).resolve().parents[1] / "BENCH_crypto.json").read_text()
-        )
-        assert load_reference_profile() == CryptoCostProfile.from_bench_json(
-            payload, fastmath="auto"
-        )
-
-    def test_absent_file_gives_none(self, nowhere):
-        from repro.analysis.costs import load_reference_profile
-
-        assert load_reference_profile() is None
-
-    @pytest.mark.parametrize("text", ["{not json", "[]", '{"operations": {}}'])
-    def test_malformed_file_gives_none(self, nowhere, text):
-        from repro.analysis.costs import load_reference_profile
-
-        (nowhere / "BENCH_crypto.json").write_text(text, encoding="utf-8")
-        assert load_reference_profile() is None
-
-    def test_programming_error_propagates(self, nowhere, monkeypatch):
-        from repro.analysis.costs import load_reference_profile
-
-        (nowhere / "BENCH_crypto.json").write_text("{}", encoding="utf-8")
-
-        def stale_signature(payload):  # a call site this PR could have missed
-            raise AssertionError("unreachable")
-
-        monkeypatch.setattr(CryptoCostProfile, "from_bench_json", stale_signature)
-        with pytest.raises(TypeError):
-            load_reference_profile()

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.analysis.costs import REFERENCE_PROFILE
 from repro.cli import build_parser, main
 
 
@@ -89,6 +90,24 @@ class TestCommands:
         assert payload["summary"]["n_clusters"] == 2
         assert payload["summary"]["n_participants"] == 24
         assert payload["guarantee"]["epsilon"] <= 4.0 + 1e-9
+
+    def test_phase_split_of_the_ci_run(self, capsys):
+        """The run CI's phase-split step makes.  Regression: the price list
+        used to bill a blinder exponentiation at the pooled multiply's 50 us
+        and an addition at a 0.11 s halving, so additions were 81 % of the
+        online seconds."""
+        assert main([
+            "run", "--dataset", "gaussian", "--participants", "12", "--clusters", "2",
+            "--iterations", "3", "--gossip-cycles", "4", "--noise-shares", "4", "--json",
+        ]) == 0
+        costs = json.loads(capsys.readouterr().out)["costs"]
+        counts = costs["phase_ops"]["online"]
+        assert costs["offline_seconds"] == (
+            (counts["pooled_encryptions"] + counts["rerandomizations"])
+            * REFERENCE_PROFILE.encryption_seconds
+        ) > 0
+        additions = REFERENCE_PROFILE.price(counts)["online"]["additions"]
+        assert 0 < additions < 0.01 * costs["online_seconds"]
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_concurrent_stepping_without_live_is_refused(self, command, capsys):

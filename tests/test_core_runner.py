@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import ChiaroscuroConfig, run_chiaroscuro
+from repro.analysis.costs import REFERENCE_PROFILE
 from repro.baselines import centralized_kmeans
 from repro.clustering import adjusted_rand_index
 from repro.core.runner import (
@@ -129,19 +130,27 @@ class TestRunOutcome:
         as_dict = costs.as_dict()
         assert as_dict["messages_per_participant"] > 0
 
-    def test_phase_split_attached_from_the_committed_profile(self, result):
-        """With BENCH_crypto.json at the repo root every run result carries
-        the offline/online phase split, and the phases sum to the total
-        modelled crypto seconds."""
+    def test_phase_split_priced_by_the_reference_profile(self, result):
+        """Every run result carries the offline/online phase split of its
+        operation counts, priced by ``REFERENCE_PROFILE``."""
         costs = result.costs
-        assert costs.offline_seconds is not None
-        assert costs.online_seconds is not None
-        assert costs.online_seconds > 0.0
-        assert costs.offline_seconds >= 0.0
+        priced = REFERENCE_PROFILE.price(costs.crypto_counts)
+        assert costs.online_seconds == sum(priced["online"].values()) > 0.0
+        assert costs.offline_seconds == sum(priced["offline"].values()) >= 0.0
         as_dict = costs.as_dict()
         assert as_dict["online_seconds"] == costs.online_seconds
         assert set(as_dict["phase_ops"]) == {"offline", "online"}
         assert as_dict["phase_ops"]["online"]["encryptions"] == costs.encryptions
+        assert result.metadata["cost_profile"] == REFERENCE_PROFILE.as_dict()
+
+    def test_costs_do_not_depend_on_the_working_directory(
+        self, result, collection, fast_config, tmp_path, monkeypatch
+    ):
+        """The seconds used to come from a file looked up in the working
+        directory; a run started anywhere else silently lost them."""
+        monkeypatch.chdir(tmp_path)
+        elsewhere = run_chiaroscuro(collection, fast_config)
+        assert elsewhere.costs.as_dict() == result.costs.as_dict()
 
     def test_execution_log_populated(self, result):
         assert len(result.log) >= 1

@@ -69,8 +69,8 @@ class TestScenarioRows:
         assert scenario_rows(spec, empty) == []
 
     def test_rows_carry_the_phase_split(self, executed):
-        """The committed BENCH profile prices every stored run, so report
-        rows surface the offline/online crypto-second split as columns."""
+        """``REFERENCE_PROFILE`` prices every stored run, so report rows
+        surface the offline/online crypto-second split as columns."""
         spec, store = executed
         for row in scenario_rows(spec, store):
             assert row["online_seconds"] > 0

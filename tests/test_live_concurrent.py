@@ -187,15 +187,14 @@ class TestEnvelopeMath:
         assert envelope["byte_spread"] == 0.0
 
     def test_cost_summary_omits_absent_envelope(self):
+        counts = {"encryptions": 4, "additions": 2, "partial_decryptions": 2,
+                  "combinations": 1}
         costs = CostSummary(n_participants=4, n_iterations=1,
-                            messages_sent=8, bytes_sent=100, encryptions=4,
-                            homomorphic_additions=2, partial_decryptions=2,
-                            combinations=1)
+                            messages_sent=8, bytes_sent=100, crypto_counts=counts)
         assert "envelope" not in costs.as_dict()
         tagged = CostSummary(n_participants=4, n_iterations=1,
-                             messages_sent=8, bytes_sent=100, encryptions=4,
-                             homomorphic_additions=2, partial_decryptions=2,
-                             combinations=1, envelope={"byte_spread": 0.1})
+                             messages_sent=8, bytes_sent=100, crypto_counts=counts,
+                             envelope={"byte_spread": 0.1})
         assert tagged.as_dict()["envelope"] == {"byte_spread": 0.1}
 
 

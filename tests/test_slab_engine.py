@@ -2,7 +2,7 @@
 
 Covers the struct-of-arrays primitives (churn, pairing, averaging, the
 shard coordinator) and the cost extrapolation machinery
-(``CryptoCostProfile.from_bench_json``, ``bootstrap_extrapolate``).  The
+(``bootstrap_extrapolate``).  The
 determinism contract under test: the slab churn step consumes its random
 stream with exactly the same shapes as ``CycleEngine._apply_churn``, and
 shard-count never changes results.  End-to-end slab-vs-object equivalence
@@ -12,18 +12,13 @@ lives in ``test_slab_equivalence.py``.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.costs import (
-    CryptoCostProfile,
-    ExtrapolatedCost,
-    bootstrap_extrapolate,
-)
+from repro.analysis.costs import ExtrapolatedCost, bootstrap_extrapolate
 from repro.exceptions import AnalysisError, SimulationError
 from repro.simulation import (
     CycleEngine,
@@ -35,8 +30,6 @@ from repro.simulation import (
     pair_online,
     slab_churn_step,
 )
-
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_crypto.json"
 
 
 class IdleNode(Node):
@@ -249,34 +242,6 @@ class TestBootstrapExtrapolate:
         assert view["totals"]["ops"]["estimate"] == 6.0
         # JSON-serialisable for the result store.
         json.dumps(view)
-
-
-class TestCryptoCostProfileFromBench:
-    def test_reads_committed_bench_file(self):
-        payload = json.loads(BENCH_PATH.read_text())
-        profile = CryptoCostProfile.from_bench_json(payload)
-        assert profile.encryption_seconds > 0
-        assert profile.partial_decryption_seconds > 0
-        assert profile.combination_seconds > 0
-        # 2048-bit modulus, degree 1: ciphertexts live in n^2.
-        assert profile.ciphertext_bytes == (2048 // 8) * 2
-
-    def test_fastmath_column_differs(self):
-        payload = json.loads(BENCH_PATH.read_text())
-        off = CryptoCostProfile.from_bench_json(payload, fastmath="off")
-        fast = CryptoCostProfile.from_bench_json(payload, fastmath="auto")
-        assert fast.encryption_seconds < off.encryption_seconds
-
-    def test_malformed_payload_rejected(self):
-        with pytest.raises(AnalysisError):
-            CryptoCostProfile.from_bench_json({"operations": {}})
-
-    def test_seconds_for_counts_weights_counters(self):
-        payload = json.loads(BENCH_PATH.read_text())
-        profile = CryptoCostProfile.from_bench_json(payload)
-        seconds = profile.seconds_for_counts({"encryptions": 10})
-        assert seconds == pytest.approx(10 * profile.encryption_seconds)
-        assert profile.seconds_for_counts({}) == 0.0
 
 
 class TestExtrapolatedCost:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis.costs import REFERENCE_PROFILE
 from repro.clustering.kmeans import reseed_centroid
 from repro.config import ChiaroscuroConfig
 from repro.core.runner import run_chiaroscuro
@@ -58,6 +59,10 @@ class TestFullSamplingIsObjectMode:
         # Full sampling: intervals are degenerate, totals match the counters.
         assert totals["encryptions"]["estimate"] == result.costs.encryptions
         assert totals["encryptions"]["low"] == totals["encryptions"]["high"]
+        # ... and the priced seconds are the cost summary's own.
+        assert totals["offline_seconds"]["estimate"] == result.costs.offline_seconds
+        assert totals["online_seconds"]["estimate"] == result.costs.online_seconds
+        assert result.metadata["cost_profile"] == REFERENCE_PROFILE.as_dict()
         assert result.metadata["engine"]["crypto_sample_fraction"] == 1.0
 
 
@@ -80,7 +85,7 @@ class TestSampledCrypto:
             assert entry["estimate"] > 0
 
     def test_phase_split_extrapolates_and_sums(self, sampled):
-        """The committed BENCH profile prices the sampled counters, so the
+        """``REFERENCE_PROFILE`` prices the sampled counters, so the
         extrapolated totals carry the offline/online split — and the two
         phases sum to the extrapolated crypto seconds."""
         totals = sampled.costs.extrapolated["totals"]
@@ -90,6 +95,16 @@ class TestSampledCrypto:
             totals["online_seconds"]["estimate"]
             + totals["offline_seconds"]["estimate"], rel=1e-6,
         )
+        assert sampled.metadata["cost_profile"] == REFERENCE_PROFILE.as_dict()
+
+    def test_cost_summary_prices_the_executed_sample(self, sampled):
+        """The summary's own phase split covers what ran (the sample), like
+        its counters; it is the un-extrapolated sum of the per-node seconds."""
+        costs = sampled.costs
+        assert costs.as_dict()["phase_ops"]["online"]["encryptions"] == costs.encryptions
+        totals = costs.extrapolated["totals"]
+        assert 0 < costs.online_seconds < totals["online_seconds"]["estimate"]
+        assert 0 < costs.offline_seconds < totals["offline_seconds"]["estimate"]
 
     def test_counters_hold_the_sample_only(self, sampled):
         # Executed crypto covers only the sampled sub-run, scaled copies

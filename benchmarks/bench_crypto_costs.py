@@ -22,6 +22,7 @@ from repro.analysis import CostModel, ProtocolWorkload, format_table, measure_cr
 from repro.crypto import damgard_jurik as dj
 from repro.crypto.backends import DamgardJurikBackend, PlainBackend
 from repro.crypto.fastmath import BlinderPool, PrecomputedKey
+from repro.crypto.math_utils import random_coprime
 from repro.gossip.encrypted_sum import average_estimates, fresh_estimate
 
 KEY_SIZES = [256, 512, 1024]
@@ -146,6 +147,22 @@ def test_fastmath_pooled_encrypt_speedup(benchmark, fastmath):
 
     ciphertext = benchmark(dj.encrypt, public, 123456789, None, precomputed, pool)
     assert dj.decrypt(private, ciphertext) == 123456789
+    benchmark.extra_info["fastmath"] = fastmath
+
+
+@pytest.mark.parametrize("fastmath", ["off", "auto"])
+def test_fastmath_blinder_refill(benchmark, fastmath):
+    """The pool's refill path: textbook ``r^{n^s}`` vs the half-exponent
+    sampler a private context runs (``PrecomputedKey.blinder``)."""
+    public, private = dj.generate_keypair(key_bits=1024, s=1)
+    randomness = random_coprime(public.n)
+    if fastmath == "auto":
+        blinder = benchmark(PrecomputedKey.from_private_key(private).blinder, randomness)
+    else:
+        blinder = benchmark(
+            pow, randomness, public.plaintext_modulus, public.ciphertext_modulus
+        )
+    assert dj.decrypt(private, blinder) == 0
     benchmark.extra_info["fastmath"] = fastmath
 
 

@@ -21,7 +21,6 @@ from .damgard_jurik import (
 from .encoding import DEFAULT_WEIGHT_BITS, FixedPointCodec, PackedCodec
 from .fastmath import (
     BlinderPool,
-    FixedBaseTable,
     PrecomputedKey,
     multi_pow,
     plan_pool_batch,
@@ -66,7 +65,6 @@ __all__ = [
     "make_backend",
     "normalize_packing",
     "BlinderPool",
-    "FixedBaseTable",
     "PrecomputedKey",
     "multi_pow",
     "plan_pool_batch",

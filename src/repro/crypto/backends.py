@@ -521,9 +521,14 @@ class DamgardJurikBackend(CipherBackend):
     :class:`~repro.crypto.fastmath.BlinderPool`, which together give CRT
     private-key operations, pooled one-multiply encryption/rerandomisation
     and Straus multi-exponentiation for share combination and homomorphic
-    weighted sums.  Every produced integer is identical to what the textbook
-    functions of :mod:`~repro.crypto.damgard_jurik` and
-    :mod:`~repro.crypto.threshold` produce given the same randomness stream.
+    weighted sums.  Partial decryptions, combinations, homomorphic sums and
+    plaintexts are the integers the textbook functions of
+    :mod:`~repro.crypto.damgard_jurik` and :mod:`~repro.crypto.threshold`
+    produce from the same ciphertexts.  Encryption and rerandomisation draw
+    blinders at half the textbook exponent through the factorisation
+    (:meth:`~repro.crypto.fastmath.PrecomputedKey.blinder`): same ciphertext
+    distribution, and on randomness stream ``r₁, r₂, …`` the ciphertexts are
+    the textbook ones on ``φ(r₁), φ(r₂), …`` for that method's bijection ``φ``.
     """
 
     name = "damgard_jurik"

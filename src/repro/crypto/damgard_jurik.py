@@ -151,10 +151,14 @@ def encrypt(
     """Encrypt *plaintext* (an integer in Z_{n^s}) under *public_key*.
 
     A :class:`~repro.crypto.fastmath.BlinderPool` turns the blinder
-    exponentiation into one multiplication by a precomputed ``r^{n^s}``; the
-    pool's exact mode draws the same randomness stream as the fresh path, so
-    the ciphertext distribution (and, for a fixed stream, the bits) are
-    unchanged.  An explicit *randomness* argument always bypasses the pool.
+    exponentiation into one multiplication by a precomputed ``n^s``-th
+    residue.  The pool draws the same randomness stream as the fresh path
+    and the ciphertext distribution is unchanged; for a fixed stream the
+    bits are unchanged too when the pool holds a public-only context, and
+    are the fresh path's on the stream mapped through the bijection ``φ`` of
+    :meth:`~repro.crypto.fastmath.PrecomputedKey.blinder` when it holds the
+    private one.  An explicit *randomness* argument always bypasses the pool
+    and computes the textbook ``randomness^{n^s}``.
     """
     n_to_s = public_key.plaintext_modulus
     modulus = public_key.ciphertext_modulus

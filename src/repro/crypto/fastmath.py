@@ -14,25 +14,27 @@ changing a single decrypted bit:
   every private ``pow``); cached ``n^k mod n^{s+1}`` powers, factorial
   inverses for the ``(1+n)^m`` binomial expansion and the halving constant
   ``2^{-1} mod n^s``;
-* :class:`FixedBaseTable` — windowed fixed-base exponentiation for a base
-  that recurs with varying exponents (used by the derived-blinder pool
-  mode, exposed for any recurring-base workload);
 * :class:`BlinderPool` — an amortized pool of precomputed encryption
-  blinders ``r^{n^s} mod n^{s+1}`` so that hot-path ``encrypt`` /
-  ``rerandomize`` cost one bigint multiplication instead of one full
-  exponentiation.  The default ``exact`` mode draws its randomness through
-  the very same :func:`~repro.crypto.math_utils.random_coprime` calls, in
-  the same order, as fresh encryption — given the same randomness stream
-  the produced ciphertexts are bit-identical to the unpooled path;
+  blinders (uniform ``n^s``-th residues mod ``n^{s+1}``) so that hot-path
+  ``encrypt`` / ``rerandomize`` cost one bigint multiplication instead of
+  one full exponentiation.  The pool draws its randomness through the very
+  same :func:`~repro.crypto.math_utils.random_coprime` calls, in the same
+  order, as fresh encryption and turns each draw into a blinder with
+  :meth:`PrecomputedKey.blinder`;
 * :func:`multi_pow` — Straus simultaneous multi-exponentiation for
   ``Π bᵢ^{eᵢ} mod m`` (threshold share combination, homomorphic weighted
   accumulation in the gossip layer).
 
-All of these are *exact* accelerations: the textbook bodies of
-:mod:`~repro.crypto.damgard_jurik` and :mod:`~repro.crypto.threshold`
-(called without a precomputed key or pool) produce the same integers given
-the same randomness stream, which is what the tests compare against — only
-the wall-clock changes.
+All of these are *exact* accelerations.  Partial decryptions, share
+combinations, homomorphic sums and plaintexts are the integers the textbook
+bodies of :mod:`~repro.crypto.damgard_jurik` and
+:mod:`~repro.crypto.threshold` (called without a precomputed key or pool)
+produce from the same ciphertexts.  A blinder made from a draw ``r`` on a
+*public-only* context is the textbook ``r^{n^s}``; on a *private* context it
+is the textbook blinder of ``φ(r)`` for a fixed bijection ``φ`` of ``Z_n^*``
+(:meth:`PrecomputedKey.blinder`), so pooled ciphertexts have exactly the
+textbook distribution and equal the textbook ciphertexts on the stream
+``φ(r₁), φ(r₂), …`` — which is what the tests compare against.
 
 When `gmpy2 <https://gmpy2.readthedocs.io>`_ is importable, the hot
 modular primitives (:func:`powmod`, :func:`invert`) ride its ``mpz``
@@ -164,59 +166,6 @@ def multi_pow(bases: Sequence[int], exponents: Sequence[int], modulus: int) -> i
     return result
 
 
-# --------------------------------------------------------------------------- fixed-base tables
-class FixedBaseTable:
-    """Windowed fixed-base exponentiation: many exponents, one base.
-
-    Precomputes ``base^(d · 2^(w·i)) mod modulus`` for every window digit
-    ``d`` and block ``i``, after which :meth:`pow` costs only one
-    multiplication per non-zero window digit — no squarings at all.  Worth
-    building whenever the same base is exponentiated more than a handful of
-    times (derived blinder generation, any recurring-generator workload).
-    """
-
-    def __init__(self, base: int, modulus: int, max_exponent_bits: int, window: int = 5) -> None:
-        if modulus <= 1:
-            raise CryptoError(f"modulus must exceed 1, got {modulus}")
-        if max_exponent_bits < 1:
-            raise CryptoError("max_exponent_bits must be >= 1")
-        if not 1 <= window <= 16:
-            raise CryptoError(f"window must be in [1, 16], got {window}")
-        self.modulus = modulus
-        self.window = window
-        self.max_exponent_bits = max_exponent_bits
-        n_blocks = -(-max_exponent_bits // window)
-        block_base = base % modulus
-        table: list[list[int]] = []
-        for _ in range(n_blocks):
-            row = [1] * (1 << window)
-            for digit in range(1, 1 << window):
-                row[digit] = (row[digit - 1] * block_base) % modulus
-            table.append(row)
-            block_base = (row[-1] * block_base) % modulus  # base^(2^window) for the next block
-        self._table = table
-
-    def pow(self, exponent: int) -> int:
-        """``base^exponent mod modulus`` using only table lookups and multiplies."""
-        if exponent < 0:
-            raise CryptoError("FixedBaseTable only supports non-negative exponents")
-        if exponent.bit_length() > self.max_exponent_bits:
-            raise CryptoError(
-                f"exponent has {exponent.bit_length()} bits, table covers "
-                f"{self.max_exponent_bits}"
-            )
-        result = 1
-        mask = (1 << self.window) - 1
-        block = 0
-        while exponent:
-            digit = exponent & mask
-            if digit:
-                result = (result * self._table[block][digit]) % self.modulus
-            exponent >>= self.window
-            block += 1
-        return result
-
-
 # --------------------------------------------------------------------------- generalized dlog
 def _dlog_one_plus_base(base: int, s: int, value: int) -> int:
     """Extract ``i`` from ``(1 + base)^i mod base^(s+1)``.
@@ -276,6 +225,10 @@ class PrecomputedKey:
         if self.has_private:
             if p * q != n:
                 raise CryptoError("p * q does not match the public modulus")
+            if math.gcd(n, (p - 1) * (q - 1)) != 1:
+                # generate_keypair retries on this; a hand-built key may not
+                # have.  blinder() is only the textbook sampler when it holds.
+                raise CryptoError("gcd(n, (p-1)(q-1)) must be 1")
             self.p = p
             self.q = q
             self.p_to_s = p**s
@@ -363,6 +316,32 @@ class PrecomputedKey:
         residue_q = powmod(base % self.q_to_s1, exponent_q, self.q_to_s1)
         return self._recombine(residue_p, residue_q)
 
+    def blinder(self, randomness: int) -> int:
+        """An ``n^s``-th residue mod ``n^{s+1}`` from one draw ``r`` of ``Z_n^*``.
+
+        The one place a blinder is made from a draw.  A public-only context
+        computes the textbook ``r^{n^s} mod n^{s+1}``.  A private context
+        computes ``CRT((r mod p)^{p^s} mod p^{s+1}, (r mod q)^{q^s} mod
+        q^{s+1})``: exponents of ``s·|p|`` bits where ``crt_pow(r, n^s)``
+        pays ``(s+1)·|p|``.
+
+        The two samplers have the same distribution.  ``x ↦ x^{p^s}`` maps
+        ``Z*_{p^{s+1}}`` onto its subgroup ``H_p`` of order ``p − 1`` and
+        depends only on ``x mod p``; ``gcd(n, (p−1)(q−1)) = 1`` (checked at
+        construction) makes ``x ↦ x^{q^s}`` a permutation of ``H_p``.  So
+        mod ``p^{s+1}`` the textbook blinder is ``(r^{p^s})^{q^s}`` and this
+        one is ``r^{p^s}``: with ``a_p = (q^s)^{-1} mod (p−1)``, ``a_q =
+        (p^s)^{-1} mod (q−1)`` and the bijection ``φ(r) = CRT(r^{a_p} mod p,
+        r^{a_q} mod q)`` of ``Z_n^*``, ``blinder(r) == φ(r)^{n^s} mod
+        n^{s+1}``.  Uniform ``r`` gives uniform ``φ(r)``, hence blinders
+        uniform over all ``n^s``-th residues, as in the textbook.
+        """
+        if not self.has_private:
+            return powmod(randomness, self.n_to_s, self.modulus)
+        residue_p = powmod(randomness % self.p, self.p_to_s, self.p_to_s1)
+        residue_q = powmod(randomness % self.q, self.q_to_s, self.q_to_s1)
+        return self._recombine(residue_p, residue_q)
+
     def decrypt(self, ciphertext: int) -> int:
         """CRT decryption: half-width moduli *and* half-size exponents.
 
@@ -392,41 +371,32 @@ class PrecomputedKey:
 
 # --------------------------------------------------------------------------- blinder pools
 class BlinderPool:
-    """Amortized pool of Damgård–Jurik encryption blinders ``r^{n^s} mod n^{s+1}``.
+    """Amortized pool of Damgård–Jurik encryption blinders (``n^s``-th residues).
 
     Hot-path ``encrypt`` and ``rerandomize`` take one precomputed blinder and
     pay a single bigint multiplication; the exponentiations are batched into
-    :meth:`refill`, which a deployment runs in idle time (and which itself
-    uses the CRT fast path when the pool holds the private context, as the
-    in-process simulation backend does).
+    :meth:`refill`, which a deployment runs in idle time.
 
-    ``mode="exact"`` (the default everywhere) draws its randomness through
-    the same :func:`random_coprime` calls, in the same order, as fresh
-    encryption — given the same randomness stream, pooled ciphertexts are
-    bit-identical to unpooled ones.  ``mode="derived"`` instead raises one
-    fixed random generator ``h = r₀^{n^s}`` to random exponents through a
-    :class:`FixedBaseTable`, trading exact distribution equality for
-    refills that cost one table walk instead of one exponentiation each.
+    The pool draws its randomness through the same :func:`random_coprime`
+    calls, in the same order, as fresh encryption, and makes each blinder
+    with :meth:`PrecomputedKey.blinder`.  On a public-only context that is
+    the textbook ``r^{n^s}``: pooled ciphertexts are bit-identical to
+    unpooled ones given the same randomness stream.  On a private context
+    (the in-process simulation backend holds the dealer key) it is the
+    half-exponent sampler: same distribution, and the pooled ciphertexts on
+    stream ``r₁, r₂, …`` are the textbook ciphertexts on ``φ(r₁), φ(r₂), …``.
     """
-
-    #: Extra exponent bits of the derived mode over |n|, making the derived
-    #: exponent distribution statistically close to uniform over <h>.
-    DERIVED_SLACK_BITS = 64
 
     def __init__(
         self,
         precomputed: PrecomputedKey,
         batch_size: int = 32,
-        mode: str = "exact",
         rng: Callable[[int], int] | None = None,
     ) -> None:
         if batch_size < 1:
             raise CryptoError(f"batch_size must be >= 1, got {batch_size}")
-        if mode not in ("exact", "derived"):
-            raise CryptoError(f"unknown blinder pool mode {mode!r}")
         self.precomputed = precomputed
         self.batch_size = batch_size
-        self.mode = mode
         self._random_coprime = rng if rng is not None else random_coprime
         self._pool: deque[int] = deque()
         self.generated = 0
@@ -440,16 +410,6 @@ class BlinderPool:
         self._refill_thread: threading.Thread | None = None
         self._refill_stop: threading.Event | None = None
         self._low_water: int | None = None
-        self._table: FixedBaseTable | None = None
-        if mode == "derived":
-            generator = precomputed.crt_pow(
-                self._random_coprime(precomputed.n), precomputed.n_to_s
-            )
-            self._table = FixedBaseTable(
-                generator,
-                precomputed.modulus,
-                precomputed.n.bit_length() + self.DERIVED_SLACK_BITS,
-            )
 
     def __len__(self) -> int:
         return len(self._pool)
@@ -467,13 +427,7 @@ class BlinderPool:
         return max(1, self.batch_size // 2)
 
     def _fresh_blinder(self) -> int:
-        if self._table is not None:
-            import secrets
-
-            exponent = secrets.randbits(self.precomputed.n.bit_length() + self.DERIVED_SLACK_BITS)
-            return self._table.pow(exponent)
-        randomness = self._random_coprime(self.precomputed.n)
-        return self.precomputed.crt_pow(randomness, self.precomputed.n_to_s)
+        return self.precomputed.blinder(self._random_coprime(self.precomputed.n))
 
     def refill(self, count: int | None = None) -> None:
         """Precompute *count* blinders (one batch when omitted)."""
@@ -524,11 +478,11 @@ class BlinderPool:
 
         Real deployments refill blinder pools in idle time; this moves the
         batch exponentiations off the encryption hot path.  Generation
-        stays under the pool lock, one blinder at a time, so the exact-mode
-        randomness stream is consumed in precisely the order the
-        synchronous path consumes it — pooled ciphertexts remain
-        bit-identical to fresh ones given the same stream.  Idempotent; a
-        no-op when the thread is already running.
+        stays under the pool lock, one blinder at a time, so the randomness
+        stream is consumed in precisely the order the synchronous path
+        consumes it — the served blinders are the same integers with or
+        without the thread.  Idempotent; a no-op when the thread is already
+        running.
         """
         with self._condition:
             if low_water is not None:
@@ -585,8 +539,11 @@ def plan_pool_batch(expected_per_round: int, minimum: int = 16, maximum: int = 1
 
     The analysis cost model knows how many encryptions one protocol round
     performs (:attr:`~repro.analysis.costs.ProtocolWorkload.encryptions_per_iteration`);
-    refilling in batches of that size means at most one refill burst per
-    round while bounding the precomputed-state memory.
+    refilling in batches of that size bounds the precomputed-state memory
+    and covers a round's *encryptions* with one burst.  It does not count
+    rerandomizations, which draw from the same pool and are most of the
+    demand (88 % of draws on the suite's ``object_dj`` workload: 196 refill
+    bursts in 3 iterations), so a round sees many bursts, not one.
     """
     if expected_per_round < 1:
         raise CryptoError(

@@ -287,3 +287,13 @@ class TestRunBehaviour:
         assert result.profiles.shape == (2, 6)
         assert result.costs.encryptions > 0
         assert result.costs.partial_decryptions > 0
+        # How the simulation draws its blinders is not a device's cost: the
+        # counts and their REFERENCE_PROFILE price are those of PR 21.
+        costs = result.costs
+        assert costs.crypto_counts == {
+            "encryptions": 192, "pooled_encryptions": 192, "rerandomizations": 1008,
+            "additions": 1008, "partial_decryptions": 192, "combinations": 96,
+        }
+        assert costs.offline_seconds == pytest.approx(105.276, rel=1e-12)
+        assert costs.online_seconds == pytest.approx(33.89781935999999, rel=1e-12)
+        assert (costs.messages_sent, costs.bytes_sent) == (148, 78116)

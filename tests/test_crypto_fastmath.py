@@ -3,9 +3,11 @@
 The whole point of the fastmath layer is that it changes wall-clock time and
 *nothing else*: CRT decryption must agree with plain decryption, pooled
 encryption/rerandomisation must agree with the fresh path (bit for bit given
-the same randomness stream), multi-exponentiation must agree with a product
-of ``pow`` calls, and the backend — which always runs the fast path — must
-produce the integers the textbook functions of ``damgard_jurik`` /
+the same randomness stream on a public-only context; bit for bit on the
+stream mapped through the bijection ``φ`` — :func:`textbook_draw` — when the
+pool holds the factorisation), multi-exponentiation must agree with a
+product of ``pow`` calls, and the backend — which always runs the fast path
+— must produce the integers the textbook functions of ``damgard_jurik`` /
 ``threshold`` produce.  Most invariants are property-based (Hypothesis) over
 all supported degrees.
 """
@@ -26,11 +28,11 @@ from repro.crypto import threshold as th
 from repro.crypto.backends import DamgardJurikBackend
 from repro.crypto.fastmath import (
     BlinderPool,
-    FixedBaseTable,
     PrecomputedKey,
     multi_pow,
     plan_pool_batch,
 )
+from repro.crypto.math_utils import crt_pair, random_coprime
 from repro.exceptions import CryptoError
 from repro.gossip.encrypted_sum import (
     average_estimates,
@@ -44,6 +46,29 @@ PRECOMPUTED = {s: PrecomputedKey.from_private_key(private) for s, (_, private) i
 
 plaintext_fractions = st.floats(min_value=0.0, max_value=1.0, allow_nan=False,
                                 allow_infinity=False)
+
+
+def textbook_draw(private: dj.DamgardJurikPrivateKey, r: int) -> int:
+    """``φ(r)``: the draw whose *textbook* blinder ``φ(r)^{n^s}`` is the
+    blinder a private :class:`PrecomputedKey` makes from the draw ``r``."""
+    p, q, s = private.p, private.q, private.public_key.s
+    a_p = pow(q**s, -1, p - 1)
+    a_q = pow(p**s, -1, q - 1)
+    return crt_pair(pow(r, a_p, p), p, pow(r, a_q, q), q)
+
+
+def recorded_stream(seed: int):
+    """A replayable stand-in for ``random_coprime``: the same seed yields the
+    same draws for the same modulus, in order."""
+    rng = random.Random(seed)
+
+    def draw(n: int) -> int:
+        while True:
+            candidate = rng.randrange(1, n)
+            if math.gcd(candidate, n) == 1:
+                return candidate
+
+    return draw
 
 
 def _plaintext(s: int, fraction: float) -> int:
@@ -82,6 +107,23 @@ class TestCrtDecryption:
         public, _ = KEYS[1]
         with pytest.raises(CryptoError):
             PrecomputedKey(public, p=3, q=5)
+
+    def test_primes_dividing_the_group_order_rejected(self):
+        """p = 11 divides q − 1 = 22: ``x ↦ x^{p^s}`` does not permute the
+        order-22 subgroup mod ``q^{s+1}``, so the textbook blinders fill only
+        an index-11 subgroup of what ``blinder`` samples.  Only
+        ``generate_keypair`` retries on this; a hand-built key must fail."""
+        p, q = 11, 23
+        public = dj.DamgardJurikPublicKey(n=p * q, s=1)
+        textbook = {pow(r, public.n, public.n**2)
+                    for r in range(1, public.n) if math.gcd(r, public.n) == 1}
+        assert len(textbook) * 11 == (p - 1) * (q - 1)
+        with pytest.raises(CryptoError, match="gcd"):
+            PrecomputedKey(public, p=p, q=q)
+        with pytest.raises(CryptoError, match="gcd"):
+            PrecomputedKey.from_private_key(
+                dj.DamgardJurikPrivateKey(public, math.lcm(p - 1, q - 1), p, q)
+            )
 
 
 class TestCrtPow:
@@ -131,28 +173,52 @@ class TestBlinderPools:
         assert refreshed != ciphertext
         assert dj.decrypt(private, refreshed) == plaintext
 
-    @pytest.mark.parametrize("s", [1, 2, 3])
-    def test_pooled_ciphertexts_bit_identical_given_same_stream(self, s):
-        """The exact pool mode consumes randomness like the fresh path."""
-        from repro.crypto.math_utils import random_coprime
-
+    @staticmethod
+    def fresh_and_pooled(s, precomputed, textbook_randomness):
+        """Four messages encrypted by the textbook on ``textbook_randomness(r)``
+        and through a pool on *precomputed* fed the same draws ``r``."""
         public, _private = KEYS[s]
         draws = [random_coprime(public.n) for _ in range(4)]
-        fresh = [dj.encrypt(public, m, randomness=r) for m, r in zip((1, 2, 3, 4), draws)]
+        fresh = [
+            dj.encrypt(public, m, randomness=textbook_randomness(r))
+            for m, r in zip((1, 2, 3, 4), draws)
+        ]
         stream = iter(draws)
-        pool = BlinderPool(PRECOMPUTED[s], batch_size=2, rng=lambda _n: next(stream))
+        pool = BlinderPool(precomputed, batch_size=2, rng=lambda _n: next(stream))
         pooled = [
-            dj.encrypt(public, m, precomputed=PRECOMPUTED[s], pool=pool)
+            dj.encrypt(public, m, precomputed=precomputed, pool=pool)
             for m in (1, 2, 3, 4)
         ]
+        return fresh, pooled
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_pooled_ciphertexts_bit_identical_given_same_stream(self, s):
+        """The private pool consumes randomness like the fresh path: its
+        ciphertexts on r₁, r₂, … are the textbook's on φ(r₁), φ(r₂), …"""
+        private = KEYS[s][1]
+        fresh, pooled = self.fresh_and_pooled(
+            s, PRECOMPUTED[s], lambda r: textbook_draw(private, r)
+        )
         assert fresh == pooled
 
-    def test_derived_mode_uses_fixed_base_table(self):
-        public, private = KEYS[1]
-        pool = BlinderPool(PRECOMPUTED[1], batch_size=3, mode="derived")
-        assert pool._table is not None
-        ciphertext = dj.encrypt(public, 123, precomputed=PRECOMPUTED[1], pool=pool)
-        assert dj.decrypt(private, ciphertext) == 123
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_public_pool_bit_identical_on_the_same_stream(self, s):
+        """The pool ``measure_crypto_costs`` prices holds no factorisation
+        and computes the textbook r^{n^s}: same stream, same integers."""
+        fresh, pooled = self.fresh_and_pooled(
+            s, PrecomputedKey.from_public_key(KEYS[s][0]), lambda r: r
+        )
+        assert fresh == pooled
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_explicit_randomness_takes_the_textbook_path(self, s):
+        public, _private = KEYS[s]
+        r = random_coprime(public.n)
+        pool = BlinderPool(PRECOMPUTED[s], batch_size=2)
+        assert dj.encrypt(
+            public, 5, randomness=r, precomputed=PRECOMPUTED[s], pool=pool
+        ) == dj.encrypt(public, 5, randomness=r)
+        assert pool.served == 0
 
     def test_take_refills_in_fifo_batches(self):
         pool = BlinderPool(PRECOMPUTED[1], batch_size=3)
@@ -165,8 +231,6 @@ class TestBlinderPools:
     def test_pool_validation(self):
         with pytest.raises(CryptoError):
             BlinderPool(PRECOMPUTED[1], batch_size=0)
-        with pytest.raises(CryptoError):
-            BlinderPool(PRECOMPUTED[1], mode="bogus")
 
     def test_plan_pool_batch_clamps(self):
         assert plan_pool_batch(1) == 16
@@ -176,21 +240,55 @@ class TestBlinderPools:
             plan_pool_batch(0)
 
 
+class TestHalfExponentBlinder:
+    """``PrecomputedKey.blinder`` with the factorisation is the textbook
+    sampler at half the exponent — pinned, not assumed."""
+
+    TOY_PRIMES = [(11, 13), (17, 29), (19, 23)]
+
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("p,q", TOY_PRIMES)
+    def test_exhaustive_toy_keys(self, p, q, s):
+        """Over *every* unit of Z_n: φ permutes the units, blinder(r) is the
+        textbook blinder of φ(r), and so the two multisets are equal."""
+        public = dj.DamgardJurikPublicKey(n=p * q, s=s)
+        private = dj.DamgardJurikPrivateKey(public, math.lcm(p - 1, q - 1), p, q)
+        precomputed = PrecomputedKey.from_private_key(private)
+        units = [r for r in range(1, public.n) if math.gcd(r, public.n) == 1]
+        mapped = [textbook_draw(private, r) for r in units]
+        assert sorted(mapped) == units
+        modulus = public.ciphertext_modulus
+        fast = [precomputed.blinder(r) for r in units]
+        assert fast == [pow(r, public.plaintext_modulus, modulus) for r in mapped]
+        assert sorted(fast) == sorted(
+            pow(r, public.plaintext_modulus, modulus) for r in units
+        )
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @given(seed=st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=15, deadline=None)
+    def test_pooled_blinders_are_encryptions_of_zero(self, s, seed):
+        public, private = KEYS[s]
+        pool = BlinderPool(PRECOMPUTED[s], batch_size=2, rng=recorded_stream(seed))
+        for _ in range(3):
+            blinder = pool.take()
+            assert pow(blinder, private.lam, public.ciphertext_modulus) == 1
+            assert dj.decrypt(private, blinder) == 0
+
+
 class TestBackgroundRefill:
     """The refill worker thread moves generation off the hot path without
-    perturbing the exact-mode randomness stream (PR 2 follow-up)."""
+    perturbing the randomness stream (PR 2 follow-up)."""
 
     def test_background_pooled_ciphertexts_bit_identical_to_fresh(self):
         """pooled == fresh still holds with the refill thread running."""
         import time
 
-        from repro.crypto.math_utils import random_coprime
-
-        public, _private = KEYS[1]
+        public, private = KEYS[1]
         n_messages = 12
         draws = [random_coprime(public.n) for _ in range(n_messages + 8)]
         fresh = [
-            dj.encrypt(public, m, randomness=r)
+            dj.encrypt(public, m, randomness=textbook_draw(private, r))
             for m, r in zip(range(1, n_messages + 1), draws)
         ]
         stream = iter(draws)
@@ -333,26 +431,6 @@ class TestMultiExponentiation:
             multi_pow([2], [1], 0)
 
 
-class TestFixedBaseTable:
-    @given(
-        base=st.integers(min_value=2, max_value=2**64),
-        exponent=st.integers(min_value=0, max_value=2**192 - 1),
-        window=st.integers(min_value=1, max_value=8),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_table_pow_equals_pow(self, base, exponent, window):
-        modulus = (1 << 127) - 1
-        table = FixedBaseTable(base, modulus, max_exponent_bits=192, window=window)
-        assert table.pow(exponent) == pow(base, exponent, modulus)
-
-    def test_table_rejects_out_of_range_exponents(self):
-        table = FixedBaseTable(3, 101, max_exponent_bits=8)
-        with pytest.raises(CryptoError):
-            table.pow(1 << 9)
-        with pytest.raises(CryptoError):
-            table.pow(-1)
-
-
 class TestThresholdFastPath:
     @pytest.fixture(scope="class")
     def threshold_key(self):
@@ -408,25 +486,14 @@ class TestPaillierCrt:
         assert paillier.decrypt(legacy, ciphertext) == 424242
 
 
-def recorded_stream(seed: int):
-    """A replayable stand-in for ``random_coprime``: the same seed yields the
-    same draws for the same modulus, in order."""
-    rng = random.Random(seed)
-
-    def draw(n: int) -> int:
-        while True:
-            candidate = rng.randrange(1, n)
-            if math.gcd(candidate, n) == 1:
-                return candidate
-
-    return draw
-
-
 class TestBackendAgainstTextbook:
     """The backend has no "off" switch; what keeps its arithmetic honest is
     this comparison, integer for integer, with the textbook functions called
-    with ``precomputed=None, pool=None, multiexp=False`` on the same key and
-    the same randomness stream."""
+    with ``precomputed=None, pool=None, multiexp=False`` on the same key.
+    The backend's pool replays a recorded randomness stream r₁, r₂, …; the
+    textbook side replays the same recording through :func:`textbook_draw`,
+    φ(r₁), φ(r₂), … — the draws whose textbook blinders the backend's
+    half-exponent sampler computes."""
 
     VALUES = np.linspace(-0.9, 0.9, 7)
     OTHER = np.linspace(0.8, -0.7, 7)
@@ -438,10 +505,13 @@ class TestBackendAgainstTextbook:
         # The pool binds its randomness source at construction; the textbook
         # functions look theirs up per call.  Two replays of one recording.
         monkeypatch.setattr("repro.crypto.fastmath.random_coprime", recorded_stream(2024))
-        monkeypatch.setattr("repro.crypto.damgard_jurik.random_coprime",
-                            recorded_stream(2024))
         backend = DamgardJurikBackend(
             key_bits=256, degree=degree, threshold=2, n_shares=3, packing=packing,
+        )
+        replay = recorded_stream(2024)
+        monkeypatch.setattr(
+            "repro.crypto.damgard_jurik.random_coprime",
+            lambda n: textbook_draw(backend._dealer_key, replay(n)),
         )
         assert backend.is_packed == (packing == "auto")
         return backend

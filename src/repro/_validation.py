@@ -15,12 +15,6 @@ import numpy as np
 from .exceptions import ValidationError
 
 
-def require(condition: bool, message: str) -> None:
-    """Raise :class:`ValidationError` with *message* unless *condition* holds."""
-    if not condition:
-        raise ValidationError(message)
-
-
 def check_positive_int(value: int, name: str) -> int:
     """Validate that *value* is a strictly positive integer and return it."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
@@ -107,9 +101,3 @@ def as_2d_float_array(values: Sequence[Sequence[float]] | np.ndarray, name: str)
     if not np.all(np.isfinite(array)):
         raise ValidationError(f"{name} must contain only finite values")
     return array
-
-
-def check_same_length(a: np.ndarray, b: np.ndarray, what: str) -> None:
-    """Validate that two arrays share their first-dimension length."""
-    if len(a) != len(b):
-        raise ValidationError(f"{what}: lengths differ ({len(a)} vs {len(b)})")

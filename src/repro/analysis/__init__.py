@@ -16,7 +16,6 @@ from .quality import (
     compare_with_baselines,
     evaluate_result,
     heuristics_ablation,
-    privacy_quality_tradeoff,
 )
 from .reporting import format_comparison, format_series, format_table, format_value
 
@@ -36,7 +35,6 @@ __all__ = [
     "profile_recall",
     "centralized_reference",
     "evaluate_result",
-    "privacy_quality_tradeoff",
     "compare_with_baselines",
     "heuristics_ablation",
     "format_table",

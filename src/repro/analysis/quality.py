@@ -8,7 +8,6 @@ quality-enhancing heuristic.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -20,7 +19,6 @@ from ..clustering.metrics import quality_report
 from ..config import ChiaroscuroConfig
 from ..core.result import ChiaroscuroResult
 from ..core.runner import run_chiaroscuro
-from ..exceptions import AnalysisError
 from ..timeseries import TimeSeriesCollection
 
 
@@ -74,26 +72,6 @@ def evaluate_result(
     report["epsilon_spent"] = result.epsilon_spent
     report["n_iterations"] = float(result.n_iterations)
     return report
-
-
-def privacy_quality_tradeoff(
-    collection: TimeSeriesCollection,
-    config: ChiaroscuroConfig,
-    epsilons: Sequence[float],
-    label_key: str | None = "archetype",
-) -> list[dict[str, float]]:
-    """Quality of Chiaroscuro as the total privacy budget ε varies (experiment E1)."""
-    if not epsilons:
-        raise AnalysisError("epsilons must not be empty")
-    reference = centralized_reference(collection, config)
-    rows: list[dict[str, float]] = []
-    for epsilon in epsilons:
-        run_config = config.with_overrides(privacy={"epsilon": float(epsilon)})
-        result = run_chiaroscuro(collection, run_config)
-        report = evaluate_result(collection, run_config, result, reference, label_key)
-        report["epsilon"] = float(epsilon)
-        rows.append(report)
-    return rows
 
 
 def compare_with_baselines(

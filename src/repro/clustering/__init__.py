@@ -18,9 +18,8 @@ from .metrics import (
     match_centroids,
     quality_report,
     relative_inertia,
-    silhouette_score,
 )
-from .smoothing import noise_reduction_ratio, smooth_centroids, smooth_series
+from .smoothing import smooth_centroids, smooth_series
 
 __all__ = [
     "KMeansResult",
@@ -38,8 +37,6 @@ __all__ = [
     "match_centroids",
     "quality_report",
     "relative_inertia",
-    "silhouette_score",
     "smooth_centroids",
     "smooth_series",
-    "noise_reduction_ratio",
 ]

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import optimize
 
-from .._validation import as_2d_float_array, check_positive_int
+from .._validation import as_2d_float_array
 from ..exceptions import ValidationError
 from ..timeseries.distance import pairwise_distances
 from .kmeans import assign_to_centroids, compute_inertia
@@ -65,53 +65,6 @@ def adjusted_rand_index(labels_true: np.ndarray, labels_pred: np.ndarray) -> flo
     if maximum == expected:
         return 1.0
     return (sum_comb_cells - expected) / (maximum - expected)
-
-
-def silhouette_score(data: np.ndarray, assignments: np.ndarray,
-                     sample_size: int | None = None, seed: int = 0) -> float:
-    """Mean silhouette coefficient of a clustering (label-free quality).
-
-    For large datasets a random sample of *sample_size* points keeps the
-    O(n²) distance computation affordable.
-    """
-    data = as_2d_float_array(data, "data")
-    assignments = np.asarray(assignments)
-    if len(assignments) != len(data):
-        raise ValidationError("assignments must have one entry per series")
-    labels = np.unique(assignments)
-    if len(labels) < 2:
-        return 0.0
-    if sample_size is not None and sample_size < len(data):
-        check_positive_int(sample_size, "sample_size")
-        rng = np.random.default_rng(seed)
-        picked = rng.choice(len(data), size=sample_size, replace=False)
-    else:
-        picked = np.arange(len(data))
-    distances = pairwise_distances(data[picked], data, metric="euclidean")
-    scores = []
-    for row, index in enumerate(picked):
-        own_label = assignments[index]
-        own_mask = assignments == own_label
-        own_mask_excl = own_mask.copy()
-        own_mask_excl[index] = False
-        if own_mask_excl.sum() == 0:
-            scores.append(0.0)
-            continue
-        a_value = distances[row, own_mask_excl].mean()
-        b_value = np.inf
-        for label in labels:
-            if label == own_label:
-                continue
-            other_mask = assignments == label
-            if other_mask.sum() == 0:
-                continue
-            b_value = min(b_value, distances[row, other_mask].mean())
-        if not np.isfinite(b_value):
-            scores.append(0.0)
-            continue
-        denominator = max(a_value, b_value)
-        scores.append(0.0 if denominator == 0 else (b_value - a_value) / denominator)
-    return float(np.mean(scores))
 
 
 def match_centroids(reference: np.ndarray, produced: np.ndarray) -> list[tuple[int, int]]:

@@ -40,25 +40,3 @@ def smooth_centroids(centroids: np.ndarray, config: SmoothingConfig) -> np.ndarr
     if config.method == "none":
         return centroids.copy()
     return np.vstack([smooth_series(row, config) for row in centroids])
-
-
-def noise_reduction_ratio(
-    clean: np.ndarray, noisy: np.ndarray, smoothed: np.ndarray
-) -> float:
-    """How much of the noise the smoothing removed.
-
-    Defined as ``1 - error(smoothed) / error(noisy)`` where the error is the
-    L2 distance to the clean (noise-free) centroids; 0 means no improvement,
-    1 means the noise was removed entirely, negative values mean smoothing
-    hurt.
-    """
-    clean = as_2d_float_array(clean, "clean")
-    noisy = as_2d_float_array(noisy, "noisy")
-    smoothed = as_2d_float_array(smoothed, "smoothed")
-    if not clean.shape == noisy.shape == smoothed.shape:
-        raise ValidationError("clean, noisy and smoothed centroid sets must share a shape")
-    noisy_error = float(np.linalg.norm(noisy - clean))
-    smoothed_error = float(np.linalg.norm(smoothed - clean))
-    if noisy_error == 0.0:
-        return 0.0
-    return 1.0 - smoothed_error / noisy_error

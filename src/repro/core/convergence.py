@@ -1,5 +1,8 @@
 """Step 3 of the Chiaroscuro execution sequence: convergence.
 
+:func:`iteration_policy` builds, from the configuration, the per-iteration
+rules every engine applies: the Laplace sensitivity, the budget strategy,
+the ε accountant and the termination criteria.
 :func:`perturbed_means` is the local rule every participant applies to the
 decrypted gossip averages — the object engine per device, the slab engine
 once for the whole population.  :class:`TerminationCriteria` then decides
@@ -24,6 +27,39 @@ from .._validation import check_non_negative_float, check_positive_int
 from ..clustering.kmeans import centroid_displacement, reseed_centroid
 from ..clustering.smoothing import smooth_centroids
 from ..config import ChiaroscuroConfig
+from ..privacy.budget import PrivacyAccountant
+from ..privacy.laplace import SensitivityModel
+from ..privacy.strategies import BudgetStrategy, make_budget_strategy
+
+
+def iteration_policy(
+    config: ChiaroscuroConfig, series_length: int
+) -> tuple[SensitivityModel, BudgetStrategy, PrivacyAccountant, TerminationCriteria]:
+    """Fresh ``(sensitivity, strategy, accountant, termination)`` for a run
+    over series of *series_length* points — the same for every device, every
+    engine and the packed slot bound."""
+    privacy = config.privacy
+    kmeans = config.kmeans
+    return (
+        SensitivityModel(
+            series_length=series_length,
+            value_bound=privacy.value_bound,
+            count_bound=privacy.count_bound,
+        ),
+        make_budget_strategy(
+            privacy.budget_strategy,
+            privacy.epsilon,
+            kmeans.max_iterations,
+            geometric_ratio=privacy.geometric_ratio,
+        ),
+        PrivacyAccountant(privacy.epsilon, privacy.delta_slack),
+        TerminationCriteria(
+            convergence_threshold=kmeans.convergence_threshold,
+            max_iterations=kmeans.max_iterations,
+            track_quality=kmeans.track_quality,
+            quality_patience=kmeans.quality_patience,
+        ),
+    )
 
 
 def perturbed_means(

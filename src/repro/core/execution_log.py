@@ -150,11 +150,6 @@ class ExecutionLog:
         return list(self._records)
 
     # ------------------------------------------------------------------ views
-    def centroid_trajectory(self) -> list[np.ndarray]:
-        """Per-iteration perturbed means (the centroid evolution the GUI shows)."""
-        return [record.perturbed_means for record in self._records
-                if record.perturbed_means is not None]
-
     def noise_magnitudes(self) -> list[float]:
         """Per-iteration noise magnitude (perturbed vs noise-free means)."""
         return [
@@ -166,10 +161,6 @@ class ExecutionLog:
     def displacements(self) -> list[float]:
         """Per-iteration centroid displacement."""
         return [record.displacement for record in self._records]
-
-    def epsilon_schedule(self) -> list[float]:
-        """Per-iteration privacy spend."""
-        return [record.epsilon_spent for record in self._records]
 
     def tracked_assignment_history(self) -> dict[int, list[int]]:
         """Per-tracked-participant sequence of assigned clusters."""

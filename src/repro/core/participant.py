@@ -38,14 +38,11 @@ from ..gossip.encrypted_sum import (
 )
 from ..gossip.messages import DiptychExchange, DiptychReply
 from ..gossip.overlay import Overlay
-from ..privacy.budget import PrivacyAccountant
-from ..privacy.laplace import SensitivityModel
 from ..privacy.noise_shares import NoiseShareSpec, draw_noise_share
-from ..privacy.strategies import BudgetStrategy, make_budget_strategy
 from ..simulation.engine import CycleEngine
 from ..simulation.node import Node
 from .collaborative import collaborative_decrypt_many
-from .convergence import TerminationCriteria, perturbed_means
+from .convergence import iteration_policy, perturbed_means
 from .diptych import Diptych, build_contribution, merge_diptychs
 
 
@@ -172,25 +169,8 @@ class ChiaroscuroParticipant(Node):
         self.stop_reason: str = ""
         self.last_displacement: float | None = None
 
-        self.sensitivity = SensitivityModel(
-            series_length=self.series_values.shape[0],
-            value_bound=config.privacy.value_bound,
-            count_bound=config.privacy.count_bound,
-        )
-        self.accountant = PrivacyAccountant(
-            config.privacy.epsilon, config.privacy.delta_slack
-        )
-        self.strategy: BudgetStrategy = make_budget_strategy(
-            config.privacy.budget_strategy,
-            config.privacy.epsilon,
-            config.kmeans.max_iterations,
-            geometric_ratio=config.privacy.geometric_ratio,
-        )
-        self.termination = TerminationCriteria(
-            convergence_threshold=config.kmeans.convergence_threshold,
-            max_iterations=config.kmeans.max_iterations,
-            track_quality=config.kmeans.track_quality,
-            quality_patience=config.kmeans.quality_patience,
+        self.sensitivity, self.strategy, self.accountant, self.termination = (
+            iteration_policy(config, self.series_values.shape[0])
         )
 
     # ------------------------------------------------------------------ properties

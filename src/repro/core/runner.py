@@ -21,12 +21,11 @@ from ..crypto.backends import CipherBackend, make_backend
 from ..exceptions import ConfigurationError, ProtocolError
 from ..gossip.encrypted_sum import check_headroom
 from ..gossip.overlay import build_overlay
-from ..privacy.laplace import SensitivityModel
 from ..privacy.noise_shares import slot_magnitude_bound
 from ..privacy.probabilistic import guarantee_for_run
-from ..privacy.strategies import make_budget_strategy
 from ..simulation.engine import CycleEngine
 from ..timeseries import TimeSeriesCollection
+from .convergence import iteration_policy
 from .execution_log import ExecutionLog, IterationRecord
 from .participant import ChiaroscuroParticipant
 from .result import ChiaroscuroResult, CostSummary
@@ -86,17 +85,7 @@ def _packed_slot_bound(
     noise-share tail bound so that encoding a share essentially never
     overflows a slot.
     """
-    sensitivity = SensitivityModel(
-        series_length=series_length,
-        value_bound=config.privacy.value_bound,
-        count_bound=config.privacy.count_bound,
-    )
-    strategy = make_budget_strategy(
-        config.privacy.budget_strategy,
-        config.privacy.epsilon,
-        config.kmeans.max_iterations,
-        geometric_ratio=config.privacy.geometric_ratio,
-    )
+    sensitivity, strategy, _, _ = iteration_policy(config, series_length)
     # Whatever the runtime spending pattern, every strategy grants either 0
     # (budget exhausted) or at least this much — the unconditional bound the
     # slot width must absorb.
@@ -142,12 +131,6 @@ class RunSetup:
             "enabled": backend.is_packed,
             "slots": backend.packing.slots if backend.packing is not None else 1,
             "slot_bits": backend.packing.slot_bits if backend.packing is not None else 0,
-        }
-
-    def wire_info(self) -> dict[str, Any]:
-        return {
-            "mode": "auto",
-            "corruption_rate": self.config.network.corruption_rate,
         }
 
     def make_participant(self, node_id: int) -> ChiaroscuroParticipant:
@@ -340,7 +323,6 @@ def assemble_result(
         cycles=setup.config.gossip.cycles_per_aggregation,
         n_participants=setup.n_participants,
     )
-    wire_info = setup.wire_info()
     costs = CostSummary(
         n_participants=setup.n_participants,
         n_iterations=n_iterations,
@@ -365,7 +347,6 @@ def assemble_result(
         "tracked_participants": setup.tracked_ids,
         "dataset": collection_name,
         "packing": setup.packing_info(),
-        "wire": wire_info,
         "cost_profile": REFERENCE_PROFILE.as_dict(),
     }
     if extra_metadata:
@@ -634,5 +615,4 @@ def run_log_metadata(setup: RunSetup, collection_name: str) -> dict[str, Any]:
         "normalization": setup.transform,
         "tracked_participants": setup.tracked_ids,
         "packing": setup.packing_info(),
-        "wire": setup.wire_info(),
     }

@@ -47,11 +47,8 @@ from ..analysis.costs import (
 from ..clustering.kmeans import public_initial_centroids
 from ..config import ChiaroscuroConfig
 from ..exceptions import ProtocolError
-from ..privacy.budget import PrivacyAccountant
-from ..privacy.laplace import SensitivityModel
 from ..privacy.noise_shares import NoiseShareSpec, draw_noise_share
 from ..privacy.probabilistic import guarantee_for_run
-from ..privacy.strategies import make_budget_strategy
 from ..simulation.rng import RngRegistry
 from ..simulation.slab import (
     PopulationSlabs,
@@ -64,7 +61,7 @@ from ..simulation.slab import (
     slab_churn_step,
 )
 from ..timeseries import TimeSeriesCollection
-from .convergence import TerminationCriteria, perturbed_means
+from .convergence import iteration_policy, perturbed_means
 from .execution_log import ExecutionLog, IterationRecord
 from .result import ChiaroscuroResult, CostSummary
 from .runner import (
@@ -347,24 +344,7 @@ def _run_sampled(
         seed=config.simulation.seed,
     )
     initial_centroids = centroids.copy()
-    termination = TerminationCriteria(
-        convergence_threshold=config.kmeans.convergence_threshold,
-        max_iterations=config.kmeans.max_iterations,
-        track_quality=config.kmeans.track_quality,
-        quality_patience=config.kmeans.quality_patience,
-    )
-    strategy = make_budget_strategy(
-        config.privacy.budget_strategy,
-        config.privacy.epsilon,
-        config.kmeans.max_iterations,
-        geometric_ratio=config.privacy.geometric_ratio,
-    )
-    accountant = PrivacyAccountant(config.privacy.epsilon)
-    sensitivity = SensitivityModel(
-        series_length=series_length,
-        value_bound=config.privacy.value_bound,
-        count_bound=config.privacy.count_bound,
-    )
+    sensitivity, strategy, accountant, termination = iteration_policy(config, series_length)
     n_noise = min(config.privacy.noise_shares, n)
     contributors = np.sort(
         noise_rng.choice(n, size=n_noise, replace=False).astype(np.int64)
@@ -629,7 +609,6 @@ def _run_sampled(
         "tracked_participants": tracked_ids,
         "dataset": collection.name,
         "packing": sample["setup"].packing_info(),
-        "wire": sample["setup"].wire_info(),
         "engine": {
             **_engine_metadata(config),
             "slab_wall_seconds": float(slab_wall_seconds),

@@ -1,7 +1,8 @@
-"""Cryptographic substrate: Paillier, Damgård–Jurik, threshold decryption,
-fixed-point encoding and the pluggable cipher backends used by the protocol."""
+"""Cryptographic substrate: Damgård–Jurik (Paillier is its degree 1), threshold
+decryption, fixed-point encoding and the pluggable cipher backends used by the
+protocol."""
 
-from . import damgard_jurik, paillier
+from . import damgard_jurik
 from .backends import (
     CipherBackend,
     DamgardJurikBackend,
@@ -33,7 +34,6 @@ from .math_utils import (
     mod_inverse,
     random_coprime,
 )
-from .paillier import PaillierPrivateKey, PaillierPublicKey, generate_paillier_keypair
 from .threshold import (
     KeyShare,
     PartialDecryption,
@@ -54,7 +54,6 @@ from .wire import (
 )
 
 __all__ = [
-    "paillier",
     "damgard_jurik",
     "CipherBackend",
     "DamgardJurikBackend",
@@ -75,9 +74,6 @@ __all__ = [
     "FixedPointCodec",
     "PackedCodec",
     "DEFAULT_WEIGHT_BITS",
-    "PaillierPublicKey",
-    "PaillierPrivateKey",
-    "generate_paillier_keypair",
     "ThresholdPublicKey",
     "KeyShare",
     "PartialDecryption",

@@ -244,19 +244,6 @@ def add_ciphertexts(public_key: DamgardJurikPublicKey, *ciphertexts: int) -> int
     return result
 
 
-def add_plaintext(
-    public_key: DamgardJurikPublicKey,
-    ciphertext: int,
-    constant: int,
-    precomputed: "PrecomputedKey | None" = None,
-) -> int:
-    """Homomorphically add a public constant to an encrypted value."""
-    constant = constant % public_key.plaintext_modulus
-    return (
-        ciphertext * _one_plus_n_power(public_key, constant, precomputed)
-    ) % public_key.ciphertext_modulus
-
-
 def multiply_plaintext(
     public_key: DamgardJurikPublicKey,
     ciphertext: int,
@@ -278,23 +265,6 @@ def multiply_plaintext(
     return pow(ciphertext, factor, public_key.ciphertext_modulus)
 
 
-def halve_plaintext(
-    public_key: DamgardJurikPublicKey,
-    ciphertext: int,
-    precomputed: "PrecomputedKey | None" = None,
-) -> int:
-    """Homomorphically halve an encrypted *even-representable* value.
-
-    Multiplies the plaintext by the recurring halving constant
-    ``2^{-1} mod n^s`` (cached on the precomputation context); exact for
-    plaintexts that are even integers mod ``n^s``.
-    """
-    if precomputed is not None:
-        return precomputed.crt_pow(ciphertext, precomputed.inv_two)
-    inv_two = mod_inverse(2, public_key.plaintext_modulus)
-    return pow(ciphertext, inv_two, public_key.ciphertext_modulus)
-
-
 def rerandomize(
     public_key: DamgardJurikPublicKey,
     ciphertext: int,
@@ -311,12 +281,3 @@ def rerandomize(
         random_coprime(public_key.n), public_key.plaintext_modulus, public_key.ciphertext_modulus
     )
     return (ciphertext * blinder) % public_key.ciphertext_modulus
-
-
-def encrypt_zero(
-    public_key: DamgardJurikPublicKey,
-    precomputed: "PrecomputedKey | None" = None,
-    pool: "BlinderPool | None" = None,
-) -> int:
-    """A fresh encryption of zero."""
-    return encrypt(public_key, 0, precomputed=precomputed, pool=pool)

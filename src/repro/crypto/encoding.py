@@ -182,17 +182,6 @@ class FixedPointCodec:
         per_term = int(round(value_bound * self.scale)) + 1
         return max(0, (self.half_modulus - 1) // per_term)
 
-    def check_sum_capacity(self, value_bound: float, n_terms: int) -> None:
-        """Raise :class:`EncodingOverflowError` if summing would overflow."""
-        allowed = self.max_safe_terms(value_bound)
-        if n_terms > allowed:
-            raise EncodingOverflowError(
-                f"summing {n_terms} values bounded by {value_bound} may overflow; "
-                f"the codec supports at most {allowed} such terms "
-                f"(modulus={self.modulus}, scale={self.scale})"
-            )
-
-
 @dataclass(frozen=True)
 class PackedCodec:
     """Slot-packed fixed-point codec: many coordinates per plaintext.

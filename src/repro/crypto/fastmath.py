@@ -197,12 +197,11 @@ class PrecomputedKey:
     """Per-key acceleration context for the Damgård–Jurik scheme.
 
     Built from a public key alone it caches the public recurring constants
-    (``n^k mod n^{s+1}`` powers, factorial inverses for the ``(1+n)^m``
-    binomial, the halving constant ``2^{-1} mod n^s``).  Built from a
-    private key it additionally precomputes the CRT split: moduli
-    ``p^{s+1}`` / ``q^{s+1}``, group orders, the decryption constants
-    ``h_p`` / ``h_q`` and the Garner recombination inverses, which makes
-    every private-key ``pow`` run on two half-width moduli with reduced
+    (``n^k mod n^{s+1}`` powers and factorial inverses for the ``(1+n)^m``
+    binomial).  Built from a private key it additionally precomputes the CRT
+    split: moduli ``p^{s+1}`` / ``q^{s+1}``, group orders, the decryption
+    constants ``h_p`` / ``h_q`` and the Garner recombination inverses, which
+    makes every private-key ``pow`` run on two half-width moduli with reduced
     exponents (~3–4× faster at realistic key sizes).
     """
 
@@ -219,8 +218,6 @@ class PrecomputedKey:
         self.factorial_inverses = [
             mod_inverse(math.factorial(k), self.modulus) if k else 1 for k in range(s + 1)
         ]
-        #: The halving constant 2^{-1} mod n^s of the gossip exponent path.
-        self.inv_two = mod_inverse(2, self.n_to_s)
         self.has_private = p is not None and q is not None
         if self.has_private:
             if p * q != n:

@@ -1,4 +1,4 @@
-"""Number-theoretic helpers used by the Paillier / Damgård–Jurik schemes.
+"""Number-theoretic helpers used by the Damgård–Jurik scheme.
 
 Everything here works on plain Python integers (arbitrary precision).  The
 primality test is Miller–Rabin with a deterministic base set for 64-bit
@@ -160,17 +160,6 @@ def factorial(value: int) -> int:
     if value < 0:
         raise CryptoError(f"factorial of a negative number: {value}")
     return math.factorial(value)
-
-
-def integer_digits(value: int, base: int, count: int) -> list[int]:
-    """Decompose *value* into *count* base-*base* digits, least significant first."""
-    if base < 2:
-        raise CryptoError(f"base must be >= 2, got {base}")
-    digits = []
-    for _ in range(count):
-        digits.append(value % base)
-        value //= base
-    return digits
 
 
 def product(values: Iterable[int]) -> int:

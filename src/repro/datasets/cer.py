@@ -17,8 +17,7 @@ metrics (adjusted Rand index) can be computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 

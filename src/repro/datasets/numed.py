@@ -21,7 +21,6 @@ weeks of follow-up.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 

@@ -9,7 +9,6 @@ clustering strays from an exactly recoverable one).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 

@@ -104,7 +104,6 @@ def result_row(
             "iteration_costs": iteration_costs,
             "stop_reasons": dict(result.stop_reasons),
             "packing": result.metadata.get("packing", {}),
-            "wire": result.metadata.get("wire", {}),
         },
         "timing": {"wall_clock_seconds": float(wall_clock_seconds)},
     }

@@ -68,26 +68,6 @@ def fresh_estimate(backend: CipherBackend, values: Sequence[float] | np.ndarray,
     return EncryptedEstimate(vector=backend.encrypt_vector(values), halvings=0)
 
 
-def zero_estimate(backend: CipherBackend, length: int) -> EncryptedEstimate:
-    """An estimate of the all-zero vector (exponent zero)."""
-    return EncryptedEstimate(vector=backend.encrypt_zero_vector(length), halvings=0)
-
-
-def lift_estimate(backend: CipherBackend, estimate: EncryptedEstimate,
-                  target_halvings: int) -> EncryptedEstimate:
-    """Re-express *estimate* at a larger exponent without changing its value."""
-    if target_halvings < estimate.halvings:
-        raise GossipError(
-            f"cannot lower the exponent of an estimate ({estimate.halvings} -> {target_halvings})"
-        )
-    if target_halvings == estimate.halvings:
-        return estimate
-    factor = 1 << (target_halvings - estimate.halvings)
-    return EncryptedEstimate(
-        vector=backend.multiply_scalar(estimate.vector, factor), halvings=target_halvings
-    )
-
-
 def _lift_and_sum(backend: CipherBackend, first: EncryptedEstimate,
                   second: EncryptedEstimate) -> tuple[int, "EncryptedVector"]:
     """Common exponent and the homomorphic sum of both estimates lifted to it.

@@ -219,14 +219,3 @@ def max_relative_error(estimates: np.ndarray, true_average: np.ndarray) -> float
         denominator = 1.0
     errors = np.linalg.norm(estimates - true_average[None, :], axis=1) / denominator
     return float(errors.max())
-
-
-def mean_relative_error(estimates: np.ndarray, true_average: np.ndarray) -> float:
-    """Average over nodes of the relative L2 error against the true average."""
-    estimates = as_2d_float_array(estimates, "estimates")
-    true_average = np.asarray(true_average, dtype=float)
-    denominator = float(np.linalg.norm(true_average))
-    if denominator == 0.0:
-        denominator = 1.0
-    errors = np.linalg.norm(estimates - true_average[None, :], axis=1) / denominator
-    return float(errors.mean())

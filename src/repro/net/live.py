@@ -87,7 +87,6 @@ from ..core.participant import (
     ChiaroscuroParticipant,
     CommitteeRound,
     Effect,
-    Exchange,
     Phase,
     Probe,
     peer_sampling_stream,
@@ -547,7 +546,8 @@ class WorkerTransport:
                     reply_frames = decoded.frames
             if (not isinstance(reply_headers, list)
                     or len(reply_headers) != len(group)
-                    or len(reply_frames) != len(group)):
+                    or len(reply_frames) != len(group)
+                    or not all(isinstance(header, dict) for header in reply_headers)):
                 # A malformed batched reply degrades into per-recipient
                 # losses, the standard corruption-to-loss rule.
                 error = {"error": reply.header.get("error", "batch_mismatch")}

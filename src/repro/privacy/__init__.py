@@ -1,18 +1,11 @@
 """Differential-privacy substrate: Laplace mechanism, noise-shares, budget
 accounting, budget-distribution strategies and probabilistic-DP accounting."""
 
-from .budget import BudgetSpend, PrivacyAccountant, compose_parallel, compose_sequential
-from .laplace import (
-    SensitivityModel,
-    expected_absolute_noise,
-    laplace_mechanism,
-    laplace_tail_probability,
-    sample_laplace,
-)
+from .budget import BudgetSpend, PrivacyAccountant
+from .laplace import SensitivityModel, sample_laplace
 from .noise_shares import (
     NoiseShareSpec,
     draw_noise_share,
-    effective_scale_with_dropouts,
     reconstructed_variance,
     share_variance,
     slot_magnitude_bound,
@@ -20,7 +13,6 @@ from .noise_shares import (
 )
 from .probabilistic import (
     ProbabilisticGuarantee,
-    cycles_for_target_delta,
     delta_from_cycles,
     effective_epsilon,
     gossip_relative_error,
@@ -36,21 +28,15 @@ from .strategies import (
 
 __all__ = [
     "SensitivityModel",
-    "laplace_mechanism",
     "sample_laplace",
-    "laplace_tail_probability",
-    "expected_absolute_noise",
     "NoiseShareSpec",
     "draw_noise_share",
     "sum_of_shares",
     "share_variance",
     "reconstructed_variance",
-    "effective_scale_with_dropouts",
     "slot_magnitude_bound",
     "PrivacyAccountant",
     "BudgetSpend",
-    "compose_sequential",
-    "compose_parallel",
     "BudgetStrategy",
     "UniformBudgetStrategy",
     "GeometricBudgetStrategy",
@@ -61,5 +47,4 @@ __all__ = [
     "delta_from_cycles",
     "effective_epsilon",
     "guarantee_for_run",
-    "cycles_for_target_delta",
 ]

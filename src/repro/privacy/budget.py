@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from .._validation import check_non_negative_float, check_positive_float
-from ..exceptions import BudgetExhaustedError, PrivacyError
+from ..exceptions import BudgetExhaustedError
 
 
 @dataclass(frozen=True)
@@ -105,26 +105,3 @@ class PrivacyAccountant:
                 for spend in self._spends
             ],
         }
-
-
-def compose_sequential(epsilons: list[float]) -> float:
-    """Sequential composition: the total ε is the sum of the parts."""
-    if not epsilons:
-        return 0.0
-    if any(epsilon <= 0 for epsilon in epsilons):
-        raise PrivacyError("every ε in a composition must be > 0")
-    return float(sum(epsilons))
-
-
-def compose_parallel(epsilons: list[float]) -> float:
-    """Parallel composition over disjoint subsets: the total ε is the maximum.
-
-    Chiaroscuro's per-iteration release is *not* parallel-composable across
-    iterations (the same individuals participate every time); this helper is
-    provided for analyses that partition the population.
-    """
-    if not epsilons:
-        return 0.0
-    if any(epsilon <= 0 for epsilon in epsilons):
-        raise PrivacyError("every ε in a composition must be > 0")
-    return float(max(epsilons))

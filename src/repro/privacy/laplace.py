@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._validation import check_positive_float, check_positive_int
-from ..exceptions import PrivacyError
 
 
 @dataclass(frozen=True)
@@ -74,38 +73,3 @@ def sample_laplace(
     """Sample i.i.d. Laplace(0, scale) noise of the given shape."""
     scale = check_positive_float(scale, "scale")
     return rng.laplace(loc=0.0, scale=scale, size=size)
-
-
-def laplace_mechanism(
-    values: np.ndarray,
-    sensitivity: float,
-    epsilon: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Centralised Laplace mechanism: add Laplace(sensitivity/ε) noise to *values*.
-
-    Used by the centralised DP baseline; the distributed protocol builds the
-    same noise from per-participant shares (:mod:`repro.privacy.noise_shares`).
-    """
-    values = np.asarray(values, dtype=float)
-    sensitivity = check_positive_float(sensitivity, "sensitivity")
-    epsilon = check_positive_float(epsilon, "epsilon")
-    scale = sensitivity / epsilon
-    return values + rng.laplace(loc=0.0, scale=scale, size=values.shape)
-
-
-def laplace_tail_probability(magnitude: float, scale: float) -> float:
-    """P(|X| > magnitude) for X ~ Laplace(0, scale).
-
-    Used when reporting the expected distortion of the perturbed centroids
-    and when sizing the probabilistic slack of the DP guarantee.
-    """
-    if magnitude < 0:
-        raise PrivacyError(f"magnitude must be >= 0, got {magnitude}")
-    scale = check_positive_float(scale, "scale")
-    return float(np.exp(-magnitude / scale))
-
-
-def expected_absolute_noise(scale: float) -> float:
-    """E[|X|] = scale for X ~ Laplace(0, scale)."""
-    return check_positive_float(scale, "scale")

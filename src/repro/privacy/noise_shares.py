@@ -104,22 +104,3 @@ def slot_magnitude_bound(scale: float, margin: float = 32.0) -> float:
     if margin <= 0:
         raise PrivacyError(f"margin must be > 0, got {margin}")
     return float(scale) * float(margin)
-
-
-def effective_scale_with_dropouts(spec: NoiseShareSpec, delivered_shares: int) -> float:
-    """Laplace scale actually achieved when only *delivered_shares* arrive.
-
-    Gossip executions may lose shares (faulty devices).  The sum of m < n
-    shares is not exactly Laplace but its variance is (m/n) * 2b²; the
-    matched-variance Laplace scale b * sqrt(m/n) is what the privacy
-    accountant uses to report the degraded protection level.
-    """
-    if delivered_shares < 0:
-        raise PrivacyError(f"delivered_shares must be >= 0, got {delivered_shares}")
-    if delivered_shares > spec.n_shares:
-        raise PrivacyError(
-            f"delivered_shares ({delivered_shares}) cannot exceed n_shares ({spec.n_shares})"
-        )
-    if delivered_shares == 0:
-        return 0.0
-    return spec.scale * float(np.sqrt(delivered_shares / spec.n_shares))

@@ -10,15 +10,12 @@ Dobra, Gehrke, FOCS 2003); conditioned on that event the mechanism is
 ε'-differentially private with ε' = ε / (1 - ρ).
 
 This module turns the gossip parameters into the (ε', δ) pair reported by the
-privacy accountant, and inversely computes how many cycles are needed to meet
-a target slack.
+privacy accountant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .._validation import check_fraction_open, check_positive_float, check_positive_int
 from ..exceptions import PrivacyError
@@ -96,18 +93,3 @@ def guarantee_for_run(
         delta=delta_from_cycles(cycles, n_participants, contraction),
         relative_error_bound=error,
     )
-
-
-def cycles_for_target_delta(
-    target_delta: float, n_participants: int, contraction: float = 0.5
-) -> int:
-    """Smallest number of gossip cycles achieving δ ≤ target_delta.
-
-    Inverts the union bound of :func:`delta_from_cycles`; used to pick the
-    ``cycles_per_aggregation`` configuration value from a target slack.
-    """
-    target_delta = check_fraction_open(target_delta, "target_delta")
-    check_positive_int(n_participants, "n_participants")
-    contraction = check_fraction_open(contraction, "contraction")
-    cycles = int(np.ceil(np.log(target_delta / n_participants) / np.log(contraction)))
-    return max(1, cycles)

@@ -1,9 +1,9 @@
 """Cycle-driven simulation substrate (the Peersim role of the demo platform)."""
 
-from .engine import CycleEngine, run_until
+from .engine import CycleEngine
 from .network import Message, Network, TrafficStats
 from .node import Node
-from .observers import CallbackObserver, HistoryObserver, Observer, OnlineCountObserver
+from .observers import Observer
 from .rng import RngRegistry
 from .slab import (
     PopulationSlabs,
@@ -15,15 +15,11 @@ from .slab import (
 
 __all__ = [
     "CycleEngine",
-    "run_until",
     "Network",
     "Message",
     "TrafficStats",
     "Node",
     "Observer",
-    "CallbackObserver",
-    "HistoryObserver",
-    "OnlineCountObserver",
     "RngRegistry",
     "PopulationSlabs",
     "ShardCoordinator",

@@ -16,7 +16,6 @@ cycle.  :class:`CycleEngine` reproduces that model:
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -128,29 +127,6 @@ class CycleEngine:
         """Ids of every node currently online (in node-id order)."""
         return list(self._sorted_online_ids())
 
-    def random_online_peer(self, exclude: int | None = None) -> Node | None:
-        """Uniformly random online node, optionally excluding one id.
-
-        Returns ``None`` when no eligible peer exists.  This is the uniform
-        peer-sampling service that the gossip layer uses when the overlay is
-        the complete graph.  The draw is made over the online index without
-        materialising a filtered candidate list; the selected node (and the
-        consumed randomness) is identical to the historical list-building
-        implementation.
-        """
-        candidates = self._sorted_online_ids()
-        count = len(candidates)
-        excluded_position = None
-        if exclude is not None and exclude in self._online_ids:
-            excluded_position = bisect_left(candidates, exclude)
-            count -= 1
-        if count <= 0:
-            return None
-        index = int(self._scheduler_rng.integers(0, count))
-        if excluded_position is not None and index >= excluded_position:
-            index += 1
-        return self.nodes[candidates[index]]
-
     # ------------------------------------------------------------------ messaging
     def transmit(self, sender: int, recipient: int, kind: str, frame: bytes,
                  modelled_bytes: int | None = None) -> bytes | None:
@@ -251,16 +227,3 @@ class CycleEngine:
 
 #: Signature of the optional early-stopping predicate of :meth:`CycleEngine.run`.
 StopCondition = "Callable[[CycleEngine], bool]"
-
-
-def run_until(engine: CycleEngine, predicate, max_cycles: int = 10_000) -> int:
-    """Run *engine* until *predicate(engine)* holds or *max_cycles* is reached.
-
-    Returns the number of cycles executed; raises :class:`SimulationError`
-    when the predicate never became true.
-    """
-    for executed in range(1, max_cycles + 1):
-        engine.run_cycle()
-        if predicate(engine):
-            return executed
-    raise SimulationError(f"predicate still false after {max_cycles} cycles")

@@ -9,7 +9,7 @@ the paper) reports: messages and bytes sent and received per participant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -95,14 +95,6 @@ class ByteAccounting:
         if self.bytes_modelled <= 0:
             return 0.0
         return (self.bytes_measured - self.bytes_modelled) / self.bytes_modelled
-
-    @classmethod
-    def from_traffic(cls, stats: TrafficStats) -> "ByteAccounting":
-        """Build from one node's (or the global) traffic counters."""
-        return cls(
-            bytes_modelled=float(stats.bytes_modelled),
-            bytes_measured=float(stats.bytes_sent),
-        )
 
     def as_dict(self) -> dict[str, float]:
         """Plain dictionary view (for reports)."""
@@ -238,16 +230,3 @@ class Network:
     def per_node_stats(self) -> list[TrafficStats]:
         """Traffic counters of every node, indexed by node id."""
         return list(self._per_node)
-
-    def average_bytes_sent(self) -> float:
-        """Average bytes sent per node (the headline network-cost figure)."""
-        return self.total.bytes_sent / self.n_nodes
-
-    def average_messages_sent(self) -> float:
-        """Average messages sent per node."""
-        return self.total.messages_sent / self.n_nodes
-
-    def reset_stats(self) -> None:
-        """Zero every counter (between experiment phases)."""
-        self._per_node = [TrafficStats() for _ in range(self.n_nodes)]
-        self.total = TrafficStats()

@@ -8,7 +8,7 @@ measurements without polluting protocol code.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Protocol
+from typing import TYPE_CHECKING, Protocol
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from .engine import CycleEngine
@@ -19,49 +19,3 @@ class Observer(Protocol):
 
     def after_cycle(self, engine: "CycleEngine", cycle: int) -> None:
         """Called by the engine after every completed cycle."""
-
-
-class CallbackObserver:
-    """Adapter turning a plain callable into an observer."""
-
-    def __init__(self, callback: Callable[["CycleEngine", int], None]) -> None:
-        self._callback = callback
-
-    def after_cycle(self, engine: "CycleEngine", cycle: int) -> None:
-        self._callback(engine, cycle)
-
-
-class HistoryObserver:
-    """Records one measurement per cycle using a probe function.
-
-    Parameters
-    ----------
-    probe:
-        Callable evaluated after every cycle; its return value is appended to
-        :attr:`history`.
-    every:
-        Only record every *every*-th cycle (1 = every cycle).
-    """
-
-    def __init__(self, probe: Callable[["CycleEngine", int], Any], every: int = 1) -> None:
-        if every < 1:
-            raise ValueError(f"every must be >= 1, got {every}")
-        self._probe = probe
-        self._every = every
-        self.history: list[Any] = []
-        self.cycles: list[int] = []
-
-    def after_cycle(self, engine: "CycleEngine", cycle: int) -> None:
-        if cycle % self._every == 0:
-            self.history.append(self._probe(engine, cycle))
-            self.cycles.append(cycle)
-
-
-class OnlineCountObserver:
-    """Tracks how many nodes are online at the end of every cycle."""
-
-    def __init__(self) -> None:
-        self.counts: list[int] = []
-
-    def after_cycle(self, engine: "CycleEngine", cycle: int) -> None:
-        self.counts.append(sum(1 for node in engine.nodes if node.online))

@@ -2,23 +2,18 @@
 
 from .collection import MatrixBackedCollection, TimeSeriesCollection
 from .distance import (
-    available_distances,
     chebyshev_distance,
     dtw_distance,
     euclidean_distance,
     get_distance,
     manhattan_distance,
-    nearest_neighbor,
     pairwise_distances,
     squared_euclidean_distance,
 )
 from .preprocessing import (
-    add_noise,
     exponential_smoothing,
     lowpass_filter,
     moving_average,
-    piecewise_aggregate,
-    resample,
     sliding_windows,
 )
 from .series import TimeSeries
@@ -27,20 +22,15 @@ __all__ = [
     "MatrixBackedCollection",
     "TimeSeries",
     "TimeSeriesCollection",
-    "available_distances",
     "chebyshev_distance",
     "dtw_distance",
     "euclidean_distance",
     "get_distance",
     "manhattan_distance",
-    "nearest_neighbor",
     "pairwise_distances",
     "squared_euclidean_distance",
-    "add_noise",
     "exponential_smoothing",
     "lowpass_filter",
     "moving_average",
-    "piecewise_aggregate",
-    "resample",
     "sliding_windows",
 ]

@@ -139,12 +139,6 @@ class TimeSeriesCollection:
         return [entry.to_dict() for entry in self._series]
 
     @classmethod
-    def from_dicts(cls, payloads: Iterable[Mapping[str, Any]], name: str = "",
-                   ) -> "TimeSeriesCollection":
-        """Inverse of :meth:`to_dicts`."""
-        return cls([TimeSeries.from_dict(payload) for payload in payloads], name=name)
-
-    @classmethod
     def from_matrix(
         cls,
         matrix: np.ndarray,

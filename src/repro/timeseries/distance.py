@@ -104,11 +104,6 @@ def get_distance(name: str) -> DistanceFunction:
         ) from exc
 
 
-def available_distances() -> tuple[str, ...]:
-    """Names of the registered distance functions."""
-    return tuple(sorted(_DISTANCES))
-
-
 def pairwise_distances(
     rows: np.ndarray, cols: np.ndarray, metric: str = "euclidean"
 ) -> np.ndarray:
@@ -141,14 +136,3 @@ def pairwise_distances(
         for j, col in enumerate(cols):
             out[i, j] = distance(row, col)
     return out
-
-
-def nearest_neighbor(
-    query: np.ndarray, candidates: np.ndarray, metric: str = "euclidean"
-) -> tuple[int, float]:
-    """Index and distance of the candidate row closest to *query*."""
-    query = as_1d_float_array(query, "query")
-    candidates = as_2d_float_array(candidates, "candidates")
-    distances = pairwise_distances(query[None, :], candidates, metric=metric)[0]
-    index = int(np.argmin(distances))
-    return index, float(distances[index])

@@ -60,36 +60,6 @@ def lowpass_filter(values: np.ndarray, cutoff_fraction: float) -> np.ndarray:
     return np.fft.irfft(spectrum, n=len(values))
 
 
-def resample(values: np.ndarray, target_length: int) -> np.ndarray:
-    """Linearly resample a series to ``target_length`` points."""
-    values = as_1d_float_array(values, "values")
-    target_length = check_positive_int(target_length, "target_length")
-    if target_length == len(values):
-        return values.copy()
-    if target_length == 1:
-        return np.array([float(np.mean(values))])
-    source = np.linspace(0.0, 1.0, num=len(values))
-    target = np.linspace(0.0, 1.0, num=target_length)
-    return np.interp(target, source, values)
-
-
-def piecewise_aggregate(values: np.ndarray, n_segments: int) -> np.ndarray:
-    """Piecewise Aggregate Approximation (PAA): mean of each of *n_segments* chunks."""
-    values = as_1d_float_array(values, "values")
-    n_segments = check_positive_int(n_segments, "n_segments")
-    if n_segments > len(values):
-        raise ValidationError(
-            f"cannot split {len(values)} points into {n_segments} segments"
-        )
-    boundaries = np.linspace(0, len(values), num=n_segments + 1)
-    output = np.empty(n_segments, dtype=float)
-    for segment in range(n_segments):
-        start = int(np.floor(boundaries[segment]))
-        end = max(start + 1, int(np.ceil(boundaries[segment + 1])))
-        output[segment] = float(np.mean(values[start:end]))
-    return output
-
-
 def sliding_windows(values: np.ndarray, width: int, step: int = 1) -> np.ndarray:
     """Return all windows of ``width`` points taken every ``step`` positions.
 
@@ -103,13 +73,3 @@ def sliding_windows(values: np.ndarray, width: int, step: int = 1) -> np.ndarray
         raise ValidationError(f"window width {width} exceeds series length {len(values)}")
     starts = range(0, len(values) - width + 1, step)
     return np.vstack([values[start:start + width] for start in starts])
-
-
-def add_noise(values: np.ndarray, scale: float, rng: np.random.Generator) -> np.ndarray:
-    """Add i.i.d. Gaussian noise of standard deviation *scale* (dataset jitter)."""
-    values = as_1d_float_array(values, "values")
-    if scale < 0:
-        raise ValidationError(f"scale must be >= 0, got {scale}")
-    if scale == 0:
-        return values.copy()
-    return values + rng.normal(0.0, scale, size=values.shape)

@@ -259,13 +259,3 @@ class TestByteAccounting:
         from repro.analysis import ByteAccounting
 
         assert ByteAccounting(0.0, 100.0).overhead_fraction == 0.0
-
-    def test_from_traffic(self):
-        from repro.analysis import ByteAccounting
-        from repro.simulation.network import TrafficStats
-
-        stats = TrafficStats(bytes_sent=1050, bytes_modelled=1000)
-        accounting = ByteAccounting.from_traffic(stats)
-        assert accounting.bytes_measured == 1050.0
-        assert accounting.bytes_modelled == 1000.0
-        assert accounting.overhead_fraction == pytest.approx(0.05)

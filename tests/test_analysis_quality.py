@@ -10,11 +10,9 @@ from repro.analysis import (
     compare_with_baselines,
     evaluate_result,
     heuristics_ablation,
-    privacy_quality_tradeoff,
 )
 from repro.core import run_chiaroscuro
 from repro.datasets import generate_gaussian_clusters
-from repro.exceptions import AnalysisError
 
 
 @pytest.fixture(scope="module")
@@ -55,18 +53,7 @@ class TestEvaluateResult:
         assert "adjusted_rand_index" not in report
 
 
-class TestTradeoffAndComparison:
-    def test_privacy_quality_tradeoff_rows(self, collection, config):
-        rows = privacy_quality_tradeoff(collection, config, epsilons=[0.5, 10.0],
-                                        label_key="cluster")
-        assert [row["epsilon"] for row in rows] == [0.5, 10.0]
-        # More budget must not hurt quality (allowing small noise in the comparison).
-        assert rows[1]["relative_inertia"] <= rows[0]["relative_inertia"] * 1.5
-
-    def test_privacy_quality_tradeoff_requires_epsilons(self, collection, config):
-        with pytest.raises(AnalysisError):
-            privacy_quality_tradeoff(collection, config, epsilons=[])
-
+class TestComparison:
     def test_compare_with_baselines_ordering(self, collection, config):
         reports = compare_with_baselines(collection, config, label_key="cluster")
         assert set(reports) == {

@@ -13,7 +13,6 @@ from repro.clustering import (
     match_centroids,
     quality_report,
     relative_inertia,
-    silhouette_score,
 )
 from repro.datasets import generate_gaussian_clusters
 from repro.exceptions import ValidationError
@@ -51,43 +50,6 @@ class TestARI:
     def test_contingency_table(self):
         table = contingency_table(np.array([0, 0, 1]), np.array([1, 1, 0]))
         assert table.tolist() == [[0, 2], [1, 0]]
-
-
-class TestSilhouette:
-    def test_well_separated_clusters_score_high(self):
-        collection = generate_gaussian_clusters(
-            n_series=60, series_length=8, n_clusters=3, noise_std=0.02, separation=3.0, seed=1
-        )
-        data = collection.to_matrix()
-        labels = np.array(collection.labels("cluster"))
-        assert silhouette_score(data, labels) > 0.6
-
-    def test_random_assignment_scores_low(self):
-        collection = generate_gaussian_clusters(
-            n_series=60, series_length=8, n_clusters=3, noise_std=0.02, separation=3.0, seed=1
-        )
-        data = collection.to_matrix()
-        random_labels = np.random.default_rng(0).integers(0, 3, size=60)
-        good_labels = np.array(collection.labels("cluster"))
-        assert silhouette_score(data, random_labels) < silhouette_score(data, good_labels)
-
-    def test_single_cluster_returns_zero(self):
-        data = np.random.default_rng(0).normal(size=(10, 3))
-        assert silhouette_score(data, np.zeros(10, dtype=int)) == 0.0
-
-    def test_sampled_version_close_to_full(self):
-        collection = generate_gaussian_clusters(
-            n_series=80, series_length=6, n_clusters=2, noise_std=0.05, seed=2
-        )
-        data = collection.to_matrix()
-        labels = np.array(collection.labels("cluster"))
-        full = silhouette_score(data, labels)
-        sampled = silhouette_score(data, labels, sample_size=40, seed=1)
-        assert sampled == pytest.approx(full, abs=0.15)
-
-    def test_assignment_length_checked(self):
-        with pytest.raises(ValidationError):
-            silhouette_score(np.zeros((4, 2)), np.zeros(3, dtype=int))
 
 
 class TestCentroidMatching:

@@ -55,10 +55,8 @@ class TestExecutionLog:
             log.append(make_record(iteration))
         assert len(log) == 3
         assert log[1].iteration == 2
-        assert len(log.centroid_trajectory()) == 3
         assert len(log.noise_magnitudes()) == 3
         assert log.displacements() == pytest.approx([0.5, 0.25, 0.5 / 3])
-        assert log.epsilon_schedule() == [0.25, 0.25, 0.25]
 
     def test_out_of_order_iterations_rejected(self):
         log = ExecutionLog()

@@ -23,7 +23,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import damgard_jurik as dj
-from repro.crypto import paillier
 from repro.crypto import threshold as th
 from repro.crypto.backends import DamgardJurikBackend
 from repro.crypto.fastmath import (
@@ -460,30 +459,6 @@ class TestThresholdFastPath:
             == th.combine_partial_decryptions(public, partials, multiexp=False)
             == message
         )
-
-
-class TestPaillierCrt:
-    @pytest.fixture(scope="class")
-    def keypair(self):
-        return paillier.generate_paillier_keypair(key_bits=128)
-
-    @given(fraction=plaintext_fractions)
-    @settings(max_examples=25, deadline=None)
-    def test_crt_decrypt_equals_classic(self, keypair, fraction):
-        public, private = keypair
-        plaintext = min(int(fraction * public.n), public.n - 1)
-        ciphertext = paillier.encrypt(public, plaintext)
-        assert (
-            paillier.decrypt(private, ciphertext, crt=True)
-            == paillier.decrypt(private, ciphertext, crt=False)
-            == plaintext
-        )
-
-    def test_legacy_keys_without_primes_still_decrypt(self, keypair):
-        public, private = keypair
-        legacy = paillier.PaillierPrivateKey(public, private.lam, private.mu)
-        ciphertext = paillier.encrypt(public, 424242)
-        assert paillier.decrypt(legacy, ciphertext) == 424242
 
 
 class TestBackendAgainstTextbook:

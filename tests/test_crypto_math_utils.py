@@ -11,7 +11,6 @@ from repro.crypto.math_utils import (
     factorial,
     generate_distinct_primes,
     generate_prime,
-    integer_digits,
     is_probable_prime,
     lcm,
     mod_inverse,
@@ -103,11 +102,6 @@ class TestMiscHelpers:
         assert factorial(5) == 120
         with pytest.raises(CryptoError):
             factorial(-1)
-
-    def test_integer_digits(self):
-        assert integer_digits(13, 2, 5) == [1, 0, 1, 1, 0]
-        with pytest.raises(CryptoError):
-            integer_digits(10, 1, 3)
 
     def test_product(self):
         assert product([]) == 1

@@ -14,10 +14,8 @@ from repro.gossip import (
     encrypted_gossip_average,
     estimate_payload_bytes,
     fresh_estimate,
-    lift_estimate,
     max_relative_error,
     required_headroom_bits,
-    zero_estimate,
 )
 
 
@@ -28,10 +26,6 @@ class TestEstimateAlgebra:
         assert estimate.halvings == 0
         decoded = decode_estimate(plain_backend, estimate, [1, 2])
         assert np.allclose(decoded, values, atol=1e-5)
-
-    def test_zero_estimate(self, plain_backend):
-        estimate = zero_estimate(plain_backend, 4)
-        assert np.allclose(decode_estimate(plain_backend, estimate, [1, 2]), 0.0)
 
     def test_average_of_two_estimates(self, plain_backend):
         a = fresh_estimate(plain_backend, [1.0, 0.0])
@@ -77,18 +71,6 @@ class TestEstimateAlgebra:
         half = average_estimates(plain_backend, a, b)  # value 1.0, exponent 1
         total = add_estimates(plain_backend, half, a)  # 1.0 + 1.0
         assert np.allclose(decode_estimate(plain_backend, total, [1, 2]), [2.0], atol=1e-5)
-
-    def test_lift_cannot_lower_exponent(self, plain_backend):
-        a = fresh_estimate(plain_backend, [1.0])
-        lifted = lift_estimate(plain_backend, a, 3)
-        with pytest.raises(GossipError):
-            lift_estimate(plain_backend, lifted, 1)
-
-    def test_lift_preserves_value(self, plain_backend):
-        a = fresh_estimate(plain_backend, [0.75, -0.5])
-        lifted = lift_estimate(plain_backend, a, 5)
-        assert np.allclose(decode_estimate(plain_backend, lifted, [1, 2]), [0.75, -0.5],
-                           atol=1e-5)
 
     def test_length_mismatch_rejected(self, plain_backend):
         with pytest.raises(GossipError):

@@ -337,6 +337,8 @@ class TestCommitteeFanOutOverOneRecord:
         (_reply({"replies": [{}, {}]}, FRAMES["decrypt-response"]), "batch_mismatch"),
         # the remote worker's own refusal of the whole record
         (_reply({"error": "bad_header"}), "bad_header"),
+        # the right number of replies, but not JSON objects
+        (_batch_reply(["ab", 7], [FRAMES["decrypt-response"]] * 2), "batch_mismatch"),
     ])
     def test_malformed_batched_reply_is_a_loss_per_recipient(self, reply, error):
         transport = _transport_of(_handler_hosting_node_zero())

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import BudgetExhaustedError, PrivacyError, ValidationError
-from repro.privacy import PrivacyAccountant, compose_parallel, compose_sequential
+from repro.exceptions import BudgetExhaustedError, ValidationError
+from repro.privacy import PrivacyAccountant
 
 
 class TestAccountant:
@@ -77,21 +77,3 @@ class TestAccountant:
             PrivacyAccountant(0.0)
         with pytest.raises(ValidationError):
             PrivacyAccountant(1.0, delta_slack=-0.1)
-
-
-class TestComposition:
-    def test_sequential_is_sum(self):
-        assert compose_sequential([0.1, 0.2, 0.3]) == pytest.approx(0.6)
-
-    def test_parallel_is_max(self):
-        assert compose_parallel([0.1, 0.5, 0.3]) == pytest.approx(0.5)
-
-    def test_empty_compositions(self):
-        assert compose_sequential([]) == 0.0
-        assert compose_parallel([]) == 0.0
-
-    def test_rejects_non_positive_terms(self):
-        with pytest.raises(PrivacyError):
-            compose_sequential([0.1, 0.0])
-        with pytest.raises(PrivacyError):
-            compose_parallel([-0.1])

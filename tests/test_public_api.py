@@ -2,9 +2,32 @@
 
 from __future__ import annotations
 
+import ast
+import importlib
+from pathlib import Path
+
 import pytest
 
 import repro
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: Public names nothing in ``src/``, ``examples/`` or ``benchmarks/`` reads,
+#: kept because a test uses them to check a run-path function: the value
+#: names that function.
+TESTED_REFERENCES = {
+    "repro.crypto.threshold.threshold_decrypt":
+        "repro.crypto.threshold.combine_partial_decryptions",
+    "repro.crypto.wire.write_ciphertext": "repro.crypto.wire.write_encrypted_vector",
+    "repro.crypto.wire.varint_size": "repro.crypto.wire.write_varint",
+    "repro.privacy.noise_shares.sum_of_shares": "repro.privacy.noise_shares.draw_noise_share",
+    "repro.privacy.noise_shares.share_variance": "repro.privacy.noise_shares.draw_noise_share",
+    "repro.privacy.noise_shares.reconstructed_variance":
+        "repro.privacy.noise_shares.draw_noise_share",
+    "repro.net.faults.targeted_mutations": "repro.gossip.messages.deserialize",
+    "repro.datasets.synthetic.generate_two_level_series": "repro.clustering.kmeans.kmeans",
+    "repro.datasets.synthetic.generate_constant_series": "repro.core.runner.run_chiaroscuro",
+}
 
 
 class TestExports:
@@ -24,13 +47,14 @@ class TestExports:
         import repro.datasets
         import repro.experiments
         import repro.gossip
+        import repro.net
         import repro.privacy
         import repro.simulation
         import repro.timeseries
 
         for module in (
             repro.analysis, repro.baselines, repro.clustering, repro.core, repro.crypto,
-            repro.datasets, repro.experiments, repro.gossip, repro.privacy,
+            repro.datasets, repro.experiments, repro.gossip, repro.net, repro.privacy,
             repro.simulation, repro.timeseries,
         ):
             assert hasattr(module, "__all__")
@@ -64,3 +88,66 @@ class TestQuickstartDocstring:
     def test_default_config_exposed(self):
         assert repro.DEFAULT_CONFIG.kmeans.n_clusters == 5
         assert "geometric" in repro.BUDGET_STRATEGIES
+
+
+def _loaded_names(node: ast.AST, strings: bool = False) -> set[str]:
+    """Names and attributes *node* loads; with *strings*, also every
+    identifier inside a string literal (the benchmark tracer patches
+    callables it names as ``"module", "Class.method"`` strings)."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.attr)
+        elif strings and isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names.update(part for part in sub.value.replace(":", ".").split(".")
+                         if part.isidentifier())
+    return names
+
+
+def _public_names_and_readers() -> tuple[dict[str, str], set[str]]:
+    """``{"repro.pkg.module.name": "name"}`` for every public top-level
+    function and class of a ``src/repro`` module, and every name something
+    in ``src/`` (outside ``__init__`` re-exports and the name's own
+    definition), ``examples/`` or ``benchmarks/`` loads."""
+    public: dict[str, str] = {}
+    readers: set[str] = set()
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        module = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
+        for statement in ast.parse(path.read_text()).body:
+            loads = _loaded_names(statement)
+            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                loads.discard(statement.name)
+                if not statement.name.startswith("_"):
+                    public[f"{module}.{statement.name}"] = statement.name
+            readers |= loads
+    for directory in ("examples", "benchmarks"):
+        for path in (ROOT / directory).rglob("*.py"):
+            readers |= _loaded_names(ast.parse(path.read_text()), strings=True)
+    return public, readers
+
+
+def test_every_public_name_is_read():
+    """A public function or class nothing runs is dead code: every one is
+    read by a program in the repository, or is registered in
+    ``TESTED_REFERENCES`` with the run-path function its tests check."""
+    public, readers = _public_names_and_readers()
+    unread = sorted(
+        qualified for qualified, name in public.items()
+        if name not in readers and qualified not in TESTED_REFERENCES
+    )
+    assert not unread, "public names nothing reads: " + ", ".join(unread)
+
+
+def test_tested_references_are_current():
+    """Every registered reference exists, still has no program reader, and
+    names a run-path function that exists."""
+    public, readers = _public_names_and_readers()
+    for reference, checked in TESTED_REFERENCES.items():
+        assert reference in public, reference
+        assert public[reference] not in readers, f"{reference} is read: unregister it"
+        module, _, attribute = checked.rpartition(".")
+        assert hasattr(importlib.import_module(module), attribute), checked

@@ -171,7 +171,6 @@ class TestSmallestSample:
         assert result.metadata["engine"]["sample_size"] == 3
         assert result.costs.encryptions > 0
         assert extrapolated["totals"]["encryptions"]["estimate"] > 0
-        assert result.metadata["wire"]["mode"] == "auto"
 
 
 class TestEmptyClusterRepair:

@@ -120,6 +120,8 @@ class TestTransforms:
 class TestSerialisation:
     def test_dict_round_trip(self):
         collection = make_collection()
-        restored = TimeSeriesCollection.from_dicts(collection.to_dicts(), name="test")
+        restored = TimeSeriesCollection(
+            [TimeSeries.from_dict(payload) for payload in collection.to_dicts()], name="test"
+        )
         assert np.array_equal(restored.to_matrix(), collection.to_matrix())
         assert restored.labels("cluster") == collection.labels("cluster")

@@ -7,13 +7,11 @@ import pytest
 
 from repro.exceptions import TimeSeriesError, ValidationError
 from repro.timeseries import (
-    available_distances,
     chebyshev_distance,
     dtw_distance,
     euclidean_distance,
     get_distance,
     manhattan_distance,
-    nearest_neighbor,
     pairwise_distances,
     squared_euclidean_distance,
 )
@@ -49,7 +47,7 @@ class TestPointwiseDistances:
             euclidean_distance([1, 2], [1, 2, 3])
 
     def test_registry(self):
-        assert "euclidean" in available_distances()
+        assert get_distance("euclidean") is euclidean_distance
         with pytest.raises(ValidationError):
             get_distance("cosine-magic")
 
@@ -103,9 +101,3 @@ class TestMatrixHelpers:
         rows = rng.normal(size=(10, 8)) * 1e-8
         matrix = pairwise_distances(rows, rows, metric="euclidean")
         assert (matrix >= 0).all()
-
-    def test_nearest_neighbor(self):
-        candidates = np.array([[0.0, 0.0], [5.0, 5.0], [1.0, 1.0]])
-        index, distance = nearest_neighbor(np.array([0.9, 1.1]), candidates)
-        assert index == 2
-        assert distance == pytest.approx(np.sqrt(0.01 + 0.01))

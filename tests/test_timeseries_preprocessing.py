@@ -7,12 +7,9 @@ import pytest
 
 from repro.exceptions import ValidationError
 from repro.timeseries import (
-    add_noise,
     exponential_smoothing,
     lowpass_filter,
     moving_average,
-    piecewise_aggregate,
-    resample,
     sliding_windows,
 )
 
@@ -77,35 +74,7 @@ class TestLowpass:
         assert lowpass_filter(values, 0.5).shape == values.shape
 
 
-class TestResample:
-    def test_same_length_is_copy(self):
-        values = np.array([1.0, 2.0, 3.0])
-        assert np.allclose(resample(values, 3), values)
-
-    def test_upsample_endpoints(self):
-        out = resample(np.array([0.0, 1.0]), 5)
-        assert out[0] == 0.0 and out[-1] == 1.0 and len(out) == 5
-
-    def test_downsample_to_one_is_mean(self):
-        assert resample(np.array([1.0, 3.0]), 1)[0] == pytest.approx(2.0)
-
-
-class TestPAA:
-    def test_exact_segments(self):
-        values = np.array([1.0, 1.0, 3.0, 3.0])
-        assert np.allclose(piecewise_aggregate(values, 2), [1.0, 3.0])
-
-    def test_rejects_too_many_segments(self):
-        with pytest.raises(ValidationError):
-            piecewise_aggregate(np.ones(3), 5)
-
-    def test_mean_preserved_roughly(self, rng):
-        values = rng.normal(size=100)
-        paa = piecewise_aggregate(values, 10)
-        assert paa.mean() == pytest.approx(values.mean(), abs=0.05)
-
-
-class TestSlidingWindowsAndNoise:
+class TestSlidingWindows:
     def test_window_count(self):
         windows = sliding_windows(np.arange(10, dtype=float), width=4, step=2)
         assert windows.shape == (4, 4)
@@ -118,16 +87,3 @@ class TestSlidingWindowsAndNoise:
     def test_width_too_large(self):
         with pytest.raises(ValidationError):
             sliding_windows(np.ones(3), width=5)
-
-    def test_add_noise_zero_scale(self, fresh_rng):
-        values = np.arange(5, dtype=float)
-        assert np.allclose(add_noise(values, 0.0, fresh_rng), values)
-
-    def test_add_noise_changes_values(self, fresh_rng):
-        values = np.zeros(100)
-        noisy = add_noise(values, 1.0, fresh_rng)
-        assert noisy.std() > 0.5
-
-    def test_add_noise_rejects_negative_scale(self, fresh_rng):
-        with pytest.raises(ValidationError):
-            add_noise(np.ones(3), -1.0, fresh_rng)

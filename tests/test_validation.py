@@ -15,8 +15,6 @@ from repro._validation import (
     check_positive_float,
     check_positive_int,
     check_probability,
-    check_same_length,
-    require,
 )
 from repro.exceptions import ReproError, ValidationError
 
@@ -87,11 +85,6 @@ class TestScalarChecks:
         with pytest.raises(ValidationError):
             check_in_choices("c", ("a", "b"), "x")
 
-    def test_require(self):
-        require(True, "fine")
-        with pytest.raises(ValidationError, match="broken"):
-            require(False, "broken")
-
 
 class TestArrayChecks:
     def test_1d_conversion(self):
@@ -122,11 +115,6 @@ class TestArrayChecks:
     def test_2d_rejects_inf(self):
         with pytest.raises(ValidationError):
             as_2d_float_array([[1.0, float("inf")]], "x")
-
-    def test_same_length(self):
-        check_same_length(np.zeros(3), np.ones(3), "pair")
-        with pytest.raises(ValidationError):
-            check_same_length(np.zeros(3), np.ones(4), "pair")
 
     def test_validation_error_is_repro_and_value_error(self):
         assert issubclass(ValidationError, ReproError)

@@ -157,9 +157,6 @@ class TestWireEquivalence:
         assert accounting.bytes_modelled == wire_run.costs.bytes_sent_modelled
         assert accounting.overhead_fraction == wire_run.costs.wire_overhead_fraction
 
-    def test_wire_metadata_recorded(self, wire_run):
-        assert wire_run.metadata["wire"] == {"mode": "auto", "corruption_rate": 0.0}
-
 
 class TestCleartextGossipEquivalence:
     @pytest.fixture(scope="class")

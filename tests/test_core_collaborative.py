@@ -6,13 +6,20 @@ import numpy as np
 import pytest
 
 from repro.core.collaborative import (
+    build_decrypt_request,
     collaborative_decrypt,
     collaborative_decrypt_many,
+    decode_decrypt_response,
+    finalize_decryption,
+    response_partials,
+    serve_decrypt_request,
     share_holder_ids,
     share_index_of,
 )
+from repro.crypto.wire import wire_ciphertext_bytes
 from repro.exceptions import ThresholdError
-from repro.gossip import fresh_estimate
+from repro.gossip import average_estimates, fresh_estimate
+from repro.gossip.messages import DecryptRequest, deserialize
 from repro.simulation import CycleEngine, Node
 
 
@@ -104,3 +111,62 @@ class TestCollaborativeDecrypt:
         assert outcome.messages == 2 * plain_backend.threshold
         assert ledger.messages_sent - messages == outcome.messages
         assert ledger.bytes_sent - transferred == outcome.bytes_transferred > 0
+
+
+class TestRoundPieces:
+    """The request/serve/decode/finalize steps both drivers share, run here
+    without an engine."""
+
+    @staticmethod
+    def estimates(backend):
+        a = fresh_estimate(backend, [1.0, -0.5])
+        b = fresh_estimate(backend, [0.0, 0.5])
+        return [fresh_estimate(backend, [0.25, 0.75]), average_estimates(backend, a, b)]
+
+    def test_request_frame_carries_every_estimate(self, plain_backend):
+        estimates = self.estimates(plain_backend)
+        request = deserialize(build_decrypt_request(plain_backend, estimates))
+        assert isinstance(request, DecryptRequest)
+        assert list(request.estimates) == estimates
+        assert request.ciphertext_bytes == wire_ciphertext_bytes(plain_backend)
+
+    def test_serve_decode_and_finalize(self, dj_backend):
+        estimates = self.estimates(dj_backend)
+        request = deserialize(build_decrypt_request(dj_backend, estimates))
+        per_helper = [
+            decode_decrypt_response(serve_decrypt_request(dj_backend, helper, request), 2)
+            for helper in (1, 3)
+        ]
+        assert [partial.share_index for partial in per_helper[0]] == [2, 2]
+        assert [partial.share_index for partial in per_helper[1]] == [4, 4]
+        values = finalize_decryption(dj_backend, per_helper, estimates)
+        np.testing.assert_allclose(values[0], [0.25, 0.75], atol=1e-3)
+        np.testing.assert_allclose(values[1], [0.5, 0.0], atol=1e-3)  # halving undone
+
+    def test_serve_refuses_a_node_without_a_share(self, plain_backend):
+        request = deserialize(build_decrypt_request(plain_backend, self.estimates(plain_backend)))
+        with pytest.raises(ThresholdError):
+            serve_decrypt_request(plain_backend, plain_backend.n_shares, request)
+
+    def test_missing_mistyped_or_miscounted_responses_are_losses(self, plain_backend):
+        estimates = self.estimates(plain_backend)
+        request = deserialize(build_decrypt_request(plain_backend, estimates))
+        response = deserialize(serve_decrypt_request(plain_backend, 0, request))
+        assert response_partials(response, 2) == response.partials
+        assert response_partials(response, 1) is None
+        assert response_partials(None, 2) is None
+        assert response_partials(request, 2) is None
+
+    def test_corrupted_response_frame_is_a_loss(self, plain_backend):
+        estimates = self.estimates(plain_backend)
+        request = deserialize(build_decrypt_request(plain_backend, estimates))
+        frame = bytearray(serve_decrypt_request(plain_backend, 0, request))
+        frame[len(frame) // 2] ^= 0x10
+        assert decode_decrypt_response(bytes(frame), 2) is None
+
+    def test_finalize_needs_threshold_usable_helpers(self, plain_backend):
+        estimates = self.estimates(plain_backend)
+        request = deserialize(build_decrypt_request(plain_backend, estimates))
+        served = decode_decrypt_response(serve_decrypt_request(plain_backend, 0, request), 2)
+        with pytest.raises(ThresholdError):
+            finalize_decryption(plain_backend, [served, None], estimates)

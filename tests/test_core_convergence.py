@@ -10,10 +10,17 @@ from repro.clustering.kmeans import centroid_displacement, reseed_centroid
 from repro.clustering.smoothing import smooth_centroids
 from repro.config import SMOOTHING_METHODS, ChiaroscuroConfig
 from repro.core import TerminationCriteria
-from repro.core.convergence import perturbed_means
+from repro.core.convergence import iteration_policy, perturbed_means
+from repro.core.runner import run_chiaroscuro
 from repro.crypto.backends import PlainBackend
+from repro.datasets import load_dataset_for_population
 from repro.exceptions import ValidationError
-from test_core_participant import decrypting_participant, drive
+from repro.privacy.strategies import (
+    AdaptiveBudgetStrategy,
+    GeometricBudgetStrategy,
+    UniformBudgetStrategy,
+)
+from test_core_participant import decrypting_participant, drive, make_participants
 
 N_NODES = 50  # a cluster is empty at or below a count of 1 / (2 * 50) = 0.01
 
@@ -126,6 +133,101 @@ class TestPerturbedMeans:
         assert np.array_equal(participant.perturbed_means_history[0], perturbed)
         assert np.array_equal(participant.centroids, perturbed)
         assert participant.displacement_history == [displacement]
+
+
+def policy_config(**privacy):
+    return ChiaroscuroConfig().with_overrides(
+        kmeans={"max_iterations": 6, "convergence_threshold": 0.02,
+                "track_quality": False, "quality_patience": 5},
+        privacy={"epsilon": 3.0, "value_bound": 2.0, "count_bound": 1.5,
+                 "delta_slack": 1e-6, **privacy},
+    )
+
+
+class TestIterationPolicy:
+    def test_sensitivity_follows_the_privacy_section(self):
+        sensitivity, _, _, _ = iteration_policy(policy_config(), series_length=12)
+        assert sensitivity.series_length == 12
+        assert sensitivity.sum_sensitivity == 24.0
+        assert sensitivity.count_sensitivity == 1.5
+        assert sensitivity.laplace_scale(0.5) == pytest.approx(25.5 / 0.5)
+
+    @pytest.mark.parametrize("name, kind", [
+        ("uniform", UniformBudgetStrategy),
+        ("geometric", GeometricBudgetStrategy),
+        ("adaptive", AdaptiveBudgetStrategy),
+    ])
+    def test_strategy_spends_the_whole_budget_over_max_iterations(self, name, kind):
+        _, strategy, _, _ = iteration_policy(policy_config(budget_strategy=name), 12)
+        assert type(strategy) is kind
+        schedule = strategy.schedule()
+        assert len(schedule) == 6
+        assert sum(schedule) == pytest.approx(3.0)
+
+    def test_geometric_ratio_is_passed_on(self):
+        _, strategy, _, _ = iteration_policy(
+            policy_config(budget_strategy="geometric", geometric_ratio=2.0), 12
+        )
+        schedule = strategy.schedule()
+        assert [b / a for a, b in zip(schedule, schedule[1:])] == pytest.approx([2.0] * 5)
+
+    def test_accountant_carries_the_budget_and_the_delta_slack(self):
+        _, _, accountant, _ = iteration_policy(policy_config(), 12)
+        assert accountant.total_epsilon == 3.0
+        assert accountant.delta_slack == 1e-6
+        assert accountant.n_spends == 0
+
+    def test_termination_follows_the_kmeans_section(self):
+        _, _, _, termination = iteration_policy(policy_config(), 12)
+        assert termination == TerminationCriteria(
+            convergence_threshold=0.02, max_iterations=6,
+            track_quality=False, quality_patience=5,
+        )
+        assert termination.should_stop(6, 1.0) == (True, "max_iterations")
+
+    def test_every_call_builds_fresh_state(self):
+        config = policy_config()
+        first = iteration_policy(config, 12)
+        second = iteration_policy(config, 12)
+        first[2].spend(1.0)
+        assert second[2].spent_epsilon == 0.0
+        assert first[3] is not second[3]
+
+    def test_the_participant_runs_the_policy_of_its_config(self):
+        participants, config, data = make_participants(config=policy_config().with_overrides(
+            kmeans={"n_clusters": 2},
+            privacy={"noise_shares": 3},
+            crypto={"threshold": 2, "n_key_shares": 3},
+            simulation={"n_participants": 6, "seed": 0},
+        ))
+        sensitivity, strategy, accountant, termination = iteration_policy(
+            config, data.shape[1]
+        )
+        participant = participants[0]
+        assert participant.sensitivity == sensitivity
+        assert participant.strategy.schedule() == strategy.schedule()
+        assert participant.accountant.report() == accountant.report()
+        assert participant.termination == termination
+        assert participants[1].accountant is not participant.accountant
+
+    def test_the_sampled_slab_run_spends_the_policy_schedule(self):
+        config = ChiaroscuroConfig().with_overrides(
+            simulation={"n_participants": 60, "seed": 5},
+            kmeans={"n_clusters": 3, "max_iterations": 3},
+            privacy={"epsilon": 4.0, "noise_shares": 12},
+            gossip={"cycles_per_aggregation": 4},
+            crypto={"threshold": 2, "n_key_shares": 4},
+            runtime={"engine": "slab", "crypto_sample_fraction": 0.25},
+        )
+        collection = load_dataset_for_population("gaussian", 60, 5, n_clusters=3,
+                                                 noise_std=0.05)
+        result = run_chiaroscuro(collection, config)
+        assert result.metadata["engine"]["name"] == "slab"
+        _, strategy, _, _ = iteration_policy(config, result.profiles.shape[1])
+        spends = [record.epsilon_spent for record in result.log.records]
+        assert len(spends) == result.n_iterations
+        assert spends == pytest.approx(strategy.schedule()[:len(spends)])
+        assert result.epsilon_spent == pytest.approx(sum(spends))
 
 
 class TestBasicCriteria:

@@ -9,9 +9,11 @@ from repro import ChiaroscuroConfig, run_chiaroscuro
 from repro.analysis.costs import REFERENCE_PROFILE
 from repro.baselines import centralized_kmeans
 from repro.clustering import adjusted_rand_index
+from repro.core.convergence import iteration_policy
 from repro.core.runner import (
     denormalize_profiles,
     normalize_collection,
+    plan_max_cycles,
     run_to_completion,
 )
 from repro.datasets import generate_gaussian_clusters, generate_numed_like
@@ -118,6 +120,19 @@ class TestRunOutcome:
     def test_iterations_bounded(self, result, fast_config):
         assert 1 <= result.n_iterations <= fast_config.kmeans.max_iterations
 
+    def test_budget_follows_the_iteration_policy(self, result, fast_config):
+        _, strategy, _, _ = iteration_policy(fast_config, result.profiles.shape[1])
+        spends = [record.epsilon_spent for record in result.log.records]
+        assert len(spends) == result.n_iterations
+        assert spends == pytest.approx(strategy.schedule()[:len(spends)])
+        assert result.epsilon_spent == pytest.approx(sum(spends))
+
+    def test_cycle_budget_covers_every_iteration(self, fast_config):
+        """Each iteration is budgeted its gossip cycles plus three more; 50
+        spare cycles absorb stragglers."""
+        assert plan_max_cycles(fast_config) == 4 * (6 + 3) + 50
+        assert plan_max_cycles(fast_config, max_extra_cycles=0) == 4 * 9
+
     def test_costs_are_positive_and_consistent(self, result, collection):
         costs = result.costs
         assert costs.n_participants == len(collection)
@@ -126,6 +141,9 @@ class TestRunOutcome:
         assert costs.encryptions > 0
         assert costs.bytes_per_participant == pytest.approx(
             costs.bytes_sent / len(collection)
+        )
+        assert costs.encryptions_per_participant == pytest.approx(
+            costs.encryptions / len(collection)
         )
         as_dict = costs.as_dict()
         assert as_dict["messages_per_participant"] > 0

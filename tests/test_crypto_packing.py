@@ -117,6 +117,17 @@ class TestPackedCodecRoundTrip:
         with pytest.raises(ValidationError):
             codec.unpack_vector(packed, 5 + codec.slots, weight=1)
 
+    def test_slot_mask_reads_the_offset_encoded_slots(self):
+        """Slot ``i`` of a packed plaintext is ``(plaintext >> i·slot_bits) &
+        slot_mask``, holding ``offset + round(value · scale)``."""
+        codec = small_codec(slots=3)
+        assert codec.slot_mask == (1 << codec.slot_bits) - 1
+        assert codec.slot_mask.bit_length() == codec.slot_bits
+        values = [-2.5, 0.0, 4.25]
+        (plaintext,) = codec.pack_vector(values)
+        slots = [(plaintext >> (i * codec.slot_bits)) & codec.slot_mask for i in range(3)]
+        assert slots == [codec.offset + int(round(v * SCALE)) for v in values]
+
 
 class TestPackedCodecHeadroom:
     def test_max_halvings_headroom(self):

@@ -90,6 +90,19 @@ class TestAppendAndRead:
         # store reads cleanly end to end.
         assert [row["key"] for row in store.rows()] == ["a", "c"]
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text(
+            '\n{"key": "a", "status": "ok"}\n\n  \n{"key": "b", "status": "ok"}\n\n',
+            encoding="utf-8",
+        )
+        assert [row["key"] for row in ResultStore(path).iter_rows()] == ["a", "b"]
+
+    def test_truncated_record_before_trailing_blank_lines_is_the_tail(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"key": "a", "status": "ok"}\n{"key": "b\n\n\n', encoding="utf-8")
+        assert [row["key"] for row in ResultStore(path).iter_rows()] == ["a"]
+
     def test_non_object_lines_are_rejected(self, tmp_path):
         path = tmp_path / "rows.jsonl"
         path.write_text("[1, 2, 3]\n", encoding="utf-8")
@@ -115,6 +128,16 @@ class TestCacheSemantics:
         # ... and a later failure invalidates the cache again.
         store.append(_row("cell", "timeout", {"error": "regression"}))
         assert not store.has("cell")
+
+    def test_latest_by_key_holds_the_last_row_of_each_key(self, tmp_path):
+        store = ResultStore(tmp_path / "rows.jsonl")
+        store.append(_row("x", "error", {"error": "first"}))
+        store.append(_row("y", "ok", {"value": 1}))
+        store.append(_row("x", "ok", {"value": 2}))
+        latest = store.latest_by_key()
+        assert list(latest) == ["x", "y"]
+        assert latest["x"]["status"] == "ok" and latest["x"]["value"] == 2
+        assert latest["y"]["value"] == 1
 
     def test_failure_row_shape(self):
         spec = _spec()

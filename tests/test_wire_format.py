@@ -16,6 +16,8 @@ Three layers of guarantees:
 
 from __future__ import annotations
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,8 +27,11 @@ from repro.crypto import wire
 from repro.crypto.wire import (
     WireReader,
     read_encrypted_vector,
+    read_partial_decryption,
     write_bigint,
     write_encrypted_vector,
+    write_float,
+    write_partial_decryption,
     write_varint,
 )
 from repro.exceptions import WireFormatError
@@ -210,6 +215,36 @@ class TestPrimitives:
         with pytest.raises(WireFormatError):
             reader.expect_end()
 
+    @given(value=st.floats(allow_nan=True, allow_infinity=True))
+    @settings(max_examples=200)
+    def test_float_round_trip_is_bit_exact(self, value):
+        out = bytearray()
+        write_float(out, value)
+        assert len(out) == 8
+        reader = WireReader(bytes(out))
+        assert struct.pack(">d", reader.read_float()) == struct.pack(">d", value)
+        reader.expect_end()
+
+    def test_float_is_big_endian_ieee754(self):
+        out = bytearray()
+        write_float(out, 1.0)
+        write_float(out, -0.0)
+        assert bytes(out) == bytes.fromhex("3ff0000000000000" "8000000000000000")
+
+    def test_truncated_float_rejected(self):
+        with pytest.raises(WireFormatError):
+            WireReader(b"\x3f\xf0\x00").read_float()
+
+    def test_ciphertext_width_rounds_bits_up_to_bytes(self, plain_backend, dj_backend):
+        assert wire.wire_ciphertext_bytes(plain_backend) == 4096 // 8
+        bits = dj_backend.ciphertext_bits
+        width = wire.wire_ciphertext_bytes(dj_backend)
+        assert 8 * (width - 1) < bits <= 8 * width
+        ciphertext = dj_backend.encrypt_vector([0.5]).payload[0]
+        out = bytearray()
+        wire.write_ciphertext(out, ciphertext, width)
+        assert WireReader(bytes(out)).read_ciphertext(width) == ciphertext
+
 
 class TestVectorBlocks:
     @given(data=encrypted_vectors())
@@ -221,6 +256,31 @@ class TestVectorBlocks:
         reader = WireReader(bytes(out))
         assert read_encrypted_vector(reader, width) == vector
         reader.expect_end()
+
+    @given(data=st.data(), width=st.sampled_from(WIDTHS))
+    @settings(max_examples=100)
+    def test_partial_decryption_round_trip(self, data, width):
+        partial = data.draw(partial_decryptions(width))
+        out = bytearray()
+        write_partial_decryption(out, partial, width)
+        reader = WireReader(bytes(out))
+        assert read_partial_decryption(reader, width) == partial
+        reader.expect_end()
+
+    def test_partial_decryption_share_index_limits(self):
+        partial = PartialVectorDecryption(
+            share_index=wire.MAX_SHARE_INDEX + 1, payload=(1,),
+            backend_name="plain", length=1,
+        )
+        with pytest.raises(WireFormatError):
+            write_partial_decryption(bytearray(), partial, 8)
+        # A zero share index (varint 0x00) ahead of an otherwise valid block.
+        valid = bytearray()
+        write_partial_decryption(valid, PartialVectorDecryption(
+            share_index=1, payload=(1,), backend_name="plain", length=1,
+        ), 8)
+        with pytest.raises(WireFormatError, match="1-based"):
+            read_partial_decryption(WireReader(b"\x00" + bytes(valid[1:])), 8)
 
     def test_unpacked_count_must_match_length(self):
         vector = EncryptedVector(payload=(1, 2, 3), backend_name="plain",

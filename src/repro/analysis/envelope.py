@@ -13,8 +13,8 @@ a deterministic reference run of the same configuration, it reports
 
 ``profile_distance``
     L2 distance between the consensus profile matrices (clusters aligned by
-    a greedy nearest match, since concurrent interleaving may permute
-    cluster indices).
+    a minimum-total-distance matching, since concurrent interleaving may
+    permute cluster indices).
 ``profile_distance_relative``
     The same distance normalised by the reference profile norm.
 ``assignment_churn``
@@ -35,6 +35,8 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from ..clustering.metrics import min_cost_assignment
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..core.result import ChiaroscuroResult
 
@@ -42,47 +44,37 @@ __all__ = ["align_profiles", "nondeterminism_envelope"]
 
 
 def align_profiles(profiles: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Map each reference cluster index to its nearest ``profiles`` row.
+    """Map each reference cluster index to its matching ``profiles`` row.
 
     Concurrent interleaving can permute cluster labels between two runs of
-    the same configuration, so envelope metrics compare clusters after a
-    greedy nearest-neighbour alignment: reference clusters are matched in
-    order of ascending best-match distance, each claiming one distinct row
-    of ``profiles``.  Returns an integer array ``perm`` of length ``k``
-    with ``profiles[perm[j]]`` the match of ``reference[j]``.
+    the same configuration, so envelope metrics compare clusters after an
+    optimal alignment: the one-to-one matching of reference clusters to
+    ``profiles`` rows with the least total Euclidean distance
+    (:func:`~repro.clustering.metrics.min_cost_assignment`).  Returns an
+    integer array ``perm`` of length ``k`` with ``profiles[perm[j]]`` the
+    match of ``reference[j]``.
 
     A cluster that ended a run empty can carry a NaN profile row; NaN
-    distances would make ``argmin`` pick arbitrary matches and silently
-    corrupt the downstream churn metric, so only real (NaN-free) rows
-    compete in the greedy matching.  NaN rows — and any real rows starved
-    by them — then pair up in index order, keeping the result a full
-    permutation.
+    distances would corrupt the matching, and silently the downstream churn
+    metric, so only real (NaN-free) rows take part in it.  NaN rows — and
+    any real rows starved by them — then pair up in index order, keeping
+    the result a full permutation.
     """
     k = reference.shape[0]
     if profiles.shape != reference.shape:
         raise ValueError(
             f"profile shapes differ: {profiles.shape} vs {reference.shape}"
         )
-    reference_real = ~np.isnan(reference).any(axis=1)
-    candidate_real = ~np.isnan(profiles).any(axis=1)
-    distances = np.linalg.norm(
-        reference[:, None, :] - profiles[None, :, :], axis=2
-    )
-    # Pairs touching a NaN row never compete for a greedy match.
-    working = np.where(
-        reference_real[:, None] & candidate_real[None, :], distances, np.inf
-    )
+    reference_real = np.nonzero(~np.isnan(reference).any(axis=1))[0]
+    candidate_real = np.nonzero(~np.isnan(profiles).any(axis=1))[0]
     perm = np.full(k, -1, dtype=np.int64)
-    # Greedy: repeatedly take the globally closest (reference, candidate)
-    # pair among unmatched real rows.  k is small (number of clusters), so
-    # the O(k^3) loop is irrelevant.
-    for _ in range(int(min(reference_real.sum(), candidate_real.sum()))):
-        j, i = np.unravel_index(np.argmin(working), working.shape)
-        if not np.isfinite(working[j, i]):
-            break
-        perm[j] = i
-        working[j, :] = np.inf
-        working[:, i] = np.inf
+    if reference_real.size and candidate_real.size:
+        distances = np.linalg.norm(
+            reference[reference_real, None, :] - profiles[None, candidate_real, :],
+            axis=2,
+        )
+        rows, cols = min_cost_assignment(distances)
+        perm[reference_real[rows]] = candidate_real[cols]
     unmatched = np.nonzero(perm < 0)[0]
     if unmatched.shape[0]:
         unclaimed = np.setdiff1d(np.arange(k), perm[perm >= 0])

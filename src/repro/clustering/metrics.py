@@ -16,7 +16,6 @@ against a centralised k-means (claim C2).  The library reports:
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from .._validation import as_2d_float_array
 from ..exceptions import ValidationError
@@ -67,6 +66,59 @@ def adjusted_rand_index(labels_true: np.ndarray, labels_pred: np.ndarray) -> flo
     return (sum_comb_cells - expected) / (maximum - expected)
 
 
+def min_cost_assignment(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact minimum-cost one-to-one assignment on a rectangular cost matrix.
+
+    The Hungarian method in its shortest-augmenting-path form with row and
+    column potentials (Jonker–Volgenant style), O(r² c) for r ≤ c: each row
+    in turn grows a Dijkstra tree over reduced costs until it reaches a free
+    column, then augments along it.  Every row of the shorter side is
+    matched.  Returns ``(rows, cols)``, the matched index pairs with
+    ``rows`` ascending.
+    """
+    costs = np.asarray(costs, dtype=float)
+    if costs.ndim != 2:
+        raise ValidationError(f"costs must be two-dimensional, got shape {costs.shape}")
+    transposed = costs.shape[0] > costs.shape[1]
+    if transposed:
+        costs = costs.T
+    n_rows, n_cols = costs.shape
+    # Index 0 of the column arrays is a virtual column holding the row
+    # being inserted; owner[j] is the 1-based row matched to column j.
+    row_potential = np.zeros(n_rows + 1)
+    col_potential = np.zeros(n_cols + 1)
+    owner = np.zeros(n_cols + 1, dtype=np.int64)
+    via = np.zeros(n_cols + 1, dtype=np.int64)
+    for row in range(1, n_rows + 1):
+        owner[0] = row
+        column = 0
+        slack = np.full(n_cols + 1, np.inf)
+        visited = np.zeros(n_cols + 1, dtype=bool)
+        while owner[column] != 0:
+            visited[column] = True
+            current = owner[column]
+            reduced = costs[current - 1] - row_potential[current] - col_potential[1:]
+            better = ~visited[1:] & (reduced < slack[1:])
+            slack[1:][better] = reduced[better]
+            via[1:][better] = column
+            open_slack = np.where(visited[1:], np.inf, slack[1:])
+            column = int(np.argmin(open_slack)) + 1
+            delta = open_slack[column - 1]
+            row_potential[owner[visited]] += delta
+            col_potential[visited] -= delta
+            slack[~visited] -= delta
+        while column != 0:
+            previous = via[column]
+            owner[column] = owner[previous]
+            column = previous
+    cols = np.nonzero(owner[1:])[0]
+    rows = owner[1:][cols] - 1
+    if transposed:
+        rows, cols = cols, rows
+    order = np.argsort(rows)
+    return rows[order], cols[order]
+
+
 def match_centroids(reference: np.ndarray, produced: np.ndarray) -> list[tuple[int, int]]:
     """Optimal one-to-one matching between two centroid sets (Hungarian method).
 
@@ -79,7 +131,7 @@ def match_centroids(reference: np.ndarray, produced: np.ndarray) -> list[tuple[i
     if reference.shape[1] != produced.shape[1]:
         raise ValidationError("centroid sets must share their series length")
     costs = pairwise_distances(reference, produced, metric="euclidean")
-    row_indices, col_indices = optimize.linear_sum_assignment(costs)
+    row_indices, col_indices = min_cost_assignment(costs)
     return list(zip(row_indices.tolist(), col_indices.tolist()))
 
 

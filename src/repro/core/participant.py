@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Callable, Collection, Generator, Sequence
+from typing import Any, Callable, Generator, Sequence
 
 import numpy as np
 
@@ -191,15 +191,16 @@ class ChiaroscuroParticipant(Node):
 
     # ------------------------------------------------------------------ execution sequence
     def step(self, rng: np.random.Generator,
-             online: Callable[[], Collection[int]],
+             online: Callable[[], Sequence[int]],
              n_nodes: int) -> Generator[Effect, Any, None]:
         """One cycle of the execution sequence, as a sans-IO generator.
 
         The protocol step, written once: it *decides* — peer sampling from
-        *rng* (this node's :func:`peer_sampling_stream`) among the ids
-        *online()* returns, the sync/adopt/skip/merge handling, the phase
-        transitions — and moves no byte.  What needs another device is
-        yielded as an effect and the driver sends the answer back in:
+        *rng* (this node's :func:`peer_sampling_stream`) among the
+        ascending ids *online()* returns, the sync/adopt/skip/merge
+        handling, the phase transitions — and moves no byte.  What needs
+        another device is yielded as an effect and the driver sends the
+        answer back in:
         :meth:`next_cycle` (cycle engine) and
         :meth:`repro.net.live.LiveParticipantDriver.step` (sockets).
         *n_nodes* is the population size.
@@ -216,7 +217,7 @@ class ChiaroscuroParticipant(Node):
         ``engine.exchange``, peers read from the engine's memory."""
         steps = self.step(
             engine.rng_registry.stream(peer_sampling_stream(self.node_id)),
-            lambda: set(engine.online_ids()),
+            engine.online_id_view,
             engine.n_nodes,
         )
         answer = None
@@ -369,7 +370,7 @@ class ChiaroscuroParticipant(Node):
         ).serialize()
 
     def _gossip_step(self, rng: np.random.Generator,
-                     online: Collection[int]) -> Generator[Effect, Any, None]:
+                     online: Sequence[int]) -> Generator[Effect, Any, None]:
         if self.diptych is None:  # pragma: no cover - state machine guarantees this
             raise ProtocolError("gossip phase reached without a diptych")
         for _ in range(self.config.gossip.exchanges_per_cycle):

@@ -203,7 +203,7 @@ class EncryptedAveragingNode(Node):
         from .messages import EncryptedAvgReply, EncryptedAvgRequest
 
         rng = engine.rng_registry.stream(f"gossip.encrypted.{self.node_id}")
-        online = set(engine.online_ids())
+        online = engine.online_id_view()
         peer_id = self.overlay.sample_neighbor(self.node_id, rng, online=online)
         if peer_id is None:
             return

@@ -52,7 +52,7 @@ class PushPullAveragingNode(Node):
 
     def next_cycle(self, engine: CycleEngine, cycle: int) -> None:
         rng = engine.rng_registry.stream(f"gossip.peer_sampling.{self.node_id}")
-        online = set(engine.online_ids())
+        online = engine.online_id_view()
         for _ in range(self.exchanges_per_cycle):
             peer_id = self.overlay.sample_neighbor(self.node_id, rng, online=online)
             if peer_id is None:
@@ -108,7 +108,7 @@ class PushSumNode(Node):
         self._incoming_weights.clear()
 
         rng = engine.rng_registry.stream(f"gossip.push_sum.{self.node_id}")
-        online = set(engine.online_ids())
+        online = engine.online_id_view()
         peer_id = self.overlay.sample_neighbor(self.node_id, rng, online=online)
         if peer_id is None:
             return

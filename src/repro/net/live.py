@@ -731,7 +731,7 @@ class LiveParticipantDriver:
         self.participants = participants
         self.transport = transport
         self.registry = RngRegistry(setup.config.simulation.seed)
-        self._online = set(range(setup.n_participants))
+        self._online = range(setup.n_participants)
 
     async def step(self, node_id: int) -> dict[str, Any]:
         participant = self.participants[node_id]

@@ -87,9 +87,10 @@ class CycleEngine:
         # transitions (including direct ``node.online = ...`` assignments by
         # tests and fault-injection code), so peer sampling never re-scans
         # the whole population.  The sorted view is rebuilt lazily, only
-        # after a transition actually happened.
+        # after a transition actually happened, as a new tuple: a view
+        # handed out earlier stays a valid snapshot.
         self._online_ids: set[int] = set()
-        self._online_sorted: list[int] | None = None
+        self._online_sorted: tuple[int, ...] | None = None
         for node in self.nodes:
             node._online_listener = self._node_online_changed
             if node.online:
@@ -114,18 +115,23 @@ class CycleEngine:
             self._online_ids.discard(node.node_id)
         self._online_sorted = None
 
-    def _sorted_online_ids(self) -> list[int]:
+    def online_id_view(self) -> tuple[int, ...]:
+        """Ids of every node currently online, ascending, without a copy.
+
+        The tuple is shared until the next online transition, so reading it
+        costs nothing; peer sampling takes it as its ``online`` argument.
+        """
         if self._online_sorted is None:
-            self._online_sorted = sorted(self._online_ids)
+            self._online_sorted = tuple(sorted(self._online_ids))
         return self._online_sorted
 
     def online_nodes(self) -> list[Node]:
         """Every node currently online (in node-id order)."""
-        return [self.nodes[node_id] for node_id in self._sorted_online_ids()]
+        return [self.nodes[node_id] for node_id in self.online_id_view()]
 
     def online_ids(self) -> list[int]:
         """Ids of every node currently online (in node-id order)."""
-        return list(self._sorted_online_ids())
+        return list(self.online_id_view())
 
     # ------------------------------------------------------------------ messaging
     def transmit(self, sender: int, recipient: int, kind: str, frame: bytes,

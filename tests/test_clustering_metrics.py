@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.clustering import (
     quality_report,
     relative_inertia,
 )
+from repro.clustering.metrics import min_cost_assignment
 from repro.datasets import generate_gaussian_clusters
 from repro.exceptions import ValidationError
 
@@ -74,6 +77,51 @@ class TestCentroidMatching:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             match_centroids(np.zeros((2, 3)), np.zeros((2, 4)))
+
+
+def _brute_force_cost(costs: np.ndarray) -> float:
+    """Least total cost over every one-to-one matching of the shorter side."""
+    if costs.shape[0] > costs.shape[1]:
+        costs = costs.T
+    rows = range(costs.shape[0])
+    return min(costs[rows, list(cols)].sum()
+               for cols in itertools.permutations(range(costs.shape[1]), costs.shape[0]))
+
+
+class TestMinCostAssignment:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (3, 3), (4, 6), (6, 4),
+                                       (7, 7), (5, 7), (7, 5)])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_optimal_against_permutations(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        # Even seeds draw from {0, 1, 2}: many exact ties.
+        costs = (rng.integers(0, 3, size=shape).astype(float) if seed % 2 == 0
+                 else rng.random(shape))
+        rows, cols = min_cost_assignment(costs)
+        assert len(rows) == min(shape)
+        assert rows.tolist() == sorted(set(rows.tolist()))
+        assert len(set(cols.tolist())) == len(cols)
+        assert costs[rows, cols].sum() == pytest.approx(_brute_force_cost(costs), abs=1e-12)
+
+    def test_all_ties(self):
+        rows, cols = min_cost_assignment(np.ones((4, 4)))
+        assert rows.tolist() == [0, 1, 2, 3]
+        assert sorted(cols.tolist()) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 7])
+    def test_identical_sets_match_the_identity(self, k):
+        centroids = np.random.default_rng(k).normal(size=(k, 3))
+        assert match_centroids(centroids, centroids) == [(i, i) for i in range(k)]
+
+    def test_greedy_is_not_optimal_here(self):
+        """The nearest pair first (0.0) forces a 10.0; the optimum is 2.0."""
+        costs = np.array([[0.0, 1.0], [1.0, 10.0]])
+        rows, cols = min_cost_assignment(costs)
+        assert cols.tolist() == [1, 0]
+
+    def test_rejects_a_vector(self):
+        with pytest.raises(ValidationError):
+            min_cost_assignment(np.zeros(3))
 
 
 class TestReports:

@@ -173,7 +173,7 @@ def drive(participant, answers, online=range(6)):
     long as the step's questions: a missing answer raises ``IndexError``, a
     spare one fails the assertion.
     """
-    steps = participant.step(np.random.default_rng(0), lambda: set(online), 6)
+    steps = participant.step(np.random.default_rng(0), lambda: sorted(online), 6)
     effects, answer, script = [], None, list(answers)
     while True:
         try:

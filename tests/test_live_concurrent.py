@@ -114,7 +114,7 @@ class TestConcurrentStepping:
         interleaving stays inside the documented envelope.
 
         Seeds are chosen to produce well-separated clusters: with nearly
-        coincident centroids the greedy alignment (and the cluster labels
+        coincident centroids the alignment (and the cluster labels
         themselves) are arbitrary, so churn against a reference would
         measure label noise, not protocol divergence."""
         result = run_chiaroscuro(
@@ -157,6 +157,16 @@ class TestEnvelopeMath:
         shuffled = reference[[2, 0, 1]] + 0.01
         perm = align_profiles(shuffled, reference)
         assert np.allclose(shuffled[perm], reference, atol=0.02)
+
+    def test_align_minimises_the_total_distance(self):
+        """Nearest-pair-first would give [1, 2, 0] (total 8.24); the
+        optimal alignment is [2, 1, 0] (total 7.47)."""
+        reference = np.array([[5.0, 4.0], [2.0, 5.0], [0.0, 3.0]])
+        profiles = np.array([[1.0, 1.0], [4.0, 4.0], [5.0, 1.0]])
+        perm = align_profiles(profiles, reference)
+        assert perm.tolist() == [2, 1, 0]
+        assert np.linalg.norm(reference - profiles[perm], axis=1).sum() == \
+            pytest.approx(7.472136, abs=1e-6)
 
     def test_align_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):

@@ -163,7 +163,7 @@ def _handler_with_node_zero_gossiping():
     iteration 1, a diptych of 2 + 2 estimates of length 5."""
     handler = _handler_hosting_node_zero()
     participant = handler.participants[0]
-    assert list(participant.step(np.random.default_rng(0), set, 4)) == []
+    assert list(participant.step(np.random.default_rng(0), tuple, 4)) == []
     assert participant.iteration == 1 and len(participant.diptych.data_estimates[0]) == 5
     return handler
 

@@ -5,11 +5,21 @@ context with a larger population by decreasing the number of messages per
 participant"; the underlying fact is the exponential convergence of gossip
 aggregation (Kempe et al., FOCS 2003).  This benchmark regenerates the error
 curve: maximum relative error across participants as a function of the number
-of gossip cycles, for the cleartext protocol and for the encrypted one.
+of gossip cycles.
+
+The averaging is the kernels the slab engine and the plain distributed
+baseline run: a uniform random matching of the population (``pair_online``)
+whose pairs adopt their mean (``average_pairs_inplace``).  A cycle is the
+protocol's: every participant initiates one exchange, n exchanges in all,
+which is two matchings of n/2 pairs.  Two curves are not drawn:
+
+* push-sum (Kempe et al.) — the protocol does not run it;
+* encrypted averaging — pair by pair it decrypts to the cleartext average
+  (``tests/test_gossip_encrypted.py::test_repeated_averaging_matches_cleartext``),
+  so its curve is the cleartext one.
 
 Expected shape: the error decreases exponentially (roughly halving per
-cycle), for both the cleartext and the encrypted variants, and for both
-population sizes.
+cycle) for every population size.
 """
 
 from __future__ import annotations
@@ -18,18 +28,33 @@ import numpy as np
 from conftest import run_once
 
 from repro.analysis import format_series, format_table
-from repro.crypto.backends import PlainBackend
-from repro.gossip import encrypted_gossip_average, gossip_average, max_relative_error
+from repro.simulation import RngRegistry, average_pairs_inplace, pair_online
+
+
+#: Matchings per cycle: n initiated exchanges are two matchings of n/2 pairs.
+MATCHINGS_PER_CYCLE = 2
+
+
+def _error_curve(values: np.ndarray, cycles: int, seed: int) -> list[float]:
+    """Max over nodes of the relative L2 error against the true mean, after
+    each cycle of matched pairwise averaging."""
+    estimates = values.copy()
+    mean = values.mean(axis=0)
+    online = np.ones(values.shape[0], dtype=bool)
+    pairing = RngRegistry(seed).stream("slab.pairing")
+    history = []
+    for _ in range(cycles):
+        for _ in range(MATCHINGS_PER_CYCLE):
+            average_pairs_inplace(estimates, pair_online(online, pairing))
+        spread = np.linalg.norm(estimates - mean, axis=1).max()
+        history.append(float(spread / np.linalg.norm(mean)))
+    return history
 
 
 def test_cleartext_convergence_curve(benchmark):
     values = np.random.default_rng(5).uniform(0.0, 1.0, size=(256, 8))
 
-    def run():
-        _estimates, history = gossip_average(values, cycles=20, seed=5, return_history=True)
-        return history
-
-    history = run_once(benchmark, run)
+    history = run_once(benchmark, _error_curve, values, 20, 5)
     print()
     print(format_series(history, label="E5 - max relative error per gossip cycle (n=256)"))
     # Exponential convergence: after 20 cycles the error collapsed by >10^3.
@@ -43,8 +68,7 @@ def test_convergence_vs_population(benchmark):
         rows = []
         for population in (64, 256, 1024):
             values = np.random.default_rng(7).uniform(0.0, 1.0, size=(population, 4))
-            _estimates, history = gossip_average(values, cycles=16, seed=7,
-                                                 return_history=True)
+            history = _error_curve(values, 16, 7)
             rows.append({
                 "n_participants": population,
                 "error_after_4": history[3],
@@ -58,44 +82,3 @@ def test_convergence_vs_population(benchmark):
     print(format_table(rows, title="E5 - gossip error vs cycles and population size"))
     for row in rows:
         assert row["error_after_16"] < row["error_after_4"]
-
-
-def test_push_sum_matches_push_pull(benchmark):
-    values = np.random.default_rng(9).uniform(0.0, 1.0, size=(128, 4))
-
-    def run():
-        _e1, push_pull = gossip_average(values, cycles=16, seed=9, return_history=True)
-        _e2, push_sum = gossip_average(values, cycles=16, seed=9, protocol="push_sum",
-                                       return_history=True)
-        return push_pull, push_sum
-
-    push_pull, push_sum = run_once(benchmark, run)
-    print()
-    print(format_table(
-        [{"cycle": index + 1, "push_pull": pp, "push_sum": ps}
-         for index, (pp, ps) in enumerate(zip(push_pull, push_sum))],
-        title="E5 - push-pull vs push-sum error per cycle (n=128)",
-    ))
-    assert push_pull[-1] < 1e-3
-    assert push_sum[-1] < 1e-2
-
-
-def test_encrypted_gossip_convergence(benchmark):
-    """The same exponential behaviour holds for the encrypted primitive."""
-    backend = PlainBackend(threshold=2, n_shares=4, encoding_scale=10**6)
-    values = np.random.default_rng(11).uniform(0.0, 1.0, size=(64, 6))
-
-    def run():
-        rows = []
-        for cycles in (2, 4, 8, 12):
-            estimates = encrypted_gossip_average(backend, values, cycles=cycles, seed=11)
-            rows.append({
-                "cycles": cycles,
-                "max_relative_error": max_relative_error(estimates, values.mean(axis=0)),
-            })
-        return rows
-
-    rows = run_once(benchmark, run)
-    print()
-    print(format_table(rows, title="E5 - encrypted gossip averaging error vs cycles (n=64)"))
-    assert rows[-1]["max_relative_error"] < rows[0]["max_relative_error"] / 10

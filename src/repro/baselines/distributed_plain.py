@@ -6,6 +6,15 @@ is local, and the per-cluster sums/counts are computed with cleartext gossip
 averaging.  Comparing this baseline against Chiaroscuro isolates the quality
 cost of the *privacy machinery* from the quality cost of *distribution*
 (gossip approximation alone).
+
+The gossip is the slab engine's (:mod:`repro.simulation.slab`), the
+vectorised twin of the protocol's encrypted exchange: contributions are laid
+out by ``scatter_rows``, and every exchange round is one uniform random
+matching of the population (``pair_online``) whose pairs adopt their mean
+(``average_pairs_inplace``).  Each round's frames go through
+``plan_pair_faults`` at ``drop_probability``: a pair whose reply was lost
+only updates the responder (``half_average_pairs_inplace``).  The matching is over
+the complete graph, so any other ``topology`` is refused.
 """
 
 from __future__ import annotations
@@ -23,7 +32,15 @@ from ..clustering.kmeans import (
     reseed_centroid,
 )
 from ..config import GossipConfig, KMeansConfig
-from ..gossip.protocol import gossip_average
+from ..exceptions import GossipError
+from ..simulation.rng import RngRegistry
+from ..simulation.slab import (
+    average_pairs_inplace,
+    half_average_pairs_inplace,
+    pair_online,
+    plan_pair_faults,
+    scatter_rows,
+)
 from ..timeseries import TimeSeriesCollection
 
 
@@ -54,6 +71,11 @@ def distributed_plain_kmeans(
     """
     kmeans_config = kmeans_config if kmeans_config is not None else KMeansConfig()
     gossip_config = gossip_config if gossip_config is not None else GossipConfig()
+    if gossip_config.topology != "complete":
+        raise GossipError(
+            "the plain distributed baseline pairs peers uniformly over the "
+            f"complete graph; topology {gossip_config.topology!r} is not supported"
+        )
     data = collection.to_matrix()
     n_series, series_length = data.shape
     check_positive_int(kmeans_config.n_clusters, "n_clusters")
@@ -65,30 +87,33 @@ def distributed_plain_kmeans(
         value_high=float(data.max()),
         seed=seed,
     )
+    registry = RngRegistry(seed)
+    pairing_rng = registry.stream("slab.pairing")
+    loss_rng = registry.stream("slab.loss")
+    corruption_rng = registry.stream("slab.corruption")
+    online = np.ones(n_series, dtype=bool)
+    width = kmeans_config.n_clusters * (series_length + 1)
+    rounds = gossip_config.cycles_per_aggregation * gossip_config.exchanges_per_cycle
+    # Each participant's contribution: per cluster, (indicator * series, indicator).
+    estimates = np.empty((n_series, width))
     gossip_error_history: list[float] = []
     converged = False
     iteration = 0
     for iteration in range(1, kmeans_config.max_iterations + 1):
         assignments = assign_to_centroids(data, centroids)
-        # Each participant's contribution: per cluster, (indicator * series, indicator).
-        contributions = np.zeros((n_series, kmeans_config.n_clusters * (series_length + 1)))
-        for index in range(n_series):
-            cluster = assignments[index]
-            offset = cluster * (series_length + 1)
-            contributions[index, offset:offset + series_length] = data[index]
-            contributions[index, offset + series_length] = 1.0
-        estimates = gossip_average(
-            contributions,
-            cycles=gossip_config.cycles_per_aggregation,
-            topology=gossip_config.topology,
-            exchanges_per_cycle=gossip_config.exchanges_per_cycle,
-            seed=seed + iteration,
-            drop_probability=gossip_config.drop_probability,
-        )
+        scatter_rows(estimates, data, assignments, 0, n_series)
+        true_average = estimates.mean(axis=0)
+        for _ in range(rounds):
+            # Fault-free, the plan is every pair in full and draws nothing.
+            plan = plan_pair_faults(
+                pair_online(online, pairing_rng), width * 64,
+                gossip_config.drop_probability, 0.0, loss_rng, corruption_rng,
+            )
+            average_pairs_inplace(estimates, plan.full_pairs)
+            half_average_pairs_inplace(estimates, plan.half_pairs)
         # Every node reconstructs the means from its own estimate; they are all
         # close after convergence, so we use node 0's view (as the paper's demo
         # displays one participant's perspective) and record the spread.
-        true_average = contributions.mean(axis=0)
         spread = float(
             np.linalg.norm(estimates - true_average[None, :], axis=1).max()
             / max(1e-12, np.linalg.norm(true_average))

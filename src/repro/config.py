@@ -521,6 +521,13 @@ class ChiaroscuroConfig:
                     "the slab engine is a cycle-mode population substrate "
                     "(set runtime.mode='cycle')"
                 )
+            if (self.runtime.crypto_sample_fraction < 1.0
+                    and self.gossip.topology != "complete"):
+                raise ConfigurationError(
+                    "the sampled slab engine pairs its bulk population uniformly "
+                    "over the complete graph; gossip.topology "
+                    f"{self.gossip.topology!r} needs runtime.crypto_sample_fraction=1"
+                )
         if self.crypto.threshold > self.simulation.n_participants:
             raise ConfigurationError(
                 "decryption threshold cannot exceed the number of participants "

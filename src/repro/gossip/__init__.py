@@ -1,14 +1,20 @@
-"""Gossip layer: overlays, cleartext averaging protocols and the encrypted
-gossip averaging primitive used by the Chiaroscuro computation step."""
+"""Gossip layer: overlays, the encrypted gossip averaging primitive used by
+the Chiaroscuro computation step, and the wire messages.
+
+The protocol averages by one rule, written twice: pairwise over encrypted
+estimates (:func:`average_estimates`, run by every participant's exchange)
+and vectorised over a cleartext slab
+(:func:`repro.simulation.slab.average_pairs_inplace`, the slab engine and the
+plain distributed baseline).  The encrypted-avg, push-pull and push-sum
+frame types in :data:`MESSAGE_TYPES` stay decodable and pinned by the golden
+wire vectors, but no run sends them."""
 
 from .encrypted_sum import (
-    EncryptedAveragingNode,
     EncryptedEstimate,
     add_estimates,
     average_estimates,
     check_headroom,
     decode_estimate,
-    encrypted_gossip_average,
     estimate_payload_bytes,
     fresh_estimate,
     required_headroom_bits,
@@ -31,22 +37,11 @@ from .messages import (
     deserialize,
 )
 from .overlay import Overlay, build_overlay
-from .protocol import (
-    PushPullAveragingNode,
-    PushSumNode,
-    gossip_average,
-    max_relative_error,
-)
 
 __all__ = [
     "Overlay",
     "build_overlay",
-    "PushPullAveragingNode",
-    "PushSumNode",
-    "gossip_average",
-    "max_relative_error",
     "EncryptedEstimate",
-    "EncryptedAveragingNode",
     "fresh_estimate",
     "average_estimates",
     "add_estimates",
@@ -55,7 +50,6 @@ __all__ = [
     "estimate_payload_bytes",
     "required_headroom_bits",
     "check_headroom",
-    "encrypted_gossip_average",
     "MESSAGE_TYPES",
     "WireMessage",
     "deserialize",

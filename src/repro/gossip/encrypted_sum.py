@@ -36,13 +36,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .._validation import check_non_negative_int, check_positive_int
+from .._validation import check_non_negative_int
 from ..crypto.backends import CipherBackend, EncryptedVector
-from ..crypto.wire import wire_ciphertext_bytes
 from ..exceptions import GossipError
-from ..simulation.engine import CycleEngine
-from ..simulation.node import Node
-from .overlay import Overlay, build_overlay
 
 
 @dataclass(frozen=True)
@@ -162,98 +158,3 @@ def check_headroom(backend: CipherBackend, value_bound: float, total_halvings: i
             f"have {available}; use a larger key, fewer gossip cycles, or a wider "
             "packing layout"
         )
-
-
-class EncryptedAveragingNode(Node):
-    """Node running push-pull averaging over encrypted estimates.
-
-    Exercises the primitive in isolation; the full Chiaroscuro participant
-    (:mod:`repro.core.participant`) embeds the same logic inside its
-    computation step.
-
-    Every estimate that leaves the node is first passed through
-    :func:`rerandomize_estimate`, so an observer of two consecutive hops
-    cannot link the forwarded ciphertexts (same plaintexts, fresh
-    randomness).  The exchange travels as serialized byte frames
-    (:mod:`repro.gossip.messages`): the peer's contribution to the average
-    is whatever decodes from the received bytes, and the network accounts
-    measured frame lengths alongside the modelled sizes.
-    """
-
-    def __init__(self, node_id: int, backend: CipherBackend,
-                 initial_value: Sequence[float] | np.ndarray, overlay: Overlay) -> None:
-        super().__init__(node_id)
-        self.backend = backend
-        self.estimate = fresh_estimate(backend, initial_value)
-        self.overlay = overlay
-        self.exchanges_done = 0
-
-    def _frame(
-        self, message_type: type[EncryptedAvgRequest] | type[EncryptedAvgReply]
-    ) -> bytes:
-        # Per-hop unlinkability: the ciphertexts put on the wire are a
-        # re-randomized copy, never the node's stored estimate.
-        return message_type(
-            estimate=rerandomize_estimate(self.backend, self.estimate),
-            ciphertext_bytes=wire_ciphertext_bytes(self.backend),
-        ).serialize()
-
-    def next_cycle(self, engine: CycleEngine, cycle: int) -> None:
-        # Deferred: the message module builds on this one's EncryptedEstimate.
-        from .messages import EncryptedAvgReply, EncryptedAvgRequest
-
-        rng = engine.rng_registry.stream(f"gossip.encrypted.{self.node_id}")
-        online = engine.online_id_view()
-        peer_id = self.overlay.sample_neighbor(self.node_id, rng, online=online)
-        if peer_id is None:
-            return
-        peer = engine.node(peer_id)
-        if not isinstance(peer, EncryptedAveragingNode):
-            raise GossipError("encrypted averaging requires homogeneous nodes")
-        reply = engine.exchange(
-            self.node_id, peer_id, ("encrypted-avg-request", "encrypted-avg-reply"),
-            self._frame(EncryptedAvgRequest),
-            lambda _request: peer._frame(EncryptedAvgReply),
-            modelled_bytes=estimate_payload_bytes(self.backend, self.estimate),
-        )
-        if reply is None:
-            return  # lost or corrupted: no exchange
-        averaged = average_estimates(self.backend, self.estimate, reply.estimate)
-        self.estimate = averaged
-        peer.estimate = averaged
-        self.exchanges_done += 1
-        peer.exchanges_done += 1
-
-
-def encrypted_gossip_average(
-    backend: CipherBackend,
-    values: np.ndarray,
-    cycles: int = 10,
-    topology: str = "complete",
-    seed: int = 0,
-    share_indices: Sequence[int] | None = None,
-) -> np.ndarray:
-    """Run encrypted push-pull averaging and decrypt every node's estimate.
-
-    Returns the ``(n_nodes, dimension)`` matrix of decrypted estimates; used
-    by tests and by the gossip-convergence experiment under encryption.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2:
-        raise GossipError(f"values must be two-dimensional, got shape {values.shape}")
-    check_positive_int(cycles, "cycles")
-    n_nodes = values.shape[0]
-    value_bound = float(np.abs(values).max()) if values.size else 1.0
-    check_headroom(backend, max(value_bound, 1.0), total_halvings=2 * cycles + 2)
-    overlay = build_overlay(n_nodes, topology=topology, seed=seed)
-    nodes = [
-        EncryptedAveragingNode(i, backend, values[i], overlay)
-        for i in range(n_nodes)
-    ]
-    engine = CycleEngine(nodes, seed=seed)
-    engine.run(cycles)
-    if share_indices is None:
-        share_indices = list(range(1, backend.threshold + 1))
-    return np.vstack([
-        decode_estimate(backend, node.estimate, share_indices) for node in nodes
-    ])

@@ -1,10 +1,12 @@
 """Versioned, framed wire messages for every protocol exchange.
 
-Every message Chiaroscuro puts on the network — gossip averaging requests
-and replies (encrypted and cleartext), diptych exchanges, committee
-decryption rounds, push-sum mass transfers, membership announcements and
-key announcements — has a framed binary representation here, built on the
-canonical primitives of :mod:`repro.crypto.wire`.
+Every message Chiaroscuro puts on the network — diptych exchanges,
+committee decryption rounds, membership announcements and key
+announcements — has a framed binary representation here, built on the
+canonical primitives of :mod:`repro.crypto.wire`.  Five more frame types
+(encrypted and cleartext averaging requests/replies, push-sum mass
+transfers) are sent by no run; they stay decodable because the golden wire
+vectors pin them.
 
 Frame layout (all integers big-endian)::
 
@@ -177,13 +179,13 @@ class _EstimateEnvelope(WireMessage):
 
 
 class EncryptedAvgRequest(_EstimateEnvelope):
-    """Push half of one encrypted push-pull averaging exchange."""
+    """Push half of an encrypted push-pull averaging exchange (no run sends it)."""
 
     TYPE: ClassVar[int] = 0x01
 
 
 class EncryptedAvgReply(_EstimateEnvelope):
-    """Pull half of one encrypted push-pull averaging exchange."""
+    """Pull half of an encrypted push-pull averaging exchange (no run sends it)."""
 
     TYPE: ClassVar[int] = 0x02
 
@@ -298,20 +300,20 @@ class _FloatVectorEnvelope(WireMessage):
 
 
 class GossipAvgRequest(_FloatVectorEnvelope):
-    """Push half of one cleartext push-pull averaging exchange."""
+    """Push half of a cleartext push-pull averaging exchange (no run sends it)."""
 
     TYPE: ClassVar[int] = 0x07
 
 
 class GossipAvgReply(_FloatVectorEnvelope):
-    """Pull half of one cleartext push-pull averaging exchange."""
+    """Pull half of a cleartext push-pull averaging exchange (no run sends it)."""
 
     TYPE: ClassVar[int] = 0x08
 
 
 @dataclass(frozen=True)
 class PushSumMessage(WireMessage):
-    """Half of a push-sum node's (value, weight) mass, sent to a neighbour."""
+    """Half of a push-sum node's (value, weight) mass (no run sends it)."""
 
     values: tuple[float, ...]
     weight: float

@@ -478,8 +478,8 @@ class WorkerTransport:
     ) -> tuple[dict[str, Any], bytes]:
         """One accounted frame round-trip: request frame out, reply frame back.
 
-        Mirrors the two :meth:`CycleEngine.transmit` calls of a cycle-mode
-        exchange: the request is charged to *sender* here, received by
+        Mirrors the two :meth:`LoopbackTransport.transmit` calls of a
+        cycle-mode exchange: the request is charged to *sender* here, received by
         *recipient* on its hosting worker; the reply is charged to
         *recipient* there and received by *sender* here.
         """

@@ -7,8 +7,8 @@ of the protocol step (:meth:`ChiaroscuroParticipant.step
 and committee rounds; a driver performs them over its transport):
 
 * :class:`LoopbackTransport` — the deterministic in-memory delivery of the
-  cycle-driven simulation.  :meth:`CycleEngine.transmit` and
-  :meth:`CycleEngine.exchange` delegate here verbatim.
+  cycle-driven simulation.  :meth:`CycleEngine.exchange` delegates here
+  verbatim.
 * :class:`~repro.net.live.WorkerTransport` (in :mod:`repro.net.live`) — the
   asyncio TCP transport of the multi-process runner, which moves the same
   serialized frames over real sockets between OS processes.

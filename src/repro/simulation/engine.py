@@ -134,23 +134,6 @@ class CycleEngine:
         return list(self.online_id_view())
 
     # ------------------------------------------------------------------ messaging
-    def transmit(self, sender: int, recipient: int, kind: str, frame: bytes,
-                 modelled_bytes: int | None = None) -> bytes | None:
-        """Send a serialized wire frame; return the bytes as received.
-
-        The payload is an opaque frame, ``size_bytes`` is its measured
-        length, and the returned value is what the recipient actually got —
-        ``None`` when the network dropped the frame or the recipient is
-        offline (the frame still counts as sent), the (possibly bit-flipped,
-        when the corruption fault model is active) frame bytes otherwise.
-        *modelled_bytes* optionally records what the size formula charges,
-        feeding the measured-vs-modelled byte accounting.  Delegates to the
-        engine's :class:`~repro.net.transport.LoopbackTransport`, which owns
-        delivery and the authoritative traffic accounting.
-        """
-        return self.transport.transmit(sender, recipient, kind, frame,
-                                       modelled_bytes=modelled_bytes)
-
     def exchange(self, sender: int, recipient: int, kinds: tuple[str, str],
                  frame: bytes, serve: "Callable[[WireMessage], bytes]",
                  modelled_bytes: int | None = None,

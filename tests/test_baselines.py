@@ -13,6 +13,7 @@ from repro.baselines import (
 from repro.clustering import adjusted_rand_index, compute_inertia
 from repro.config import GossipConfig, KMeansConfig, PrivacyConfig, SmoothingConfig
 from repro.datasets import generate_gaussian_clusters
+from repro.exceptions import GossipError
 
 
 @pytest.fixture(scope="module")
@@ -116,3 +117,62 @@ class TestDistributedPlain:
             collection, kconfig, GossipConfig(cycles_per_aggregation=25), seed=0
         )
         assert many.gossip_error_history[0] < few.gossip_error_history[0]
+
+    @pytest.mark.parametrize("topology", ["ring", "random_regular", "small_world"])
+    def test_sparse_overlay_refused(self, collection, kconfig, topology):
+        # The matching is uniform over the complete graph.
+        with pytest.raises(GossipError, match="complete graph"):
+            distributed_plain_kmeans(
+                collection, kconfig, GossipConfig(topology=topology), seed=0
+            )
+
+    def test_drops_slow_but_do_not_break(self, collection, kconfig):
+        gossip = GossipConfig(cycles_per_aggregation=20)
+        lossless = distributed_plain_kmeans(collection, kconfig, gossip, seed=0)
+        lossy = distributed_plain_kmeans(
+            collection, kconfig,
+            GossipConfig(cycles_per_aggregation=20, drop_probability=0.3), seed=0,
+        )
+        assert lossy.gossip_error_history[0] > lossless.gossip_error_history[0]
+        labels = np.array(collection.labels("cluster"))
+        assert adjusted_rand_index(labels, lossy.assignments) > 0.9
+
+    def test_more_exchanges_per_cycle_give_smaller_error(self, collection, kconfig):
+        one = distributed_plain_kmeans(
+            collection, kconfig, GossipConfig(cycles_per_aggregation=4), seed=0
+        )
+        three = distributed_plain_kmeans(
+            collection, kconfig,
+            GossipConfig(cycles_per_aggregation=4, exchanges_per_cycle=3), seed=0,
+        )
+        assert three.gossip_error_history[0] < one.gossip_error_history[0]
+
+    def test_gossip_is_the_slab_kernels_on_one_seeded_stream(self, collection, kconfig):
+        """The first aggregation is cycles x exchanges matchings drawn from
+        the slab engine's pairing stream of ``RngRegistry(seed)``."""
+        from repro.clustering import assign_to_centroids, public_initial_centroids
+        from repro.simulation import RngRegistry, average_pairs_inplace, pair_online
+        from repro.simulation.slab import scatter_rows
+
+        gossip = GossipConfig(cycles_per_aggregation=3, exchanges_per_cycle=2)
+        result = distributed_plain_kmeans(collection, kconfig, gossip, seed=5)
+        data = collection.to_matrix()
+        centroids = public_initial_centroids(
+            3, data.shape[1], float(data.min()), float(data.max()), seed=5
+        )
+        estimates = np.empty((len(data), 3 * (data.shape[1] + 1)))
+        scatter_rows(estimates, data, assign_to_centroids(data, centroids), 0, len(data))
+        mean = estimates.mean(axis=0)
+        pairing = RngRegistry(5).stream("slab.pairing")
+        online = np.ones(len(data), dtype=bool)
+        for _ in range(6):
+            average_pairs_inplace(estimates, pair_online(online, pairing))
+        spread = np.linalg.norm(estimates - mean, axis=1).max() / np.linalg.norm(mean)
+        assert result.gossip_error_history[0] == spread
+
+    def test_deterministic_given_seed(self, collection, kconfig):
+        gossip = GossipConfig(cycles_per_aggregation=6, exchanges_per_cycle=2)
+        first = distributed_plain_kmeans(collection, kconfig, gossip, seed=4)
+        second = distributed_plain_kmeans(collection, kconfig, gossip, seed=4)
+        assert np.array_equal(first.centroids, second.centroids)
+        assert first.gossip_error_history == second.gossip_error_history

@@ -108,6 +108,26 @@ class TestAggregateConfig:
                 simulation=SimulationConfig(n_participants=10),
             )
 
+    @pytest.mark.parametrize("topology", ["ring", "random_regular", "small_world"])
+    def test_sampled_slab_engine_refuses_a_sparse_overlay(self, topology):
+        # The bulk population is paired over the complete graph whatever the
+        # overlay says, while its object sub-run builds the overlay.
+        with pytest.raises(ConfigurationError, match="complete graph"):
+            ChiaroscuroConfig().with_overrides(
+                runtime={"engine": "slab", "crypto_sample_fraction": 0.5},
+                gossip={"topology": topology},
+            )
+
+    @pytest.mark.parametrize("runtime", [
+        {"engine": "slab", "crypto_sample_fraction": 1.0},
+        {"engine": "object", "crypto_sample_fraction": 0.5},
+    ])
+    def test_sparse_overlay_runs_where_an_overlay_is_built(self, runtime):
+        config = ChiaroscuroConfig().with_overrides(
+            runtime=runtime, gossip={"topology": "ring"}
+        )
+        assert config.gossip.topology == "ring"
+
     def test_with_overrides_replaces_fields(self):
         config = ChiaroscuroConfig()
         updated = config.with_overrides(privacy={"epsilon": 0.5}, kmeans={"n_clusters": 3})

@@ -602,7 +602,7 @@ class TestBackendOperations:
         with pytest.raises(CryptoError):
             backend.linear_combination([vector], [0])
 
-    def test_gossip_average_then_rerandomize_decrypts_to_the_mean(self, backend):
+    def test_pair_average_then_rerandomize_decrypts_to_the_mean(self, backend):
         first = fresh_estimate(backend, [0.8, -0.4])
         second = fresh_estimate(backend, [0.2, 0.6])
         averaged = average_estimates(backend, first, second)

@@ -42,7 +42,6 @@ from repro.exceptions import (
 from repro.gossip.encrypted_sum import (
     average_estimates,
     decode_estimate,
-    encrypted_gossip_average,
     estimate_payload_bytes,
     fresh_estimate,
 )
@@ -281,15 +280,31 @@ class TestPackedGossip:
             estimate_payload_bytes(unpacked, plain_estimate) / 4
         )
 
-    def test_gossip_average_matches_unpacked(self):
+    def test_pair_sequence_matches_unpacked(self):
+        """A fixed sequence of pairwise averages decodes bit-equal in both
+        layouts, including averages of estimates at different exponents."""
         rng = np.random.default_rng(11)
         values = rng.uniform(0.0, 1.0, size=(8, 6))
-        packed = PlainBackend(threshold=2, n_shares=4, packing="auto")
-        unpacked = PlainBackend(threshold=2, n_shares=4)
-        averaged_packed = encrypted_gossip_average(packed, values, cycles=5, seed=3)
-        averaged_plain = encrypted_gossip_average(unpacked, values, cycles=5, seed=3)
-        assert np.array_equal(averaged_packed, averaged_plain)
-        assert np.allclose(averaged_packed, values.mean(axis=0), atol=0.2)
+        # (0, 2), (0, 3), (5, 0), (2, 5) and (0, 6) meet at different
+        # exponents.
+        pairs = [(0, 1), (0, 2), (3, 4), (0, 3), (5, 0), (6, 7),
+                 (1, 6), (2, 5), (4, 7), (0, 6)]
+        decoded = {}
+        for packing in ("auto", "off"):
+            backend = PlainBackend(threshold=2, n_shares=4, packing=packing)
+            estimates = [fresh_estimate(backend, row) for row in values]
+            for left, right in pairs:
+                merged = average_estimates(backend, estimates[left], estimates[right])
+                estimates[left] = estimates[right] = merged
+            assert {e.halvings for e in estimates} == {2, 3, 5}
+            decoded[packing] = np.vstack(
+                [decode_estimate(backend, e, [1, 2]) for e in estimates]
+            )
+        assert np.array_equal(decoded["auto"], decoded["off"])
+        clear = values.copy()
+        for left, right in pairs:
+            clear[left] = clear[right] = (clear[left] + clear[right]) / 2
+        assert np.allclose(decoded["auto"], clear, atol=1e-5)
 
 
 class TestAcceptanceRatio:

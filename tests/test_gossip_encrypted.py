@@ -11,12 +11,11 @@ from repro.gossip import (
     average_estimates,
     check_headroom,
     decode_estimate,
-    encrypted_gossip_average,
     estimate_payload_bytes,
     fresh_estimate,
-    max_relative_error,
     required_headroom_bits,
 )
+from repro.simulation import average_pairs_inplace, pair_online
 
 
 class TestEstimateAlgebra:
@@ -104,17 +103,37 @@ class TestHeadroom:
             required_headroom_bits(0.0, 10**6, 5)
 
 
-class TestEncryptedGossipEndToEnd:
-    def test_plain_backend_converges(self, plain_backend, fresh_rng):
+def _matched_rounds(n_nodes, rounds, seed):
+    """The pairs of *rounds* uniform matchings, as the slab kernels draw them."""
+    rng = np.random.default_rng(seed)
+    online = np.ones(n_nodes, dtype=bool)
+    return [pair_online(online, rng) for _ in range(rounds)]
+
+
+class TestEncryptedRoundsMatchTheSlabKernel:
+    """Rounds of pairwise encrypted averages decrypt to what the vectorised
+    kernel computes on the same matchings: the protocol's averaging and its
+    slab twin are one rule."""
+
+    def _check(self, backend, values, rounds, seed, atol):
+        estimates = [fresh_estimate(backend, row) for row in values]
+        clear = values.copy()
+        for pairs in _matched_rounds(len(values), rounds, seed):
+            for left, right in pairs:
+                merged = average_estimates(backend, estimates[left], estimates[right])
+                estimates[left] = estimates[right] = merged
+            average_pairs_inplace(clear, pairs)
+        decoded = np.vstack([decode_estimate(backend, e, [1, 2]) for e in estimates])
+        assert np.allclose(decoded, clear, atol=atol)
+        return clear
+
+    def test_plain_backend(self, plain_backend, fresh_rng):
         values = fresh_rng.uniform(0, 1, size=(20, 4))
-        estimates = encrypted_gossip_average(plain_backend, values, cycles=15, seed=2)
-        assert max_relative_error(estimates, values.mean(axis=0)) < 5e-3
+        clear = self._check(plain_backend, values, rounds=15, seed=2, atol=1e-5)
+        # Fifteen rounds bring every node within 5e-3 of the mean.
+        mean = values.mean(axis=0)
+        assert np.abs(clear - mean).max() < 5e-3 * np.linalg.norm(mean)
 
-    def test_real_crypto_backend_converges(self, dj_backend, fresh_rng):
+    def test_real_crypto_backend(self, dj_backend, fresh_rng):
         values = fresh_rng.uniform(0, 1, size=(6, 3))
-        estimates = encrypted_gossip_average(dj_backend, values, cycles=6, seed=3)
-        assert max_relative_error(estimates, values.mean(axis=0)) < 0.05
-
-    def test_rejects_non_matrix_input(self, plain_backend):
-        with pytest.raises(GossipError):
-            encrypted_gossip_average(plain_backend, np.ones(5), cycles=2)
+        self._check(dj_backend, values, rounds=6, seed=3, atol=1e-3)

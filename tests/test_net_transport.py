@@ -72,7 +72,7 @@ class TestLoopbackTransport:
         nodes = [_EchoNode(0), _EchoNode(1)]
         engine = CycleEngine(nodes, seed=0)
         frame = b"\x01\x02\x03\x04"
-        assert engine.transmit(0, 1, "frame", frame, modelled_bytes=3) == frame
+        assert engine.transport.transmit(0, 1, "frame", frame, modelled_bytes=3) == frame
         assert [message.payload for message in nodes[1].received] == [frame]
         stats = engine.transport.stats_for(0)
         assert stats.messages_sent == 1
@@ -83,13 +83,13 @@ class TestLoopbackTransport:
     def test_transmit_rejects_object_payloads(self):
         engine = CycleEngine([_EchoNode(0), _EchoNode(1)], seed=0)
         with pytest.raises(SimulationError):
-            engine.transmit(0, 1, "frame", {"not": "bytes"})  # type: ignore[arg-type]
+            engine.transport.transmit(0, 1, "frame", {"not": "bytes"})  # type: ignore[arg-type]
 
     def test_offline_recipient_counts_as_sent_not_delivered(self):
         nodes = [_EchoNode(0), _EchoNode(1)]
         engine = CycleEngine(nodes, seed=0)
         nodes[1].online = False
-        assert engine.transmit(0, 1, "frame", b"abc") is None
+        assert engine.transport.transmit(0, 1, "frame", b"abc") is None
         assert nodes[1].received == []
         assert engine.network.stats_for(0).messages_sent == 1
         # Reception was accounted (the network delivered; the node was off).

@@ -27,6 +27,8 @@ TESTED_REFERENCES = {
     "repro.net.faults.targeted_mutations": "repro.gossip.messages.deserialize",
     "repro.datasets.synthetic.generate_two_level_series": "repro.clustering.kmeans.kmeans",
     "repro.datasets.synthetic.generate_constant_series": "repro.core.runner.run_chiaroscuro",
+    "repro.gossip.encrypted_sum.decode_estimate":
+        "repro.gossip.encrypted_sum.average_estimates",
 }
 
 

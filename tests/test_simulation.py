@@ -155,14 +155,14 @@ class TestEngine:
     def test_messages_reach_receive_hook(self):
         nodes = [CountingNode(i) for i in range(2)]
         engine = CycleEngine(nodes, seed=0)
-        assert engine.transmit(0, 1, "ping", b"hello") == b"hello"
+        assert engine.transport.transmit(0, 1, "ping", b"hello") == b"hello"
         assert nodes[1].received == [b"hello"]
 
     def test_message_to_offline_node_not_delivered(self):
         nodes = [CountingNode(i) for i in range(2)]
         nodes[1].online = False
         engine = CycleEngine(nodes, seed=0)
-        assert engine.transmit(0, 1, "ping", b"hello") is None
+        assert engine.transport.transmit(0, 1, "ping", b"hello") is None
         assert nodes[1].received == []
 
     def test_churn_takes_nodes_offline_and_back(self):
@@ -323,7 +323,7 @@ class TestCorruptionFaultModel:
         nodes = [Recorder(0), Recorder(1)]
         engine = CycleEngine(nodes, seed=0, corruption_rate=1.0)
         frame = b"\xAA" * 16
-        received = engine.transmit(0, 1, "test", frame, modelled_bytes=10)
+        received = engine.transport.transmit(0, 1, "test", frame, modelled_bytes=10)
         assert received is not None and received != frame
         assert received_payloads == [received]
         assert engine.network.total.messages_corrupted == 1
@@ -333,4 +333,4 @@ class TestCorruptionFaultModel:
     def test_transmit_rejects_non_bytes(self):
         engine = CycleEngine([CountingNode(0), CountingNode(1)], seed=0)
         with pytest.raises(SimulationError):
-            engine.transmit(0, 1, "test", "not a frame")  # type: ignore[arg-type]
+            engine.transport.transmit(0, 1, "test", "not a frame")  # type: ignore[arg-type]

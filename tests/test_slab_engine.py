@@ -30,6 +30,7 @@ from repro.simulation import (
     pair_online,
     slab_churn_step,
 )
+from repro.simulation.slab import half_average_pairs_inplace, plan_pair_faults
 
 
 class IdleNode(Node):
@@ -139,7 +140,37 @@ class TestPairOnline:
         assert pairs.shape == (0, 2)
 
 
+def _gossip_errors(values, rounds, seed, exchanges=1, drop_probability=0.0):
+    """Max relative error of every node's estimate against the true mean,
+    after each round of *exchanges* matchings averaged by the kernels."""
+    estimates = values.copy()
+    mean = values.mean(axis=0)
+    online = np.ones(len(values), dtype=bool)
+    registry = RngRegistry(seed)
+    pairing = registry.stream("slab.pairing")
+    loss = registry.stream("slab.loss")
+    corruption = registry.stream("slab.corruption")
+    errors = []
+    for _ in range(rounds):
+        for _ in range(exchanges):
+            pairs = pair_online(online, pairing)
+            plan = plan_pair_faults(pairs, 64, drop_probability, 0.0, loss, corruption)
+            average_pairs_inplace(estimates, plan.full_pairs)
+            half_average_pairs_inplace(estimates, plan.half_pairs)
+        spread = np.linalg.norm(estimates - mean, axis=1).max()
+        errors.append(float(spread / np.linalg.norm(mean)))
+    return errors, estimates
+
+
 class TestAveragePairs:
+    """One matching averaged by the kernels, and rounds of uniform
+    matchings converging to the mean: the gossip the slab engine and the
+    plain baseline run."""
+
+    @pytest.fixture(scope="class")
+    def values(self):
+        return np.random.default_rng(3).uniform(0.0, 1.0, size=(40, 5))
+
     def test_both_members_adopt_mean(self):
         estimates = np.array([[2.0, 4.0], [4.0, 8.0], [1.0, 1.0]])
         average_pairs_inplace(estimates, np.array([[0, 1]]))
@@ -156,6 +187,35 @@ class TestAveragePairs:
         pairs = pair_online(np.ones(n_nodes, dtype=bool), rng)
         average_pairs_inplace(estimates, pairs)
         assert np.allclose(estimates.sum(axis=0), before)
+
+    def test_error_contracts_exponentially(self, values):
+        errors, _ = _gossip_errors(values, rounds=24, seed=2)
+        assert errors[23] < 0.2 * errors[11]
+        assert errors[-1] < 1e-3
+
+    def test_mean_is_preserved_every_round(self, values):
+        estimates = values.copy()
+        rng = np.random.default_rng(3)
+        online = np.ones(len(values), dtype=bool)
+        for _ in range(12):
+            average_pairs_inplace(estimates, pair_online(online, rng))
+            assert np.allclose(estimates.mean(axis=0), values.mean(axis=0),
+                               rtol=0.0, atol=1e-12)
+
+    def test_drops_slow_but_do_not_break(self, values):
+        lossless, _ = _gossip_errors(values, rounds=40, seed=2)
+        lossy, estimates = _gossip_errors(values, rounds=40, seed=2,
+                                          drop_probability=0.3)
+        assert lossy[9] > lossless[9]
+        assert lossy[-1] < 0.05
+        # A lost reply moves only the responder, so the population agrees on
+        # a value the lost halves pushed off the mean, but it does agree.
+        assert np.ptp(estimates, axis=0).max() < 1e-3
+
+    def test_two_exchanges_per_round_converge_faster(self, values):
+        slow, _ = _gossip_errors(values, rounds=8, seed=6, exchanges=1)
+        fast, _ = _gossip_errors(values, rounds=8, seed=6, exchanges=2)
+        assert fast[-1] < slow[-1]
 
 
 class TestShardCoordinator:

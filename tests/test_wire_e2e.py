@@ -5,12 +5,12 @@
   profiles, assignments, execution log, operation counts and the modelled
   byte total — while ``bytes_sent`` holds measured frame lengths, within 5%
   of the model on the default scenario;
-* the cleartext gossip protocols reproduce that transport's outputs too;
-* the corruption fault model degrades but never crashes a run, and every
-  undecodable frame is contained as a :class:`WireFormatError`-mediated
-  loss;
-* forwarded gossip ciphertexts are re-randomized per hop: what travels
-  differs from what is stored, yet decrypts identically (unlinkability);
+* the corruption fault model degrades but never crashes a run, and a
+  diptych exchange whose frame arrives undecodable is contained: no
+  estimate of either participant changes;
+* the diptych frames a participant puts on the wire are re-randomized per
+  hop: every ciphertext differs from the stored one, yet decrypts
+  identically (unlinkability);
 * the fastmath-aware cost sweep measures both modes.
 
 The object-reference transport survives as data only.
@@ -37,19 +37,17 @@ import numpy as np
 import pytest
 
 from repro.analysis import sweep_crypto_costs
+from repro.clustering import public_initial_centroids
+from repro.config import ChiaroscuroConfig
 from repro.core import run_chiaroscuro
-from repro.gossip import (
-    build_overlay,
-    deserialize,
-    encrypted_gossip_average,
-    gossip_average,
-)
+from repro.core.participant import ChiaroscuroParticipant, Phase
+from repro.gossip import build_overlay, deserialize
 from repro.gossip.encrypted_sum import (
-    EncryptedAveragingNode,
     decode_estimate,
     fresh_estimate,
     rerandomize_estimate,
 )
+from repro.gossip.messages import DiptychExchange, DiptychReply
 from repro.simulation import CycleEngine
 
 REFERENCE_FILE = Path(__file__).parent / "vectors" / "cycle_reference_v1.json"
@@ -98,19 +96,38 @@ def _run_snapshot(result):
     })
 
 
-def _gossip_snapshots(plain_backend, **transport):
-    """Outputs of the three cleartext/encrypted gossip reference cases."""
-    return _hexed({
-        "push_pull": gossip_average(
-            np.random.default_rng(5).normal(size=(16, 6)), cycles=8, seed=2,
-            **transport),
-        "push_sum": gossip_average(
-            np.random.default_rng(6).normal(size=(12, 4)), cycles=8, seed=3,
-            protocol="push_sum", **transport),
-        "encrypted": encrypted_gossip_average(
-            plain_backend, np.random.default_rng(7).uniform(0, 1, size=(10, 5)),
-            cycles=4, seed=4, **transport),
-    })
+def _gossiping_pair(backend):
+    """Two participants past their first assignment, in the gossip phase of
+    the same iteration; participant 0 draws noise-shares."""
+    config = ChiaroscuroConfig().with_overrides(
+        kmeans={"n_clusters": 2, "max_iterations": 3},
+        privacy={"epsilon": 5.0, "noise_shares": 2},
+        gossip={"cycles_per_aggregation": 3},
+        crypto={"threshold": 2, "n_key_shares": 4},
+        simulation={"n_participants": 2, "seed": 0},
+    )
+    centroids = public_initial_centroids(2, 4, 0.0, 1.0, seed=0)
+    series = np.array([[0.5, 0.1, 0.9, 0.3], [0.3, 0.7, 0.2, 0.6]])
+    participants = [
+        ChiaroscuroParticipant(
+            node_id=i, series_values=series[i], initial_centroids=centroids,
+            config=config, backend=backend,
+            overlay=build_overlay(2, topology="complete"),
+            noise_contributor=i == 0, n_noise_contributors=1, seed=i,
+        )
+        for i in range(2)
+    ]
+    for participant in participants:
+        participant._assignment_step()
+        assert participant.phase is Phase.GOSSIP
+    return participants
+
+
+def _diptych_values(participant):
+    """Exponents and ciphertexts of a participant's diptych, for equality."""
+    diptych = participant.diptych
+    return [(estimate.halvings, estimate.vector.payload)
+            for estimate in diptych.data_estimates + diptych.noise_estimates]
 
 
 @pytest.fixture(scope="module")
@@ -158,16 +175,6 @@ class TestWireEquivalence:
         assert accounting.overhead_fraction == wire_run.costs.wire_overhead_fraction
 
 
-class TestCleartextGossipEquivalence:
-    @pytest.fixture(scope="class")
-    def gossip_snapshots(self, plain_backend):
-        return _gossip_snapshots(plain_backend)
-
-    @pytest.mark.parametrize("case", ["push_pull", "push_sum", "encrypted"])
-    def test_bit_identical_to_reference(self, gossip_snapshots, reference, case):
-        assert gossip_snapshots[case] == reference["gossip"][case]
-
-
 class TestCorruptionScenarios:
     def test_protocol_survives_heavy_corruption(self, small_collection, fast_config):
         config = fast_config.with_overrides(network={"corruption_rate": 0.25})
@@ -176,30 +183,25 @@ class TestCorruptionScenarios:
         assert result.profiles.shape[0] == config.kmeans.n_clusters
         assert result.n_iterations >= 1
 
-    def test_corrupted_frames_are_counted_and_contained(self):
-        from repro.gossip.protocol import PushPullAveragingNode
+    def test_corrupted_diptych_exchange_is_contained(self, plain_backend):
+        """Every frame corrupted: the exchange answers nothing, and neither
+        participant's diptych changes instead of averaging damaged bytes."""
+        participants = _gossiping_pair(plain_backend)
+        engine = CycleEngine(participants, seed=5, corruption_rate=1.0)
+        before = [_diptych_values(p) for p in participants]
+        answers = []
+        exchange = engine.exchange
 
-        values = np.random.default_rng(8).normal(size=(6, 4))
-        overlay = build_overlay(6, topology="complete", seed=5)
-        nodes = [PushPullAveragingNode(i, values[i], overlay) for i in range(6)]
-        engine = CycleEngine(nodes, seed=5, corruption_rate=1.0)
-        engine.run(3)
-        # Every frame was corrupted: counted, rejected by the decoder, and
-        # no exchange ever completed — estimates stay exactly the initial
-        # values instead of silently averaging damaged payloads.
-        assert engine.network.total.messages_corrupted > 0
-        assert engine.network.total.messages_corrupted <= \
-            engine.network.total.messages_sent
-        for node in nodes:
-            assert node.exchanges_done == 0
-            assert np.array_equal(node.estimate, values[node.node_id])
+        def spy(*args, **kwargs):
+            answers.append(exchange(*args, **kwargs))
+            return answers[-1]
 
-    def test_push_sum_conserves_mass_under_corruption(self):
-        values = np.random.default_rng(9).normal(size=(12, 3))
-        estimates = gossip_average(values, cycles=12, seed=6, protocol="push_sum",
-                                   corruption_rate=0.3)
-        # Mass conservation: estimates still converge towards the average.
-        assert np.all(np.isfinite(estimates))
+        engine.exchange = spy
+        participants[0].next_cycle(engine, 0)
+        assert answers == [None]
+        assert engine.network.total.messages_corrupted >= 1
+        for participant, values in zip(participants, before):
+            assert _diptych_values(participant) == values
 
 
 class TestPerHopRerandomization:
@@ -215,37 +217,23 @@ class TestPerHopRerandomization:
             decode_estimate(dj_backend, forwarded, shares),
         )
 
-    def test_forwarded_frames_are_unlinkable(self, dj_backend):
-        """What crosses the wire differs from what either node stores."""
-        values = np.array([[0.5, 0.1], [0.3, 0.7]])
-        overlay = build_overlay(2, topology="complete", seed=0)
-        nodes = [
-            EncryptedAveragingNode(i, dj_backend, values[i], overlay)
-            for i in range(2)
-        ]
-        engine = CycleEngine(nodes, seed=0)
-        before = {node.node_id: node.estimate for node in nodes}
-        captured = []
-        original_transmit = engine.transport.transmit
-
-        def spy(sender, recipient, kind, frame, modelled_bytes=None):
-            captured.append((sender, kind, frame))
-            return original_transmit(sender, recipient, kind, frame,
-                                     modelled_bytes=modelled_bytes)
-
-        engine.transport.transmit = spy
-        nodes[0].next_cycle(engine, 0)  # one full request/reply exchange
-        assert [kind for _, kind, _ in captured] == [
-            "encrypted-avg-request", "encrypted-avg-reply",
-        ]
+    @pytest.mark.parametrize("message_type", [DiptychExchange, DiptychReply])
+    def test_exchanged_frames_are_unlinkable(self, dj_backend, message_type):
+        """Every ciphertext a participant puts on the wire differs from the
+        stored diptych's, and decrypts identically."""
+        participant = _gossiping_pair(dj_backend)[0]
+        message = deserialize(participant.exchange_frame(message_type))
+        assert isinstance(message, message_type)
+        stored = participant.diptych.data_estimates + participant.diptych.noise_estimates
+        travelled = message.data_estimates + message.noise_estimates
+        assert len(travelled) == len(stored) == 2 * participant.n_clusters
         shares = [1, 2]
-        for sender, _, frame in captured:
-            travelled = deserialize(frame).estimate
-            stored = before[sender]
-            assert travelled.vector.payload != stored.vector.payload
+        for sent, kept in zip(travelled, stored):
+            assert sent.halvings == kept.halvings
+            assert set(sent.vector.payload).isdisjoint(kept.vector.payload)
             assert np.array_equal(
-                decode_estimate(dj_backend, travelled, shares),
-                decode_estimate(dj_backend, stored, shares),
+                decode_estimate(dj_backend, sent, shares),
+                decode_estimate(dj_backend, kept, shares),
             )
 
     def test_protocol_run_rerandomizes_forwards(self, small_collection, fast_config):
@@ -285,8 +273,6 @@ class TestFastmathSweep:
 
 
 def _regenerate(target: Path, wire: str | None) -> None:
-    from repro.config import ChiaroscuroConfig
-    from repro.crypto.backends import PlainBackend
     from repro.datasets import generate_gaussian_clusters
 
     # The conftest fixtures, spelled out (fixtures are not importable).
@@ -299,15 +285,9 @@ def _regenerate(target: Path, wire: str | None) -> None:
         crypto={"threshold": 2, "n_key_shares": 4},
         simulation={"n_participants": 40, "seed": 3},
     )
-    transport = {}
     if wire is not None:
         config = config.with_overrides(network={"wire": wire})
-        transport = {"wire": wire}
-    backend = PlainBackend(threshold=2, n_shares=4, encoding_scale=10**6)
-    payload = {
-        "run": _run_snapshot(run_chiaroscuro(collection, config)),
-        "gossip": _gossip_snapshots(backend, **transport),
-    }
+    payload = {"run": _run_snapshot(run_chiaroscuro(collection, config))}
     target.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 

@@ -1,11 +1,12 @@
 """Live-runner saturation: sequential vs concurrent stepping over the wire.
 
-The live runner's sequential stepping replays the cycle engine's scheduler
-stream one node at a time — every step is a full coordinator round-trip, so
-N worker processes buy zero wall-clock parallelism.  Concurrent stepping
-(``runtime.stepping="concurrent"``) drops that barrier: the coordinator
-only enforces iteration epochs while every worker drives its whole shard
-with many exchanges in flight.  This benchmark measures what that buys —
+The live runner's sequential stepping steps one node at a time in the cycle
+engine's scheduler order — the workers replay it and pass one stepping
+token among themselves, so only one worker works at a time and N worker
+processes buy zero wall-clock parallelism.  Concurrent stepping
+(``runtime.stepping="concurrent"``) drops that order: the coordinator only
+enforces iteration epochs while every worker drives its whole shard with
+many exchanges in flight.  This benchmark measures what that buys —
 exchanges/sec and bytes/sec across process counts, for both modes — and
 what it costs: the committed JSON also carries the nondeterminism envelope
 (profile distance, assignment churn, byte spread vs the deterministic
@@ -34,7 +35,7 @@ from conftest import run_once
 from repro.analysis import format_table
 
 #: The smoke scenario every row runs: small enough for CI, enough gossip
-#: work in flight that dropping the per-step barrier is visible.
+#: work in flight that stepping a whole shard at once is visible.
 SCENARIO = {
     "participants": 20,
     "clusters": 2,
@@ -137,7 +138,7 @@ def measure_saturation(process_counts: list[int],
 
 
 def test_concurrent_stepping_outruns_sequential(benchmark):
-    """Dropping the per-step barrier must pay off at 4 worker processes.
+    """Dropping the one-step-at-a-time order must pay off at 4 worker processes.
 
     The CI bench-smoke assertion behind the tentpole claim: on the smoke
     scenario, ``--stepping concurrent`` at 4 processes beats sequential

@@ -199,6 +199,7 @@ def _command_run(args: argparse.Namespace) -> int:
     if args.json:
         payload = {
             "summary": result.summary(),
+            "profiles": result.profiles.tolist(),
             "cluster_sizes": result.cluster_sizes(),
             "guarantee": result.guarantee.as_dict(),
             "costs": result.costs.as_dict(),

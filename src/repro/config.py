@@ -316,9 +316,11 @@ class RuntimeConfig:
         the wait for any single socket connection.
     stepping:
         Stepping discipline of the live runner.  ``"sequential"`` (default)
-        replays the cycle engine's scheduler stream one node at a time, so
-        live results are bit-identical to cycle mode.  ``"concurrent"``
-        drops that barrier: each worker steps its whole shard per epoch with
+        steps one node at a time in the cycle engine's scheduler order —
+        every worker replays that order and steps while it holds the one
+        stepping token the workers pass among themselves — so live results
+        are bit-identical to cycle mode.  ``"concurrent"`` drops that
+        order: each worker steps its whole shard per epoch with
         several node steps (and their gossip exchanges) in flight
         simultaneously, the coordinator only synchronising epochs.
         Concurrent interleaving perturbs the merge order, so results differ

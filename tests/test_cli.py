@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.analysis.costs import REFERENCE_PROFILE
@@ -90,6 +91,10 @@ class TestCommands:
         assert payload["summary"]["n_clusters"] == 2
         assert payload["summary"]["n_participants"] == 24
         assert payload["guarantee"]["epsilon"] <= 4.0 + 1e-9
+        # The profiles themselves, exact through JSON: CI compares a live
+        # report's with a cycle report's.
+        profiles = np.asarray(payload["profiles"])
+        assert profiles.shape[0] == 2 and np.isfinite(profiles).all()
 
     def test_phase_split_of_the_ci_run(self, capsys):
         """The run CI's phase-split step makes.  Regression: the price list

@@ -67,7 +67,8 @@ _MAX_ESTIMATES = 1 << 12
 _MAX_ITERATION = (1 << 32) - 1
 _MAX_HALVINGS = 1 << 20
 _MAX_KEY_DEGREE = 64
-_MAX_BATCH_FRAMES = 1 << 10
+#: Most frames one ``BatchEnvelope`` may carry; senders split longer logs.
+MAX_BATCH_FRAMES = 1 << 10
 
 
 def _check_field(value: int, limit: int, field: str) -> int:
@@ -428,9 +429,9 @@ class BatchEnvelope(WireMessage):
     TYPE: ClassVar[int] = 0x0C
 
     def _write_body(self, out: bytearray) -> None:
-        if len(self.frames) > _MAX_BATCH_FRAMES:
+        if len(self.frames) > MAX_BATCH_FRAMES:
             raise WireFormatError(
-                f"batch of {len(self.frames)} frames exceeds {_MAX_BATCH_FRAMES}"
+                f"batch of {len(self.frames)} frames exceeds {MAX_BATCH_FRAMES}"
             )
         section = bytearray()
         write_varint(section, len(self.frames))
@@ -465,7 +466,7 @@ class BatchEnvelope(WireMessage):
             if decompressor.unconsumed_tail or not decompressor.eof:
                 raise WireFormatError("batch zlib stream too large or truncated")
         section = WireReader(raw)
-        count = section.read_varint(limit=_MAX_BATCH_FRAMES)
+        count = section.read_varint(limit=MAX_BATCH_FRAMES)
         frames = []
         for _ in range(count):
             length = section.read_varint(limit=MAX_FRAME_BYTES)

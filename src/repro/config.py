@@ -265,9 +265,12 @@ class NetworkConfig:
     """Transport-layer parameters of the simulated network.
 
     Every protocol message travels as a serialized, versioned byte frame
-    (see :mod:`repro.crypto.wire` and :mod:`repro.gossip.messages`):
-    recipients deserialize on receipt and the network accounts *measured*
-    frame bytes next to the modelled size formula.  How frames are grouped
+    (see :mod:`repro.crypto.wire` and :mod:`repro.gossip.messages`) and
+    the network accounts *measured* frame bytes next to the modelled size
+    formula.  Bytes that crossed a process boundary or were corrupted in
+    transit are decoded on receipt; an intact in-process frame hands over
+    the message it was serialized from
+    (:class:`~repro.gossip.messages.Frame`).  How frames are grouped
     into socket records is the live runner's business
     (:mod:`repro.net.live`), not a setting: it changes neither the
     protocol-level byte accounting nor results nor operation counts.

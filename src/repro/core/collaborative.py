@@ -10,13 +10,17 @@ receives a partial decryption back, then combines locally.
 Every round-trip moves serialized byte frames
 (:class:`~repro.gossip.messages.DecryptRequest` /
 :class:`~repro.gossip.messages.DecryptResponse`): helpers partially decrypt
-the ciphertexts they *deserialize from the received bytes*, responses are
-decoded the same way, and the network accounts measured frame lengths, so
-the cost analysis reflects the decryption traffic.  A frame corrupted in
-transit fails its checksum, that helper contributes no partial decryptions,
-and when fewer than ``threshold`` distinct shares survive the round the
-usual :class:`~repro.exceptions.ThresholdError` surfaces — the caller
-retries at the next cycle, exactly as it does when committee members are
+the ciphertexts of the request they *receive*, responses travel back the
+same way, and the network accounts measured frame lengths, so the cost
+analysis reflects the decryption traffic.  Receiving is ``deserialize``: an
+intact in-process frame returns the message it was serialized from
+(:class:`~repro.gossip.messages.Frame`), so the one request object serves
+every helper; bytes from a socket or from the fault model are decoded in
+full.  A frame corrupted in transit fails its checksum, that helper
+contributes no partial decryptions, and when fewer than ``threshold``
+distinct shares survive the round the usual
+:class:`~repro.exceptions.ThresholdError` surfaces — the caller retries at
+the next cycle, exactly as it does when committee members are
 offline.
 """
 
@@ -161,7 +165,7 @@ def collaborative_decrypt_many(
 
     The request to each helper carries all the estimates' ciphertexts at
     once, on every ciphertext layout: 2·threshold messages per round.
-    Helpers operate on the ciphertexts decoded from the received frames; an
+    Helpers operate on ``deserialize`` of the frame they received; an
     undecodable (corrupted) frame simply removes that helper's contribution
     from the round.  A *dropped* request is served regardless: the committee
     round-trip is atomic in the cycle model (drops are modelled at the

@@ -31,6 +31,15 @@ message type: bigints and fixed-width ciphertexts round-trip exactly, floats
 travel as IEEE-754 doubles, and the encoders are canonical (one byte
 representation per value), so frames are deterministic functions of the
 message alone — identical across cipher backends, platforms and runs.
+
+The ``Frame`` invariant: ``serialize()`` returns a :class:`Frame`, a
+``bytes`` subclass whose ``.message`` is the frozen message it encodes, and
+:func:`deserialize` returns that message for an intact ``Frame`` instead of
+decoding it — exact by the round-trip property above.  Only a ``Frame``
+object itself takes this path; every byte string that arrived from
+elsewhere (a socket payload, a batch's inner frame, ``bytes(frame)``, a
+slice, the fault model's corrupted copy) is plain ``bytes`` and meets the
+full decoder and its checksum.
 """
 
 from __future__ import annotations
@@ -139,8 +148,8 @@ class WireMessage:
     def _read_body(cls, reader: WireReader) -> "WireMessage":
         raise NotImplementedError
 
-    def serialize(self) -> bytes:
-        """Encode this message into one framed byte string."""
+    def serialize(self) -> "Frame":
+        """Encode this message into one framed byte string that remembers it."""
         body = bytearray()
         self._write_body(body)
         if len(body) > MAX_FRAME_BYTES:
@@ -152,7 +161,22 @@ class WireMessage:
         header.append(self.TYPE)
         write_varint(header, len(body))
         checksum = zlib.crc32(body, zlib.crc32(header))
-        return b"".join((header, body, checksum.to_bytes(4, "big")))
+        frame = Frame(b"".join((header, body, checksum.to_bytes(4, "big"))))
+        frame.message = self
+        return frame
+
+
+class Frame(bytes):
+    """The bytes ``serialize()`` returned, still carrying ``.message``.
+
+    Messages are frozen and ``deserialize(m.serialize()) == m``, so
+    :func:`deserialize` hands back ``.message`` instead of decoding.  Every
+    derived byte string — ``bytes(frame)``, a slice, a corrupted copy, a
+    socket payload, a batch's inner frame — is plain ``bytes`` and is
+    decoded in full.
+    """
+
+    message: "WireMessage"
 
 
 @dataclass(frozen=True)
@@ -514,8 +538,12 @@ def deserialize(frame: bytes) -> WireMessage:
     This is the single entry point transport code uses on received bytes;
     it performs every structural check (magic, version, type, declared
     length, CRC32, full-body consumption) before handing the body to the
-    message-specific decoder.
+    message-specific decoder.  An intact in-process :class:`Frame` is the
+    one input it does not decode: it returns the message the frame was
+    serialized from.
     """
+    if type(frame) is Frame:
+        return frame.message
     if isinstance(frame, memoryview):
         size = frame.nbytes
     elif isinstance(frame, (bytes, bytearray)):

@@ -13,6 +13,14 @@ and committee rounds; a driver performs them over its transport):
   asyncio TCP transport of the multi-process runner, which moves the same
   serialized frames over real sockets between OS processes.
 
+What is decoded on receipt is the bytes that crossed a boundary.  Loopback
+delivery hands the sender's :class:`~repro.gossip.messages.Frame` object
+itself to the recipient, and ``deserialize`` returns the message that frame
+was serialized from; a frame the fault model corrupted is a new plain byte
+string and meets the full decoder, whose checksum turns it into a loss.  In
+the live runner the same holds for a recipient on the sending worker, while
+a frame from another worker arrives as socket bytes and is decoded in full.
+
 The accounting rule both implementations follow (the "one authoritative
 byte-count site"): a message's ``messages_sent``/``bytes_sent``/
 ``bytes_modelled`` are charged exactly once, by the transport, at the
@@ -60,10 +68,16 @@ class LoopbackTransport:
     # ------------------------------------------------------------------ delivery
     def transmit(self, sender: int, recipient: int, kind: str, frame: bytes,
                  modelled_bytes: int | None = None) -> bytes | None:
-        """Deliver a byte frame; return the bytes as received (None on loss)."""
+        """Deliver a byte frame; return the bytes as received (None on loss).
+
+        An intact delivery returns *frame* itself, so a
+        :class:`~repro.gossip.messages.Frame` reaches the recipient still
+        carrying its message; only a ``bytearray`` is copied to ``bytes``.
+        """
         if not isinstance(frame, (bytes, bytearray)):
             raise SimulationError("transmit() carries serialized byte frames only")
-        frame = bytes(frame)
+        if isinstance(frame, bytearray):
+            frame = bytes(frame)
         message = Message(
             sender=sender, recipient=recipient, kind=kind, payload=frame,
             size_bytes=len(frame), modelled_bytes=modelled_bytes,
@@ -87,7 +101,8 @@ class LoopbackTransport:
         The cycle model's pairwise-exchange policy, stated once: the request
         (*kinds[0]*) travels, the recipient decodes it and *serve* turns the
         decoded request into the reply frame (*kinds[1]*), which travels
-        back and is decoded for the caller.  A frame that arrives corrupted
+        back and is decoded for the caller (an intact frame decodes to the
+        message it was serialized from).  A frame that arrives corrupted
         fails its checksum and ends the exchange like a loss.  A dropped
         *reply* is accounted as dropped yet still decoded: the exchange is
         atomic in the cycle model (the responder has already applied its

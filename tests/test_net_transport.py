@@ -19,7 +19,7 @@ import pytest
 from repro.config import ChiaroscuroConfig
 from repro.core.runner import run_chiaroscuro
 from repro.datasets import load_dataset
-from repro.exceptions import SimulationError
+from repro.exceptions import SimulationError, WireFormatError
 from repro.net.envelope import (
     KIND_CONTROL,
     KIND_FRAME,
@@ -29,7 +29,7 @@ from repro.net.envelope import (
     encode_envelope,
     read_length_prefix,
 )
-from repro.gossip.messages import GossipAvgReply, GossipAvgRequest
+from repro.gossip.messages import GossipAvgReply, GossipAvgRequest, deserialize
 from repro.net.transport import LoopbackTransport
 from repro.simulation.engine import CycleEngine
 from repro.simulation.network import Message, Network
@@ -79,6 +79,16 @@ class TestLoopbackTransport:
         assert stats.bytes_sent == len(frame)
         assert stats.bytes_modelled == 3
         assert engine.transport.total.messages_received == 1
+
+    def test_transmit_hands_an_intact_frame_through(self):
+        nodes = [_EchoNode(0), _EchoNode(1)]
+        engine = CycleEngine(nodes, seed=0)
+        frame = GossipAvgRequest(values=(1.0, 2.0)).serialize()
+        assert engine.transport.transmit(0, 1, "frame", frame) is frame
+        assert nodes[1].received[0].payload is frame
+        # Only a bytearray is copied, into plain bytes.
+        received = engine.transport.transmit(0, 1, "frame", bytearray(frame))
+        assert type(received) is bytes and received == frame
 
     def test_transmit_rejects_object_payloads(self):
         engine = CycleEngine([_EchoNode(0), _EchoNode(1)], seed=0)
@@ -164,18 +174,29 @@ class TestExchange:
         assert (total.messages_sent, total.messages_dropped) == (2, 1)
 
     def test_corrupted_request_is_never_answered(self):
-        engine, _, served, reply = self._exchange(corruptions=[0.0])
+        engine, nodes, served, reply = self._exchange(corruptions=[0.0])
         assert reply is None
         assert served == []
         total = engine.network.total
         assert (total.messages_sent, total.messages_corrupted) == (1, 1)
+        # The fault model delivers a new plain byte string, never the
+        # sender's frame, so the full decoder sees it and rejects it.
+        (delivered,) = nodes[1].received
+        assert type(delivered.payload) is bytes
+        with pytest.raises(WireFormatError):
+            deserialize(delivered.payload)
 
     def test_corrupted_reply_counts_as_a_loss(self):
-        engine, _, served, reply = self._exchange(corruptions=[1.0, 0.0])
+        engine, nodes, served, reply = self._exchange(corruptions=[1.0, 0.0])
         assert reply is None
         assert len(served) == 1
         total = engine.network.total
         assert (total.messages_sent, total.messages_corrupted) == (2, 1)
+        assert nodes[1].received[0].payload is self.REQUEST
+        (delivered,) = nodes[0].received
+        assert type(delivered.payload) is bytes
+        with pytest.raises(WireFormatError):
+            deserialize(delivered.payload)
 
     def test_committee_rule_serves_a_dropped_request(self):
         engine, nodes, served, reply = self._exchange(drops=[0.0],

@@ -35,7 +35,13 @@ from ..crypto.backends import CipherBackend, PartialVectorDecryption
 from ..crypto.wire import wire_ciphertext_bytes
 from ..exceptions import ThresholdError, WireFormatError
 from ..gossip.encrypted_sum import EncryptedEstimate, estimate_payload_bytes
-from ..gossip.messages import DecryptRequest, DecryptResponse, WireMessage, deserialize
+from ..gossip.messages import (
+    DecryptRequest,
+    DecryptResponse,
+    Frame,
+    WireMessage,
+    deserialize,
+)
 from ..simulation.engine import CycleEngine
 
 
@@ -63,7 +69,7 @@ def share_index_of(node_id: int, n_shares: int) -> int | None:
 
 
 def build_decrypt_request(backend: CipherBackend,
-                          estimates: Sequence[EncryptedEstimate]) -> bytes:
+                          estimates: Sequence[EncryptedEstimate]) -> Frame:
     """Serialize one committee decryption request frame.
 
     The single frame-building site: both drivers' committee fan-outs
@@ -77,7 +83,7 @@ def build_decrypt_request(backend: CipherBackend,
 
 
 def serve_decrypt_request(backend: CipherBackend, helper_id: int,
-                          request: DecryptRequest) -> bytes:
+                          request: DecryptRequest) -> Frame:
     """A committee member's serialized answer to one decoded request.
 
     The helper half of the round, shared by the cycle engine's committee

@@ -36,7 +36,7 @@ from ..gossip.encrypted_sum import (
     estimate_payload_bytes,
     rerandomize_estimate,
 )
-from ..gossip.messages import DiptychExchange, DiptychReply
+from ..gossip.messages import DiptychExchange, DiptychReply, Frame
 from ..gossip.overlay import Overlay
 from ..privacy.noise_shares import NoiseShareSpec, draw_noise_share
 from ..simulation.engine import CycleEngine
@@ -75,7 +75,7 @@ class Exchange:
     untouched when the exchange was lost, corrupted or refused."""
 
     peer: int
-    frame: bytes
+    frame: Frame
     modelled_bytes: int
 
 
@@ -348,7 +348,7 @@ class ChiaroscuroParticipant(Node):
 
     def exchange_frame(
         self, message_type: type[DiptychExchange] | type[DiptychReply]
-    ) -> bytes:
+    ) -> Frame:
         """This device's half of a gossip exchange, serialized.
 
         The one place a diptych frame is built — by the initiator

@@ -404,12 +404,71 @@ def _write_vector_block(
         ) from exc
 
 
+def _vector_block_size(
+    backend_name: str,
+    length: int,
+    packed: bool,
+    weight: int,
+    payload: tuple[int, ...],
+    ciphertext_bytes: int,
+) -> int:
+    """The byte length :func:`_write_vector_block` would write, no bytes built.
+
+    It raises what the writer raises, in the writer's order and with its
+    text.  The ciphertexts are range-checked with one ``min`` and one
+    ``max``; only a payload that fails it (or cannot be ordered) is walked
+    element by element, so the first unfit ciphertext is the one named.
+    """
+    if not 0 < ciphertext_bytes <= MAX_CIPHERTEXT_BYTES:
+        raise WireFormatError(
+            f"ciphertext width {ciphertext_bytes} outside (0, {MAX_CIPHERTEXT_BYTES}]"
+        )
+    if length > MAX_VECTOR_COMPONENTS:
+        raise WireFormatError(f"vector length {length} exceeds the wire limit")
+    if weight < 1:
+        raise WireFormatError("homomorphic weight must be >= 1")
+    name_bytes = len(backend_name.encode("utf-8"))
+    if name_bytes > MAX_NAME_BYTES:
+        raise WireFormatError(f"string too long for the wire: {name_bytes} bytes")
+    weight_bytes = (int(weight).bit_length() + 7) // 8
+    if weight_bytes > MAX_CIPHERTEXT_BYTES:
+        raise WireFormatError(
+            f"bigint of {weight_bytes} bytes exceeds the wire limit "
+            f"{MAX_CIPHERTEXT_BYTES}"
+        )
+    count = len(payload)
+    if count:
+        limit = 1 << (8 * ciphertext_bytes)
+        try:
+            fits = 0 <= min(payload) and max(payload) < limit
+        except TypeError:
+            fits = False
+        if not fits:
+            for value in map(int, payload):
+                if not 0 <= value < limit:
+                    raise _unfit_ciphertext(value, ciphertext_bytes)
+    # Every field is in range by now, so its varint takes (bits + 6) // 7
+    # bytes, one for zero (varint_size without the call: this runs once per
+    # estimate); a name of at most MAX_NAME_BYTES has a one-byte length.
+    return (1 + name_bytes + ((length.bit_length() + 6) // 7 or 1) + 1
+            + ((weight_bytes.bit_length() + 6) // 7 or 1) + weight_bytes
+            + ((count.bit_length() + 6) // 7 or 1) + count * ciphertext_bytes)
+
+
 def write_encrypted_vector(
     out: bytearray, vector: EncryptedVector, ciphertext_bytes: int
 ) -> None:
     """Append the wire block of an :class:`~repro.crypto.backends.EncryptedVector`."""
     _write_vector_block(
         out, vector.backend_name, len(vector), vector.packed, vector.weight,
+        vector.payload, ciphertext_bytes,
+    )
+
+
+def encrypted_vector_size(vector: EncryptedVector, ciphertext_bytes: int) -> int:
+    """Bytes :func:`write_encrypted_vector` appends; raises what it raises."""
+    return _vector_block_size(
+        vector.backend_name, len(vector), vector.packed, vector.weight,
         vector.payload, ciphertext_bytes,
     )
 
@@ -430,17 +489,32 @@ def read_encrypted_vector(reader: WireReader, ciphertext_bytes: int) -> Encrypte
 MAX_SHARE_INDEX = 1 << 20
 
 
+def _check_share_index(share_index: int) -> None:
+    if not 1 <= share_index <= MAX_SHARE_INDEX:
+        raise WireFormatError(
+            f"share index {share_index} outside [1, {MAX_SHARE_INDEX}]"
+        )
+
+
 def write_partial_decryption(
     out: bytearray, partial: PartialVectorDecryption, ciphertext_bytes: int
 ) -> None:
     """Append the wire block of a partial vector decryption."""
-    if not 1 <= partial.share_index <= MAX_SHARE_INDEX:
-        raise WireFormatError(
-            f"share index {partial.share_index} outside [1, {MAX_SHARE_INDEX}]"
-        )
+    _check_share_index(partial.share_index)
     write_varint(out, partial.share_index)
     _write_vector_block(
         out, partial.backend_name, len(partial), partial.packed, partial.weight,
+        partial.payload, ciphertext_bytes,
+    )
+
+
+def partial_decryption_size(
+    partial: PartialVectorDecryption, ciphertext_bytes: int
+) -> int:
+    """Bytes :func:`write_partial_decryption` appends; raises what it raises."""
+    _check_share_index(partial.share_index)
+    return varint_size(partial.share_index) + _vector_block_size(
+        partial.backend_name, len(partial), partial.packed, partial.weight,
         partial.payload, ciphertext_bytes,
     )
 

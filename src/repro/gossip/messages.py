@@ -32,14 +32,18 @@ travel as IEEE-754 doubles, and the encoders are canonical (one byte
 representation per value), so frames are deterministic functions of the
 message alone — identical across cipher backends, platforms and runs.
 
-The ``Frame`` invariant: ``serialize()`` returns a :class:`Frame`, a
-``bytes`` subclass whose ``.message`` is the frozen message it encodes, and
-:func:`deserialize` returns that message for an intact ``Frame`` instead of
-decoding it — exact by the round-trip property above.  Only a ``Frame``
-object itself takes this path; every byte string that arrived from
-elsewhere (a socket payload, a batch's inner frame, ``bytes(frame)``, a
-slice, the fault model's corrupted copy) is plain ``bytes`` and meets the
-full decoder and its checksum.
+The ``Frame`` invariant: ``serialize()`` runs every encoder check and
+returns a :class:`Frame` whose ``.message`` is the frozen message it
+encodes and whose ``len()`` is the exact length of its bytes, computed
+without writing them (ciphertexts are fixed-width, so a frame's length is a
+sum of varint sizes and widths).  The bytes are written once, on the first
+``bytes(frame)`` — a socket record, a batch, a corruption that fires — and
+that never raises.  :func:`deserialize` returns the carried message for an
+intact ``Frame`` instead of decoding it — exact by the round-trip property
+above.  Only a ``Frame`` object itself takes this path; every byte string
+that arrived from elsewhere (a socket payload, a batch's inner frame,
+``bytes(frame)``, a slice, the fault model's corrupted copy) is plain
+``bytes`` and meets the full decoder and its checksum.
 """
 
 from __future__ import annotations
@@ -57,8 +61,11 @@ from ..crypto.wire import (
     MAX_VECTOR_COMPONENTS,
     WIRE_VERSION,
     WireReader,
+    encrypted_vector_size,
+    partial_decryption_size,
     read_encrypted_vector,
     read_partial_decryption,
+    varint_size,
     write_bigint,
     write_bool,
     write_encrypted_vector,
@@ -97,18 +104,27 @@ def _write_estimate(out: bytearray, estimate: EncryptedEstimate, width: int) -> 
     write_encrypted_vector(out, estimate.vector, width)
 
 
+def _estimate_size(estimate: EncryptedEstimate, width: int) -> int:
+    return (varint_size(_check_field(estimate.halvings, _MAX_HALVINGS, "halvings"))
+            + encrypted_vector_size(estimate.vector, width))
+
+
 def _read_estimate(reader: WireReader, width: int) -> EncryptedEstimate:
     halvings = reader.read_varint(limit=_MAX_HALVINGS)
     vector = read_encrypted_vector(reader, width)
     return EncryptedEstimate(vector=vector, halvings=halvings)
 
 
-def _write_width(out: bytearray, width: int) -> None:
+def _check_width(width: int) -> int:
     if not 1 <= width <= MAX_CIPHERTEXT_BYTES:
         raise WireFormatError(
             f"ciphertext width {width} outside [1, {MAX_CIPHERTEXT_BYTES}]"
         )
-    write_varint(out, width)
+    return width
+
+
+def _write_width(out: bytearray, width: int) -> None:
+    write_varint(out, _check_width(width))
 
 
 def _read_width(reader: WireReader) -> int:
@@ -144,39 +160,98 @@ class WireMessage:
     def _write_body(self, out: bytearray) -> None:
         raise NotImplementedError
 
+    def _body_size(self) -> int | None:
+        """The exact length :meth:`_write_body` writes, raising what it raises.
+
+        ``None`` (the default) means the type has no size arithmetic:
+        :meth:`serialize` then encodes the body at once and the frame holds
+        its bytes from the start.
+        """
+        return None
+
     @classmethod
     def _read_body(cls, reader: WireReader) -> "WireMessage":
         raise NotImplementedError
 
     def serialize(self) -> "Frame":
-        """Encode this message into one framed byte string that remembers it."""
-        body = bytearray()
-        self._write_body(body)
-        if len(body) > MAX_FRAME_BYTES:
+        """Check this message and size its frame; the bytes come on demand.
+
+        Every encoder check runs here, so this raises exactly where an eager
+        encoding would and the frame's bytes can always be written later.
+        """
+        body_size = self._body_size()
+        body = None
+        if body_size is None:
+            body = bytearray()
+            self._write_body(body)
+            body_size = len(body)
+        if body_size > MAX_FRAME_BYTES:
             raise WireFormatError(
-                f"message body of {len(body)} bytes exceeds the frame limit"
+                f"message body of {body_size} bytes exceeds the frame limit"
             )
+        length = FRAME_FIXED_OVERHEAD_BYTES + varint_size(body_size) + body_size
+        return Frame(self, length, None if body is None else self._encode(body))
+
+    def _encode(self, body: bytearray | None = None) -> bytes:
+        """The frame's bytes around *body* (written here when not given)."""
+        if body is None:
+            body = bytearray()
+            self._write_body(body)
         header = bytearray(FRAME_MAGIC)
         header.append(WIRE_VERSION)
         header.append(self.TYPE)
         write_varint(header, len(body))
         checksum = zlib.crc32(body, zlib.crc32(header))
-        frame = Frame(b"".join((header, body, checksum.to_bytes(4, "big"))))
-        frame.message = self
-        return frame
+        return b"".join((header, body, checksum.to_bytes(4, "big")))
 
 
-class Frame(bytes):
-    """The bytes ``serialize()`` returned, still carrying ``.message``.
+class Frame:
+    """A serialized message: its exact length now, its bytes when read.
 
-    Messages are frozen and ``deserialize(m.serialize()) == m``, so
-    :func:`deserialize` hands back ``.message`` instead of decoding.  Every
-    derived byte string — ``bytes(frame)``, a slice, a corrupted copy, a
-    socket payload, a batch's inner frame — is plain ``bytes`` and is
-    decoded in full.
+    ``len(frame)`` is known without encoding.  ``bytes(frame)`` (and
+    indexing, slicing, ``hex()``, hashing or comparing with a byte string,
+    which go through it) writes the bytes once and caches them; every check
+    already ran in ``serialize()``, so this never raises.  Messages are
+    frozen and ``deserialize(m.serialize()) == m``, so :func:`deserialize`
+    hands back ``.message`` instead of decoding.  Every derived byte string —
+    ``bytes(frame)``, a slice, a corrupted copy, a socket payload, a
+    batch's inner frame — is plain ``bytes`` and is decoded in full.
     """
 
-    message: "WireMessage"
+    __slots__ = ("message", "_length", "_bytes")
+
+    def __init__(self, message: "WireMessage", length: int,
+                 data: bytes | None = None) -> None:
+        self.message = message
+        self._length = length
+        self._bytes = data
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __bytes__(self) -> bytes:
+        if self._bytes is None:
+            self._bytes = self.message._encode()
+        return self._bytes
+
+    def __getitem__(self, index: int | slice) -> int | bytes:
+        return bytes(self)[index]
+
+    def hex(self) -> str:
+        return bytes(self).hex()
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Frame):
+            other = bytes(other)
+        elif not isinstance(other, (bytes, bytearray, memoryview)):
+            return NotImplemented
+        return bytes(self) == other
+
+    def __hash__(self) -> int:
+        return hash(bytes(self))
+
+    def __repr__(self) -> str:
+        return f"<Frame of {type(self.message).__name__}, {self._length} bytes>"
 
 
 @dataclass(frozen=True)
@@ -224,13 +299,16 @@ class _DiptychEnvelope(WireMessage):
     noise_estimates: tuple[EncryptedEstimate, ...]
     ciphertext_bytes: int
 
-    def _write_body(self, out: bytearray) -> None:
+    def _check_counts(self) -> None:
         if len(self.data_estimates) != len(self.noise_estimates):
             raise WireFormatError(
                 "a diptych message carries one noise estimate per data estimate"
             )
         if len(self.data_estimates) > _MAX_ESTIMATES:
             raise WireFormatError("too many estimates for one diptych frame")
+
+    def _write_body(self, out: bytearray) -> None:
+        self._check_counts()
         _write_width(out, self.ciphertext_bytes)
         write_varint(out, _check_field(self.iteration, _MAX_ITERATION, "iteration"))
         write_varint(out, len(self.data_estimates))
@@ -238,6 +316,18 @@ class _DiptychEnvelope(WireMessage):
             _write_estimate(out, estimate, self.ciphertext_bytes)
         for estimate in self.noise_estimates:
             _write_estimate(out, estimate, self.ciphertext_bytes)
+
+    def _body_size(self) -> int:
+        self._check_counts()
+        width = _check_width(self.ciphertext_bytes)
+        size = (varint_size(width)
+                + varint_size(_check_field(self.iteration, _MAX_ITERATION, "iteration"))
+                + varint_size(len(self.data_estimates)))
+        for estimate in self.data_estimates:
+            size += _estimate_size(estimate, width)
+        for estimate in self.noise_estimates:
+            size += _estimate_size(estimate, width)
+        return size
 
     @classmethod
     def _read_body(cls, reader: WireReader) -> "_DiptychEnvelope":
@@ -270,13 +360,23 @@ class DecryptRequest(WireMessage):
     ciphertext_bytes: int
     TYPE: ClassVar[int] = 0x05
 
-    def _write_body(self, out: bytearray) -> None:
+    def _check_count(self) -> None:
         if len(self.estimates) > _MAX_ESTIMATES:
             raise WireFormatError("too many estimates for one decryption frame")
+
+    def _write_body(self, out: bytearray) -> None:
+        self._check_count()
         _write_width(out, self.ciphertext_bytes)
         write_varint(out, len(self.estimates))
         for estimate in self.estimates:
             _write_estimate(out, estimate, self.ciphertext_bytes)
+
+    def _body_size(self) -> int:
+        self._check_count()
+        width = _check_width(self.ciphertext_bytes)
+        return varint_size(width) + varint_size(len(self.estimates)) + sum(
+            _estimate_size(estimate, width) for estimate in self.estimates
+        )
 
     @classmethod
     def _read_body(cls, reader: WireReader) -> "DecryptRequest":
@@ -294,13 +394,23 @@ class DecryptResponse(WireMessage):
     ciphertext_bytes: int
     TYPE: ClassVar[int] = 0x06
 
-    def _write_body(self, out: bytearray) -> None:
+    def _check_count(self) -> None:
         if len(self.partials) > _MAX_ESTIMATES:
             raise WireFormatError("too many partials for one decryption frame")
+
+    def _write_body(self, out: bytearray) -> None:
+        self._check_count()
         _write_width(out, self.ciphertext_bytes)
         write_varint(out, len(self.partials))
         for partial in self.partials:
             write_partial_decryption(out, partial, self.ciphertext_bytes)
+
+    def _body_size(self) -> int:
+        self._check_count()
+        width = _check_width(self.ciphertext_bytes)
+        return varint_size(width) + varint_size(len(self.partials)) + sum(
+            partial_decryption_size(partial, width) for partial in self.partials
+        )
 
     @classmethod
     def _read_body(cls, reader: WireReader) -> "DecryptResponse":
@@ -452,6 +562,13 @@ class BatchEnvelope(WireMessage):
     compress: bool = field(default=False, compare=False)
     TYPE: ClassVar[int] = 0x0C
 
+    def __post_init__(self) -> None:
+        # The body holds the inner frames' bytes, so hold bytes, not Frames.
+        object.__setattr__(self, "frames", tuple(
+            bytes(frame) if isinstance(frame, Frame) else frame
+            for frame in self.frames
+        ))
+
     def _write_body(self, out: bytearray) -> None:
         if len(self.frames) > MAX_BATCH_FRAMES:
             raise WireFormatError(
@@ -539,8 +656,8 @@ def deserialize(frame: bytes) -> WireMessage:
     it performs every structural check (magic, version, type, declared
     length, CRC32, full-body consumption) before handing the body to the
     message-specific decoder.  An intact in-process :class:`Frame` is the
-    one input it does not decode: it returns the message the frame was
-    serialized from.
+    one input it does not decode (nor write): it returns the message the
+    frame was serialized from.
     """
     if type(frame) is Frame:
         return frame.message

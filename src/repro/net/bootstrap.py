@@ -28,7 +28,12 @@ from typing import Iterable, Sequence
 
 from ..crypto.backends import CipherBackend
 from ..exceptions import ProtocolError
-from ..gossip.messages import KeyAnnouncement, MembershipAnnouncement, deserialize
+from ..gossip.messages import (
+    Frame,
+    KeyAnnouncement,
+    MembershipAnnouncement,
+    deserialize,
+)
 
 #: A worker's socket address, as announced next to a membership frame.
 Address = tuple[str, int]
@@ -67,7 +72,7 @@ class MembershipDirectory:
     # ------------------------------------------------------------------ feeding
     def announce(self, node_id: int, online: bool, cycle: int,
                  address: Address | None = None,
-                 worker: int | None = None) -> bytes:
+                 worker: int | None = None) -> Frame:
         """Build, apply and return one membership announcement frame."""
         frame = MembershipAnnouncement(
             node_id=node_id, online=online, cycle=cycle

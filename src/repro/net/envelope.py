@@ -86,6 +86,9 @@ class Envelope:
             raise EnvelopeError(f"unknown record kind 0x{self.kind:02x}")
         if not 0 <= self.correlation_id < 1 << 64:
             raise EnvelopeError(f"correlation id {self.correlation_id} outside 64 bits")
+        # A record is where a serialized Frame's bytes get written.
+        if not isinstance(self.payload, bytes):
+            object.__setattr__(self, "payload", bytes(self.payload))
 
 
 def encode_envelope(envelope: Envelope) -> bytes:

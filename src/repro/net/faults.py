@@ -60,6 +60,7 @@ def _split_frame(frame: bytes) -> tuple[bytes, bytes]:
     The prefix is magic + version + type (the body-length varint is
     re-encoded by :func:`reframe_body`).
     """
+    frame = bytes(frame)
     reader = WireReader(frame)
     if reader.read_bytes(2) != FRAME_MAGIC:
         raise WireFormatError("not a Chiaroscuro wire frame")

@@ -13,13 +13,17 @@ and committee rounds; a driver performs them over its transport):
   asyncio TCP transport of the multi-process runner, which moves the same
   serialized frames over real sockets between OS processes.
 
-What is decoded on receipt is the bytes that crossed a boundary.  Loopback
-delivery hands the sender's :class:`~repro.gossip.messages.Frame` object
-itself to the recipient, and ``deserialize`` returns the message that frame
-was serialized from; a frame the fault model corrupted is a new plain byte
-string and meets the full decoder, whose checksum turns it into a loss.  In
-the live runner the same holds for a recipient on the sending worker, while
-a frame from another worker arrives as socket bytes and is decoded in full.
+What is encoded is what something reads, and what is decoded is the bytes
+that crossed a boundary.  A :class:`~repro.gossip.messages.Frame` knows its
+length without its bytes, and the ledger needs only that length.  Loopback
+delivery hands the sender's ``Frame`` object itself to the recipient, and
+``deserialize`` returns the message that frame was serialized from, so an
+intact in-process frame is neither written nor decoded.  A corruption that
+fires writes the frame's bytes and flips one bit of a copy: that new plain
+byte string meets the full decoder, whose checksum turns it into a loss.
+In the live runner the same holds for a recipient on the sending worker,
+while a frame for another worker is written into its socket record (or its
+batch) and arrives there as bytes that are decoded in full.
 
 The accounting rule both implementations follow (the "one authoritative
 byte-count site"): a message's ``messages_sent``/``bytes_sent``/
@@ -45,6 +49,7 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Callable
 
 from ..exceptions import SimulationError, WireFormatError
+from ..gossip.messages import Frame
 from ..simulation.network import Message, Network, TrafficStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
@@ -66,15 +71,16 @@ class LoopbackTransport:
         self.network = network
 
     # ------------------------------------------------------------------ delivery
-    def transmit(self, sender: int, recipient: int, kind: str, frame: bytes,
-                 modelled_bytes: int | None = None) -> bytes | None:
-        """Deliver a byte frame; return the bytes as received (None on loss).
+    def transmit(self, sender: int, recipient: int, kind: str,
+                 frame: Frame | bytes, modelled_bytes: int | None = None
+                 ) -> Frame | bytes | None:
+        """Deliver a frame; return it as received (None on loss).
 
-        An intact delivery returns *frame* itself, so a
-        :class:`~repro.gossip.messages.Frame` reaches the recipient still
-        carrying its message; only a ``bytearray`` is copied to ``bytes``.
+        An intact delivery returns *frame* itself, so a :class:`Frame`
+        reaches the recipient still carrying its message and its bytes
+        unwritten; only a ``bytearray`` is copied to ``bytes``.
         """
-        if not isinstance(frame, (bytes, bytearray)):
+        if not isinstance(frame, (Frame, bytes, bytearray)):
             raise SimulationError("transmit() carries serialized byte frames only")
         if isinstance(frame, bytearray):
             frame = bytes(frame)
@@ -93,7 +99,7 @@ class LoopbackTransport:
         return received
 
     def exchange(self, sender: int, recipient: int, kinds: tuple[str, str],
-                 frame: bytes, serve: "Callable[[WireMessage], bytes]",
+                 frame: Frame | bytes, serve: "Callable[[WireMessage], Frame]",
                  modelled_bytes: int | None = None,
                  lossy_request: bool = True) -> "WireMessage | None":
         """One request/reply round-trip; the decoded reply, or None on failure.

@@ -201,21 +201,24 @@ class Network:
             self.account_receive(message)
         return delivered
 
-    def maybe_corrupt(self, payload: bytes, sender: int | None = None) -> bytes:
+    def maybe_corrupt(self, payload: Any, sender: int | None = None) -> Any:
         """Apply the corruption fault model to a delivered byte payload.
 
         With probability ``corruption_probability`` one uniformly random bit
         of *payload* is flipped (a checksummed wire frame then fails to
-        decode).  No randomness is consumed when the model is disabled or
-        the payload is empty, so enabling corruption never perturbs runs
-        that do not use it.
+        decode) and a new plain ``bytes`` is returned.  No randomness is
+        consumed when the model is disabled or the payload is empty, so
+        enabling corruption never perturbs runs that do not use it.  The
+        payload is a byte string or a
+        :class:`~repro.gossip.messages.Frame`; only a draw that fires reads
+        its bytes, everything else needs just ``len(payload)``.
         """
         if self.corruption_probability <= 0 or not payload:
             return payload
         if self._corruption_rng.random() >= self.corruption_probability:
             return payload
-        corrupted = bytearray(payload)
-        position = int(self._corruption_rng.integers(0, len(corrupted) * 8))
+        position = int(self._corruption_rng.integers(0, len(payload) * 8))
+        corrupted = bytearray(bytes(payload))
         corrupted[position // 8] ^= 1 << (position % 8)
         if sender is not None:
             self._per_node[sender].messages_corrupted += 1

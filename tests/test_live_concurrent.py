@@ -41,7 +41,7 @@ from repro.net import KIND_CONTROL, Envelope
 #: identical iteration counts and stop reasons — the interleaving spread of
 #: an 8-node, 4-cycle gossip, not a second discrete outcome.  Its case is an
 #: expected failure until concurrent stepping is replayable from a schedule
-#: seed and the envelope becomes a tested distribution (ROADMAP item 5); the
+#: seed and the envelope becomes a tested distribution (ROADMAP item 2); the
 #: bound itself is not loosened.
 MAX_PROFILE_DISTANCE_RELATIVE = 0.5
 MAX_ASSIGNMENT_CHURN = 0.5
@@ -106,7 +106,7 @@ class TestConcurrentStepping:
         pytest.param(2, marks=pytest.mark.xfail(
             strict=False,
             reason="interleaving spread crosses the 0.5 bound on about one run "
-                   "in four; needs the seeded scheduler of ROADMAP item 5")),
+                   "in four; needs the seeded scheduler of ROADMAP item 2")),
         5, 7,
     ])
     def test_envelope_bounded_across_seeds(self, seed):

@@ -19,7 +19,6 @@ TESTED_REFERENCES = {
     "repro.crypto.threshold.threshold_decrypt":
         "repro.crypto.threshold.combine_partial_decryptions",
     "repro.crypto.wire.write_ciphertext": "repro.crypto.wire.write_encrypted_vector",
-    "repro.crypto.wire.varint_size": "repro.crypto.wire.write_varint",
     "repro.privacy.noise_shares.sum_of_shares": "repro.privacy.noise_shares.draw_noise_share",
     "repro.privacy.noise_shares.share_variance": "repro.privacy.noise_shares.draw_noise_share",
     "repro.privacy.noise_shares.reconstructed_variance":

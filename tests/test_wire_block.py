@@ -302,7 +302,7 @@ class TestInputTypes:
         assert read_both(convert(block()), 2) == (
             "value", (("plain", 2, False, 1, (7, 9)), 0))
         frame = FRAMES["diptych"]
-        assert deserialize(convert(frame)) == deserialize(frame)
+        assert deserialize(convert(bytes(frame))) == deserialize(frame)
         mutated = bytearray(frame)
         mutated[9] ^= 0x10
         with pytest.raises(WireFormatError):
@@ -421,6 +421,14 @@ class TestAgainstTheOracle:
                 assert read == ("value", ((name, length, packed, weight, payload), 0))
             else:
                 assert read[0] is WireFormatError
+
+    @given(block_arguments())
+    @settings(max_examples=200, deadline=None)
+    def test_the_size_twin_agrees_with_the_writer(self, arguments):
+        """``_vector_block_size`` is the writer's length, or its error."""
+        kind, data = write_both(*arguments)
+        size = outcome(wire._vector_block_size, *arguments)
+        assert size == (("value", len(data) - 1) if kind == "value" else (kind, data))
 
     @given(damaged_blocks())
     @settings(max_examples=600, deadline=None)

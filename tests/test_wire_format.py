@@ -381,7 +381,7 @@ class TestAdversarialDecoding:
         frame = message.serialize()
         garbage = data.draw(st.binary(min_size=1, max_size=16))
         with pytest.raises(WireFormatError):
-            deserialize(frame + garbage)
+            deserialize(bytes(frame) + garbage)
 
     def test_wrong_version_rejected(self):
         frame = bytearray(GossipAvgRequest(values=(1.0,)).serialize())

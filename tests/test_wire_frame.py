@@ -1,10 +1,16 @@
-"""The ``Frame`` short-circuit: only bytes from elsewhere are decoded.
+"""The ``Frame``: sized at once, written on demand, never decoded in process.
 
 ``WireMessage.serialize()`` returns a :class:`~repro.gossip.messages.Frame`
-that carries the message it encodes, and ``deserialize`` hands that message
-back instead of decoding the frame.  Two things must hold for that to be
-invisible:
+that carries the message it encodes and its exact length; its bytes are
+written only when something reads them, and ``deserialize`` hands the
+message back instead of decoding the frame.  Four things must hold for that
+to be invisible:
 
+* the length is exact — ``len(frame) == len(bytes(frame))`` for every
+  golden message, every message shape Hypothesis draws and every frame of
+  whole object-engine runs;
+* ``serialize()`` raises where the eager encoder raised, with the same
+  text, so writing the bytes later can never fail;
 * the short-circuit is exact — the carried message equals the full decode
   of the same bytes, field for field and type for type (tuples and Python
   ``int``, never lists or numpy scalars), on every golden message and
@@ -22,31 +28,37 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.config import ChiaroscuroConfig
 from repro.core.runner import run_chiaroscuro
+from repro.crypto.backends import EncryptedVector, PartialVectorDecryption
 from repro.datasets import load_dataset
 from repro.exceptions import WireFormatError
 from repro.gossip import messages as wire_messages
-from repro.gossip.messages import BatchEnvelope, Frame, batch_frames, deserialize
+from repro.gossip.encrypted_sum import EncryptedEstimate
+from repro.gossip.messages import (
+    BatchEnvelope,
+    DecryptRequest,
+    DecryptResponse,
+    DiptychExchange,
+    DiptychReply,
+    Frame,
+    batch_frames,
+    deserialize,
+)
 from repro.net.envelope import KIND_FRAME, Envelope, decode_envelope, encode_envelope
 from repro.simulation.network import Network
 
 from test_wire_batch_vectors import golden_batches
+from test_wire_format import wire_messages as message_shapes
 from test_wire_vectors import golden_messages
 
-_SCALARS = (int, float, str, bool)
+_SCALARS = (int, float, str, bool, bytes)
 
 
 def assert_strictly_equal(ours, theirs, path: str = "message") -> None:
-    """Equal, and built from the same types all the way down.
-
-    Byte strings only need to be ``bytes`` on both sides: a batch built in
-    process holds ``Frame`` inner frames, its decode plain ``bytes``.
-    """
-    if isinstance(ours, bytes) and isinstance(theirs, bytes):
-        assert bytes(ours) == bytes(theirs), path
-        return
+    """Equal, and built from the same types all the way down."""
     assert type(ours) is type(theirs), (
         f"{path}: {type(ours).__name__} != {type(theirs).__name__}"
     )
@@ -75,12 +87,142 @@ class TestShortCircuitIsExact:
         assert type(frame) is Frame
         assert deserialize(frame) is message
 
+    def test_its_length_is_the_length_of_its_bytes(self, name, message):
+        frame = message.serialize()
+        assert len(frame) == len(bytes(frame))
+
     def test_the_full_decode_of_its_bytes_is_the_same_message(self, name, message):
         frame = message.serialize()
         decoded = deserialize(bytes(frame))
         assert decoded is not message
         assert decoded == message
         assert_strictly_equal(decoded, message)
+
+
+@given(message_shapes())
+@settings(max_examples=200, deadline=None)
+def test_a_frame_knows_its_exact_length(message):
+    assert len(message.serialize()) == len(bytes(message.serialize()))
+
+
+class TestBytesOnDemand:
+    MESSAGES = {name: message for name, message in golden_messages()}
+
+    @pytest.mark.parametrize("name", ["diptych_exchange_packed", "diptych_reply_dj",
+                                      "decrypt_request_packed", "decrypt_response_dj"])
+    def test_serialize_writes_no_byte_of_the_sized_types(self, name, monkeypatch):
+        message = self.MESSAGES[name]
+        expected = bytes(message.serialize())
+
+        def no_writing(self, out):
+            raise AssertionError("serialize() wrote the body")
+
+        monkeypatch.setattr(type(message), "_write_body", no_writing)
+        frame = message.serialize()
+        assert len(frame) == len(expected)
+        monkeypatch.undo()
+        assert frame == expected and bytes(frame) is bytes(frame)
+
+    def test_a_frame_compares_and_hashes_as_its_bytes(self):
+        message = self.MESSAGES["diptych_exchange_packed"]
+        frame, twin = message.serialize(), message.serialize()
+        data = bytes(twin)
+        assert frame == data and data == frame and frame == twin
+        assert not frame != data
+        assert frame != data[:-1] and frame != bytearray(data[:-1])
+        assert hash(frame) == hash(data)
+        assert frame.hex() == data.hex() and frame[3] == data[3]
+        assert frame != message and frame != len(data)
+
+
+def _vector(payload=(1, 2), backend_name="plain", **fields):
+    return EncryptedVector(payload=payload, backend_name=backend_name, **fields)
+
+
+def _estimate(halvings=0, **fields):
+    return EncryptedEstimate(vector=_vector(**fields), halvings=halvings)
+
+
+def _partial(share_index=1, payload=(1, 2)):
+    return PartialVectorDecryption(share_index=share_index, payload=payload,
+                                   backend_name="plain")
+
+
+def _diptych(data=(_estimate(),), noise=None, iteration=0, width=2):
+    return DiptychExchange(iteration=iteration, data_estimates=tuple(data),
+                           noise_estimates=tuple(data if noise is None else noise),
+                           ciphertext_bytes=width)
+
+
+#: A vector block of 1025 ciphertexts at the widest width: 64 KiB + 16 bytes
+#: over the frame limit once it is one estimate of a frame.
+_OVER_LIMIT = dict(payload=(0,) * 1025)
+_WIDEST = 1 << 16
+
+#: (message, the text the eager encoder raised it with).  Each bound the
+#: encoder checks, and two messages with two faults: the first fault in
+#: writing order wins, and a field fault wins over the frame limit.
+_REFUSED = {
+    "width-zero": (DecryptRequest(estimates=(_estimate(),), ciphertext_bytes=0),
+                   "ciphertext width 0 outside [1, 65536]"),
+    "width-over": (_diptych(width=_WIDEST + 1),
+                   "ciphertext width 65537 outside [1, 65536]"),
+    "iteration": (_diptych(iteration=1 << 32),
+                  "iteration 4294967296 outside [0, 4294967295]"),
+    "halvings": (DecryptRequest(estimates=(_estimate(halvings=(1 << 20) + 1),),
+                                ciphertext_bytes=2),
+                 "halvings 1048577 outside [0, 1048576]"),
+    "diptych-halves": (_diptych(noise=()),
+                       "a diptych message carries one noise estimate per data estimate"),
+    "estimate-count-diptych": (_diptych(data=(_estimate(),) * 4097),
+                               "too many estimates for one diptych frame"),
+    "estimate-count-request": (DecryptRequest(estimates=(_estimate(),) * 4097,
+                                              ciphertext_bytes=2),
+                               "too many estimates for one decryption frame"),
+    "partial-count": (DecryptResponse(partials=(_partial(),) * 4097, ciphertext_bytes=2),
+                      "too many partials for one decryption frame"),
+    "share-index": (DecryptResponse(partials=(_partial(share_index=0),),
+                                    ciphertext_bytes=2),
+                    "share index 0 outside [1, 1048576]"),
+    "name-length": (_diptych(data=(_estimate(backend_name="n" * 65),)),
+                    "string too long for the wire: 65 bytes"),
+    "vector-length": (_diptych(data=(_estimate(length=(1 << 20) + 1),)),
+                      "vector length 1048577 exceeds the wire limit"),
+    "weight": (_diptych(data=(_estimate(weight=0),)),
+               "homomorphic weight must be >= 1"),
+    "weight-width": (_diptych(data=(_estimate(weight=1 << (8 * _WIDEST)),)),
+                     "bigint of 65537 bytes exceeds the wire limit 65536"),
+    "unfit-ciphertext": (_diptych(data=(_estimate(payload=(1, 1 << 16)),)),
+                         "ciphertext needs 3 bytes but the declared width is 2"),
+    "body-over-frame-limit": (
+        DecryptRequest(estimates=(_estimate(**_OVER_LIMIT),), ciphertext_bytes=_WIDEST),
+        "message body of 67174418 bytes exceeds the frame limit"),
+    "first-fault-wins": (
+        DecryptRequest(estimates=(_estimate(payload=(-1,)), _estimate(halvings=1 << 21)),
+                       ciphertext_bytes=2),
+        "ciphertexts are non-negative, got -1"),
+    "field-fault-before-frame-limit": (
+        DecryptResponse(partials=(_partial(**_OVER_LIMIT), _partial(share_index=0)),
+                        ciphertext_bytes=_WIDEST),
+        "share index 0 outside [1, 1048576]"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFUSED))
+def test_serialize_raises_what_the_eager_encoder_raised(name):
+    message, text = _REFUSED[name]
+    with pytest.raises(WireFormatError) as refused:
+        message.serialize()
+    assert str(refused.value) == text
+
+
+def test_the_diptych_reply_is_checked_like_the_exchange():
+    message, text = _REFUSED["iteration"]
+    reply = DiptychReply(**{field.name: getattr(message, field.name)
+                            for field in dataclasses.fields(message)})
+    with pytest.raises(WireFormatError) as refused:
+        reply.serialize()
+    assert str(refused.value) == text
 
 
 class TestOutsideBytesMeetTheDecoder:
@@ -116,6 +258,8 @@ class TestOutsideBytesMeetTheDecoder:
 
     def test_the_inner_frames_of_a_decoded_batch_are_plain_bytes(self):
         frames = [message.serialize() for _, message in golden_messages()]
+        assert all(type(inner) is bytes
+                   for inner in BatchEnvelope(frames=tuple(frames)).frames)
         for compress in (False, True):
             batch = deserialize(bytes(batch_frames(frames, compress=compress)))
             assert isinstance(batch, BatchEnvelope)
@@ -127,8 +271,9 @@ class TestOutsideBytesMeetTheDecoder:
 
 # --------------------------------------------------------------------- run-wide
 class _CheckedDeserialize:
-    """``deserialize`` that, for every ``Frame`` it receives, also decodes
-    ``bytes(frame)`` in full and compares the two messages type-strictly."""
+    """``deserialize`` that, for every ``Frame`` it receives, checks that its
+    length is that of its bytes, decodes ``bytes(frame)`` in full and
+    compares the two messages type-strictly."""
 
     def __init__(self, original) -> None:
         self.original = original
@@ -139,6 +284,7 @@ class _CheckedDeserialize:
     def __call__(self, frame):
         if type(frame) is Frame:
             self.frames += 1
+            assert len(frame) == len(bytes(frame))
             assert_strictly_equal(frame.message, self.original(bytes(frame)))
             return self.original(frame)
         self.plain += 1

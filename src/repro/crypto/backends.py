@@ -138,6 +138,20 @@ class OperationCounter:
         self.rerandomizations = 0
 
 
+def _settle_length(vector: "EncryptedVector | PartialVectorDecryption") -> None:
+    """Default a vector's logical length to its payload size, or check it.
+
+    ``len()`` returns the stored length as is, so anything but a
+    non-negative ``int`` (a ``bool`` included) is refused here, where the
+    vector is built, rather than wherever it is first measured.
+    """
+    length = vector.length
+    if length is None:
+        object.__setattr__(vector, "length", len(vector.payload))
+    elif type(length) is not int or length < 0:
+        raise CryptoError(f"vector length must be an int >= 0, got {length!r}")
+
+
 @dataclass(frozen=True)
 class EncryptedVector:
     """An opaque encrypted vector owned by the backend that produced it.
@@ -159,8 +173,7 @@ class EncryptedVector:
     weight: int = 1
 
     def __post_init__(self) -> None:
-        if self.length is None:
-            object.__setattr__(self, "length", len(self.payload))
+        _settle_length(self)
 
     @property
     def n_ciphertexts(self) -> int:
@@ -168,7 +181,7 @@ class EncryptedVector:
         return len(self.payload)
 
     def __len__(self) -> int:
-        return int(self.length)  # type: ignore[arg-type]
+        return self.length  # type: ignore[return-value]
 
 
 @dataclass(frozen=True)
@@ -183,11 +196,10 @@ class PartialVectorDecryption:
     weight: int = 1
 
     def __post_init__(self) -> None:
-        if self.length is None:
-            object.__setattr__(self, "length", len(self.payload))
+        _settle_length(self)
 
     def __len__(self) -> int:
-        return int(self.length)  # type: ignore[arg-type]
+        return self.length  # type: ignore[return-value]
 
 
 class CipherBackend(ABC):
@@ -299,14 +311,15 @@ class CipherBackend(ABC):
     ) -> tuple[int, ...]:
         """Partially decrypt every ciphertext with one key share."""
 
-    def _rerandomize_payload(self, payload: Sequence[int]) -> tuple[int, ...]:
+    def _rerandomize_payload(self, payload: tuple[int, ...]) -> tuple[int, ...]:
         """Refresh the randomness of every ciphertext (identity by default).
 
         Backends without semantic security (the plain simulation backend)
-        have nothing to refresh; real backends multiply by a fresh — or
-        pooled — encryption of zero.
+        have nothing to refresh and return *payload* itself, not a copy, so
+        :meth:`rerandomize` can hand back its input; real backends multiply
+        by a fresh — or pooled — encryption of zero and return a new tuple.
         """
-        return tuple(payload)
+        return payload
 
     def _linear_combination_payloads(
         self, payloads: Sequence[Sequence[int]], factors: Sequence[int]
@@ -438,10 +451,18 @@ class CipherBackend(ABC):
         With the blinder pool this costs one multiplication per
         ciphertext, which makes per-hop re-randomisation of forwarded gossip
         payloads affordable.
+
+        A refresh is counted per ciphertext whether or not it changes one,
+        so the cost model prices every hop alike.  When
+        :meth:`_rerandomize_payload` hands back the very payload it was
+        given (nothing to refresh), the input vector itself is returned
+        rather than an equal copy.
         """
         self._check_vector(vector)
         payload = self._rerandomize_payload(vector.payload)
         self.counter.rerandomizations += len(payload)
+        if payload is vector.payload:
+            return vector
         return self._vector(payload, len(vector), weight=vector.weight)
 
     def partial_decrypt_vector(

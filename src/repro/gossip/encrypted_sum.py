@@ -55,7 +55,7 @@ class EncryptedEstimate:
         check_non_negative_int(self.halvings, "halvings")
 
     def __len__(self) -> int:
-        return len(self.vector)
+        return self.vector.length  # type: ignore[return-value]
 
 
 def fresh_estimate(backend: CipherBackend, values: Sequence[float] | np.ndarray,
@@ -111,11 +111,14 @@ def rerandomize_estimate(backend: CipherBackend,
 
     With the blinder pool this costs one bigint multiplication per
     ciphertext, making per-hop re-randomisation of forwarded estimates
-    affordable for unlinkability-sensitive deployments.
+    affordable for unlinkability-sensitive deployments.  A backend with
+    nothing to refresh (the plain one) still counts the refresh, but hands
+    back the same vector, so the same *estimate* is returned, not a copy.
     """
-    return EncryptedEstimate(
-        vector=backend.rerandomize(estimate.vector), halvings=estimate.halvings
-    )
+    vector = backend.rerandomize(estimate.vector)
+    if vector is estimate.vector:
+        return estimate
+    return EncryptedEstimate(vector=vector, halvings=estimate.halvings)
 
 
 def decode_estimate(backend: CipherBackend, estimate: EncryptedEstimate,

@@ -313,12 +313,9 @@ class TestRunBehaviour:
         result = run_chiaroscuro(patients, config)
         assert result.profiles.shape == (3, 20)
 
-    def test_real_crypto_end_to_end(self):
-        """Full protocol with genuine Damgård–Jurik threshold encryption.
-
-        Kept deliberately tiny (8 devices, 6-point series) so the suite stays
-        fast while still exercising the complete encrypted code path.
-        """
+    @staticmethod
+    def tiny_run(**crypto):
+        """8 devices, 6-point series, 2 iterations: small enough to pin costs."""
         collection = generate_gaussian_clusters(
             n_series=8, series_length=6, n_clusters=2, noise_std=0.05, seed=21
         )
@@ -326,11 +323,19 @@ class TestRunBehaviour:
             kmeans={"n_clusters": 2, "max_iterations": 2},
             privacy={"epsilon": 20.0, "noise_shares": 4},
             gossip={"cycles_per_aggregation": 3},
-            crypto={"backend": "damgard_jurik", "key_bits": 192, "threshold": 2,
-                    "n_key_shares": 3, "encoding_scale": 10**4},
+            crypto={"threshold": 2, "n_key_shares": 3, "encoding_scale": 10**4,
+                    **crypto},
             simulation={"n_participants": 8, "seed": 1},
         )
-        result = run_chiaroscuro(collection, config)
+        return run_chiaroscuro(collection, config)
+
+    def test_real_crypto_end_to_end(self):
+        """Full protocol with genuine Damgård–Jurik threshold encryption.
+
+        Kept deliberately tiny (8 devices, 6-point series) so the suite stays
+        fast while still exercising the complete encrypted code path.
+        """
+        result = self.tiny_run(backend="damgard_jurik", key_bits=192)
         assert result.profiles.shape == (2, 6)
         assert result.costs.encryptions > 0
         assert result.costs.partial_decryptions > 0
@@ -344,3 +349,19 @@ class TestRunBehaviour:
         assert costs.offline_seconds == pytest.approx(105.276, rel=1e-12)
         assert costs.online_seconds == pytest.approx(33.89781935999999, rel=1e-12)
         assert (costs.messages_sent, costs.bytes_sent) == (148, 78116)
+
+    def test_plain_backend_costs_are_pinned(self):
+        """The same run on the (packed) plain backend.
+
+        The plain backend has nothing to refresh and hands back the estimate
+        it was given, yet every hop is still counted and priced as a pooled
+        refresh: these are the figures of the plain backend that copied.
+        """
+        costs = self.tiny_run(backend="plain").costs
+        assert costs.crypto_counts == {
+            "encryptions": 64, "pooled_encryptions": 0, "rerandomizations": 336,
+            "additions": 336, "partial_decryptions": 64, "combinations": 32,
+        }
+        assert costs.offline_seconds == pytest.approx(29.47728, rel=1e-12)
+        assert costs.online_seconds == pytest.approx(16.91085968, rel=1e-12)
+        assert (costs.messages_sent, costs.bytes_sent) == (148, 245304)

@@ -14,10 +14,12 @@ from repro.crypto.backends import (
     DamgardJurikBackend,
     EncryptedVector,
     OperationCounter,
+    PartialVectorDecryption,
     PlainBackend,
     make_backend,
 )
 from repro.exceptions import CryptoError, ThresholdError, ValidationError
+from repro.gossip import EncryptedEstimate, rerandomize_estimate
 
 
 @pytest.fixture(params=["plain", "damgard_jurik"])
@@ -110,6 +112,66 @@ class TestSemanticSecurityOfRealBackend:
         first = plain_backend.encrypt_vector([0.5])
         second = plain_backend.encrypt_vector([0.5])
         assert first.payload == second.payload
+
+
+class TestVectorLength:
+    """``len()`` returns the stored length, so it is checked at construction."""
+
+    @staticmethod
+    def build(kind, length):
+        if kind is EncryptedVector:
+            return EncryptedVector(payload=(1, 2, 3), backend_name="plain", length=length)
+        return PartialVectorDecryption(share_index=1, payload=(1, 2, 3),
+                                       backend_name="plain", length=length)
+
+    @pytest.mark.parametrize("kind", [EncryptedVector, PartialVectorDecryption])
+    @pytest.mark.parametrize("length", [2.5, 3.0, True, False, -1, "3"])
+    def test_refused_when_built(self, kind, length):
+        with pytest.raises(CryptoError, match="vector length must be an int >= 0"):
+            self.build(kind, length)
+
+    @pytest.mark.parametrize("kind", [EncryptedVector, PartialVectorDecryption])
+    @pytest.mark.parametrize(("length", "expected"), [(None, 3), (0, 0), (3, 3), (70, 70)])
+    def test_accepted(self, kind, length, expected):
+        built = self.build(kind, length)
+        assert len(built) == built.length == expected
+        assert type(len(built)) is int
+
+
+class TestRefreshWithNothingToRefresh:
+    """A refresh that changes no ciphertext returns its input, and is counted."""
+
+    @pytest.mark.parametrize("packing", ["auto", "off"])
+    def test_plain_refresh_returns_its_input(self, packing):
+        backend = PlainBackend(threshold=2, n_shares=3, packing=packing)
+        vector = backend.encrypt_vector(np.linspace(-1.0, 1.0, 40))
+        assert vector.packed == (packing == "auto")
+        estimate = EncryptedEstimate(vector=vector, halvings=3)
+
+        before = backend.counter.rerandomizations
+        assert backend.rerandomize(vector) is vector
+        assert backend.counter.rerandomizations == before + vector.n_ciphertexts
+        assert rerandomize_estimate(backend, estimate) is estimate
+        assert backend.counter.rerandomizations == before + 2 * vector.n_ciphertexts
+
+    def test_damgard_jurik_refresh_builds_new_ciphertexts(self):
+        backend = DamgardJurikBackend(key_bits=128, threshold=2, n_shares=3)
+        values = [0.5, -0.25, 1.0, 0.0]
+        vector = backend.encrypt_vector(values)
+        estimate = EncryptedEstimate(vector=vector, halvings=2)
+
+        before = backend.counter.rerandomizations
+        refreshed = backend.rerandomize(vector)
+        forwarded = rerandomize_estimate(backend, estimate)
+        assert backend.counter.rerandomizations == before + 2 * vector.n_ciphertexts
+        for result in (refreshed, forwarded.vector):
+            assert result is not vector
+            assert all(new != old for new, old in zip(result.payload, vector.payload))
+            assert (len(result), result.weight) == (len(vector), vector.weight)
+            assert np.array_equal(backend.decrypt_with_shares(result, [1, 2]),
+                                  backend.decrypt_with_shares(vector, [1, 2]))
+        assert forwarded is not estimate
+        assert forwarded.halvings == estimate.halvings
 
 
 class TestPlainArithmeticAboveTheInt64Threshold:

@@ -87,8 +87,9 @@ def serve_decrypt_request(backend: CipherBackend, helper_id: int,
     """A committee member's serialized answer to one decoded request.
 
     The helper half of the round, shared by the cycle engine's committee
-    round and the live worker's frame handler: one partial decryption per
-    requested estimate, under the key share *helper_id* holds.  Raises
+    round and the live worker's ``WorkerTransport.serve``: one partial
+    decryption per requested estimate, under the key share *helper_id*
+    holds.  Raises
     :class:`ThresholdError` when that node holds none.
     """
     share_index = share_index_of(helper_id, backend.n_shares)

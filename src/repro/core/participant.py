@@ -316,8 +316,8 @@ class ChiaroscuroParticipant(Node):
         (jump to its more advanced iteration), ``"skip"`` (it cannot take
         part this cycle) or ``"merge"`` (run the pairwise exchange), tested
         in that order.  The arrays are this device's own — the cycle driver
-        passes them as they are, the live handler as lists in the control
-        header.
+        passes them as they are, the live worker's
+        ``WorkerTransport.answer_probe`` as lists in the control header.
         """
         if self.is_done and self.final_profiles is not None:
             return {"status": "sync", "profiles": self.final_profiles}

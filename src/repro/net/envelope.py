@@ -75,7 +75,7 @@ class Envelope:
     """One socket record: kind, correlation id, JSON header, byte payload."""
 
     kind: int
-    correlation_id: int
+    correlation_id: int = 0
     header: dict[str, Any] = field(default_factory=dict)
     payload: bytes = b""
     is_reply: bool = False

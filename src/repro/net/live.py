@@ -11,7 +11,7 @@ public key are bootstrapped by actually driving the
 
 Architecture::
 
-    coordinator (parent process)
+    coordinator (LiveRunner, parent process)
       - derives the RunSetup (data, backend+keys, overlay, seeds)
       - forks N workers, serves the control channel, and fails the run as
         soon as a worker process or its link dies
@@ -21,9 +21,10 @@ Architecture::
       - stepping="concurrent": enforces iteration epochs only — one
         run-cycle request per worker per epoch, every worker advancing its
         whole shard with many exchanges in flight
-      - collects per-node histories + traffic, assembles the result
+      - collects each node's outcome_of/history_of + traffic, assembles the
+        result
 
-    worker i (OS process)
+    worker i (LiveWorker, OS process)
       - hosts participants {id : id % N == i} and drives their protocol
         step: :meth:`ChiaroscuroParticipant.step` is a generator that
         decides and yields what needs another device (``Probe``,
@@ -35,10 +36,12 @@ Architecture::
         itself (:class:`_SequentialSchedule`) and steps its runs of
         consecutive owned nodes while it holds the one stepping token,
         which travels worker to worker over the peer links
-      - serves gossip/decrypt frames from peer workers over its TCP server;
-        a committee round's request travels as one socket record per
-        destination worker (a ``BatchEnvelope`` of the helpers' frames),
-        charged to the ledger per helper
+      - serves every gossip/decrypt frame for a hosted node on one path,
+        :meth:`WorkerTransport.serve`, whether a local node sent it or it
+        arrived in a peer worker's record (whose JSON header is checked
+        once, on arrival); a committee round's request travels as one
+        socket record per destination worker (a ``BatchEnvelope`` of the
+        helpers' frames), charged to the ledger per helper
       - accounts traffic for its own nodes only (the authoritative
         byte-count site of :mod:`repro.net.transport`)
 
@@ -108,6 +111,7 @@ from ..core.runner import (
     build_run_setup,
     history_of,
     iteration_record,
+    outcome_of,
     plan_max_cycles,
     run_chiaroscuro,
     run_log_metadata,
@@ -255,7 +259,8 @@ class RequestChannel:
     Outgoing requests get a fresh correlation id and an awaitable future;
     incoming records are dispatched by :meth:`pump`: replies resolve their
     future, everything else goes to *handler* (which may return a reply
-    envelope to send back, or ``None`` for notifications).
+    envelope to send back, or ``None`` for notifications); the reply gets
+    the request's correlation id and the reply flag here.
     """
 
     def __init__(
@@ -271,11 +276,7 @@ class RequestChannel:
     async def request(self, envelope: Envelope) -> Envelope:
         correlation_id = self._next_id
         self._next_id += 1
-        envelope = Envelope(
-            kind=envelope.kind, correlation_id=correlation_id,
-            header=envelope.header, payload=envelope.payload, is_reply=False,
-            is_batch=envelope.is_batch,
-        )
+        envelope = replace(envelope, correlation_id=correlation_id, is_reply=False)
         future: asyncio.Future[Envelope] = asyncio.get_running_loop().create_future()
         self._pending[correlation_id] = future
         try:
@@ -312,11 +313,8 @@ class RequestChannel:
                     )
                 reply = await self._handler(envelope)
                 if reply is not None:
-                    await self.connection.write(Envelope(
-                        kind=reply.kind, correlation_id=envelope.correlation_id,
-                        header=reply.header, payload=reply.payload, is_reply=True,
-                        is_batch=reply.is_batch,
-                    ))
+                    await self.connection.write(replace(
+                        reply, correlation_id=envelope.correlation_id, is_reply=True))
         except BaseException as exc:
             error = exc
             raise
@@ -331,11 +329,13 @@ class RequestChannel:
 
 # ---------------------------------------------------------------------- transport
 class WorkerTransport:
-    """The asyncio TCP transport of one worker: delivery plus accounting.
+    """The asyncio TCP transport of one worker: delivery, service, accounting.
 
     The live counterpart of :class:`~repro.net.transport.LoopbackTransport`:
     requests carry one serialized wire frame to a participant (local or on
-    a peer worker) and await the frame-carrying reply.  The authoritative
+    a peer worker) and await the frame-carrying reply.  Every frame for a
+    node this worker hosts — from one of its own nodes or out of a peer
+    worker's record — is served by :meth:`serve`.  The authoritative
     accounting rule is the transport contract: ``bytes_sent`` of a node is
     charged here, exactly once, on the worker hosting that node — measured
     frame lengths, never envelope or control bytes.
@@ -343,21 +343,18 @@ class WorkerTransport:
 
     def __init__(
         self,
-        worker_index: int,
-        n_nodes: int,
-        local_ids: set[int],
+        setup: RunSetup,
+        participants: dict[int, ChiaroscuroParticipant],
         directory: MembershipDirectory,
-        handler: "WorkerProtocolHandler",
         stats: SocketStats,
         connect_timeout: float,
     ) -> None:
-        self.worker_index = worker_index
-        self.local_ids = local_ids
+        self.setup = setup
+        self.participants = participants
         self.directory = directory
-        self.handler = handler
         self.socket_stats = stats
         self.connect_timeout = connect_timeout
-        self.ledger = Network(n_nodes=n_nodes, drop_probability=0.0)
+        self.ledger = Network(n_nodes=setup.n_participants, drop_probability=0.0)
         self.iteration_traffic: dict[int, dict[str, float]] = {}
         self._peer_channels: dict[tuple[str, int], RequestChannel] = {}
         self._peer_tasks: list[asyncio.Task] = []
@@ -373,7 +370,7 @@ class WorkerTransport:
         # Per-iteration cost deltas: every send is charged to the iteration
         # its (locally hosted) sender is currently working on, mirroring the
         # cycle engine's per-iteration execution-log records.
-        participant = self.handler.participants.get(sender)
+        participant = self.participants.get(sender)
         if participant is not None and participant.iteration > 0:
             bucket = self.iteration_traffic.setdefault(
                 participant.iteration, {"messages_sent": 0.0, "bytes_sent": 0.0}
@@ -387,6 +384,12 @@ class WorkerTransport:
             sender=sender, recipient=recipient, kind=kind, payload=b"",
             size_bytes=size_bytes, modelled_bytes=modelled,
         ))
+
+    def _receive_reply(self, sender: int, recipient: int, kind: str,
+                       reply_frame: bytes, modelled: int | None) -> None:
+        if reply_frame:
+            self._account_receive(recipient, sender, kind + "-reply",
+                                  len(reply_frame), modelled)
 
     def stats_for(self, node_id: int) -> TrafficStats:
         return self.ledger.stats_for(node_id)
@@ -425,6 +428,93 @@ class WorkerTransport:
         for channel in self._peer_channels.values():
             channel.connection.close()
 
+    # ------------------------------------------------------------------ service
+    def answer_probe(self, header: dict[str, Any]) -> dict[str, Any]:
+        """Answer a gossip probe, the one control operation: the live
+        stand-in for the cycle engine's shared-memory reads — the hosted
+        participant's own answer, its arrays as lists for the header."""
+        if header.get("op") != "probe":
+            raise ProtocolError(f"unknown control operation {header.get('op')!r}")
+        recipient, iteration = header.get("recipient"), header.get("iteration")
+        if not (_is_node_id(recipient) and isinstance(iteration, int)):
+            return {"status": "error", "error": "bad_probe"}
+        peer = self.participants.get(recipient)
+        if peer is None:
+            # Not this worker's node: the initiator skips the exchange.
+            return {"status": "error", "error": "not_hosted"}
+        return {
+            key: value.tolist() if isinstance(value, np.ndarray) else value
+            for key, value in peer.answer_probe(iteration).items()
+        }
+
+    def serve(self, op: str, sender: int, recipient: int, modelled_bytes: Any,
+              frame: bytes) -> tuple[dict[str, Any], bytes]:
+        """The recipient's half of a frame round-trip: receive, decode,
+        answer the diptych exchange or decrypt request, and the sending side
+        of the reply.  Never raises on what a peer sent.
+
+        A frame for a node this worker does not host, or from a sender that
+        is no node of the run, is answered ``not_hosted`` before the ledger
+        sees it (the ledger raises on an id outside ``[0, N)``).  A frame
+        that fails to decode, or decodes to something the recipient cannot
+        use (wrong type, state, shape or packing layout), is answered with
+        an ``error`` header once its receipt is charged.  The initiator
+        treats either as a loss, mirroring the cycle-mode rule that
+        corruption degrades into loss: raising instead would escape
+        ``RequestChannel.pump``, close the peer link and fail every request
+        in flight on it.
+        """
+        peer = self.participants.get(recipient)
+        if peer is None or not 0 <= sender < self.ledger.n_nodes:
+            return {"error": "not_hosted"}, b""
+        self._account_receive(sender, recipient, op, len(frame), modelled_bytes)
+        try:
+            message = deserialize(frame)
+        except WireFormatError as exc:
+            return {"error": "wire_format", "detail": str(exc)}, b""
+        if op == "diptych-exchange":
+            reply_header, reply_frame = self._exchange(peer, message)
+        elif op == "decrypt-request":
+            reply_header, reply_frame = self._decrypt(recipient, message)
+        else:
+            return {"error": "unknown_op", "detail": op}, b""
+        if reply_frame:
+            self._account_send(recipient, sender, op + "-reply",
+                               len(reply_frame), modelled_bytes)
+        return reply_header, reply_frame
+
+    def _exchange(self, peer: ChiaroscuroParticipant,
+                  message: Any) -> tuple[dict[str, Any], bytes]:
+        if not isinstance(message, DiptychExchange):
+            return {"error": "unexpected_type", "detail": type(message).__name__}, b""
+        if peer.phase is not Phase.GOSSIP or peer.diptych is None \
+                or peer.iteration != message.iteration:
+            return {"error": "state"}, b""
+        if not peer.diptych.fits(message.data_estimates, message.noise_estimates):
+            return {"error": "shape"}, b""
+        # The reply carries the peer's *pre-merge* re-randomized estimates
+        # (the view that travels), exactly as the cycle-mode responder's
+        # reply frame does; then the peer adopts the average of its stored
+        # estimates and the received view.  Both sides end up holding the
+        # same plaintext average.
+        reply = peer.exchange_frame(DiptychReply)
+        peer.diptych.absorb(
+            self.setup.backend, message.data_estimates, message.noise_estimates
+        )
+        return {}, reply
+
+    def _decrypt(self, helper_id: int, message: Any) -> tuple[dict[str, Any], bytes]:
+        if not isinstance(message, DecryptRequest):
+            return {"error": "unexpected_type", "detail": type(message).__name__}, b""
+        try:
+            return {}, serve_decrypt_request(self.setup.backend, helper_id, message)
+        except ThresholdError:
+            return {"error": "no_share"}, b""
+        except CryptoError:
+            # Well-formed frame, ciphertexts this backend cannot decrypt
+            # (e.g. another packing layout).
+            return {"error": "bad_request"}, b""
+
     # ------------------------------------------------------------------ requests
     async def control_request(self, node_id: int, header: dict[str, Any]) -> dict[str, Any]:
         """Unaccounted control round-trip to the worker hosting *node_id*.
@@ -434,58 +524,17 @@ class WorkerTransport:
         charging them would break byte parity between the two modes.  They
         do show up in the socket statistics.
         """
-        if node_id in self.local_ids:
-            return self.handler.handle_control(header)
+        if node_id in self.participants:
+            return self.answer_probe(header)
         channel = await self._channel_to(node_id)
-        reply = await channel.request(Envelope(
-            kind=KIND_CONTROL, correlation_id=0, header=header,
-        ))
+        reply = await channel.request(Envelope(kind=KIND_CONTROL, header=header))
         return reply.header
 
     async def control_notify(self, node_id: int, header: dict[str, Any]) -> None:
         """Unaccounted one-way control record to the (remote) worker
         hosting *node_id*: the sequential stepping token and its stop."""
         channel = await self._channel_to(node_id)
-        await channel.notify(Envelope(kind=KIND_CONTROL, correlation_id=0, header=header))
-
-    def _deliver_local(
-        self, sender: int, recipient: int, kind: str, frame: bytes,
-        modelled_bytes: int | None,
-    ) -> tuple[dict[str, Any], bytes]:
-        """The round-trip to a recipient this worker hosts, the request
-        already charged: receive, serve, and both sides of the reply."""
-        reply_header, reply_frame = self.serve_frame(
-            kind, sender, recipient, modelled_bytes, frame
-        )
-        if reply_frame:
-            self._account_receive(recipient, sender, kind + "-reply",
-                                  len(reply_frame), modelled_bytes)
-        return reply_header, reply_frame
-
-    def serve_frame(
-        self, op: str, sender: int, recipient: int, modelled_bytes: Any,
-        frame: bytes,
-    ) -> tuple[dict[str, Any], bytes]:
-        """The recipient's half of a frame round-trip: receive, serve, and
-        the sending side of the reply.
-
-        A record for a node this worker does not host, or from a sender that
-        is no node of the run, is answered ``not_hosted`` before the ledger
-        sees it: the ledger raises on an id outside ``[0, N)``, and raising
-        here would escape ``RequestChannel.pump`` and close the peer link.
-        """
-        if recipient not in self.local_ids or not 0 <= sender < self.ledger.n_nodes:
-            return {"error": "not_hosted"}, b""
-        self._account_receive(sender, recipient, op, len(frame), modelled_bytes)
-        reply_header, reply_frame = self.handler.handle_frame(
-            {"op": op, "sender": sender, "recipient": recipient,
-             "modelled": modelled_bytes},
-            frame,
-        )
-        if reply_frame:
-            self._account_send(recipient, sender, op + "-reply",
-                               len(reply_frame), modelled_bytes)
-        return reply_header, reply_frame
+        await channel.notify(Envelope(kind=KIND_CONTROL, header=header))
 
     async def frame_request(
         self, sender: int, recipient: int, kind: str, frame: bytes,
@@ -499,18 +548,19 @@ class WorkerTransport:
         *recipient* there and received by *sender* here.
         """
         self._account_send(sender, recipient, kind, len(frame), modelled_bytes)
-        if recipient in self.local_ids:
-            return self._deliver_local(sender, recipient, kind, frame, modelled_bytes)
-        channel = await self._channel_to(recipient)
-        reply = await channel.request(Envelope(
-            kind=KIND_FRAME, correlation_id=0, payload=frame,
-            header={"op": kind, "sender": sender, "recipient": recipient,
-                    "modelled": modelled_bytes},
-        ))
-        if reply.payload:
-            self._account_receive(recipient, sender, kind + "-reply",
-                                  len(reply.payload), modelled_bytes)
-        return reply.header, reply.payload
+        if recipient in self.participants:
+            reply_header, reply_frame = self.serve(kind, sender, recipient,
+                                                   modelled_bytes, frame)
+        else:
+            channel = await self._channel_to(recipient)
+            reply = await channel.request(Envelope(
+                kind=KIND_FRAME, payload=frame,
+                header={"op": kind, "sender": sender, "recipient": recipient,
+                        "modelled": modelled_bytes},
+            ))
+            reply_header, reply_frame = reply.header, reply.payload
+        self._receive_reply(sender, recipient, kind, reply_frame, modelled_bytes)
+        return reply_header, reply_frame
 
     async def batched_frame_requests(
         self, sender: int, recipients: Sequence[int], kind: str, frame: bytes,
@@ -530,10 +580,11 @@ class WorkerTransport:
         remote_groups: dict[tuple[str, int], list[int]] = {}
         for recipient in recipients:
             self._account_send(sender, recipient, kind, len(frame), modelled_bytes)
-            if recipient in self.local_ids:
-                results[recipient] = self._deliver_local(
-                    sender, recipient, kind, frame, modelled_bytes
-                )
+            if recipient in self.participants:
+                results[recipient] = self.serve(kind, sender, recipient,
+                                                modelled_bytes, frame)
+                self._receive_reply(sender, recipient, kind, results[recipient][1],
+                                    modelled_bytes)
             else:
                 address = self.directory.address_of(recipient)
                 remote_groups.setdefault(address, []).append(recipient)
@@ -544,7 +595,7 @@ class WorkerTransport:
             self.socket_stats.batched_records += 1
             self.socket_stats.batched_frames += len(group)
             reply = await channel.request(Envelope(
-                kind=KIND_FRAME, correlation_id=0,
+                kind=KIND_FRAME,
                 header={"op": kind, "sender": sender, "recipients": group,
                         "modelled": modelled_bytes},
                 payload=batch_frames([frame] * len(group)),
@@ -572,9 +623,7 @@ class WorkerTransport:
             for recipient, reply_header, reply_frame in zip(
                 group, reply_headers, reply_frames
             ):
-                if reply_frame:
-                    self._account_receive(recipient, sender, kind + "-reply",
-                                          len(reply_frame), modelled_bytes)
+                self._receive_reply(sender, recipient, kind, reply_frame, modelled_bytes)
                 results[recipient] = (dict(reply_header), bytes(reply_frame))
         return [results[recipient] for recipient in recipients]
 
@@ -613,121 +662,9 @@ class _CryptoMeter:
             bucket[key] = bucket.get(key, 0.0) + float(value)
 
 
-# ---------------------------------------------------------------------- handlers
-class WorkerProtocolHandler:
-    """Message-driven protocol logic of one worker's participants.
-
-    Every handler is synchronous and self-contained (it never awaits a
-    remote peer), which is what makes the request graph deadlock-free: a
-    worker can always serve incoming gossip/decrypt frames while one of its
-    own participants waits for a reply elsewhere.
-    """
-
-    def __init__(self, setup: RunSetup,
-                 participants: dict[int, ChiaroscuroParticipant]) -> None:
-        self.setup = setup
-        self.participants = participants
-
-    # ------------------------------------------------------------------ control
-    def handle_control(self, header: dict[str, Any]) -> dict[str, Any]:
-        """Answer a gossip probe, the one control operation: the live
-        stand-in for the cycle engine's shared-memory reads — the hosted
-        participant's own answer, its arrays as lists for the header."""
-        if header.get("op") != "probe":
-            raise ProtocolError(f"unknown control operation {header.get('op')!r}")
-        recipient, iteration = header.get("recipient"), header.get("iteration")
-        if not (_is_node_id(recipient) and isinstance(iteration, int)):
-            return {"status": "error", "error": "bad_probe"}
-        peer = self.participants.get(recipient)
-        if peer is None:
-            # Not this worker's node: the initiator skips the exchange.
-            return {"status": "error", "error": "not_hosted"}
-        return {
-            key: value.tolist() if isinstance(value, np.ndarray) else value
-            for key, value in peer.answer_probe(iteration).items()
-        }
-
-    # ------------------------------------------------------------------ frames
-    def handle_frame(self, header: dict[str, Any],
-                     frame: bytes) -> tuple[dict[str, Any], bytes]:
-        """Decode and serve one protocol frame; never raises on bad frames.
-
-        A frame that fails to decode, names no node, or decodes to something
-        this worker cannot use (wrong node, wrong state, wrong shape or
-        packing layout), is answered with an ``error`` header (the initiator
-        treats it as a loss), mirroring the cycle-mode rule that corruption
-        degrades into loss: raising instead would escape
-        ``RequestChannel.pump``, close the peer link and fail every request
-        in flight on it.
-        """
-        op = header.get("op")
-        try:
-            message = deserialize(frame)
-        except WireFormatError as exc:
-            return {"error": "wire_format", "detail": str(exc)}, b""
-        route = frame_route(header)
-        if route is None:
-            return {"error": "bad_header"}, b""
-        _sender, (recipient,) = route
-        peer = self.participants.get(recipient)
-        if peer is None:
-            return {"error": "not_hosted"}, b""
-        if op == "diptych-exchange":
-            return self._handle_exchange(peer, message)
-        if op == "decrypt-request":
-            return self._handle_decrypt(peer.node_id, message)
-        return {"error": "unknown_op", "detail": str(op)}, b""
-
-    def _handle_exchange(self, peer: ChiaroscuroParticipant,
-                         message: Any) -> tuple[dict[str, Any], bytes]:
-        if not isinstance(message, DiptychExchange):
-            return {"error": "unexpected_type", "detail": type(message).__name__}, b""
-        if peer.phase is not Phase.GOSSIP or peer.diptych is None \
-                or peer.iteration != message.iteration:
-            return {"error": "state"}, b""
-        if not peer.diptych.fits(message.data_estimates, message.noise_estimates):
-            return {"error": "shape"}, b""
-        # The reply carries the peer's *pre-merge* re-randomized estimates
-        # (the view that travels), exactly as the cycle-mode responder's
-        # reply frame does; then the peer adopts the average of its stored
-        # estimates and the received view.  Both sides end up holding the
-        # same plaintext average.
-        reply = peer.exchange_frame(DiptychReply)
-        peer.diptych.absorb(
-            self.setup.backend, message.data_estimates, message.noise_estimates
-        )
-        return {}, reply
-
-    def _handle_decrypt(self, helper_id: int,
-                        message: Any) -> tuple[dict[str, Any], bytes]:
-        if not isinstance(message, DecryptRequest):
-            return {"error": "unexpected_type", "detail": type(message).__name__}, b""
-        try:
-            return {}, serve_decrypt_request(self.setup.backend, helper_id, message)
-        except ThresholdError:
-            return {"error": "no_share"}, b""
-        except CryptoError:
-            # Well-formed frame, ciphertexts this backend cannot decrypt
-            # (e.g. another packing layout).
-            return {"error": "bad_request"}, b""
-
-
 def _is_node_id(value: Any) -> bool:
     """JSON ``true`` is a Python ``int`` too, and would name node 1."""
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def frame_route(header: dict[str, Any],
-                is_batch: bool = False) -> tuple[int, list[int]] | None:
-    """``(sender, recipients)`` named by a frame record's header — its one
-    ``recipient``, or the ``recipients`` of a batch — or ``None`` when any
-    of them is missing or not an integer: the header is a peer's JSON."""
-    sender = header.get("sender")
-    recipients = header.get("recipients") if is_batch else [header.get("recipient")]
-    if not isinstance(recipients, list) \
-            or not all(_is_node_id(node_id) for node_id in (sender, *recipients)):
-        return None
-    return sender, recipients
 
 
 # ---------------------------------------------------------------------- driver
@@ -849,125 +786,100 @@ class _SequentialSchedule:
 
 
 # ---------------------------------------------------------------------- worker
-def _collect_node_state(participant: ChiaroscuroParticipant,
-                        stats: TrafficStats) -> dict[str, Any]:
-    history = history_of(participant)
+def _node_state(participant: ChiaroscuroParticipant,
+                stats: TrafficStats) -> dict[str, Any]:
+    """One node's :func:`~repro.core.runner.outcome_of` and
+    :func:`~repro.core.runner.history_of`, arrays as lists for the JSON
+    header, and its traffic."""
+    outcome, history = outcome_of(participant), history_of(participant)
     return {
-        "node": participant.node_id,
-        "iteration": participant.iteration,
-        "stop_reason": participant.stop_reason,
-        "done": participant.is_done,
-        "final_profiles": (
-            participant.final_profiles.tolist()
-            if participant.final_profiles is not None else None
-        ),
-        "centroids": participant.centroids.tolist(),
+        "outcome": {**vars(outcome), "profiles": outcome.profiles.tolist()},
         "history": {
             **vars(history),
             "perturbed_means": [means.tolist() for means in history.perturbed_means],
         },
-        "spent_epsilon": participant.accountant.spent_epsilon,
         "traffic": stats.as_dict(),
     }
 
 
-async def _worker_async(worker_index: int, setup: RunSetup, local_ids: list[int],
-                        coordinator_address: tuple[str, int]) -> None:
-    runtime = setup.config.runtime
-    connect_timeout = min(CONNECT_TIMEOUT, runtime.run_timeout)
-    stats = SocketStats()
-    # Before anything can encrypt: every worker must draw its own
-    # randomness, not the blinders the coordinator pooled before the fork.
-    setup.backend.after_fork()
-    participants = {
-        node_id: setup.make_participant(node_id) for node_id in local_ids
-    }
-    handler = WorkerProtocolHandler(setup, participants)
-    directory = MembershipDirectory()
+class LiveWorker:
+    """One worker process: hosts the participants ``{id : id % N == index}``,
+    serves its peers' and the coordinator's records, and steps its nodes."""
 
-    server_socket = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    server_socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    port = runtime.base_port + 1 + worker_index if runtime.base_port else 0
-    server_socket.bind((runtime.host, port))
-    host, port = server_socket.getsockname()[:2]
-
-    transport = WorkerTransport(
-        worker_index=worker_index,
-        n_nodes=setup.n_participants,
-        local_ids=set(local_ids),
-        directory=directory,
-        handler=handler,
-        stats=stats,
-        connect_timeout=connect_timeout,
-    )
-    driver = LiveParticipantDriver(setup, participants, transport)
-    meter = _CryptoMeter(setup.backend.counter, transport.iteration_traffic)
-    bootstrapped = asyncio.Event()
-    shutdown = asyncio.Event()
-    # The sequential stepping token and its stop, as peer workers pass them;
-    # one can arrive before this worker's own run-sequential request does.
-    tokens: asyncio.Queue[dict[str, Any]] = asyncio.Queue()
-
-    def serve_frame(op: str, sender: int, recipient: int, modelled: Any,
-                    frame: bytes) -> tuple[dict[str, Any], bytes]:
-        """Serve one frame a peer worker sent, and meter the crypto it took."""
-        reply = transport.serve_frame(op, sender, recipient, modelled, frame)
-        # Crypto work serving a peer's frame (decrypt shares, averaging)
-        # is charged to the local recipient's current iteration.
-        recipient_participant = participants.get(recipient)
-        if recipient_participant is not None:
-            meter.charge(recipient_participant.iteration)
-        return reply
-
-    async def handle_peer_record(envelope: Envelope) -> Envelope | None:
-        if envelope.kind != KIND_FRAME:
-            if envelope.header.get("op") in ("token", "stop"):
-                tokens.put_nowait(envelope.header)
-                return None
-            return Envelope(kind=KIND_CONTROL, correlation_id=0,
-                            header=handler.handle_control(envelope.header),
-                            is_reply=True)
-        op = str(envelope.header.get("op", ""))
-        route = frame_route(envelope.header, envelope.is_batch)
-        if route is None:
-            return Envelope(kind=KIND_FRAME, correlation_id=0,
-                            header={"error": "bad_header"},
-                            is_reply=True, is_batch=envelope.is_batch)
-        sender, recipients = route
-        modelled = envelope.header.get("modelled")
-        if not envelope.is_batch:
-            reply_header, reply_frame = serve_frame(
-                op, sender, recipients[0], modelled, envelope.payload,
-            )
-            return Envelope(kind=KIND_FRAME, correlation_id=0,
-                            header=reply_header, payload=reply_frame,
-                            is_reply=True)
-        try:
-            batch = deserialize(envelope.payload)
-        except WireFormatError as exc:
-            return Envelope(kind=KIND_FRAME, correlation_id=0,
-                            header={"error": f"bad batch: {exc}"},
-                            is_reply=True, is_batch=True)
-        if (not isinstance(batch, BatchEnvelope)
-                or len(batch.frames) != len(recipients)):
-            return Envelope(kind=KIND_FRAME, correlation_id=0,
-                            header={"error": "batch_mismatch"},
-                            is_reply=True, is_batch=True)
-        replies = [
-            serve_frame(op, sender, recipient, modelled, inner)
-            for recipient, inner in zip(recipients, batch.frames)
-        ]
-        return Envelope(
-            kind=KIND_FRAME, correlation_id=0,
-            header={"replies": [reply_header for reply_header, _ in replies]},
-            payload=batch_frames([reply_frame for _, reply_frame in replies]),
-            is_reply=True, is_batch=True,
+    def __init__(self, index: int, setup: RunSetup, local_ids: list[int]) -> None:
+        self.index = index
+        self.setup = setup
+        self.local_ids = local_ids
+        self.stats = SocketStats()
+        self.participants = {
+            node_id: setup.make_participant(node_id) for node_id in local_ids
+        }
+        self.directory = MembershipDirectory()
+        self.transport = WorkerTransport(
+            setup, self.participants, self.directory, self.stats,
+            connect_timeout=min(CONNECT_TIMEOUT, setup.config.runtime.run_timeout),
         )
+        self.driver = LiveParticipantDriver(setup, self.participants, self.transport)
+        self.meter = _CryptoMeter(setup.backend.counter, self.transport.iteration_traffic)
+        self.bootstrapped = asyncio.Event()
+        self.shutdown = asyncio.Event()
+        # The sequential stepping token and its stop, as peer workers pass them;
+        # one can arrive before this worker's own run-sequential request does.
+        self.tokens: asyncio.Queue[dict[str, Any]] = asyncio.Queue()
 
-    async def serve_peer(reader: asyncio.StreamReader,
-                         writer: asyncio.StreamWriter) -> None:
+    async def run(self, coordinator_address: tuple[str, int]) -> None:
+        """Serve peers, join the coordinator, announce, and serve until shut down."""
+        runtime = self.setup.config.runtime
+        server_socket = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        server_socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        port = runtime.base_port + 1 + self.index if runtime.base_port else 0
+        server_socket.bind((runtime.host, port))
+        host, port = server_socket.getsockname()[:2]
+        server = await asyncio.start_server(self._serve_peer, sock=server_socket)
+        reader, writer = await asyncio.wait_for(
+            asyncio.open_connection(*coordinator_address),
+            timeout=self.transport.connect_timeout,
+        )
+        coordinator = RequestChannel(
+            FrameConnection(reader, writer, self.stats), self.handle_coordinator_record
+        )
+        pump_task = asyncio.create_task(coordinator.pump())
+        await coordinator.notify(Envelope(
+            kind=KIND_CONTROL,
+            header={"op": "hello", "worker": self.index,
+                    "address": [host, port], "nodes": self.local_ids},
+        ))
+        # Drive the bootstrap announcements: one MembershipAnnouncement frame
+        # per hosted participant, the address riding in the envelope header.
+        for node_id in self.local_ids:
+            frame = self.directory.announce(
+                node_id, online=True, cycle=0,
+                address=(host, port), worker=self.index,
+            )
+            await coordinator.notify(Envelope(
+                kind=KIND_FRAME,
+                header={"op": "announce", "worker": self.index,
+                        "address": [host, port]},
+                payload=frame,
+            ))
+        shutdown_task = asyncio.create_task(self.shutdown.wait())
+        try:
+            finished, _ = await asyncio.wait(
+                {shutdown_task, pump_task}, return_when=asyncio.FIRST_COMPLETED
+            )
+            if pump_task in finished and pump_task.exception() is not None:
+                raise pump_task.exception()
+        finally:
+            shutdown_task.cancel()
+            self.transport.close()
+            pump_task.cancel()
+            server.close()
+            coordinator.connection.close()
+
+    async def _serve_peer(self, reader: asyncio.StreamReader,
+                          writer: asyncio.StreamWriter) -> None:
         channel = RequestChannel(
-            FrameConnection(reader, writer, stats), handle_peer_record
+            FrameConnection(reader, writer, self.stats), self.handle_peer_record
         )
         try:
             await channel.pump()
@@ -980,20 +892,106 @@ async def _worker_async(worker_index: int, setup: RunSetup, local_ids: list[int]
         finally:
             channel.connection.close()
 
-    server = await asyncio.start_server(serve_peer, sock=server_socket)
+    async def handle_peer_record(self, envelope: Envelope) -> Envelope | None:
+        """A peer worker's record: the stepping token or its stop, a gossip
+        probe, or protocol frames — one, or a committee round's batch —
+        each served by :meth:`WorkerTransport.serve`.  The header is the
+        peer's JSON, checked here, once."""
+        header = envelope.header
+        if envelope.kind != KIND_FRAME:
+            if header.get("op") in ("token", "stop"):
+                self.tokens.put_nowait(header)
+                return None
+            return Envelope(kind=KIND_CONTROL, header=self.transport.answer_probe(header))
+        sender = header.get("sender")
+        recipients = header.get("recipients") if envelope.is_batch \
+            else [header.get("recipient")]
+        if not isinstance(recipients, list) \
+                or not all(_is_node_id(node_id) for node_id in (sender, *recipients)):
+            return Envelope(kind=KIND_FRAME, header={"error": "bad_header"},
+                            is_batch=envelope.is_batch)
+        frames: Sequence[bytes] = [envelope.payload]
+        if envelope.is_batch:
+            try:
+                batch = deserialize(envelope.payload)
+            except WireFormatError as exc:
+                return Envelope(kind=KIND_FRAME, is_batch=True,
+                                header={"error": "wire_format", "detail": str(exc)})
+            frames = batch.frames if isinstance(batch, BatchEnvelope) else ()
+            if len(frames) != len(recipients):
+                return Envelope(kind=KIND_FRAME, header={"error": "batch_mismatch"},
+                                is_batch=True)
+        op, modelled = str(header.get("op", "")), header.get("modelled")
+        replies = []
+        for recipient, frame in zip(recipients, frames):
+            replies.append(self.transport.serve(op, sender, recipient, modelled, frame))
+            # Crypto work serving a peer's frame (decrypt shares, averaging)
+            # is charged to the local recipient's current iteration.
+            if recipient in self.participants:
+                self.meter.charge(self.participants[recipient].iteration)
+        if not envelope.is_batch:
+            ((reply_header, reply_frame),) = replies
+            return Envelope(kind=KIND_FRAME, header=reply_header, payload=reply_frame)
+        return Envelope(
+            kind=KIND_FRAME, is_batch=True,
+            header={"replies": [reply_header for reply_header, _ in replies]},
+            payload=batch_frames([reply_frame for _, reply_frame in replies]),
+        )
 
-    async def step_run(nodes: list[int]) -> int:
-        """Step *nodes* one after the other; return how many are not done."""
-        pending = 0
-        for node_id in nodes:
-            stepped = await driver.step(node_id)
-            # Everything the step executed locally (encrypt, re-randomize,
-            # combine) is charged to the stepped node's current iteration.
-            meter.charge(participants[node_id].iteration)
-            pending += not stepped["done"]
-        return pending
+    async def handle_coordinator_record(self, envelope: Envelope) -> Envelope | None:
+        header = envelope.header
+        op = header.get("op")
+        if op in ("run-sequential", "run-cycle") and not self.bootstrapped.is_set():
+            raise ProtocolError(f"{op} before bootstrap completed")
+        if op in ("announce", "bootstrap"):
+            # The full announcement log (late-joiner catch-up included) and
+            # the key announcement, in batched records: "announce"
+            # notifications while the log exceeds one batch, then the
+            # "bootstrap" request, whose batch ends with the key frame.
+            batch = deserialize(envelope.payload)
+            frames = list(batch.frames) if isinstance(batch, BatchEnvelope) else []
+            if len(frames) != len(header["members"]) + (op == "bootstrap"):
+                raise ProtocolError(f"malformed {op} record")
+            self.directory.catch_up(
+                (frame, address, worker)
+                for frame, (address, worker) in zip(frames, header["members"])
+            )
+            if op == "announce":
+                return None
+            verify_key_announcement(frames[-1], self.setup.backend)
+            expected = int(header["n_nodes"])
+            if len(self.directory) != expected:
+                raise ProtocolError(
+                    f"membership bootstrap incomplete: {len(self.directory)} of "
+                    f"{expected} nodes announced"
+                )
+            self.bootstrapped.set()
+            return Envelope(kind=KIND_CONTROL, header={"ready": True})
+        if op == "run-sequential":
+            cycles_run = await self._step_sequentially(int(header["max_cycles"]),
+                                                       int(header["workers"]))
+            return Envelope(kind=KIND_CONTROL,
+                            header={**self._collect(), "cycles_run": cycles_run})
+        if op == "run-cycle":
+            return Envelope(kind=KIND_CONTROL, header=await self._step_concurrently())
+        if op == "collect":
+            return Envelope(kind=KIND_CONTROL, header=self._collect())
+        if op == "shutdown":
+            # A notification, not a request: the worker tears down on its
+            # own schedule, so no reply can race the connection close.
+            self.shutdown.set()
+            return None
+        raise ProtocolError(f"unknown coordinator operation {op!r}")
 
-    async def step_sequentially(max_cycles: int, n_workers: int) -> int:
+    async def _step(self, node_id: int) -> bool:
+        """Step one hosted node; whether it is done."""
+        stepped = await self.driver.step(node_id)
+        # Everything the step executed locally (encrypt, re-randomize,
+        # combine) is charged to the stepped node's current iteration.
+        self.meter.charge(self.participants[node_id].iteration)
+        return bool(stepped["done"])
+
+    async def _step_sequentially(self, max_cycles: int, n_workers: int) -> int:
         """This worker's share of sequential stepping; the cycles run.
 
         The token names the next run to step and carries the count of the
@@ -1004,194 +1002,94 @@ async def _worker_async(worker_index: int, setup: RunSetup, local_ids: list[int]
         """
         if max_cycles <= 0:
             return 0
-        schedule = _SequentialSchedule(setup.config.simulation.seed,
-                                       setup.n_participants, n_workers)
+        schedule = _SequentialSchedule(self.setup.config.simulation.seed,
+                                       self.setup.n_participants, n_workers)
         cycle, run, pending = 0, 0, 0
-        holding = schedule.owner(0, 0) == worker_index
+        holding = schedule.owner(0, 0) == self.index
         while True:
             if not holding:
-                token = await tokens.get()
+                token = await self.tokens.get()
                 if token["op"] == "stop":
                     return int(token["cycles_run"])
                 cycle, run, pending = (int(token["cycle"]), int(token["run"]),
                                        int(token["pending"]))
-                if schedule.owner(cycle, run) != worker_index:
+                if schedule.owner(cycle, run) != self.index:
                     raise ProtocolError(
-                        f"worker {worker_index} got the token for run {run} "
+                        f"worker {self.index} got the token for run {run} "
                         f"of cycle {cycle}, which it does not host"
                     )
             runs = schedule.runs(cycle)
-            pending += await step_run(runs[run])
+            for node_id in runs[run]:
+                pending += not await self._step(node_id)
             run += 1
             if run == len(runs):
                 if pending == 0 or cycle + 1 == max_cycles:
                     for worker in range(n_workers):
-                        if worker != worker_index:
+                        if worker != self.index:
                             # Node ``worker`` is hosted by worker ``worker``.
-                            await transport.control_notify(
+                            await self.transport.control_notify(
                                 worker, {"op": "stop", "cycles_run": cycle + 1})
                     return cycle + 1
                 cycle, run, pending = cycle + 1, 0, 0
             holder = schedule.owner(cycle, run)
-            holding = holder == worker_index
+            holding = holder == self.index
             if not holding:
-                await transport.control_notify(holder, {
+                await self.transport.control_notify(holder, {
                     "op": "token", "cycle": cycle, "run": run, "pending": pending,
                 })
 
-    def collect() -> dict[str, Any]:
+    async def _step_concurrently(self) -> dict[str, int]:
+        """One run-cycle epoch: every not-yet-done local node steps through
+        one cycle as its own asyncio task, many exchanges in flight at once,
+        bounded by CONCURRENT_STEPS.  The crypto meter's per-iteration
+        attribution is approximate under this interleaving (totals stay
+        exact); the accounting contract's byte charging is unaffected
+        because every send is still charged synchronously at its sending
+        node."""
+        semaphore = asyncio.Semaphore(CONCURRENT_STEPS)
+        outcomes = await asyncio.gather(*(
+            self._step_bounded(node_id, semaphore) for node_id in self.local_ids
+            if not self.participants[node_id].is_done
+        ))
+        return {"pending": sum(1 for done in outcomes if not done),
+                "stepped": len(outcomes)}
+
+    async def _step_bounded(self, node_id: int, semaphore: asyncio.Semaphore) -> bool:
+        async with semaphore:
+            return await self._step(node_id)
+
+    def _collect(self) -> dict[str, Any]:
         return {
-            "worker": worker_index,
+            "worker": self.index,
             "nodes": [
-                _collect_node_state(participants[node_id],
-                                    transport.stats_for(node_id))
-                for node_id in local_ids
+                _node_state(self.participants[node_id],
+                            self.transport.stats_for(node_id))
+                for node_id in self.local_ids
             ],
-            "crypto": setup.backend.counter.as_dict(),
-            "socket": stats.as_dict(),
+            "crypto": self.setup.backend.counter.as_dict(),
+            "socket": self.stats.as_dict(),
             "iteration_traffic": {
                 str(iteration): dict(bucket)
-                for iteration, bucket in transport.iteration_traffic.items()
+                for iteration, bucket in self.transport.iteration_traffic.items()
             },
         }
-
-    async def handle_coordinator_record(envelope: Envelope) -> Envelope | None:
-        header = envelope.header
-        op = header.get("op")
-        if op in ("announce", "bootstrap"):
-            # The full announcement log (late-joiner catch-up included) and
-            # the key announcement, in batched records: "announce"
-            # notifications while the log exceeds one batch, then the
-            # "bootstrap" request, whose batch ends with the key frame.
-            batch = deserialize(envelope.payload)
-            frames = list(batch.frames) if isinstance(batch, BatchEnvelope) else []
-            if len(frames) != len(header["members"]) + (op == "bootstrap"):
-                raise ProtocolError(f"malformed {op} record")
-            directory.catch_up(
-                (frame, address, worker)
-                for frame, (address, worker) in zip(frames, header["members"])
-            )
-            if op == "announce":
-                return None
-            verify_key_announcement(frames[-1], setup.backend)
-            expected = int(header["n_nodes"])
-            if len(directory) != expected:
-                raise ProtocolError(
-                    f"membership bootstrap incomplete: {len(directory)} of "
-                    f"{expected} nodes announced"
-                )
-            bootstrapped.set()
-            return Envelope(kind=KIND_CONTROL, correlation_id=0,
-                            header={"ready": True}, is_reply=True)
-        if op == "run-sequential":
-            if not bootstrapped.is_set():
-                raise ProtocolError("run-sequential before bootstrap completed")
-            cycles_run = await step_sequentially(int(header["max_cycles"]),
-                                                 int(header["workers"]))
-            return Envelope(kind=KIND_CONTROL, correlation_id=0,
-                            header={**collect(), "cycles_run": cycles_run},
-                            is_reply=True)
-        if op == "run-cycle":
-            # Concurrent stepping: drive every not-yet-done local node
-            # through one cycle as its own asyncio task, many exchanges in
-            # flight at once, bounded by CONCURRENT_STEPS.  The crypto
-            # meter's per-iteration attribution is approximate under this
-            # interleaving (totals stay exact); the accounting contract's
-            # byte charging is unaffected because every send is still
-            # charged synchronously at its sending node.
-            if not bootstrapped.is_set():
-                raise ProtocolError("run-cycle before bootstrap completed")
-            semaphore = asyncio.Semaphore(CONCURRENT_STEPS)
-
-            async def step_node(node_id: int) -> bool:
-                async with semaphore:
-                    stepped = await driver.step(node_id)
-                    meter.charge(participants[node_id].iteration)
-                    return bool(stepped["done"])
-
-            outcomes = await asyncio.gather(*(
-                step_node(node_id) for node_id in local_ids
-                if not participants[node_id].is_done
-            ))
-            pending = sum(1 for done in outcomes if not done)
-            return Envelope(kind=KIND_CONTROL, correlation_id=0,
-                            header={"pending": pending,
-                                    "stepped": len(outcomes)},
-                            is_reply=True)
-        if op == "collect":
-            return Envelope(kind=KIND_CONTROL, correlation_id=0,
-                            header=collect(), is_reply=True)
-        if op == "shutdown":
-            # A notification, not a request: the worker tears down on its
-            # own schedule, so no reply can race the connection close.
-            shutdown.set()
-            return None
-        raise ProtocolError(f"unknown coordinator operation {op!r}")
-
-    reader, writer = await asyncio.wait_for(
-        asyncio.open_connection(*coordinator_address),
-        timeout=connect_timeout,
-    )
-    coordinator = RequestChannel(
-        FrameConnection(reader, writer, stats), handle_coordinator_record
-    )
-    pump_task = asyncio.create_task(coordinator.pump())
-
-    await coordinator.notify(Envelope(
-        kind=KIND_CONTROL, correlation_id=0,
-        header={"op": "hello", "worker": worker_index,
-                "address": [host, port], "nodes": local_ids},
-    ))
-    # Drive the bootstrap announcements: one MembershipAnnouncement frame
-    # per hosted participant, the address riding in the envelope header.
-    for node_id in local_ids:
-        frame = directory.announce(
-            node_id, online=True, cycle=0,
-            address=(host, port), worker=worker_index,
-        )
-        await coordinator.notify(Envelope(
-            kind=KIND_FRAME, correlation_id=0,
-            header={"op": "announce", "worker": worker_index,
-                    "address": [host, port]},
-            payload=frame,
-        ))
-
-    shutdown_task = asyncio.create_task(shutdown.wait())
-    try:
-        finished, _ = await asyncio.wait(
-            {shutdown_task, pump_task}, return_when=asyncio.FIRST_COMPLETED
-        )
-        if pump_task in finished and pump_task.exception() is not None:
-            raise pump_task.exception()
-    finally:
-        shutdown_task.cancel()
-        setup.backend.close()
-        transport.close()
-        pump_task.cancel()
-        server.close()
-        coordinator.connection.close()
 
 
 def _worker_main(worker_index: int, setup: RunSetup, local_ids: list[int],
                  coordinator_address: tuple[str, int]) -> None:
+    # Before anything can encrypt: every worker must draw its own
+    # randomness, not the blinders the coordinator pooled before the fork.
+    setup.backend.after_fork()
     try:
-        asyncio.run(_worker_async(worker_index, setup, local_ids, coordinator_address))
+        asyncio.run(LiveWorker(worker_index, setup, local_ids).run(coordinator_address))
     except Exception:  # pragma: no cover - the coordinator sees the process exit
         traceback.print_exc(file=sys.stderr)
         os._exit(1)
+    finally:
+        setup.backend.close()
 
 
 # ---------------------------------------------------------------------- coordinator
-@dataclass
-class _WorkerLink:
-    """Coordinator-side view of one connected worker."""
-
-    channel: RequestChannel
-    worker_index: int
-    address: tuple[str, int]
-    nodes: list[int] = field(default_factory=list)
-
-
 class LiveRunner:
     """Coordinates one live run: spawn, bootstrap, step, collect."""
 
@@ -1252,193 +1150,178 @@ class LiveRunner:
 
     async def _coordinate(self, listener: socket.socket,
                           processes: Sequence[Any]) -> "LiveRunOutcome":
-        setup = self.setup
         loop = asyncio.get_running_loop()
-        stats = SocketStats()
-        directory = MembershipDirectory()
-        links: dict[int, _WorkerLink] = {}
-        connected = asyncio.Event()
-        announced = asyncio.Event()
-        pump_tasks: list[asyncio.Task] = []
+        self._stats = SocketStats()
+        self._directory = MembershipDirectory()
+        self._links: list[RequestChannel] = []
+        self._pump_tasks: list[asyncio.Task] = []
+        self._hellos: set[int] = set()
+        self._connected = asyncio.Event()
+        self._announced = asyncio.Event()
         # Resolved with the first worker failure: a link that ends (handler
         # error, or EOF from a crashed worker) or a worker process that
         # exits, whether or not it ever connected.
-        failure: asyncio.Future[None] = loop.create_future()
-
-        def fail(error: BaseException) -> None:
-            if not failure.done():
-                failure.set_exception(error)
-
-        def link_ended(task: asyncio.Task) -> None:
-            if not task.cancelled():
-                fail(task.exception() or ProtocolError(
-                    "a worker connection closed before the run finished "
-                    "(see the worker's stderr for its traceback)"
-                ))
-
-        def process_ended(worker: int, process: Any) -> None:
-            loop.remove_reader(process.sentinel)
-            process.join()  # the sentinel fired: the process has exited
-            fail(ProtocolError(
-                f"worker {worker} exited with code {process.exitcode} before "
-                "the run finished (see its stderr for the traceback)"
-            ))
-
-        async def unless_a_worker_fails(awaitable: Awaitable[Any]) -> Any:
-            task = asyncio.ensure_future(awaitable)
-            await asyncio.wait({task, failure}, return_when=asyncio.FIRST_COMPLETED)
-            if not task.done():
-                task.cancel()
-                failure.result()
-            return task.result()
-
-        def link_handler(link_box: list) -> Callable[[Envelope], Awaitable[Envelope | None]]:
-            async def handle(envelope: Envelope) -> Envelope | None:
-                header = envelope.header
-                op = header.get("op")
-                if op == "hello":
-                    link = link_box[0]
-                    link.worker_index = int(header["worker"])
-                    link.address = (header["address"][0], int(header["address"][1]))
-                    link.nodes = [int(node) for node in header["nodes"]]
-                    links[link.worker_index] = link
-                    if len(links) == self.n_processes:
-                        connected.set()
-                    return None
-                if op == "announce" and envelope.kind == KIND_FRAME:
-                    address = header.get("address")
-                    directory.feed(
-                        envelope.payload,
-                        address=(address[0], int(address[1])) if address else None,
-                        worker=header.get("worker"),
-                    )
-                    if len(directory) == setup.n_participants:
-                        announced.set()
-                    return None
-                raise ProtocolError(f"unexpected worker record {op!r}")
-            return handle
-
-        async def accept(reader: asyncio.StreamReader,
-                         writer: asyncio.StreamWriter) -> None:
-            link = _WorkerLink(
-                channel=None,  # type: ignore[arg-type]
-                worker_index=-1, address=("", 0),
-            )
-            box = [link]
-            channel = RequestChannel(
-                FrameConnection(reader, writer, stats), link_handler(box)
-            )
-            link.channel = channel
-            task = asyncio.create_task(channel.pump())
-            task.add_done_callback(link_ended)
-            pump_tasks.append(task)
-
-        def request_all(header: dict[str, Any], payload: bytes = b"",
-                        is_batch: bool = False) -> Awaitable[list[Envelope]]:
-            return asyncio.gather(*(
-                link.channel.request(Envelope(
-                    kind=KIND_FRAME if is_batch else KIND_CONTROL,
-                    correlation_id=0, header=header, payload=payload,
-                    is_batch=is_batch,
-                ))
-                for link in links.values()
-            ))
-
-        server = await asyncio.start_server(accept, sock=listener)
+        self._failure: asyncio.Future[None] = loop.create_future()
+        server = await asyncio.start_server(self._accept, sock=listener)
         try:
             for worker, process in enumerate(processes):
-                loop.add_reader(process.sentinel, process_ended, worker, process)
-            await unless_a_worker_fails(connected.wait())
-            await unless_a_worker_fails(announced.wait())
-            # Bootstrap every worker with the full announcement log
-            # (late-joiner catch-up included) and the key frame, batched: one
-            # record per MAX_BATCH_FRAMES frames, the last one — the
-            # bootstrap request — ending with the key frame.
-            snapshot = directory.snapshot()
-            frames = [frame for frame, _, _ in snapshot] \
-                + [key_announcement_for(setup.backend).serialize()]
-            members = [[list(address) if address else None, worker]
-                       for _, address, worker in snapshot]
-            starts = range(0, len(frames), MAX_BATCH_FRAMES)
-
-            async def bootstrap() -> None:
-                for start in starts[:-1]:
-                    record = Envelope(
-                        kind=KIND_FRAME, correlation_id=0, is_batch=True,
-                        header={"op": "announce",
-                                "members": members[start:start + MAX_BATCH_FRAMES]},
-                        payload=batch_frames(frames[start:start + MAX_BATCH_FRAMES]),
-                    )
-                    for link in links.values():
-                        await link.channel.notify(record)
-                await request_all(
-                    {"op": "bootstrap", "n_nodes": setup.n_participants,
-                     "members": members[starts[-1]:]},
-                    payload=batch_frames(frames[starts[-1]:]), is_batch=True,
-                )
-
-            await unless_a_worker_fails(bootstrap())
-
-            max_cycles = plan_max_cycles(setup.config, self.max_extra_cycles)
-            cycles_run = 0
-            if setup.config.runtime.stepping == "concurrent":
-                # Concurrent stepping: the coordinator only enforces
-                # iteration epochs.  One run-cycle request per worker per
-                # epoch, all workers advancing their shards simultaneously
-                # with many exchanges in flight; stop when every worker
-                # reports zero pending participants.  No scheduler stream
-                # is consumed — the interleaving is timing-dependent, which
-                # is exactly the nondeterminism the envelope metrics
-                # quantify.
-                for _ in range(max_cycles):
-                    replies = await request_all({"op": "run-cycle"})
-                    cycles_run += 1
-                    pending = sum(
-                        int(reply.header.get("pending", 0)) for reply in replies
-                    )
-                    if pending == 0:
-                        break
-                replies = await request_all({"op": "collect"})
-                collected = [reply.header for reply in replies]
+                loop.add_reader(process.sentinel, self._process_ended, worker, process)
+            await self._unless_a_worker_fails(self._connected.wait())
+            await self._unless_a_worker_fails(self._announced.wait())
+            await self._unless_a_worker_fails(self._bootstrap())
+            max_cycles = plan_max_cycles(self.setup.config, self.max_extra_cycles)
+            if self.setup.config.runtime.stepping == "concurrent":
+                collected, cycles_run = await self._step_concurrently(max_cycles)
             else:
-                # Sequential stepping happens among the workers: each
-                # replays the scheduler stream and steps while it holds the
-                # token, in the cycle engine's global order — bit-identical
-                # to mode="cycle".  Each reply carries the worker's state.
-                replies = await unless_a_worker_fails(request_all(
-                    {"op": "run-sequential", "max_cycles": max_cycles,
-                     "workers": self.n_processes}
-                ))
-                collected = [reply.header for reply in replies]
-                counts = {int(worker["cycles_run"]) for worker in collected}
-                if len(counts) != 1:
-                    raise ProtocolError(
-                        f"workers disagree on the cycles run: {sorted(counts)}"
-                    )
-                cycles_run = counts.pop()
-
-            for link in links.values():
-                await link.channel.notify(Envelope(
-                    kind=KIND_CONTROL, correlation_id=0,
-                    header={"op": "shutdown"},
-                ))
+                collected, cycles_run = await self._step_sequentially(max_cycles)
+            for link in self._links:
+                await link.notify(Envelope(kind=KIND_CONTROL, header={"op": "shutdown"}))
             return LiveRunOutcome(
                 workers=collected,
                 cycles_run=cycles_run,
-                coordinator_socket=stats.as_dict(),
+                coordinator_socket=self._stats.as_dict(),
             )
         finally:
             for process in processes:
                 loop.remove_reader(process.sentinel)
             # Workers close their links once shut down: past this point that
             # is no failure, and one already recorded has been raised or is moot.
-            if failure.done():
-                failure.exception()
+            if self._failure.done():
+                self._failure.exception()
             else:
-                failure.cancel()
-            for task in pump_tasks:
+                self._failure.cancel()
+            for task in self._pump_tasks:
                 task.cancel()
             server.close()
+
+    # ------------------------------------------------------------------ failures
+    def _fail(self, error: BaseException) -> None:
+        if not self._failure.done():
+            self._failure.set_exception(error)
+
+    def _link_ended(self, task: asyncio.Task) -> None:
+        if not task.cancelled():
+            self._fail(task.exception() or ProtocolError(
+                "a worker connection closed before the run finished "
+                "(see the worker's stderr for its traceback)"
+            ))
+
+    def _process_ended(self, worker: int, process: Any) -> None:
+        asyncio.get_running_loop().remove_reader(process.sentinel)
+        process.join()  # the sentinel fired: the process has exited
+        self._fail(ProtocolError(
+            f"worker {worker} exited with code {process.exitcode} before "
+            "the run finished (see its stderr for the traceback)"
+        ))
+
+    async def _unless_a_worker_fails(self, awaitable: Awaitable[Any]) -> Any:
+        task = asyncio.ensure_future(awaitable)
+        await asyncio.wait({task, self._failure}, return_when=asyncio.FIRST_COMPLETED)
+        if not task.done():
+            task.cancel()
+            self._failure.result()
+        return task.result()
+
+    # ------------------------------------------------------------------ links
+    def _accept(self, reader: asyncio.StreamReader,
+                writer: asyncio.StreamWriter) -> None:
+        channel = RequestChannel(
+            FrameConnection(reader, writer, self._stats), self._worker_record
+        )
+        self._links.append(channel)
+        task = asyncio.create_task(channel.pump())
+        task.add_done_callback(self._link_ended)
+        self._pump_tasks.append(task)
+
+    async def _worker_record(self, envelope: Envelope) -> None:
+        """A worker's hello, then one announcement frame per hosted node."""
+        header = envelope.header
+        op = header.get("op")
+        if op == "hello":
+            self._hellos.add(int(header["worker"]))
+            if len(self._hellos) == self.n_processes:
+                self._connected.set()
+            return
+        if op == "announce" and envelope.kind == KIND_FRAME:
+            address = header.get("address")
+            self._directory.feed(
+                envelope.payload,
+                address=(address[0], int(address[1])) if address else None,
+                worker=header.get("worker"),
+            )
+            if len(self._directory) == self.setup.n_participants:
+                self._announced.set()
+            return
+        raise ProtocolError(f"unexpected worker record {op!r}")
+
+    def _request_all(self, header: dict[str, Any], payload: bytes = b"",
+                     is_batch: bool = False) -> Awaitable[list[Envelope]]:
+        return asyncio.gather(*(
+            link.request(Envelope(
+                kind=KIND_FRAME if is_batch else KIND_CONTROL,
+                header=header, payload=payload, is_batch=is_batch,
+            ))
+            for link in self._links
+        ))
+
+    # ------------------------------------------------------------------ phases
+    async def _bootstrap(self) -> None:
+        """Bootstrap every worker with the full announcement log (late-joiner
+        catch-up included) and the key frame, batched: one record per
+        MAX_BATCH_FRAMES frames, the last one — the bootstrap request —
+        ending with the key frame."""
+        snapshot = self._directory.snapshot()
+        frames = [frame for frame, _, _ in snapshot] \
+            + [key_announcement_for(self.setup.backend).serialize()]
+        members = [[list(address) if address else None, worker]
+                   for _, address, worker in snapshot]
+        starts = range(0, len(frames), MAX_BATCH_FRAMES)
+        for start in starts[:-1]:
+            record = Envelope(
+                kind=KIND_FRAME, is_batch=True,
+                header={"op": "announce",
+                        "members": members[start:start + MAX_BATCH_FRAMES]},
+                payload=batch_frames(frames[start:start + MAX_BATCH_FRAMES]),
+            )
+            for link in self._links:
+                await link.notify(record)
+        await self._request_all(
+            {"op": "bootstrap", "n_nodes": self.setup.n_participants,
+             "members": members[starts[-1]:]},
+            payload=batch_frames(frames[starts[-1]:]), is_batch=True,
+        )
+
+    async def _step_sequentially(self, max_cycles: int) -> tuple[list[dict[str, Any]], int]:
+        """Sequential stepping happens among the workers: each replays the
+        scheduler stream and steps while it holds the token, in the cycle
+        engine's global order — bit-identical to mode="cycle".  Each reply
+        carries the worker's state."""
+        replies = await self._unless_a_worker_fails(self._request_all(
+            {"op": "run-sequential", "max_cycles": max_cycles,
+             "workers": self.n_processes}
+        ))
+        collected = [reply.header for reply in replies]
+        counts = {int(worker["cycles_run"]) for worker in collected}
+        if len(counts) != 1:
+            raise ProtocolError(f"workers disagree on the cycles run: {sorted(counts)}")
+        return collected, counts.pop()
+
+    async def _step_concurrently(self, max_cycles: int) -> tuple[list[dict[str, Any]], int]:
+        """Concurrent stepping: the coordinator only enforces iteration
+        epochs.  One run-cycle request per worker per epoch, all workers
+        advancing their shards simultaneously with many exchanges in
+        flight; stop when every worker reports zero pending participants.
+        No scheduler stream is consumed — the interleaving is
+        timing-dependent, which is exactly the nondeterminism the envelope
+        metrics quantify."""
+        cycles_run = 0
+        for _ in range(max_cycles):
+            replies = await self._request_all({"op": "run-cycle"})
+            cycles_run += 1
+            if sum(int(reply.header.get("pending", 0)) for reply in replies) == 0:
+                break
+        replies = await self._request_all({"op": "collect"})
+        return [reply.header for reply in replies], cycles_run
 
 
 @dataclass(frozen=True)
@@ -1534,17 +1417,8 @@ def run_live_chiaroscuro(
             f"collected {len(nodes)} of {setup.n_participants} participants"
         )
     outcomes = [
-        ParticipantOutcome(
-            node_id=int(node["node"]),
-            profiles=np.asarray(
-                node["final_profiles"] if node["final_profiles"] is not None
-                else node["centroids"],
-                dtype=float,
-            ),
-            stop_reason=node["stop_reason"] or "unfinished",
-            spent_epsilon=float(node["spent_epsilon"]),
-            iteration=int(node["iteration"]),
-        )
+        ParticipantOutcome(**{**node["outcome"],
+                              "profiles": np.asarray(node["outcome"]["profiles"], dtype=float)})
         for node in nodes
     ]
     log = _rebuild_log(setup, collection.name, nodes, iteration_traffic)

@@ -11,7 +11,9 @@ and committee rounds; a driver performs them over its transport):
   verbatim.
 * :class:`~repro.net.live.WorkerTransport` (in :mod:`repro.net.live`) — the
   asyncio TCP transport of the multi-process runner, which moves the same
-  serialized frames over real sockets between OS processes.
+  serialized frames over real sockets between OS processes and serves
+  every frame for a node its worker hosts on one path,
+  :meth:`~repro.net.live.WorkerTransport.serve`.
 
 What is encoded is what something reads, and what is decoded is the bytes
 that crossed a boundary.  A :class:`~repro.gossip.messages.Frame` knows its
@@ -22,8 +24,9 @@ intact in-process frame is neither written nor decoded.  A corruption that
 fires writes the frame's bytes and flips one bit of a copy: that new plain
 byte string meets the full decoder, whose checksum turns it into a loss.
 In the live runner the same holds for a recipient on the sending worker,
-while a frame for another worker is written into its socket record (or its
-batch) and arrives there as bytes that are decoded in full.
+whose ``serve`` gets the sender's ``Frame``, while a frame for another
+worker is written into its socket record (or its batch) and reaches that
+worker's ``serve`` as bytes that are decoded in full.
 
 The accounting rule both implementations follow (the "one authoritative
 byte-count site"): a message's ``messages_sent``/``bytes_sent``/

@@ -841,22 +841,33 @@ class ShardCoordinator:
         return np.zeros((self.n_rows, self.n_cols), dtype=self.dtype)
 
     # ---------------------------------------------------------------- phases
-    def _fan_out_blocks(self, make_command: Any) -> list[Any]:
-        """Send contiguous canonical-block ranges to every worker, collect
-        replies in shard (= global block) order."""
-        bounds = np.linspace(0, self._n_blocks, self.shards + 1).astype(int)
+    def _fan_out(self, count: int, make_command: Any) -> list[Any]:
+        """Send contiguous ranges of *count* items (pairs or canonical
+        blocks) to every worker, collect replies in shard (= global) order.
+
+        A worker that died surfaces as ``SimulationError`` naming its shard
+        and exit code, not as the pipe's ``BrokenPipeError``/``EOFError``.
+        """
+        bounds = np.linspace(0, count, self.shards + 1).astype(int)
         active: list[int] = []
-        for shard in range(self.shards):
-            start, end = int(bounds[shard]), int(bounds[shard + 1])
-            if start < end:
-                self._pipes[shard].send(make_command(start, end))
-                active.append(shard)
         replies = []
-        for shard in active:
-            status, payload = self._pipes[shard].recv()
-            if status != "ok":  # pragma: no cover - defensive
-                raise SimulationError(f"slab worker failed: {payload}")
-            replies.append(payload)
+        try:
+            for shard in range(self.shards):
+                start, end = int(bounds[shard]), int(bounds[shard + 1])
+                if start < end:
+                    self._pipes[shard].send(make_command(start, end))
+                    active.append(shard)
+            for shard in active:
+                status, payload = self._pipes[shard].recv()
+                if status != "ok":  # pragma: no cover - defensive
+                    raise SimulationError(f"slab worker failed: {payload}")
+                replies.append(payload)
+        except (EOFError, OSError) as exc:
+            worker = self._workers[shard]
+            worker.join(timeout=1.0)
+            raise SimulationError(
+                f"slab shard {shard} died (exit code {worker.exitcode})"
+            ) from exc
         return replies
 
     def average_pairs(self, pairs: np.ndarray) -> None:
@@ -871,15 +882,7 @@ class ShardCoordinator:
             return
         assert self._pairs is not None
         self._pairs[:count] = pairs
-        bounds = np.linspace(0, count, self.shards + 1).astype(int)
-        active = []
-        for shard in range(self.shards):
-            start, end = int(bounds[shard]), int(bounds[shard + 1])
-            if start < end:
-                self._pipes[shard].send(("pairs", start, end))
-                active.append(shard)
-        for shard in active:
-            self._pipes[shard].recv()
+        self._fan_out(count, lambda start, end: ("pairs", start, end))
 
     def half_average_pairs(self, pairs: np.ndarray) -> None:
         """Apply interrupted (reply-lost) exchanges; see
@@ -902,9 +905,8 @@ class ShardCoordinator:
                 self._data, centroids, self.assigned, 0, self._n_blocks
             )
         else:
-            self._fan_out_blocks(
-                lambda start, end: ("assign", start, end, centroids)
-            )
+            self._fan_out(self._n_blocks,
+                          lambda start, end: ("assign", start, end, centroids))
         return self.assigned
 
     def scatter(self) -> None:
@@ -920,7 +922,7 @@ class ShardCoordinator:
                 self.chunk_rows, self._advise,
             )
         else:
-            self._fan_out_blocks(lambda start, end: ("scatter", start, end))
+            self._fan_out(self._n_blocks, lambda start, end: ("scatter", start, end))
 
     def online_mean(self) -> tuple[np.ndarray, int]:
         """Mean estimate vector over the online nodes (float64), plus count.
@@ -937,9 +939,8 @@ class ShardCoordinator:
         else:
             partials = [
                 partial
-                for payload in self._fan_out_blocks(
-                    lambda start, end: ("reduce", start, end)
-                )
+                for payload in self._fan_out(
+                    self._n_blocks, lambda start, end: ("reduce", start, end))
                 for partial in payload
             ]
         total: np.ndarray | None = None
@@ -953,11 +954,6 @@ class ShardCoordinator:
         if count == 0 or total is None:
             return np.full(self.n_cols, np.nan), 0
         return total / count, count
-
-    def advise_dontneed(self) -> None:
-        """Release the whole estimate slab from resident memory (mmap only)."""
-        if self._advise:
-            advise_dontneed(self.estimates)
 
     # --------------------------------------------------------------- teardown
     def close(self) -> None:

@@ -192,19 +192,66 @@ class TestSequentialTokenAcrossWorkers:
         assert [live.metadata["live"]["cycles_run"]] == cycles
 
 
+#: What a small sequential live run must reproduce at 2 and 3 processes:
+#: the workers' summed socket record counts, and every per-iteration cost
+#: record of the execution log (the same at any process count).  Socket
+#: bytes are not pinned: the hello headers carry ephemeral ports.
+PINNED_SOCKET = {
+    2: {"records_sent": 350, "records_received": 342,
+        "batched_records": 24, "batched_frames": 36},
+    3: {"records_sent": 505, "records_received": 497,
+        "batched_records": 48, "batched_frames": 48},
+}
+PINNED_ITERATION_COSTS = [
+    {"additions": 424.0, "bytes_sent": 169248.0, "combinations": 16.0,
+     "encryptions": 32.0, "messages_sent": 104.0, "partial_decryptions": 48.0,
+     "rerandomizations": 224.0},
+    {"additions": 408.0, "bytes_sent": 169248.0, "combinations": 16.0,
+     "encryptions": 32.0, "messages_sent": 104.0, "partial_decryptions": 48.0,
+     "rerandomizations": 224.0},
+    {"additions": 384.0, "bytes_sent": 169348.0, "combinations": 16.0,
+     "encryptions": 32.0, "messages_sent": 104.0, "partial_decryptions": 48.0,
+     "rerandomizations": 224.0},
+]
+
+
+class TestPinnedSequentialRun:
+    """Socket records and per-iteration costs of one small sequential run,
+    pinned so that a change to how workers serve frames or pass the token
+    cannot move them unnoticed."""
+
+    @pytest.mark.parametrize("processes", sorted(PINNED_SOCKET))
+    def test_socket_records_and_iteration_costs(self, processes):
+        config = ChiaroscuroConfig().with_overrides(
+            kmeans={"n_clusters": 2, "max_iterations": 3},
+            privacy={"noise_shares": 4},
+            gossip={"cycles_per_aggregation": 4},
+            crypto={"backend": "plain", "threshold": 3, "n_key_shares": 6},
+            simulation={"n_participants": 8, "seed": 3},
+            runtime={"mode": "live", "processes": processes, "run_timeout": 120.0},
+        )
+        collection = load_dataset("gaussian", n_series=8, series_length=12,
+                                  n_clusters=2, seed=3)
+        live = run_chiaroscuro(collection, config)
+        socket = live.metadata["live"]["socket"]
+        assert {key: socket[key] for key in PINNED_SOCKET[processes]} \
+            == PINNED_SOCKET[processes]
+        assert [record.costs for record in live.log] == PINNED_ITERATION_COSTS
+
+
 class TestWorkerFailuresFailFast:
     """A dead worker fails the run well before ``run_timeout`` (60 s here)."""
 
     def test_worker_dying_before_it_connects(self, monkeypatch):
-        original = live_module._worker_async
+        original = live_module.LiveWorker.run
 
-        async def dying(worker_index, *args):
-            if worker_index == 1:
+        async def dying(worker, coordinator_address):
+            if worker.index == 1:
                 raise RuntimeError("worker 1 fails before its hello")
-            return await original(worker_index, *args)
+            return await original(worker, coordinator_address)
 
         # Patched before the fork, so the workers inherit it.
-        monkeypatch.setattr(live_module, "_worker_async", dying)
+        monkeypatch.setattr(live_module.LiveWorker, "run", dying)
         started = time.monotonic()
         with pytest.raises(ProtocolError, match="worker 1"):
             run_chiaroscuro(_collection(), _config("live", run_timeout=60.0))

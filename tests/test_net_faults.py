@@ -5,7 +5,7 @@ tests aim mutations at specific fields — version byte, length varint, CRC,
 slot metadata — with the checksum *recomputed* where a man-in-the-middle
 could recompute it, and assert that decoding rejects every one of them with
 :class:`~repro.exceptions.WireFormatError` and nothing else, on both
-transports (the in-process loopback and the live worker's frame handler).
+transports (the in-process loopback and the live worker's frame service).
 """
 
 from __future__ import annotations
@@ -139,12 +139,14 @@ class _SinkNode(Node):
         self.received.append(message.payload)
 
 
-def _handler_hosting_node_zero():
-    """A live worker's protocol handler hosting node 0 of a 4-node run."""
+def _worker_hosting_node_zero(node_id: int = 0):
+    """A live worker hosting node 0 (or *node_id*) of a 4-node run whose
+    key shares nodes 0 and 1 hold; never connected, so only its frame
+    service, probe answers and peer-record handler are used."""
     from repro.config import ChiaroscuroConfig
     from repro.core.runner import build_run_setup
     from repro.datasets import load_dataset
-    from repro.net.live import WorkerProtocolHandler
+    from repro.net.live import LiveWorker
 
     config = ChiaroscuroConfig().with_overrides(
         kmeans={"n_clusters": 2, "max_iterations": 2},
@@ -155,29 +157,23 @@ def _handler_hosting_node_zero():
     collection = load_dataset("gaussian", n_series=4, series_length=4,
                               n_clusters=2, seed=0)
     setup = build_run_setup(collection, config)
-    return WorkerProtocolHandler(setup, {0: setup.make_participant(0)})
+    return LiveWorker(node_id, setup, [node_id])
 
 
-def _handler_with_node_zero_gossiping():
-    """The same handler, node 0 past its first assignment: GOSSIP phase,
+def _worker_with_node_zero_gossiping():
+    """The same worker, node 0 past its first assignment: GOSSIP phase,
     iteration 1, a diptych of 2 + 2 estimates of length 5."""
-    handler = _handler_hosting_node_zero()
-    participant = handler.participants[0]
+    worker = _worker_hosting_node_zero()
+    participant = worker.participants[0]
     assert list(participant.step(np.random.default_rng(0), tuple, 4)) == []
     assert participant.iteration == 1 and len(participant.diptych.data_estimates[0]) == 5
-    return handler
+    return worker
 
 
-def _transport_of(handler):
-    """The worker transport around *handler* (4-node run, node 0 hosted
-    here), never connected: only its ledger and frame service are used."""
-    from repro.net.bootstrap import MembershipDirectory
-    from repro.net.live import SocketStats, WorkerTransport
-
-    return WorkerTransport(
-        worker_index=0, n_nodes=4, local_ids={0}, directory=MembershipDirectory(),
-        handler=handler, stats=SocketStats(), connect_timeout=1.0,
-    )
+def _peer_record(worker, header, payload, is_batch=False) -> Envelope:
+    """The reply *worker* sends to a peer's frame record."""
+    return asyncio.run(worker.handle_peer_record(Envelope(
+        kind=KIND_FRAME, header=header, payload=payload, is_batch=is_batch)))
 
 
 def _diptych_frame(message_type, count: int, length: int) -> bytes:
@@ -202,12 +198,11 @@ class TestRejectionOnBothTransports:
 
     @pytest.mark.parametrize("case", ALL_MUTATIONS, ids=_mutation_id)
     def test_live_worker_handler_degrades_to_loss(self, case):
-        """The live transport's frame handler answers an error header (the
+        """The live worker's frame service answers an error header (the
         initiator treats it as a loss) and never raises."""
         _, mutation = case
-        header, payload = _handler_hosting_node_zero().handle_frame(
-            {"op": "diptych-exchange", "sender": 1, "recipient": 0},
-            mutation.frame,
+        header, payload = _worker_hosting_node_zero().transport.serve(
+            "diptych-exchange", 1, 0, None, mutation.frame,
         )
         assert header["error"] == "wire_format"
         assert payload == b""
@@ -224,12 +219,12 @@ class TestFramesForNodesHostedElsewhere:
         ("decrypt-request", FRAMES["decrypt-request"], 1),
     ])
     def test_frame(self, op, frame, recipient):
-        assert _handler_hosting_node_zero().handle_frame(
-            {"op": op, "sender": 0, "recipient": recipient}, frame,
+        assert _worker_hosting_node_zero().transport.serve(
+            op, 0, recipient, None, frame,
         ) == ({"error": "not_hosted"}, b"")
 
     def test_probe(self):
-        assert _handler_hosting_node_zero().handle_control(
+        assert _worker_hosting_node_zero().transport.answer_probe(
             {"op": "probe", "sender": 0, "recipient": 5, "iteration": 1},
         ) == {"status": "error", "error": "not_hosted"}
 
@@ -241,23 +236,41 @@ class TestFramesForNodesHostedElsewhere:
     def test_peer_record_never_reaches_the_ledger(self, sender, recipient):
         """The receive ledger raises ``SimulationError`` on an id outside
         ``[0, N)``; the frame service must answer before it is asked."""
-        transport = _transport_of(_handler_with_node_zero_gossiping())
-        assert transport.serve_frame(
-            "diptych-exchange", sender, recipient, None,
-            _diptych_frame(DiptychExchange, 2, 5),
+        worker = _worker_with_node_zero_gossiping()
+        frame = _diptych_frame(DiptychExchange, 2, 5)
+        assert worker.transport.serve(
+            "diptych-exchange", sender, recipient, None, frame,
         ) == ({"error": "not_hosted"}, b"")
-        assert transport.ledger.total == TrafficStats()
+        reply = _peer_record(worker, {"op": "diptych-exchange", "sender": sender,
+                                      "recipient": recipient}, frame)
+        assert (reply.header, reply.payload) == ({"error": "not_hosted"}, b"")
+        assert worker.transport.ledger.total == TrafficStats()
 
     def test_batched_peer_record_is_answered_recipient_by_recipient(self):
-        """A batch record is served one ``serve_frame`` per recipient: the
-        hosted one gets its reply, the others ``not_hosted``."""
-        transport = _transport_of(_handler_with_node_zero_gossiping())
+        """A batch record is served one frame per recipient: the hosted one
+        gets its reply, the others ``not_hosted``."""
+        worker = _worker_with_node_zero_gossiping()
         frame = _diptych_frame(DiptychExchange, 2, 5)
-        replies = [transport.serve_frame("diptych-exchange", 1, recipient, None, frame)
-                   for recipient in (9, 0, 2)]
-        assert [header for header, _ in replies] == [
+        reply = _peer_record(
+            worker, {"op": "diptych-exchange", "sender": 1, "recipients": [9, 0, 2]},
+            batch_frames([frame] * 3), is_batch=True)
+        assert reply.is_batch and reply.header["replies"] == [
             {"error": "not_hosted"}, {"error": "shape"}, {"error": "not_hosted"}]
-        assert transport.ledger.total.messages_received == 1
+        assert deserialize(reply.payload) == BatchEnvelope(frames=(b"", b"", b""))
+        assert worker.transport.ledger.total.messages_received == 1
+
+    @pytest.mark.parametrize("payload, error", [
+        (b"not a frame", "wire_format"),
+        (FRAMES["decrypt-request"], "batch_mismatch"),  # a frame, not a batch
+        (batch_frames([FRAMES["decrypt-request"]]), "batch_mismatch"),  # 1 for 2
+    ])
+    def test_malformed_batched_peer_record_is_refused_whole(self, payload, error):
+        worker = _worker_hosting_node_zero()
+        reply = _peer_record(
+            worker, {"op": "decrypt-request", "sender": 1, "recipients": [0, 2]},
+            payload, is_batch=True)
+        assert reply.is_batch and reply.header["error"] == error
+        assert worker.transport.ledger.total == TrafficStats()
 
 
 def _reply(header, payload=b"") -> Envelope:
@@ -308,7 +321,7 @@ class TestCommitteeFanOutOverOneRecord:
     ledger does not notice."""
 
     def test_two_helpers_on_one_worker_cost_one_record_each_way(self):
-        transport = _transport_of(_handler_hosting_node_zero())
+        transport = _worker_hosting_node_zero().transport
         request, response = FRAMES["decrypt-request"], FRAMES["decrypt-response"]
         results, seen = asyncio.run(_fan_out_to_a_scripted_worker(
             transport, request, _batch_reply([{}, {}], [response, response])))
@@ -341,7 +354,7 @@ class TestCommitteeFanOutOverOneRecord:
         (_batch_reply(["ab", 7], [FRAMES["decrypt-response"]] * 2), "batch_mismatch"),
     ])
     def test_malformed_batched_reply_is_a_loss_per_recipient(self, reply, error):
-        transport = _transport_of(_handler_hosting_node_zero())
+        transport = _worker_hosting_node_zero().transport
         results, _ = asyncio.run(_fan_out_to_a_scripted_worker(
             transport, FRAMES["decrypt-request"], reply))
         assert results == [({"error": error}, b""), ({"error": error}, b"")]
@@ -361,11 +374,11 @@ class TestWellFormedFramesOfTheWrongShape:
         (2, 5),  # the right count and length, unpacked for a packed backend
     ])
     def test_diptych_exchange(self, count, length):
-        handler = _handler_with_node_zero_gossiping()
-        diptych = handler.participants[0].diptych
+        worker = _worker_with_node_zero_gossiping()
+        diptych = worker.participants[0].diptych
         before = list(diptych.data_estimates), list(diptych.noise_estimates)
-        assert handler.handle_frame(
-            {"op": "diptych-exchange", "sender": 1, "recipient": 0},
+        assert worker.transport.serve(
+            "diptych-exchange", 1, 0, None,
             _diptych_frame(DiptychExchange, count, length),
         ) == ({"error": "shape"}, b"")
         assert (diptych.data_estimates, diptych.noise_estimates) == before
@@ -373,10 +386,30 @@ class TestWellFormedFramesOfTheWrongShape:
     def test_decrypt_request_in_another_packing_layout(self):
         """Node 0 holds a key share; the request's vector is unpacked, the
         backend packed."""
-        assert _handler_hosting_node_zero().handle_frame(
-            {"op": "decrypt-request", "sender": 1, "recipient": 0},
-            FRAMES["decrypt-request"],
+        assert _worker_hosting_node_zero().transport.serve(
+            "decrypt-request", 1, 0, None, FRAMES["decrypt-request"],
         ) == ({"error": "bad_request"}, b"")
+
+    @pytest.mark.parametrize("op, frame, error", [
+        ("diptych-exchange", FRAMES["decrypt-request"],
+         {"error": "unexpected_type", "detail": "DecryptRequest"}),
+        ("decrypt-request", FRAMES["diptych"],
+         {"error": "unexpected_type", "detail": "DiptychExchange"}),
+        # Node 0 has not reached the gossip phase of iteration 4.
+        ("diptych-exchange", FRAMES["diptych"], {"error": "state"}),
+        ("gossip-push", FRAMES["diptych"], {"error": "unknown_op", "detail": "gossip-push"}),
+    ])
+    def test_frame_the_recipient_cannot_serve(self, op, frame, error):
+        """Received, so charged, and answered as a loss."""
+        worker = _worker_hosting_node_zero()
+        assert worker.transport.serve(op, 1, 0, None, frame) == (error, b"")
+        assert worker.transport.ledger.total.messages_received == 1
+
+    def test_decrypt_request_to_a_node_without_a_key_share(self):
+        worker = _worker_hosting_node_zero(node_id=3)
+        assert worker.transport.serve(
+            "decrypt-request", 1, 3, None, FRAMES["decrypt-request"],
+        ) == ({"error": "no_share"}, b"")
 
     @pytest.mark.parametrize("header", [
         {"op": "diptych-exchange", "sender": 1},
@@ -387,12 +420,15 @@ class TestWellFormedFramesOfTheWrongShape:
         {"op": "diptych-exchange", "sender": True, "recipient": 0},
     ])
     def test_frame_header_with_missing_or_non_integer_node_ids(self, header):
-        assert _handler_with_node_zero_gossiping().handle_frame(
-            header, _diptych_frame(DiptychExchange, 2, 5),
-        ) == ({"error": "bad_header"}, b"")
+        worker = _worker_with_node_zero_gossiping()
+        reply = _peer_record(worker, header, _diptych_frame(DiptychExchange, 2, 5))
+        assert (reply.header, reply.payload, reply.is_batch) \
+            == ({"error": "bad_header"}, b"", False)
+        assert worker.transport.ledger.total == TrafficStats()
 
-    @pytest.mark.parametrize("header, route", [
-        ({"sender": 1, "recipients": [0, 2]}, (1, [0, 2])),
+    @pytest.mark.parametrize("header, replies", [
+        ({"sender": 1, "recipients": [0, 2]},
+         [{"error": "shape"}, {"error": "not_hosted"}]),
         ({"sender": 1}, None),
         ({"sender": 1, "recipients": 0}, None),
         ({"sender": 1, "recipients": [0, "x"]}, None),
@@ -400,20 +436,27 @@ class TestWellFormedFramesOfTheWrongShape:
         ({"sender": 1, "recipients": [0, True]}, None),
         ({"sender": True, "recipients": [0, 2]}, None),
     ])
-    def test_batch_header_with_missing_or_non_integer_node_ids(self, header, route):
-        """What the worker's record handler asks before it serves a batch
-        (on ``None`` it answers ``bad_header`` for the whole record)."""
-        from repro.net.live import frame_route
-
-        assert frame_route(header, is_batch=True) == route
+    def test_batch_header_with_missing_or_non_integer_node_ids(self, header, replies):
+        """What the worker's record handler checks before it serves a batch:
+        a header that names no node list is answered ``bad_header`` for the
+        whole record, a good one recipient by recipient."""
+        worker = _worker_with_node_zero_gossiping()
+        reply = _peer_record(
+            worker, {"op": "diptych-exchange", **header},
+            batch_frames([_diptych_frame(DiptychExchange, 2, 5)] * 2), is_batch=True)
+        assert reply.is_batch
+        if replies is None:
+            assert reply.header == {"error": "bad_header"}
+        else:
+            assert reply.header == {"replies": replies}
 
     @pytest.mark.parametrize("count, length", [(3, 5), (2, 3), (2, 5)])
     def test_initiator_treats_a_wrong_shape_reply_as_a_lost_exchange(
             self, count, length):
         from repro.net.live import LiveParticipantDriver
 
-        handler = _handler_with_node_zero_gossiping()
-        participant = handler.participants[0]
+        worker = _worker_with_node_zero_gossiping()
+        participant = worker.participants[0]
 
         class ScriptedTransport:
             async def control_request(self, node_id, header):
@@ -426,7 +469,7 @@ class TestWellFormedFramesOfTheWrongShape:
         diptych = participant.diptych
         before = list(diptych.data_estimates), list(diptych.noise_estimates)
         driver = LiveParticipantDriver(
-            handler.setup, handler.participants, ScriptedTransport()
+            worker.setup, worker.participants, ScriptedTransport()
         )
         assert asyncio.run(driver.step(0)) == {"done": False, "iteration": 1}
         assert (diptych.data_estimates, diptych.noise_estimates) == before
@@ -439,5 +482,5 @@ class TestWellFormedFramesOfTheWrongShape:
         {"op": "probe", "recipient": False, "iteration": 1},
     ])
     def test_probe_with_missing_or_non_integer_fields(self, header):
-        assert _handler_hosting_node_zero().handle_control(header) \
+        assert _worker_hosting_node_zero().transport.answer_probe(header) \
             == {"status": "error", "error": "bad_probe"}

@@ -340,6 +340,35 @@ class TestTwoBlocksOneAndTwoShards:
 
 
 # --------------------------------------------------------------- allocation
+class TestDeadShardWorker:
+    """A shard worker that died fails the next fanned-out phase with an
+    error naming it, and ``close`` still releases the shared segments."""
+
+    @pytest.mark.parametrize("phase", ["average_pairs", "online_mean"])
+    def test_killed_worker_is_named(self, phase):
+        import os
+        import signal
+        from multiprocessing import shared_memory
+
+        rows, width = 64, 4
+        coordinator = ShardCoordinator(rows, width, shards=2)
+        segments = [coordinator._estimates_shm.name, coordinator._shared_shm.name]
+        victim = coordinator._workers[1]
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=5.0)
+        pairs = np.arange(rows, dtype=np.int64).reshape(-1, 2)
+        with pytest.raises(SimulationError,
+                           match=rf"slab shard 1 died \(exit code {-signal.SIGKILL}\)"):
+            if phase == "average_pairs":
+                coordinator.average_pairs(pairs)
+            else:
+                coordinator.online_mean()
+        coordinator.close()
+        for name in segments:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
+
+
 class TestNoPopulationSizedTemporaries:
     """The mechanism behind the speed-up, pinned: one kernel call over a
     32 MB slab allocates well under 2 MiB (the whole-array expressions

@@ -10,9 +10,7 @@ benchmark code.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Iterator, Mapping
 
 import numpy as np
@@ -144,11 +142,6 @@ class ExecutionLog:
             )
         self._records.append(record)
 
-    @property
-    def records(self) -> list[IterationRecord]:
-        """The records, in iteration order."""
-        return list(self._records)
-
     # ------------------------------------------------------------------ views
     def noise_magnitudes(self) -> list[float]:
         """Per-iteration noise magnitude (perturbed vs noise-free means)."""
@@ -170,14 +163,6 @@ class ExecutionLog:
                 history.setdefault(participant, []).append(cluster)
         return history
 
-    def total_costs(self) -> dict[str, float]:
-        """Sum of every cost counter across iterations."""
-        totals: dict[str, float] = {}
-        for record in self._records:
-            for key, value in record.costs.items():
-                totals[key] = totals.get(key, 0.0) + value
-        return totals
-
     # ------------------------------------------------------------------ serialisation
     def to_dict(self) -> dict[str, Any]:
         """Serialise the whole log (metadata + records)."""
@@ -193,15 +178,3 @@ class ExecutionLog:
         for record in payload.get("records", []):
             log.append(IterationRecord.from_dict(record))
         return log
-
-    def save(self, path: str | Path) -> Path:
-        """Write the log to a JSON file and return the path."""
-        path = Path(path)
-        path.write_text(json.dumps(self.to_dict(), indent=2), encoding="utf-8")
-        return path
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ExecutionLog":
-        """Read a log previously written by :meth:`save`."""
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls.from_dict(payload)

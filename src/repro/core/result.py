@@ -25,11 +25,16 @@ class CostSummary:
     overhead.
 
     ``iteration_costs`` holds the per-iteration cost deltas recorded in the
-    execution log (one mapping per protocol iteration, in order): both the
-    cycle engine and the live runner record at least ``messages_sent`` and
-    ``bytes_sent`` per iteration; the cycle engine additionally records the
-    crypto-operation deltas.  Attribution: traffic is charged to the
-    iteration the sending participant was working on.
+    execution log (one mapping per protocol iteration, in order).  The
+    cycle engine and the live runner both record ``messages_sent``,
+    ``bytes_sent`` and the crypto-operation deltas (the live workers meter
+    their counters with ``net.live._CryptoMeter``, which leaves out an
+    operation whose delta is zero).  Attribution: traffic and operations
+    are charged to the iteration the participant was working on.  A sampled
+    slab run records its bulk loop instead: the modelled ``messages_sent``
+    and ``bytes_sent``, ``label_agreement``, the ``phase_seconds.<phase>``
+    wall-clock series, and ``dropped_frames``/``corrupted_frames`` when
+    loss or corruption is on.
 
     ``extrapolated`` is only set by the slab engine's sampled-crypto path:
     the :meth:`~repro.analysis.costs.ExtrapolatedCost.as_dict` view of the

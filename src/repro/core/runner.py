@@ -30,6 +30,13 @@ from .execution_log import ExecutionLog, IterationRecord
 from .participant import ChiaroscuroParticipant
 from .result import ChiaroscuroResult, CostSummary
 
+#: Participants whose per-iteration assignment the execution log records
+#: (the demo GUI follows four of them).
+N_TRACKED_PARTICIPANTS = 4
+
+#: Safety margin of cycles added to the theoretical number a run needs.
+MAX_EXTRA_CYCLES = 50
+
 
 def normalize_collection(
     collection: TimeSeriesCollection, value_bound: float
@@ -156,7 +163,6 @@ def build_run_setup(
     collection: TimeSeriesCollection,
     config: ChiaroscuroConfig,
     normalize: bool = True,
-    n_tracked_participants: int = 4,
 ) -> RunSetup:
     """Derive a :class:`RunSetup` (backend, overlay, seeds) for one run.
 
@@ -247,7 +253,7 @@ def build_run_setup(
     tracked_ids = sorted(
         master_rng.choice(
             n_participants,
-            size=min(n_tracked_participants, n_participants),
+            size=min(N_TRACKED_PARTICIPANTS, n_participants),
             replace=False,
         ).tolist()
     )
@@ -485,8 +491,6 @@ def run_chiaroscuro(
     collection: TimeSeriesCollection,
     config: ChiaroscuroConfig | None = None,
     normalize: bool = True,
-    n_tracked_participants: int = 4,
-    max_extra_cycles: int = 50,
 ) -> ChiaroscuroResult:
     """Run the complete Chiaroscuro protocol on a collection of time-series.
 
@@ -502,11 +506,6 @@ def run_chiaroscuro(
         Min-max normalise the data into [0, value_bound] before running
         (recommended; the normalisation parameters are returned in the result
         metadata so profiles can be mapped back to original units).
-    n_tracked_participants:
-        Number of participants whose per-iteration assignment is recorded in
-        the execution log (the demo GUI follows four of them).
-    max_extra_cycles:
-        Safety margin added to the theoretical number of cycles needed.
 
     Returns
     -------
@@ -518,29 +517,14 @@ def run_chiaroscuro(
         # shared setup/assembly helpers.
         from ..net.live import run_live_chiaroscuro
 
-        return run_live_chiaroscuro(
-            collection,
-            config,
-            normalize=normalize,
-            n_tracked_participants=n_tracked_participants,
-            max_extra_cycles=max_extra_cycles,
-        )
+        return run_live_chiaroscuro(collection, config, normalize=normalize)
     if config.runtime.engine == "slab":
         # Deferred import: the slab runner imports this module back for the
         # shared normalisation/setup helpers.
         from .slab_runner import run_slab_chiaroscuro
 
-        return run_slab_chiaroscuro(
-            collection,
-            config,
-            normalize=normalize,
-            n_tracked_participants=n_tracked_participants,
-            max_extra_cycles=max_extra_cycles,
-        )
-    setup = build_run_setup(
-        collection, config, normalize=normalize,
-        n_tracked_participants=n_tracked_participants,
-    )
+        return run_slab_chiaroscuro(collection, config, normalize=normalize)
+    setup = build_run_setup(collection, config, normalize=normalize)
     participants, engine = make_engine(setup)
     log = ExecutionLog(metadata=run_log_metadata(setup, collection.name))
     observer = _RunObserver(
@@ -548,7 +532,7 @@ def run_chiaroscuro(
         setup.backend, log,
     )
     engine.add_observer(observer)
-    run_to_completion(engine, participants, plan_max_cycles(config, max_extra_cycles))
+    run_to_completion(engine, participants, plan_max_cycles(config))
 
     return assemble_result(
         setup,
@@ -599,10 +583,10 @@ def run_to_completion(
         extra_cycles += 1
 
 
-def plan_max_cycles(config: ChiaroscuroConfig, max_extra_cycles: int = 50) -> int:
+def plan_max_cycles(config: ChiaroscuroConfig) -> int:
     """Cycle budget of a run (shared by the cycle engine and the live runner)."""
     cycles_per_iteration = config.gossip.cycles_per_aggregation + 3
-    return config.kmeans.max_iterations * cycles_per_iteration + max_extra_cycles
+    return config.kmeans.max_iterations * cycles_per_iteration + MAX_EXTRA_CYCLES
 
 
 def run_log_metadata(setup: RunSetup, collection_name: str) -> dict[str, Any]:

@@ -51,7 +51,6 @@ from ..privacy.noise_shares import NoiseShareSpec, draw_noise_share
 from ..privacy.probabilistic import guarantee_for_run
 from ..simulation.rng import RngRegistry
 from ..simulation.slab import (
-    PopulationSlabs,
     ShardCoordinator,
     blockwise_assign,
     blockwise_cluster_sums,
@@ -65,6 +64,7 @@ from .convergence import iteration_policy, perturbed_means
 from .execution_log import ExecutionLog, IterationRecord
 from .result import ChiaroscuroResult, CostSummary
 from .runner import (
+    N_TRACKED_PARTICIPANTS,
     build_run_setup,
     make_engine,
     plan_max_cycles,
@@ -183,7 +183,6 @@ def _run_crypto_sample(
     config: ChiaroscuroConfig,
     sample_ids: np.ndarray,
     normalize: bool,
-    max_extra_cycles: int,
 ) -> dict[str, Any]:
     """Run the real pipeline on the sample, metering per-node costs.
 
@@ -221,9 +220,7 @@ def _run_crypto_sample(
 
     for participant in participants:
         _meter(participant)
-    run_to_completion(
-        engine, participants, plan_max_cycles(sub_config, max_extra_cycles)
-    )
+    run_to_completion(engine, participants, plan_max_cycles(sub_config))
     if not all(p.is_done for p in participants):
         raise ProtocolError("crypto sample sub-run did not terminate")
     stats = engine.network.per_node_stats()
@@ -274,23 +271,17 @@ def run_slab_chiaroscuro(
     collection: TimeSeriesCollection,
     config: ChiaroscuroConfig | None = None,
     normalize: bool = True,
-    n_tracked_participants: int = 4,
-    max_extra_cycles: int = 50,
 ) -> ChiaroscuroResult:
     """Run Chiaroscuro with the slab population engine (see module docstring)."""
     config = config if config is not None else ChiaroscuroConfig()
     if config.runtime.crypto_sample_fraction < 1.0:
-        return _run_sampled(
-            collection, config, normalize, n_tracked_participants, max_extra_cycles
-        )
+        return _run_sampled(collection, config, normalize)
     # Sampling fraction 1.0: delegate to the object engine (bit-identical)
     # and attach the measured population-cost block.
     result = run_chiaroscuro(
         collection,
         config.with_overrides(runtime={"engine": "object"}),
         normalize=normalize,
-        n_tracked_participants=n_tracked_participants,
-        max_extra_cycles=max_extra_cycles,
     )
     costs = result.costs
     measured = {
@@ -323,8 +314,6 @@ def _run_sampled(
     collection: TimeSeriesCollection,
     config: ChiaroscuroConfig,
     normalize: bool,
-    n_tracked_participants: int,
-    max_extra_cycles: int,
 ) -> ChiaroscuroResult:
     """Sampling fraction below 1: vectorised bulk path + sampled crypto."""
     population = len(collection)
@@ -352,27 +341,11 @@ def _run_sampled(
     tracked_ids = sorted(
         int(i)
         for i in sampling_rng.choice(
-            n, size=min(n_tracked_participants, n), replace=False
+            n, size=min(N_TRACKED_PARTICIPANTS, n), replace=False
         )
     )
 
     width = k * (series_length + 1)
-    coordinator = ShardCoordinator(
-        n,
-        width,
-        shards=config.runtime.slab_shards,
-        dtype=config.runtime.slab_dtype,
-        backing=config.runtime.slab_backing,
-        chunk_rows=config.runtime.slab_chunk_rows,
-        data=data,
-    )
-    slabs = PopulationSlabs.allocate(
-        data,
-        k,
-        estimates=coordinator.estimates,
-        online=coordinator.online,
-        assigned=coordinator.assigned,
-    )
     # Modelled wire payload of one gossip message: the protocol ships float64
     # estimate vectors regardless of the engine-internal slab dtype.
     row_bytes = width * 8
@@ -401,8 +374,16 @@ def _run_sampled(
     bulk_dropped = 0
     bulk_corrupted = 0
     timer = PhaseTimer()
-    wall_begin = time.perf_counter()
-    try:
+    with ShardCoordinator(
+        n,
+        width,
+        shards=config.runtime.slab_shards,
+        dtype=config.runtime.slab_dtype,
+        backing=config.runtime.slab_backing,
+        chunk_rows=config.runtime.slab_chunk_rows,
+        data=data,
+    ) as coordinator:
+        wall_begin = time.perf_counter()
         while True:
             timer.start_iteration()
             with timer.phase("analysis"):
@@ -417,7 +398,7 @@ def _run_sampled(
             accountant.spend(epsilon, label=f"iteration-{iteration}")
             with timer.phase("assignment"):
                 previous_assigned = (
-                    slabs.assigned.copy() if iteration > 1 else None
+                    coordinator.assigned.copy() if iteration > 1 else None
                 )
                 coordinator.assign(centroids)
                 # Reference-free convergence signal: the fraction of nodes
@@ -427,7 +408,7 @@ def _run_sampled(
                 # directly in label space — a flat 1.0 tail is the slab
                 # run's convergence curve.
                 label_agreement = (
-                    float(np.mean(slabs.assigned == previous_assigned))
+                    float(np.mean(coordinator.assigned == previous_assigned))
                     if previous_assigned is not None else 1.0
                 )
             with timer.phase("scatter"):
@@ -441,7 +422,7 @@ def _run_sampled(
                 for node in contributors:
                     for cluster in range(k):
                         start = cluster * (series_length + 1)
-                        slabs.estimates[node, start:start + series_length + 1] += (
+                        coordinator.estimates[node, start:start + series_length + 1] += (
                             draw_noise_share(spec, noise_rng)
                         )
             messages_before = bulk_messages
@@ -451,18 +432,14 @@ def _run_sampled(
             for _cycle in range(config.gossip.cycles_per_aggregation):
                 with timer.phase("churn"):
                     slab_churn_step(
-                        slabs.online,
+                        coordinator.online,
                         config.simulation.churn_rate,
                         config.simulation.rejoin_rate,
                         churn_rng,
-                        rng_draws=slabs.rng_draws,
                     )
                 for _exchange in range(config.gossip.exchanges_per_cycle):
                     with timer.phase("pairing"):
-                        pairs = pair_online(
-                            slabs.online, pairing_rng, rng_draws=slabs.rng_draws
-                        )
-                        slabs.last_pairing = pairs
+                        pairs = pair_online(coordinator.online, pairing_rng)
                         plan = (
                             plan_pair_faults(
                                 pairs,
@@ -497,7 +474,7 @@ def _run_sampled(
                 )
             with timer.phase("analysis"):
                 noise_free_means = _bulk_noise_free_means(
-                    data, slabs.assigned, perturbed
+                    data, coordinator.assigned, perturbed
                 )
             iteration_costs = {
                 "messages_sent": float(bulk_messages - messages_before),
@@ -521,7 +498,7 @@ def _run_sampled(
                     noise_free_means=noise_free_means,
                     displacement=displacement,
                     tracked_assignments={
-                        node_id: int(slabs.assigned[node_id])
+                        node_id: int(coordinator.assigned[node_id])
                         for node_id in tracked_ids
                     },
                     costs=iteration_costs,
@@ -535,22 +512,13 @@ def _run_sampled(
             if stop:
                 stop_reason = reason
                 break
-    finally:
-        # Drop the slab views into the coordinator's shared mappings before
-        # it unlinks them (everything after the loop recomputes from data).
-        slabs.estimates = np.empty((0, 0), dtype=np.float64)
-        slabs.online = np.empty(0, dtype=bool)
-        slabs.assigned = np.empty(0, dtype=np.int32)
-        coordinator.close()
 
     # ---------------------------------------------------------------- sample
     with timer.phase("sample"):
         sample_ids = _stratified_sample(
             data, initial_centroids, _sample_size(config, population), sampling_rng
         )
-        sample = _run_crypto_sample(
-            collection, config, sample_ids, normalize, max_extra_cycles
-        )
+        sample = _run_crypto_sample(collection, config, sample_ids, normalize)
         iterations = max(1, iteration)
         factor = iterations / max(1, sample["iterations"])
         ops = sample["per_node_ops"]

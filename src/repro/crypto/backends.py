@@ -106,17 +106,6 @@ class OperationCounter:
     pooled_encryptions: int = 0
     rerandomizations: int = 0
 
-    def merge(self, other: "OperationCounter") -> "OperationCounter":
-        """Return a new counter with the element-wise sums."""
-        return OperationCounter(
-            encryptions=self.encryptions + other.encryptions,
-            additions=self.additions + other.additions,
-            partial_decryptions=self.partial_decryptions + other.partial_decryptions,
-            combinations=self.combinations + other.combinations,
-            pooled_encryptions=self.pooled_encryptions + other.pooled_encryptions,
-            rerandomizations=self.rerandomizations + other.rerandomizations,
-        )
-
     def as_dict(self) -> dict[str, int]:
         """Plain dictionary view (for logs and reports)."""
         return {

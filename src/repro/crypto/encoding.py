@@ -89,11 +89,6 @@ class FixedPointCodec:
         """Boundary between the positive and negative halves of the space."""
         return self.modulus // 2
 
-    @property
-    def max_absolute_value(self) -> float:
-        """Largest real magnitude that can be encoded without wrapping."""
-        return self.half_modulus / self.scale
-
     # ------------------------------------------------------------------ scalars
     def encode(self, value: float) -> int:
         """Encode one real number into the plaintext space."""
@@ -169,18 +164,6 @@ class FixedPointCodec:
         # unlike converting the (possibly huge) numerator to float first.
         return np.array([value / self.scale for value in signed], dtype=float)
 
-    # ------------------------------------------------------------------ safety
-    def max_safe_terms(self, value_bound: float) -> int:
-        """How many values bounded by *value_bound* can be summed without overflow.
-
-        The Chiaroscuro computation step sums at most ``n_participants``
-        encodings plus the noise shares; callers use this bound to check that
-        the configured key size leaves enough headroom.
-        """
-        if value_bound <= 0:
-            raise ValidationError(f"value_bound must be > 0, got {value_bound}")
-        per_term = int(round(value_bound * self.scale)) + 1
-        return max(0, (self.half_modulus - 1) // per_term)
 
 @dataclass(frozen=True)
 class PackedCodec:
@@ -297,11 +280,6 @@ class PackedCodec:
     def slot_mask(self) -> int:
         """Bit mask extracting one slot."""
         return (1 << self.slot_bits) - 1
-
-    @property
-    def max_absolute_value(self) -> float:
-        """Largest real magnitude one fresh slot can encode."""
-        return (self.offset - 1) / self.scale
 
     @cached_property
     def _scalar_codec(self) -> FixedPointCodec:

@@ -406,7 +406,6 @@ class BlinderPool:
         self._condition = threading.Condition()
         self._refill_thread: threading.Thread | None = None
         self._refill_stop: threading.Event | None = None
-        self._low_water: int | None = None
 
     def __len__(self) -> int:
         return len(self._pool)
@@ -416,11 +415,8 @@ class BlinderPool:
         """Pool level at which :meth:`take` wakes the refill thread.
 
         Half the *current* batch size (the backend resizes the batch from
-        the run's demand after construction) unless
-        :meth:`start_background_refill` was given an explicit mark.
+        the run's demand after construction).
         """
-        if self._low_water is not None:
-            return self._low_water
         return max(1, self.batch_size // 2)
 
     def _fresh_blinder(self) -> int:
@@ -470,7 +466,7 @@ class BlinderPool:
             self._pool.clear()
 
     # ------------------------------------------------------------------ background refill
-    def start_background_refill(self, low_water: int | None = None) -> None:
+    def start_background_refill(self) -> None:
         """Keep the pool topped up from a daemon worker thread.
 
         Real deployments refill blinder pools in idle time; this moves the
@@ -482,10 +478,6 @@ class BlinderPool:
         running.
         """
         with self._condition:
-            if low_water is not None:
-                if low_water < 1:
-                    raise CryptoError(f"low_water must be >= 1, got {low_water}")
-                self._low_water = low_water
             if self._refill_thread is not None:
                 return
             # Each thread gets its own stop event: even if a stop times out

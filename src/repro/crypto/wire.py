@@ -176,8 +176,8 @@ class WireReader:
     """Sequential decoder over one byte buffer.
 
     Every accessor validates bounds and canonicality and raises
-    :class:`WireFormatError` on any malformed input; the caller finishes
-    with :meth:`expect_end` so trailing garbage is rejected too.
+    :class:`WireFormatError` on any malformed input; the caller checks
+    :attr:`remaining` at the end so trailing garbage is rejected too.
     """
 
     __slots__ = ("_data", "_offset", "_end")
@@ -359,11 +359,6 @@ class WireReader:
         ])
         self._offset = stop
         return backend_name, length, packed == 1, weight, payload
-
-    def expect_end(self) -> None:
-        """Raise unless the buffer was consumed exactly."""
-        if self.remaining:
-            raise WireFormatError(f"{self.remaining} trailing bytes after the payload")
 
 
 # ---------------------------------------------------------------------------

@@ -569,29 +569,9 @@ class ExperimentSpec:
             )
         return cls.from_dict(payload)
 
-    def save(self, path: str | Path) -> Path:
-        """Write the spec as JSON and return the path.
-
-        Only ``.json`` targets are accepted: silently writing JSON into a
-        ``.toml`` file would produce a spec :meth:`from_file` then rejects
-        (the loader dispatches its parser on the suffix, and the standard
-        library has no TOML writer).
-        """
-        path = Path(path)
-        if path.suffix.lower() != ".json":
-            raise ExperimentError(
-                f"save() writes JSON; target {path.name!r} must use a .json suffix"
-            )
-        path.write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")
-        return path
-
     @property
     def spec_hash(self) -> str:
         """Stable content hash of the whole spec (recorded in store rows)."""
         return hashlib.sha256(
             canonical_json(self.to_dict()).encode("utf-8")
         ).hexdigest()
-
-    def cell_keys(self) -> list[str]:
-        """The store cache key of every cell, in expansion order."""
-        return [cell.key for cell in self.expand()]

@@ -236,7 +236,3 @@ class ResultStore:
             key for key, row in self.latest_by_key().items()
             if row.get("status") == "ok"
         }
-
-    def has(self, key: str) -> bool:
-        """Whether *key*'s latest row is a completed result."""
-        return key in self.completed_keys()

@@ -237,9 +237,6 @@ class Frame:
     def __getitem__(self, index: int | slice) -> int | bytes:
         return bytes(self)[index]
 
-    def hex(self) -> str:
-        return bytes(self).hex()
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Frame):
             other = bytes(other)

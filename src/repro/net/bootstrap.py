@@ -126,13 +126,6 @@ class MembershipDirectory:
             raise ProtocolError(f"node {node_id} was announced without an address")
         return record.address
 
-    def worker_of(self, node_id: int) -> int:
-        """Worker index hosting *node_id*."""
-        record = self.record(node_id)
-        if record.worker is None:
-            raise ProtocolError(f"node {node_id} was announced without a worker")
-        return record.worker
-
     def online_ids(self) -> list[int]:
         """Ids of every announced-online participant (in node-id order)."""
         return sorted(

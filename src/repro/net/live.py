@@ -1093,11 +1093,9 @@ def _worker_main(worker_index: int, setup: RunSetup, local_ids: list[int],
 class LiveRunner:
     """Coordinates one live run: spawn, bootstrap, step, collect."""
 
-    def __init__(self, setup: RunSetup, collection_name: str,
-                 max_extra_cycles: int = 50) -> None:
+    def __init__(self, setup: RunSetup, collection_name: str) -> None:
         self.setup = setup
         self.collection_name = collection_name
-        self.max_extra_cycles = max_extra_cycles
         config = setup.config
         self.n_processes = min(config.runtime.processes, setup.n_participants)
         self.shards = [
@@ -1169,7 +1167,7 @@ class LiveRunner:
             await self._unless_a_worker_fails(self._connected.wait())
             await self._unless_a_worker_fails(self._announced.wait())
             await self._unless_a_worker_fails(self._bootstrap())
-            max_cycles = plan_max_cycles(self.setup.config, self.max_extra_cycles)
+            max_cycles = plan_max_cycles(self.setup.config)
             if self.setup.config.runtime.stepping == "concurrent":
                 collected, cycles_run = await self._step_concurrently(max_cycles)
             else:
@@ -1370,8 +1368,6 @@ def run_live_chiaroscuro(
     collection: TimeSeriesCollection,
     config: ChiaroscuroConfig | None = None,
     normalize: bool = True,
-    n_tracked_participants: int = 4,
-    max_extra_cycles: int = 50,
 ) -> Any:
     """Run the protocol over real sockets and return a ChiaroscuroResult.
 
@@ -1387,11 +1383,8 @@ def run_live_chiaroscuro(
     config = config if config is not None else ChiaroscuroConfig()
     if config.runtime.mode != "live":
         config = config.with_overrides(runtime={"mode": "live"})
-    setup = build_run_setup(
-        collection, config, normalize=normalize,
-        n_tracked_participants=n_tracked_participants,
-    )
-    runner = LiveRunner(setup, collection.name, max_extra_cycles=max_extra_cycles)
+    setup = build_run_setup(collection, config, normalize=normalize)
+    runner = LiveRunner(setup, collection.name)
     outcome = runner.run()
 
     nodes: list[dict[str, Any]] = []
@@ -1452,8 +1445,6 @@ def run_live_chiaroscuro(
             collection,
             config.with_overrides(runtime={"mode": "cycle"}),
             normalize=normalize,
-            n_tracked_participants=n_tracked_participants,
-            max_extra_cycles=max_extra_cycles,
         )
         result.costs = replace(
             result.costs, envelope=nondeterminism_envelope(result, reference)

@@ -6,7 +6,6 @@ from .node import Node
 from .observers import Observer
 from .rng import RngRegistry
 from .slab import (
-    PopulationSlabs,
     ShardCoordinator,
     average_pairs_inplace,
     pair_online,
@@ -21,7 +20,6 @@ __all__ = [
     "Node",
     "Observer",
     "RngRegistry",
-    "PopulationSlabs",
     "ShardCoordinator",
     "average_pairs_inplace",
     "pair_online",

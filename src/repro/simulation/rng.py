@@ -40,18 +40,6 @@ class RngRegistry:
             self._streams[name] = np.random.default_rng(self._seed_for(name))
         return self._streams[name]
 
-    def spawn(self, name: str) -> np.random.Generator:
-        """Return a fresh stream for *name*, independent of previous calls.
-
-        Unlike :meth:`stream`, repeated calls with the same name return
-        different generators (each seeded from the call count), which is what
-        per-run components such as repeated experiments want.
-        """
-        count = sum(1 for key in self._streams if key == name or key.startswith(f"{name}#"))
-        unique = f"{name}#{count}"
-        self._streams[unique] = np.random.default_rng(self._seed_for(unique))
-        return self._streams[unique]
-
     def names(self) -> tuple[str, ...]:
         """Names of every stream created so far."""
         return tuple(sorted(self._streams))

@@ -3,9 +3,9 @@
 Cycle mode's object engine instantiates one Python participant per node,
 which tops out around thousands of nodes.  This module holds the population
 state in struct-of-arrays NumPy slabs instead — estimates, online flags,
-assignments, per-node RNG-draw counters — and executes gossip rounds as
-vectorised slab operations, optionally sharded across worker processes over
-shared mappings.  The protocol-level loop that drives these slabs lives in
+assignments, all owned by a :class:`ShardCoordinator` — and executes gossip
+rounds as vectorised slab operations, optionally sharded across worker
+processes over shared mappings.  The protocol-level loop that drives these slabs lives in
 :mod:`repro.core.slab_runner`.
 
 Out-of-core layout
@@ -58,7 +58,7 @@ import mmap
 import multiprocessing
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Any, Iterator
 
@@ -183,93 +183,11 @@ def advise_random(array: np.ndarray) -> None:
     mapping.madvise(mmap.MADV_RANDOM)
 
 
-@dataclass
-class PopulationSlabs:
-    """Struct-of-arrays state of a slab-engine population.
-
-    Attributes
-    ----------
-    data:
-        ``(n, series_length)`` participant series (read-only input).
-    estimates:
-        ``(n, n_clusters * (series_length + 1))`` per-node gossip estimates:
-        for each cluster a ``series_length``-sum block followed by one count
-        slot (the layout of the protocol's per-cluster estimates).
-    online:
-        ``(n,)`` boolean online flags driven by the churn model.
-    assigned:
-        ``(n,)`` current cluster assignment of every node.
-    rng_draws:
-        ``(n,)`` number of churn/pairing uniforms consumed on behalf of
-        each node — the audit trail the determinism tests check.
-    last_pairing:
-        The ``(pairs, 2)`` node-index matching of the most recent gossip
-        round (empty before the first round).
-    """
-
-    data: np.ndarray
-    estimates: np.ndarray
-    online: np.ndarray
-    assigned: np.ndarray
-    rng_draws: np.ndarray
-    last_pairing: np.ndarray = field(
-        default_factory=lambda: np.empty((0, 2), dtype=np.int64)
-    )
-
-    @classmethod
-    def allocate(
-        cls,
-        data: np.ndarray,
-        n_clusters: int,
-        estimates: np.ndarray | None = None,
-        online: np.ndarray | None = None,
-        assigned: np.ndarray | None = None,
-    ) -> "PopulationSlabs":
-        """Allocate fresh slabs for *data* (*estimates*, *online* and
-        *assigned* may be pre-owned, e.g. a :class:`ShardCoordinator`'s
-        shared views).  ``float32`` data is kept as-is (the out-of-core
-        reduced-precision path); everything else is coerced to float64."""
-        data = np.asarray(data)
-        if data.dtype != np.float32:
-            data = np.ascontiguousarray(data, dtype=np.float64)
-        if data.ndim != 2:
-            raise SimulationError(f"slab data must be 2-D, got shape {data.shape}")
-        check_positive_int(n_clusters, "n_clusters")
-        n, series_length = data.shape
-        width = n_clusters * (series_length + 1)
-        if estimates is None:
-            estimates = np.zeros((n, width), dtype=np.float64)
-        if estimates.shape != (n, width):
-            raise SimulationError(
-                f"estimates slab shape {estimates.shape} != {(n, width)}"
-            )
-        if online is None:
-            online = np.ones(n, dtype=bool)
-        if online.shape != (n,):
-            raise SimulationError(f"online slab shape {online.shape} != {(n,)}")
-        if assigned is None:
-            assigned = np.zeros(n, dtype=np.int32)
-        if assigned.shape != (n,):
-            raise SimulationError(f"assigned slab shape {assigned.shape} != {(n,)}")
-        return cls(
-            data=data,
-            estimates=estimates,
-            online=online,
-            assigned=assigned,
-            rng_draws=np.zeros(n, dtype=np.int64),
-        )
-
-    @property
-    def n_nodes(self) -> int:
-        return int(self.data.shape[0])
-
-
 def slab_churn_step(
     online: np.ndarray,
     churn_rate: float,
     rejoin_rate: float,
     rng: np.random.Generator,
-    rng_draws: np.ndarray | None = None,
 ) -> np.ndarray:
     """Apply one churn cycle to the *online* slab in place.
 
@@ -290,8 +208,6 @@ def slab_churn_step(
         subjects = np.nonzero(online)[0]
         draws = rng.random(subjects.shape[0])
         thresholds = np.full(subjects.shape[0], churn_rate)
-    if rng_draws is not None:
-        rng_draws[subjects] += 1
     flipped = subjects[draws < thresholds]
     online[flipped] = ~online[flipped]
     return flipped
@@ -300,7 +216,6 @@ def slab_churn_step(
 def pair_online(
     online: np.ndarray,
     rng: np.random.Generator,
-    rng_draws: np.ndarray | None = None,
 ) -> np.ndarray:
     """Draw one random gossip matching of the online nodes.
 
@@ -313,8 +228,6 @@ def pair_online(
     if candidates.shape[0] < 2:
         return np.empty((0, 2), dtype=np.int64)
     order = rng.permutation(candidates)
-    if rng_draws is not None:
-        rng_draws[candidates] += 1
     n_pairs = order.shape[0] // 2
     return order[: 2 * n_pairs].reshape(n_pairs, 2).astype(np.int64, copy=False)
 

@@ -100,10 +100,6 @@ class TimeSeriesCollection:
             name=self.name if name is None else name,
         )
 
-    def normalized(self, method: str = "minmax") -> "TimeSeriesCollection":
-        """Return a copy with every series normalised independently."""
-        return self.map(lambda entry: entry.normalized(method))
-
     def clipped(self, lower: float, upper: float) -> "TimeSeriesCollection":
         """Return a copy with every series clipped into [lower, upper]."""
         return self.map(lambda entry: entry.clipped(lower, upper))
@@ -134,10 +130,6 @@ class TimeSeriesCollection:
         return first, second
 
     # ------------------------------------------------------------------ serialisation
-    def to_dicts(self) -> list[dict[str, Any]]:
-        """Serialise every series via :meth:`TimeSeries.to_dict`."""
-        return [entry.to_dict() for entry in self._series]
-
     @classmethod
     def from_matrix(
         cls,
@@ -273,7 +265,3 @@ class MatrixBackedCollection(TimeSeriesCollection):
             raise TimeSeriesError("subset requires at least one index")
         picked = [self._row(int(i)) for i in indices]
         return TimeSeriesCollection(picked, name=self.name if name is None else name)
-
-    # -------------------------------------------------------------- serialisation
-    def to_dicts(self) -> list[dict[str, Any]]:
-        return [entry.to_dict() for entry in self]

@@ -78,29 +78,9 @@ class TimeSeries:
         """Number of points in the series."""
         return len(self)
 
-    def copy_with(self, values: np.ndarray | None = None, **metadata: Any) -> "TimeSeries":
-        """Return a copy, optionally replacing values and/or merging metadata."""
-        new_values = self.values if values is None else values
-        merged = dict(self.metadata)
-        merged.update(metadata)
-        return TimeSeries(np.array(new_values, dtype=float), self.series_id, merged)
-
-    def subsequence(self, start: int, end: int) -> "TimeSeries":
-        """Return the sub-series covering positions ``start`` (included) to
-        ``end`` (excluded), as used by the "Bob" closest-profile search."""
-        if not 0 <= start < end <= len(self):
-            raise TimeSeriesError(
-                f"invalid subsequence bounds [{start}, {end}) for a series of length {len(self)}"
-            )
-        return TimeSeries(self.values[start:end].copy(), self.series_id, dict(self.metadata))
-
     def mean(self) -> float:
         """Average value of the series."""
         return float(np.mean(self.values))
-
-    def std(self) -> float:
-        """Standard deviation of the series."""
-        return float(np.std(self.values))
 
     def min(self) -> float:
         """Smallest value of the series."""
@@ -109,33 +89,6 @@ class TimeSeries:
     def max(self) -> float:
         """Largest value of the series."""
         return float(np.max(self.values))
-
-    def normalized(self, method: str = "minmax") -> "TimeSeries":
-        """Return a normalised copy.
-
-        ``"minmax"`` rescales to [0, 1] (constant series map to 0.5),
-        ``"zscore"`` centres and scales to unit variance (constant series map
-        to 0), ``"unit"`` divides by the maximum absolute value.
-        """
-        values = self.values
-        if method == "minmax":
-            span = float(values.max() - values.min())
-            if span == 0.0:
-                normal = np.full_like(values, 0.5)
-            else:
-                normal = (values - values.min()) / span
-        elif method == "zscore":
-            scale = float(values.std())
-            if scale == 0.0:
-                normal = np.zeros_like(values)
-            else:
-                normal = (values - values.mean()) / scale
-        elif method == "unit":
-            peak = float(np.abs(values).max())
-            normal = values / peak if peak > 0.0 else np.zeros_like(values)
-        else:
-            raise TimeSeriesError(f"unknown normalisation method {method!r}")
-        return TimeSeries(normal, self.series_id, dict(self.metadata))
 
     def clipped(self, lower: float, upper: float) -> "TimeSeries":
         """Return a copy with values clipped into [lower, upper].

@@ -180,7 +180,9 @@ class TestExperimentCommands:
             sweep={"privacy.epsilon": [2.0, 4.0]},
             metrics={"reference": False},
         )
-        return str(spec.save(tmp_path / "cli_unit.json"))
+        path = tmp_path / "cli_unit.json"
+        path.write_text(json.dumps(spec.to_dict()), encoding="utf-8")
+        return str(path)
 
     def test_experiment_run_and_resume(self, spec_file, tmp_path, capsys):
         store = str(tmp_path / "store.jsonl")

@@ -224,7 +224,7 @@ class TestIterationPolicy:
         result = run_chiaroscuro(collection, config)
         assert result.metadata["engine"]["name"] == "slab"
         _, strategy, _, _ = iteration_policy(config, result.profiles.shape[1])
-        spends = [record.epsilon_spent for record in result.log.records]
+        spends = [record.epsilon_spent for record in result.log]
         assert len(spends) == result.n_iterations
         assert spends == pytest.approx(strategy.schedule()[:len(spends)])
         assert result.epsilon_spent == pytest.approx(sum(spends))

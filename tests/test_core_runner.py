@@ -11,6 +11,7 @@ from repro.baselines import centralized_kmeans
 from repro.clustering import adjusted_rand_index
 from repro.core.convergence import iteration_policy
 from repro.core.runner import (
+    MAX_EXTRA_CYCLES,
     denormalize_profiles,
     normalize_collection,
     plan_max_cycles,
@@ -122,7 +123,7 @@ class TestRunOutcome:
 
     def test_budget_follows_the_iteration_policy(self, result, fast_config):
         _, strategy, _, _ = iteration_policy(fast_config, result.profiles.shape[1])
-        spends = [record.epsilon_spent for record in result.log.records]
+        spends = [record.epsilon_spent for record in result.log]
         assert len(spends) == result.n_iterations
         assert spends == pytest.approx(strategy.schedule()[:len(spends)])
         assert result.epsilon_spent == pytest.approx(sum(spends))
@@ -130,8 +131,8 @@ class TestRunOutcome:
     def test_cycle_budget_covers_every_iteration(self, fast_config):
         """Each iteration is budgeted its gossip cycles plus three more; 50
         spare cycles absorb stragglers."""
-        assert plan_max_cycles(fast_config) == 4 * (6 + 3) + 50
-        assert plan_max_cycles(fast_config, max_extra_cycles=0) == 4 * 9
+        assert MAX_EXTRA_CYCLES == 50
+        assert plan_max_cycles(fast_config) == 4 * (6 + 3) + MAX_EXTRA_CYCLES
 
     def test_costs_are_positive_and_consistent(self, result, collection):
         costs = result.costs

@@ -291,8 +291,10 @@ class TestBackgroundRefill:
             for m, r in zip(range(1, n_messages + 1), draws)
         ]
         stream = iter(draws)
-        pool = BlinderPool(PRECOMPUTED[1], batch_size=2, rng=lambda _n: next(stream))
-        pool.start_background_refill(low_water=2)
+        # Batch 4: the refiller wakes at 2 and keeps at most 6 pooled, so the
+        # 12 takes draw at most 18 of the 20 prepared values.
+        pool = BlinderPool(PRECOMPUTED[1], batch_size=4, rng=lambda _n: next(stream))
+        pool.start_background_refill()
         try:
             pooled = []
             for m in range(1, n_messages + 1):
@@ -309,8 +311,9 @@ class TestBackgroundRefill:
     def test_background_refill_keeps_pool_above_low_water(self):
         import time
 
-        pool = BlinderPool(PRECOMPUTED[1], batch_size=4)
-        pool.start_background_refill(low_water=3)
+        pool = BlinderPool(PRECOMPUTED[1], batch_size=6)
+        assert pool.low_water == 3
+        pool.start_background_refill()
         try:
             deadline = time.monotonic() + 5.0
             while len(pool) <= 3 and time.monotonic() < deadline:
@@ -342,8 +345,7 @@ class TestBackgroundRefill:
         pool.start_background_refill()
         pool.stop_background_refill()
         pool.stop_background_refill()
-        with pytest.raises(CryptoError):
-            pool.start_background_refill(low_water=0)
+        assert pool._refill_thread is None
 
     def test_wake_up_mark_follows_a_resized_batch(self):
         """The backend sizes the batch after construction; the mark at which
@@ -354,10 +356,6 @@ class TestBackgroundRefill:
         assert pool.low_water == 512
         pool.batch_size = 1
         assert pool.low_water == 1
-        pool.start_background_refill(low_water=5)
-        pool.stop_background_refill()
-        pool.batch_size = 64
-        assert pool.low_water == 5  # an explicit mark is kept
 
     def test_configure_pool_sizes_the_batch_and_the_mark(self):
         backend = DamgardJurikBackend(key_bits=128, threshold=2, n_shares=3)

@@ -153,7 +153,7 @@ class TestPackedCodecHeadroom:
     def test_slot_overflow_raises(self):
         codec = small_codec(value_bound=1.0)
         with pytest.raises(EncodingOverflowError):
-            codec.pack_vector([codec.max_absolute_value + 1.0])
+            codec.pack_vector([(codec.offset - 1) / codec.scale + 1.0])
 
     def test_plan_respects_slot_cap(self):
         assert small_codec(slots=4).slots == 4

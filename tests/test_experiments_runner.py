@@ -62,7 +62,7 @@ class TestRunAndResume:
         assert progress.failed == 0
         assert progress.skipped == 0
         rows = store.rows()
-        assert [row["key"] for row in rows] == spec.cell_keys()
+        assert [row["key"] for row in rows] == [cell.key for cell in spec.expand()]
         assert all(row["status"] == "ok" for row in rows)
         assert all(row["experiment"] == "runner-unit" for row in rows)
 
@@ -84,7 +84,7 @@ class TestRunAndResume:
         progress = run_experiment(widened, store, jobs=2, resume=True)
         assert progress.skipped == 4
         assert progress.executed == 2
-        assert store.completed_keys() >= set(widened.cell_keys())
+        assert store.completed_keys() >= {cell.key for cell in widened.expand()}
 
     def test_without_resume_everything_reruns(self, tmp_path):
         spec = _spec(repeats=1)
@@ -276,7 +276,7 @@ class TestLivePortSlots:
         assert all(row["status"] == "ok" for row in rows)
         # The slot shift is applied inside the worker, after keying: the
         # stored cell keys are exactly the spec's (resume-compatible).
-        assert [row["key"] for row in rows] == spec.cell_keys()
+        assert [row["key"] for row in rows] == [cell.key for cell in spec.expand()]
 
 
 class TestQualityMetrics:

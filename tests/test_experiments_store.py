@@ -117,17 +117,15 @@ class TestCacheSemantics:
         store.append(_row("bad", "error", {"error": "boom"}))
         store.append(_row("slow", "timeout", {"error": "too slow"}))
         assert store.completed_keys() == {"good"}
-        assert store.has("good")
-        assert not store.has("bad")
 
     def test_latest_row_wins(self, tmp_path):
         store = ResultStore(tmp_path / "rows.jsonl")
         store.append(_row("cell", "error", {"error": "first try"}))
         store.append(_row("cell", "ok"))
-        assert store.has("cell")
+        assert store.completed_keys() == {"cell"}
         # ... and a later failure invalidates the cache again.
         store.append(_row("cell", "timeout", {"error": "regression"}))
-        assert not store.has("cell")
+        assert store.completed_keys() == set()
 
     def test_latest_by_key_holds_the_last_row_of_each_key(self, tmp_path):
         store = ResultStore(tmp_path / "rows.jsonl")

@@ -40,7 +40,7 @@ class TestAnnouncementRoundTrip:
         decoded = deserialize(frame)
         assert decoded == MembershipAnnouncement(node_id=3, online=True, cycle=0)
         assert directory.address_of(3) == ("127.0.0.1", 9000)
-        assert directory.worker_of(3) == 1
+        assert directory.record(3).worker == 1
 
 
 class TestMembershipDirectory:
@@ -54,7 +54,7 @@ class TestMembershipDirectory:
         assert len(directory) == 4
         assert directory.online_ids() == [0, 1, 2, 3]
         assert directory.address_of(2) == ("127.0.0.1", 9000)
-        assert directory.worker_of(3) == 1
+        assert directory.record(3).worker == 1
 
     def test_leave_announcement_keeps_the_address(self):
         directory = MembershipDirectory()

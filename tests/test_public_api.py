@@ -12,9 +12,9 @@ import repro
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: Public names nothing in ``src/``, ``examples/`` or ``benchmarks/`` reads,
-#: kept because a test uses them to check a run-path function: the value
-#: names that function.
+#: Public names (functions, classes, methods, properties) nothing in
+#: ``src/``, ``examples/`` or ``benchmarks/`` reads, kept because a test uses
+#: them to check a run-path function: the value names that function.
 TESTED_REFERENCES = {
     "repro.crypto.threshold.threshold_decrypt":
         "repro.crypto.threshold.combine_partial_decryptions",
@@ -28,6 +28,12 @@ TESTED_REFERENCES = {
     "repro.datasets.synthetic.generate_constant_series": "repro.core.runner.run_chiaroscuro",
     "repro.gossip.encrypted_sum.decode_estimate":
         "repro.gossip.encrypted_sum.average_estimates",
+    "repro.crypto.backends.CipherBackend.multiply_scalar":
+        "repro.crypto.backends.CipherBackend.linear_combination",
+    "repro.crypto.wire.WireReader.read_string":
+        "repro.crypto.wire.WireReader.read_vector_block",
+    "repro.crypto.wire.WireReader.read_ciphertext":
+        "repro.crypto.wire.WireReader.read_vector_block",
 }
 
 
@@ -91,6 +97,9 @@ class TestQuickstartDocstring:
         assert "geometric" in repro.BUDGET_STRATEGIES
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def _loaded_names(node: ast.AST, strings: bool = False) -> set[str]:
     """Names and attributes *node* loads; with *strings*, also every
     identifier inside a string literal (the benchmark tracer patches
@@ -109,9 +118,11 @@ def _loaded_names(node: ast.AST, strings: bool = False) -> set[str]:
 
 def _public_names_and_readers() -> tuple[dict[str, str], set[str]]:
     """``{"repro.pkg.module.name": "name"}`` for every public top-level
-    function and class of a ``src/repro`` module, and every name something
-    in ``src/`` (outside ``__init__`` re-exports and the name's own
-    definition), ``examples/`` or ``benchmarks/`` loads."""
+    function and class of a ``src/repro`` module and
+    ``{"repro.pkg.module.Class.name": "name"}`` for every public method and
+    property of a public class, and every name something in ``src/``
+    (outside ``__init__`` re-exports and the name's own definition),
+    ``examples/`` or ``benchmarks/`` loads."""
     public: dict[str, str] = {}
     readers: set[str] = set()
     for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
@@ -119,22 +130,46 @@ def _public_names_and_readers() -> tuple[dict[str, str], set[str]]:
             continue
         module = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
         for statement in ast.parse(path.read_text()).body:
-            loads = _loaded_names(statement)
-            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not isinstance(statement, (*_FUNCTIONS, ast.ClassDef)):
+                readers |= _loaded_names(statement)
+                continue
+            parts: list[ast.AST] = [statement]
+            if isinstance(statement, ast.ClassDef):
+                parts = [*statement.decorator_list, *statement.bases,
+                         *statement.keywords, *statement.body]
+            for part in parts:
+                loads = _loaded_names(part)
                 loads.discard(statement.name)
-                if not statement.name.startswith("_"):
-                    public[f"{module}.{statement.name}"] = statement.name
-            readers |= loads
+                if isinstance(part, _FUNCTIONS):
+                    loads.discard(part.name)
+                readers |= loads
+            if statement.name.startswith("_"):
+                continue
+            public[f"{module}.{statement.name}"] = statement.name
+            if isinstance(statement, ast.ClassDef):
+                for member in statement.body:
+                    if isinstance(member, _FUNCTIONS) and not member.name.startswith("_"):
+                        public[f"{module}.{statement.name}.{member.name}"] = member.name
     for directory in ("examples", "benchmarks"):
         for path in (ROOT / directory).rglob("*.py"):
             readers |= _loaded_names(ast.parse(path.read_text()), strings=True)
     return public, readers
 
 
+def _resolve(qualified: str) -> object:
+    """The module attribute or class member a dotted name denotes."""
+    owner, _, attribute = qualified.rpartition(".")
+    try:
+        return getattr(importlib.import_module(owner), attribute)
+    except ModuleNotFoundError:
+        return getattr(_resolve(owner), attribute)
+
+
 def test_every_public_name_is_read():
-    """A public function or class nothing runs is dead code: every one is
-    read by a program in the repository, or is registered in
-    ``TESTED_REFERENCES`` with the run-path function its tests check."""
+    """A public function, class, method or property nothing runs is dead
+    code: every one is read by a program in the repository, or is
+    registered in ``TESTED_REFERENCES`` with the run-path function its
+    tests check."""
     public, readers = _public_names_and_readers()
     unread = sorted(
         qualified for qualified, name in public.items()
@@ -150,5 +185,4 @@ def test_tested_references_are_current():
     for reference, checked in TESTED_REFERENCES.items():
         assert reference in public, reference
         assert public[reference] not in readers, f"{reference} is read: unregister it"
-        module, _, attribute = checked.rpartition(".")
-        assert hasattr(importlib.import_module(module), attribute), checked
+        assert callable(_resolve(checked)), checked

@@ -57,12 +57,6 @@ class TestRngRegistry:
         second = RngRegistry(2).stream("x").random(5)
         assert not np.allclose(first, second)
 
-    def test_spawn_gives_fresh_streams(self):
-        registry = RngRegistry(0)
-        a = registry.spawn("exp")
-        b = registry.spawn("exp")
-        assert not np.allclose(a.random(5), b.random(5))
-
     def test_empty_name_rejected(self):
         with pytest.raises(SimulationError):
             RngRegistry(0).stream("")

@@ -9,6 +9,8 @@ one complete miniature run (which is what 0.0 asks for).
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,66 @@ class TestSampledCrypto:
         )
         assert np.array_equal(three.profiles, sampled.profiles)
         assert np.array_equal(three.assignments, sampled.assignments)
+
+
+def _bulk_iteration(messages, label_agreement, dropped=None, corrupted=None):
+    """One iteration's cost record of the 60-node sampled run (600 modelled
+    bytes per bulk message), without its ``phase_seconds.*`` timings."""
+    record = {"messages_sent": messages, "bytes_sent": 600.0 * messages,
+              "label_agreement": label_agreement}
+    if dropped is not None:
+        record.update(dropped_frames=dropped, corrupted_frames=corrupted)
+    return record
+
+
+class TestPinnedSampledRun:
+    """Everything a seeded sampled slab run reports but its timings, pinned.
+
+    The bulk loop's random streams (churn, pairing, noise, loss, corruption)
+    and the sample's object sub-run together decide these numbers, so a
+    change to how the loop holds or steps its state that moves any draw
+    shows up here.  The profiles are pinned as the SHA-256 of their float64
+    bytes."""
+
+    CASES = {
+        "static": (
+            {},
+            "75e7a75575e0e27dab1049d32db1a7998742516917146e219fc7ee67a5d4b0b8",
+            (486, 1252902),
+            (720, 432000, 0, 0),
+            [_bulk_iteration(240.0, 1.0), _bulk_iteration(240.0, 0.0),
+             _bulk_iteration(240.0, 1.0)],
+        ),
+        "churn_and_faults": (
+            {"simulation": {"churn_rate": 0.1, "rejoin_rate": 0.5},
+             "gossip": {"drop_probability": 0.1},
+             "network": {"corruption_rate": 0.05}},
+            "76738af27d758452bea67a3c6304f198200981da3dd5dc4c74cdbd3ba15b2611",
+            (419, 1034544),
+            (572, 343200, 62, 27),
+            [_bulk_iteration(190.0, 1.0, 16.0, 6.0),
+             _bulk_iteration(191.0, 0.0, 25.0, 9.0),
+             _bulk_iteration(191.0, 2 / 3, 21.0, 12.0)],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_run_is_pinned(self, collection, case):
+        overrides, digest, traffic, bulk, iterations = self.CASES[case]
+        result = run_chiaroscuro(
+            collection,
+            make_config(60, crypto_sample_fraction=0.25).with_overrides(**overrides),
+        )
+        assert hashlib.sha256(result.profiles.tobytes()).hexdigest() == digest
+        assert (result.costs.messages_sent, result.costs.bytes_sent) == traffic
+        engine = result.metadata["engine"]
+        assert (engine["bulk_messages_modelled"], engine["bulk_bytes_modelled"],
+                engine["bulk_dropped_frames"], engine["bulk_corrupted_frames"]) == bulk
+        assert [
+            {key: value for key, value in record.items()
+             if not key.startswith("phase_seconds.")}
+            for record in result.costs.iteration_costs
+        ] == iterations
 
 
 class TestLabelAgreementStream:

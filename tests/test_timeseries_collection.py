@@ -70,13 +70,6 @@ class TestViews:
 
 
 class TestTransforms:
-    def test_normalized_per_series(self):
-        collection = TimeSeriesCollection([
-            TimeSeries([0.0, 2.0]), TimeSeries([1.0, 3.0]),
-        ])
-        normalised = collection.normalized("minmax")
-        assert np.allclose(normalised.to_matrix(), [[0.0, 1.0], [0.0, 1.0]])
-
     def test_clipped(self):
         collection = make_collection()
         clipped = collection.clipped(0.0, 2.0)
@@ -113,7 +106,7 @@ class TestTransforms:
 
     def test_map_applies_transform(self):
         collection = make_collection()
-        doubled = collection.map(lambda s: s.copy_with(values=s.values * 2))
+        doubled = collection.map(lambda s: TimeSeries(s.values * 2, s.series_id))
         assert np.allclose(doubled.to_matrix(), collection.to_matrix() * 2)
 
 
@@ -121,7 +114,7 @@ class TestSerialisation:
     def test_dict_round_trip(self):
         collection = make_collection()
         restored = TimeSeriesCollection(
-            [TimeSeries.from_dict(payload) for payload in collection.to_dicts()], name="test"
+            [TimeSeries.from_dict(entry.to_dict()) for entry in collection], name="test"
         )
         assert np.array_equal(restored.to_matrix(), collection.to_matrix())
         assert restored.labels("cluster") == collection.labels("cluster")

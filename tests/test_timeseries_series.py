@@ -64,52 +64,9 @@ class TestBehaviour:
         assert tiny_series.min() == 0.0
         assert tiny_series.max() == 3.0
         assert tiny_series.mean() == pytest.approx(1.5)
-        assert tiny_series.std() == pytest.approx(np.std([0, 1, 2, 3, 2, 1]))
-
-    def test_subsequence(self, tiny_series):
-        sub = tiny_series.subsequence(1, 4)
-        assert np.array_equal(sub.values, np.array([1.0, 2.0, 3.0]))
-        assert sub.series_id == tiny_series.series_id
-
-    def test_subsequence_invalid_bounds(self, tiny_series):
-        with pytest.raises(TimeSeriesError):
-            tiny_series.subsequence(4, 2)
-        with pytest.raises(TimeSeriesError):
-            tiny_series.subsequence(0, 100)
-
-    def test_copy_with_merges_metadata(self, tiny_series):
-        copy = tiny_series.copy_with(note="hello")
-        assert copy.metadata["note"] == "hello"
-        assert copy.metadata["archetype"] == "test"
-        assert copy == tiny_series or copy.values is not tiny_series.values
 
 
-class TestNormalization:
-    def test_minmax(self):
-        series = TimeSeries([0.0, 5.0, 10.0]).normalized("minmax")
-        assert np.allclose(series.values, [0.0, 0.5, 1.0])
-
-    def test_minmax_constant_series(self):
-        series = TimeSeries([3.0, 3.0]).normalized("minmax")
-        assert np.allclose(series.values, [0.5, 0.5])
-
-    def test_zscore(self):
-        series = TimeSeries([1.0, 2.0, 3.0]).normalized("zscore")
-        assert series.mean() == pytest.approx(0.0)
-        assert series.std() == pytest.approx(1.0)
-
-    def test_zscore_constant_series(self):
-        series = TimeSeries([4.0, 4.0]).normalized("zscore")
-        assert np.allclose(series.values, [0.0, 0.0])
-
-    def test_unit(self):
-        series = TimeSeries([-2.0, 1.0]).normalized("unit")
-        assert np.allclose(series.values, [-1.0, 0.5])
-
-    def test_unknown_method(self):
-        with pytest.raises(TimeSeriesError):
-            TimeSeries([1.0]).normalized("bogus")
-
+class TestClipping:
     def test_clipped(self):
         series = TimeSeries([-1.0, 0.5, 2.0]).clipped(0.0, 1.0)
         assert np.allclose(series.values, [0.0, 0.5, 1.0])

@@ -73,7 +73,7 @@ class TestGoldenBatchVectors:
         vectors = {entry["name"]: entry for entry in _load_vectors()["vectors"]}
         assert name in vectors, f"no committed vector for {name}; regenerate"
         frame = message.serialize()
-        assert frame.hex() == vectors[name]["frame_hex"], (
+        assert bytes(frame).hex() == vectors[name]["frame_hex"], (
             f"frame bytes of {name} changed: this is an incompatible wire "
             "change — bump WIRE_VERSION and commit a new vector file"
         )
@@ -183,7 +183,7 @@ def _regenerate(path: Path) -> None:
         {
             "name": name,
             "type": type(message).__name__,
-            "frame_hex": message.serialize().hex(),
+            "frame_hex": bytes(message.serialize()).hex(),
         }
         for name, message in golden_batches()
     ]

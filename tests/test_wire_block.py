@@ -292,7 +292,7 @@ class TestHeaderShapes:
             assert reader.read_varint() == 3
             assert block_reader(reader, 2) == ("plain", 2, False, 1, (7, 9))
             assert reader.read_varint() == 0x7F
-            reader.expect_end()
+            assert reader.remaining == 0
 
 
 class TestInputTypes:

@@ -168,7 +168,7 @@ class TestPrimitives:
         assert len(out) == wire.varint_size(value)
         reader = WireReader(bytes(out))
         assert reader.read_varint() == value
-        reader.expect_end()
+        assert reader.remaining == 0
 
     def test_varint_rejects_out_of_range(self):
         out = bytearray()
@@ -193,7 +193,7 @@ class TestPrimitives:
         write_bigint(out, value)
         reader = WireReader(bytes(out))
         assert reader.read_bigint(max_bytes=100) == value
-        reader.expect_end()
+        assert reader.remaining == 0
 
     def test_bigint_rejects_leading_zero(self):
         # length 2, bytes 00 07: non-minimal encoding of 7.
@@ -209,12 +209,6 @@ class TestPrimitives:
         with pytest.raises(WireFormatError):
             wire.write_ciphertext(out, 1 << 16, 2)
 
-    def test_reader_rejects_trailing_bytes(self):
-        reader = WireReader(b"\x01\x02")
-        reader.read_bytes(1)
-        with pytest.raises(WireFormatError):
-            reader.expect_end()
-
     @given(value=st.floats(allow_nan=True, allow_infinity=True))
     @settings(max_examples=200)
     def test_float_round_trip_is_bit_exact(self, value):
@@ -223,7 +217,7 @@ class TestPrimitives:
         assert len(out) == 8
         reader = WireReader(bytes(out))
         assert struct.pack(">d", reader.read_float()) == struct.pack(">d", value)
-        reader.expect_end()
+        assert reader.remaining == 0
 
     def test_float_is_big_endian_ieee754(self):
         out = bytearray()
@@ -255,7 +249,7 @@ class TestVectorBlocks:
         write_encrypted_vector(out, vector, width)
         reader = WireReader(bytes(out))
         assert read_encrypted_vector(reader, width) == vector
-        reader.expect_end()
+        assert reader.remaining == 0
 
     @given(data=st.data(), width=st.sampled_from(WIDTHS))
     @settings(max_examples=100)
@@ -265,7 +259,7 @@ class TestVectorBlocks:
         write_partial_decryption(out, partial, width)
         reader = WireReader(bytes(out))
         assert read_partial_decryption(reader, width) == partial
-        reader.expect_end()
+        assert reader.remaining == 0
 
     def test_partial_decryption_share_index_limits(self):
         partial = PartialVectorDecryption(

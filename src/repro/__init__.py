@@ -29,7 +29,6 @@ from .config import (
     BUDGET_STRATEGIES,
     CRYPTO_BACKENDS,
     DEFAULT_CONFIG,
-    OVERLAY_TOPOLOGIES,
     SMOOTHING_METHODS,
     ChiaroscuroConfig,
     CryptoConfig,
@@ -91,7 +90,6 @@ __all__ = [
     "BUDGET_STRATEGIES",
     "SMOOTHING_METHODS",
     "CRYPTO_BACKENDS",
-    "OVERLAY_TOPOLOGIES",
     "run_chiaroscuro",
     "ChiaroscuroResult",
     "ChiaroscuroParticipant",

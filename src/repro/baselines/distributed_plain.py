@@ -13,8 +13,7 @@ out by ``scatter_rows``, and every exchange round is one uniform random
 matching of the population (``pair_online``) whose pairs adopt their mean
 (``average_pairs_inplace``).  Each round's frames go through
 ``plan_pair_faults`` at ``drop_probability``: a pair whose reply was lost
-only updates the responder (``half_average_pairs_inplace``).  The matching is over
-the complete graph, so any other ``topology`` is refused.
+only updates the responder (``half_average_pairs_inplace``).
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from ..clustering.kmeans import (
     reseed_centroid,
 )
 from ..config import GossipConfig, KMeansConfig
-from ..exceptions import GossipError
 from ..simulation.rng import RngRegistry
 from ..simulation.slab import (
     average_pairs_inplace,
@@ -71,11 +69,6 @@ def distributed_plain_kmeans(
     """
     kmeans_config = kmeans_config if kmeans_config is not None else KMeansConfig()
     gossip_config = gossip_config if gossip_config is not None else GossipConfig()
-    if gossip_config.topology != "complete":
-        raise GossipError(
-            "the plain distributed baseline pairs peers uniformly over the "
-            f"complete graph; topology {gossip_config.topology!r} is not supported"
-        )
     data = collection.to_matrix()
     n_series, series_length = data.shape
     check_positive_int(kmeans_config.n_clusters, "n_clusters")

@@ -35,9 +35,6 @@ SMOOTHING_METHODS = ("none", "moving_average", "lowpass", "exponential")
 #: which homomorphic operations are disabled and their cost is simulated.
 CRYPTO_BACKENDS = ("damgard_jurik", "paillier", "plain")
 
-#: Gossip overlay topologies.
-OVERLAY_TOPOLOGIES = ("complete", "random_regular", "small_world", "ring")
-
 #: Execution modes: the deterministic in-process cycle simulation, or the
 #: multi-process live runner moving wire frames over real TCP sockets.
 RUNTIME_MODES = ("cycle", "live")
@@ -234,29 +231,17 @@ class GossipConfig:
     cycles_per_aggregation:
         Number of gossip cycles run for each distributed sum before the value
         is considered converged and handed back to the protocol.
-    topology:
-        Overlay topology used for peer sampling.
-    topology_degree:
-        Node degree of the ``random_regular`` / ``small_world`` overlays.
-    rewiring_probability:
-        Small-world rewiring probability (Watts–Strogatz).
     drop_probability:
         Probability that a gossip message is lost (fault model).
     """
 
     exchanges_per_cycle: int = 1
     cycles_per_aggregation: int = 12
-    topology: str = "complete"
-    topology_degree: int = 8
-    rewiring_probability: float = 0.1
     drop_probability: float = 0.0
 
     def __post_init__(self) -> None:
         check_positive_int(self.exchanges_per_cycle, "exchanges_per_cycle")
         check_positive_int(self.cycles_per_aggregation, "cycles_per_aggregation")
-        check_in_choices(self.topology, OVERLAY_TOPOLOGIES, "topology")
-        check_positive_int(self.topology_degree, "topology_degree")
-        check_probability(self.rewiring_probability, "rewiring_probability")
         check_probability(self.drop_probability, "drop_probability")
 
 
@@ -525,13 +510,6 @@ class ChiaroscuroConfig:
                 raise ConfigurationError(
                     "the slab engine is a cycle-mode population substrate "
                     "(set runtime.mode='cycle')"
-                )
-            if (self.runtime.crypto_sample_fraction < 1.0
-                    and self.gossip.topology != "complete"):
-                raise ConfigurationError(
-                    "the sampled slab engine pairs its bulk population uniformly "
-                    "over the complete graph; gossip.topology "
-                    f"{self.gossip.topology!r} needs runtime.crypto_sample_fraction=1"
                 )
         if self.crypto.threshold > self.simulation.n_participants:
             raise ConfigurationError(

@@ -37,7 +37,7 @@ from ..gossip.encrypted_sum import (
     rerandomize_estimate,
 )
 from ..gossip.messages import DiptychExchange, DiptychReply, Frame
-from ..gossip.overlay import Overlay
+from ..gossip.peers import sample_peer
 from ..privacy.noise_shares import NoiseShareSpec, draw_noise_share
 from ..simulation.engine import CycleEngine
 from ..simulation.node import Node
@@ -119,8 +119,6 @@ class ChiaroscuroParticipant(Node):
     backend:
         Shared cipher backend (public key material is common; the private key
         shares are held by the decryption committee).
-    overlay:
-        Gossip overlay used for peer sampling.
     noise_contributor:
         Whether this participant draws noise-shares each iteration.
     n_noise_contributors:
@@ -136,7 +134,6 @@ class ChiaroscuroParticipant(Node):
         initial_centroids: np.ndarray,
         config: ChiaroscuroConfig,
         backend: CipherBackend,
-        overlay: Overlay,
         noise_contributor: bool,
         n_noise_contributors: int,
         seed: int = 0,
@@ -147,7 +144,6 @@ class ChiaroscuroParticipant(Node):
             raise ProtocolError("series_values must be one-dimensional")
         self.config = config
         self.backend = backend
-        self.overlay = overlay
         self.noise_contributor = noise_contributor
         self.n_noise_contributors = max(1, int(n_noise_contributors))
         self._rng = np.random.default_rng(seed)
@@ -374,7 +370,7 @@ class ChiaroscuroParticipant(Node):
         if self.diptych is None:  # pragma: no cover - state machine guarantees this
             raise ProtocolError("gossip phase reached without a diptych")
         for _ in range(self.config.gossip.exchanges_per_cycle):
-            peer_id = self.overlay.sample_neighbor(self.node_id, rng, online=online)
+            peer_id = sample_peer(self.node_id, rng, online)
             if peer_id is None:
                 break
             probe = yield Probe(peer_id, self.iteration)

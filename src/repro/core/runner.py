@@ -20,7 +20,6 @@ from ..config import ChiaroscuroConfig
 from ..crypto.backends import CipherBackend, make_backend
 from ..exceptions import ConfigurationError, ProtocolError
 from ..gossip.encrypted_sum import check_headroom
-from ..gossip.overlay import build_overlay
 from ..privacy.noise_shares import slot_magnitude_bound
 from ..privacy.probabilistic import guarantee_for_run
 from ..simulation.engine import CycleEngine
@@ -107,7 +106,7 @@ class RunSetup:
 
     The cycle runner builds this once, and so does the slab engine for its
     crypto sample; every live-runner worker rebuilds the cheap parts
-    identically from the same inputs (data, overlay, centroids, seeds) while
+    identically from the same inputs (data, centroids, seeds) while
     inheriting the expensive/random part — the cipher backend and its key
     material — from the coordinator process.  Keeping the whole derivation
     in one place is what makes the execution modes agree.
@@ -117,7 +116,6 @@ class RunSetup:
     data: np.ndarray
     transform: dict[str, float]
     backend: CipherBackend
-    overlay: Any
     initial_centroids: np.ndarray
     noise_contributor_ids: set[int]
     n_noise_contributors: int
@@ -148,7 +146,6 @@ class RunSetup:
             initial_centroids=self.initial_centroids,
             config=self.config,
             backend=self.backend,
-            overlay=self.overlay,
             noise_contributor=node_id in self.noise_contributor_ids,
             n_noise_contributors=self.n_noise_contributors,
             seed=self.participant_seeds[node_id],
@@ -164,7 +161,7 @@ def build_run_setup(
     config: ChiaroscuroConfig,
     normalize: bool = True,
 ) -> RunSetup:
-    """Derive a :class:`RunSetup` (backend, overlay, seeds) for one run.
+    """Derive a :class:`RunSetup` (backend, seeds) for one run.
 
     The master-seed randomness is consumed in exactly the order the
     historical inline code consumed it — noise-contributor choice, one seed
@@ -228,13 +225,6 @@ def build_run_setup(
         value_bound=max(value_bound, 1.0),
         total_halvings=total_halvings,
     )
-    overlay = build_overlay(
-        n_participants,
-        topology=config.gossip.topology,
-        degree=config.gossip.topology_degree,
-        rewiring_probability=config.gossip.rewiring_probability,
-        seed=config.simulation.seed,
-    )
     initial_centroids = public_initial_centroids(
         config.kmeans.n_clusters,
         series_length,
@@ -262,7 +252,6 @@ def build_run_setup(
         data=data,
         transform=transform,
         backend=backend,
-        overlay=overlay,
         initial_centroids=initial_centroids,
         noise_contributor_ids=noise_contributor_ids,
         n_noise_contributors=n_noise_contributors,

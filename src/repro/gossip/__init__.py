@@ -1,5 +1,6 @@
-"""Gossip layer: overlays, the encrypted gossip averaging primitive used by
-the Chiaroscuro computation step, and the wire messages.
+"""Gossip layer: uniform peer sampling over the online population, the
+encrypted gossip averaging primitive used by the Chiaroscuro computation
+step, and the wire messages.
 
 The protocol averages by one rule, written twice: pairwise over encrypted
 estimates (:func:`average_estimates`, run by every participant's exchange)
@@ -36,11 +37,10 @@ from .messages import (
     WireMessage,
     deserialize,
 )
-from .overlay import Overlay, build_overlay
+from .peers import sample_peer
 
 __all__ = [
-    "Overlay",
-    "build_overlay",
+    "sample_peer",
     "EncryptedEstimate",
     "fresh_estimate",
     "average_estimates",

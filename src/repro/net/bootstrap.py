@@ -47,7 +47,6 @@ class MemberRecord:
     online: bool
     cycle: int
     address: Address | None = None
-    worker: int | None = None
 
 
 class MembershipDirectory:
@@ -61,7 +60,7 @@ class MembershipDirectory:
 
     def __init__(self) -> None:
         self._members: dict[int, MemberRecord] = {}
-        self._log: list[tuple[bytes, Address | None, int | None]] = []
+        self._log: list[tuple[bytes, Address | None]] = []
 
     def __len__(self) -> int:
         return len(self._members)
@@ -71,17 +70,15 @@ class MembershipDirectory:
 
     # ------------------------------------------------------------------ feeding
     def announce(self, node_id: int, online: bool, cycle: int,
-                 address: Address | None = None,
-                 worker: int | None = None) -> Frame:
+                 address: Address | None = None) -> Frame:
         """Build, apply and return one membership announcement frame."""
         frame = MembershipAnnouncement(
             node_id=node_id, online=online, cycle=cycle
         ).serialize()
-        self.feed(frame, address=address, worker=worker)
+        self.feed(frame, address=address)
         return frame
 
-    def feed(self, frame: bytes, address: Address | None = None,
-             worker: int | None = None) -> MembershipAnnouncement:
+    def feed(self, frame: bytes, address: Address | None = None) -> MembershipAnnouncement:
         """Apply one received announcement frame to the directory.
 
         Raises :class:`~repro.exceptions.WireFormatError` for undecodable
@@ -100,15 +97,13 @@ class MembershipDirectory:
         if known is not None and address is None:
             # A bare join/leave toggle keeps the announced location.
             address = known.address
-            worker = known.worker if worker is None else worker
         self._members[message.node_id] = MemberRecord(
             node_id=message.node_id,
             online=message.online,
             cycle=message.cycle,
             address=address,
-            worker=worker,
         )
-        self._log.append((bytes(frame), address, worker))
+        self._log.append((bytes(frame), address))
         return message
 
     # ------------------------------------------------------------------ queries
@@ -133,24 +128,21 @@ class MembershipDirectory:
         )
 
     # ------------------------------------------------------------------ replication
-    def snapshot(self) -> list[tuple[bytes, Address | None, int | None]]:
-        """The full announcement log (frame bytes plus envelope metadata).
+    def snapshot(self) -> list[tuple[bytes, Address | None]]:
+        """The full announcement log (frame bytes plus announced addresses).
 
         Replaying this into :meth:`catch_up` on an empty directory yields an
         identical directory — membership gossip for late joiners.
         """
         return list(self._log)
 
-    def catch_up(
-        self, entries: Iterable[Sequence]
-    ) -> int:
+    def catch_up(self, entries: Iterable[Sequence]) -> int:
         """Replay a snapshot (or any announcement stream); return the count."""
         applied = 0
-        for entry in entries:
-            frame, address, worker = entry
+        for frame, address in entries:
             if address is not None:
                 address = (address[0], int(address[1]))
-            self.feed(bytes(frame), address=address, worker=worker)
+            self.feed(bytes(frame), address=address)
             applied += 1
         return applied
 

@@ -12,7 +12,7 @@ public key are bootstrapped by actually driving the
 Architecture::
 
     coordinator (LiveRunner, parent process)
-      - derives the RunSetup (data, backend+keys, overlay, seeds)
+      - derives the RunSetup (data, backend+keys, seeds)
       - forks N workers, serves the control channel, and fails the run as
         soon as a worker process or its link dies
       - stepping="sequential": one run-sequential request per worker; the
@@ -436,7 +436,7 @@ class WorkerTransport:
         if header.get("op") != "probe":
             raise ProtocolError(f"unknown control operation {header.get('op')!r}")
         recipient, iteration = header.get("recipient"), header.get("iteration")
-        if not (_is_node_id(recipient) and isinstance(iteration, int)):
+        if not (_is_int(recipient) and isinstance(iteration, int)):
             return {"status": "error", "error": "bad_probe"}
         peer = self.participants.get(recipient)
         if peer is None:
@@ -662,8 +662,9 @@ class _CryptoMeter:
             bucket[key] = bucket.get(key, 0.0) + float(value)
 
 
-def _is_node_id(value: Any) -> bool:
-    """JSON ``true`` is a Python ``int`` too, and would name node 1."""
+def _is_int(value: Any) -> bool:
+    """An ``int`` that is no ``bool``: JSON ``true`` is a Python ``int`` too,
+    and would name node 1."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 
@@ -854,12 +855,11 @@ class LiveWorker:
         for node_id in self.local_ids:
             frame = self.directory.announce(
                 node_id, online=True, cycle=0,
-                address=(host, port), worker=self.index,
+                address=(host, port),
             )
             await coordinator.notify(Envelope(
                 kind=KIND_FRAME,
-                header={"op": "announce", "worker": self.index,
-                        "address": [host, port]},
+                header={"op": "announce", "address": [host, port]},
                 payload=frame,
             ))
         shutdown_task = asyncio.create_task(self.shutdown.wait())
@@ -903,11 +903,12 @@ class LiveWorker:
                 self.tokens.put_nowait(header)
                 return None
             return Envelope(kind=KIND_CONTROL, header=self.transport.answer_probe(header))
-        sender = header.get("sender")
+        sender, modelled = header.get("sender"), header.get("modelled")
         recipients = header.get("recipients") if envelope.is_batch \
             else [header.get("recipient")]
         if not isinstance(recipients, list) \
-                or not all(_is_node_id(node_id) for node_id in (sender, *recipients)):
+                or not all(_is_int(node_id) for node_id in (sender, *recipients)) \
+                or not (modelled is None or _is_int(modelled) and modelled >= 0):
             return Envelope(kind=KIND_FRAME, header={"error": "bad_header"},
                             is_batch=envelope.is_batch)
         frames: Sequence[bytes] = [envelope.payload]
@@ -921,7 +922,7 @@ class LiveWorker:
             if len(frames) != len(recipients):
                 return Envelope(kind=KIND_FRAME, header={"error": "batch_mismatch"},
                                 is_batch=True)
-        op, modelled = str(header.get("op", "")), header.get("modelled")
+        op = str(header.get("op", ""))
         replies = []
         for recipient, frame in zip(recipients, frames):
             replies.append(self.transport.serve(op, sender, recipient, modelled, frame))
@@ -952,10 +953,7 @@ class LiveWorker:
             frames = list(batch.frames) if isinstance(batch, BatchEnvelope) else []
             if len(frames) != len(header["members"]) + (op == "bootstrap"):
                 raise ProtocolError(f"malformed {op} record")
-            self.directory.catch_up(
-                (frame, address, worker)
-                for frame, (address, worker) in zip(frames, header["members"])
-            )
+            self.directory.catch_up(zip(frames, header["members"]))
             if op == "announce":
                 return None
             verify_key_announcement(frames[-1], self.setup.backend)
@@ -1245,7 +1243,6 @@ class LiveRunner:
             self._directory.feed(
                 envelope.payload,
                 address=(address[0], int(address[1])) if address else None,
-                worker=header.get("worker"),
             )
             if len(self._directory) == self.setup.n_participants:
                 self._announced.set()
@@ -1269,10 +1266,9 @@ class LiveRunner:
         MAX_BATCH_FRAMES frames, the last one — the bootstrap request —
         ending with the key frame."""
         snapshot = self._directory.snapshot()
-        frames = [frame for frame, _, _ in snapshot] \
+        frames = [frame for frame, _ in snapshot] \
             + [key_announcement_for(self.setup.backend).serialize()]
-        members = [[list(address) if address else None, worker]
-                   for _, address, worker in snapshot]
+        members = [list(address) if address else None for _, address in snapshot]
         starts = range(0, len(frames), MAX_BATCH_FRAMES)
         for start in starts[:-1]:
             record = Envelope(

@@ -27,6 +27,7 @@ from .network import Network
 from .node import Node
 from .observers import Observer
 from .rng import RngRegistry
+from .slab import slab_churn_step
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from ..gossip.messages import WireMessage
@@ -96,7 +97,7 @@ class CycleEngine:
             if node.online:
                 self._online_ids.add(node.node_id)
 
-    # ------------------------------------------------------------------ topology helpers
+    # ------------------------------------------------------------------ node access
     @property
     def n_nodes(self) -> int:
         """Total number of registered nodes (online or not)."""
@@ -125,10 +126,6 @@ class CycleEngine:
             self._online_sorted = tuple(sorted(self._online_ids))
         return self._online_sorted
 
-    def online_nodes(self) -> list[Node]:
-        """Every node currently online (in node-id order)."""
-        return [self.nodes[node_id] for node_id in self.online_id_view()]
-
     def online_ids(self) -> list[int]:
         """Ids of every node currently online (in node-id order)."""
         return list(self.online_id_view())
@@ -154,36 +151,21 @@ class CycleEngine:
         # The churn model is only active when nodes can actually fail; nodes
         # taken offline explicitly (e.g. by a test or a fault-injection
         # scenario) must stay offline rather than being "rejoined" here.
-        #
-        # All per-node uniforms of a cycle come from one vectorised draw; the
-        # underlying PCG64 stream consumption is identical to the historical
-        # one-``random()``-per-node loop, so seeded runs are unchanged, while
-        # the Python-level work shrinks to the (typically few) nodes that
-        # actually flip state.
+        # The draw is the slab engine's, so both engines flip the same nodes
+        # from the same stream; Python-level work is only for the (typically
+        # few) nodes that flip.
         if self.churn_rate == 0.0:
             return
-        if self.rejoin_rate > 0.0:
-            subjects = self.nodes
-            draws = self._churn_rng.random(len(subjects))
-            thresholds = np.where(
-                np.fromiter((node.online for node in subjects), dtype=bool, count=len(subjects)),
-                self.churn_rate,
-                self.rejoin_rate,
-            )
-        else:
-            # Historically only online nodes drew randomness when rejoining
-            # was impossible; preserve that stream shape exactly.
-            subjects = self.online_nodes()
-            draws = self._churn_rng.random(len(subjects))
-            thresholds = np.full(len(subjects), self.churn_rate)
-        for position in np.nonzero(draws < thresholds)[0]:
-            node = subjects[int(position)]
+        online = np.fromiter((node.online for node in self.nodes), dtype=bool,
+                             count=self.n_nodes)
+        for node_id in slab_churn_step(online, self.churn_rate, self.rejoin_rate,
+                                       self._churn_rng).tolist():
+            node = self.nodes[node_id]
+            node.online = bool(online[node_id])
             if node.online:
-                node.online = False
-                node.on_offline(self, cycle)
-            else:
-                node.online = True
                 node.on_online(self, cycle)
+            else:
+                node.on_offline(self, cycle)
 
     def run_cycle(self) -> int:
         """Run exactly one cycle and return its index."""

@@ -191,8 +191,8 @@ def slab_churn_step(
 ) -> np.ndarray:
     """Apply one churn cycle to the *online* slab in place.
 
-    Mirrors :meth:`CycleEngine._apply_churn` stream shape for stream shape:
-    no draw at all when ``churn_rate == 0``; one uniform per node (in node-id
+    :meth:`CycleEngine._apply_churn` flips the nodes this returns, so both
+    engines consume the churn stream alike: no draw at all when ``churn_rate == 0``; one uniform per node (in node-id
     order) when ``rejoin_rate > 0``; one uniform per *online* node otherwise.
     Returns the node ids whose flag flipped this cycle.
     """

@@ -13,7 +13,6 @@ from repro.baselines import (
 from repro.clustering import adjusted_rand_index, compute_inertia
 from repro.config import GossipConfig, KMeansConfig, PrivacyConfig, SmoothingConfig
 from repro.datasets import generate_gaussian_clusters
-from repro.exceptions import GossipError
 
 
 @pytest.fixture(scope="module")
@@ -117,14 +116,6 @@ class TestDistributedPlain:
             collection, kconfig, GossipConfig(cycles_per_aggregation=25), seed=0
         )
         assert many.gossip_error_history[0] < few.gossip_error_history[0]
-
-    @pytest.mark.parametrize("topology", ["ring", "random_regular", "small_world"])
-    def test_sparse_overlay_refused(self, collection, kconfig, topology):
-        # The matching is uniform over the complete graph.
-        with pytest.raises(GossipError, match="complete graph"):
-            distributed_plain_kmeans(
-                collection, kconfig, GossipConfig(topology=topology), seed=0
-            )
 
     def test_drops_slow_but_do_not_break(self, collection, kconfig):
         gossip = GossipConfig(cycles_per_aggregation=20)

@@ -59,9 +59,10 @@ class TestSectionConfigs:
         with pytest.raises(ValidationError):
             CryptoConfig(backend="rsa")
 
-    def test_gossip_rejects_unknown_topology(self):
-        with pytest.raises(ValidationError):
-            GossipConfig(topology="torus")
+    def test_gossip_has_no_topology(self):
+        # Peers are sampled uniformly from the online population.
+        with pytest.raises(ConfigurationError, match="gossip.topology"):
+            ChiaroscuroConfig().with_overrides(gossip={"topology": "ring"})
 
     def test_gossip_drop_probability_bounds(self):
         with pytest.raises(ValidationError):
@@ -107,26 +108,6 @@ class TestAggregateConfig:
                 crypto=CryptoConfig(threshold=2, n_key_shares=4),
                 simulation=SimulationConfig(n_participants=10),
             )
-
-    @pytest.mark.parametrize("topology", ["ring", "random_regular", "small_world"])
-    def test_sampled_slab_engine_refuses_a_sparse_overlay(self, topology):
-        # The bulk population is paired over the complete graph whatever the
-        # overlay says, while its object sub-run builds the overlay.
-        with pytest.raises(ConfigurationError, match="complete graph"):
-            ChiaroscuroConfig().with_overrides(
-                runtime={"engine": "slab", "crypto_sample_fraction": 0.5},
-                gossip={"topology": topology},
-            )
-
-    @pytest.mark.parametrize("runtime", [
-        {"engine": "slab", "crypto_sample_fraction": 1.0},
-        {"engine": "object", "crypto_sample_fraction": 0.5},
-    ])
-    def test_sparse_overlay_runs_where_an_overlay_is_built(self, runtime):
-        config = ChiaroscuroConfig().with_overrides(
-            runtime=runtime, gossip={"topology": "ring"}
-        )
-        assert config.gossip.topology == "ring"
 
     def test_with_overrides_replaces_fields(self):
         config = ChiaroscuroConfig()
@@ -200,7 +181,7 @@ def test_knob_budget():
     from repro import cli
 
     section_budget = {
-        "kmeans": 6, "privacy": 7, "crypto": 7, "gossip": 6, "simulation": 4,
+        "kmeans": 6, "privacy": 7, "crypto": 7, "gossip": 3, "simulation": 4,
         "smoothing": 4, "network": 1, "runtime": 13,
     }
     config = ChiaroscuroConfig()

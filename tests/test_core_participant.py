@@ -16,7 +16,6 @@ from repro.core.participant import (
 )
 from repro.crypto.backends import PlainBackend
 from repro.exceptions import ProtocolError
-from repro.gossip import build_overlay
 from repro.gossip.encrypted_sum import estimate_payload_bytes
 from repro.gossip.messages import DiptychExchange, deserialize
 from repro.simulation import CycleEngine
@@ -32,7 +31,6 @@ def make_participants(n=6, length=6, config=None, backend=None):
     )
     if backend is None:
         backend = PlainBackend(threshold=2, n_shares=3)
-    overlay = build_overlay(n, topology="complete")
     centroids = public_initial_centroids(config.kmeans.n_clusters, length, 0.0, 1.0, seed=0)
     rng = np.random.default_rng(5)
     data = rng.uniform(0.0, 1.0, size=(n, length))
@@ -43,7 +41,6 @@ def make_participants(n=6, length=6, config=None, backend=None):
             initial_centroids=centroids,
             config=config,
             backend=backend,
-            overlay=overlay,
             noise_contributor=i < 3,
             n_noise_contributors=3,
             seed=i,
@@ -72,7 +69,6 @@ class TestConstruction:
                 initial_centroids=participants[0].centroids,
                 config=config,
                 backend=participants[0].backend,
-                overlay=participants[0].overlay,
                 noise_contributor=False,
                 n_noise_contributors=1,
             )
@@ -86,7 +82,6 @@ class TestConstruction:
                 initial_centroids=np.zeros((2, 6)),
                 config=config,
                 backend=participants[0].backend,
-                overlay=participants[0].overlay,
                 noise_contributor=False,
                 n_noise_contributors=1,
             )

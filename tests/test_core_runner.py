@@ -207,35 +207,6 @@ class TestRunOutcome:
 
 
 class TestRunBehaviour:
-    @pytest.mark.parametrize("topology", ["ring", "random_regular", "small_world"])
-    def test_gossip_follows_the_configured_overlay(
-            self, collection, fast_config, monkeypatch, topology):
-        """A run on a sparse overlay exchanges diptychs with overlay
-        neighbours only, and still clusters."""
-        from repro.gossip import build_overlay
-        from repro.net.transport import LoopbackTransport
-
-        peers = []
-        exchange = LoopbackTransport.exchange
-
-        def spy(self, sender, recipient, kinds, *args, **kwargs):
-            if kinds[0] == "diptych-exchange":
-                peers.append((sender, recipient))
-            return exchange(self, sender, recipient, kinds, *args, **kwargs)
-
-        monkeypatch.setattr(LoopbackTransport, "exchange", spy)
-        config = fast_config.with_overrides(gossip={"topology": topology})
-        result = run_chiaroscuro(collection, config)
-        overlay = build_overlay(
-            config.simulation.n_participants, topology=topology,
-            degree=config.gossip.topology_degree,
-            rewiring_probability=config.gossip.rewiring_probability,
-            seed=config.simulation.seed,
-        )
-        assert peers
-        assert all(recipient in overlay.neighbors(sender) for sender, recipient in peers)
-        assert result.profiles.shape == (3, 12)
-
     def test_deterministic_given_seed(self, collection, fast_config):
         first = run_chiaroscuro(collection, fast_config)
         second = run_chiaroscuro(collection, fast_config)

@@ -36,11 +36,10 @@ class TestAnnouncementRoundTrip:
     def test_directory_announce_emits_decodable_frames(self):
         directory = MembershipDirectory()
         frame = directory.announce(3, online=True, cycle=0,
-                                   address=("127.0.0.1", 9000), worker=1)
+                                   address=("127.0.0.1", 9000))
         decoded = deserialize(frame)
         assert decoded == MembershipAnnouncement(node_id=3, online=True, cycle=0)
         assert directory.address_of(3) == ("127.0.0.1", 9000)
-        assert directory.record(3).worker == 1
 
 
 class TestMembershipDirectory:
@@ -49,17 +48,15 @@ class TestMembershipDirectory:
         for node_id in range(4):
             frame = MembershipAnnouncement(node_id=node_id, online=True,
                                            cycle=0).serialize()
-            directory.feed(frame, address=("127.0.0.1", 9000 + node_id % 2),
-                           worker=node_id % 2)
+            directory.feed(frame, address=("127.0.0.1", 9000 + node_id % 2))
         assert len(directory) == 4
         assert directory.online_ids() == [0, 1, 2, 3]
         assert directory.address_of(2) == ("127.0.0.1", 9000)
-        assert directory.record(3).worker == 1
 
     def test_leave_announcement_keeps_the_address(self):
         directory = MembershipDirectory()
         directory.announce(5, online=True, cycle=0,
-                           address=("127.0.0.1", 9100), worker=0)
+                           address=("127.0.0.1", 9100))
         leave = MembershipAnnouncement(node_id=5, online=False,
                                        cycle=3).serialize()
         directory.feed(leave)
@@ -98,8 +95,7 @@ class TestLateJoinerCatchUp:
         seasoned = MembershipDirectory()
         for node_id in range(6):
             seasoned.announce(node_id, online=True, cycle=0,
-                              address=("127.0.0.1", 9000 + node_id % 3),
-                              worker=node_id % 3)
+                              address=("127.0.0.1", 9000 + node_id % 3))
         # Some churn history: node 4 left, node 1 left and rejoined.
         seasoned.feed(MembershipAnnouncement(node_id=4, online=False,
                                              cycle=2).serialize())

@@ -305,7 +305,7 @@ async def _fan_out_to_a_scripted_worker(transport, frame, reply):
     address = server.sockets[0].getsockname()[:2]
     for helper in (1, 3):
         transport.directory.announce(helper, online=True, cycle=0,
-                                     address=address, worker=1)
+                                     address=address)
     try:
         results = await transport.batched_frame_requests(
             0, (1, 3), "decrypt-request", frame, modelled_bytes=24)
@@ -449,6 +449,23 @@ class TestWellFormedFramesOfTheWrongShape:
             assert reply.header == {"error": "bad_header"}
         else:
             assert reply.header == {"replies": replies}
+
+    @pytest.mark.parametrize("is_batch", [False, True])
+    @pytest.mark.parametrize("modelled", [-1, "x", True, 2.5])
+    def test_header_with_a_malformed_modelled_size(self, modelled, is_batch):
+        """A modelled byte count that is not a non-negative integer would
+        raise in the ledger and close the peer link: it is answered
+        ``bad_header`` before anything is charged."""
+        worker = _worker_with_node_zero_gossiping()
+        frame = _diptych_frame(DiptychExchange, 2, 5)
+        header = {"op": "diptych-exchange", "sender": 1, "modelled": modelled}
+        if is_batch:
+            header["recipients"], frame = [0], batch_frames([frame])
+        else:
+            header["recipient"] = 0
+        reply = _peer_record(worker, header, frame, is_batch=is_batch)
+        assert (reply.header, reply.is_batch) == ({"error": "bad_header"}, is_batch)
+        assert worker.transport.ledger.total == TrafficStats()
 
     @pytest.mark.parametrize("count, length", [(3, 5), (2, 3), (2, 5)])
     def test_initiator_treats_a_wrong_shape_reply_as_a_lost_exchange(

@@ -41,7 +41,7 @@ from repro.clustering import public_initial_centroids
 from repro.config import ChiaroscuroConfig
 from repro.core import run_chiaroscuro
 from repro.core.participant import ChiaroscuroParticipant, Phase
-from repro.gossip import build_overlay, deserialize
+from repro.gossip import deserialize
 from repro.gossip.encrypted_sum import (
     decode_estimate,
     fresh_estimate,
@@ -112,7 +112,6 @@ def _gossiping_pair(backend):
         ChiaroscuroParticipant(
             node_id=i, series_values=series[i], initial_centroids=centroids,
             config=config, backend=backend,
-            overlay=build_overlay(2, topology="complete"),
             noise_contributor=i == 0, n_noise_contributors=1, seed=i,
         )
         for i in range(2)

@@ -22,7 +22,7 @@ from repro.analysis import CostModel, ProtocolWorkload, format_table, measure_cr
 from repro.crypto import damgard_jurik as dj
 from repro.crypto.backends import DamgardJurikBackend, PlainBackend
 from repro.crypto.fastmath import BlinderPool, PrecomputedKey
-from repro.crypto.math_utils import random_coprime
+from repro.crypto.math_utils import random_below, random_coprime
 from repro.gossip.encrypted_sum import average_estimates, fresh_estimate
 
 KEY_SIZES = [256, 512, 1024]
@@ -152,15 +152,17 @@ def test_fastmath_pooled_encrypt_speedup(benchmark, fastmath):
 
 @pytest.mark.parametrize("fastmath", ["off", "auto"])
 def test_fastmath_blinder_refill(benchmark, fastmath):
-    """The pool's refill path: textbook ``r^{n^s}`` vs the half-exponent
-    sampler a private context runs (``PrecomputedKey.blinder``)."""
+    """The pool's refill path: textbook ``r^{n^s}`` vs the fixed-base
+    short-exponent sampler a private context runs (``PrecomputedKey.blinder``)."""
     public, private = dj.generate_keypair(key_bits=1024, s=1)
-    randomness = random_coprime(public.n)
     if fastmath == "auto":
-        blinder = benchmark(PrecomputedKey.from_private_key(private).blinder, randomness)
+        precomputed = PrecomputedKey.from_private_key(private)
+        exponent = random_below(1 << precomputed.blinder_exponent_bits)
+        blinder = benchmark(precomputed.blinder, exponent)
     else:
         blinder = benchmark(
-            pow, randomness, public.plaintext_modulus, public.ciphertext_modulus
+            pow, random_coprime(public.n), public.plaintext_modulus,
+            public.ciphertext_modulus,
         )
     assert dj.decrypt(private, blinder) == 0
     benchmark.extra_info["fastmath"] = fastmath

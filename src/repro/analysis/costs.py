@@ -35,7 +35,7 @@ from ..crypto.threshold import (
 )
 from ..exceptions import AnalysisError
 
-from ..crypto.wire import FRAME_FIXED_OVERHEAD_BYTES
+from ..crypto.wire import FRAME_FIXED_OVERHEAD_BYTES, wire_ciphertext_bytes
 from ..simulation.network import ByteAccounting
 
 #: Approximate wire-format overheads used by the *modelled* wire-byte
@@ -236,7 +236,7 @@ def measure_crypto_costs(
         addition_seconds=addition_seconds,
         partial_decryption_seconds=partial_decryption_seconds,
         combination_seconds=combination_seconds,
-        ciphertext_bytes=public.public_key.ciphertext_bits // 8,
+        ciphertext_bytes=wire_ciphertext_bytes(public.public_key),
         fastmath=fastmath,
         pooled_encryption_seconds=pooled_encryption_seconds,
     )

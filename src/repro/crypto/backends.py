@@ -534,11 +534,16 @@ class DamgardJurikBackend(CipherBackend):
     weighted sums.  Partial decryptions, combinations, homomorphic sums and
     plaintexts are the integers the textbook functions of
     :mod:`~repro.crypto.damgard_jurik` and :mod:`~repro.crypto.threshold`
-    produce from the same ciphertexts.  Encryption and rerandomisation draw
-    blinders at half the textbook exponent through the factorisation
-    (:meth:`~repro.crypto.fastmath.PrecomputedKey.blinder`): same ciphertext
-    distribution, and on randomness stream ``r₁, r₂, …`` the ciphertexts are
-    the textbook ones on ``φ(r₁), φ(r₂), …`` for that method's bijection ``φ``.
+    produce from the same ciphertexts.  Encryption and rerandomisation use
+    fixed-base short-exponent blinders
+    (:meth:`~repro.crypto.fastmath.PrecomputedKey.blinder`): ``h^x`` for the
+    key context's fixed ``h = y^{n^s}`` and a fresh ``x`` of ``max(256,
+    ⌈|n|/2⌉)`` bits, one window-table walk per CRT half.  On the exponent
+    stream ``x₁, x₂, …`` the ciphertexts are the textbook ones with
+    randomness ``y^{x₁} mod n, y^{x₂} mod n, …``.  That randomness is not
+    uniform over ``Z_n^*``: security rests on DCR plus the
+    Damgård–Jurik–Nielsen short-exponent assumption (see
+    :mod:`~repro.crypto.fastmath`).
     """
 
     name = "damgard_jurik"
@@ -607,7 +612,9 @@ class DamgardJurikBackend(CipherBackend):
         :meth:`~repro.crypto.fastmath.BlinderPool.reset`).  Real deployments
         fill encryption pools in idle time, so the worker's own supply comes
         from the pool's refill thread (started here, after the fork —
-        threads are never inherited).
+        threads are never inherited).  The fixed blinder base and its
+        tables are public and stay shared; each worker draws its own
+        exponents from OS entropy.
         """
         self._pool.reset()
         self._pool.start_background_refill()

@@ -152,13 +152,16 @@ def encrypt(
 
     A :class:`~repro.crypto.fastmath.BlinderPool` turns the blinder
     exponentiation into one multiplication by a precomputed ``n^s``-th
-    residue.  The pool draws the same randomness stream as the fresh path
-    and the ciphertext distribution is unchanged; for a fixed stream the
-    bits are unchanged too when the pool holds a public-only context, and
-    are the fresh path's on the stream mapped through the bijection ``φ`` of
-    :meth:`~repro.crypto.fastmath.PrecomputedKey.blinder` when it holds the
-    private one.  An explicit *randomness* argument always bypasses the pool
-    and computes the textbook ``randomness^{n^s}``.
+    residue.  On a public-only context the pool draws ``r`` like this
+    function does, so a fixed stream gives the same bits.  On a private
+    context it uses the fixed-base short-exponent sampler of
+    :meth:`~repro.crypto.fastmath.PrecomputedKey.blinder`: its blinder for
+    the draw ``x`` is this function's for ``randomness = y^x mod n`` with
+    the context's fixed ``y``, so the ciphertexts are textbook ones, but the
+    randomness is no longer uniform over ``Z_n^*`` and security rests on
+    DCR plus the Damgård–Jurik–Nielsen short-exponent assumption (see
+    :mod:`~repro.crypto.fastmath`).  An explicit *randomness* argument
+    always bypasses the pool and computes the textbook ``randomness^{n^s}``.
     """
     n_to_s = public_key.plaintext_modulus
     modulus = public_key.ciphertext_modulus

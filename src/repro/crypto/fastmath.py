@@ -15,26 +15,49 @@ changing a single decrypted bit:
   inverses for the ``(1+n)^m`` binomial expansion and the halving constant
   ``2^{-1} mod n^s``;
 * :class:`BlinderPool` — an amortized pool of precomputed encryption
-  blinders (uniform ``n^s``-th residues mod ``n^{s+1}``) so that hot-path
+  blinders (``n^s``-th residues mod ``n^{s+1}``) so that hot-path
   ``encrypt`` / ``rerandomize`` cost one bigint multiplication instead of
-  one full exponentiation.  The pool draws its randomness through the very
-  same :func:`~repro.crypto.math_utils.random_coprime` calls, in the same
-  order, as fresh encryption and turns each draw into a blinder with
+  one full exponentiation.  The pool makes each blinder from one draw with
   :meth:`PrecomputedKey.blinder`;
 * :func:`multi_pow` — Straus simultaneous multi-exponentiation for
   ``Π bᵢ^{eᵢ} mod m`` (threshold share combination, homomorphic weighted
   accumulation in the gossip layer).
 
-All of these are *exact* accelerations.  Partial decryptions, share
-combinations, homomorphic sums and plaintexts are the integers the textbook
-bodies of :mod:`~repro.crypto.damgard_jurik` and
-:mod:`~repro.crypto.threshold` (called without a precomputed key or pool)
-produce from the same ciphertexts.  A blinder made from a draw ``r`` on a
-*public-only* context is the textbook ``r^{n^s}``; on a *private* context it
-is the textbook blinder of ``φ(r)`` for a fixed bijection ``φ`` of ``Z_n^*``
-(:meth:`PrecomputedKey.blinder`), so pooled ciphertexts have exactly the
-textbook distribution and equal the textbook ciphertexts on the stream
-``φ(r₁), φ(r₂), …`` — which is what the tests compare against.
+The private-key, multi-exponentiation and decryption paths are *exact*
+accelerations: partial decryptions, share combinations, homomorphic sums and
+plaintexts are the integers the textbook bodies of
+:mod:`~repro.crypto.damgard_jurik` and :mod:`~repro.crypto.threshold`
+(called without a precomputed key or pool) produce from the same
+ciphertexts.
+
+Blinders are where the two contexts differ.  A *public-only* context draws
+``r`` uniform in ``Z_n^*`` and computes the textbook ``r^{n^s}``.  A
+*private* context uses the fixed-base short-exponent sampler of Damgård,
+Jurik and Nielsen ("A generalization of Paillier's public-key system with
+applications to electronic voting", IJIS 2010): at set-up it draws one
+``y`` from ``Z_n^*`` and fixes ``h = y^{n^s} mod n^{s+1}``; a blinder is
+``h^x`` for ``x`` uniform in ``[0, 2^L)``, ``L = max(256, ⌈|n|/2⌉)``
+(``L`` follows from the key; it is not a knob).  Because ``h^x == (y^x mod
+n)^{n^s} mod n^{s+1}``, a pooled ciphertext on the stream ``x₁, x₂, …`` is
+the textbook ciphertext with randomness ``y^{x₁} mod n, y^{x₂} mod n, …`` —
+which is what the tests compare against — and decryption never sees the
+blinder.
+
+**The assumption changes with it.**  These blinders are *not* uniform over
+the ``n^s``-th residues: they range over the subgroup ``⟨h⟩`` and ``x`` is
+short.  Semantic security now rests on DCR plus the DJN short-exponent
+(subgroup) assumption — that ``h^x`` for a short ``x`` is indistinguishable
+from a uniform ``n^s``-th residue — rather than on DCR alone.  ``y``, ``h``
+and the window tables are public data: forked workers share them, and
+:meth:`BlinderPool.reset` (run by ``after_fork``) still discards the pooled
+blinders, so each process draws its own exponents from OS entropy.
+
+Table size.  A private context keeps one fixed-base table per CRT half,
+``⌈|p|/8⌉`` rows of 255 non-trivial residues mod ``p^{s+1}`` (and the same
+mod ``q^{s+1}``).  At ``s = 1`` that is about 0.26 MB of residues for a
+256-bit key (16 rows per half, built in milliseconds), 4.2 MB at 1024 bits
+(64 rows) and 16.7 MB at 2048 bits (128 rows), plus CPython's ~28 bytes per
+integer object; degree ``s`` scales it by ``(s+1)/2``.
 
 When `gmpy2 <https://gmpy2.readthedocs.io>`_ is importable, the hot
 modular primitives (:func:`powmod`, :func:`invert`) ride its ``mpz``
@@ -52,7 +75,7 @@ from collections import deque
 from typing import Callable, Sequence
 
 from ..exceptions import CryptoError
-from .math_utils import mod_inverse, random_coprime
+from .math_utils import mod_inverse, random_below, random_coprime
 
 try:  # pragma: no cover - exercised only where gmpy2 is installed
     import gmpy2 as _gmpy2
@@ -108,6 +131,10 @@ _CRT_MIN_EXPONENT_BITS = 96
 #: threshold exponents, the halving constant) are far fewer than this; the
 #: cap only guards against an adversarial stream of unique exponents.
 _EXPONENT_CACHE_LIMIT = 256
+
+#: Shortest blinder exponent a private context draws; longer keys draw
+#: ``⌈|n|/2⌉`` bits (see the module docstring).
+_MIN_BLINDER_EXPONENT_BITS = 256
 
 #: Straus interleaving processes bases in groups of this size: the shared
 #: table has ``2^group`` entries, so 4 keeps precomputation negligible while
@@ -192,6 +219,34 @@ def _dlog_one_plus_base(base: int, s: int, value: int) -> int:
     return i
 
 
+# --------------------------------------------------------------------------- fixed-base tables
+def _fixed_base_table(base: int, exponent_bits: int, modulus: int) -> list[list[int]]:
+    """Window table for ``base^x mod modulus`` with ``x < 2^exponent_bits``.
+
+    Row ``i`` holds ``base^(d·256^i)`` for every byte value ``d`` (entry 0
+    is 1), so an exponent's little-endian bytes index one entry per row.
+    """
+    rows: list[list[int]] = []
+    step = base % modulus
+    for _ in range(-(-exponent_bits // 8)):
+        row = [1, step]
+        for _ in range(254):
+            row.append((row[-1] * step) % modulus)
+        rows.append(row)
+        step = (row[-1] * step) % modulus
+    return rows
+
+
+def _table_pow(rows: list[list[int]], exponent: int, modulus: int) -> int:
+    """``base^exponent mod modulus`` from :func:`_fixed_base_table` rows:
+    one multiplication per non-zero exponent byte and no squarings."""
+    result = 1
+    for row, digit in zip(rows, exponent.to_bytes(len(rows), "little")):
+        if digit:
+            result = (result * row[digit]) % modulus
+    return result
+
+
 # --------------------------------------------------------------------------- per-key precomputation
 class PrecomputedKey:
     """Per-key acceleration context for the Damgård–Jurik scheme.
@@ -202,7 +257,10 @@ class PrecomputedKey:
     split: moduli ``p^{s+1}`` / ``q^{s+1}``, group orders, the decryption
     constants ``h_p`` / ``h_q`` and the Garner recombination inverses, which
     makes every private-key ``pow`` run on two half-width moduli with reduced
-    exponents (~3–4× faster at realistic key sizes).
+    exponents (~3–4× faster at realistic key sizes).  It also draws the fixed
+    blinder base ``h = y^{n^s}`` (:attr:`blinder_root` is ``y``) and builds
+    one window table for ``h mod p^{s+1}`` and one for ``h mod q^{s+1}``
+    (see :meth:`blinder`).
     """
 
     def __init__(self, public_key, p: int | None = None, q: int | None = None) -> None:
@@ -224,7 +282,7 @@ class PrecomputedKey:
                 raise CryptoError("p * q does not match the public modulus")
             if math.gcd(n, (p - 1) * (q - 1)) != 1:
                 # generate_keypair retries on this; a hand-built key may not
-                # have.  blinder() is only the textbook sampler when it holds.
+                # have.  Without it encryption is not injective.
                 raise CryptoError("gcd(n, (p-1)(q-1)) must be 1")
             self.p = p
             self.q = q
@@ -248,6 +306,19 @@ class PrecomputedKey:
                 _dlog_one_plus_base(q, s, pow(1 + n, q - 1, self.q_to_s1)), self.q_to_s
             )
             self._exponent_residues: dict[int, tuple[int, int]] = {}
+            #: Bit length of a blinder exponent ``x`` (see :meth:`blinder`).
+            self.blinder_exponent_bits = max(
+                _MIN_BLINDER_EXPONENT_BITS, -(-n.bit_length() // 2)
+            )
+            #: ``y``: the fixed blinder base is ``h = y^{n^s} mod n^{s+1}``.
+            self.blinder_root = random_coprime(n)
+            base = self.crt_pow(self.blinder_root, self.n_to_s)
+            self._blinder_table_p = _fixed_base_table(
+                base, (p - 1).bit_length(), self.p_to_s1
+            )
+            self._blinder_table_q = _fixed_base_table(
+                base, (q - 1).bit_length(), self.q_to_s1
+            )
 
     # ------------------------------------------------------------------ constructors
     @classmethod
@@ -313,30 +384,26 @@ class PrecomputedKey:
         residue_q = powmod(base % self.q_to_s1, exponent_q, self.q_to_s1)
         return self._recombine(residue_p, residue_q)
 
-    def blinder(self, randomness: int) -> int:
-        """An ``n^s``-th residue mod ``n^{s+1}`` from one draw ``r`` of ``Z_n^*``.
+    def blinder(self, draw: int) -> int:
+        """An ``n^s``-th residue mod ``n^{s+1}`` from one draw.
 
         The one place a blinder is made from a draw.  A public-only context
-        computes the textbook ``r^{n^s} mod n^{s+1}``.  A private context
-        computes ``CRT((r mod p)^{p^s} mod p^{s+1}, (r mod q)^{q^s} mod
-        q^{s+1})``: exponents of ``s·|p|`` bits where ``crt_pow(r, n^s)``
-        pays ``(s+1)·|p|``.
-
-        The two samplers have the same distribution.  ``x ↦ x^{p^s}`` maps
-        ``Z*_{p^{s+1}}`` onto its subgroup ``H_p`` of order ``p − 1`` and
-        depends only on ``x mod p``; ``gcd(n, (p−1)(q−1)) = 1`` (checked at
-        construction) makes ``x ↦ x^{q^s}`` a permutation of ``H_p``.  So
-        mod ``p^{s+1}`` the textbook blinder is ``(r^{p^s})^{q^s}`` and this
-        one is ``r^{p^s}``: with ``a_p = (q^s)^{-1} mod (p−1)``, ``a_q =
-        (p^s)^{-1} mod (q−1)`` and the bijection ``φ(r) = CRT(r^{a_p} mod p,
-        r^{a_q} mod q)`` of ``Z_n^*``, ``blinder(r) == φ(r)^{n^s} mod
-        n^{s+1}``.  Uniform ``r`` gives uniform ``φ(r)``, hence blinders
-        uniform over all ``n^s``-th residues, as in the textbook.
+        takes ``r`` from ``Z_n^*`` and computes the textbook ``r^{n^s} mod
+        n^{s+1}``.  A private context takes an exponent ``x`` (uniform in
+        ``[0, 2^L)``, ``L`` = :attr:`blinder_exponent_bits`) and computes
+        ``h^x`` for the fixed base ``h = y^{n^s}``: ``CRT(h^{x mod (p−1)}
+        mod p^{s+1}, h^{x mod (q−1)} mod q^{s+1})``, each half one walk of
+        its window table.  The reductions are exact — ``h mod p^{s+1}`` is
+        an ``(n^s)``-th power in a group of order ``p^s (p−1)``, so its order
+        divides ``p − 1`` (likewise for ``q``) — hence ``blinder(x) ==
+        pow(pow(y, x, n), n^s, n^{s+1})`` and ``blinder(x + λ) ==
+        blinder(x)``.  These blinders are not uniform over the ``n^s``-th
+        residues; the module docstring states the assumption they rest on.
         """
         if not self.has_private:
-            return powmod(randomness, self.n_to_s, self.modulus)
-        residue_p = powmod(randomness % self.p, self.p_to_s, self.p_to_s1)
-        residue_q = powmod(randomness % self.q, self.q_to_s, self.q_to_s1)
+            return powmod(draw, self.n_to_s, self.modulus)
+        residue_p = _table_pow(self._blinder_table_p, draw % (self.p - 1), self.p_to_s1)
+        residue_q = _table_pow(self._blinder_table_q, draw % (self.q - 1), self.q_to_s1)
         return self._recombine(residue_p, residue_q)
 
     def decrypt(self, ciphertext: int) -> int:
@@ -374,14 +441,17 @@ class BlinderPool:
     pay a single bigint multiplication; the exponentiations are batched into
     :meth:`refill`, which a deployment runs in idle time.
 
-    The pool draws its randomness through the same :func:`random_coprime`
-    calls, in the same order, as fresh encryption, and makes each blinder
-    with :meth:`PrecomputedKey.blinder`.  On a public-only context that is
-    the textbook ``r^{n^s}``: pooled ciphertexts are bit-identical to
-    unpooled ones given the same randomness stream.  On a private context
-    (the in-process simulation backend holds the dealer key) it is the
-    half-exponent sampler: same distribution, and the pooled ciphertexts on
-    stream ``r₁, r₂, …`` are the textbook ciphertexts on ``φ(r₁), φ(r₂), …``.
+    Each blinder is :meth:`PrecomputedKey.blinder` of one draw, and the
+    draws are made in serve order.  A public-only context draws ``r`` with
+    :func:`~repro.crypto.math_utils.random_coprime`, like fresh encryption,
+    so pooled ciphertexts are bit-identical to unpooled ones given the same
+    randomness stream.  A private context (the in-process simulation backend
+    holds the dealer key) draws the short exponent ``x`` with
+    :func:`~repro.crypto.math_utils.random_below` ``(2^L)``: the pooled
+    ciphertexts on the stream ``x₁, x₂, …`` are the textbook ciphertexts
+    with randomness ``y^{x₁} mod n, y^{x₂} mod n, …`` (``y`` is
+    :attr:`PrecomputedKey.blinder_root`).  *rng* replaces that draw; it is
+    called with the same bound (``2^L`` or ``n``).
     """
 
     def __init__(
@@ -390,19 +460,21 @@ class BlinderPool:
         batch_size: int = 32,
         rng: Callable[[int], int] | None = None,
     ) -> None:
-        if batch_size < 1:
-            raise CryptoError(f"batch_size must be >= 1, got {batch_size}")
         self.precomputed = precomputed
         self.batch_size = batch_size
-        self._random_coprime = rng if rng is not None else random_coprime
+        if precomputed.has_private:
+            draw, self._draw_bound = random_below, 1 << precomputed.blinder_exponent_bits
+        else:
+            draw, self._draw_bound = random_coprime, precomputed.n
+        self._draw = rng if rng is not None else draw
         self._pool: deque[int] = deque()
         self.generated = 0
         self.served = 0
         # One condition guards the pool *and* serializes blinder generation:
         # every randomness draw happens under it, in append order, so the
-        # FIFO pool consumes the randomness stream exactly like fresh
-        # encryption would — whether a blinder was generated synchronously
-        # on exhaustion or ahead of time by the background refill thread.
+        # FIFO pool serves blinders in draw order — whether a blinder was
+        # generated synchronously on exhaustion or ahead of time by the
+        # background refill thread.
         self._condition = threading.Condition()
         self._refill_thread: threading.Thread | None = None
         self._refill_stop: threading.Event | None = None
@@ -411,20 +483,33 @@ class BlinderPool:
         return len(self._pool)
 
     @property
+    def batch_size(self) -> int:
+        """Blinders one refill makes; at least 1 (the backend resizes it
+        from the run's demand after construction)."""
+        return self._batch_size
+
+    @batch_size.setter
+    def batch_size(self, value: int) -> None:
+        if value < 1:
+            raise CryptoError(f"batch_size must be >= 1, got {value}")
+        self._batch_size = value
+
+    @property
     def low_water(self) -> int:
         """Pool level at which :meth:`take` wakes the refill thread.
 
-        Half the *current* batch size (the backend resizes the batch from
-        the run's demand after construction).
+        Half the *current* batch size.
         """
         return max(1, self.batch_size // 2)
 
     def _fresh_blinder(self) -> int:
-        return self.precomputed.blinder(self._random_coprime(self.precomputed.n))
+        return self.precomputed.blinder(self._draw(self._draw_bound))
 
     def refill(self, count: int | None = None) -> None:
         """Precompute *count* blinders (one batch when omitted)."""
         count = self.batch_size if count is None else count
+        if count < 0:
+            raise CryptoError(f"cannot refill a negative count of blinders: {count}")
         with self._condition:
             self._refill_locked(count)
 
@@ -436,11 +521,10 @@ class BlinderPool:
     def take(self) -> int:
         """Pop the oldest blinder, refilling a batch first when empty.
 
-        FIFO order keeps the randomness-stream consumption identical to
-        fresh encryption: the i-th pooled operation uses exactly the i-th
-        drawn randomness.  With the background refill thread running, the
-        pool rarely empties and this is one lock acquisition plus one
-        ``popleft``; dropping to the low-water mark wakes the refiller.
+        FIFO order makes the i-th pooled operation use exactly the i-th
+        draw.  With the background refill thread running, the pool rarely
+        empties and this is one lock acquisition plus one ``popleft``;
+        dropping to the low-water mark wakes the refiller.
         """
         with self._condition:
             if not self._pool:
@@ -510,7 +594,7 @@ class BlinderPool:
 
     def _background_refill_loop(self, stop: threading.Event) -> None:
         # The lock is re-acquired for every single blinder: a concurrent
-        # take() waits at most one exponentiation, never a whole batch, and
+        # take() waits for at most one blinder, never a whole batch, and
         # draw order == append order == serve order (stream identity).
         while True:
             with self._condition:

@@ -47,6 +47,7 @@ import struct
 
 from ..exceptions import WireFormatError
 from .backends import CipherBackend, EncryptedVector, PartialVectorDecryption
+from .damgard_jurik import DamgardJurikPublicKey
 
 #: Version byte stamped on every frame (and the suffix of the golden vector
 #: file name).  Bump on any incompatible encoding change.
@@ -70,9 +71,14 @@ MAX_VARINT_BYTES = 10  # varints hold values < 2**64
 _VARINT_LIMIT = 1 << 64
 
 
-def wire_ciphertext_bytes(backend: CipherBackend) -> int:
-    """Fixed on-wire width of one of *backend*'s ciphertexts, in bytes."""
-    return (backend.ciphertext_bits + 7) // 8
+def wire_ciphertext_bytes(holder: CipherBackend | DamgardJurikPublicKey) -> int:
+    """Fixed on-wire width of one ciphertext of *holder* (a backend or a
+    Damgård–Jurik public key), in bytes: ``ciphertext_bits`` rounded up.
+
+    The one width definition: the frame codec writes it, and the modelled
+    byte count and the cost model charge it.
+    """
+    return (holder.ciphertext_bits + 7) // 8
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ import numpy as np
 
 from .._validation import check_non_negative_int
 from ..crypto.backends import CipherBackend, EncryptedVector
+from ..crypto.wire import wire_ciphertext_bytes
 from ..exceptions import GossipError
 
 
@@ -135,7 +136,7 @@ def estimate_payload_bytes(backend: CipherBackend, estimate: EncryptedEstimate) 
     is ``ceil(length / slots)`` ciphertexts, which is where the bandwidth
     saving of packing shows up in the cost accounting.
     """
-    return (backend.ciphertext_bits // 8) * estimate.vector.n_ciphertexts + 8
+    return wire_ciphertext_bytes(backend) * estimate.vector.n_ciphertexts + 8
 
 
 def required_headroom_bits(value_bound: float, scale: int, total_halvings: int) -> int:

@@ -1,15 +1,16 @@
 """Tests of the modular-arithmetic fast path (crypto/fastmath.py).
 
-The whole point of the fastmath layer is that it changes wall-clock time and
-*nothing else*: CRT decryption must agree with plain decryption, pooled
+The fastmath layer changes wall-clock time and nothing a decryption sees:
+CRT decryption must agree with plain decryption, pooled
 encryption/rerandomisation must agree with the fresh path (bit for bit given
-the same randomness stream on a public-only context; bit for bit on the
-stream mapped through the bijection ``φ`` — :func:`textbook_draw` — when the
-pool holds the factorisation), multi-exponentiation must agree with a
-product of ``pow`` calls, and the backend — which always runs the fast path
-— must produce the integers the textbook functions of ``damgard_jurik`` /
-``threshold`` produce.  Most invariants are property-based (Hypothesis) over
-all supported degrees.
+the same randomness stream on a public-only context; bit for bit with
+randomness ``y^x mod n`` — :func:`textbook_draw` — on the exponent stream
+``x₁, x₂, …`` when the pool holds the factorisation and its fixed-base
+sampler), multi-exponentiation must agree with a product of ``pow`` calls,
+and the backend — which always runs the fast path — must produce the
+integers the textbook functions of ``damgard_jurik`` / ``threshold``
+produce.  Most invariants are property-based (Hypothesis) over all supported
+degrees.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from repro.crypto.fastmath import (
     multi_pow,
     plan_pool_batch,
 )
-from repro.crypto.math_utils import crt_pair, random_coprime
+from repro.crypto.math_utils import random_below, random_coprime
 from repro.exceptions import CryptoError
 from repro.gossip.encrypted_sum import (
     average_estimates,
@@ -47,13 +48,15 @@ plaintext_fractions = st.floats(min_value=0.0, max_value=1.0, allow_nan=False,
                                 allow_infinity=False)
 
 
-def textbook_draw(private: dj.DamgardJurikPrivateKey, r: int) -> int:
-    """``φ(r)``: the draw whose *textbook* blinder ``φ(r)^{n^s}`` is the
-    blinder a private :class:`PrecomputedKey` makes from the draw ``r``."""
-    p, q, s = private.p, private.q, private.public_key.s
-    a_p = pow(q**s, -1, p - 1)
-    a_q = pow(p**s, -1, q - 1)
-    return crt_pair(pow(r, a_p, p), p, pow(r, a_q, q), q)
+def textbook_draw(precomputed: PrecomputedKey, x: int) -> int:
+    """``y^x mod n``: the randomness whose *textbook* blinder is the blinder
+    a private :class:`PrecomputedKey` makes from the exponent ``x``."""
+    return pow(precomputed.blinder_root, x, precomputed.n)
+
+
+def exponent_bound(precomputed: PrecomputedKey) -> int:
+    """Exclusive bound of the exponents a private context draws."""
+    return 1 << precomputed.blinder_exponent_bits
 
 
 def recorded_stream(seed: int):
@@ -68,6 +71,13 @@ def recorded_stream(seed: int):
                 return candidate
 
     return draw
+
+
+def recorded_exponents(seed: int):
+    """A replayable stand-in for ``random_below``: the same seed yields the
+    same exponents for the same bound, in order."""
+    rng = random.Random(seed)
+    return rng.randrange
 
 
 def _plaintext(s: int, fraction: float) -> int:
@@ -173,14 +183,13 @@ class TestBlinderPools:
         assert dj.decrypt(private, refreshed) == plaintext
 
     @staticmethod
-    def fresh_and_pooled(s, precomputed, textbook_randomness):
-        """Four messages encrypted by the textbook on ``textbook_randomness(r)``
-        and through a pool on *precomputed* fed the same draws ``r``."""
+    def fresh_and_pooled(s, precomputed, draws, textbook_randomness):
+        """Four messages encrypted by the textbook on ``textbook_randomness(d)``
+        and through a pool on *precomputed* fed the same *draws* ``d``."""
         public, _private = KEYS[s]
-        draws = [random_coprime(public.n) for _ in range(4)]
         fresh = [
-            dj.encrypt(public, m, randomness=textbook_randomness(r))
-            for m, r in zip((1, 2, 3, 4), draws)
+            dj.encrypt(public, m, randomness=textbook_randomness(d))
+            for m, d in zip((1, 2, 3, 4), draws)
         ]
         stream = iter(draws)
         pool = BlinderPool(precomputed, batch_size=2, rng=lambda _n: next(stream))
@@ -192,11 +201,12 @@ class TestBlinderPools:
 
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_pooled_ciphertexts_bit_identical_given_same_stream(self, s):
-        """The private pool consumes randomness like the fresh path: its
-        ciphertexts on r₁, r₂, … are the textbook's on φ(r₁), φ(r₂), …"""
-        private = KEYS[s][1]
+        """The private pool's ciphertexts on the exponents x₁, x₂, … are the
+        textbook's with randomness y^{x₁} mod n, y^{x₂} mod n, …"""
+        precomputed = PRECOMPUTED[s]
+        draws = [random_below(exponent_bound(precomputed)) for _ in range(4)]
         fresh, pooled = self.fresh_and_pooled(
-            s, PRECOMPUTED[s], lambda r: textbook_draw(private, r)
+            s, precomputed, draws, lambda x: textbook_draw(precomputed, x)
         )
         assert fresh == pooled
 
@@ -204,8 +214,10 @@ class TestBlinderPools:
     def test_public_pool_bit_identical_on_the_same_stream(self, s):
         """The pool ``measure_crypto_costs`` prices holds no factorisation
         and computes the textbook r^{n^s}: same stream, same integers."""
+        public = KEYS[s][0]
+        draws = [random_coprime(public.n) for _ in range(4)]
         fresh, pooled = self.fresh_and_pooled(
-            s, PrecomputedKey.from_public_key(KEYS[s][0]), lambda r: r
+            s, PrecomputedKey.from_public_key(public), draws, lambda r: r
         )
         assert fresh == pooled
 
@@ -231,6 +243,20 @@ class TestBlinderPools:
         with pytest.raises(CryptoError):
             BlinderPool(PRECOMPUTED[1], batch_size=0)
 
+    def test_sizes_the_pool_cannot_serve_are_refused(self):
+        """A negative refill and a batch below 1 are refused where they are
+        set, leaving the pool able to serve."""
+        pool = BlinderPool(PRECOMPUTED[1], batch_size=2)
+        with pytest.raises(CryptoError):
+            pool.refill(-3)
+        assert pool.generated == 0
+        for size in (0, -1):
+            with pytest.raises(CryptoError):
+                pool.batch_size = size
+        assert pool.batch_size == 2
+        pool.take()
+        assert pool.generated == 2
+
     def test_plan_pool_batch_clamps(self):
         assert plan_pool_batch(1) == 16
         assert plan_pool_batch(100) == 100
@@ -239,29 +265,47 @@ class TestBlinderPools:
             plan_pool_batch(0)
 
 
-class TestHalfExponentBlinder:
-    """``PrecomputedKey.blinder`` with the factorisation is the textbook
-    sampler at half the exponent — pinned, not assumed."""
+class TestFixedBaseBlinder:
+    """``PrecomputedKey.blinder`` with the factorisation is ``h^x`` for the
+    fixed ``h = y^{n^s}`` — pinned against the textbook, not assumed."""
 
     TOY_PRIMES = [(11, 13), (17, 29), (19, 23)]
 
     @pytest.mark.parametrize("s", [1, 2])
     @pytest.mark.parametrize("p,q", TOY_PRIMES)
     def test_exhaustive_toy_keys(self, p, q, s):
-        """Over *every* unit of Z_n: φ permutes the units, blinder(r) is the
-        textbook blinder of φ(r), and so the two multisets are equal."""
+        """For *every* exponent below λ = lcm(p−1, q−1): the blinder is the
+        textbook blinder of y^x mod n, depends on x only mod λ, and is an
+        encryption of 0."""
         public = dj.DamgardJurikPublicKey(n=p * q, s=s)
-        private = dj.DamgardJurikPrivateKey(public, math.lcm(p - 1, q - 1), p, q)
+        lam = math.lcm(p - 1, q - 1)
+        private = dj.DamgardJurikPrivateKey(public, lam, p, q)
         precomputed = PrecomputedKey.from_private_key(private)
-        units = [r for r in range(1, public.n) if math.gcd(r, public.n) == 1]
-        mapped = [textbook_draw(private, r) for r in units]
-        assert sorted(mapped) == units
-        modulus = public.ciphertext_modulus
-        fast = [precomputed.blinder(r) for r in units]
-        assert fast == [pow(r, public.plaintext_modulus, modulus) for r in mapped]
-        assert sorted(fast) == sorted(
-            pow(r, public.plaintext_modulus, modulus) for r in units
+        y = precomputed.blinder_root
+        n_to_s, modulus = public.plaintext_modulus, public.ciphertext_modulus
+        for x in range(lam):
+            blinder = precomputed.blinder(x)
+            assert blinder == pow(pow(y, x, public.n), n_to_s, modulus)
+            assert precomputed.blinder(x + lam) == blinder
+            assert dj.decrypt(private, blinder) == 0
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @given(fraction=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+    @settings(max_examples=20, deadline=None)
+    def test_full_length_exponents_match_the_textbook(self, s, fraction):
+        """Exponents of the drawn length walk every table row."""
+        public = KEYS[s][0]
+        precomputed = PRECOMPUTED[s]
+        x = int(fraction * exponent_bound(precomputed))
+        assert precomputed.blinder(x) == pow(
+            textbook_draw(precomputed, x), public.plaintext_modulus,
+            public.ciphertext_modulus,
         )
+
+    def test_exponent_length_follows_the_key(self):
+        assert PRECOMPUTED[1].blinder_exponent_bits == 256
+        _public, private = dj.generate_keypair(key_bits=768, s=1)
+        assert PrecomputedKey.from_private_key(private).blinder_exponent_bits == 384
 
     @pytest.mark.parametrize("s", [1, 2, 3])
     @given(seed=st.integers(min_value=0, max_value=2**32))
@@ -283,12 +327,13 @@ class TestBackgroundRefill:
         """pooled == fresh still holds with the refill thread running."""
         import time
 
-        public, private = KEYS[1]
+        public = KEYS[1][0]
+        precomputed = PRECOMPUTED[1]
         n_messages = 12
-        draws = [random_coprime(public.n) for _ in range(n_messages + 8)]
+        draws = [random_below(exponent_bound(precomputed)) for _ in range(n_messages + 8)]
         fresh = [
-            dj.encrypt(public, m, randomness=textbook_draw(private, r))
-            for m, r in zip(range(1, n_messages + 1), draws)
+            dj.encrypt(public, m, randomness=textbook_draw(precomputed, x))
+            for m, x in zip(range(1, n_messages + 1), draws)
         ]
         stream = iter(draws)
         # Batch 4: the refiller wakes at 2 and keeps at most 6 pooled, so the
@@ -463,10 +508,10 @@ class TestBackendAgainstTextbook:
     """The backend has no "off" switch; what keeps its arithmetic honest is
     this comparison, integer for integer, with the textbook functions called
     with ``precomputed=None, pool=None, multiexp=False`` on the same key.
-    The backend's pool replays a recorded randomness stream r₁, r₂, …; the
+    The backend's pool replays a recorded exponent stream x₁, x₂, …; the
     textbook side replays the same recording through :func:`textbook_draw`,
-    φ(r₁), φ(r₂), … — the draws whose textbook blinders the backend's
-    half-exponent sampler computes."""
+    y^{x₁} mod n, y^{x₂} mod n, … — the randomness whose textbook blinders
+    the backend's fixed-base sampler computes."""
 
     VALUES = np.linspace(-0.9, 0.9, 7)
     OTHER = np.linspace(0.8, -0.7, 7)
@@ -475,16 +520,18 @@ class TestBackendAgainstTextbook:
                     ids=lambda param: f"s{param[0]}-packing-{param[1]}")
     def backend(self, request, monkeypatch):
         degree, packing = request.param
-        # The pool binds its randomness source at construction; the textbook
-        # functions look theirs up per call.  Two replays of one recording.
-        monkeypatch.setattr("repro.crypto.fastmath.random_coprime", recorded_stream(2024))
+        # The pool binds its exponent source at construction; the textbook
+        # functions look their randomness up per call.  Two replays of one
+        # recording.
+        monkeypatch.setattr("repro.crypto.fastmath.random_below", recorded_exponents(2024))
         backend = DamgardJurikBackend(
             key_bits=256, degree=degree, threshold=2, n_shares=3, packing=packing,
         )
-        replay = recorded_stream(2024)
+        precomputed = backend._precomputed
+        replay = recorded_exponents(2024)
         monkeypatch.setattr(
             "repro.crypto.damgard_jurik.random_coprime",
-            lambda n: textbook_draw(backend._dealer_key, replay(n)),
+            lambda _n: textbook_draw(precomputed, replay(exponent_bound(precomputed))),
         )
         assert backend.is_packed == (packing == "auto")
         return backend

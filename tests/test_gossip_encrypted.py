@@ -83,6 +83,19 @@ class TestEstimateAlgebra:
         estimate = fresh_estimate(plain_backend, [1.0, 2.0, 3.0])
         assert estimate_payload_bytes(plain_backend, estimate) > 0
 
+    def test_payload_bytes_charge_the_wire_width(self):
+        """A ciphertext space that is not a whole number of bytes is charged
+        the width the wire writes (rounded up), not one byte less."""
+        from repro.crypto.backends import PlainBackend
+        from repro.crypto.wire import wire_ciphertext_bytes
+
+        backend = PlainBackend(threshold=2, n_shares=4, simulated_ciphertext_bits=4092)
+        estimate = fresh_estimate(backend, [1.0, 2.0, 3.0])
+        assert wire_ciphertext_bytes(backend) == 512
+        assert estimate_payload_bytes(backend, estimate) == (
+            512 * estimate.vector.n_ciphertexts + 8
+        )
+
 
 class TestHeadroom:
     def test_required_bits_grow_with_halvings(self):

@@ -355,6 +355,37 @@ class TestWorkerBlinderSupply:
             assert "_encrypt_plaintexts" in names and "_rerandomize_payload" in names
 
 
+class TestLiveEqualsCycleOnRealCiphertexts:
+    def test_two_workers_match_cycle_mode_under_damgard_jurik(self):
+        """Forked workers blind with their own exponents on the inherited
+        fixed base; decryption never sees the blinders, so a live run equals
+        cycle mode on profiles, traffic (each run draws its own key, so the
+        modelled bytes are equal only because both charge the wire width)
+        and crypto counts."""
+        collection = load_dataset("gaussian", n_series=6, series_length=4,
+                                  n_clusters=2, seed=3)
+
+        def config(mode):
+            return ChiaroscuroConfig().with_overrides(
+                kmeans={"n_clusters": 2, "max_iterations": 2},
+                privacy={"noise_shares": 4},
+                gossip={"cycles_per_aggregation": 2},
+                crypto={"backend": "paillier", "key_bits": 128, "threshold": 2,
+                        "n_key_shares": 3},
+                simulation={"n_participants": 6, "seed": 0},
+                runtime={"mode": mode, "processes": 2, "run_timeout": 60.0},
+            )
+
+        cycle = run_chiaroscuro(collection, config("cycle"))
+        live = run_chiaroscuro(collection, config("live"))
+        assert live.metadata["live"]["processes"] == 2
+        assert np.array_equal(live.profiles, cycle.profiles)
+        for key in ("messages_sent", "bytes_sent", "bytes_sent_modelled",
+                    "encryptions", "partial_decryptions", "combinations"):
+            assert getattr(live.costs, key) == getattr(cycle.costs, key), key
+        assert cycle.costs.encryptions > 0 and cycle.costs.combinations > 0
+
+
 class TestLiveConfigValidation:
     def test_live_rejects_fault_models_for_now(self):
         with pytest.raises(ConfigurationError):

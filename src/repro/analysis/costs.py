@@ -59,10 +59,12 @@ class CryptoCostProfile:
     """Measured average time (seconds) of each cryptographic operation.
 
     ``pooled_encryption_seconds`` is the hot-path cost of an encryption
-    served by the amortized blinder pool (one multiplication; the
-    exponentiation happened in idle time) — 0.0 when the profile was
-    measured with ``fastmath="off"``.  :meth:`price` uses it to charge
-    amortized and fresh exponentiations differently.
+    whose blinder is ready: one multiplication.  The blinder's
+    exponentiation is ``offline`` work, which a device may precompute in
+    idle time; the simulator makes each blinder when it is used, so the
+    split is the model's.  It is 0.0 when the profile was measured with
+    ``fastmath="off"``.  :meth:`price` uses it to charge precomputable and
+    fresh exponentiations differently.
     """
 
     key_bits: int
@@ -95,14 +97,15 @@ class CryptoCostProfile:
 
         *counts* uses the :class:`~repro.crypto.backends.OperationCounter`
         vocabulary (``pooled_encryptions`` is the subset of ``encryptions``
-        the blinder pool served; absent keys count zero), with scalar values
-        or numpy arrays of one shape (per-node counts).  A pool draw — pooled
-        encryption or rerandomization — is one multiplication ``online`` and
-        one blinder exponentiation ``offline``, the input-independent phase;
-        a profile measured without a pool has no offline phase and pays the
-        exponentiation on the hot path.  Offline, online and total seconds
-        are sums of the returned values; nothing else in the package
-        multiplies a count by a cost.
+        blinded by a :class:`~repro.crypto.fastmath.BlinderPool`; absent keys
+        count zero), with scalar values or numpy arrays of one shape
+        (per-node counts).  A pooled encryption or a rerandomization is one
+        multiplication ``online`` and one blinder exponentiation
+        ``offline``: the input-independent phase, which a device may
+        precompute in idle time; a profile measured without ready blinders
+        has no offline phase and pays the exponentiation on the hot path.
+        Offline, online and total seconds are sums of the returned values;
+        nothing else in the package multiplies a count by a cost.
         """
         pooled = counts.get("pooled_encryptions", 0)
         rerandomized = counts.get("rerandomizations", 0)
@@ -145,7 +148,7 @@ REFERENCE_PROFILE = CryptoCostProfile(
     addition_seconds=5.517e-5,
     partial_decryption_seconds=1.750e-1,
     combination_seconds=1.911e-3,
-    ciphertext_bytes=511,
+    ciphertext_bytes=512,
     fastmath="auto",
     pooled_encryption_seconds=4.896e-5,
 )
@@ -165,12 +168,12 @@ def measure_crypto_costs(
     per-operation constants the cost model extrapolates from (exactly the
     demo's own methodology).  With ``fastmath="auto"`` the profile uses only
     the accelerations a *real participant* could run — public per-key caches,
-    the idle-time blinder pool (whose amortized hot-path cost is reported in
-    ``pooled_encryption_seconds``) and multi-exponentiation share
-    combination.  The private CRT context is deliberately NOT used here:
-    share holders only know the public modulus, so charging them CRT-speed
-    partial decryptions would understate the per-device cost the model
-    exists to predict (the simulation backend may use CRT internally, but
+    blinders precomputed in idle time (the hot-path cost of an encryption
+    with a ready blinder is reported in ``pooled_encryption_seconds``) and
+    multi-exponentiation share combination.  The private CRT context is
+    deliberately NOT used here: share holders only know the public modulus,
+    so charging them CRT-speed partial decryptions would understate the
+    per-device cost the model exists to predict (the simulation backend may use CRT internally, but
     that is a wall-clock shortcut, not a device-cost claim).
     """
     check_positive_int(repetitions, "repetitions")
@@ -196,11 +199,11 @@ def measure_crypto_costs(
 
     pooled_encryption_seconds = 0.0
     if use_fastmath:
-        pool = BlinderPool(precomputed, batch_size=repetitions)
-        pool.refill(repetitions)  # amortized: filled outside the hot path
+        pool = BlinderPool(precomputed)
+        blinders = [pool.take() for _ in plaintexts]  # offline: not timed
         start = time.perf_counter()
-        for value in plaintexts:
-            dj.encrypt(public.public_key, value, precomputed=precomputed, pool=pool)
+        for value, blinder in zip(plaintexts, blinders):
+            dj.encrypt(public.public_key, value, precomputed=precomputed, blinder=blinder)
         pooled_encryption_seconds = (time.perf_counter() - start) / repetitions
 
     start = time.perf_counter()
@@ -255,9 +258,9 @@ def sweep_crypto_costs(
     The demo's cost screens show these side by side: the ``"off"`` column is
     the seed arithmetic every device can run, the ``"auto"`` column is what
     a device gains from the public fastmath accelerations (per-key caches,
-    idle-time blinder pools, multi-exponentiation) — same integers, less
-    time.  Each mode generates its own key, so the rows are independent
-    measurements, not a shared-key best case.
+    blinders precomputed in idle time, multi-exponentiation) — same
+    integers, less time.  Each mode generates its own key, so the rows are
+    independent measurements, not a shared-key best case.
     """
     profiles: dict[str, CryptoCostProfile] = {}
     for mode in modes:
@@ -284,9 +287,9 @@ class ProtocolWorkload:
     partial decryptions, combinations, bytes — shrinks accordingly.
 
     ``amortized_encryptions`` marks a deployment that precomputes its
-    encryption blinders in idle time (the fastmath pool): the cost model
-    then charges the pooled hot-path cost per encryption instead of the
-    fresh-exponentiation cost.
+    encryption blinders in idle time: the cost model then charges the
+    pooled hot-path cost per encryption instead of the fresh-exponentiation
+    cost.
     """
 
     n_clusters: int

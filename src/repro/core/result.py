@@ -55,8 +55,9 @@ class CostSummary:
     attributes and the phase split are read off it.  ``offline_seconds`` /
     ``online_seconds`` split its modelled compute, priced by
     :data:`~repro.analysis.costs.REFERENCE_PROFILE`, between the
-    input-independent precomputation phase (blinder exponentiations filling
-    the pools) and the hot path (pooled multiplies, homomorphic additions,
+    input-independent phase (blinder exponentiations, which a device may
+    precompute in idle time; the simulator makes each blinder when it is
+    used) and the hot path (blinder multiplies, homomorphic additions,
     decryptions); ``phase_ops`` carries the operation counts behind the split.
 
     ``phase_seconds`` is only set by the slab engine's sampled path: the
@@ -113,8 +114,8 @@ class CostSummary:
 
     @property
     def phase_ops(self) -> dict[str, dict[str, int]]:
-        """Operation counts per phase: every pool draw (pooled encryption or
-        rerandomization) consumed one blinder exponentiated offline."""
+        """Operation counts per phase: every pooled encryption or
+        rerandomization consumed one blinder, priced as exponentiated offline."""
         counts = self.crypto_counts
         drawn = counts.get("pooled_encryptions", 0) + counts.get("rerandomizations", 0)
         return {"offline": {"blinder_exponentiations": drawn}, "online": dict(counts)}

@@ -205,21 +205,6 @@ def build_run_setup(
         packing_value_bound=_packed_slot_bound(config, series_length, value_bound),
         packing_weight_bits=packed_halving_budget,
     )
-    # Size the amortized blinder pool from the cost model's per-round
-    # encryption demand (deferred import: repro.analysis imports this
-    # module back for the quality comparisons).
-    from ..analysis.costs import ProtocolWorkload
-
-    demand = ProtocolWorkload(
-        n_clusters=config.kmeans.n_clusters,
-        series_length=series_length,
-        iterations=config.kmeans.max_iterations,
-        gossip_cycles=config.gossip.cycles_per_aggregation,
-        exchanges_per_cycle=config.gossip.exchanges_per_cycle,
-        threshold=config.crypto.threshold,
-        slots=backend.packing.slots if backend.packing is not None else 1,
-    )
-    backend.configure_pool(demand.encryptions_per_iteration)
     check_headroom(
         backend,
         value_bound=max(value_bound, 1.0),

@@ -20,12 +20,7 @@ from .damgard_jurik import (
     generate_keypair,
 )
 from .encoding import DEFAULT_WEIGHT_BITS, FixedPointCodec, PackedCodec
-from .fastmath import (
-    BlinderPool,
-    PrecomputedKey,
-    multi_pow,
-    plan_pool_batch,
-)
+from .fastmath import BlinderPool, PrecomputedKey, multi_pow
 from .math_utils import (
     crt_pair,
     generate_prime,
@@ -66,7 +61,6 @@ __all__ = [
     "BlinderPool",
     "PrecomputedKey",
     "multi_pow",
-    "plan_pool_batch",
     "DamgardJurikPublicKey",
     "DamgardJurikPrivateKey",
     "generate_keypair",

@@ -44,7 +44,7 @@ import numpy as np
 from ..exceptions import CryptoError, ThresholdError, ValidationError
 from . import damgard_jurik as dj
 from .encoding import DEFAULT_WEIGHT_BITS, FixedPointCodec, PackedCodec
-from .fastmath import BlinderPool, PrecomputedKey, multi_pow, plan_pool_batch
+from .fastmath import BlinderPool, PrecomputedKey, multi_pow
 from .threshold import (
     KeyShare,
     PartialDecryption,
@@ -93,9 +93,10 @@ class OperationCounter:
     the cost model should charge for.
 
     ``pooled_encryptions`` counts the subset of ``encryptions`` whose
-    blinder came from the amortized blinder pool (one multiplication on
-    the hot path instead of one exponentiation) so the cost model can
-    charge amortized and fresh exponentiations differently;
+    blinder came from a :class:`~repro.crypto.fastmath.BlinderPool`, i.e.
+    could have been precomputed in idle time (one multiplication on the hot
+    path instead of one exponentiation), so the cost model can charge
+    precomputable and fresh exponentiations differently;
     ``rerandomizations`` counts ciphertext randomness refreshes.
     """
 
@@ -306,7 +307,7 @@ class CipherBackend(ABC):
         Backends without semantic security (the plain simulation backend)
         have nothing to refresh and return *payload* itself, not a copy, so
         :meth:`rerandomize` can hand back its input; real backends multiply
-        by a fresh — or pooled — encryption of zero and return a new tuple.
+        by a fresh encryption of zero and return a new tuple.
         """
         return payload
 
@@ -437,9 +438,9 @@ class CipherBackend(ABC):
     def rerandomize(self, vector: EncryptedVector) -> EncryptedVector:
         """Refresh every ciphertext's randomness without changing the plaintexts.
 
-        With the blinder pool this costs one multiplication per
-        ciphertext, which makes per-hop re-randomisation of forwarded gossip
-        payloads affordable.
+        Past the blinder, which a device may precompute in idle time, this
+        costs one multiplication per ciphertext, which makes per-hop
+        re-randomisation of forwarded gossip payloads affordable.
 
         A refresh is counted per ciphertext whether or not it changes one,
         so the cost model prices every hop alike.  When
@@ -497,22 +498,6 @@ class CipherBackend(ABC):
             )
         return self.codec.decode_vector(plaintexts)
 
-    # ------------------------------------------------------------------ process lifecycle
-    def configure_pool(self, expected_per_round: int) -> None:
-        """Prepare for *expected_per_round* hot-path encryptions per protocol
-        round.  Backends without precomputed randomness have nothing to do."""
-
-    def after_fork(self) -> None:
-        """Make a backend inherited through ``fork`` safe to encrypt with.
-
-        A worker process calls this once, before its first encryption, and
-        :meth:`close` when it is done.  Backends without per-process
-        randomness state have nothing to do.
-        """
-
-    def close(self) -> None:
-        """Stop whatever :meth:`after_fork` started; idempotent."""
-
     # ------------------------------------------------------------------ conveniences
     def decrypt_with_shares(
         self, vector: EncryptedVector, share_indices: Sequence[int], integer: bool = False
@@ -527,12 +512,12 @@ class DamgardJurikBackend(CipherBackend):
 
     The backend builds a :class:`~repro.crypto.fastmath.PrecomputedKey`
     from the dealer key it already holds (this is an in-process simulation:
-    the dealer key is the test oracle) and an amortized
+    the dealer key is the test oracle) and a
     :class:`~repro.crypto.fastmath.BlinderPool`, which together give CRT
-    private-key operations, pooled one-multiply encryption/rerandomisation
-    and Straus multi-exponentiation for share combination and homomorphic
-    weighted sums.  Partial decryptions, combinations, homomorphic sums and
-    plaintexts are the integers the textbook functions of
+    private-key operations, one-multiply encryption/rerandomisation past
+    the blinder and Straus multi-exponentiation for share combination and
+    homomorphic weighted sums.  Partial decryptions, combinations,
+    homomorphic sums and plaintexts are the integers the textbook functions of
     :mod:`~repro.crypto.damgard_jurik` and :mod:`~repro.crypto.threshold`
     produce from the same ciphertexts.  Encryption and rerandomisation use
     fixed-base short-exponent blinders
@@ -543,7 +528,11 @@ class DamgardJurikBackend(CipherBackend):
     randomness ``y^{x₁} mod n, y^{x₂} mod n, …``.  That randomness is not
     uniform over ``Z_n^*``: security rests on DCR plus the
     Damgård–Jurik–Nielsen short-exponent assumption (see
-    :mod:`~repro.crypto.fastmath`).
+    :mod:`~repro.crypto.fastmath`).  Each blinder is made when it is used;
+    the cost model prices it as work a device may precompute in idle time
+    (``offline``).  Nothing but public key material is kept between
+    blinders, so a forked worker needs no preparation: its draws come from
+    its own OS entropy.
     """
 
     name = "damgard_jurik"
@@ -592,42 +581,12 @@ class DamgardJurikBackend(CipherBackend):
         except KeyError as exc:
             raise ThresholdError(f"no key share with index {index}") from exc
 
-    def configure_pool(self, expected_per_round: int) -> None:
-        """Size and prefill the blinder pool from the cost model's demand.
-
-        *expected_per_round* is the number of hot-path encryptions the
-        protocol performs per round (see
-        :attr:`~repro.analysis.costs.ProtocolWorkload.encryptions_per_iteration`).
-        """
-        self._pool.batch_size = plan_pool_batch(expected_per_round)
-        if not len(self._pool):
-            self._pool.refill()
-
-    def after_fork(self) -> None:
-        """Discard the inherited blinders, then refill in the background.
-
-        The pool was prefilled before the fork: two processes serving the
-        same blinders would produce ciphertexts with identical randomness,
-        whose quotient reveals the plaintext difference (see
-        :meth:`~repro.crypto.fastmath.BlinderPool.reset`).  Real deployments
-        fill encryption pools in idle time, so the worker's own supply comes
-        from the pool's refill thread (started here, after the fork —
-        threads are never inherited).  The fixed blinder base and its
-        tables are public and stay shared; each worker draws its own
-        exponents from OS entropy.
-        """
-        self._pool.reset()
-        self._pool.start_background_refill()
-
-    def close(self) -> None:
-        self._pool.stop_background_refill()
-
     # ------------------------------------------------------------------ primitives
     def _encrypt_plaintexts(self, plaintexts: Sequence[int]) -> tuple[int, ...]:
         self.counter.pooled_encryptions += len(plaintexts)
         return tuple(
             dj.encrypt(self.public_key, value,
-                       precomputed=self._precomputed, pool=self._pool)
+                       precomputed=self._precomputed, blinder=self._pool.take())
             for value in plaintexts
         )
 
@@ -647,7 +606,7 @@ class DamgardJurikBackend(CipherBackend):
 
     def _rerandomize_payload(self, payload: Sequence[int]) -> tuple[int, ...]:
         return tuple(
-            dj.rerandomize(self.public_key, ciphertext, pool=self._pool)
+            dj.rerandomize(self.public_key, ciphertext, blinder=self._pool.take())
             for ciphertext in payload
         )
 

@@ -32,7 +32,7 @@ from ..exceptions import DecryptionError, EncryptionError, KeyGenerationError
 from .math_utils import generate_distinct_primes, lcm, mod_inverse, random_coprime
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
-    from .fastmath import BlinderPool, PrecomputedKey
+    from .fastmath import PrecomputedKey
 
 
 @dataclass(frozen=True)
@@ -146,22 +146,22 @@ def encrypt(
     plaintext: int,
     randomness: int | None = None,
     precomputed: "PrecomputedKey | None" = None,
-    pool: "BlinderPool | None" = None,
+    blinder: int | None = None,
 ) -> int:
     """Encrypt *plaintext* (an integer in Z_{n^s}) under *public_key*.
 
-    A :class:`~repro.crypto.fastmath.BlinderPool` turns the blinder
-    exponentiation into one multiplication by a precomputed ``n^s``-th
-    residue.  On a public-only context the pool draws ``r`` like this
-    function does, so a fixed stream gives the same bits.  On a private
-    context it uses the fixed-base short-exponent sampler of
+    A ready *blinder* (an ``n^s``-th residue mod ``n^{s+1}``, e.g. from
+    :meth:`~repro.crypto.fastmath.BlinderPool.take`) replaces the blinder
+    exponentiation with one multiplication.  A public-only pool draws ``r``
+    like this function does, so a fixed stream gives the same bits.  A
+    private one uses the fixed-base short-exponent sampler of
     :meth:`~repro.crypto.fastmath.PrecomputedKey.blinder`: its blinder for
     the draw ``x`` is this function's for ``randomness = y^x mod n`` with
     the context's fixed ``y``, so the ciphertexts are textbook ones, but the
     randomness is no longer uniform over ``Z_n^*`` and security rests on
     DCR plus the Damgård–Jurik–Nielsen short-exponent assumption (see
     :mod:`~repro.crypto.fastmath`).  An explicit *randomness* argument
-    always bypasses the pool and computes the textbook ``randomness^{n^s}``.
+    always takes precedence and computes the textbook ``randomness^{n^s}``.
     """
     n_to_s = public_key.plaintext_modulus
     modulus = public_key.ciphertext_modulus
@@ -171,8 +171,8 @@ def encrypt(
         )
     g_to_m = _one_plus_n_power(public_key, plaintext, precomputed)
     if randomness is None:
-        if pool is not None:
-            return (g_to_m * pool.take()) % modulus
+        if blinder is not None:
+            return (g_to_m * blinder) % modulus
         randomness = random_coprime(public_key.n)
     elif math.gcd(randomness, public_key.n) != 1:
         raise EncryptionError("randomness must be coprime with n")
@@ -271,16 +271,16 @@ def multiply_plaintext(
 def rerandomize(
     public_key: DamgardJurikPublicKey,
     ciphertext: int,
-    pool: "BlinderPool | None" = None,
+    blinder: int | None = None,
 ) -> int:
     """Refresh the randomness of a ciphertext without changing its plaintext.
 
-    With a :class:`~repro.crypto.fastmath.BlinderPool` the refresh costs one
-    multiplication by a precomputed blinder instead of one exponentiation.
+    Without a ready *blinder* (an ``n^s``-th residue mod ``n^{s+1}``) the
+    refresh draws ``r`` and pays one exponentiation for ``r^{n^s}``.
     """
-    if pool is not None:
-        return (ciphertext * pool.take()) % public_key.ciphertext_modulus
-    blinder = pow(
-        random_coprime(public_key.n), public_key.plaintext_modulus, public_key.ciphertext_modulus
-    )
+    if blinder is None:
+        blinder = pow(
+            random_coprime(public_key.n), public_key.plaintext_modulus,
+            public_key.ciphertext_modulus,
+        )
     return (ciphertext * blinder) % public_key.ciphertext_modulus

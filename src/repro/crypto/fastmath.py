@@ -14,11 +14,13 @@ changing a single decrypted bit:
   every private ``pow``); cached ``n^k mod n^{s+1}`` powers, factorial
   inverses for the ``(1+n)^m`` binomial expansion and the halving constant
   ``2^{-1} mod n^s``;
-* :class:`BlinderPool` — an amortized pool of precomputed encryption
-  blinders (``n^s``-th residues mod ``n^{s+1}``) so that hot-path
-  ``encrypt`` / ``rerandomize`` cost one bigint multiplication instead of
-  one full exponentiation.  The pool makes each blinder from one draw with
-  :meth:`PrecomputedKey.blinder`;
+* :class:`BlinderPool` — the source of encryption blinders (``n^s``-th
+  residues mod ``n^{s+1}``): ``encrypt`` / ``rerandomize`` take one and
+  multiply it in.  Each is made when it is used, from one draw with
+  :meth:`PrecomputedKey.blinder`, which a private context turns into one
+  table walk per CRT half.  The cost model prices a blinder as work a
+  device may precompute in idle time (``offline``); the simulator does not
+  precompute it;
 * :func:`multi_pow` — Straus simultaneous multi-exponentiation for
   ``Π bᵢ^{eᵢ} mod m`` (threshold share combination, homomorphic weighted
   accumulation in the gossip layer).
@@ -27,7 +29,7 @@ The private-key, multi-exponentiation and decryption paths are *exact*
 accelerations: partial decryptions, share combinations, homomorphic sums and
 plaintexts are the integers the textbook bodies of
 :mod:`~repro.crypto.damgard_jurik` and :mod:`~repro.crypto.threshold`
-(called without a precomputed key or pool) produce from the same
+(called without a precomputed key or blinder) produce from the same
 ciphertexts.
 
 Blinders are where the two contexts differ.  A *public-only* context draws
@@ -38,8 +40,8 @@ applications to electronic voting", IJIS 2010): at set-up it draws one
 ``y`` from ``Z_n^*`` and fixes ``h = y^{n^s} mod n^{s+1}``; a blinder is
 ``h^x`` for ``x`` uniform in ``[0, 2^L)``, ``L = max(256, ⌈|n|/2⌉)``
 (``L`` follows from the key; it is not a knob).  Because ``h^x == (y^x mod
-n)^{n^s} mod n^{s+1}``, a pooled ciphertext on the stream ``x₁, x₂, …`` is
-the textbook ciphertext with randomness ``y^{x₁} mod n, y^{x₂} mod n, …`` —
+n)^{n^s} mod n^{s+1}``, the ciphertexts blinded on the stream ``x₁, x₂, …`` are
+the textbook ciphertexts with randomness ``y^{x₁} mod n, y^{x₂} mod n, …`` —
 which is what the tests compare against — and decryption never sees the
 blinder.
 
@@ -49,8 +51,8 @@ short.  Semantic security now rests on DCR plus the DJN short-exponent
 (subgroup) assumption — that ``h^x`` for a short ``x`` is indistinguishable
 from a uniform ``n^s``-th residue — rather than on DCR alone.  ``y``, ``h``
 and the window tables are public data: forked workers share them, and
-:meth:`BlinderPool.reset` (run by ``after_fork``) still discards the pooled
-blinders, so each process draws its own exponents from OS entropy.
+since no blinder is kept between uses, each process draws its own exponents
+from OS entropy.
 
 Table size.  A private context keeps one fixed-base table per CRT half,
 ``⌈|p|/8⌉`` rows of 255 non-trivial residues mod ``p^{s+1}`` (and the same
@@ -70,8 +72,6 @@ is untouched either way.
 from __future__ import annotations
 
 import math
-import threading
-from collections import deque
 from typing import Callable, Sequence
 
 from ..exceptions import CryptoError
@@ -433,193 +433,47 @@ class PrecomputedKey:
         return residue_p + self.p_to_s * difference
 
 
-# --------------------------------------------------------------------------- blinder pools
+# --------------------------------------------------------------------------- blinder source
 class BlinderPool:
-    """Amortized pool of Damgård–Jurik encryption blinders (``n^s``-th residues).
+    """Source of Damgård–Jurik encryption blinders (``n^s``-th residues).
 
-    Hot-path ``encrypt`` and ``rerandomize`` take one precomputed blinder and
-    pay a single bigint multiplication; the exponentiations are batched into
-    :meth:`refill`, which a deployment runs in idle time.
+    :meth:`take` makes each blinder when it is used — one draw, then
+    :meth:`PrecomputedKey.blinder` — and nothing is kept between calls, so
+    the draws are made in use order and a process that inherits the object
+    through ``fork`` shares only public data (``y`` and the window tables)
+    with its parent: every later draw comes from its own OS entropy.
 
-    Each blinder is :meth:`PrecomputedKey.blinder` of one draw, and the
-    draws are made in serve order.  A public-only context draws ``r`` with
+    A public-only context draws ``r`` with
     :func:`~repro.crypto.math_utils.random_coprime`, like fresh encryption,
-    so pooled ciphertexts are bit-identical to unpooled ones given the same
+    so its ciphertexts are bit-identical to unpooled ones given the same
     randomness stream.  A private context (the in-process simulation backend
     holds the dealer key) draws the short exponent ``x`` with
-    :func:`~repro.crypto.math_utils.random_below` ``(2^L)``: the pooled
-    ciphertexts on the stream ``x₁, x₂, …`` are the textbook ciphertexts
-    with randomness ``y^{x₁} mod n, y^{x₂} mod n, …`` (``y`` is
+    :func:`~repro.crypto.math_utils.random_below` ``(2^L)``: the ciphertexts
+    on the stream ``x₁, x₂, …`` are the textbook ciphertexts with randomness
+    ``y^{x₁} mod n, y^{x₂} mod n, …`` (``y`` is
     :attr:`PrecomputedKey.blinder_root`).  *rng* replaces that draw; it is
     called with the same bound (``2^L`` or ``n``).
+
+    The name says "pool" because the cost model still prices a blinder as
+    work a device may precompute in idle time (``offline``).  It stays a
+    class rather than a method of :class:`PrecomputedKey` because the
+    benchmark suite's tracer times blinders by wrapping
+    ``BlinderPool.take``; folding it in waits on that boundary moving
+    (ROADMAP.md item 1(b)).
     """
 
     def __init__(
         self,
         precomputed: PrecomputedKey,
-        batch_size: int = 32,
         rng: Callable[[int], int] | None = None,
     ) -> None:
         self.precomputed = precomputed
-        self.batch_size = batch_size
         if precomputed.has_private:
             draw, self._draw_bound = random_below, 1 << precomputed.blinder_exponent_bits
         else:
             draw, self._draw_bound = random_coprime, precomputed.n
         self._draw = rng if rng is not None else draw
-        self._pool: deque[int] = deque()
-        self.generated = 0
-        self.served = 0
-        # One condition guards the pool *and* serializes blinder generation:
-        # every randomness draw happens under it, in append order, so the
-        # FIFO pool serves blinders in draw order — whether a blinder was
-        # generated synchronously on exhaustion or ahead of time by the
-        # background refill thread.
-        self._condition = threading.Condition()
-        self._refill_thread: threading.Thread | None = None
-        self._refill_stop: threading.Event | None = None
-
-    def __len__(self) -> int:
-        return len(self._pool)
-
-    @property
-    def batch_size(self) -> int:
-        """Blinders one refill makes; at least 1 (the backend resizes it
-        from the run's demand after construction)."""
-        return self._batch_size
-
-    @batch_size.setter
-    def batch_size(self, value: int) -> None:
-        if value < 1:
-            raise CryptoError(f"batch_size must be >= 1, got {value}")
-        self._batch_size = value
-
-    @property
-    def low_water(self) -> int:
-        """Pool level at which :meth:`take` wakes the refill thread.
-
-        Half the *current* batch size.
-        """
-        return max(1, self.batch_size // 2)
-
-    def _fresh_blinder(self) -> int:
-        return self.precomputed.blinder(self._draw(self._draw_bound))
-
-    def refill(self, count: int | None = None) -> None:
-        """Precompute *count* blinders (one batch when omitted)."""
-        count = self.batch_size if count is None else count
-        if count < 0:
-            raise CryptoError(f"cannot refill a negative count of blinders: {count}")
-        with self._condition:
-            self._refill_locked(count)
-
-    def _refill_locked(self, count: int) -> None:
-        for _ in range(count):
-            self._pool.append(self._fresh_blinder())
-        self.generated += count
 
     def take(self) -> int:
-        """Pop the oldest blinder, refilling a batch first when empty.
-
-        FIFO order makes the i-th pooled operation use exactly the i-th
-        draw.  With the background refill thread running, the pool rarely
-        empties and this is one lock acquisition plus one ``popleft``;
-        dropping to the low-water mark wakes the refiller.
-        """
-        with self._condition:
-            if not self._pool:
-                self._refill_locked(self.batch_size)
-            self.served += 1
-            blinder = self._pool.popleft()
-            if self._refill_thread is not None and len(self._pool) <= self.low_water:
-                self._condition.notify_all()
-            return blinder
-
-    def reset(self) -> None:
-        """Discard every pooled blinder (counters untouched).
-
-        A process that inherits a pool through ``fork`` MUST call this
-        before encrypting: two processes serving the same precomputed
-        blinders would produce ciphertexts with identical randomness, and
-        the quotient of two such ciphertexts reveals the plaintext
-        difference — exactly the linkability the re-randomization layer
-        exists to prevent.  Post-fork draws come from the process's own
-        entropy, so refilled pools diverge immediately.
-        """
-        with self._condition:
-            self._pool.clear()
-
-    # ------------------------------------------------------------------ background refill
-    def start_background_refill(self) -> None:
-        """Keep the pool topped up from a daemon worker thread.
-
-        Real deployments refill blinder pools in idle time; this moves the
-        batch exponentiations off the encryption hot path.  Generation
-        stays under the pool lock, one blinder at a time, so the randomness
-        stream is consumed in precisely the order the synchronous path
-        consumes it — the served blinders are the same integers with or
-        without the thread.  Idempotent; a no-op when the thread is already
-        running.
-        """
-        with self._condition:
-            if self._refill_thread is not None:
-                return
-            # Each thread gets its own stop event: even if a stop times out
-            # with the old thread wedged behind the lock, a later start can
-            # never revive it — its event stays set forever and a fresh
-            # thread runs on a fresh event.
-            stop = threading.Event()
-            self._refill_stop = stop
-            self._refill_thread = threading.Thread(
-                target=self._background_refill_loop,
-                args=(stop,),
-                name="blinder-pool-refill",
-                daemon=True,
-            )
-            self._refill_thread.start()
-
-    def stop_background_refill(self) -> None:
-        """Stop the refill thread (blocks until it exits); idempotent."""
-        with self._condition:
-            thread = self._refill_thread
-            stop = self._refill_stop
-            if thread is None:
-                return
-            stop.set()
-            self._condition.notify_all()
-        thread.join(timeout=30.0)
-        with self._condition:
-            self._refill_thread = None
-            self._refill_stop = None
-
-    def _background_refill_loop(self, stop: threading.Event) -> None:
-        # The lock is re-acquired for every single blinder: a concurrent
-        # take() waits for at most one blinder, never a whole batch, and
-        # draw order == append order == serve order (stream identity).
-        while True:
-            with self._condition:
-                if stop.is_set():
-                    return
-                if len(self._pool) >= self.low_water + self.batch_size:
-                    self._condition.wait(timeout=0.1)
-                    continue
-                self._refill_locked(1)
-                self._condition.notify_all()
-
-
-def plan_pool_batch(expected_per_round: int, minimum: int = 16, maximum: int = 1024) -> int:
-    """Pool batch size for an expected number of hot-path operations per round.
-
-    The analysis cost model knows how many encryptions one protocol round
-    performs (:attr:`~repro.analysis.costs.ProtocolWorkload.encryptions_per_iteration`);
-    refilling in batches of that size bounds the precomputed-state memory
-    and covers a round's *encryptions* with one burst.  It does not count
-    rerandomizations, which draw from the same pool and are most of the
-    demand (88 % of draws on the suite's ``object_dj`` workload: 196 refill
-    bursts in 3 iterations), so a round sees many bursts, not one.
-    """
-    if expected_per_round < 1:
-        raise CryptoError(
-            f"expected_per_round must be >= 1, got {expected_per_round}"
-        )
-    return max(minimum, min(maximum, expected_per_round))
+        """A fresh blinder from one new draw."""
+        return self.precomputed.blinder(self._draw(self._draw_bound))

@@ -110,9 +110,10 @@ def rerandomize_estimate(backend: CipherBackend,
                          estimate: EncryptedEstimate) -> EncryptedEstimate:
     """Refresh the ciphertext randomness of an estimate (same value, exponent).
 
-    With the blinder pool this costs one bigint multiplication per
-    ciphertext, making per-hop re-randomisation of forwarded estimates
-    affordable for unlinkability-sensitive deployments.  A backend with
+    Past the blinder, which a device may precompute in idle time, this costs
+    one bigint multiplication per ciphertext, making per-hop
+    re-randomisation of forwarded estimates affordable for
+    unlinkability-sensitive deployments.  A backend with
     nothing to refresh (the plain one) still counts the refresh, but hands
     back the same vector, so the same *estimate* is returned, not a copy.
     """

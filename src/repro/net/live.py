@@ -1075,16 +1075,11 @@ class LiveWorker:
 
 def _worker_main(worker_index: int, setup: RunSetup, local_ids: list[int],
                  coordinator_address: tuple[str, int]) -> None:
-    # Before anything can encrypt: every worker must draw its own
-    # randomness, not the blinders the coordinator pooled before the fork.
-    setup.backend.after_fork()
     try:
         asyncio.run(LiveWorker(worker_index, setup, local_ids).run(coordinator_address))
     except Exception:  # pragma: no cover - the coordinator sees the process exit
         traceback.print_exc(file=sys.stderr)
         os._exit(1)
-    finally:
-        setup.backend.close()
 
 
 # ---------------------------------------------------------------------- coordinator

@@ -9,6 +9,8 @@ import pytest
 
 from repro.analysis import CostModel, CryptoCostProfile, ProtocolWorkload, measure_crypto_costs
 from repro.analysis.costs import REFERENCE_PROFILE, bootstrap_extrapolate
+from repro.crypto.damgard_jurik import DamgardJurikPublicKey
+from repro.crypto.wire import wire_ciphertext_bytes
 from repro.exceptions import AnalysisError, ValidationError
 
 
@@ -211,6 +213,14 @@ class TestReferenceProfile:
             10 * REFERENCE_PROFILE.encryption_seconds
         )
         assert phase_seconds(REFERENCE_PROFILE, {}) == (0.0, 0.0)
+
+    def test_ciphertext_width_is_the_wire_width(self):
+        """Every modulus of the recorded key size and degree puts a
+        ciphertext on the wire at the width the price list charges."""
+        bits, degree = REFERENCE_PROFILE.key_bits, REFERENCE_PROFILE.degree
+        for n in ((1 << (bits - 1)) + 1, (1 << bits) - 1):
+            public = DamgardJurikPublicKey(n=n, s=degree)
+            assert REFERENCE_PROFILE.ciphertext_bytes == wire_ciphertext_bytes(public)
 
 
 class TestByteAccounting:

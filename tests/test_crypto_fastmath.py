@@ -26,12 +26,7 @@ from hypothesis import strategies as st
 from repro.crypto import damgard_jurik as dj
 from repro.crypto import threshold as th
 from repro.crypto.backends import DamgardJurikBackend
-from repro.crypto.fastmath import (
-    BlinderPool,
-    PrecomputedKey,
-    multi_pow,
-    plan_pool_batch,
-)
+from repro.crypto.fastmath import BlinderPool, PrecomputedKey, multi_pow
 from repro.crypto.math_utils import random_below, random_coprime
 from repro.exceptions import CryptoError
 from repro.gossip.encrypted_sum import (
@@ -168,17 +163,18 @@ class TestBlinderPools:
     def test_pooled_encrypt_decrypts_like_fresh(self, s, fraction):
         public, private = KEYS[s]
         plaintext = _plaintext(s, fraction)
-        pool = BlinderPool(PRECOMPUTED[s], batch_size=2)
-        pooled = dj.encrypt(public, plaintext, precomputed=PRECOMPUTED[s], pool=pool)
+        pool = BlinderPool(PRECOMPUTED[s])
+        pooled = dj.encrypt(public, plaintext, precomputed=PRECOMPUTED[s],
+                            blinder=pool.take())
         assert dj.decrypt(private, pooled) == plaintext
 
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_pooled_rerandomize_preserves_plaintext(self, s):
         public, private = KEYS[s]
         plaintext = _plaintext(s, 0.37)
-        pool = BlinderPool(PRECOMPUTED[s], batch_size=2)
+        pool = BlinderPool(PRECOMPUTED[s])
         ciphertext = dj.encrypt(public, plaintext)
-        refreshed = dj.rerandomize(public, ciphertext, pool=pool)
+        refreshed = dj.rerandomize(public, ciphertext, blinder=pool.take())
         assert refreshed != ciphertext
         assert dj.decrypt(private, refreshed) == plaintext
 
@@ -192,9 +188,9 @@ class TestBlinderPools:
             for m, d in zip((1, 2, 3, 4), draws)
         ]
         stream = iter(draws)
-        pool = BlinderPool(precomputed, batch_size=2, rng=lambda _n: next(stream))
+        pool = BlinderPool(precomputed, rng=lambda _n: next(stream))
         pooled = [
-            dj.encrypt(public, m, precomputed=precomputed, pool=pool)
+            dj.encrypt(public, m, precomputed=precomputed, blinder=pool.take())
             for m in (1, 2, 3, 4)
         ]
         return fresh, pooled
@@ -225,44 +221,10 @@ class TestBlinderPools:
     def test_explicit_randomness_takes_the_textbook_path(self, s):
         public, _private = KEYS[s]
         r = random_coprime(public.n)
-        pool = BlinderPool(PRECOMPUTED[s], batch_size=2)
+        pool = BlinderPool(PRECOMPUTED[s])
         assert dj.encrypt(
-            public, 5, randomness=r, precomputed=PRECOMPUTED[s], pool=pool
+            public, 5, randomness=r, precomputed=PRECOMPUTED[s], blinder=pool.take()
         ) == dj.encrypt(public, 5, randomness=r)
-        assert pool.served == 0
-
-    def test_take_refills_in_fifo_batches(self):
-        pool = BlinderPool(PRECOMPUTED[1], batch_size=3)
-        assert len(pool) == 0
-        pool.take()
-        assert pool.generated == 3
-        assert pool.served == 1
-        assert len(pool) == 2
-
-    def test_pool_validation(self):
-        with pytest.raises(CryptoError):
-            BlinderPool(PRECOMPUTED[1], batch_size=0)
-
-    def test_sizes_the_pool_cannot_serve_are_refused(self):
-        """A negative refill and a batch below 1 are refused where they are
-        set, leaving the pool able to serve."""
-        pool = BlinderPool(PRECOMPUTED[1], batch_size=2)
-        with pytest.raises(CryptoError):
-            pool.refill(-3)
-        assert pool.generated == 0
-        for size in (0, -1):
-            with pytest.raises(CryptoError):
-                pool.batch_size = size
-        assert pool.batch_size == 2
-        pool.take()
-        assert pool.generated == 2
-
-    def test_plan_pool_batch_clamps(self):
-        assert plan_pool_batch(1) == 16
-        assert plan_pool_batch(100) == 100
-        assert plan_pool_batch(10**6) == 1024
-        with pytest.raises(CryptoError):
-            plan_pool_batch(0)
 
 
 class TestFixedBaseBlinder:
@@ -312,134 +274,11 @@ class TestFixedBaseBlinder:
     @settings(max_examples=15, deadline=None)
     def test_pooled_blinders_are_encryptions_of_zero(self, s, seed):
         public, private = KEYS[s]
-        pool = BlinderPool(PRECOMPUTED[s], batch_size=2, rng=recorded_stream(seed))
+        pool = BlinderPool(PRECOMPUTED[s], rng=recorded_stream(seed))
         for _ in range(3):
             blinder = pool.take()
             assert pow(blinder, private.lam, public.ciphertext_modulus) == 1
             assert dj.decrypt(private, blinder) == 0
-
-
-class TestBackgroundRefill:
-    """The refill worker thread moves generation off the hot path without
-    perturbing the randomness stream (PR 2 follow-up)."""
-
-    def test_background_pooled_ciphertexts_bit_identical_to_fresh(self):
-        """pooled == fresh still holds with the refill thread running."""
-        import time
-
-        public = KEYS[1][0]
-        precomputed = PRECOMPUTED[1]
-        n_messages = 12
-        draws = [random_below(exponent_bound(precomputed)) for _ in range(n_messages + 8)]
-        fresh = [
-            dj.encrypt(public, m, randomness=textbook_draw(precomputed, x))
-            for m, x in zip(range(1, n_messages + 1), draws)
-        ]
-        stream = iter(draws)
-        # Batch 4: the refiller wakes at 2 and keeps at most 6 pooled, so the
-        # 12 takes draw at most 18 of the 20 prepared values.
-        pool = BlinderPool(PRECOMPUTED[1], batch_size=4, rng=lambda _n: next(stream))
-        pool.start_background_refill()
-        try:
-            pooled = []
-            for m in range(1, n_messages + 1):
-                pooled.append(
-                    dj.encrypt(public, m, precomputed=PRECOMPUTED[1], pool=pool)
-                )
-                if m == n_messages // 2:
-                    # Give the refiller a chance to interleave with takes.
-                    time.sleep(0.01)
-        finally:
-            pool.stop_background_refill()
-        assert fresh == pooled
-
-    def test_background_refill_keeps_pool_above_low_water(self):
-        import time
-
-        pool = BlinderPool(PRECOMPUTED[1], batch_size=6)
-        assert pool.low_water == 3
-        pool.start_background_refill()
-        try:
-            deadline = time.monotonic() + 5.0
-            while len(pool) <= 3 and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert len(pool) > 3
-            served_target = 6
-            for _ in range(served_target):
-                pool.take()
-            assert pool.served == served_target
-        finally:
-            pool.stop_background_refill()
-        assert pool._refill_thread is None
-
-    def test_reset_discards_pooled_blinders(self):
-        """A fork-inherited pool must be cleared before first use: shared
-        blinders would make two processes' ciphertexts linkable."""
-        pool = BlinderPool(PRECOMPUTED[1], batch_size=3)
-        pool.refill()
-        assert len(pool) == 3
-        pool.reset()
-        assert len(pool) == 0
-        # The next take still works (fresh synchronous refill).
-        pool.take()
-        assert pool.served == 1
-
-    def test_start_and_stop_are_idempotent(self):
-        pool = BlinderPool(PRECOMPUTED[1], batch_size=2)
-        pool.start_background_refill()
-        pool.start_background_refill()
-        pool.stop_background_refill()
-        pool.stop_background_refill()
-        assert pool._refill_thread is None
-
-    def test_wake_up_mark_follows_a_resized_batch(self):
-        """The backend sizes the batch after construction; the mark at which
-        take() wakes the refiller must be half the *current* batch."""
-        pool = BlinderPool(PRECOMPUTED[1], batch_size=32)
-        assert pool.low_water == 16
-        pool.batch_size = plan_pool_batch(10**6)
-        assert pool.low_water == 512
-        pool.batch_size = 1
-        assert pool.low_water == 1
-
-    def test_configure_pool_sizes_the_batch_and_the_mark(self):
-        backend = DamgardJurikBackend(key_bits=128, threshold=2, n_shares=3)
-        backend.configure_pool(36)
-        assert backend._pool.batch_size == 36
-        assert backend._pool.low_water == 18
-        assert len(backend._pool) == 36  # refilled ahead of need
-
-
-class TestAfterFork:
-    """The no-shared-blinder rule: a process that inherits a backend through
-    fork serves none of the blinders pooled before the fork."""
-
-    def test_discards_inherited_blinders_and_starts_the_refill_thread(self):
-        backend = DamgardJurikBackend(key_bits=128, threshold=2, n_shares=3)
-        backend.configure_pool(8)
-        inherited = set(backend._pool._pool)
-        assert len(inherited) == 16
-        try:
-            backend.after_fork()
-            thread = backend._pool._refill_thread
-            assert thread is not None and thread.is_alive()
-            served = {backend._pool.take() for _ in range(40)}
-            assert not served & inherited
-            vector = backend.encrypt_vector([0.25, 0.5])
-            decrypted = backend.decrypt_with_shares(vector, [1, 2])
-            assert decrypted == pytest.approx([0.25, 0.5], abs=1e-5)
-        finally:
-            backend.close()
-        assert backend._pool._refill_thread is None
-        assert not thread.is_alive()
-        backend.close()  # idempotent
-
-    def test_plain_backend_has_nothing_to_do(self):
-        from repro.crypto.backends import PlainBackend
-
-        backend = PlainBackend()
-        backend.after_fork()
-        backend.close()
 
 
 class TestMultiExponentiation:
@@ -507,7 +346,7 @@ class TestThresholdFastPath:
 class TestBackendAgainstTextbook:
     """The backend has no "off" switch; what keeps its arithmetic honest is
     this comparison, integer for integer, with the textbook functions called
-    with ``precomputed=None, pool=None, multiexp=False`` on the same key.
+    with ``precomputed=None, blinder=None, multiexp=False`` on the same key.
     The backend's pool replays a recorded exponent stream x₁, x₂, …; the
     textbook side replays the same recording through :func:`textbook_draw`,
     y^{x₁} mod n, y^{x₂} mod n, … — the randomness whose textbook blinders
@@ -545,7 +384,7 @@ class TestBackendAgainstTextbook:
 
     def textbook_encrypt(self, backend, values):
         return tuple(
-            dj.encrypt(backend.public_key, plaintext, precomputed=None, pool=None)
+            dj.encrypt(backend.public_key, plaintext, precomputed=None, blinder=None)
             for plaintext in self.plaintexts(backend, values)
         )
 
@@ -560,7 +399,7 @@ class TestBackendAgainstTextbook:
         vector = backend.encrypt_vector(self.VALUES)
         refreshed = backend.rerandomize(vector)
         reference = tuple(
-            dj.rerandomize(backend.public_key, ciphertext, pool=None)
+            dj.rerandomize(backend.public_key, ciphertext)
             for ciphertext in self.textbook_encrypt(backend, self.VALUES)
         )
         assert refreshed.payload == reference != vector.payload

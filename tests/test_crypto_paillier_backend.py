@@ -163,7 +163,6 @@ class TestHomomorphism:
 
     def test_pooled_blinders_encrypt_zero(self, backend):
         """A pooled blinder is an ``n``-th residue: ``b^λ ≡ 1 (mod n²)``."""
-        backend.configure_pool(4)
         dealer = backend._dealer_key
         lam = math.lcm(dealer.p - 1, dealer.q - 1)
         n_squared = backend.public_key.n**2

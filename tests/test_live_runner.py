@@ -308,29 +308,33 @@ class TestLiveRunnerShapes:
         assert result.metadata["live"]["processes"] == 4
 
 
-class TestWorkerBlinderSupply:
-    def test_worker_calls_after_fork_before_its_first_encryption(self, tmp_path, monkeypatch):
-        """Each worker inherits the coordinator's prefilled blinder pool; it
-        must discard it (``after_fork``) before anything draws a blinder."""
+class TestOneDrawPerBlinder:
+    def test_each_worker_draws_a_blinder_when_it_takes_one(self, tmp_path, monkeypatch):
+        """A worker inherits the backend through fork and makes every blinder
+        it uses from one draw of its own, at the moment it uses it: per
+        worker process, draws == takes > 0, and the takes add up to the
+        run's pooled encryptions plus rerandomizations."""
         import os
+        from collections import Counter
 
-        from repro.crypto.backends import DamgardJurikBackend
+        from repro.crypto import fastmath
 
         events = tmp_path / "events.log"
 
-        def recording(name):
-            original = getattr(DamgardJurikBackend, name)
-
-            def wrapper(self, *args):
+        def recording(name, original):
+            def wrapper(*args):
                 with events.open("a") as handle:  # one short line: appended whole
                     handle.write(f"{os.getpid()} {name}\n")
-                return original(self, *args)
+                return original(*args)
 
             return wrapper
 
-        # Patched before the fork, so the workers inherit the recorders.
-        for name in ("after_fork", "_encrypt_plaintexts", "_rerandomize_payload"):
-            monkeypatch.setattr(DamgardJurikBackend, name, recording(name))
+        # Patched before the backend is built (the pool binds its draw then)
+        # and before the fork, so the workers inherit the recorders.
+        monkeypatch.setattr(fastmath, "random_below",
+                            recording("draw", fastmath.random_below))
+        monkeypatch.setattr(fastmath.BlinderPool, "take",
+                            recording("take", fastmath.BlinderPool.take))
         collection = load_dataset("gaussian", n_series=6, series_length=4,
                                   n_clusters=2, seed=3)
         config = ChiaroscuroConfig().with_overrides(
@@ -342,17 +346,20 @@ class TestWorkerBlinderSupply:
             simulation={"n_participants": 6, "seed": 0},
             runtime={"mode": "live", "processes": 2, "run_timeout": 60.0},
         )
-        run_chiaroscuro(collection, config)
-        per_process: dict[int, list[str]] = {}
+        result = run_chiaroscuro(collection, config)
+        per_process: dict[int, Counter] = {}
         for line in events.read_text().splitlines():
             pid, name = line.split()
-            per_process.setdefault(int(pid), []).append(name)
-        workers = {pid: names for pid, names in per_process.items() if pid != os.getpid()}
+            per_process.setdefault(int(pid), Counter())[name] += 1
+        workers = {pid: counts for pid, counts in per_process.items()
+                   if pid != os.getpid()}
         assert len(workers) == 2
-        for names in workers.values():
-            assert names[0] == "after_fork"
-            assert names.count("after_fork") == 1
-            assert "_encrypt_plaintexts" in names and "_rerandomize_payload" in names
+        for counts in workers.values():
+            assert counts["draw"] == counts["take"] > 0, counts
+        counts = result.costs.crypto_counts
+        assert sum(c["take"] for c in per_process.values()) == (
+            counts["pooled_encryptions"] + counts["rerandomizations"]
+        )
 
 
 class TestLiveEqualsCycleOnRealCiphertexts:

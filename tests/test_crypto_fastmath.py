@@ -226,6 +226,75 @@ class TestBlinderPools:
             public, 5, randomness=r, precomputed=PRECOMPUTED[s], blinder=pool.take()
         ) == dj.encrypt(public, 5, randomness=r)
 
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_take_makes_one_blinder_per_draw_in_draw_order(self, s):
+        """Nothing is drawn ahead: k takes ask for k draws, and the i-th
+        blinder is the blinder of the i-th draw."""
+        precomputed = PRECOMPUTED[s]
+        source = recorded_exponents(s)
+        draws = []
+
+        def draw(bound):
+            draws.append(source(bound))
+            return draws[-1]
+
+        pool = BlinderPool(precomputed, rng=draw)
+        assert draws == []
+        taken = [pool.take() for _ in range(5)]
+        assert len(draws) == 5
+        assert taken == [precomputed.blinder(x) for x in draws]
+
+    def test_pool_keeps_nothing_between_takes(self):
+        """A blinder depends on its draw alone: one pool fed x₁, x₂, x₃ and
+        three pools fed one of them each make the same blinders."""
+        precomputed = PRECOMPUTED[1]
+        draws = [random_below(exponent_bound(precomputed)) for _ in range(3)]
+        stream = iter(draws)
+        shared = BlinderPool(precomputed, rng=lambda _bound: next(stream))
+        together = [shared.take() for _ in draws]
+        apart = [BlinderPool(precomputed, rng=lambda _bound, x=x: x).take()
+                 for x in draws]
+        assert together == apart
+        assert len(set(together)) == 3
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_draw_bound_follows_the_context(self, s):
+        """A private context asks for a short exponent below ``2^L``; a
+        public-only one for ``r`` below ``n``, as fresh encryption does."""
+        public = KEYS[s][0]
+        bounds = []
+
+        def draw(bound):
+            bounds.append(bound)
+            return 1
+
+        BlinderPool(PRECOMPUTED[s], rng=draw).take()
+        BlinderPool(PrecomputedKey.from_public_key(public), rng=draw).take()
+        assert bounds == [exponent_bound(PRECOMPUTED[s]), public.n]
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_a_ready_blinder_stands_for_its_randomness(self, s):
+        """``encrypt(m, blinder=r^{n^s})`` is ``encrypt(m, randomness=r)``,
+        with or without the CRT context."""
+        public, private = KEYS[s]
+        r = random_coprime(public.n)
+        blinder = pow(r, public.plaintext_modulus, public.ciphertext_modulus)
+        plaintext = _plaintext(s, 0.61)
+        expected = dj.encrypt(public, plaintext, randomness=r)
+        assert dj.encrypt(public, plaintext, blinder=blinder) == expected
+        assert dj.encrypt(public, plaintext, precomputed=PRECOMPUTED[s],
+                          blinder=blinder) == expected
+        assert dj.decrypt(private, expected) == plaintext
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_rerandomize_with_a_ready_blinder_is_one_multiplication(self, s):
+        public, private = KEYS[s]
+        ciphertext = dj.encrypt(public, _plaintext(s, 0.2))
+        blinder = BlinderPool(PRECOMPUTED[s]).take()
+        refreshed = dj.rerandomize(public, ciphertext, blinder=blinder)
+        assert refreshed == (ciphertext * blinder) % public.ciphertext_modulus
+        assert dj.decrypt(private, refreshed) == dj.decrypt(private, ciphertext)
+
 
 class TestFixedBaseBlinder:
     """``PrecomputedKey.blinder`` with the factorisation is ``h^x`` for the
@@ -279,6 +348,68 @@ class TestFixedBaseBlinder:
             blinder = pool.take()
             assert pow(blinder, private.lam, public.ciphertext_modulus) == 1
             assert dj.decrypt(private, blinder) == 0
+
+
+class TestAfterFork:
+    """The no-shared-blinder rule: a process that inherits a backend through
+    fork uses none of the blinders its parent made, and needs no step of its
+    own for that — the pool keeps no blinder to inherit."""
+
+    def test_a_forked_child_shares_no_blinder_with_its_parent(self):
+        import json
+        import os
+
+        backend = DamgardJurikBackend(key_bits=128, threshold=2, n_shares=3)
+        before = {backend._pool.take() for _ in range(8)}
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                os.close(read_end)
+                vector = backend.encrypt_vector([0.25, 0.5])
+                report = {
+                    "blinders": [backend._pool.take() for _ in range(8)],
+                    "payload": list(vector.payload),
+                    "decrypted": list(backend.decrypt_with_shares(vector, [1, 2])),
+                }
+                with os.fdopen(write_end, "w") as handle:
+                    json.dump(report, handle)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_end)
+        with os.fdopen(read_end) as handle:
+            text = handle.read()
+        _pid, wait_status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(wait_status) == 0
+        report = json.loads(text)
+        after = {backend._pool.take() for _ in range(8)}
+        child = set(report["blinders"])
+        assert len(child) == 8
+        assert not child & before
+        assert not child & after
+        dealer = backend._dealer_key
+        assert all(dj.decrypt(dealer, blinder) == 0 for blinder in child)
+        assert report["decrypted"] == pytest.approx([0.25, 0.5], abs=1e-5)
+
+    def test_plain_backend_has_nothing_to_do(self, monkeypatch):
+        """A plain ciphertext carries no blinder: the plain backend draws no
+        randomness, so a fork leaves it nothing to share."""
+        from repro.crypto import damgard_jurik, fastmath, math_utils
+        from repro.crypto.backends import PlainBackend
+
+        def refuse(_bound):
+            raise AssertionError("the plain backend drew randomness")
+
+        for module in (math_utils, fastmath, damgard_jurik):
+            for name in ("random_below", "random_coprime"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        backend = PlainBackend()
+        vector = backend.encrypt_vector([0.25, 0.5])
+        assert backend.rerandomize(vector) is vector
+        assert backend.counter.rerandomizations == len(vector.payload)
 
 
 class TestMultiExponentiation:
@@ -405,6 +536,20 @@ class TestBackendAgainstTextbook:
         assert refreshed.payload == reference != vector.payload
         assert refreshed.weight == vector.weight
         assert backend.counter.rerandomizations == len(reference)
+
+    def test_each_ciphertext_takes_one_blinder(self, backend, monkeypatch):
+        """Encryption and refresh take one blinder per ciphertext, when the
+        ciphertext is made, and no other operation takes one."""
+        take = backend._pool.take
+        takes = []
+        monkeypatch.setattr(backend._pool, "take", lambda: takes.append(1) or take())
+        vector = backend.encrypt_vector(self.VALUES)
+        assert len(takes) == len(vector.payload) == backend.counter.pooled_encryptions
+        backend.rerandomize(vector)
+        assert len(takes) == 2 * len(vector.payload)
+        backend.linear_combination([vector, vector], [2, 1])
+        assert len(takes) == (backend.counter.pooled_encryptions
+                              + backend.counter.rerandomizations)
 
     def test_linear_combination(self, backend):
         first = backend.encrypt_vector(self.VALUES)

@@ -20,6 +20,7 @@ from conftest import run_once
 
 from repro.analysis import CostModel, ProtocolWorkload, format_table, measure_crypto_costs
 from repro.crypto import damgard_jurik as dj
+from repro.crypto import threshold as th
 from repro.crypto.backends import DamgardJurikBackend, PlainBackend
 from repro.crypto.fastmath import BlinderPool, PrecomputedKey
 from repro.crypto.math_utils import random_below, random_coprime
@@ -164,6 +165,31 @@ def test_fastmath_blinder_refill(benchmark, fastmath):
             public.ciphertext_modulus,
         )
     assert dj.decrypt(private, blinder) == 0
+    benchmark.extra_info["fastmath"] = fastmath
+
+
+@pytest.mark.parametrize("fastmath", ["off", "auto"])
+def test_fastmath_partial_decryption_speedup(benchmark, fastmath):
+    """One committee round: three helpers partially decrypt one fresh
+    ciphertext.  Textbook: three full ``c^{2Δs_i} mod n^2`` powers.  Fast:
+    per CRT half, one Fermat power ``c^{p−1}`` the three share, then one
+    half-length power each (``PrecomputedKey.partial_decryption_power``)."""
+    public, shares, dealer = th.generate_threshold_keypair(
+        key_bits=1024, s=1, threshold=3, n_shares=5
+    )
+    precomputed = PrecomputedKey.from_private_key(dealer) if fastmath == "auto" else None
+    helpers = shares[:3]
+
+    def fresh_ciphertext():
+        # Made outside the timed call, so every round misses the Fermat cache.
+        return (dj.encrypt(public.public_key, 123456789),), {}
+
+    def committee_round(ciphertext):
+        return [th.partial_decrypt(public, share, ciphertext, precomputed)
+                for share in helpers]
+
+    partials = benchmark.pedantic(committee_round, setup=fresh_ciphertext, rounds=10)
+    assert th.combine_partial_decryptions(public, partials) == 123456789
     benchmark.extra_info["fastmath"] = fastmath
 
 

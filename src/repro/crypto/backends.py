@@ -473,7 +473,9 @@ class CipherBackend(ABC):
         """Combine partial decryptions into the decoded real-valued vector.
 
         When *integer* is true the components are decoded as exact integers
-        (cluster counts) instead of fixed-point reals.
+        (cluster counts) instead of fixed-point reals.  The partials must
+        agree on their length, ``packed`` and ``weight`` — the decoder reads
+        the layout off them — or :class:`ThresholdError` is raised.
         """
         if not partials:
             raise ThresholdError("no partial decryptions supplied")
@@ -481,6 +483,8 @@ class CipherBackend(ABC):
         payload_lengths = {len(partial.payload) for partial in partials}
         if len(lengths) != 1 or len(payload_lengths) != 1:
             raise ThresholdError("partial decryptions have inconsistent lengths")
+        if len({(partial.packed, partial.weight) for partial in partials}) != 1:
+            raise ThresholdError("partial decryptions disagree on packing or weight")
         for partial in partials:
             if partial.backend_name != self.name:
                 raise CryptoError("partial decryption from a different backend")
@@ -514,9 +518,12 @@ class DamgardJurikBackend(CipherBackend):
     from the dealer key it already holds (this is an in-process simulation:
     the dealer key is the test oracle) and a
     :class:`~repro.crypto.fastmath.BlinderPool`, which together give CRT
-    private-key operations, one-multiply encryption/rerandomisation past
-    the blinder and Straus multi-exponentiation for share combination and
-    homomorphic weighted sums.  Partial decryptions, combinations,
+    private-key operations, partial decryption at half the exponent length
+    (the helpers of a committee round share each ciphertext's cached Fermat
+    powers, :meth:`~repro.crypto.fastmath.PrecomputedKey.partial_decryption_power`),
+    one-multiply encryption/rerandomisation past the blinder, Straus
+    multi-exponentiation for share combination and one ``pow`` per term
+    for the gossip's short lift factors.  Partial decryptions, combinations,
     homomorphic sums and plaintexts are the integers the textbook functions of
     :mod:`~repro.crypto.damgard_jurik` and :mod:`~repro.crypto.threshold`
     produce from the same ciphertexts.  Encryption and rerandomisation use

@@ -21,9 +21,20 @@ changing a single decrypted bit:
   table walk per CRT half.  The cost model prices a blinder as work a
   device may precompute in idle time (``offline``); the simulator does not
   precompute it;
+* :meth:`PrecomputedKey.partial_decryption_power` — a partial decryption
+  ``c^e`` at half the exponent length per CRT half.  With ``e`` reduced mod
+  ``p^s (p−1)`` and split as ``u + (p−1)·w``, ``u = e mod (p−1)``:
+  ``c^e ≡ c^u · (1 + p·T)^w (mod p^{s+1})``, where ``c^{p−1} ≡ 1 + p·T``
+  (Fermat) and ``(1 + p·T)^w`` is an ``(s+1)``-term binomial (likewise mod
+  ``q^{s+1}``).  The Fermat power ``c^{p−1}`` is one ``(p−1)``-exponent
+  ``pow`` per ciphertext, cached per key, so the ``t`` helpers of a
+  committee round pay one short power each plus one shared Fermat power
+  instead of ``t`` full-length ones; :meth:`PrecomputedKey.decrypt` reads
+  the same cache;
 * :func:`multi_pow` — Straus simultaneous multi-exponentiation for
   ``Π bᵢ^{eᵢ} mod m`` (threshold share combination, homomorphic weighted
-  accumulation in the gossip layer).
+  accumulation in the gossip layer), or one builtin ``pow`` per base when
+  every exponent is a few bits long (the gossip's ``1`` / ``2^k`` lifts).
 
 The private-key, multi-exponentiation and decryption paths are *exact*
 accelerations: partial decryptions, share combinations, homomorphic sums and
@@ -60,6 +71,21 @@ mod ``q^{s+1}``).  At ``s = 1`` that is about 0.26 MB of residues for a
 256-bit key (16 rows per half, built in milliseconds), 4.2 MB at 1024 bits
 (64 rows) and 16.7 MB at 2048 bits (128 rows), plus CPython's ~28 bytes per
 integer object; degree ``s`` scales it by ``(s+1)/2``.
+
+Fermat cache.  A private context keeps the pair ``(c^{p−1} mod p^{s+1},
+c^{q−1} mod q^{s+1})`` for at most :data:`_FERMAT_CACHE_LIMIT` (1024)
+ciphertexts and drops the oldest first.  An entry holds the ciphertext and
+two residues: about 0.3 MB for a full cache at 256 bits and 1.2 MB at 2048
+bits (``s = 1``, CPython objects included, measured with tracemalloc).
+
+The trade.  Three helpers in one process (every object-engine round) pay
+30–38 % less for a ciphertext's partial decryptions than three CRT powers
+did, at 256, 1024 and 2048 bits.  A process that decrypts a ciphertext
+with one share only — a live worker hosting a single helper — pays the
+Fermat power and the short power where one full-length power did: 0–23 %
+more for that helper, measured the same way.  A committee request larger
+than the cache evicts its own first entries before the next helper reads
+them; every answer stays exact.
 
 When `gmpy2 <https://gmpy2.readthedocs.io>`_ is importable, the hot
 modular primitives (:func:`powmod`, :func:`invert`) ride its ``mpz``
@@ -136,6 +162,20 @@ _EXPONENT_CACHE_LIMIT = 256
 #: ``⌈|n|/2⌉`` bits (see the module docstring).
 _MIN_BLINDER_EXPONENT_BITS = 256
 
+#: Bound on the ciphertexts whose Fermat powers a private key context caches
+#: (see :meth:`PrecomputedKey.partial_decryption_power`).  One committee
+#: request's ciphertexts must fit for its helpers to share them; a run of
+#: the benchmark's ``object_dj`` workload decrypts 432.
+_FERMAT_CACHE_LIMIT = 1024
+
+#: When every exponent of :func:`multi_pow` is shorter than this, one
+#: builtin ``pow`` per base beats Straus's Python-level bit loop.  Measured
+#: on ``Π`` of two bases mod ``n^2``: the gossip lifts ``(2^k, 1)``,
+#: ``k ≤ 6``, run 1.1–2.9× faster on ``pow`` at 256, 1024 and 2048 bits,
+#: while share combination's 11–15-bit Lagrange exponents stay 1.3–2×
+#: faster on Straus.
+_STRAUS_MIN_EXPONENT_BITS = 8
+
 #: Straus interleaving processes bases in groups of this size: the shared
 #: table has ``2^group`` entries, so 4 keeps precomputation negligible while
 #: still merging the squaring chains of up to four exponentiations.
@@ -168,8 +208,12 @@ def multi_pow(bases: Sequence[int], exponents: Sequence[int], modulus: int) -> i
 
     Sharing one squaring chain across the whole product replaces ``t`` full
     square-and-multiply runs by a single one, which is the classical win for
-    threshold share combination and for homomorphic weighted accumulation.
-    Negative exponents are supported for invertible bases (as ``pow`` does).
+    threshold share combination.  When every exponent is shorter than
+    :data:`_STRAUS_MIN_EXPONENT_BITS` — the gossip's lift factors ``1`` and
+    ``2^k`` — the chain is a few squarings long and each base takes one
+    builtin ``pow`` instead.  Negative exponents are supported for
+    invertible bases (as ``pow`` does); a non-invertible base with a
+    negative exponent raises :class:`CryptoError`.
     """
     if len(bases) != len(exponents):
         raise CryptoError(
@@ -187,6 +231,10 @@ def multi_pow(bases: Sequence[int], exponents: Sequence[int], modulus: int) -> i
     if not pairs:
         return 1 % modulus
     result = 1
+    if all(exponent.bit_length() < _STRAUS_MIN_EXPONENT_BITS for _, exponent in pairs):
+        for base, exponent in pairs:
+            result = (result * pow(base, exponent, modulus)) % modulus
+        return result
     for start in range(0, len(pairs), _STRAUS_GROUP):
         group = pairs[start : start + _STRAUS_GROUP]
         result = (result * _straus_group(group, modulus)) % modulus
@@ -217,6 +265,30 @@ def _dlog_one_plus_base(base: int, s: int, value: int) -> int:
             t1 = (t1 - factor * mod_inverse(math.factorial(k), base_to_j)) % base_to_j
         i = t1
     return i
+
+
+def _split_pow(base: int, exponent: int, prime: int, modulus: int, fermat: int,
+               s: int) -> int:
+    """``base^exponent mod prime^{s+1}`` from ``fermat = base^{prime−1} mod
+    prime^{s+1}``, for ``0 <= exponent < prime^s (prime−1)``.
+
+    ``exponent = u + (prime−1)·w`` with ``u < prime − 1`` and ``w < prime^s``;
+    ``fermat = 1 + prime·T``, so ``fermat^w`` is the binomial ``Σ_{k≤s}
+    C(w, k)·(prime·T)^k`` — every later term is divisible by
+    ``prime^{s+1}``.  What is left is one ``u``-exponent power.
+    """
+    high, low = divmod(exponent, prime - 1)
+    step = fermat - 1
+    lift = 1
+    term = 1
+    binomial = 1
+    for k in range(1, s + 1):
+        binomial = binomial * (high - k + 1) // k
+        if not binomial:
+            break
+        term = (term * step) % modulus
+        lift += binomial * term
+    return (powmod(base % modulus, low, modulus) * lift) % modulus
 
 
 # --------------------------------------------------------------------------- fixed-base tables
@@ -257,7 +329,9 @@ class PrecomputedKey:
     split: moduli ``p^{s+1}`` / ``q^{s+1}``, group orders, the decryption
     constants ``h_p`` / ``h_q`` and the Garner recombination inverses, which
     makes every private-key ``pow`` run on two half-width moduli with reduced
-    exponents (~3–4× faster at realistic key sizes).  It also draws the fixed
+    exponents (~3–4× faster at realistic key sizes), and keeps the bounded
+    Fermat cache that partial decryption and decryption share (see
+    :meth:`partial_decryption_power`).  It also draws the fixed
     blinder base ``h = y^{n^s}`` (:attr:`blinder_root` is ``y``) and builds
     one window table for ``h mod p^{s+1}`` and one for ``h mod q^{s+1}``
     (see :meth:`blinder`).
@@ -306,6 +380,8 @@ class PrecomputedKey:
                 _dlog_one_plus_base(q, s, pow(1 + n, q - 1, self.q_to_s1)), self.q_to_s
             )
             self._exponent_residues: dict[int, tuple[int, int]] = {}
+            #: ciphertext -> (c^{p-1} mod p^{s+1}, c^{q-1} mod q^{s+1}), oldest first.
+            self._fermat_powers: dict[int, tuple[int, int]] = {}
             #: Bit length of a blinder exponent ``x`` (see :meth:`blinder`).
             self.blinder_exponent_bits = max(
                 _MIN_BLINDER_EXPONENT_BITS, -(-n.bit_length() // 2)
@@ -384,6 +460,45 @@ class PrecomputedKey:
         residue_q = powmod(base % self.q_to_s1, exponent_q, self.q_to_s1)
         return self._recombine(residue_p, residue_q)
 
+    def _fermat_powers_of(self, ciphertext: int) -> tuple[int, int]:
+        """``(c^{p−1} mod p^{s+1}, c^{q−1} mod q^{s+1})``, cached per ciphertext.
+
+        One ``(p−1)``- and one ``(q−1)``-exponent power, paid once per
+        ciphertext however many shares decrypt it.  The cache keeps at most
+        :data:`_FERMAT_CACHE_LIMIT` ciphertexts and evicts the oldest.
+        """
+        cached = self._fermat_powers.get(ciphertext)
+        if cached is None:
+            cached = (
+                powmod(ciphertext % self.p_to_s1, self.p - 1, self.p_to_s1),
+                powmod(ciphertext % self.q_to_s1, self.q - 1, self.q_to_s1),
+            )
+            if len(self._fermat_powers) >= _FERMAT_CACHE_LIMIT:
+                del self._fermat_powers[next(iter(self._fermat_powers))]
+            self._fermat_powers[ciphertext] = cached
+        return cached
+
+    def partial_decryption_power(self, ciphertext: int, exponent: int) -> int:
+        """``ciphertext^exponent mod n^{s+1}`` at half the exponent length.
+
+        Mod ``p^{s+1}`` the exponent is reduced mod the group order ``p^s
+        (p−1)`` and split as ``u + (p−1)·w``: ``c^e ≡ c^u · (c^{p−1})^w``,
+        and ``(c^{p−1})^w = (1 + p·T)^w`` is an ``(s+1)``-term binomial, so
+        the only power left is ``c^u`` with ``u < p − 1`` (likewise mod
+        ``q^{s+1}``).  The Fermat powers ``c^{p−1}`` / ``c^{q−1}`` come from
+        the per-key cache, which is what lets every helper of a round share
+        them.  The result is the integer ``pow(c, e, n^{s+1})`` gives;
+        public-only contexts and bases not coprime to ``n`` take that
+        ``pow``.
+        """
+        if not self.has_private or math.gcd(ciphertext, self.n) != 1:
+            return powmod(ciphertext, exponent, self.modulus)
+        fermat_p, fermat_q = self._fermat_powers_of(ciphertext)
+        exponent_p, exponent_q = self._reduced_exponents(exponent)
+        residue_p = _split_pow(ciphertext, exponent_p, self.p, self.p_to_s1, fermat_p, self.s)
+        residue_q = _split_pow(ciphertext, exponent_q, self.q, self.q_to_s1, fermat_q, self.s)
+        return self._recombine(residue_p, residue_q)
+
     def blinder(self, draw: int) -> int:
         """An ``n^s``-th residue mod ``n^{s+1}`` from one draw.
 
@@ -414,21 +529,13 @@ class PrecomputedKey:
         is ``m (p-1) α_p mod p^s`` — one constant multiplication away from
         the message residue.  Combining the two residues with Garner yields
         exactly the plaintext the full-width ``c^λ`` decryption produces.
+        The two powers are the Fermat powers partial decryption caches.
         """
         if not self.has_private:
             raise CryptoError("CRT decryption requires the private key")
-        residue_p = (
-            _dlog_one_plus_base(
-                self.p, self.s, powmod(ciphertext % self.p_to_s1, self.p - 1, self.p_to_s1)
-            )
-            * self.h_p
-        ) % self.p_to_s
-        residue_q = (
-            _dlog_one_plus_base(
-                self.q, self.s, powmod(ciphertext % self.q_to_s1, self.q - 1, self.q_to_s1)
-            )
-            * self.h_q
-        ) % self.q_to_s
+        fermat_p, fermat_q = self._fermat_powers_of(ciphertext)
+        residue_p = (_dlog_one_plus_base(self.p, self.s, fermat_p) * self.h_p) % self.p_to_s
+        residue_q = (_dlog_one_plus_base(self.q, self.s, fermat_q) * self.h_q) % self.q_to_s
         difference = ((residue_q - residue_p) * self.p_to_s_inv_q) % self.q_to_s
         return residue_p + self.p_to_s * difference
 

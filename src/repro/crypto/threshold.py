@@ -152,8 +152,11 @@ def partial_decrypt(
     ``c^{2Δs_i} mod n^{s+1}``.  The in-process simulation, which holds the
     dealer key anyway, may pass a private
     :class:`~repro.crypto.fastmath.PrecomputedKey` to evaluate the same
-    power mod ``p^{s+1}`` / ``q^{s+1}`` with order-reduced exponents — the
-    produced partial decryption is the identical integer.
+    power mod ``p^{s+1}`` / ``q^{s+1}`` at half the exponent length, from
+    the ciphertext's cached Fermat powers
+    (:meth:`~repro.crypto.fastmath.PrecomputedKey.partial_decryption_power`):
+    the helpers of one round share those, and the produced partial
+    decryption is the identical integer.
     """
     public = threshold_public.public_key
     modulus = public.ciphertext_modulus
@@ -161,7 +164,7 @@ def partial_decrypt(
         raise DecryptionError("ciphertext out of range")
     exponent = 2 * threshold_public.delta * share.value
     if precomputed is not None:
-        value = precomputed.crt_pow(ciphertext, exponent)
+        value = precomputed.partial_decryption_power(ciphertext, exponent)
     else:
         value = pow(ciphertext, exponent, modulus)
     return PartialDecryption(index=share.index, value=value)

@@ -7,6 +7,8 @@ backend abstraction is that the protocol cannot tell them apart.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,39 @@ class TestEncryptDecrypt:
 
     def test_ciphertext_bits_positive(self, backend):
         assert backend.ciphertext_bits > 0
+
+
+class TestCombineChecksThePartialsAgree:
+    """The decoder reads the layout (``packed``, ``weight``) off the partials,
+    so every partial must report the same one: a helper that misreports it
+    would otherwise shift every packed slot by the wrong offset, silently."""
+
+    VALUES = [0.5, -1.0, 0.25]
+
+    @pytest.fixture(params=["plain", "damgard_jurik"])
+    def packed_backend(self, request):
+        if request.param == "plain":
+            return PlainBackend(threshold=2, n_shares=3, packing="auto")
+        return DamgardJurikBackend(key_bits=256, threshold=2, n_shares=3, packing="auto")
+
+    def weight_two_partials(self, backend):
+        half = backend.encrypt_vector(np.asarray(self.VALUES) / 2)
+        vector = backend.add(half, half)
+        assert backend.is_packed and vector.weight == 2
+        return [backend.partial_decrypt_vector(index, vector) for index in (1, 2)]
+
+    def test_agreeing_partials_decode(self, packed_backend):
+        partials = self.weight_two_partials(packed_backend)
+        np.testing.assert_allclose(packed_backend.combine_vector(partials),
+                                   self.VALUES, atol=1e-5)
+
+    @pytest.mark.parametrize("position", [0, 1])
+    @pytest.mark.parametrize("change", [{"weight": 1}, {"weight": 3}, {"packed": False}])
+    def test_disagreeing_partials_are_refused(self, packed_backend, position, change):
+        partials = self.weight_two_partials(packed_backend)
+        partials[position] = dataclasses.replace(partials[position], **change)
+        with pytest.raises(ThresholdError, match="packing or weight"):
+            packed_backend.combine_vector(partials)
 
 
 class TestSemanticSecurityOfRealBackend:

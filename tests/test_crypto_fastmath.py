@@ -6,8 +6,9 @@ encryption/rerandomisation must agree with the fresh path (bit for bit given
 the same randomness stream on a public-only context; bit for bit with
 randomness ``y^x mod n`` — :func:`textbook_draw` — on the exponent stream
 ``x₁, x₂, …`` when the pool holds the factorisation and its fixed-base
-sampler), multi-exponentiation must agree with a product of ``pow`` calls,
-and the backend — which always runs the fast path — must produce the
+sampler), partial decryption at half the exponent must give the textbook
+``pow`` for every share, multi-exponentiation must agree with a product of
+``pow`` calls on both sides of its Straus cutoff, and the backend — which always runs the fast path — must produce the
 integers the textbook functions of ``damgard_jurik`` / ``threshold``
 produce.  Most invariants are property-based (Hypothesis) over all supported
 degrees.
@@ -24,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import damgard_jurik as dj
+from repro.crypto import fastmath
 from repro.crypto import threshold as th
 from repro.crypto.backends import DamgardJurikBackend
 from repro.crypto.fastmath import BlinderPool, PrecomputedKey, multi_pow
@@ -154,6 +156,125 @@ class TestCrtPow:
         exponent = 3 << 180
         precomputed.crt_pow(base, exponent)
         assert exponent in precomputed._exponent_residues
+
+
+class TestPartialDecryptionPower:
+    """``partial_decryption_power`` splits each CRT half's exponent as
+    ``u + (p−1)·w`` and lifts the cached Fermat power ``c^{p−1}`` by an
+    ``(s+1)``-term binomial — pinned against the textbook ``pow``."""
+
+    THRESHOLD_KEYS = {
+        s: th.generate_threshold_keypair(key_bits=128, s=s, threshold=3, n_shares=5)
+        for s in (1, 2, 3)
+    }
+
+    @classmethod
+    def key(cls, s):
+        public, shares, dealer = cls.THRESHOLD_KEYS[s]
+        return public, shares, PrecomputedKey.from_private_key(dealer)
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @given(fraction=plaintext_fractions)
+    @settings(max_examples=15, deadline=None)
+    def test_every_share_equals_the_textbook(self, s, fraction):
+        public, shares, precomputed = self.key(s)
+        modulus = public.public_key.plaintext_modulus
+        ciphertext = dj.encrypt(public.public_key, min(int(fraction * modulus), modulus - 1))
+        for share in shares:
+            textbook = th.partial_decrypt(public, share, ciphertext)
+            fast = th.partial_decrypt(public, share, ciphertext, precomputed=precomputed)
+            assert fast == textbook
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @given(ciphertext=st.integers(min_value=0, max_value=2**600),
+           exponent=st.integers(min_value=-(2**600), max_value=2**600))
+    @settings(max_examples=40, deadline=None)
+    def test_random_inputs_equal_pow(self, s, ciphertext, exponent):
+        """Any base below ``n^{s+1}`` — coprime to ``n`` or not — and any
+        exponent an invertible base allows."""
+        _public, _shares, precomputed = self.key(s)
+        modulus = precomputed.modulus
+        ciphertext %= modulus
+        if exponent < 0 and math.gcd(ciphertext, precomputed.n) != 1:
+            exponent = -exponent  # no inverse exists; pow refuses it too
+        assert precomputed.partial_decryption_power(ciphertext, exponent) == pow(
+            ciphertext, exponent, modulus
+        )
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_edge_inputs(self, s):
+        public, shares, precomputed = self.key(s)
+        modulus = precomputed.modulus
+        exponent = 2 * public.delta * shares[0].value
+        ciphertext = dj.encrypt(public.public_key, 5)
+        assert precomputed.partial_decryption_power(1, exponent) == 1
+        assert precomputed.partial_decryption_power(ciphertext, 0) == 1
+        assert precomputed.partial_decryption_power(ciphertext, 1) == ciphertext
+        for base in (precomputed.p * 3, precomputed.q**2, 0):  # not coprime: falls back
+            assert precomputed.partial_decryption_power(base, exponent) == pow(
+                base, exponent, modulus
+            )
+            assert base not in precomputed._fermat_powers
+
+    def test_public_only_context_takes_pow(self):
+        public, shares, _precomputed = self.key(1)
+        public_only = PrecomputedKey.from_public_key(public.public_key)
+        ciphertext = dj.encrypt(public.public_key, 9)
+        exponent = 2 * public.delta * shares[1].value
+        assert public_only.partial_decryption_power(ciphertext, exponent) == pow(
+            ciphertext, exponent, public.public_key.ciphertext_modulus
+        )
+
+    def test_cache_stays_within_its_bound_and_eviction_changes_nothing(self):
+        public, shares, precomputed = self.key(1)
+        limit = fastmath._FERMAT_CACHE_LIMIT
+        exponent = 2 * public.delta * shares[2].value
+        ciphertexts = [dj.encrypt(public.public_key, m) for m in range(limit + 40)]
+        first = [precomputed.partial_decryption_power(c, exponent) for c in ciphertexts]
+        assert len(precomputed._fermat_powers) == limit
+        assert ciphertexts[0] not in precomputed._fermat_powers  # oldest went first
+        assert ciphertexts[-1] in precomputed._fermat_powers
+        again = [precomputed.partial_decryption_power(c, exponent) for c in ciphertexts[:50]]
+        assert len(precomputed._fermat_powers) == limit
+        assert again == first[:50] == [pow(c, exponent, precomputed.modulus)
+                                       for c in ciphertexts[:50]]
+
+    def test_a_committee_round_pays_one_fermat_power_per_ciphertext(self, monkeypatch):
+        """Three helpers, one vector: per CRT half one ``(p−1)``-exponent
+        power per ciphertext, then one short power per helper — and a
+        later ``decrypt`` of the same ciphertexts pays none."""
+        backend = DamgardJurikBackend(key_bits=128, threshold=3, n_shares=5)
+        precomputed = backend._precomputed
+        vector = backend.encrypt_vector([0.5, -0.25, 0.125, 0.0])
+        count = len(vector.payload)
+        calls = []
+
+        def counting(base, exponent, modulus):
+            calls.append(exponent)
+            return pow(base, exponent, modulus)
+
+        monkeypatch.setattr(fastmath, "powmod", counting)
+        partials = [backend.partial_decrypt_vector(index, vector) for index in (1, 2, 3)]
+        assert calls.count(precomputed.p - 1) == calls.count(precomputed.q - 1) == count
+        short = [e for e in calls if e not in (precomputed.p - 1, precomputed.q - 1)]
+        assert len(short) == 3 * 2 * count
+        assert all(e < max(precomputed.p, precomputed.q) for e in short)
+        calls.clear()
+        for ciphertext in vector.payload:
+            dj.decrypt(backend._dealer_key, ciphertext, precomputed=precomputed)
+        assert calls == []
+        np.testing.assert_allclose(backend.combine_vector(partials),
+                                   [0.5, -0.25, 0.125, 0.0], atol=1e-5)
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_decrypt_after_eviction_is_unchanged(self, s, monkeypatch):
+        public, private = KEYS[s]
+        precomputed = PrecomputedKey.from_private_key(private)
+        monkeypatch.setattr(fastmath, "_FERMAT_CACHE_LIMIT", 2)
+        ciphertexts = [dj.encrypt(public, m) for m in (3, 4, 5, 6)]
+        assert [precomputed.decrypt(c) for c in ciphertexts] == [3, 4, 5, 6]
+        assert len(precomputed._fermat_powers) == 2
+        assert [precomputed.decrypt(c) for c in ciphertexts] == [3, 4, 5, 6]
 
 
 class TestBlinderPools:
@@ -416,22 +537,48 @@ class TestMultiExponentiation:
     @given(
         bases=st.lists(st.integers(min_value=2, max_value=2**64), min_size=1, max_size=9),
         exponents=st.lists(
-            st.integers(min_value=-(2**80), max_value=2**80), min_size=1, max_size=9
+            st.sampled_from([0, 1, -1, 2, 64, -3])
+            | st.integers(min_value=-(2**7), max_value=2**7)
+            | st.integers(min_value=-(2**80), max_value=2**80),
+            min_size=1, max_size=9,
         ),
         modulus=st.integers(min_value=3, max_value=2**64) | st.just((1 << 89) - 1),
     )
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=150, deadline=None)
     def test_multi_pow_equals_product_of_pows(self, bases, exponents, modulus):
+        """Short exponents (one ``pow`` per base), long ones (Straus) and
+        both mixed in one call."""
         length = min(len(bases), len(exponents))
         bases, exponents = bases[:length], exponents[:length]
-        import math
-
         expected = 1
         for base, exponent in zip(bases, exponents):
             if exponent < 0 and math.gcd(base, modulus) != 1:
-                return  # no inverse exists; pow would fail identically
+                with pytest.raises(CryptoError):  # no inverse exists
+                    multi_pow(bases, exponents, modulus)
+                return
             expected = (expected * pow(base, exponent, modulus)) % modulus
         assert multi_pow(bases, exponents, modulus) == expected
+
+    def test_the_cutoff_picks_the_path(self, monkeypatch):
+        """All exponents short (the gossip lifts): one ``pow`` per base and
+        no Straus group; one Lagrange-sized exponent: Straus."""
+        groups = []
+        straus = fastmath._straus_group
+        monkeypatch.setattr(fastmath, "_straus_group",
+                            lambda pairs, modulus: groups.append(pairs) or straus(pairs, modulus))
+        modulus = (1 << 89) - 1
+        short = (1 << (fastmath._STRAUS_MIN_EXPONENT_BITS - 1)) - 1
+        assert multi_pow([3, 5], [short, 1], modulus) == (pow(3, short, modulus) * 5) % modulus
+        assert groups == []
+        lagrange = -(1 << 14) - 7
+        assert multi_pow([3, 5], [short, lagrange], modulus) == (
+            pow(3, short, modulus) * pow(5, lagrange, modulus)) % modulus
+        assert len(groups) == 1
+
+    def test_non_invertible_base_with_negative_exponent_raises(self):
+        for exponents in ([-1, 1], [-1, 1 << 40], [-(1 << 20), 2]):
+            with pytest.raises(CryptoError):
+                multi_pow([6, 5], exponents, 9)
 
     def test_multi_pow_empty_exponents(self):
         assert multi_pow([5, 7], [0, 0], 101) == 1

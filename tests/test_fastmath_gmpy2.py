@@ -4,7 +4,8 @@ The backend is a pure wall-clock play: ``powmod`` / ``invert`` must return
 exactly the integers the built-in ``pow`` / ``mod_inverse`` return, whether
 gmpy2 is importable or not.  The backend-agnostic contract tests always run;
 the equivalence tests that exercise gmpy2's code paths end to end (CRT ==
-plain decryption, pooled == fresh encryption) are skipped where gmpy2 is
+plain decryption, pooled == fresh encryption, split partial decryption ==
+textbook) are skipped where gmpy2 is
 absent — this container ships without it, CI images may carry it.
 """
 
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import damgard_jurik as dj
+from repro.crypto import threshold as th
 from repro.crypto.fastmath import (
     HAVE_GMPY2,
     BlinderPool,
@@ -106,12 +108,29 @@ class TestGmpy2Equivalence:
             fresh = (pow(1 + public.n, message, public.ciphertext_modulus) * blinder) % public.ciphertext_modulus
             assert dj.decrypt(keypair[1], pooled) == dj.decrypt(keypair[1], fresh) == message
 
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_partial_decryption_equals_textbook(self, s):
+        """The split power runs its Fermat and short powers on gmpy2."""
+        public, shares, dealer = th.generate_threshold_keypair(
+            key_bits=128, s=s, threshold=3, n_shares=5
+        )
+        precomputed = PrecomputedKey.from_private_key(dealer)
+        for message in (0, 1, 987654321):
+            ciphertext = dj.encrypt(public.public_key, message)
+            partials = [
+                th.partial_decrypt(public, share, ciphertext, precomputed=precomputed)
+                for share in shares
+            ]
+            assert partials == [th.partial_decrypt(public, share, ciphertext)
+                                for share in shares]
+            assert th.combine_partial_decryptions(public, partials[:3]) == message
+
     def test_multi_pow_matches_product_of_pows(self, keypair):
         public, _ = keypair
         modulus = public.ciphertext_modulus
         bases = [3, 5, 7, 11, 13]
-        exponents = [10**20 + i for i in range(5)]
-        expected = 1
-        for base, exponent in zip(bases, exponents):
-            expected = (expected * pow(base, exponent, modulus)) % modulus
-        assert multi_pow(bases, exponents, modulus) == expected
+        for exponents in ([10**20 + i for i in range(5)], [1, 2, 4, 1, 64]):
+            expected = 1
+            for base, exponent in zip(bases, exponents):
+                expected = (expected * pow(base, exponent, modulus)) % modulus
+            assert multi_pow(bases, exponents, modulus) == expected

@@ -68,7 +68,7 @@ def centralized_kmeans(
             n_restarts=n_restarts,
             max_iterations=config.max_iterations,
             convergence_threshold=config.convergence_threshold,
-            init=config.init,
+            init="kmeans++",
             seed=seed,
         )
     else:
@@ -77,7 +77,7 @@ def centralized_kmeans(
             config.n_clusters,
             max_iterations=config.max_iterations,
             convergence_threshold=config.convergence_threshold,
-            init=config.init,
+            init="kmeans++",
             seed=seed,
         )
     return CentralizedResult.from_kmeans(result)

@@ -71,16 +71,11 @@ def centralized_dp_kmeans(
     n_series, series_length = clipped.shape
 
     sensitivity = SensitivityModel(
-        series_length=series_length,
-        value_bound=privacy_config.value_bound,
-        count_bound=privacy_config.count_bound,
+        series_length=series_length, value_bound=privacy_config.value_bound
     )
     accountant = PrivacyAccountant(privacy_config.epsilon, privacy_config.delta_slack)
     strategy = make_budget_strategy(
-        privacy_config.budget_strategy,
-        privacy_config.epsilon,
-        kmeans_config.max_iterations,
-        geometric_ratio=privacy_config.geometric_ratio,
+        privacy_config.budget_strategy, privacy_config.epsilon, kmeans_config.max_iterations
     )
 
     centroids = public_initial_centroids(

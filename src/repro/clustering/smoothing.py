@@ -17,6 +17,12 @@ from ..config import SmoothingConfig
 from ..exceptions import ValidationError
 from ..timeseries.preprocessing import exponential_smoothing, lowpass_filter, moving_average
 
+#: Width of the centred moving average (``method="moving_average"``).
+MOVING_AVERAGE_WINDOW = 3
+
+#: Smoothing factor of the exponential smoother (``method="exponential"``).
+EXPONENTIAL_ALPHA = 0.5
+
 
 def smooth_series(values: np.ndarray, config: SmoothingConfig) -> np.ndarray:
     """Apply the configured smoothing heuristic to one series."""
@@ -26,11 +32,11 @@ def smooth_series(values: np.ndarray, config: SmoothingConfig) -> np.ndarray:
     if config.method == "none":
         return values.copy()
     if config.method == "moving_average":
-        return moving_average(values, config.window)
+        return moving_average(values, MOVING_AVERAGE_WINDOW)
     if config.method == "lowpass":
         return lowpass_filter(values, config.lowpass_cutoff)
     if config.method == "exponential":
-        return exponential_smoothing(values, config.alpha)
+        return exponential_smoothing(values, EXPONENTIAL_ALPHA)
     raise ValidationError(f"unknown smoothing method {config.method!r}")
 
 

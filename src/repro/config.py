@@ -78,32 +78,16 @@ class KMeansConfig:
     convergence_threshold:
         Iterations stop when the average displacement between the previous
         centroids and the new means falls below this threshold.
-    init:
-        Initialisation strategy, ``"random"`` (sample k series) or
-        ``"kmeans++"``.
-    track_quality:
-        When true, the optional quality-monitoring termination criterion of
-        footnote 2 in the paper is enabled: the run also stops if the
-        intra-cluster inertia stops improving for ``quality_patience``
-        consecutive iterations.
-    quality_patience:
-        Number of non-improving iterations tolerated before stopping when
-        ``track_quality`` is enabled.
     """
 
     n_clusters: int = 5
     max_iterations: int = 15
     convergence_threshold: float = 1e-3
-    init: str = "kmeans++"
-    track_quality: bool = True
-    quality_patience: int = 3
 
     def __post_init__(self) -> None:
         check_positive_int(self.n_clusters, "n_clusters")
         check_positive_int(self.max_iterations, "max_iterations")
         check_non_negative_float(self.convergence_threshold, "convergence_threshold")
-        check_in_choices(self.init, ("random", "kmeans++"), "init")
-        check_positive_int(self.quality_patience, "quality_patience")
 
 
 @dataclass(frozen=True)
@@ -121,9 +105,6 @@ class PrivacyConfig:
         iterations exponentially larger shares (late centroids matter more for
         final quality), ``"adaptive"`` re-plans the remaining budget after each
         iteration based on observed centroid movement.
-    geometric_ratio:
-        Common ratio of the geometric strategy (> 1 gives more budget to later
-        iterations).
     noise_shares:
         Number *n* of gamma-distributed noise-shares summed to produce one
         Laplace sample; in Chiaroscuro each share comes from a distinct
@@ -131,9 +112,6 @@ class PrivacyConfig:
     value_bound:
         Upper bound on the absolute value of any single time-series point,
         used to derive the L1 sensitivity of the per-cluster sums.
-    count_bound:
-        Sensitivity bound of the per-cluster counts (one individual moves one
-        unit of count), kept explicit for clarity.
     delta_slack:
         Target probabilistic slack of the probabilistic variant of
         differential privacy caused by the gossip approximation error.
@@ -141,19 +119,15 @@ class PrivacyConfig:
 
     epsilon: float = 1.0
     budget_strategy: str = "geometric"
-    geometric_ratio: float = 1.3
     noise_shares: int = 32
     value_bound: float = 1.0
-    count_bound: float = 1.0
     delta_slack: float = 1e-4
 
     def __post_init__(self) -> None:
         check_positive_float(self.epsilon, "epsilon")
         check_in_choices(self.budget_strategy, BUDGET_STRATEGIES, "budget_strategy")
-        check_positive_float(self.geometric_ratio, "geometric_ratio")
         check_positive_int(self.noise_shares, "noise_shares")
         check_positive_float(self.value_bound, "value_bound")
-        check_positive_float(self.count_bound, "count_bound")
         check_probability(self.delta_slack, "delta_slack")
 
 
@@ -446,28 +420,20 @@ class SmoothingConfig:
     ----------
     method:
         ``"none"`` disables smoothing; ``"moving_average"`` applies a centred
-        moving average of width ``window``; ``"lowpass"`` keeps the
-        ``lowpass_cutoff`` fraction of low-frequency Fourier coefficients;
-        ``"exponential"`` applies exponential smoothing with factor ``alpha``.
-    window:
-        Window width of the moving average (odd values recommended).
+        moving average of width 3; ``"lowpass"`` keeps the ``lowpass_cutoff``
+        fraction of low-frequency Fourier coefficients; ``"exponential"``
+        applies exponential smoothing with factor 0.5 (the constants of
+        :mod:`repro.clustering.smoothing`).
     lowpass_cutoff:
         Fraction of Fourier coefficients preserved by the low-pass filter.
-    alpha:
-        Smoothing factor of the exponential smoother (0 < alpha <= 1).
     """
 
     method: str = "moving_average"
-    window: int = 3
     lowpass_cutoff: float = 0.25
-    alpha: float = 0.5
 
     def __post_init__(self) -> None:
         check_in_choices(self.method, SMOOTHING_METHODS, "method")
-        check_positive_int(self.window, "window")
         check_fraction_open(self.lowpass_cutoff, "lowpass_cutoff")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ConfigurationError(f"alpha must be in (0, 1], got {self.alpha}")
 
 
 @dataclass(frozen=True)

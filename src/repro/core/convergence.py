@@ -12,9 +12,9 @@ threshold, or when the maximum number of iterations is reached.  Footnote 2
 of the paper notes that Chiaroscuro "supports the addition of other
 termination criteria for coping with the impact of the differentially-private
 perturbation on the convergence of centroids (e.g., monitoring centroids
-quality)"; the optional patience criterion below implements that idea by
-stopping once the displacement stops improving for a configured number of
-consecutive iterations.
+quality)"; the plateau criterion below, always on, implements that idea by
+stopping once the displacement between consecutive centroids stops
+improving for :data:`QUALITY_PATIENCE` consecutive iterations.
 """
 
 from __future__ import annotations
@@ -31,6 +31,10 @@ from ..privacy.budget import PrivacyAccountant
 from ..privacy.laplace import SensitivityModel
 from ..privacy.strategies import BudgetStrategy, make_budget_strategy
 
+#: Consecutive iterations without a smaller displacement the plateau
+#: criterion tolerates before it stops the run.
+QUALITY_PATIENCE = 3
+
 
 def iteration_policy(
     config: ChiaroscuroConfig, series_length: int
@@ -41,23 +45,12 @@ def iteration_policy(
     privacy = config.privacy
     kmeans = config.kmeans
     return (
-        SensitivityModel(
-            series_length=series_length,
-            value_bound=privacy.value_bound,
-            count_bound=privacy.count_bound,
-        ),
-        make_budget_strategy(
-            privacy.budget_strategy,
-            privacy.epsilon,
-            kmeans.max_iterations,
-            geometric_ratio=privacy.geometric_ratio,
-        ),
+        SensitivityModel(series_length=series_length, value_bound=privacy.value_bound),
+        make_budget_strategy(privacy.budget_strategy, privacy.epsilon, kmeans.max_iterations),
         PrivacyAccountant(privacy.epsilon, privacy.delta_slack),
         TerminationCriteria(
             convergence_threshold=kmeans.convergence_threshold,
             max_iterations=kmeans.max_iterations,
-            track_quality=kmeans.track_quality,
-            quality_patience=kmeans.quality_patience,
         ),
     )
 
@@ -110,17 +103,16 @@ class TerminationCriteria:
         Displacement below which the run is declared converged.
     max_iterations:
         Hard cap on the number of iterations.
-    track_quality:
-        Enable the patience criterion (footnote 2 of the paper).
     quality_patience:
-        Number of consecutive non-improving iterations tolerated when
-        ``track_quality`` is enabled.
+        How many consecutive iterations may fail to beat the smallest
+        displacement seen so far before the run stops with
+        ``"quality_plateau"``.  This plateau criterion (footnote 2 of the
+        paper) is always on; it watches the displacement, not the inertia.
     """
 
     convergence_threshold: float = 1e-3
     max_iterations: int = 15
-    track_quality: bool = True
-    quality_patience: int = 3
+    quality_patience: int = QUALITY_PATIENCE
 
     def __post_init__(self) -> None:
         check_non_negative_float(self.convergence_threshold, "convergence_threshold")
@@ -145,12 +137,11 @@ class TerminationCriteria:
             return True, "converged"
         if iteration >= self.max_iterations:
             return True, "max_iterations"
-        if self.track_quality:
-            if self._best_displacement is None or displacement < self._best_displacement:
-                self._best_displacement = displacement
-                self._non_improving = 0
-            else:
-                self._non_improving += 1
-                if self._non_improving >= self.quality_patience:
-                    return True, "quality_plateau"
+        if self._best_displacement is None or displacement < self._best_displacement:
+            self._best_displacement = displacement
+            self._non_improving = 0
+        else:
+            self._non_improving += 1
+            if self._non_improving >= self.quality_patience:
+                return True, "quality_plateau"
         return False, ""

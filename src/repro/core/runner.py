@@ -97,7 +97,7 @@ def _packed_slot_bound(
     # slot width must absorb.
     min_epsilon = strategy.minimum_iteration_epsilon()
     noise_bound = slot_magnitude_bound(sensitivity.laplace_scale(min_epsilon))
-    return max(value_bound, 1.0, config.privacy.count_bound) + noise_bound
+    return max(value_bound, 1.0) + noise_bound
 
 
 @dataclass

@@ -35,7 +35,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import replace
-from typing import Any, Iterator
+from typing import Any, Iterator, Mapping
 
 import numpy as np
 
@@ -254,6 +254,31 @@ def _bulk_noise_free_means(
     return means
 
 
+def _extrapolated_metrics(
+    counts: Mapping[str, Any], messages: Any, bytes_sent: Any, factor: float
+) -> dict[str, Any]:
+    """The nine metrics of the ``extrapolated`` cost block, scaled by *factor*.
+
+    *counts* uses the :class:`~repro.crypto.backends.OperationCounter`
+    vocabulary; counts, *messages* and *bytes_sent* are run totals or per-node
+    arrays, and the seconds are their :data:`REFERENCE_PROFILE` prices.
+    """
+    priced = REFERENCE_PROFILE.price(counts)
+    online = sum(priced["online"].values()) * factor
+    offline = sum(priced["offline"].values()) * factor
+    return {
+        "encryptions": counts["encryptions"] * factor,
+        "homomorphic_additions": counts["additions"] * factor,
+        "partial_decryptions": counts["partial_decryptions"] * factor,
+        "combinations": counts["combinations"] * factor,
+        "messages_sent": messages * factor,
+        "bytes_sent": bytes_sent * factor,
+        "online_seconds": online,
+        "offline_seconds": offline,
+        "crypto_seconds": online + offline,
+    }
+
+
 def _engine_metadata(config: ChiaroscuroConfig) -> dict[str, Any]:
     """Leading entries of ``metadata["engine"]``: the slab knobs of the run."""
     runtime = config.runtime
@@ -284,17 +309,9 @@ def run_slab_chiaroscuro(
         normalize=normalize,
     )
     costs = result.costs
-    measured = {
-        "encryptions": float(costs.encryptions),
-        "homomorphic_additions": float(costs.homomorphic_additions),
-        "partial_decryptions": float(costs.partial_decryptions),
-        "combinations": float(costs.combinations),
-        "messages_sent": float(costs.messages_sent),
-        "bytes_sent": float(costs.bytes_sent),
-        "online_seconds": costs.online_seconds,
-        "offline_seconds": costs.offline_seconds,
-        "crypto_seconds": costs.online_seconds + costs.offline_seconds,
-    }
+    measured = _extrapolated_metrics(
+        costs.crypto_counts, costs.messages_sent, costs.bytes_sent, 1.0
+    )
     extrapolated = ExtrapolatedCost(
         population=costs.n_participants,
         sample_size=costs.n_participants,
@@ -439,31 +456,23 @@ def _run_sampled(
                     )
                 for _exchange in range(config.gossip.exchanges_per_cycle):
                     with timer.phase("pairing"):
-                        pairs = pair_online(coordinator.online, pairing_rng)
-                        plan = (
-                            plan_pair_faults(
-                                pairs,
-                                frame_bits=row_bytes * 8,
-                                drop_probability=drop_probability,
-                                corruption_rate=corruption_rate,
-                                loss_rng=loss_rng,
-                                corruption_rng=corruption_rng,
-                            )
-                            if faults_enabled
-                            else None
+                        # Without faults the plan draws nothing and keeps
+                        # every pair whole.
+                        plan = plan_pair_faults(
+                            pair_online(coordinator.online, pairing_rng),
+                            frame_bits=row_bytes * 8,
+                            drop_probability=drop_probability,
+                            corruption_rate=corruption_rate,
+                            loss_rng=loss_rng,
+                            corruption_rng=corruption_rng,
                         )
                     with timer.phase("averaging"):
-                        if plan is None:
-                            coordinator.average_pairs(pairs)
-                            bulk_messages += 2 * int(pairs.shape[0])
-                            bulk_bytes += 2 * int(pairs.shape[0]) * row_bytes
-                        else:
-                            coordinator.average_pairs(plan.full_pairs)
-                            coordinator.half_average_pairs(plan.half_pairs)
-                            bulk_messages += plan.messages_sent
-                            bulk_bytes += plan.messages_sent * row_bytes
-                            bulk_dropped += plan.dropped_frames
-                            bulk_corrupted += plan.corrupted_frames
+                        coordinator.average_pairs(plan.full_pairs)
+                        coordinator.half_average_pairs(plan.half_pairs)
+                        bulk_messages += plan.messages_sent
+                        bulk_bytes += plan.messages_sent * row_bytes
+                        bulk_dropped += plan.dropped_frames
+                        bulk_corrupted += plan.corrupted_frames
             with timer.phase("means"):
                 mean_vector, online_count = coordinator.online_mean()
                 if online_count == 0:
@@ -520,24 +529,13 @@ def _run_sampled(
         )
         sample = _run_crypto_sample(collection, config, sample_ids, normalize)
         iterations = max(1, iteration)
-        factor = iterations / max(1, sample["iterations"])
-        ops = sample["per_node_ops"]
-        priced = REFERENCE_PROFILE.price(ops)
-        online = sum(priced["online"].values()) * factor
-        offline = sum(priced["offline"].values()) * factor
-        metrics: dict[str, np.ndarray] = {
-            "encryptions": ops["encryptions"] * factor,
-            "homomorphic_additions": ops["additions"] * factor,
-            "partial_decryptions": ops["partial_decryptions"] * factor,
-            "combinations": ops["combinations"] * factor,
-            "messages_sent": sample["per_node_messages"] * factor,
-            "bytes_sent": sample["per_node_bytes"] * factor,
-            "online_seconds": online,
-            "offline_seconds": offline,
-            "crypto_seconds": online + offline,
-        }
         extrapolated = bootstrap_extrapolate(
-            metrics,
+            _extrapolated_metrics(
+                sample["per_node_ops"],
+                sample["per_node_messages"],
+                sample["per_node_bytes"],
+                iterations / max(1, sample["iterations"]),
+            ),
             population=population,
             n_boot=200,
             confidence=0.95,

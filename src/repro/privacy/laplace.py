@@ -5,10 +5,10 @@ At every iteration the protocol discloses, for each of the *k* clusters, the
 Under the add/remove-one-individual neighbouring relation, one participant
 influences exactly one cluster: its series (clipped point-wise to
 ``value_bound``) moves one cluster sum by at most ``series_length *
-value_bound`` in L1 norm and one count by 1.  The L1 sensitivity of the full
-per-iteration release is therefore ``series_length * value_bound +
-count_bound`` and the Laplace mechanism with scale ``sensitivity / epsilon``
-applied independently to every released coordinate guarantees
+value_bound`` in L1 norm and one count by 1 (:data:`COUNT_SENSITIVITY`).  The
+L1 sensitivity of the full per-iteration release is therefore
+``series_length * value_bound + 1`` and the Laplace mechanism with scale
+``sensitivity / epsilon`` applied independently to every released coordinate guarantees
 ε-differential privacy for that iteration; iterations compose sequentially
 (see :mod:`repro.privacy.budget`).
 """
@@ -21,6 +21,10 @@ import numpy as np
 
 from .._validation import check_positive_float, check_positive_int
 
+#: What one individual adds to the per-cluster counts: its membership
+#: indicator, 1 by construction.
+COUNT_SENSITIVITY = 1.0
+
 
 @dataclass(frozen=True)
 class SensitivityModel:
@@ -32,19 +36,14 @@ class SensitivityModel:
         Number of points per time-series (and per cluster-sum vector).
     value_bound:
         Public clipping bound on the absolute value of any series point.
-    count_bound:
-        Contribution of one individual to the cluster counts (1 by
-        definition; kept explicit for clarity and for variants).
     """
 
     series_length: int
     value_bound: float = 1.0
-    count_bound: float = 1.0
 
     def __post_init__(self) -> None:
         check_positive_int(self.series_length, "series_length")
         check_positive_float(self.value_bound, "value_bound")
-        check_positive_float(self.count_bound, "count_bound")
 
     @property
     def sum_sensitivity(self) -> float:
@@ -54,7 +53,7 @@ class SensitivityModel:
     @property
     def count_sensitivity(self) -> float:
         """L1 sensitivity of the per-cluster counts."""
-        return self.count_bound
+        return COUNT_SENSITIVITY
 
     @property
     def total_sensitivity(self) -> float:

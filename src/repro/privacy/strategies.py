@@ -27,6 +27,10 @@ import numpy as np
 from .._validation import check_positive_float, check_positive_int
 from ..exceptions import PrivacyError
 
+#: Common ratio of the ``"geometric"`` strategy a configuration names: each
+#: iteration gets 1.3 times the budget of the one before.
+GEOMETRIC_RATIO = 1.3
+
 
 class BudgetStrategy(ABC):
     """Decides how much ε each iteration may spend."""
@@ -113,7 +117,8 @@ class GeometricBudgetStrategy(BudgetStrategy):
 
     name = "geometric"
 
-    def __init__(self, total_epsilon: float, max_iterations: int, ratio: float = 1.3) -> None:
+    def __init__(self, total_epsilon: float, max_iterations: int,
+                 ratio: float = GEOMETRIC_RATIO) -> None:
         super().__init__(total_epsilon, max_iterations)
         self.ratio = check_positive_float(ratio, "ratio")
 
@@ -179,16 +184,13 @@ class AdaptiveBudgetStrategy(BudgetStrategy):
 
 
 def make_budget_strategy(
-    name: str,
-    total_epsilon: float,
-    max_iterations: int,
-    geometric_ratio: float = 1.3,
+    name: str, total_epsilon: float, max_iterations: int
 ) -> BudgetStrategy:
     """Factory mapping a configuration string to a strategy instance."""
     if name == "uniform":
         return UniformBudgetStrategy(total_epsilon, max_iterations)
     if name == "geometric":
-        return GeometricBudgetStrategy(total_epsilon, max_iterations, ratio=geometric_ratio)
+        return GeometricBudgetStrategy(total_epsilon, max_iterations)
     if name == "adaptive":
         return AdaptiveBudgetStrategy(total_epsilon, max_iterations)
     raise PrivacyError(f"unknown budget strategy {name!r}")

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from repro.clustering import smooth_centroids, smooth_series
+from repro.clustering.smoothing import EXPONENTIAL_ALPHA, MOVING_AVERAGE_WINDOW
 from repro.config import SmoothingConfig
 from repro.exceptions import ValidationError
+from repro.timeseries.preprocessing import exponential_smoothing, moving_average
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +27,18 @@ class TestSmoothSeries:
     def test_output_shape_preserved(self, smooth_signal, method):
         config = SmoothingConfig(method=method)
         assert smooth_series(smooth_signal[0], config).shape == smooth_signal[0].shape
+
+    def test_window_and_alpha_are_the_constants(self, smooth_signal):
+        assert (MOVING_AVERAGE_WINDOW, EXPONENTIAL_ALPHA) == (3, 0.5)
+        series = smooth_signal[0]
+        assert np.array_equal(
+            smooth_series(series, SmoothingConfig(method="moving_average")),
+            moving_average(series, 3),
+        )
+        assert np.array_equal(
+            smooth_series(series, SmoothingConfig(method="exponential")),
+            exponential_smoothing(series, 0.5),
+        )
 
     def test_rejects_2d_input(self, smooth_signal):
         with pytest.raises(ValidationError):
@@ -44,14 +58,14 @@ class TestSmoothCentroids:
         """Smoothing must bring noisy centroids closer to the clean ones."""
         rng = np.random.default_rng(0)
         noisy = smooth_signal + rng.laplace(0, 0.2, size=smooth_signal.shape)
-        config = SmoothingConfig(method=method, window=5, lowpass_cutoff=0.2, alpha=0.3)
+        config = SmoothingConfig(method=method, lowpass_cutoff=0.2)
         smoothed = smooth_centroids(noisy, config)
         error_before = np.linalg.norm(noisy - smooth_signal)
         error_after = np.linalg.norm(smoothed - smooth_signal)
         assert error_after < error_before
 
     def test_barely_distorts_clean_centroids(self, smooth_signal):
-        config = SmoothingConfig(method="moving_average", window=3)
+        config = SmoothingConfig(method="moving_average")
         smoothed = smooth_centroids(smooth_signal, config)
         relative_distortion = np.linalg.norm(smoothed - smooth_signal) / np.linalg.norm(
             smooth_signal

@@ -20,16 +20,18 @@ from repro.config import (
 )
 from repro.exceptions import ConfigurationError, ValidationError
 
+#: Former fields that no program set; each is now a constant where it is read.
+CONSTANT_FIELDS = [
+    ("kmeans", "init"), ("kmeans", "track_quality"), ("kmeans", "quality_patience"),
+    ("privacy", "geometric_ratio"), ("privacy", "count_bound"),
+    ("smoothing", "window"), ("smoothing", "alpha"),
+]
+
 
 class TestSectionConfigs:
     def test_kmeans_defaults(self):
         config = KMeansConfig()
         assert config.n_clusters == 5
-        assert config.init == "kmeans++"
-
-    def test_kmeans_rejects_bad_init(self):
-        with pytest.raises(ValidationError):
-            KMeansConfig(init="whatever")
 
     def test_kmeans_rejects_zero_clusters(self):
         with pytest.raises(ValidationError):
@@ -76,9 +78,9 @@ class TestSectionConfigs:
         with pytest.raises(ValidationError):
             SmoothingConfig(method="fft-magic")
 
-    def test_smoothing_alpha_bounds(self):
-        with pytest.raises(ConfigurationError):
-            SmoothingConfig(alpha=0.0)
+    def test_smoothing_lowpass_cutoff_bounds(self):
+        with pytest.raises(ValidationError):
+            SmoothingConfig(lowpass_cutoff=0.0)
 
 
 class TestAggregateConfig:
@@ -126,6 +128,7 @@ class TestAggregateConfig:
         ("runtime", "write_buffer_limit"), ("runtime", "concurrency"),
         ("runtime", "connect_timeout"), ("gossip", "fanout"),
         ("network", "batching"), ("network", "compression"),
+        *CONSTANT_FIELDS,
     ])
     def test_with_overrides_refuses_a_removed_knob_by_name(self, section, fieldname):
         # Not the raw TypeError of dataclasses.replace().
@@ -181,8 +184,8 @@ def test_knob_budget():
     from repro import cli
 
     section_budget = {
-        "kmeans": 6, "privacy": 7, "crypto": 7, "gossip": 3, "simulation": 4,
-        "smoothing": 4, "network": 1, "runtime": 13,
+        "kmeans": 3, "privacy": 5, "crypto": 7, "gossip": 3, "simulation": 4,
+        "smoothing": 2, "network": 1, "runtime": 13,
     }
     config = ChiaroscuroConfig()
     assert set(section_budget) == set(CONFIG_SECTIONS)

@@ -10,13 +10,14 @@ from repro.clustering.kmeans import centroid_displacement, reseed_centroid
 from repro.clustering.smoothing import smooth_centroids
 from repro.config import SMOOTHING_METHODS, ChiaroscuroConfig
 from repro.core import TerminationCriteria
-from repro.core.convergence import iteration_policy, perturbed_means
+from repro.core.convergence import QUALITY_PATIENCE, iteration_policy, perturbed_means
 from repro.core.runner import run_chiaroscuro
 from repro.crypto.backends import PlainBackend
 from repro.datasets import load_dataset_for_population
 from repro.exceptions import ValidationError
 from repro.privacy.strategies import (
     AdaptiveBudgetStrategy,
+    GEOMETRIC_RATIO,
     GeometricBudgetStrategy,
     UniformBudgetStrategy,
 )
@@ -137,10 +138,8 @@ class TestPerturbedMeans:
 
 def policy_config(**privacy):
     return ChiaroscuroConfig().with_overrides(
-        kmeans={"max_iterations": 6, "convergence_threshold": 0.02,
-                "track_quality": False, "quality_patience": 5},
-        privacy={"epsilon": 3.0, "value_bound": 2.0, "count_bound": 1.5,
-                 "delta_slack": 1e-6, **privacy},
+        kmeans={"max_iterations": 6, "convergence_threshold": 0.02},
+        privacy={"epsilon": 3.0, "value_bound": 2.0, "delta_slack": 1e-6, **privacy},
     )
 
 
@@ -149,8 +148,8 @@ class TestIterationPolicy:
         sensitivity, _, _, _ = iteration_policy(policy_config(), series_length=12)
         assert sensitivity.series_length == 12
         assert sensitivity.sum_sensitivity == 24.0
-        assert sensitivity.count_sensitivity == 1.5
-        assert sensitivity.laplace_scale(0.5) == pytest.approx(25.5 / 0.5)
+        assert sensitivity.count_sensitivity == 1.0
+        assert sensitivity.laplace_scale(0.5) == pytest.approx(25.0 / 0.5)
 
     @pytest.mark.parametrize("name, kind", [
         ("uniform", UniformBudgetStrategy),
@@ -164,12 +163,13 @@ class TestIterationPolicy:
         assert len(schedule) == 6
         assert sum(schedule) == pytest.approx(3.0)
 
-    def test_geometric_ratio_is_passed_on(self):
-        _, strategy, _, _ = iteration_policy(
-            policy_config(budget_strategy="geometric", geometric_ratio=2.0), 12
-        )
+    def test_geometric_budgets_grow_by_the_constant_ratio(self):
+        _, strategy, _, _ = iteration_policy(policy_config(budget_strategy="geometric"), 12)
         schedule = strategy.schedule()
-        assert [b / a for a, b in zip(schedule, schedule[1:])] == pytest.approx([2.0] * 5)
+        assert [b / a for a, b in zip(schedule, schedule[1:])] == pytest.approx(
+            [GEOMETRIC_RATIO] * 5
+        )
+        assert GEOMETRIC_RATIO == 1.3
 
     def test_accountant_carries_the_budget_and_the_delta_slack(self):
         _, _, accountant, _ = iteration_policy(policy_config(), 12)
@@ -180,8 +180,7 @@ class TestIterationPolicy:
     def test_termination_follows_the_kmeans_section(self):
         _, _, _, termination = iteration_policy(policy_config(), 12)
         assert termination == TerminationCriteria(
-            convergence_threshold=0.02, max_iterations=6,
-            track_quality=False, quality_patience=5,
+            convergence_threshold=0.02, max_iterations=6, quality_patience=QUALITY_PATIENCE,
         )
         assert termination.should_stop(6, 1.0) == (True, "max_iterations")
 
@@ -238,13 +237,13 @@ class TestBasicCriteria:
 
     def test_continue_above_threshold(self):
         criteria = TerminationCriteria(convergence_threshold=0.1, max_iterations=10,
-                                       track_quality=False)
+                                       quality_patience=11)
         stop, reason = criteria.should_stop(1, 0.5)
         assert not stop and reason == ""
 
     def test_max_iterations(self):
         criteria = TerminationCriteria(convergence_threshold=1e-6, max_iterations=3,
-                                       track_quality=False)
+                                       quality_patience=4)
         stop, reason = criteria.should_stop(3, 1.0)
         assert stop and reason == "max_iterations"
 
@@ -268,8 +267,7 @@ class TestBasicCriteria:
 class TestQualityPlateau:
     def test_plateau_triggers_after_patience(self):
         criteria = TerminationCriteria(
-            convergence_threshold=1e-9, max_iterations=100,
-            track_quality=True, quality_patience=2,
+            convergence_threshold=1e-9, max_iterations=100, quality_patience=2,
         )
         assert criteria.should_stop(1, 0.5) == (False, "")
         assert criteria.should_stop(2, 0.6) == (False, "")   # 1st non-improving
@@ -278,8 +276,7 @@ class TestQualityPlateau:
 
     def test_improvement_resets_patience(self):
         criteria = TerminationCriteria(
-            convergence_threshold=1e-9, max_iterations=100,
-            track_quality=True, quality_patience=2,
+            convergence_threshold=1e-9, max_iterations=100, quality_patience=2,
         )
         criteria.should_stop(1, 0.5)
         criteria.should_stop(2, 0.6)   # non-improving
@@ -287,9 +284,9 @@ class TestQualityPlateau:
         stop, _reason = criteria.should_stop(4, 0.45)
         assert not stop
 
-    def test_disabled_plateau_never_triggers(self):
+    def test_patience_above_max_iterations_never_triggers(self):
         criteria = TerminationCriteria(
-            convergence_threshold=1e-9, max_iterations=100, track_quality=False,
+            convergence_threshold=1e-9, max_iterations=100, quality_patience=101,
         )
         for iteration in range(1, 20):
             stop, _ = criteria.should_stop(iteration, 1.0)
@@ -297,8 +294,7 @@ class TestQualityPlateau:
 
     def test_reset_clears_patience_state(self):
         criteria = TerminationCriteria(
-            convergence_threshold=1e-9, max_iterations=100,
-            track_quality=True, quality_patience=1,
+            convergence_threshold=1e-9, max_iterations=100, quality_patience=1,
         )
         criteria.should_stop(1, 0.5)
         criteria.should_stop(2, 0.9)

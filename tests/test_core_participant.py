@@ -139,16 +139,22 @@ class TestStateMachine:
     def test_budget_exhaustion_finishes_participant(self):
         config = ChiaroscuroConfig().with_overrides(
             kmeans={"n_clusters": 2, "max_iterations": 10,
-                    "convergence_threshold": 0.0, "track_quality": False},
+                    "convergence_threshold": 0.0},
             privacy={"epsilon": 0.05, "noise_shares": 3, "budget_strategy": "uniform"},
             gossip={"cycles_per_aggregation": 2},
             crypto={"threshold": 2, "n_key_shares": 3},
             simulation={"n_participants": 6, "seed": 0},
         )
         participants, _config, _data = make_participants(config=config)
+        for participant in participants:
+            # A patience above max_iterations keeps the plateau criterion out
+            # of the way: the run goes on until the budget is spent.
+            participant.termination.quality_patience = 11
         engine = CycleEngine(participants, seed=0)
         engine.run(200, stop_when=lambda eng: all(p.is_done for p in participants))
         assert all(p.is_done for p in participants)
+        for participant in participants:
+            assert participant.accountant.spent_epsilon == pytest.approx(0.05)
 
     def test_assignment_history_tracks_every_iteration(self):
         participants, _config, _data = make_participants()

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.exceptions import ExperimentError
 from repro.experiments import ExperimentSpec
 from repro.experiments.spec import canonical_json
+from test_config import CONSTANT_FIELDS
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "examples" / "scenarios"
 
 
 def _cell_keys(spec: ExperimentSpec) -> list[str]:
@@ -239,6 +243,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("key", [
         "crypto.fastmath", "crypto.pool_file", "runtime.write_buffer_limit",
+        *(f"{section}.{fieldname}" for section, fieldname in CONSTANT_FIELDS),
     ])
     def test_spec_file_naming_a_removed_knob_is_refused_by_name(self, tmp_path, key):
         section, _, fieldname = key.partition(".")
@@ -251,6 +256,20 @@ class TestValidation:
             with pytest.raises(ExperimentError, match="unknown field") as raised:
                 ExperimentSpec.from_file(path)
             assert fieldname in str(raised.value) and section in str(raised.value)
+
+    @pytest.mark.parametrize(
+        "path", sorted(SCENARIOS.glob("*.json")) + sorted(SCENARIOS.glob("*.toml")),
+        ids=lambda path: path.name,
+    )
+    def test_committed_spec_builds_every_cell_config(self, path):
+        cells = ExperimentSpec.from_file(path).expand()
+        assert cells
+        for cell in cells:
+            cell.config()
+
+    def test_every_committed_spec_is_checked(self):
+        # An empty glob would parametrize the test above out of existence.
+        assert len(list(SCENARIOS.glob("*.json")) + list(SCENARIOS.glob("*.toml"))) >= 6
 
     def test_rejects_empty_axes(self):
         with pytest.raises(ExperimentError):

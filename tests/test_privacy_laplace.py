@@ -14,7 +14,7 @@ from repro.privacy import (
 
 class TestSensitivityModel:
     def test_total_sensitivity(self):
-        model = SensitivityModel(series_length=48, value_bound=1.0, count_bound=1.0)
+        model = SensitivityModel(series_length=48, value_bound=1.0)
         assert model.sum_sensitivity == 48.0
         assert model.count_sensitivity == 1.0
         assert model.total_sensitivity == 49.0

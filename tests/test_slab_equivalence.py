@@ -64,6 +64,18 @@ class TestFullSamplingIsObjectMode:
         # ... and the priced seconds are the cost summary's own.
         assert totals["offline_seconds"]["estimate"] == result.costs.offline_seconds
         assert totals["online_seconds"]["estimate"] == result.costs.online_seconds
+        costs = result.costs
+        assert {key: entry["estimate"] for key, entry in totals.items()} == {
+            "encryptions": costs.encryptions,
+            "homomorphic_additions": costs.homomorphic_additions,
+            "partial_decryptions": costs.partial_decryptions,
+            "combinations": costs.combinations,
+            "messages_sent": costs.messages_sent,
+            "bytes_sent": costs.bytes_sent,
+            "online_seconds": costs.online_seconds,
+            "offline_seconds": costs.offline_seconds,
+            "crypto_seconds": costs.online_seconds + costs.offline_seconds,
+        }
         assert result.metadata["cost_profile"] == REFERENCE_PROFILE.as_dict()
         assert result.metadata["engine"]["crypto_sample_fraction"] == 1.0
 
@@ -85,6 +97,8 @@ class TestSampledCrypto:
             entry = extrapolated["totals"][key]
             assert entry["low"] <= entry["estimate"] <= entry["high"]
             assert entry["estimate"] > 0
+        # The same nine metrics as a fully measured run's block.
+        assert len(extrapolated["totals"]) == 9
 
     def test_phase_split_extrapolates_and_sums(self, sampled):
         """``REFERENCE_PROFILE`` prices the sampled counters, so the

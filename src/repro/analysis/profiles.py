@@ -15,7 +15,6 @@ import numpy as np
 
 from .._validation import as_1d_float_array, as_2d_float_array, check_positive_int
 from ..exceptions import AnalysisError
-from ..timeseries.distance import dtw_distance
 from ..timeseries.preprocessing import sliding_windows
 
 
@@ -39,10 +38,12 @@ class ProfileMatch:
 def match_subsequence(
     profiles: np.ndarray,
     query: np.ndarray,
-    metric: str = "euclidean",
     normalize_query: bool = False,
 ) -> list[ProfileMatch]:
     """Rank every profile by its best alignment with *query*.
+
+    The query slides over every offset of each profile; a profile's
+    distance is the smallest Euclidean distance over those offsets.
 
     Parameters
     ----------
@@ -50,10 +51,6 @@ def match_subsequence(
         ``(k, series_length)`` matrix of final profiles.
     query:
         The sub-sequence selected by the individual (length <= series_length).
-    metric:
-        ``"euclidean"`` slides the query over every offset of each profile;
-        ``"dtw"`` uses dynamic time warping against the whole profile
-        (offset reported as 0).
     normalize_query:
         Min-max normalise the query and each compared window first, which
         matches shapes rather than absolute levels.
@@ -76,12 +73,6 @@ def match_subsequence(
     prepared_query = _normalise(query)
     matches: list[ProfileMatch] = []
     for index, profile in enumerate(profiles):
-        if metric == "dtw":
-            distance = dtw_distance(prepared_query, _normalise(profile))
-            matches.append(ProfileMatch(profile_index=index, distance=distance, offset=0))
-            continue
-        if metric != "euclidean":
-            raise AnalysisError(f"unsupported profile-search metric {metric!r}")
         windows = sliding_windows(profile, width=len(query))
         best_distance = np.inf
         best_offset = 0
@@ -101,12 +92,11 @@ def closest_profiles(
     profiles: np.ndarray,
     query: np.ndarray,
     top: int = 3,
-    metric: str = "euclidean",
     normalize_query: bool = False,
 ) -> list[ProfileMatch]:
     """The *top* closest profiles to a query sub-sequence."""
     check_positive_int(top, "top")
-    matches = match_subsequence(profiles, query, metric=metric, normalize_query=normalize_query)
+    matches = match_subsequence(profiles, query, normalize_query=normalize_query)
     return matches[:top]
 
 

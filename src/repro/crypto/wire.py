@@ -29,8 +29,6 @@ backends and safe to decode from untrusted bytes:
   backend's ciphertext space.  This is what a real deployment sends (elements
   of Z_{n^{s+1}} have a fixed size; a value-dependent width would leak
   information and defeat byte-accurate cost accounting).
-* **Floats** are IEEE-754 big-endian doubles, so cleartext gossip payloads
-  round-trip bit-exactly.
 * Every decoding error raises :class:`~repro.exceptions.WireFormatError`
   and nothing else; decoders validate declared sizes *before* allocating,
   so hostile length fields cannot balloon memory.
@@ -43,15 +41,13 @@ which CI enforces).
 
 from __future__ import annotations
 
-import struct
-
 from ..exceptions import WireFormatError
 from .backends import CipherBackend, EncryptedVector, PartialVectorDecryption
 from .damgard_jurik import DamgardJurikPublicKey
 
 #: Version byte stamped on every frame (and the suffix of the golden vector
 #: file name).  Bump on any incompatible encoding change.
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 #: Fixed frame-envelope bytes outside the body: magic (2) + version (1) +
 #: type (1) + CRC32 (4).  The body-length varint adds 1-4 more depending on
@@ -144,11 +140,6 @@ def write_string(out: bytearray, text: str) -> None:
 def write_bool(out: bytearray, value: bool) -> None:
     """Append a strict one-byte boolean (0x00 or 0x01)."""
     out.append(0x01 if value else 0x00)
-
-
-def write_float(out: bytearray, value: float) -> None:
-    """Append an IEEE-754 big-endian double (bit-exact round-trip)."""
-    out.extend(struct.pack(">d", value))
 
 
 def _unfit_ciphertext(value: int, width: int) -> WireFormatError:
@@ -270,10 +261,6 @@ class WireReader:
         if byte not in (0, 1):
             raise WireFormatError(f"invalid boolean byte 0x{byte:02x}")
         return byte == 1
-
-    def read_float(self) -> float:
-        """Consume an IEEE-754 big-endian double."""
-        return struct.unpack(">d", self.read_bytes(8))[0]
 
     def read_ciphertext(self, width: int) -> int:
         """Consume one fixed-width big-endian ciphertext."""

@@ -6,9 +6,7 @@ The protocol averages by one rule, written twice: pairwise over encrypted
 estimates (:func:`average_estimates`, run by every participant's exchange)
 and vectorised over a cleartext slab
 (:func:`repro.simulation.slab.average_pairs_inplace`, the slab engine and the
-plain distributed baseline).  The encrypted-avg, push-pull and push-sum
-frame types in :data:`MESSAGE_TYPES` stay decodable and pinned by the golden
-wire vectors, but no run sends them."""
+plain distributed baseline)."""
 
 from .encrypted_sum import (
     EncryptedEstimate,
@@ -27,13 +25,8 @@ from .messages import (
     DecryptResponse,
     DiptychExchange,
     DiptychReply,
-    EncryptedAvgReply,
-    EncryptedAvgRequest,
-    GossipAvgReply,
-    GossipAvgRequest,
     KeyAnnouncement,
     MembershipAnnouncement,
-    PushSumMessage,
     WireMessage,
     deserialize,
 )
@@ -53,15 +46,10 @@ __all__ = [
     "MESSAGE_TYPES",
     "WireMessage",
     "deserialize",
-    "EncryptedAvgRequest",
-    "EncryptedAvgReply",
     "DiptychExchange",
     "DiptychReply",
     "DecryptRequest",
     "DecryptResponse",
-    "GossipAvgRequest",
-    "GossipAvgReply",
-    "PushSumMessage",
     "MembershipAnnouncement",
     "KeyAnnouncement",
 ]

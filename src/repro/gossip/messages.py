@@ -3,10 +3,11 @@
 Every message Chiaroscuro puts on the network — diptych exchanges,
 committee decryption rounds, membership announcements and key
 announcements — has a framed binary representation here, built on the
-canonical primitives of :mod:`repro.crypto.wire`.  Five more frame types
-(encrypted and cleartext averaging requests/replies, push-sum mass
-transfers) are sent by no run; they stay decodable because the golden wire
-vectors pin them.
+canonical primitives of :mod:`repro.crypto.wire`, plus the
+:class:`BatchEnvelope` that carries several of them in one socket record.
+Those seven are the only types :data:`MESSAGE_TYPES` registers; the type
+bytes wire version 1 gave to frames no run sent (0x01, 0x02, 0x07–0x09) are
+refused as unknown.
 
 Frame layout (all integers big-endian)::
 
@@ -27,10 +28,10 @@ versions or types, trailing bytes and inconsistent slot/weight metadata are
 likewise rejected with :class:`WireFormatError` and never anything else.
 
 ``deserialize(serialize(message)) == message`` holds bit-exactly for every
-message type: bigints and fixed-width ciphertexts round-trip exactly, floats
-travel as IEEE-754 doubles, and the encoders are canonical (one byte
-representation per value), so frames are deterministic functions of the
-message alone — identical across cipher backends, platforms and runs.
+message type: bigints and fixed-width ciphertexts round-trip exactly, and
+the encoders are canonical (one byte representation per value), so frames
+are deterministic functions of the message alone — identical across cipher
+backends, platforms and runs.
 
 The ``Frame`` invariant: ``serialize()`` runs every encoder check and
 returns a :class:`Frame` whose ``.message`` is the frozen message it
@@ -48,9 +49,8 @@ that arrived from elsewhere (a socket payload, a batch's inner frame,
 
 from __future__ import annotations
 
-import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
 from ..crypto.wire import (
@@ -58,7 +58,6 @@ from ..crypto.wire import (
     MAX_CIPHERTEXT_BYTES,
     MAX_FRAME_BYTES,
     MAX_SHARE_INDEX,
-    MAX_VECTOR_COMPONENTS,
     WIRE_VERSION,
     WireReader,
     encrypted_vector_size,
@@ -69,7 +68,6 @@ from ..crypto.wire import (
     write_bigint,
     write_bool,
     write_encrypted_vector,
-    write_float,
     write_partial_decryption,
     write_varint,
 )
@@ -132,23 +130,6 @@ def _read_width(reader: WireReader) -> int:
     if width < 1:
         raise WireFormatError("ciphertext width must be >= 1")
     return width
-
-
-def _write_float_vector(out: bytearray, values: Sequence[float]) -> None:
-    if len(values) > MAX_VECTOR_COMPONENTS:
-        raise WireFormatError(f"float vector too long for the wire: {len(values)}")
-    write_varint(out, len(values))
-    out += struct.pack(f">{len(values)}d", *map(float, values))
-
-
-def _read_float_vector(reader: WireReader) -> tuple[float, ...]:
-    count = reader.read_varint(limit=MAX_VECTOR_COMPONENTS)
-    if count * 8 > reader.remaining:
-        raise WireFormatError(
-            f"truncated float vector: {count} doubles declared, "
-            f"{reader.remaining} bytes available"
-        )
-    return struct.unpack(f">{count}d", reader.read_bytes(count * 8))
 
 
 class WireMessage:
@@ -249,42 +230,6 @@ class Frame:
 
     def __repr__(self) -> str:
         return f"<Frame of {type(self.message).__name__}, {self._length} bytes>"
-
-
-@dataclass(frozen=True)
-class _EstimateEnvelope(WireMessage):
-    """Shared body codec of the encrypted-avg request/reply pair.
-
-    Request and reply carry the same body (one estimate plus the
-    ciphertext width); the concrete subclasses differ only in ``TYPE``, so
-    the two directions of the exchange can never diverge in encoding.
-    Dataclass equality compares the concrete class, so a request never
-    equals a reply.
-    """
-
-    estimate: EncryptedEstimate
-    ciphertext_bytes: int
-
-    def _write_body(self, out: bytearray) -> None:
-        _write_width(out, self.ciphertext_bytes)
-        _write_estimate(out, self.estimate, self.ciphertext_bytes)
-
-    @classmethod
-    def _read_body(cls, reader: WireReader) -> "_EstimateEnvelope":
-        width = _read_width(reader)
-        return cls(estimate=_read_estimate(reader, width), ciphertext_bytes=width)
-
-
-class EncryptedAvgRequest(_EstimateEnvelope):
-    """Push half of an encrypted push-pull averaging exchange (no run sends it)."""
-
-    TYPE: ClassVar[int] = 0x01
-
-
-class EncryptedAvgReply(_EstimateEnvelope):
-    """Pull half of an encrypted push-pull averaging exchange (no run sends it)."""
-
-    TYPE: ClassVar[int] = 0x02
 
 
 @dataclass(frozen=True)
@@ -418,52 +363,8 @@ class DecryptResponse(WireMessage):
 
 
 @dataclass(frozen=True)
-class _FloatVectorEnvelope(WireMessage):
-    """Shared body codec of the cleartext-avg request/reply pair."""
-
-    values: tuple[float, ...]
-
-    def _write_body(self, out: bytearray) -> None:
-        _write_float_vector(out, self.values)
-
-    @classmethod
-    def _read_body(cls, reader: WireReader) -> "_FloatVectorEnvelope":
-        return cls(values=_read_float_vector(reader))
-
-
-class GossipAvgRequest(_FloatVectorEnvelope):
-    """Push half of a cleartext push-pull averaging exchange (no run sends it)."""
-
-    TYPE: ClassVar[int] = 0x07
-
-
-class GossipAvgReply(_FloatVectorEnvelope):
-    """Pull half of a cleartext push-pull averaging exchange (no run sends it)."""
-
-    TYPE: ClassVar[int] = 0x08
-
-
-@dataclass(frozen=True)
-class PushSumMessage(WireMessage):
-    """Half of a push-sum node's (value, weight) mass (no run sends it)."""
-
-    values: tuple[float, ...]
-    weight: float
-    TYPE: ClassVar[int] = 0x09
-
-    def _write_body(self, out: bytearray) -> None:
-        _write_float_vector(out, self.values)
-        write_float(out, float(self.weight))
-
-    @classmethod
-    def _read_body(cls, reader: WireReader) -> "PushSumMessage":
-        values = _read_float_vector(reader)
-        return cls(values=values, weight=reader.read_float())
-
-
-@dataclass(frozen=True)
 class MembershipAnnouncement(WireMessage):
-    """A node announcing that it joined or left the overlay.
+    """A node announcing that it came online or went offline.
 
     The cycle-driven simulation applies churn directly (no messages), but a
     real deployment gossips join/leave events.  The live runner's bootstrap
@@ -539,24 +440,14 @@ class BatchEnvelope(WireMessage):
     The live runner's committee decryption sends one identical request to
     every helper a remote worker hosts; batching lets all of those travel
     in a single socket record instead of one record per helper.  The body
-    is a flags byte (bit 0: the frame section is a zlib stream), the frame
-    count, then each inner frame length-prefixed.  Inner frames are the
-    ordinary serialized bytes of any registered message type — including,
+    is a flags byte (always 0x00; the decoder refuses any other value), the
+    frame count, then each inner frame length-prefixed.  Inner frames are
+    the ordinary serialized bytes of any registered message type — including,
     recursively, nothing: a ``BatchEnvelope`` must not contain another
     ``BatchEnvelope``, and the decoder rejects nesting.
-
-    Compression is declarative per batch: encoders only set the zlib flag
-    when the compressed section is actually smaller, so batching with
-    compression enabled never inflates a record.  Decoding bounds both the
-    frame count and the decompressed size before allocating, so a hostile
-    peer cannot use a tiny zlib bomb to exhaust memory.
     """
 
     frames: tuple[bytes, ...]
-    # A compression *request*, not part of message identity: the encoder
-    # only honours it when zlib actually shrinks the section, so equality
-    # (and the serialize/deserialize round-trip) compares frames alone.
-    compress: bool = field(default=False, compare=False)
     TYPE: ClassVar[int] = 0x0C
 
     def __post_init__(self) -> None:
@@ -571,39 +462,22 @@ class BatchEnvelope(WireMessage):
             raise WireFormatError(
                 f"batch of {len(self.frames)} frames exceeds {MAX_BATCH_FRAMES}"
             )
-        section = bytearray()
-        write_varint(section, len(self.frames))
+        out.append(0x00)
+        write_varint(out, len(self.frames))
         for frame in self.frames:
             if len(frame) > MAX_FRAME_BYTES:
                 raise WireFormatError("inner frame exceeds the frame limit")
             if len(frame) >= 4 and frame[3] == self.TYPE:
                 raise WireFormatError("a batch must not contain another batch")
-            write_varint(section, len(frame))
-            section.extend(frame)
-        compressed = zlib.compress(bytes(section), 6) if self.compress else None
-        if compressed is not None and len(compressed) < len(section):
-            out.append(0x01)
-            out.extend(compressed)
-        else:
-            out.append(0x00)
-            out.extend(section)
+            write_varint(out, len(frame))
+            out.extend(frame)
 
     @classmethod
     def _read_body(cls, reader: WireReader) -> "BatchEnvelope":
         flags = reader.read_bytes(1)[0]
-        if flags not in (0x00, 0x01):
+        if flags != 0x00:
             raise WireFormatError(f"unknown batch flags 0x{flags:02x}")
-        compressed = bool(flags & 0x01)
-        raw = reader.read_bytes(reader.remaining - 4)
-        if compressed:
-            decompressor = zlib.decompressobj()
-            try:
-                raw = decompressor.decompress(raw, MAX_FRAME_BYTES)
-            except zlib.error as exc:
-                raise WireFormatError(f"corrupt batch zlib stream: {exc}") from exc
-            if decompressor.unconsumed_tail or not decompressor.eof:
-                raise WireFormatError("batch zlib stream too large or truncated")
-        section = WireReader(raw)
+        section = WireReader(reader.read_bytes(reader.remaining - 4))
         count = section.read_varint(limit=MAX_BATCH_FRAMES)
         frames = []
         for _ in range(count):
@@ -616,30 +490,24 @@ class BatchEnvelope(WireMessage):
             raise WireFormatError(
                 f"{section.remaining} trailing bytes after the batched frames"
             )
-        return cls(frames=tuple(frames), compress=compressed)
+        return cls(frames=tuple(frames))
 
     def messages(self) -> tuple["WireMessage", ...]:
         """Decode every inner frame through the ordinary entry point."""
         return tuple(deserialize(frame) for frame in self.frames)
 
 
-def batch_frames(frames: Sequence[bytes], compress: bool = False) -> bytes:
-    """Pack already-serialized frames into one ``BatchEnvelope`` frame.
-
-    With ``compress`` the envelope uses zlib only when it actually shrinks
-    the payload, so callers can enable compression unconditionally.
-    """
-    return BatchEnvelope(frames=tuple(frames), compress=compress).serialize()
+def batch_frames(frames: Sequence[bytes]) -> bytes:
+    """Pack already-serialized frames into one ``BatchEnvelope`` frame."""
+    return BatchEnvelope(frames=tuple(frames)).serialize()
 
 
 #: Registry of every frame type, keyed by the type byte.
 MESSAGE_TYPES: dict[int, type[WireMessage]] = {
     cls.TYPE: cls
     for cls in (
-        EncryptedAvgRequest, EncryptedAvgReply,
         DiptychExchange, DiptychReply,
         DecryptRequest, DecryptResponse,
-        GossipAvgRequest, GossipAvgReply, PushSumMessage,
         MembershipAnnouncement, KeyAnnouncement,
         BatchEnvelope,
     )

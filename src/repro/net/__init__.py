@@ -11,8 +11,6 @@ This package owns *how bytes move* between participants, independently of
 * :mod:`repro.net.bootstrap` — the membership/key bootstrap driven by the
   :class:`~repro.gossip.messages.MembershipAnnouncement` and
   :class:`~repro.gossip.messages.KeyAnnouncement` frames;
-* :mod:`repro.net.faults` — targeted (adversarial, non-random) frame
-  mutations for conformance testing;
 * :mod:`repro.net.live` — the multi-process asyncio socket runner
   (imported lazily: it pulls in :mod:`repro.core`, which itself imports
   the transport layer).
@@ -29,17 +27,14 @@ from .envelope import (
 )
 from .transport import LoopbackTransport
 
-#: Names resolved lazily: bootstrap/faults import :mod:`repro.gossip.messages`,
+#: Names resolved lazily: bootstrap imports :mod:`repro.gossip.messages`,
 #: which imports the simulation engine — and the engine imports this package
-#: for :class:`LoopbackTransport`.  Deferring the gossip-dependent modules
+#: for :class:`LoopbackTransport`.  Deferring the gossip-dependent module
 #: keeps the transport seam importable from inside the engine.
 _LAZY = {
     "MembershipDirectory": "bootstrap",
     "key_announcement_for": "bootstrap",
     "verify_key_announcement": "bootstrap",
-    "TargetedMutation": "faults",
-    "reframe_body": "faults",
-    "targeted_mutations": "faults",
 }
 
 
@@ -59,11 +54,8 @@ __all__ = [
     "KIND_FRAME",
     "LoopbackTransport",
     "MembershipDirectory",
-    "TargetedMutation",
     "decode_envelope",
     "encode_envelope",
     "key_announcement_for",
-    "reframe_body",
-    "targeted_mutations",
     "verify_key_announcement",
 ]

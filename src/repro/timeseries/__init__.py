@@ -1,15 +1,7 @@
 """Time-series substrate: value objects, distances and preprocessing."""
 
 from .collection import MatrixBackedCollection, TimeSeriesCollection
-from .distance import (
-    chebyshev_distance,
-    dtw_distance,
-    euclidean_distance,
-    get_distance,
-    manhattan_distance,
-    pairwise_distances,
-    squared_euclidean_distance,
-)
+from .distance import pairwise_distances
 from .preprocessing import (
     exponential_smoothing,
     lowpass_filter,
@@ -22,13 +14,7 @@ __all__ = [
     "MatrixBackedCollection",
     "TimeSeries",
     "TimeSeriesCollection",
-    "chebyshev_distance",
-    "dtw_distance",
-    "euclidean_distance",
-    "get_distance",
-    "manhattan_distance",
     "pairwise_distances",
-    "squared_euclidean_distance",
     "exponential_smoothing",
     "lowpass_filter",
     "moving_average",

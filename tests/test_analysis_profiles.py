@@ -37,11 +37,6 @@ class TestMatchSubsequence:
         assert len(matches) == 3
         assert [m.distance for m in matches] == sorted(m.distance for m in matches)
 
-    def test_dtw_metric_supported(self, profiles):
-        query = profiles[0][5:30]
-        matches = match_subsequence(profiles, query, metric="dtw")
-        assert matches[0].profile_index == 0
-
     def test_normalised_matching_ignores_level(self, profiles):
         query = profiles[0][10:30] + 10.0  # same shape, shifted level
         raw = match_subsequence(profiles, query)
@@ -52,10 +47,6 @@ class TestMatchSubsequence:
     def test_query_longer_than_profile_rejected(self, profiles):
         with pytest.raises(AnalysisError):
             match_subsequence(profiles, np.zeros(100))
-
-    def test_unknown_metric_rejected(self, profiles):
-        with pytest.raises(AnalysisError):
-            match_subsequence(profiles, profiles[0][:10], metric="hamming")
 
     def test_match_as_dict(self, profiles):
         match = match_subsequence(profiles, profiles[0][:10])[0]

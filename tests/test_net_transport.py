@@ -29,7 +29,7 @@ from repro.net.envelope import (
     encode_envelope,
     read_length_prefix,
 )
-from repro.gossip.messages import GossipAvgReply, GossipAvgRequest, deserialize
+from repro.gossip.messages import MembershipAnnouncement, deserialize
 from repro.net.transport import LoopbackTransport
 from repro.simulation.engine import CycleEngine
 from repro.simulation.network import Message, Network
@@ -83,7 +83,7 @@ class TestLoopbackTransport:
     def test_transmit_hands_an_intact_frame_through(self):
         nodes = [_EchoNode(0), _EchoNode(1)]
         engine = CycleEngine(nodes, seed=0)
-        frame = GossipAvgRequest(values=(1.0, 2.0)).serialize()
+        frame = MembershipAnnouncement(node_id=1, online=True, cycle=2).serialize()
         assert engine.transport.transmit(0, 1, "frame", frame) is frame
         assert nodes[1].received[0].payload is frame
         # Only a bytearray is copied, into plain bytes.
@@ -127,8 +127,8 @@ class _ScriptedFaults:
 class TestExchange:
     """The cycle model's pairwise-exchange policy, one case at a time."""
 
-    REQUEST = GossipAvgRequest(values=(1.0, 2.0)).serialize()
-    REPLY = GossipAvgReply(values=(3.0, 4.0))
+    REQUEST = MembershipAnnouncement(node_id=1, online=True, cycle=2).serialize()
+    REPLY = MembershipAnnouncement(node_id=3, online=False, cycle=4)
     KINDS = ("request", "reply")
 
     def _exchange(self, drops=(), corruptions=(), **options):
@@ -150,7 +150,7 @@ class TestExchange:
     def test_clean_round_trip(self):
         engine, nodes, served, reply = self._exchange()
         assert reply == self.REPLY
-        assert served == [GossipAvgRequest(values=(1.0, 2.0))]
+        assert served == [MembershipAnnouncement(node_id=1, online=True, cycle=2)]
         assert [message.kind for message in nodes[1].received] == ["request"]
         assert [message.kind for message in nodes[0].received] == ["reply"]
         total = engine.network.total
@@ -202,7 +202,7 @@ class TestExchange:
         engine, nodes, served, reply = self._exchange(drops=[0.0],
                                                       lossy_request=False)
         assert reply == self.REPLY
-        assert served == [GossipAvgRequest(values=(1.0, 2.0))]
+        assert served == [MembershipAnnouncement(node_id=1, online=True, cycle=2)]
         assert nodes[1].received == []
         total = engine.network.total
         assert (total.messages_sent, total.messages_dropped) == (2, 1)

@@ -18,7 +18,7 @@ from repro.crypto import damgard_jurik as dj
 from repro.crypto.encoding import FixedPointCodec
 from repro.gossip import average_estimates, decode_estimate, fresh_estimate
 from repro.privacy import NoiseShareSpec, make_budget_strategy, share_variance
-from repro.timeseries import euclidean_distance, manhattan_distance
+from repro.timeseries import pairwise_distances
 
 # One shared small key pair: generating keys inside @given would be far too slow.
 DJ_PUBLIC, DJ_PRIVATE = dj.generate_keypair(key_bits=128, s=1)
@@ -121,6 +121,16 @@ class TestPrivacyInvariants:
         assert share_variance(spec) * n_shares == pytest.approx(2 * scale**2)
 
 
+def _cancellation_tolerance(points: np.ndarray) -> float:
+    """How far ``pairwise_distances`` may sit from the exact distance.
+
+    It expands ``||x - y||^2`` as ``||x||^2 + ||y||^2 - 2 x.y``, so the
+    squared distance carries a rounding error of a few ulps of the squared
+    norms, and its square root one of ``sqrt(eps)`` times the norms.
+    """
+    return 1e-7 * (1.0 + float(np.linalg.norm(points)))
+
+
 class TestMetricProperties:
     @given(a=st.lists(small_floats, min_size=2, max_size=16),
            b=st.lists(small_floats, min_size=2, max_size=16))
@@ -129,10 +139,12 @@ class TestMetricProperties:
         length = min(len(a), len(b))
         x = np.array(a[:length])
         y = np.array(b[:length])
-        for distance in (euclidean_distance, manhattan_distance):
-            assert distance(x, y) >= 0.0
-            assert distance(x, y) == pytest.approx(distance(y, x))
-            assert distance(x, x) == pytest.approx(0.0, abs=1e-9)
+        points = np.vstack([x, y])
+        matrix = pairwise_distances(points, points)
+        tolerance = _cancellation_tolerance(points)
+        assert (matrix >= 0.0).all()
+        assert matrix[0, 1] == pytest.approx(matrix[1, 0], abs=tolerance)
+        assert matrix[0, 0] == pytest.approx(0.0, abs=tolerance)
 
     @given(a=st.lists(small_floats, min_size=2, max_size=10),
            b=st.lists(small_floats, min_size=2, max_size=10),
@@ -140,10 +152,9 @@ class TestMetricProperties:
     @settings(max_examples=100)
     def test_euclidean_triangle_inequality(self, a, b, c):
         length = min(len(a), len(b), len(c))
-        x, y, z = (np.array(v[:length]) for v in (a, b, c))
-        assert euclidean_distance(x, z) <= (
-            euclidean_distance(x, y) + euclidean_distance(y, z) + 1e-7
-        )
+        points = np.vstack([np.array(v[:length]) for v in (a, b, c)])
+        d = pairwise_distances(points, points)
+        assert d[0, 2] <= d[0, 1] + d[1, 2] + _cancellation_tolerance(points)
 
     @given(labels=st.lists(st.integers(min_value=0, max_value=4), min_size=2, max_size=60))
     @settings(max_examples=100)

@@ -23,7 +23,6 @@ TESTED_REFERENCES = {
     "repro.privacy.noise_shares.share_variance": "repro.privacy.noise_shares.draw_noise_share",
     "repro.privacy.noise_shares.reconstructed_variance":
         "repro.privacy.noise_shares.draw_noise_share",
-    "repro.net.faults.targeted_mutations": "repro.gossip.messages.deserialize",
     "repro.datasets.synthetic.generate_two_level_series": "repro.clustering.kmeans.kmeans",
     "repro.datasets.synthetic.generate_constant_series": "repro.core.runner.run_chiaroscuro",
     "repro.gossip.encrypted_sum.decode_estimate":

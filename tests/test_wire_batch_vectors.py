@@ -1,20 +1,27 @@
 """Golden wire vectors for the batched frame format (``BatchEnvelope``).
 
-``tests/vectors/wire_batch_v1.json`` holds serialized ``BatchEnvelope``
-frames — plain and zlib-compressed — built from the same deterministic
-inner messages the ``wire_v1.json`` vectors commit.  As with the base
-vectors, committed files are immutable: any byte change to the batched
-encoding is an incompatible wire change and needs a new version and a new
-vector file (CI rejects edits to existing ``wire_batch_v*.json``).
+``tests/vectors/wire_batch_v<WIRE_VERSION>.json`` holds serialized
+``BatchEnvelope`` frames built from the same deterministic inner messages
+the ``wire_v<N>.json`` vectors commit.  As with the base vectors, committed
+files are immutable: any byte change to the batched encoding is an
+incompatible wire change and needs a new version and a new vector file (CI
+rejects edits to existing ``wire_batch_v*.json``).
 
-Regenerate (only ever for a NEW version)::
+``wire_batch_v1.json`` stays as a refusal fixture: the decoder refuses its
+frames by their version byte, and its zlib-compressed batch (flags 0x01,
+which version 2 retired), re-framed under the current version, by its
+flags byte.
 
-    PYTHONPATH=src python tests/test_wire_batch_vectors.py vectors/wire_batch_v<N>.json
+Write the file of a NEW version (the script refuses to overwrite a file)::
+
+    PYTHONPATH=src python tests/test_wire_batch_vectors.py
 """
 
 from __future__ import annotations
 
 import json
+import sys
+import zlib
 from pathlib import Path
 
 import pytest
@@ -27,10 +34,11 @@ from repro.gossip.messages import (
     batch_frames,
     deserialize,
 )
+from frame_mutations import _split_frame, reframe_body
+from test_wire_vectors import VECTORS, golden_messages, write_vector_file
 
-from test_wire_vectors import golden_messages
-
-VECTOR_FILE = Path(__file__).parent / "vectors" / f"wire_batch_v{WIRE_VERSION}.json"
+VECTOR_FILE = VECTORS / f"wire_batch_v{WIRE_VERSION}.json"
+V1_FILE = VECTORS / "wire_batch_v1.json"
 
 
 def _inner_frames() -> dict[str, bytes]:
@@ -38,28 +46,27 @@ def _inner_frames() -> dict[str, bytes]:
 
 
 def golden_batches() -> list[tuple[str, BatchEnvelope]]:
-    """Deterministic batches: empty, mixed plain, and compressed repeats."""
+    """Deterministic batches: empty, mixed types, and repeated requests."""
     frames = _inner_frames()
     return [
         ("batch_empty", BatchEnvelope(frames=())),
-        ("batch_mixed_plain", BatchEnvelope(frames=(
-            frames["gossip_avg_request"],
-            frames["push_sum"],
+        ("batch_mixed", BatchEnvelope(frames=(
+            frames["diptych_reply_dj"],
             frames["membership_announcement"],
+            frames["key_announcement"],
         ))),
         # Identical decryption requests to several committee helpers: the
-        # live runner's actual batching shape, and the case where zlib
-        # pays off the most.
-        ("batch_decrypt_requests_zlib", BatchEnvelope(frames=(
+        # live runner's actual batching shape.
+        ("batch_decrypt_requests", BatchEnvelope(frames=(
             frames["decrypt_request_packed"],
             frames["decrypt_request_packed"],
             frames["decrypt_request_packed"],
-        ), compress=True)),
+        ))),
     ]
 
 
-def _load_vectors() -> dict:
-    with VECTOR_FILE.open() as handle:
+def _load_vectors(path: Path = VECTOR_FILE) -> dict:
+    with path.open() as handle:
         return json.load(handle)
 
 
@@ -105,47 +112,24 @@ class TestBatchEnvelope:
         decoded = deserialize(batch_frames(frames))
         assert decoded.frames == frames
 
-    def test_compression_only_when_smaller(self):
-        # Three identical large frames compress well: flag bit must be set
-        # and the batched frame must be smaller than the plain batch.
-        frame = _inner_frames()["decrypt_request_packed"]
-        plain = batch_frames([frame] * 3, compress=False)
-        packed = batch_frames([frame] * 3, compress=True)
-        assert len(packed) < len(plain)
-        assert deserialize(packed).frames == (frame,) * 3
-        # A single tiny frame does not compress: the encoder falls back to
-        # the plain section, byte-identical to compress=False.
-        tiny = _inner_frames()["membership_announcement"]
-        assert batch_frames([tiny], compress=True) == batch_frames([tiny])
-
-    def test_compress_flag_not_part_of_identity(self):
-        tiny = _inner_frames()["membership_announcement"]
-        assert BatchEnvelope(frames=(tiny,), compress=True) == BatchEnvelope(
-            frames=(tiny,), compress=False
-        )
-
     def test_rejects_nested_batches(self):
-        inner = batch_frames([_inner_frames()["push_sum"]])
+        inner = batch_frames([_inner_frames()["membership_announcement"]])
         with pytest.raises(WireFormatError, match="another batch"):
             batch_frames([inner])
 
     def test_rejects_unknown_flags(self):
-        frame = bytearray(batch_frames([_inner_frames()["push_sum"]]))
+        frame = bytearray(batch_frames([_inner_frames()["membership_announcement"]]))
         # Body starts after magic(2) + version(1) + type(1) + length varint.
         offset = 4
         while frame[offset] & 0x80:
             offset += 1
         offset += 1
         frame[offset] = 0x02
-        import zlib
-
         frame[-4:] = zlib.crc32(bytes(frame[:-4])).to_bytes(4, "big")
         with pytest.raises(WireFormatError, match="batch flags"):
             deserialize(bytes(frame))
 
     def test_rejects_trailing_bytes_in_section(self):
-        import zlib
-
         body = bytearray(b"\x00")
         body.extend(b"\x00")  # zero frames
         body.extend(b"\xff")  # trailing garbage in the section
@@ -163,39 +147,28 @@ class TestBatchEnvelope:
         with pytest.raises(WireFormatError, match="exceeds"):
             batch_frames([tiny] * 1025)
 
-    def test_rejects_corrupt_zlib_stream(self):
-        import zlib
 
-        body = bytearray(b"\x01")  # compressed flag with garbage payload
-        body.extend(b"not a zlib stream")
-        frame = bytearray(FRAME_MAGIC)
-        frame.append(WIRE_VERSION)
-        frame.append(BatchEnvelope.TYPE)
-        frame.append(len(body))
-        frame.extend(body)
-        frame.extend(zlib.crc32(bytes(frame)).to_bytes(4, "big"))
-        with pytest.raises(WireFormatError, match="zlib"):
-            deserialize(bytes(frame))
+class TestVersionOneBatches:
+    """``wire_batch_v1.json`` is a refusal fixture of the current decoder."""
 
+    V1 = _load_vectors(V1_FILE)["vectors"]
 
-def _regenerate(path: Path) -> None:
-    entries = [
-        {
-            "name": name,
-            "type": type(message).__name__,
-            "frame_hex": bytes(message.serialize()).hex(),
-        }
-        for name, message in golden_batches()
-    ]
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as handle:
-        json.dump({"version": WIRE_VERSION, "vectors": entries}, handle, indent=2)
-        handle.write("\n")
-    print(f"wrote {len(entries)} vectors to {path}")
+    @pytest.mark.parametrize("entry", V1, ids=[entry["name"] for entry in V1])
+    def test_refused_by_version(self, entry):
+        with pytest.raises(WireFormatError, match="unsupported wire version 1 "):
+            deserialize(bytes.fromhex(entry["frame_hex"]))
+
+    def test_a_compressed_batch_is_refused_by_its_flags(self):
+        """The v1 zlib batch re-framed under the current version, with a
+        valid length and checksum: only its flags byte stops it."""
+        (entry,) = [e for e in self.V1 if e["name"] == "batch_decrypt_requests_zlib"]
+        frame = bytes.fromhex(entry["frame_hex"])
+        body = _split_frame(frame)[1]
+        assert body[0] == 0x01
+        with pytest.raises(WireFormatError, match="unknown batch flags 0x01"):
+            deserialize(reframe_body(frame, body))
 
 
 if __name__ == "__main__":
-    import sys
-
-    target = Path(sys.argv[1]) if len(sys.argv) > 1 else VECTOR_FILE
-    _regenerate(target)
+    write_vector_file(Path(sys.argv[1]) if len(sys.argv) > 1 else VECTOR_FILE,
+                      golden_batches())

@@ -11,7 +11,7 @@ The named cases are the header shapes a hand-offset reader gets wrong
 (two-byte varints, a two-byte weight length, the longest and a multi-byte
 name, the widths at both limits, an empty vector, a cut or a redundant
 varint byte at every header position); Hypothesis and the targeted-mutation
-corpus of :mod:`repro.net.faults` cover the rest.
+corpus of ``frame_mutations`` cover the rest.
 """
 
 from __future__ import annotations

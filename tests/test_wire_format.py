@@ -16,8 +16,6 @@ Three layers of guarantees:
 
 from __future__ import annotations
 
-import struct
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,7 +28,6 @@ from repro.crypto.wire import (
     read_partial_decryption,
     write_bigint,
     write_encrypted_vector,
-    write_float,
     write_partial_decryption,
     write_varint,
 )
@@ -42,13 +39,8 @@ from repro.gossip.messages import (
     DecryptResponse,
     DiptychExchange,
     DiptychReply,
-    EncryptedAvgReply,
-    EncryptedAvgRequest,
-    GossipAvgReply,
-    GossipAvgRequest,
     KeyAnnouncement,
     MembershipAnnouncement,
-    PushSumMessage,
     deserialize,
 )
 
@@ -58,7 +50,6 @@ from repro.gossip.messages import (
 
 WIDTHS = (1, 2, 8, 48, 64)
 
-wire_floats = st.floats(allow_nan=False)  # NaN != NaN breaks == round-trips
 backend_names = st.sampled_from(("plain", "damgard_jurik", "paillier"))
 weights = st.one_of(
     st.integers(min_value=1, max_value=1 << 16),
@@ -109,13 +100,8 @@ def partial_decryptions(draw, width):
 @st.composite
 def wire_messages(draw):
     kind = draw(st.sampled_from(
-        ("avg_req", "avg_rep", "diptych", "diptych_rep", "dec_req", "dec_rep",
-         "gossip_req", "gossip_rep", "push_sum", "membership", "key")
+        ("diptych", "diptych_rep", "dec_req", "dec_rep", "membership", "key")
     ))
-    if kind in ("avg_req", "avg_rep"):
-        estimate, width = draw(estimates())
-        cls = EncryptedAvgRequest if kind == "avg_req" else EncryptedAvgReply
-        return cls(estimate=estimate, ciphertext_bytes=width)
     if kind in ("diptych", "diptych_rep"):
         width = draw(st.sampled_from(WIDTHS))
         k = draw(st.integers(1, 3))
@@ -134,15 +120,6 @@ def wire_messages(draw):
         partials = tuple(draw(partial_decryptions(width))
                          for _ in range(draw(st.integers(1, 3))))
         return DecryptResponse(partials=partials, ciphertext_bytes=width)
-    if kind in ("gossip_req", "gossip_rep"):
-        values = tuple(draw(st.lists(wire_floats, max_size=16)))
-        cls = GossipAvgRequest if kind == "gossip_req" else GossipAvgReply
-        return cls(values=values)
-    if kind == "push_sum":
-        return PushSumMessage(
-            values=tuple(draw(st.lists(wire_floats, max_size=16))),
-            weight=draw(wire_floats),
-        )
     if kind == "membership":
         return MembershipAnnouncement(
             node_id=draw(st.integers(0, 1 << 30)), online=draw(st.booleans()),
@@ -208,26 +185,6 @@ class TestPrimitives:
         out = bytearray()
         with pytest.raises(WireFormatError):
             wire.write_ciphertext(out, 1 << 16, 2)
-
-    @given(value=st.floats(allow_nan=True, allow_infinity=True))
-    @settings(max_examples=200)
-    def test_float_round_trip_is_bit_exact(self, value):
-        out = bytearray()
-        write_float(out, value)
-        assert len(out) == 8
-        reader = WireReader(bytes(out))
-        assert struct.pack(">d", reader.read_float()) == struct.pack(">d", value)
-        assert reader.remaining == 0
-
-    def test_float_is_big_endian_ieee754(self):
-        out = bytearray()
-        write_float(out, 1.0)
-        write_float(out, -0.0)
-        assert bytes(out) == bytes.fromhex("3ff0000000000000" "8000000000000000")
-
-    def test_truncated_float_rejected(self):
-        with pytest.raises(WireFormatError):
-            WireReader(b"\x3f\xf0\x00").read_float()
 
     def test_ciphertext_width_rounds_bits_up_to_bytes(self, plain_backend, dj_backend):
         assert wire.wire_ciphertext_bytes(plain_backend) == 4096 // 8
@@ -334,8 +291,8 @@ class TestMessageRoundTrips:
             payload=tuple(range(1, count + 1)), backend_name="plain",
             length=length, packed=True, weight=1 << slots,
         )
-        message = EncryptedAvgRequest(
-            estimate=EncryptedEstimate(vector=vector, halvings=slots),
+        message = DecryptRequest(
+            estimates=(EncryptedEstimate(vector=vector, halvings=slots),),
             ciphertext_bytes=8,
         )
         assert deserialize(message.serialize()) == message
@@ -343,6 +300,8 @@ class TestMessageRoundTrips:
 
 class TestAdversarialDecoding:
     """Malformed input raises WireFormatError — never anything else."""
+
+    MEMBERSHIP = MembershipAnnouncement(node_id=1, online=True, cycle=0)
 
     @given(data=st.binary(max_size=300))
     @settings(max_examples=400)
@@ -378,13 +337,13 @@ class TestAdversarialDecoding:
             deserialize(bytes(frame) + garbage)
 
     def test_wrong_version_rejected(self):
-        frame = bytearray(GossipAvgRequest(values=(1.0,)).serialize())
+        frame = bytearray(self.MEMBERSHIP.serialize())
         frame[2] = 99
         with pytest.raises(WireFormatError):
             deserialize(bytes(frame))
 
     def test_unknown_type_rejected(self):
-        frame = bytearray(GossipAvgRequest(values=(1.0,)).serialize())
+        frame = bytearray(self.MEMBERSHIP.serialize())
         frame[3] = 0xEE
         with pytest.raises(WireFormatError):
             deserialize(bytes(frame))
@@ -392,8 +351,8 @@ class TestAdversarialDecoding:
     def test_over_length_body_rejected(self):
         # A header declaring a body far beyond the frame limit.
         header = bytearray(b"CW")
-        header.append(1)  # version
-        header.append(0x07)  # GossipAvgRequest
+        header.append(wire.WIRE_VERSION)
+        header.append(MembershipAnnouncement.TYPE)
         write_varint(header, wire.MAX_FRAME_BYTES + 1)
         with pytest.raises(WireFormatError):
             deserialize(bytes(header) + b"\x00" * 16)
@@ -422,8 +381,8 @@ class TestWriteSideLimits:
 
     def test_halvings_capped(self):
         vector = EncryptedVector(payload=(1,), backend_name="plain", length=1)
-        message = EncryptedAvgRequest(
-            estimate=EncryptedEstimate(vector=vector, halvings=(1 << 20) + 1),
+        message = DecryptRequest(
+            estimates=(EncryptedEstimate(vector=vector, halvings=(1 << 20) + 1),),
             ciphertext_bytes=8,
         )
         with pytest.raises(WireFormatError):

@@ -17,7 +17,6 @@ from .metrics import (
     contingency_table,
     match_centroids,
     quality_report,
-    relative_inertia,
 )
 from .smoothing import smooth_centroids, smooth_series
 
@@ -36,7 +35,6 @@ __all__ = [
     "contingency_table",
     "match_centroids",
     "quality_report",
-    "relative_inertia",
     "smooth_centroids",
     "smooth_series",
 ]

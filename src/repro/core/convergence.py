@@ -121,11 +121,6 @@ class TerminationCriteria:
         self._best_displacement: float | None = None
         self._non_improving = 0
 
-    def reset(self) -> None:
-        """Forget the patience state (between runs)."""
-        self._best_displacement = None
-        self._non_improving = 0
-
     def should_stop(self, iteration: int, displacement: float) -> tuple[bool, str]:
         """Decide whether to stop after *iteration* with the given displacement.
 

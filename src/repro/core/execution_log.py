@@ -3,7 +3,7 @@
 The demonstration stores "the execution log ... in a local MongoDB database"
 and the GUI replays it (evolution of the centroids, of the noise, of the
 quality and cost measures, slide bars over the iterations).  This module is
-the library equivalent: a structured, serialisable record of everything the
+the library equivalent: a structured record of everything the
 GUI needs, populated by the protocol runner and consumed by the analysis and
 benchmark code.
 """
@@ -16,21 +16,6 @@ from typing import Any, Iterator, Mapping
 import numpy as np
 
 from ..exceptions import AnalysisError
-
-
-def _to_jsonable(value: Any) -> Any:
-    """Recursively convert numpy containers into plain JSON-compatible types."""
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, Mapping):
-        return {str(key): _to_jsonable(entry) for key, entry in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_to_jsonable(entry) for entry in value]
-    return value
 
 
 @dataclass
@@ -82,40 +67,6 @@ class IterationRecord:
             raise AnalysisError("both perturbed and noise-free means are required")
         return float(np.linalg.norm(self.perturbed_means - self.noise_free_means))
 
-    def to_dict(self) -> dict[str, Any]:
-        """Serialise to plain JSON-compatible types."""
-        return _to_jsonable({
-            "iteration": self.iteration,
-            "epsilon_spent": self.epsilon_spent,
-            "centroids_before": self.centroids_before,
-            "perturbed_means": self.perturbed_means,
-            "noise_free_means": self.noise_free_means,
-            "displacement": self.displacement,
-            "tracked_assignments": self.tracked_assignments,
-            "costs": self.costs,
-        })
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "IterationRecord":
-        """Inverse of :meth:`to_dict`."""
-        def _array(key: str) -> np.ndarray | None:
-            value = payload.get(key)
-            return None if value is None else np.asarray(value, dtype=float)
-
-        return cls(
-            iteration=int(payload["iteration"]),
-            epsilon_spent=float(payload.get("epsilon_spent", 0.0)),
-            centroids_before=_array("centroids_before"),
-            perturbed_means=_array("perturbed_means"),
-            noise_free_means=_array("noise_free_means"),
-            displacement=float(payload.get("displacement", 0.0)),
-            tracked_assignments={
-                int(key): int(value)
-                for key, value in dict(payload.get("tracked_assignments", {})).items()
-            },
-            costs={str(key): float(value) for key, value in dict(payload.get("costs", {})).items()},
-        )
-
 
 class ExecutionLog:
     """Ordered collection of :class:`IterationRecord` plus run-level metadata."""
@@ -130,9 +81,6 @@ class ExecutionLog:
 
     def __iter__(self) -> Iterator[IterationRecord]:
         return iter(self._records)
-
-    def __getitem__(self, index: int) -> IterationRecord:
-        return self._records[index]
 
     def append(self, record: IterationRecord) -> None:
         """Add a record; iterations must arrive in increasing order."""
@@ -162,19 +110,3 @@ class ExecutionLog:
             for participant, cluster in record.tracked_assignments.items():
                 history.setdefault(participant, []).append(cluster)
         return history
-
-    # ------------------------------------------------------------------ serialisation
-    def to_dict(self) -> dict[str, Any]:
-        """Serialise the whole log (metadata + records)."""
-        return {
-            "metadata": _to_jsonable(self.metadata),
-            "records": [record.to_dict() for record in self._records],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ExecutionLog":
-        """Inverse of :meth:`to_dict`."""
-        log = cls(metadata=dict(payload.get("metadata", {})))
-        for record in payload.get("records", []):
-            log.append(IterationRecord.from_dict(record))
-        return log

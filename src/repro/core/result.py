@@ -7,7 +7,6 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from ..exceptions import AnalysisError
 from ..privacy.probabilistic import ProbabilisticGuarantee
 from ..simulation.network import ByteAccounting
 from .execution_log import ExecutionLog
@@ -257,12 +256,6 @@ class ChiaroscuroResult:
     def n_clusters(self) -> int:
         """Number of final profiles."""
         return self.profiles.shape[0]
-
-    def profile(self, cluster: int) -> np.ndarray:
-        """The final profile (centroid) of one cluster."""
-        if not 0 <= cluster < self.n_clusters:
-            raise AnalysisError(f"cluster {cluster} outside [0, {self.n_clusters})")
-        return self.profiles[cluster]
 
     def cluster_sizes(self) -> dict[int, int]:
         """Number of participants assigned to each profile."""

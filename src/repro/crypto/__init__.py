@@ -36,7 +36,6 @@ from .threshold import (
     combine_partial_decryptions,
     generate_threshold_keypair,
     partial_decrypt,
-    threshold_decrypt,
 )
 from .wire import (
     WIRE_VERSION,
@@ -74,7 +73,6 @@ __all__ = [
     "generate_threshold_keypair",
     "partial_decrypt",
     "combine_partial_decryptions",
-    "threshold_decrypt",
     "is_probable_prime",
     "generate_prime",
     "lcm",

@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..exceptions import CryptoError, ThresholdError, ValidationError
+from ..exceptions import CryptoError, EncodingOverflowError, ThresholdError, ValidationError
 from . import damgard_jurik as dj
 from .encoding import DEFAULT_WEIGHT_BITS, FixedPointCodec, PackedCodec
 from .fastmath import BlinderPool, PrecomputedKey, multi_pow
@@ -118,15 +118,6 @@ class OperationCounter:
             "rerandomizations": self.rerandomizations,
         }
 
-    def reset(self) -> None:
-        """Zero every counter."""
-        self.encryptions = 0
-        self.additions = 0
-        self.partial_decryptions = 0
-        self.combinations = 0
-        self.pooled_encryptions = 0
-        self.rerandomizations = 0
-
 
 def _settle_length(vector: "EncryptedVector | PartialVectorDecryption") -> None:
     """Default a vector's logical length to its payload size, or check it.
@@ -200,9 +191,9 @@ class CipherBackend(ABC):
     decryption with one key share, and combine enough partial decryptions
     back into a real-valued vector.
 
-    The base class implements all of them as templates over five primitive
-    payload operations (:meth:`_encrypt_plaintexts`, :meth:`_add_payloads`,
-    :meth:`_multiply_payload`, :meth:`_partial_decrypt_payload`,
+    The base class implements all of them as templates over four primitive
+    payload operations (:meth:`_encrypt_plaintexts`,
+    :meth:`_linear_combination_payloads`, :meth:`_partial_decrypt_payload`,
     :meth:`_combine_payloads`), so encoding, packing, weight tracking,
     validation and operation counting live in exactly one place.
     """
@@ -256,19 +247,9 @@ class CipherBackend(ABC):
             )
 
     def _encode_vector(
-        self, values: Sequence[float] | Sequence[int] | np.ndarray, integer: bool = False
+        self, values: Sequence[float] | np.ndarray
     ) -> tuple[list[int], int]:
-        """Shared encode(-and-pack) step: values → plaintexts + logical length.
-
-        This is the single code path behind :meth:`encrypt_vector`,
-        :meth:`encrypt_integer_vector` and :meth:`encrypt_zero_vector` for
-        both the packed and unpacked layouts.
-        """
-        if integer:
-            ints = [int(value) for value in values]
-            if self.packing is not None:
-                return self.packing.pack_integer_vector(ints), len(ints)
-            return [self.codec.encode_integer(value) for value in ints], len(ints)
+        """Encode(-and-pack) step: values → plaintexts + logical length."""
         array = np.asarray(values, dtype=float).ravel()
         if self.packing is not None:
             return self.packing.pack_vector(array), int(array.size)
@@ -286,16 +267,6 @@ class CipherBackend(ABC):
         """Encrypt each plaintext integer into one ciphertext."""
 
     @abstractmethod
-    def _add_payloads(
-        self, first: Sequence[int], second: Sequence[int]
-    ) -> tuple[int, ...]:
-        """Homomorphically add two equal-length ciphertext payloads."""
-
-    @abstractmethod
-    def _multiply_payload(self, payload: Sequence[int], factor: int) -> tuple[int, ...]:
-        """Homomorphically multiply every ciphertext by a public integer."""
-
-    @abstractmethod
     def _partial_decrypt_payload(
         self, share_index: int, payload: Sequence[int]
     ) -> tuple[int, ...]:
@@ -311,30 +282,15 @@ class CipherBackend(ABC):
         """
         return payload
 
+    @abstractmethod
     def _linear_combination_payloads(
         self, payloads: Sequence[Sequence[int]], factors: Sequence[int]
     ) -> tuple[int, ...]:
-        """Component-wise homomorphic weighted sum ``Σ factors[j] · payloads[j]``.
-
-        The default composes the scalar-multiply and add primitives exactly
-        as the historical gossip code path did; backends with a faster joint
-        evaluation (Straus multi-exponentiation) override this.
-        """
-        accumulated: Sequence[int] | None = None
-        for payload, factor in zip(payloads, factors):
-            scaled = payload if factor == 1 else self._multiply_payload(payload, factor)
-            accumulated = scaled if accumulated is None else self._add_payloads(accumulated, scaled)
-        assert accumulated is not None  # guarded by linear_combination()
-        return tuple(accumulated)
+        """Component-wise homomorphic weighted sum ``Σ factors[j] · payloads[j]``."""
 
     @abstractmethod
     def _combine_payloads(self, partials: Sequence[PartialVectorDecryption]) -> list[int]:
         """Combine partial decryptions into the list of plaintext integers."""
-
-    @property
-    @abstractmethod
-    def ciphertext_bits(self) -> int:
-        """Size in bits of one ciphertext (for the network cost model)."""
 
     # ------------------------------------------------------------------ interface
     def encrypt_vector(self, values: Sequence[float] | np.ndarray) -> EncryptedVector:
@@ -345,11 +301,19 @@ class CipherBackend(ABC):
         return self._vector(ciphertexts, length)
 
     def encrypt_integer_vector(self, values: Sequence[int]) -> EncryptedVector:
-        """Encrypt a vector of exact integers (e.g. cluster counts)."""
-        plaintexts, length = self._encode_vector(values, integer=True)
+        """Encrypt a vector of exact integers (e.g. cluster counts) unscaled."""
+        ints = [int(value) for value in values]
+        if self.packing is not None:
+            plaintexts = self.packing.pack_fixed(ints)
+        else:
+            for value in ints:
+                if abs(value) >= self.codec.half_modulus:
+                    raise EncodingOverflowError(
+                        f"integer {value} does not fit in the plaintext space")
+            plaintexts = [value % self.codec.modulus for value in ints]
         ciphertexts = self._encrypt_plaintexts(plaintexts)
         self.counter.encryptions += len(ciphertexts)
-        return self._vector(ciphertexts, length)
+        return self._vector(ciphertexts, len(ints))
 
     def encrypt_zero_vector(self, length: int) -> EncryptedVector:
         """Encrypt the all-zero vector of the given length."""
@@ -363,37 +327,7 @@ class CipherBackend(ABC):
 
     def add(self, first: EncryptedVector, second: EncryptedVector) -> EncryptedVector:
         """Homomorphically add two encrypted vectors component-wise."""
-        self._check_vector(first)
-        self._check_vector(second)
-        if len(first) != len(second):
-            raise CryptoError(f"vector lengths differ: {len(first)} vs {len(second)}")
-        weight = first.weight + second.weight
-        if self.packing is not None:
-            self.packing.check_weight(weight)
-        summed = self._add_payloads(first.payload, second.payload)
-        self.counter.additions += len(summed)
-        return self._vector(summed, len(first), weight=weight)
-
-    def multiply_scalar(self, vector: EncryptedVector, factor: int) -> EncryptedVector:
-        """Homomorphically multiply every component by a public integer factor.
-
-        The encrypted gossip averaging uses this with powers of two to bring
-        two estimates to a common fixed-point exponent before adding them.
-        """
-        self._check_vector(vector)
-        if factor < 0:
-            raise CryptoError("scalar factors must be non-negative integers")
-        factor = int(factor)
-        if self.packing is not None and factor == 0:
-            # A zero factor would also zero the accumulated slot offsets,
-            # which the public weight could no longer describe.
-            raise CryptoError("packed vectors require strictly positive scalar factors")
-        weight = max(vector.weight * factor, 1)
-        if self.packing is not None:
-            self.packing.check_weight(weight)
-        scaled = self._multiply_payload(vector.payload, factor)
-        self.counter.additions += len(scaled)
-        return self._vector(scaled, len(vector), weight=weight)
+        return self.linear_combination([first, second], [1, 1])
 
     def linear_combination(
         self, vectors: Sequence[EncryptedVector], factors: Sequence[int]
@@ -496,17 +430,18 @@ class CipherBackend(ABC):
                 plaintexts, len(first), weight=first.weight, integer=integer
             )
         if integer:
+            modulus, half = self.codec.modulus, self.codec.half_modulus
             return np.array(
-                [float(self.codec.decode_integer(value)) for value in plaintexts],
+                [float(value - modulus if value >= half else value)
+                 for value in (int(raw) % modulus for raw in plaintexts)],
                 dtype=float,
             )
         return self.codec.decode_vector(plaintexts)
 
-    # ------------------------------------------------------------------ conveniences
     def decrypt_with_shares(
         self, vector: EncryptedVector, share_indices: Sequence[int], integer: bool = False
     ) -> np.ndarray:
-        """Partial-decrypt with the given shares then combine (testing helper)."""
+        """Partial-decrypt with the given shares then combine, in one process."""
         partials = [self.partial_decrypt_vector(index, vector) for index in share_indices]
         return self.combine_vector(partials, integer=integer)
 
@@ -597,20 +532,6 @@ class DamgardJurikBackend(CipherBackend):
             for value in plaintexts
         )
 
-    def _add_payloads(
-        self, first: Sequence[int], second: Sequence[int]
-    ) -> tuple[int, ...]:
-        return tuple(
-            dj.add_ciphertexts(self.public_key, a, b) for a, b in zip(first, second)
-        )
-
-    def _multiply_payload(self, payload: Sequence[int], factor: int) -> tuple[int, ...]:
-        return tuple(
-            dj.multiply_plaintext(self.public_key, ciphertext, factor,
-                                  precomputed=self._precomputed)
-            for ciphertext in payload
-        )
-
     def _rerandomize_payload(self, payload: Sequence[int]) -> tuple[int, ...]:
         return tuple(
             dj.rerandomize(self.public_key, ciphertext, blinder=self._pool.take())
@@ -620,8 +541,6 @@ class DamgardJurikBackend(CipherBackend):
     def _linear_combination_payloads(
         self, payloads: Sequence[Sequence[int]], factors: Sequence[int]
     ) -> tuple[int, ...]:
-        if len(payloads) == 1:
-            return super()._linear_combination_payloads(payloads, factors)
         modulus = self.public_key.ciphertext_modulus
         return tuple(
             multi_pow([payload[component] for payload in payloads], factors, modulus)
@@ -723,6 +642,16 @@ class PlainBackend(CipherBackend):
             a = np.fromiter(payload, dtype=np.int64, count=len(payload))
             return tuple(int(value) for value in (a * factor) % modulus)
         return tuple([(x * factor) % modulus for x in payload])
+
+    def _linear_combination_payloads(
+        self, payloads: Sequence[Sequence[int]], factors: Sequence[int]
+    ) -> tuple[int, ...]:
+        accumulated: Sequence[int] | None = None
+        for payload, factor in zip(payloads, factors):
+            scaled = payload if factor == 1 else self._multiply_payload(payload, factor)
+            accumulated = scaled if accumulated is None else self._add_payloads(accumulated, scaled)
+        assert accumulated is not None  # guarded by linear_combination()
+        return tuple(accumulated)
 
     def _partial_decrypt_payload(
         self, share_index: int, payload: Sequence[int]

@@ -14,7 +14,8 @@ Z_{n^{s+1}}):
 * decryption: c^λ mod n^{s+1} = (1 + n)^{m λ mod n^s}; the discrete logarithm
   of an element of the form (1 + n)^i is extracted with the iterative
   algorithm of the original paper (:func:`dlog_one_plus_n`), then
-  m = i * λ^{-1} mod n^s;
+  m = i * λ^{-1} mod n^s (no program decrypts with λ; the tests' textbook
+  reference in ``tests/oracles.py`` does);
 * additive homomorphism: multiplication of ciphertexts adds plaintexts,
   exponentiation by a constant multiplies the plaintext by that constant.
 
@@ -66,11 +67,6 @@ class DamgardJurikPublicKey:
     def ciphertext_modulus(self) -> int:
         """n^(s+1), the size of the ciphertext space."""
         return self.n ** (self.s + 1)
-
-    @property
-    def key_bits(self) -> int:
-        """Bit length of the modulus n."""
-        return self.n.bit_length()
 
     @property
     def ciphertext_bits(self) -> int:
@@ -210,32 +206,6 @@ def dlog_one_plus_n(public_key: DamgardJurikPublicKey, value: int) -> int:
     return i
 
 
-def decrypt(
-    private_key: DamgardJurikPrivateKey,
-    ciphertext: int,
-    precomputed: "PrecomputedKey | None" = None,
-) -> int:
-    """Decrypt *ciphertext* with the non-threshold private key.
-
-    With a private :class:`~repro.crypto.fastmath.PrecomputedKey` the
-    decryption runs mod ``p^{s+1}`` and ``q^{s+1}`` separately with
-    half-size exponents (CRT split, Damgård–Jurik Section 4.3) and returns
-    exactly the same plaintext ~3–4× faster.
-    """
-    public = private_key.public_key
-    modulus = public.ciphertext_modulus
-    if not 0 <= ciphertext < modulus:
-        raise DecryptionError("ciphertext out of range")
-    if math.gcd(ciphertext, public.n) != 1:
-        raise DecryptionError("ciphertext is not invertible")
-    if precomputed is not None and precomputed.has_private:
-        return precomputed.decrypt(ciphertext)
-    powered = pow(ciphertext, private_key.lam, modulus)
-    exponent = dlog_one_plus_n(public, powered)
-    lam_inverse = mod_inverse(private_key.lam % public.plaintext_modulus, public.plaintext_modulus)
-    return (exponent * lam_inverse) % public.plaintext_modulus
-
-
 def add_ciphertexts(public_key: DamgardJurikPublicKey, *ciphertexts: int) -> int:
     """Homomorphic addition: the product of ciphertexts encrypts the sum."""
     if not ciphertexts:
@@ -245,27 +215,6 @@ def add_ciphertexts(public_key: DamgardJurikPublicKey, *ciphertexts: int) -> int
     for ciphertext in ciphertexts:
         result = (result * ciphertext) % modulus
     return result
-
-
-def multiply_plaintext(
-    public_key: DamgardJurikPublicKey,
-    ciphertext: int,
-    factor: int,
-    precomputed: "PrecomputedKey | None" = None,
-) -> int:
-    """Homomorphically multiply an encrypted value by a public integer factor.
-
-    Near-modulus-sized factors — e.g. the halving constant ``2^{-1} mod n^s``
-    — take the CRT fast path when a private precomputation context is
-    available (the in-process simulation holds the dealer key, so its
-    backend may legitimately use it); small factors such as the gossip
-    power-of-two lifts stay on the plain ``pow`` path where CRT overhead
-    would dominate.
-    """
-    factor = factor % public_key.plaintext_modulus
-    if precomputed is not None:
-        return precomputed.crt_pow(ciphertext, factor)
-    return pow(ciphertext, factor, public_key.ciphertext_modulus)
 
 
 def rerandomize(

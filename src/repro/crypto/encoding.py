@@ -89,38 +89,6 @@ class FixedPointCodec:
         """Boundary between the positive and negative halves of the space."""
         return self.modulus // 2
 
-    # ------------------------------------------------------------------ scalars
-    def encode(self, value: float) -> int:
-        """Encode one real number into the plaintext space."""
-        if not np.isfinite(value):
-            raise ValidationError(f"cannot encode non-finite value {value!r}")
-        fixed = int(round(float(value) * self.scale))
-        if abs(fixed) >= self.half_modulus:
-            raise EncodingOverflowError(
-                f"value {value} does not fit: |{fixed}| >= modulus/2 ({self.half_modulus})"
-            )
-        return fixed % self.modulus
-
-    def decode(self, encoded: int) -> float:
-        """Decode one plaintext-space integer back into a real number."""
-        encoded = int(encoded) % self.modulus
-        if encoded >= self.half_modulus:
-            encoded -= self.modulus
-        return encoded / self.scale
-
-    def encode_integer(self, value: int) -> int:
-        """Encode an exact integer (e.g. a cluster count) without scaling."""
-        if abs(int(value)) >= self.half_modulus:
-            raise EncodingOverflowError(f"integer {value} does not fit in the plaintext space")
-        return int(value) % self.modulus
-
-    def decode_integer(self, encoded: int) -> int:
-        """Decode an exact (unscaled) integer."""
-        encoded = int(encoded) % self.modulus
-        if encoded >= self.half_modulus:
-            encoded -= self.modulus
-        return encoded
-
     # ------------------------------------------------------------------ vectors
     def fixed_point_vector(self, values: Sequence[float] | np.ndarray) -> list[int]:
         """Vectorised ``round(value * scale)`` with the overflow check.
@@ -303,7 +271,7 @@ class PackedCodec:
             )
 
     # ------------------------------------------------------------------ packing
-    def _pack_fixed(self, fixed: Sequence[int]) -> list[int]:
+    def pack_fixed(self, fixed: Sequence[int]) -> list[int]:
         """Offset-encode signed fixed-point integers and pack them into plaintexts."""
         offset = self.offset
         limit = offset - 1
@@ -322,11 +290,7 @@ class PackedCodec:
 
     def pack_vector(self, values: Sequence[float] | np.ndarray) -> list[int]:
         """Encode a real-valued vector into packed plaintexts (weight 1)."""
-        return self._pack_fixed(self._scalar_codec.fixed_point_vector(values))
-
-    def pack_integer_vector(self, values: Sequence[int]) -> list[int]:
-        """Encode exact integers (e.g. cluster counts) into packed plaintexts."""
-        return self._pack_fixed([int(value) for value in values])
+        return self.pack_fixed(self._scalar_codec.fixed_point_vector(values))
 
     def unpack_vector(
         self, packed: Sequence[int], length: int, weight: int = 1,

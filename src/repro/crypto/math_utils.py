@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import secrets
-from typing import Iterable
 
 from ..exceptions import CryptoError, KeyGenerationError
 
@@ -153,15 +152,3 @@ def random_below(bound: int) -> int:
     if bound <= 0:
         raise CryptoError(f"bound must be positive, got {bound}")
     return secrets.randbelow(bound)
-
-
-def factorial(value: int) -> int:
-    """Factorial of a non-negative integer (delegates to :mod:`math`)."""
-    if value < 0:
-        raise CryptoError(f"factorial of a negative number: {value}")
-    return math.factorial(value)
-
-
-def product(values: Iterable[int]) -> int:
-    """Product of an iterable of integers (1 for an empty iterable)."""
-    return math.prod(values)

@@ -238,18 +238,3 @@ def combine_partial_decryptions(
     exponent = dlog_one_plus_n(public, combined)
     scaling = (4 * delta * delta) % public.plaintext_modulus
     return (exponent * mod_inverse(scaling, public.plaintext_modulus)) % public.plaintext_modulus
-
-
-def threshold_decrypt(
-    threshold_public: ThresholdPublicKey,
-    shares: Sequence[KeyShare],
-    ciphertext: int,
-) -> int:
-    """Convenience wrapper: partially decrypt with *shares* then combine.
-
-    This mirrors what the Chiaroscuro computation step does across
-    participants, but in-process; the protocol itself calls
-    :func:`partial_decrypt` on distinct simulated devices.
-    """
-    partials = [partial_decrypt(threshold_public, share, ciphertext) for share in shares]
-    return combine_partial_decryptions(threshold_public, partials)

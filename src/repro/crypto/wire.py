@@ -152,15 +152,6 @@ def _unfit_ciphertext(value: int, width: int) -> WireFormatError:
     )
 
 
-def write_ciphertext(out: bytearray, value: int, width: int) -> None:
-    """Append one ciphertext as exactly *width* big-endian bytes."""
-    value = int(value)
-    try:
-        out.extend(value.to_bytes(width, "big"))
-    except OverflowError as exc:
-        raise _unfit_ciphertext(value, width) from exc
-
-
 # ---------------------------------------------------------------------------
 # reader
 # ---------------------------------------------------------------------------
@@ -228,16 +219,6 @@ class WireReader:
             shift += 7
         raise WireFormatError("varint longer than 10 bytes")
 
-    def _varint_at(self, offset: int, limit: int) -> tuple[int, int]:
-        """The varint at *offset* and the offset after it.
-
-        The slow half of :meth:`read_vector_block`, which reads one-byte
-        varints itself and comes here for anything else: longer ones, a
-        value over its limit, the end of the buffer.
-        """
-        self._offset = offset
-        return self.read_varint(limit), self._offset
-
     def read_bigint(self, max_bytes: int = MAX_CIPHERTEXT_BYTES) -> int:
         """Consume a canonical length-prefixed big-endian integer."""
         length = self.read_varint(limit=max_bytes)
@@ -246,25 +227,12 @@ class WireReader:
             raise WireFormatError("non-canonical bigint (leading zero byte)")
         return int.from_bytes(raw, "big")
 
-    def read_string(self) -> str:
-        """Consume a length-prefixed UTF-8 string."""
-        length = self.read_varint(limit=MAX_NAME_BYTES)
-        raw = self.read_bytes(length)
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise WireFormatError("invalid UTF-8 in wire string") from exc
-
     def read_bool(self) -> bool:
         """Consume a strict one-byte boolean."""
         byte = self.read_bytes(1)[0]
         if byte not in (0, 1):
             raise WireFormatError(f"invalid boolean byte 0x{byte:02x}")
         return byte == 1
-
-    def read_ciphertext(self, width: int) -> int:
-        """Consume one fixed-width big-endian ciphertext."""
-        return int.from_bytes(self.read_bytes(width), "big")
 
     def read_vector_block(
         self, ciphertext_bytes: int
@@ -273,11 +241,11 @@ class WireReader:
 
         This runs once per estimate of every frame, so it walks the header
         with a local offset (a one-byte varint is the byte itself; anything
-        else goes through :meth:`_varint_at`) and cuts the payload with one
+        else goes through :meth:`read_varint`) and cuts the payload with one
         bounds check and one slice per ciphertext.  It accepts and rejects
-        exactly what ``read_string``, ``read_varint``, ``read_bool``,
-        ``read_bigint``, ``read_varint`` and *count* ``read_ciphertext``
-        calls would.
+        exactly what reading a length-prefixed UTF-8 name, then
+        ``read_varint``, ``read_bool``, ``read_bigint``, ``read_varint`` and
+        *count* fixed-width ciphertexts one field at a time would.
         """
         data = self._data
         end = self._end
@@ -286,7 +254,9 @@ class WireReader:
         name_length = data[offset] if offset < end else 0x80
         offset += 1
         if name_length >= 0x80 or name_length > MAX_NAME_BYTES:
-            name_length, offset = self._varint_at(offset - 1, MAX_NAME_BYTES)
+            self._offset = offset - 1
+            name_length = self.read_varint(MAX_NAME_BYTES)
+            offset = self._offset
         raw = data[offset:offset + name_length]
         if len(raw) < name_length:
             raise _truncated(name_length, end - offset)
@@ -299,7 +269,9 @@ class WireReader:
         length = data[offset] if offset < end else 0x80
         offset += 1
         if length >= 0x80:
-            length, offset = self._varint_at(offset - 1, MAX_VECTOR_COMPONENTS)
+            self._offset = offset - 1
+            length = self.read_varint(MAX_VECTOR_COMPONENTS)
+            offset = self._offset
 
         if offset >= end:
             raise _truncated(1, 0)
@@ -311,7 +283,9 @@ class WireReader:
         weight_length = data[offset] if offset < end else 0x80
         offset += 1
         if weight_length >= 0x80:
-            weight_length, offset = self._varint_at(offset - 1, MAX_CIPHERTEXT_BYTES)
+            self._offset = offset - 1
+            weight_length = self.read_varint(MAX_CIPHERTEXT_BYTES)
+            offset = self._offset
         raw = data[offset:offset + weight_length]
         if len(raw) < weight_length:
             raise _truncated(weight_length, end - offset)
@@ -325,7 +299,9 @@ class WireReader:
         count = data[offset] if offset < end else 0x80
         offset += 1
         if count >= 0x80:
-            count, offset = self._varint_at(offset - 1, MAX_VECTOR_COMPONENTS)
+            self._offset = offset - 1
+            count = self.read_varint(MAX_VECTOR_COMPONENTS)
+            offset = self._offset
         stop = offset + count * ciphertext_bytes
         if stop > end:
             raise WireFormatError(

@@ -24,9 +24,7 @@ from .registry import (
 )
 from .synthetic import (
     GaussianClustersConfig,
-    generate_constant_series,
     generate_gaussian_clusters,
-    generate_two_level_series,
 )
 
 __all__ = [
@@ -41,8 +39,6 @@ __all__ = [
     "generate_numed_like",
     "GaussianClustersConfig",
     "generate_gaussian_clusters",
-    "generate_constant_series",
-    "generate_two_level_series",
     "available_datasets",
     "dataset_population_defaults",
     "dataset_size_parameter",

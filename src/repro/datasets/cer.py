@@ -138,11 +138,6 @@ class CERConfig:
             if sum(self.archetype_weights) <= 0:
                 raise DatasetError("archetype_weights must not all be zero")
 
-    @property
-    def series_length(self) -> int:
-        """Number of points of every generated series."""
-        return self.n_days * self.readings_per_day
-
 
 def _gaussian_bump(hours: np.ndarray, center: float, width: float) -> np.ndarray:
     """Gaussian-shaped activity bump over hours-of-day, wrapping at midnight."""

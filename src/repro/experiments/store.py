@@ -148,9 +148,6 @@ class ResultStore:
         self.path = Path(path)
         self._tail_repaired = False
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ResultStore({str(self.path)!r})"
-
     # ------------------------------------------------------------------ writing
     def _repair_truncated_tail(self) -> None:
         """Drop a partial trailing record left by an interrupted append.
@@ -218,10 +215,6 @@ class ResultStore:
                     f"corrupt result store {self.path}:{line_number}: not a row object"
                 )
             yield row
-
-    def rows(self) -> list[dict[str, Any]]:
-        """Every stored row, in file order."""
-        return list(self.iter_rows())
 
     def latest_by_key(self) -> dict[str, dict[str, Any]]:
         """The last row of every cell key (retries override earlier failures)."""

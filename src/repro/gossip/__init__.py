@@ -13,7 +13,6 @@ from .encrypted_sum import (
     add_estimates,
     average_estimates,
     check_headroom,
-    decode_estimate,
     estimate_payload_bytes,
     fresh_estimate,
     required_headroom_bits,
@@ -39,7 +38,6 @@ __all__ = [
     "average_estimates",
     "add_estimates",
     "rerandomize_estimate",
-    "decode_estimate",
     "estimate_payload_bytes",
     "required_headroom_bits",
     "check_headroom",

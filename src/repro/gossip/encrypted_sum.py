@@ -123,13 +123,6 @@ def rerandomize_estimate(backend: CipherBackend,
     return EncryptedEstimate(vector=vector, halvings=estimate.halvings)
 
 
-def decode_estimate(backend: CipherBackend, estimate: EncryptedEstimate,
-                    share_indices: Sequence[int]) -> np.ndarray:
-    """Collaboratively decrypt an estimate and undo the public exponent."""
-    decoded = backend.decrypt_with_shares(estimate.vector, share_indices)
-    return decoded / float(1 << estimate.halvings)
-
-
 def estimate_payload_bytes(backend: CipherBackend, estimate: EncryptedEstimate) -> int:
     """Serialised size of an estimate (ciphertexts plus the public exponent).
 

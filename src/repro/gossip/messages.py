@@ -190,12 +190,13 @@ class Frame:
     """A serialized message: its exact length now, its bytes when read.
 
     ``len(frame)`` is known without encoding.  ``bytes(frame)`` (and
-    indexing, slicing, ``hex()``, hashing or comparing with a byte string,
-    which go through it) writes the bytes once and caches them; every check
-    already ran in ``serialize()``, so this never raises.  Messages are
-    frozen and ``deserialize(m.serialize()) == m``, so :func:`deserialize`
-    hands back ``.message`` instead of decoding.  Every derived byte string —
-    ``bytes(frame)``, a slice, a corrupted copy, a socket payload, a
+    comparing with a byte string, which goes through it) writes the bytes
+    once and caches them; every check already ran in ``serialize()``, so
+    this never raises.  A frame is not hashable and has no items: index or
+    slice ``bytes(frame)``.  Messages are frozen and
+    ``deserialize(m.serialize()) == m``, so :func:`deserialize` hands back
+    ``.message`` instead of decoding.  Every derived byte string —
+    ``bytes(frame)``, a slice of it, a corrupted copy, a socket payload, a
     batch's inner frame — is plain ``bytes`` and is decoded in full.
     """
 
@@ -215,21 +216,12 @@ class Frame:
             self._bytes = self.message._encode()
         return self._bytes
 
-    def __getitem__(self, index: int | slice) -> int | bytes:
-        return bytes(self)[index]
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Frame):
             other = bytes(other)
         elif not isinstance(other, (bytes, bytearray, memoryview)):
             return NotImplemented
         return bytes(self) == other
-
-    def __hash__(self) -> int:
-        return hash(bytes(self))
-
-    def __repr__(self) -> str:
-        return f"<Frame of {type(self.message).__name__}, {self._length} bytes>"
 
 
 @dataclass(frozen=True)
@@ -491,10 +483,6 @@ class BatchEnvelope(WireMessage):
                 f"{section.remaining} trailing bytes after the batched frames"
             )
         return cls(frames=tuple(frames))
-
-    def messages(self) -> tuple["WireMessage", ...]:
-        """Decode every inner frame through the ordinary entry point."""
-        return tuple(deserialize(frame) for frame in self.frames)
 
 
 def batch_frames(frames: Sequence[bytes]) -> bytes:

@@ -65,9 +65,6 @@ class MembershipDirectory:
     def __len__(self) -> int:
         return len(self._members)
 
-    def __contains__(self, node_id: int) -> bool:
-        return node_id in self._members
-
     # ------------------------------------------------------------------ feeding
     def announce(self, node_id: int, online: bool, cycle: int,
                  address: Address | None = None) -> Frame:
@@ -120,12 +117,6 @@ class MembershipDirectory:
         if record.address is None:
             raise ProtocolError(f"node {node_id} was announced without an address")
         return record.address
-
-    def online_ids(self) -> list[int]:
-        """Ids of every announced-online participant (in node-id order)."""
-        return sorted(
-            node_id for node_id, record in self._members.items() if record.online
-        )
 
     # ------------------------------------------------------------------ replication
     def snapshot(self) -> list[tuple[bytes, Address | None]]:

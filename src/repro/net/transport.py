@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING, Callable
 
 from ..exceptions import SimulationError, WireFormatError
 from ..gossip.messages import Frame
-from ..simulation.network import Message, Network, TrafficStats
+from ..simulation.network import Message, Network
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from ..gossip.messages import WireMessage
@@ -140,11 +140,3 @@ class LoopbackTransport:
             return deserialize(reply)
         except WireFormatError:
             return None
-
-    # ------------------------------------------------------------------ accounting views
-    def stats_for(self, node_id: int) -> TrafficStats:
-        return self.network.stats_for(node_id)
-
-    @property
-    def total(self) -> TrafficStats:
-        return self.network.total

@@ -6,10 +6,7 @@ from .laplace import SensitivityModel, sample_laplace
 from .noise_shares import (
     NoiseShareSpec,
     draw_noise_share,
-    reconstructed_variance,
-    share_variance,
     slot_magnitude_bound,
-    sum_of_shares,
 )
 from .probabilistic import (
     ProbabilisticGuarantee,
@@ -31,9 +28,6 @@ __all__ = [
     "sample_laplace",
     "NoiseShareSpec",
     "draw_noise_share",
-    "sum_of_shares",
-    "share_variance",
-    "reconstructed_variance",
     "slot_magnitude_bound",
     "PrivacyAccountant",
     "BudgetSpend",

@@ -60,11 +60,6 @@ class PrivacyAccountant:
         """Budget still available (never negative)."""
         return max(0.0, self.total_epsilon - self.spent_epsilon)
 
-    @property
-    def n_spends(self) -> int:
-        """Number of recorded disclosures."""
-        return len(self._spends)
-
     def __iter__(self) -> Iterator[BudgetSpend]:
         return iter(self._spends)
 
@@ -86,22 +81,3 @@ class PrivacyAccountant:
         spend = BudgetSpend(epsilon=epsilon, label=label, details=dict(details))
         self._spends.append(spend)
         return spend
-
-    def reset(self) -> None:
-        """Forget every recorded spend (used when replaying configurations)."""
-        self._spends.clear()
-
-    # ------------------------------------------------------------------ reporting
-    def report(self) -> dict[str, Any]:
-        """Summary of the realised guarantee, suitable for the execution log."""
-        return {
-            "total_epsilon": self.total_epsilon,
-            "spent_epsilon": self.spent_epsilon,
-            "remaining_epsilon": self.remaining_epsilon,
-            "delta_slack": self.delta_slack,
-            "n_spends": self.n_spends,
-            "spends": [
-                {"epsilon": spend.epsilon, "label": spend.label, **spend.details}
-                for spend in self._spends
-            ],
-        }

@@ -61,32 +61,6 @@ def draw_noise_share(spec: NoiseShareSpec, rng: np.random.Generator) -> np.ndarr
     return gamma_pos - gamma_neg
 
 
-def sum_of_shares(spec: NoiseShareSpec, rng: np.random.Generator) -> np.ndarray:
-    """Sum of ``spec.n_shares`` independent noise-share vectors.
-
-    Provided for tests and for the centralised emulation of the distributed
-    noise generation; distributionally equal to Laplace(0, scale) coordinates.
-    """
-    total = np.zeros(spec.vector_length)
-    for _ in range(spec.n_shares):
-        total += draw_noise_share(spec, rng)
-    return total
-
-
-def share_variance(spec: NoiseShareSpec) -> float:
-    """Variance of a single noise-share coordinate.
-
-    Var(G1 - G2) = 2 * (1/n) * b², so the n-share sum has variance 2 b² —
-    exactly the Laplace(0, b) variance.  Tests use this closed form.
-    """
-    return 2.0 * spec.scale**2 / spec.n_shares
-
-
-def reconstructed_variance(spec: NoiseShareSpec) -> float:
-    """Variance of the reconstructed (summed) noise coordinate: 2 b²."""
-    return 2.0 * spec.scale**2
-
-
 def slot_magnitude_bound(scale: float, margin: float = 32.0) -> float:
     """Magnitude bound one noise-share coordinate stays below in practice.
 

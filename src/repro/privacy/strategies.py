@@ -75,20 +75,6 @@ class BudgetStrategy(ABC):
                 f"iteration {iteration} outside [0, {self.max_iterations})"
             )
 
-    def schedule(self) -> list[float]:
-        """The planned per-iteration budgets, assuming every iteration runs.
-
-        For the adaptive strategy this is the no-signal plan (uniform over the
-        remaining iterations at each step).
-        """
-        remaining = self.total_epsilon
-        planned = []
-        for iteration in range(self.max_iterations):
-            epsilon = self.epsilon_for_iteration(iteration, remaining)
-            planned.append(epsilon)
-            remaining -= epsilon
-        return planned
-
 
 class UniformBudgetStrategy(BudgetStrategy):
     """Every iteration receives the same share ε / max_iterations."""

@@ -96,14 +96,6 @@ class ByteAccounting:
             return 0.0
         return (self.bytes_measured - self.bytes_modelled) / self.bytes_modelled
 
-    def as_dict(self) -> dict[str, float]:
-        """Plain dictionary view (for reports)."""
-        return {
-            "bytes_modelled": self.bytes_modelled,
-            "bytes_measured": self.bytes_measured,
-            "overhead_fraction": self.overhead_fraction,
-        }
-
 
 class Network:
     """Synchronous message delivery with loss and traffic accounting.

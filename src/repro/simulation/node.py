@@ -64,7 +64,3 @@ class Node(ABC):
 
     def on_online(self, engine: "CycleEngine", cycle: int) -> None:
         """Hook called when this node rejoins after churn (optional)."""
-
-    def __repr__(self) -> str:
-        state = "online" if self.online else "offline"
-        return f"{type(self).__name__}(id={self.node_id}, {state})"

@@ -39,7 +39,3 @@ class RngRegistry:
         if name not in self._streams:
             self._streams[name] = np.random.default_rng(self._seed_for(name))
         return self._streams[name]
-
-    def names(self) -> tuple[str, ...]:
-        """Names of every stream created so far."""
-        return tuple(sorted(self._streams))

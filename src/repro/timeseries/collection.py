@@ -9,7 +9,7 @@ point); collections exist for dataset generation, baselines and evaluation.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -47,17 +47,8 @@ class TimeSeriesCollection:
     def __len__(self) -> int:
         return len(self._series)
 
-    def __iter__(self) -> Iterator[TimeSeries]:
-        return iter(self._series)
-
     def __getitem__(self, index: int) -> TimeSeries:
         return self._series[index]
-
-    def __repr__(self) -> str:
-        return (
-            f"TimeSeriesCollection(name={self.name!r}, n_series={len(self)}, "
-            f"series_length={self.series_length})"
-        )
 
     # ------------------------------------------------------------------ views
     @property
@@ -82,52 +73,13 @@ class TimeSeriesCollection:
         """
         return [entry.metadata.get(key) for entry in self._series]
 
-    def value_bound(self) -> float:
-        """Largest absolute value across the collection.
-
-        Used to derive the public clipping bound / sensitivity for the
-        Laplace mechanism.
-        """
-        return float(max(abs(entry.min()) if abs(entry.min()) > entry.max() else entry.max()
-                         for entry in self._series))
-
     # ------------------------------------------------------------------ transforms
-    def map(self, transform: Callable[[TimeSeries], TimeSeries], name: str | None = None,
-            ) -> "TimeSeriesCollection":
-        """Return a new collection with *transform* applied to every series."""
-        return TimeSeriesCollection(
-            [transform(entry) for entry in self._series],
-            name=self.name if name is None else name,
-        )
-
-    def clipped(self, lower: float, upper: float) -> "TimeSeriesCollection":
-        """Return a copy with every series clipped into [lower, upper]."""
-        return self.map(lambda entry: entry.clipped(lower, upper))
-
     def subset(self, indices: Sequence[int], name: str | None = None) -> "TimeSeriesCollection":
         """Return the sub-collection at the given positions (order preserved)."""
         if not indices:
             raise TimeSeriesError("subset requires at least one index")
         picked = [self._series[int(i)] for i in indices]
         return TimeSeriesCollection(picked, name=self.name if name is None else name)
-
-    def sample(self, n: int, rng: np.random.Generator) -> "TimeSeriesCollection":
-        """Return *n* series drawn without replacement using *rng*."""
-        if not 1 <= n <= len(self):
-            raise TimeSeriesError(f"cannot sample {n} series out of {len(self)}")
-        indices = rng.choice(len(self), size=n, replace=False)
-        return self.subset([int(i) for i in indices])
-
-    def split(self, fraction: float, rng: np.random.Generator,
-              ) -> tuple["TimeSeriesCollection", "TimeSeriesCollection"]:
-        """Randomly split into two collections of sizes ~fraction / ~(1-fraction)."""
-        if not 0.0 < fraction < 1.0:
-            raise TimeSeriesError(f"fraction must be in (0, 1), got {fraction}")
-        permutation = rng.permutation(len(self))
-        cut = max(1, min(len(self) - 1, int(round(fraction * len(self)))))
-        first = self.subset([int(i) for i in permutation[:cut]])
-        second = self.subset([int(i) for i in permutation[cut:]])
-        return first, second
 
     # ------------------------------------------------------------------ serialisation
     @classmethod
@@ -158,10 +110,10 @@ class TimeSeriesCollection:
 class MatrixBackedCollection(TimeSeriesCollection):
     """A collection backed by one dense matrix, without per-series objects.
 
-    Behaviourally equivalent to :class:`TimeSeriesCollection`, but rows are
-    wrapped into :class:`TimeSeries` objects lazily on access, so building a
-    ten-million-row population costs one matrix allocation instead of ten
-    million Python objects.  The backing matrix keeps its dtype (the slab
+    It answers the views the engines read — its length, the matrix, the
+    labels and subsets — and wraps only the rows a subset picks into
+    :class:`TimeSeries` objects, so building a ten-million-row population
+    costs one matrix allocation instead of ten million Python objects.  The backing matrix keeps its dtype (the slab
     engine's ``float32`` path relies on this to halve resident memory).
 
     Parameters
@@ -219,23 +171,7 @@ class MatrixBackedCollection(TimeSeriesCollection):
     def __len__(self) -> int:
         return int(self._matrix.shape[0])
 
-    def __iter__(self) -> Iterator[TimeSeries]:
-        return (self._row(i) for i in range(len(self)))
-
-    def __getitem__(self, index: int) -> TimeSeries:
-        return self._row(range(len(self))[index])
-
-    def __repr__(self) -> str:
-        return (
-            f"MatrixBackedCollection(name={self.name!r}, n_series={len(self)}, "
-            f"series_length={self.series_length}, dtype={self._matrix.dtype})"
-        )
-
     # -------------------------------------------------------------- views
-    @property
-    def series_ids(self) -> list[str]:
-        return [f"{self._id_prefix}-{i}" for i in range(len(self))]
-
     def to_matrix(self) -> np.ndarray:
         """Return the backing matrix itself (no copy — do not mutate)."""
         return self._matrix
@@ -245,20 +181,7 @@ class MatrixBackedCollection(TimeSeriesCollection):
             return [None] * len(self)
         return [value.item() for value in self._labels]
 
-    def value_bound(self) -> float:
-        low = float(self._matrix.min())
-        high = float(self._matrix.max())
-        return float(max(abs(low), high))
-
     # -------------------------------------------------------------- transforms
-    def map(self, transform: Callable[[TimeSeries], TimeSeries], name: str | None = None,
-            ) -> "TimeSeriesCollection":
-        """Materialise every row, apply *transform*, return a dense collection."""
-        return TimeSeriesCollection(
-            [transform(entry) for entry in self],
-            name=self.name if name is None else name,
-        )
-
     def subset(self, indices: Sequence[int], name: str | None = None) -> "TimeSeriesCollection":
         """Materialise only the picked rows into a dense sub-collection."""
         if not len(indices):

@@ -16,13 +16,13 @@ from repro.clustering import (
     public_initial_centroids,
 )
 from repro.clustering.kmeans import reseed_centroid
-from repro.datasets import generate_two_level_series
 from repro.exceptions import ValidationError
+import generators
 
 
 @pytest.fixture(scope="module")
 def separable_data():
-    collection = generate_two_level_series(40, 6, low=0.0, high=1.0, seed=1)
+    collection = generators.generate_two_level_series(40, 6, low=0.0, high=1.0, seed=1)
     return collection.to_matrix(), np.array(collection.labels("cluster"))
 
 

@@ -14,7 +14,6 @@ from repro.clustering import (
     kmeans,
     match_centroids,
     quality_report,
-    relative_inertia,
 )
 from repro.clustering.metrics import min_cost_assignment
 from repro.datasets import generate_gaussian_clusters
@@ -68,6 +67,11 @@ class TestCentroidMatching:
         pairs = dict(match_centroids(reference, produced))
         assert pairs == {0: 1, 1: 2, 2: 0}
         assert centroid_matching_error(reference, produced) == pytest.approx(0.0)
+
+    def test_identical_random_sets_read_exactly_zero(self):
+        # The expanded ||x||^2 + ||y||^2 - 2x.y form reads ~2e-8 here.
+        centroids = np.random.default_rng(4).random((4, 48))
+        assert centroid_matching_error(centroids, centroids) == 0.0
 
     def test_error_reflects_perturbation(self):
         reference = np.zeros((2, 4))
@@ -125,13 +129,6 @@ class TestMinCostAssignment:
 
 
 class TestReports:
-    def test_relative_inertia(self):
-        data = np.random.default_rng(1).normal(size=(30, 4))
-        result = kmeans(data, 3, seed=0)
-        assert relative_inertia(data, result.centroids, result.inertia) == pytest.approx(1.0)
-        with pytest.raises(ValidationError):
-            relative_inertia(data, result.centroids, 0.0)
-
     def test_quality_report_keys(self):
         collection = generate_gaussian_clusters(
             n_series=40, series_length=6, n_clusters=2, seed=3

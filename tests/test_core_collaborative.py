@@ -160,7 +160,7 @@ class TestRoundPieces:
     def test_corrupted_response_frame_is_a_loss(self, plain_backend):
         estimates = self.estimates(plain_backend)
         request = deserialize(build_decrypt_request(plain_backend, estimates))
-        frame = bytearray(serve_decrypt_request(plain_backend, 0, request))
+        frame = bytearray(bytes(serve_decrypt_request(plain_backend, 0, request)))
         frame[len(frame) // 2] ^= 0x10
         assert decode_decrypt_response(bytes(frame), 2) is None
 

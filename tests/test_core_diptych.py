@@ -7,11 +7,11 @@ import pytest
 
 from repro.core import Diptych, build_contribution, merge_diptychs
 from repro.exceptions import ProtocolError
-from repro.gossip import decode_estimate
+import oracles
 
 
 def _decode_all(backend, estimates):
-    return [decode_estimate(backend, estimate, [1, 2]) for estimate in estimates]
+    return [oracles.decode_estimate(backend, estimate, [1, 2]) for estimate in estimates]
 
 
 class TestBuildContribution:

@@ -20,6 +20,8 @@ from repro.core.runner import (
 from repro.datasets import generate_gaussian_clusters, generate_numed_like
 from repro.exceptions import ConfigurationError, ProtocolError
 from repro.simulation import CycleEngine, Node
+import generators
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -46,9 +48,7 @@ class TestNormalization:
         assert np.allclose(restored, collection.to_matrix(), atol=1e-9)
 
     def test_constant_collection_handled(self):
-        from repro.datasets import generate_constant_series
-
-        constant = generate_constant_series(5, 4, value=3.0)
+        constant = generators.generate_constant_series(5, 4, value=3.0)
         data, _transform = normalize_collection(constant, value_bound=1.0)
         assert np.all(np.isfinite(data))
 
@@ -125,7 +125,7 @@ class TestRunOutcome:
         _, strategy, _, _ = iteration_policy(fast_config, result.profiles.shape[1])
         spends = [record.epsilon_spent for record in result.log]
         assert len(spends) == result.n_iterations
-        assert spends == pytest.approx(strategy.schedule()[:len(spends)])
+        assert spends == pytest.approx(oracles.schedule(strategy)[:len(spends)])
         assert result.epsilon_spent == pytest.approx(sum(spends))
 
     def test_cycle_budget_covers_every_iteration(self, fast_config):
@@ -174,7 +174,7 @@ class TestRunOutcome:
     def test_execution_log_populated(self, result):
         assert len(result.log) >= 1
         assert len(result.log) <= result.n_iterations
-        record = result.log[0]
+        record = next(iter(result.log))
         assert record.perturbed_means is not None
         assert record.noise_free_means is not None
         assert record.epsilon_spent > 0
@@ -197,14 +197,6 @@ class TestRunOutcome:
         import json
 
         json.dumps(result.summary())
-
-    def test_profile_accessor_bounds(self, result):
-        from repro.exceptions import AnalysisError
-
-        assert result.profile(0).shape == (12,)
-        with pytest.raises(AnalysisError):
-            result.profile(10)
-
 
 class TestRunBehaviour:
     def test_deterministic_given_seed(self, collection, fast_config):

@@ -8,13 +8,11 @@ import pytest
 
 from repro.crypto.math_utils import (
     crt_pair,
-    factorial,
     generate_distinct_primes,
     generate_prime,
     is_probable_prime,
     lcm,
     mod_inverse,
-    product,
     random_below,
     random_coprime,
 )
@@ -94,18 +92,6 @@ class TestModularArithmetic:
             assert 0 <= random_below(7) < 7
         with pytest.raises(CryptoError):
             random_below(0)
-
-
-class TestMiscHelpers:
-    def test_factorial(self):
-        assert factorial(0) == 1
-        assert factorial(5) == 120
-        with pytest.raises(CryptoError):
-            factorial(-1)
-
-    def test_product(self):
-        assert product([]) == 1
-        assert product([2, 3, 4]) == 24
 
 
 class TestDeterministicPrimalityFastPath:

@@ -12,16 +12,15 @@ from repro.datasets import (
     available_datasets,
     claret_tumor_size,
     generate_cer_like,
-    generate_constant_series,
     generate_gaussian_clusters,
     generate_numed_like,
-    generate_two_level_series,
     dataset_size_parameter,
     load_dataset,
     load_dataset_for_population,
     register_dataset,
 )
 from repro.exceptions import DatasetError
+import generators
 
 
 class TestCER:
@@ -142,11 +141,11 @@ class TestSynthetic:
             GaussianClustersConfig(n_series=3, n_clusters=5)
 
     def test_constant_series(self):
-        collection = generate_constant_series(4, 6, value=2.0)
+        collection = generators.generate_constant_series(4, 6, value=2.0)
         assert np.allclose(collection.to_matrix(), 2.0)
 
     def test_two_level_series(self):
-        collection = generate_two_level_series(10, 4, low=0.0, high=1.0, seed=3)
+        collection = generators.generate_two_level_series(10, 4, low=0.0, high=1.0, seed=3)
         matrix = collection.to_matrix()
         assert set(np.unique(matrix)) == {0.0, 1.0}
         labels = np.array(collection.labels("cluster"))
@@ -154,7 +153,7 @@ class TestSynthetic:
 
     def test_two_level_rejects_bad_levels(self):
         with pytest.raises(DatasetError):
-            generate_two_level_series(10, 4, low=1.0, high=0.0)
+            generators.generate_two_level_series(10, 4, low=1.0, high=0.0)
 
 
 class TestRegistry:
@@ -174,10 +173,10 @@ class TestRegistry:
             register_dataset("cer", generate_cer_like)
 
     def test_register_custom_and_overwrite(self):
-        register_dataset("custom-test", lambda **kw: generate_constant_series(3, 3),
+        register_dataset("custom-test", lambda **kw: generators.generate_constant_series(3, 3),
                          overwrite=True)
         assert len(load_dataset("custom-test")) == 3
-        register_dataset("custom-test", lambda **kw: generate_constant_series(4, 3),
+        register_dataset("custom-test", lambda **kw: generators.generate_constant_series(4, 3),
                          overwrite=True)
         assert len(load_dataset("custom-test")) == 4
 
@@ -221,7 +220,7 @@ class TestPopulationLoading:
 
     def test_dataset_without_size_parameter_rejected(self):
         register_dataset("fixed-size-test",
-                         lambda **kw: generate_constant_series(3, 3),
+                         lambda **kw: generators.generate_constant_series(3, 3),
                          overwrite=True)
         with pytest.raises(DatasetError):
             load_dataset_for_population("fixed-size-test", 3)
@@ -231,7 +230,7 @@ class TestPopulationLoading:
         # validation point rather than silently running a different population.
         register_dataset(
             "lying-size-test",
-            lambda n_series=0, seed=0, **kw: generate_constant_series(5, 3),
+            lambda n_series=0, seed=0, **kw: generators.generate_constant_series(5, 3),
             overwrite=True, size_parameter="n_series",
         )
         with pytest.raises(DatasetError, match="produced 5 series"):

@@ -61,7 +61,7 @@ class TestRunAndResume:
         assert progress.executed == 4
         assert progress.failed == 0
         assert progress.skipped == 0
-        rows = store.rows()
+        rows = list(store.iter_rows())
         assert [row["key"] for row in rows] == [cell.key for cell in spec.expand()]
         assert all(row["status"] == "ok" for row in rows)
         assert all(row["experiment"] == "runner-unit" for row in rows)
@@ -109,7 +109,7 @@ class TestDeterminism:
         parallel = ResultStore(tmp_path / "jobs4.jsonl")
         run_experiment(spec, sequential, jobs=1)
         run_experiment(spec, parallel, jobs=4)
-        assert _deterministic(sequential.rows()) == _deterministic(parallel.rows())
+        assert list(_deterministic(sequential.iter_rows())) == list(_deterministic(parallel.iter_rows()))
 
     def test_single_cell_row_matches_a_standalone_run(self, tmp_path):
         """The acceptance contract: a cell's stored row is bit-identical to
@@ -118,7 +118,7 @@ class TestDeterminism:
         store = ResultStore(tmp_path / "one.jsonl")
         progress = run_experiment(spec, store, jobs=1)
         assert progress.executed == 1 and progress.failed == 0
-        (row,) = store.rows()
+        (row,) = list(store.iter_rows())
 
         cell = spec.expand()[0]
         collection = load_dataset_for_population(
@@ -168,7 +168,7 @@ class TestFailures:
         progress = run_experiment(spec, store, jobs=2)
         assert progress.executed == 2
         assert progress.failed == 1
-        rows = store.rows()
+        rows = list(store.iter_rows())
         assert [row["status"] for row in rows] == ["error", "ok"]
         assert "ConfigurationError" in rows[0]["error"]
 
@@ -196,7 +196,7 @@ class TestFailures:
         progress = run_experiment(spec, store, timeout=0.05)
         assert progress.executed == 1
         assert progress.failed == 1
-        (row,) = store.rows()
+        (row,) = list(store.iter_rows())
         assert row["status"] == "timeout"
         assert "timeout" in row["error"]
 
@@ -272,7 +272,7 @@ class TestLivePortSlots:
         progress = run_experiment(spec, store, jobs=2)
         assert progress.executed == 2
         assert progress.failed == 0
-        rows = store.rows()
+        rows = list(store.iter_rows())
         assert all(row["status"] == "ok" for row in rows)
         # The slot shift is applied inside the worker, after keying: the
         # stored cell keys are exactly the spec's (resume-compatible).
@@ -290,7 +290,7 @@ class TestQualityMetrics:
         store = ResultStore(tmp_path / "results.jsonl")
         progress = run_experiment(spec, store)
         assert progress.failed == 0
-        (row,) = store.rows()
+        (row,) = list(store.iter_rows())
         quality = row["result"]["quality"]
         assert "adjusted_rand_index" in quality
         assert "relative_inertia" not in quality  # needs the reference
@@ -302,7 +302,7 @@ class TestQualityMetrics:
         )
         store = ResultStore(tmp_path / "results.jsonl")
         run_experiment(spec, store)
-        (row,) = store.rows()
+        (row,) = list(store.iter_rows())
         assert row["result"]["quality"] == {}
 
 

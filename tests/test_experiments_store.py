@@ -32,7 +32,7 @@ class TestAppendAndRead:
         store = ResultStore(tmp_path / "rows.jsonl")
         store.append(_row("a"))
         store.append(_row("b"))
-        assert [row["key"] for row in store.rows()] == ["a", "b"]
+        assert [row["key"] for row in list(store.iter_rows())] == ["a", "b"]
 
     def test_append_creates_parent_directories(self, tmp_path):
         store = ResultStore(tmp_path / "deep" / "dir" / "rows.jsonl")
@@ -48,7 +48,7 @@ class TestAppendAndRead:
 
     def test_missing_file_reads_as_empty(self, tmp_path):
         store = ResultStore(tmp_path / "absent.jsonl")
-        assert store.rows() == []
+        assert list(store.iter_rows()) == []
         assert store.completed_keys() == set()
 
     def test_rows_need_key_and_status(self, tmp_path):
@@ -66,7 +66,7 @@ class TestAppendAndRead:
         )
         store = ResultStore(path)
         with pytest.raises(ExperimentError, match="rows.jsonl:2"):
-            store.rows()
+            list(store.iter_rows())
 
     def test_truncated_final_line_is_tolerated(self, tmp_path):
         # A run killed mid-append leaves a partial trailing record; resume
@@ -76,7 +76,7 @@ class TestAppendAndRead:
             '{"key": "a", "status": "ok"}\n{"key": "b", "sta', encoding="utf-8",
         )
         store = ResultStore(path)
-        assert [row["key"] for row in store.rows()] == ["a"]
+        assert [row["key"] for row in list(store.iter_rows())] == ["a"]
         assert store.completed_keys() == {"a"}
 
     def test_append_after_truncation_drops_the_partial_record(self, tmp_path):
@@ -88,7 +88,7 @@ class TestAppendAndRead:
         store.append(_row("c"))
         # The partial record is gone (not merged into the new row), and the
         # store reads cleanly end to end.
-        assert [row["key"] for row in store.rows()] == ["a", "c"]
+        assert [row["key"] for row in list(store.iter_rows())] == ["a", "c"]
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "rows.jsonl"
@@ -107,7 +107,7 @@ class TestAppendAndRead:
         path = tmp_path / "rows.jsonl"
         path.write_text("[1, 2, 3]\n", encoding="utf-8")
         with pytest.raises(ExperimentError):
-            ResultStore(path).rows()
+            list(ResultStore(path).iter_rows())
 
 
 class TestCacheSemantics:

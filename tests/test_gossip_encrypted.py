@@ -10,12 +10,12 @@ from repro.gossip import (
     add_estimates,
     average_estimates,
     check_headroom,
-    decode_estimate,
     estimate_payload_bytes,
     fresh_estimate,
     required_headroom_bits,
 )
 from repro.simulation import average_pairs_inplace, pair_online
+import oracles
 
 
 class TestEstimateAlgebra:
@@ -23,7 +23,7 @@ class TestEstimateAlgebra:
         values = np.array([0.5, -0.25, 1.0])
         estimate = fresh_estimate(plain_backend, values)
         assert estimate.halvings == 0
-        decoded = decode_estimate(plain_backend, estimate, [1, 2])
+        decoded = oracles.decode_estimate(plain_backend, estimate, [1, 2])
         assert np.allclose(decoded, values, atol=1e-5)
 
     def test_average_of_two_estimates(self, plain_backend):
@@ -31,7 +31,7 @@ class TestEstimateAlgebra:
         b = fresh_estimate(plain_backend, [0.0, 1.0])
         averaged = average_estimates(plain_backend, a, b)
         assert averaged.halvings == 1
-        assert np.allclose(decode_estimate(plain_backend, averaged, [1, 2]), [0.5, 0.5],
+        assert np.allclose(oracles.decode_estimate(plain_backend, averaged, [1, 2]), [0.5, 0.5],
                            atol=1e-5)
 
     def test_average_with_mismatched_exponents(self, plain_backend):
@@ -39,7 +39,7 @@ class TestEstimateAlgebra:
         b = fresh_estimate(plain_backend, [0.0])
         once = average_estimates(plain_backend, a, b)          # 0.5 at exponent 1
         again = average_estimates(plain_backend, once, a)      # (0.5 + 1)/2 = 0.75
-        assert np.allclose(decode_estimate(plain_backend, again, [1, 2]), [0.75], atol=1e-5)
+        assert np.allclose(oracles.decode_estimate(plain_backend, again, [1, 2]), [0.75], atol=1e-5)
 
     def test_repeated_averaging_matches_cleartext(self, plain_backend, fresh_rng):
         values = fresh_rng.uniform(-1, 1, size=(4, 3))
@@ -54,7 +54,7 @@ class TestEstimateAlgebra:
             clear[i] = mean.copy()
             clear[j] = mean.copy()
         for estimate, expected in zip(estimates, clear):
-            assert np.allclose(decode_estimate(plain_backend, estimate, [1, 2]), expected,
+            assert np.allclose(oracles.decode_estimate(plain_backend, estimate, [1, 2]), expected,
                                atol=1e-4)
 
     def test_add_estimates_no_halving(self, plain_backend):
@@ -62,14 +62,14 @@ class TestEstimateAlgebra:
         b = fresh_estimate(plain_backend, [0.5, -1.0])
         total = add_estimates(plain_backend, a, b)
         assert total.halvings == 0
-        assert np.allclose(decode_estimate(plain_backend, total, [1, 2]), [1.5, 1.0], atol=1e-5)
+        assert np.allclose(oracles.decode_estimate(plain_backend, total, [1, 2]), [1.5, 1.0], atol=1e-5)
 
     def test_add_estimates_with_exponents(self, plain_backend):
         a = fresh_estimate(plain_backend, [1.0])
         b = fresh_estimate(plain_backend, [1.0])
         half = average_estimates(plain_backend, a, b)  # value 1.0, exponent 1
         total = add_estimates(plain_backend, half, a)  # 1.0 + 1.0
-        assert np.allclose(decode_estimate(plain_backend, total, [1, 2]), [2.0], atol=1e-5)
+        assert np.allclose(oracles.decode_estimate(plain_backend, total, [1, 2]), [2.0], atol=1e-5)
 
     def test_length_mismatch_rejected(self, plain_backend):
         with pytest.raises(GossipError):
@@ -136,7 +136,7 @@ class TestEncryptedRoundsMatchTheSlabKernel:
                 merged = average_estimates(backend, estimates[left], estimates[right])
                 estimates[left] = estimates[right] = merged
             average_pairs_inplace(clear, pairs)
-        decoded = np.vstack([decode_estimate(backend, e, [1, 2]) for e in estimates])
+        decoded = np.vstack([oracles.decode_estimate(backend, e, [1, 2]) for e in estimates])
         assert np.allclose(decoded, clear, atol=atol)
         return clear
 

@@ -92,7 +92,7 @@ def _mutation_id(case: tuple[str, TargetedMutation]) -> str:
 
 class TestTargetedMutations:
     def test_the_corpus_holds_every_frame_type(self):
-        assert {frame[3] for frame in FRAMES.values()} == MESSAGE_TYPES.keys()
+        assert {bytes(frame)[3] for frame in FRAMES.values()} == MESSAGE_TYPES.keys()
 
     def test_every_frame_gets_envelope_and_crc_mutations(self):
         for name, frame in FRAMES.items():

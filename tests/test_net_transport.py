@@ -74,11 +74,11 @@ class TestLoopbackTransport:
         frame = b"\x01\x02\x03\x04"
         assert engine.transport.transmit(0, 1, "frame", frame, modelled_bytes=3) == frame
         assert [message.payload for message in nodes[1].received] == [frame]
-        stats = engine.transport.stats_for(0)
+        stats = engine.network.stats_for(0)
         assert stats.messages_sent == 1
         assert stats.bytes_sent == len(frame)
         assert stats.bytes_modelled == 3
-        assert engine.transport.total.messages_received == 1
+        assert engine.network.total.messages_received == 1
 
     def test_transmit_hands_an_intact_frame_through(self):
         nodes = [_EchoNode(0), _EchoNode(1)]
@@ -87,7 +87,7 @@ class TestLoopbackTransport:
         assert engine.transport.transmit(0, 1, "frame", frame) is frame
         assert nodes[1].received[0].payload is frame
         # Only a bytearray is copied, into plain bytes.
-        received = engine.transport.transmit(0, 1, "frame", bytearray(frame))
+        received = engine.transport.transmit(0, 1, "frame", bytearray(bytes(frame)))
         assert type(received) is bytes and received == frame
 
     def test_transmit_rejects_object_payloads(self):

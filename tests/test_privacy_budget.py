@@ -14,7 +14,7 @@ class TestAccountant:
         assert accountant.spent_epsilon == 0.0
         assert accountant.remaining_epsilon == 2.0
         assert accountant.delta_slack == 1e-5
-        assert accountant.n_spends == 0
+        assert list(accountant) == []
 
     def test_spend_accumulates(self):
         accountant = PrivacyAccountant(1.0)
@@ -30,7 +30,7 @@ class TestAccountant:
         with pytest.raises(BudgetExhaustedError):
             accountant.spend(0.2)
         # The failed spend must not be recorded.
-        assert accountant.n_spends == 1
+        assert len(list(accountant)) == 1
 
     def test_can_spend(self):
         accountant = PrivacyAccountant(1.0)
@@ -51,26 +51,10 @@ class TestAccountant:
         for _ in range(7):
             accountant.spend(1.0 / 7.0)
 
-    def test_reset(self):
-        accountant = PrivacyAccountant(1.0)
-        accountant.spend(0.5)
-        accountant.reset()
-        assert accountant.spent_epsilon == 0.0
-
     def test_rejects_non_positive_spend(self):
         accountant = PrivacyAccountant(1.0)
         with pytest.raises(ValidationError):
             accountant.spend(0.0)
-
-    def test_report_structure(self):
-        accountant = PrivacyAccountant(2.0, delta_slack=1e-4)
-        accountant.spend(0.5, label="iteration-1", iteration=1)
-        report = accountant.report()
-        assert report["total_epsilon"] == 2.0
-        assert report["spent_epsilon"] == 0.5
-        assert report["n_spends"] == 1
-        assert report["spends"][0]["label"] == "iteration-1"
-        assert report["spends"][0]["iteration"] == 1
 
     def test_rejects_invalid_budget(self):
         with pytest.raises(ValidationError):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import ast
-import importlib
 from pathlib import Path
 
 import pytest
@@ -11,30 +10,6 @@ import pytest
 import repro
 
 ROOT = Path(__file__).resolve().parents[1]
-
-#: Public names (functions, classes, methods, properties) nothing in
-#: ``src/``, ``examples/`` or ``benchmarks/`` reads, kept because a test uses
-#: them to check a run-path function: the value names that function.
-TESTED_REFERENCES = {
-    "repro.crypto.threshold.threshold_decrypt":
-        "repro.crypto.threshold.combine_partial_decryptions",
-    "repro.crypto.wire.write_ciphertext": "repro.crypto.wire.write_encrypted_vector",
-    "repro.privacy.noise_shares.sum_of_shares": "repro.privacy.noise_shares.draw_noise_share",
-    "repro.privacy.noise_shares.share_variance": "repro.privacy.noise_shares.draw_noise_share",
-    "repro.privacy.noise_shares.reconstructed_variance":
-        "repro.privacy.noise_shares.draw_noise_share",
-    "repro.datasets.synthetic.generate_two_level_series": "repro.clustering.kmeans.kmeans",
-    "repro.datasets.synthetic.generate_constant_series": "repro.core.runner.run_chiaroscuro",
-    "repro.gossip.encrypted_sum.decode_estimate":
-        "repro.gossip.encrypted_sum.average_estimates",
-    "repro.crypto.backends.CipherBackend.multiply_scalar":
-        "repro.crypto.backends.CipherBackend.linear_combination",
-    "repro.crypto.wire.WireReader.read_string":
-        "repro.crypto.wire.WireReader.read_vector_block",
-    "repro.crypto.wire.WireReader.read_ciphertext":
-        "repro.crypto.wire.WireReader.read_vector_block",
-}
-
 
 class TestExports:
     def test_version(self):
@@ -155,33 +130,10 @@ def _public_names_and_readers() -> tuple[dict[str, str], set[str]]:
     return public, readers
 
 
-def _resolve(qualified: str) -> object:
-    """The module attribute or class member a dotted name denotes."""
-    owner, _, attribute = qualified.rpartition(".")
-    try:
-        return getattr(importlib.import_module(owner), attribute)
-    except ModuleNotFoundError:
-        return getattr(_resolve(owner), attribute)
-
-
 def test_every_public_name_is_read():
     """A public function, class, method or property nothing runs is dead
-    code: every one is read by a program in the repository, or is
-    registered in ``TESTED_REFERENCES`` with the run-path function its
-    tests check."""
+    code: every one is read by a program in the repository.  A test is not
+    a reader; a reference a test needs lives in ``tests/oracles.py``."""
     public, readers = _public_names_and_readers()
-    unread = sorted(
-        qualified for qualified, name in public.items()
-        if name not in readers and qualified not in TESTED_REFERENCES
-    )
+    unread = sorted(qualified for qualified, name in public.items() if name not in readers)
     assert not unread, "public names nothing reads: " + ", ".join(unread)
-
-
-def test_tested_references_are_current():
-    """Every registered reference exists, still has no program reader, and
-    names a run-path function that exists."""
-    public, readers = _public_names_and_readers()
-    for reference, checked in TESTED_REFERENCES.items():
-        assert reference in public, reference
-        assert public[reference] not in readers, f"{reference} is read: unregister it"
-        assert callable(_resolve(checked)), checked

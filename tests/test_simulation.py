@@ -61,12 +61,6 @@ class TestRngRegistry:
         with pytest.raises(SimulationError):
             RngRegistry(0).stream("")
 
-    def test_names_listed(self):
-        registry = RngRegistry(0)
-        registry.stream("one")
-        registry.stream("two")
-        assert set(registry.names()) == {"one", "two"}
-
 
 class TestNetwork:
     def test_delivery_and_accounting(self):

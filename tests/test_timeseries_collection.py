@@ -48,10 +48,6 @@ class TestConstruction:
         with pytest.raises(TimeSeriesError):
             TimeSeriesCollection.from_matrix(np.zeros((2, 3)), metadata=[{}])
 
-    def test_repr_mentions_size(self):
-        assert "n_series=5" in repr(make_collection())
-
-
 class TestViews:
     def test_to_matrix_is_a_copy(self):
         collection = make_collection()
@@ -64,17 +60,7 @@ class TestViews:
         assert collection.labels("cluster") == [0, 1, 0, 1, 0]
         assert collection.labels("missing") == [None] * 5
 
-    def test_value_bound(self):
-        collection = make_collection()
-        assert collection.value_bound() == 4.0
-
-
 class TestTransforms:
-    def test_clipped(self):
-        collection = make_collection()
-        clipped = collection.clipped(0.0, 2.0)
-        assert clipped.to_matrix().max() == 2.0
-
     def test_subset_preserves_order(self):
         collection = make_collection()
         subset = collection.subset([3, 1])
@@ -83,38 +69,3 @@ class TestTransforms:
     def test_subset_rejects_empty(self):
         with pytest.raises(TimeSeriesError):
             make_collection().subset([])
-
-    def test_sample(self, fresh_rng):
-        collection = make_collection()
-        sample = collection.sample(3, fresh_rng)
-        assert len(sample) == 3
-        assert len(set(sample.series_ids)) == 3
-
-    def test_sample_rejects_oversize(self, fresh_rng):
-        with pytest.raises(TimeSeriesError):
-            make_collection().sample(10, fresh_rng)
-
-    def test_split_partitions_everything(self, fresh_rng):
-        collection = make_collection(10)
-        first, second = collection.split(0.3, fresh_rng)
-        assert len(first) + len(second) == 10
-        assert set(first.series_ids).isdisjoint(second.series_ids)
-
-    def test_split_rejects_bad_fraction(self, fresh_rng):
-        with pytest.raises(TimeSeriesError):
-            make_collection().split(1.5, fresh_rng)
-
-    def test_map_applies_transform(self):
-        collection = make_collection()
-        doubled = collection.map(lambda s: TimeSeries(s.values * 2, s.series_id))
-        assert np.allclose(doubled.to_matrix(), collection.to_matrix() * 2)
-
-
-class TestSerialisation:
-    def test_dict_round_trip(self):
-        collection = make_collection()
-        restored = TimeSeriesCollection(
-            [TimeSeries.from_dict(entry.to_dict()) for entry in collection], name="test"
-        )
-        assert np.array_equal(restored.to_matrix(), collection.to_matrix())
-        assert restored.labels("cluster") == collection.labels("cluster")

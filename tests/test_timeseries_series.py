@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import TimeSeriesError, ValidationError
+from repro.exceptions import ValidationError
 from repro.timeseries import TimeSeries
 
 
@@ -37,48 +37,3 @@ class TestConstruction:
         series = TimeSeries([1.0], metadata=meta)
         meta["archetype"] = "changed"
         assert series.metadata["archetype"] == "family"
-
-
-class TestBehaviour:
-    def test_equality_and_hash(self):
-        a = TimeSeries([1.0, 2.0], series_id="x")
-        b = TimeSeries([1.0, 2.0], series_id="x")
-        c = TimeSeries([1.0, 2.5], series_id="x")
-        assert a == b
-        assert hash(a) == hash(b)
-        assert a != c
-        assert a != "not a series"
-
-    def test_iteration_and_indexing(self, tiny_series):
-        assert list(tiny_series)[:2] == [0.0, 1.0]
-        assert tiny_series[2] == 2.0
-        assert np.array_equal(tiny_series[1:3], np.array([1.0, 2.0]))
-
-    def test_array_protocol(self, tiny_series):
-        array = np.asarray(tiny_series)
-        assert array.shape == (6,)
-        array[0] = 100.0  # the copy must not affect the original
-        assert tiny_series[0] == 0.0
-
-    def test_statistics(self, tiny_series):
-        assert tiny_series.min() == 0.0
-        assert tiny_series.max() == 3.0
-        assert tiny_series.mean() == pytest.approx(1.5)
-
-
-class TestClipping:
-    def test_clipped(self):
-        series = TimeSeries([-1.0, 0.5, 2.0]).clipped(0.0, 1.0)
-        assert np.allclose(series.values, [0.0, 0.5, 1.0])
-
-    def test_clipped_invalid_bounds(self):
-        with pytest.raises(TimeSeriesError):
-            TimeSeries([1.0]).clipped(2.0, 1.0)
-
-
-class TestSerialisation:
-    def test_round_trip(self, tiny_series):
-        payload = tiny_series.to_dict()
-        restored = TimeSeries.from_dict(payload)
-        assert restored == tiny_series
-        assert restored.metadata == tiny_series.metadata

@@ -41,6 +41,7 @@ from repro.gossip import messages
 from repro.gossip.encrypted_sum import EncryptedEstimate
 from repro.gossip.messages import DecryptRequest, deserialize
 from test_net_faults import ALL_MUTATIONS, FRAMES, _mutation_id
+import oracles
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +77,7 @@ def oracle_write_vector_block(out, backend_name, length, packed, weight, payload
 
 
 def oracle_read_vector_block(reader, ciphertext_bytes):
-    backend_name = reader.read_string()
+    backend_name = oracles.read_string(reader)
     length = reader.read_varint(limit=MAX_VECTOR_COMPONENTS)
     packed = reader.read_bool()
     weight = reader.read_bigint(max_bytes=MAX_CIPHERTEXT_BYTES)
@@ -99,7 +100,7 @@ def oracle_read_vector_block(reader, ciphertext_bytes):
             f"unpacked vector must carry one ciphertext per coordinate "
             f"(length {length}, ciphertexts {count})"
         )
-    payload = tuple(reader.read_ciphertext(ciphertext_bytes) for _ in range(count))
+    payload = tuple(oracles.read_ciphertext(reader, ciphertext_bytes) for _ in range(count))
     return backend_name, length, packed, weight, payload
 
 
@@ -303,7 +304,7 @@ class TestInputTypes:
             "value", (("plain", 2, False, 1, (7, 9)), 0))
         frame = FRAMES["diptych"]
         assert deserialize(convert(bytes(frame))) == deserialize(frame)
-        mutated = bytearray(frame)
+        mutated = bytearray(bytes(frame))
         mutated[9] ^= 0x10
         with pytest.raises(WireFormatError):
             deserialize(convert(mutated))

@@ -43,12 +43,12 @@ from repro.core import run_chiaroscuro
 from repro.core.participant import ChiaroscuroParticipant, Phase
 from repro.gossip import deserialize
 from repro.gossip.encrypted_sum import (
-    decode_estimate,
     fresh_estimate,
     rerandomize_estimate,
 )
 from repro.gossip.messages import DiptychExchange, DiptychReply
 from repro.simulation import CycleEngine
+import oracles
 
 REFERENCE_FILE = Path(__file__).parent / "vectors" / "cycle_reference_v1.json"
 
@@ -212,8 +212,8 @@ class TestPerHopRerandomization:
         assert forwarded.halvings == estimate.halvings
         shares = [1, 2]
         assert np.array_equal(
-            decode_estimate(dj_backend, estimate, shares),
-            decode_estimate(dj_backend, forwarded, shares),
+            oracles.decode_estimate(dj_backend, estimate, shares),
+            oracles.decode_estimate(dj_backend, forwarded, shares),
         )
 
     @pytest.mark.parametrize("message_type", [DiptychExchange, DiptychReply])
@@ -231,8 +231,8 @@ class TestPerHopRerandomization:
             assert sent.halvings == kept.halvings
             assert set(sent.vector.payload).isdisjoint(kept.vector.payload)
             assert np.array_equal(
-                decode_estimate(dj_backend, sent, shares),
-                decode_estimate(dj_backend, kept, shares),
+                oracles.decode_estimate(dj_backend, sent, shares),
+                oracles.decode_estimate(dj_backend, kept, shares),
             )
 
     def test_protocol_run_rerandomizes_forwards(self, small_collection, fast_config):

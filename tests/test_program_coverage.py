@@ -12,6 +12,8 @@ import importlib
 import re
 from pathlib import Path
 
+import pytest
+
 from program_coverage import ALLOWLIST, REASONS, functions
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -39,27 +41,41 @@ def _boundaries() -> set[str]:
     raise AssertionError("trace.BOUNDARIES not found")
 
 
-def test_every_allowlisted_name_resolves():
-    defined = functions()
-    for name in ALLOWLIST:
-        assert name in defined, f"{name} is no function of src/repro"
-        value = _resolve(name)
-        assert callable(value) or isinstance(value, property), name
+BOUNDARY_ENTRIES = sorted(name for name, reason in ALLOWLIST.items() if reason == "boundary")
 
 
-def test_every_entry_has_one_valid_reason():
-    for name, reason in ALLOWLIST.items():
-        kind = reason.split()[0]
-        assert kind in REASONS, (name, reason)
-        if kind == "choice":
-            assert re.fullmatch(r"choice --[a-z][a-z-]* \S+", reason), (name, reason)
-        else:
-            assert reason == kind, (name, reason)
+@pytest.fixture(scope="module")
+def defined() -> set[str]:
+    return functions()
 
 
-def test_every_boundary_entry_is_a_traced_boundary():
-    boundaries = _boundaries()
+@pytest.fixture(scope="module")
+def boundaries() -> set[str]:
+    return _boundaries()
+
+
+@pytest.mark.parametrize("name", sorted(ALLOWLIST))
+def test_every_allowlisted_name_resolves(name, defined):
+    assert name in defined, f"{name} is no function of src/repro"
+    value = _resolve(name)
+    assert callable(value) or isinstance(value, property), name
+
+
+@pytest.mark.parametrize("name", sorted(ALLOWLIST))
+def test_every_entry_has_one_valid_reason(name):
+    reason = ALLOWLIST[name]
+    kind = reason.split()[0]
+    assert kind in REASONS, (name, reason)
+    if kind == "choice":
+        assert re.fullmatch(r"choice --[a-z][a-z-]* \S+", reason), (name, reason)
+    else:
+        assert reason == kind, (name, reason)
+
+
+def test_the_tracer_wraps_boundaries(boundaries):
     assert boundaries, "the tracer wraps nothing"
-    for name, reason in ALLOWLIST.items():
-        if reason == "boundary":
-            assert name in boundaries, f"{name} is not in trace.BOUNDARIES"
+
+
+@pytest.mark.parametrize("name", BOUNDARY_ENTRIES)
+def test_every_boundary_entry_is_a_traced_boundary(name, boundaries):
+    assert name in boundaries, f"{name} is not in trace.BOUNDARIES"

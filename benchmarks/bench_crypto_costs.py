@@ -21,7 +21,7 @@ from conftest import run_once
 from repro.analysis import CostModel, ProtocolWorkload, format_table, measure_crypto_costs
 from repro.crypto import damgard_jurik as dj
 from repro.crypto import threshold as th
-from repro.crypto.backends import DamgardJurikBackend, OperationCounter, PlainBackend
+from repro.crypto.backends import DamgardJurikBackend, PlainBackend
 from repro.crypto.fastmath import BlinderPool, PrecomputedKey
 from repro.crypto.math_utils import random_below, random_coprime
 from repro.gossip.encrypted_sum import average_estimates, fresh_estimate
@@ -78,7 +78,7 @@ def test_packed_gossip_exchange_costs(benchmark, packing):
     series = np.linspace(0.0, 1.0, 64)
 
     def exchanges():
-        backend.counter = OperationCounter()
+        backend.counter.reset()
         first = fresh_estimate(backend, series)
         second = fresh_estimate(backend, series[::-1])
         for _ in range(50):
@@ -121,28 +121,32 @@ def test_packed_real_encryption_walltime(benchmark, packing):
         assert vector.n_ciphertexts * 4 <= 64
 
 
-def _threshold_key():
-    return th.generate_threshold_keypair(key_bits=1024, s=1, threshold=3, n_shares=5)
+@pytest.mark.parametrize("fastmath", ["off", "auto"])
+def test_fastmath_decryption_speedup(benchmark, fastmath):
+    """CRT decryption (half-width moduli, half-size exponents) vs full pow.
 
-
-def _committee_decrypt(public, shares, ciphertext):
-    """What three committee helpers jointly decrypt *ciphertext* to."""
-    return th.combine_partial_decryptions(
-        public, [th.partial_decrypt(public, share, ciphertext) for share in shares[:3]])
+    At 1024 bits the CRT split is already a multiple; it grows with the key
+    size (``repro crypto-bench --fastmath sweep`` times both per operation).
+    """
+    public, private = dj.generate_keypair(key_bits=1024, s=1)
+    precomputed = PrecomputedKey.from_private_key(private) if fastmath == "auto" else None
+    ciphertext = dj.encrypt(public, 123456789)
+    plaintext = benchmark(dj.decrypt, private, ciphertext, precomputed)
+    assert plaintext == 123456789
+    benchmark.extra_info["fastmath"] = fastmath
 
 
 @pytest.mark.parametrize("fastmath", ["off", "auto"])
 def test_fastmath_pooled_encrypt_speedup(benchmark, fastmath):
     """Hot-path encryption: one multiply with a ready blinder vs one pow."""
-    threshold_public, shares, private = _threshold_key()
-    public = threshold_public.public_key
+    public, private = dj.generate_keypair(key_bits=1024, s=1)
     precomputed = blinder = None
     if fastmath == "auto":
         precomputed = PrecomputedKey.from_private_key(private)
         blinder = BlinderPool(precomputed).take()  # offline: made before the timed calls
 
     ciphertext = benchmark(dj.encrypt, public, 123456789, None, precomputed, blinder)
-    assert _committee_decrypt(threshold_public, shares, ciphertext) == 123456789
+    assert dj.decrypt(private, ciphertext) == 123456789
     benchmark.extra_info["fastmath"] = fastmath
 
 
@@ -150,8 +154,7 @@ def test_fastmath_pooled_encrypt_speedup(benchmark, fastmath):
 def test_fastmath_blinder_refill(benchmark, fastmath):
     """Making one blinder: textbook ``r^{n^s}`` vs the fixed-base
     short-exponent sampler a private context runs (``PrecomputedKey.blinder``)."""
-    threshold_public, shares, private = _threshold_key()
-    public = threshold_public.public_key
+    public, private = dj.generate_keypair(key_bits=1024, s=1)
     if fastmath == "auto":
         precomputed = PrecomputedKey.from_private_key(private)
         exponent = random_below(1 << precomputed.blinder_exponent_bits)
@@ -161,7 +164,7 @@ def test_fastmath_blinder_refill(benchmark, fastmath):
             pow, random_coprime(public.n), public.plaintext_modulus,
             public.ciphertext_modulus,
         )
-    assert _committee_decrypt(threshold_public, shares, blinder) == 0
+    assert dj.decrypt(private, blinder) == 0
     benchmark.extra_info["fastmath"] = fastmath
 
 
@@ -213,3 +216,4 @@ def test_extrapolated_run_costs(benchmark):
     assert rows[0]["total_compute_seconds"] == rows[-1]["total_compute_seconds"]
     # "Affordable": less than an hour of compute per device for the whole run.
     assert rows[0]["total_compute_seconds"] < 3600
+

@@ -14,47 +14,13 @@ despite the perturbation, which is the demo's closing argument.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from conftest import run_once
 
-from repro._validation import as_2d_float_array, check_positive_int
-from repro.analysis import closest_profiles, format_table
+from repro.analysis import closest_profiles, format_table, profile_recall
 from repro.baselines import centralized_kmeans
 from repro.core import run_chiaroscuro
 from repro.core.runner import normalize_collection
-from repro.exceptions import AnalysisError
 from repro.timeseries import TimeSeriesCollection
-
-
-def profile_recall(
-    profiles: np.ndarray,
-    reference_profiles: np.ndarray,
-    queries: np.ndarray,
-    top: int = 1,
-) -> float:
-    """Fraction of queries whose best profile matches the reference answer.
-
-    For every query sub-sequence, the profile ranked first using the
-    *perturbed* profiles is compared to the one ranked first using the
-    *reference* (noise-free) profiles; the recall measures how often the
-    individual would have been pointed at the same profile despite the
-    privacy noise.
-    """
-    profiles = as_2d_float_array(profiles, "profiles")
-    reference_profiles = as_2d_float_array(reference_profiles, "reference_profiles")
-    queries = as_2d_float_array(queries, "queries")
-    if profiles.shape != reference_profiles.shape:
-        raise AnalysisError("profiles and reference_profiles must have the same shape")
-    check_positive_int(top, "top")
-    hits = 0
-    for query in queries:
-        perturbed_best = {
-            match.profile_index for match in closest_profiles(profiles, query, top=top)
-        }
-        reference_best = closest_profiles(reference_profiles, query, top=1)[0].profile_index
-        if reference_best in perturbed_best:
-            hits += 1
-    return hits / len(queries)
 
 
 def _reference_profiles(collection, config):
@@ -117,43 +83,3 @@ def test_profile_search_recall_vs_epsilon(benchmark, numed_collection, bench_con
         assert row["top2_recall"] >= row["top1_recall"]
     # With a generous budget Bob is pointed at a sensible profile most of the time.
     assert rows[-1]["top2_recall"] >= 0.5
-
-
-class TestProfileRecall:
-    """The recall metric itself, on three hand-made profiles."""
-
-    @pytest.fixture(scope="class")
-    def profiles(self):
-        grid = np.linspace(0, 2 * np.pi, 48)
-        return np.vstack([
-            np.sin(grid) * 0.5 + 0.5,          # profile 0: one slow bump
-            np.sin(3 * grid) * 0.5 + 0.5,      # profile 1: three bumps
-            np.full(48, 0.2),                  # profile 2: flat low
-        ])
-
-    @pytest.fixture()
-    def fresh_rng(self):
-        return np.random.default_rng(999)
-
-    def test_identical_profiles_have_full_recall(self, profiles, fresh_rng):
-        queries = np.vstack([
-            profiles[int(fresh_rng.integers(0, 3))][5:25] for _ in range(10)
-        ])
-        assert profile_recall(profiles, profiles, queries) == 1.0
-
-    def test_mild_noise_keeps_recall_high(self, profiles, fresh_rng):
-        noisy = profiles + fresh_rng.normal(0, 0.02, size=profiles.shape)
-        queries = np.vstack([profiles[i % 3][8:28] for i in range(9)])
-        assert profile_recall(noisy, profiles, queries) >= 2 / 3
-
-    def test_top_parameter_never_decreases_recall(self, profiles, fresh_rng):
-        noisy = profiles + fresh_rng.normal(0, 0.3, size=profiles.shape)
-        queries = np.vstack([profiles[i % 3][0:20] for i in range(6)])
-        top1 = profile_recall(noisy, profiles, queries, top=1)
-        top3 = profile_recall(noisy, profiles, queries, top=3)
-        assert top3 >= top1
-        assert top3 == 1.0  # with k=3 profiles, top-3 always contains the answer
-
-    def test_shape_mismatch_rejected(self, profiles):
-        with pytest.raises(AnalysisError):
-            profile_recall(profiles, profiles[:2], np.zeros((2, 10)))

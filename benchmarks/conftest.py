@@ -8,8 +8,9 @@ range (like the demo, which uses "on the order of 10^3 participants rather
 than 10^6"), and costs at larger scales are extrapolated by the cost model
 exactly as the demo does.
 
-Run with ``pytest benchmarks/ --benchmark-only -s`` to also see the printed
-tables and series.
+Run with ``pytest benchmarks/bench_*.py --benchmark-only -s`` to also see the
+printed tables and series (the files are named: ``bench_*.py`` does not match
+pytest's default ``test_*.py`` pattern).
 """
 
 from __future__ import annotations

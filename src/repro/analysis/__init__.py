@@ -10,7 +10,7 @@ from .costs import (
     sweep_crypto_costs,
 )
 from .envelope import align_profiles, nondeterminism_envelope
-from .profiles import ProfileMatch, closest_profiles, match_subsequence
+from .profiles import ProfileMatch, closest_profiles, match_subsequence, profile_recall
 from .quality import (
     centralized_reference,
     compare_with_baselines,
@@ -32,6 +32,7 @@ __all__ = [
     "ProfileMatch",
     "match_subsequence",
     "closest_profiles",
+    "profile_recall",
     "centralized_reference",
     "evaluate_result",
     "compare_with_baselines",

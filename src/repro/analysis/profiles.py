@@ -98,3 +98,34 @@ def closest_profiles(
     check_positive_int(top, "top")
     matches = match_subsequence(profiles, query, normalize_query=normalize_query)
     return matches[:top]
+
+
+def profile_recall(
+    profiles: np.ndarray,
+    reference_profiles: np.ndarray,
+    queries: np.ndarray,
+    top: int = 1,
+) -> float:
+    """Fraction of queries whose best profile matches the reference answer.
+
+    For every query sub-sequence, the profile ranked first using the
+    *perturbed* profiles is compared to the one ranked first using the
+    *reference* (noise-free) profiles; the recall measures how often the
+    individual would have been pointed at the same profile despite the
+    privacy noise.  Used by the profile-search experiment (E8).
+    """
+    profiles = as_2d_float_array(profiles, "profiles")
+    reference_profiles = as_2d_float_array(reference_profiles, "reference_profiles")
+    queries = as_2d_float_array(queries, "queries")
+    if profiles.shape != reference_profiles.shape:
+        raise AnalysisError("profiles and reference_profiles must have the same shape")
+    check_positive_int(top, "top")
+    hits = 0
+    for query in queries:
+        perturbed_best = {
+            match.profile_index for match in closest_profiles(profiles, query, top=top)
+        }
+        reference_best = closest_profiles(reference_profiles, query, top=1)[0].profile_index
+        if reference_best in perturbed_best:
+            hits += 1
+    return hits / len(queries)

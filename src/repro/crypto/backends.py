@@ -118,6 +118,15 @@ class OperationCounter:
             "rerandomizations": self.rerandomizations,
         }
 
+    def reset(self) -> None:
+        """Zero every counter."""
+        self.encryptions = 0
+        self.additions = 0
+        self.partial_decryptions = 0
+        self.combinations = 0
+        self.pooled_encryptions = 0
+        self.rerandomizations = 0
+
 
 def _settle_length(vector: "EncryptedVector | PartialVectorDecryption") -> None:
     """Default a vector's logical length to its payload size, or check it.

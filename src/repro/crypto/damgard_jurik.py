@@ -14,8 +14,7 @@ Z_{n^{s+1}}):
 * decryption: c^λ mod n^{s+1} = (1 + n)^{m λ mod n^s}; the discrete logarithm
   of an element of the form (1 + n)^i is extracted with the iterative
   algorithm of the original paper (:func:`dlog_one_plus_n`), then
-  m = i * λ^{-1} mod n^s (no program decrypts with λ; the tests' textbook
-  reference in ``tests/oracles.py`` does);
+  m = i * λ^{-1} mod n^s;
 * additive homomorphism: multiplication of ciphertexts adds plaintexts,
   exponentiation by a constant multiplies the plaintext by that constant.
 
@@ -204,6 +203,32 @@ def dlog_one_plus_n(public_key: DamgardJurikPublicKey, value: int) -> int:
             t1 = (t1 - factor * mod_inverse(math.factorial(k), n_to_j)) % n_to_j
         i = t1
     return i
+
+
+def decrypt(
+    private_key: DamgardJurikPrivateKey,
+    ciphertext: int,
+    precomputed: "PrecomputedKey | None" = None,
+) -> int:
+    """Decrypt *ciphertext* with the non-threshold private key.
+
+    With a private :class:`~repro.crypto.fastmath.PrecomputedKey` the
+    decryption runs mod ``p^{s+1}`` and ``q^{s+1}`` separately with
+    half-size exponents (CRT split, Damgård–Jurik Section 4.3) and returns
+    exactly the same plaintext ~3–4× faster.
+    """
+    public = private_key.public_key
+    modulus = public.ciphertext_modulus
+    if not 0 <= ciphertext < modulus:
+        raise DecryptionError("ciphertext out of range")
+    if math.gcd(ciphertext, public.n) != 1:
+        raise DecryptionError("ciphertext is not invertible")
+    if precomputed is not None and precomputed.has_private:
+        return precomputed.decrypt(ciphertext)
+    powered = pow(ciphertext, private_key.lam, modulus)
+    exponent = dlog_one_plus_n(public, powered)
+    lam_inverse = mod_inverse(private_key.lam % public.plaintext_modulus, public.plaintext_modulus)
+    return (exponent * lam_inverse) % public.plaintext_modulus
 
 
 def add_ciphertexts(public_key: DamgardJurikPublicKey, *ciphertexts: int) -> int:

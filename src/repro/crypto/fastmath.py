@@ -1,18 +1,18 @@
 """Modular-arithmetic fast path for the Damgård–Jurik crypto hot loop.
 
 Every Chiaroscuro run is dominated by a handful of bigint modular
-exponentiations: encryption pays ``r^{n^s} mod n^{s+1}``, every partial
-decryption pays ``c^{2Δs_i}`` and every gossip merge pays a multi-term
-homomorphic accumulation.  This module
+exponentiations: encryption pays ``r^{n^s} mod n^{s+1}``, decryption pays
+``c^λ mod n^{s+1}``, every partial decryption pays ``c^{2Δs_i}`` and every
+gossip merge pays a multi-term homomorphic accumulation.  This module
 implements the standard accelerations from the Damgård–Jurik paper (PKC
 2001, Section 4.3) and the classical exponentiation literature, without
 changing a single decrypted bit:
 
 * :class:`PrecomputedKey` — per-key precomputation: CRT split of the
   private-key operations over ``p^{s+1}`` / ``q^{s+1}`` with cached
-  λ-residues and the recombination inverse (~3–4× on every private ``pow``);
-  cached ``n^k mod n^{s+1}`` powers and factorial inverses for the
-  ``(1+n)^m`` binomial expansion;
+  λ-residues, decryption constants and recombination inverses (~3–4× on
+  every private ``pow``); cached ``n^k mod n^{s+1}`` powers and factorial
+  inverses for the ``(1+n)^m`` binomial expansion;
 * :class:`BlinderPool` — the source of encryption blinders (``n^s``-th
   residues mod ``n^{s+1}``): ``encrypt`` / ``rerandomize`` take one and
   multiply it in.  Each is made when it is used, from one draw with
@@ -28,17 +28,19 @@ changing a single decrypted bit:
   ``q^{s+1}``).  The Fermat power ``c^{p−1}`` is one ``(p−1)``-exponent
   ``pow`` per ciphertext, cached per key, so the ``t`` helpers of a
   committee round pay one short power each plus one shared Fermat power
-  instead of ``t`` full-length ones;
+  instead of ``t`` full-length ones; :meth:`PrecomputedKey.decrypt` reads
+  the same cache;
 * :func:`multi_pow` — Straus simultaneous multi-exponentiation for
   ``Π bᵢ^{eᵢ} mod m`` (threshold share combination, homomorphic weighted
   accumulation in the gossip layer), or one builtin ``pow`` per base when
   every exponent is a few bits long (the gossip's ``1`` / ``2^k`` lifts).
 
-The private-key and multi-exponentiation paths are *exact* accelerations:
-partial decryptions, share combinations and homomorphic sums are the
-integers the textbook bodies of :mod:`~repro.crypto.damgard_jurik` and
-:mod:`~repro.crypto.threshold` (called without a precomputed key or
-blinder) produce from the same ciphertexts.
+The private-key, multi-exponentiation and decryption paths are *exact*
+accelerations: partial decryptions, share combinations, homomorphic sums and
+plaintexts are the integers the textbook bodies of
+:mod:`~repro.crypto.damgard_jurik` and :mod:`~repro.crypto.threshold`
+(called without a precomputed key or blinder) produce from the same
+ciphertexts.
 
 Blinders are where the two contexts differ.  A *public-only* context draws
 ``r`` uniform in ``Z_n^*`` and computes the textbook ``r^{n^s}``.  A
@@ -238,7 +240,32 @@ def multi_pow(bases: Sequence[int], exponents: Sequence[int], modulus: int) -> i
     return result
 
 
-# --------------------------------------------------------------------------- CRT powers
+# --------------------------------------------------------------------------- generalized dlog
+def _dlog_one_plus_base(base: int, s: int, value: int) -> int:
+    """Extract ``i`` from ``(1 + base)^i mod base^(s+1)``.
+
+    The iterative binomial algorithm of Damgård–Jurik Section 4.2, with the
+    modulus ``n`` generalised to any *prime* base (used with ``base = p`` and
+    ``base = q`` by the CRT decryption; every ``k!`` with ``k <= s`` is then
+    invertible because ``k < base``).
+    """
+    i = 0
+    for j in range(1, s + 1):
+        base_to_j = base**j
+        reduced = value % (base_to_j * base)
+        if (reduced - 1) % base != 0:
+            raise CryptoError("value is not of the form (1 + base)^i")
+        t1 = ((reduced - 1) // base) % base_to_j
+        t2 = i
+        for k in range(2, j + 1):
+            i = i - 1
+            t2 = (t2 * i) % base_to_j
+            factor = (t2 * base ** (k - 1)) % base_to_j
+            t1 = (t1 - factor * mod_inverse(math.factorial(k), base_to_j)) % base_to_j
+        i = t1
+    return i
+
+
 def _split_pow(base: int, exponent: int, prime: int, modulus: int, fermat: int,
                s: int) -> int:
     """``base^exponent mod prime^{s+1}`` from ``fermat = base^{prime−1} mod
@@ -298,10 +325,11 @@ class PrecomputedKey:
     Built from a public key alone it caches the public recurring constants
     (``n^k mod n^{s+1}`` powers and factorial inverses for the ``(1+n)^m``
     binomial).  Built from a private key it additionally precomputes the CRT
-    split: moduli ``p^{s+1}`` / ``q^{s+1}``, group orders and the Garner
-    recombination inverse, which makes every private-key ``pow`` run on two
-    half-width moduli with reduced exponents (~3–4× faster at realistic key
-    sizes), and keeps the bounded Fermat cache of partial decryption (see
+    split: moduli ``p^{s+1}`` / ``q^{s+1}``, group orders, the decryption
+    constants ``h_p`` / ``h_q`` and the Garner recombination inverses, which
+    makes every private-key ``pow`` run on two half-width moduli with reduced
+    exponents (~3–4× faster at realistic key sizes), and keeps the bounded
+    Fermat cache that partial decryption and decryption share (see
     :meth:`partial_decryption_power`).  It also draws the fixed
     blinder base ``h = y^{n^s}`` (:attr:`blinder_root` is ``y``) and builds
     one window table for ``h mod p^{s+1}`` and one for ``h mod q^{s+1}``
@@ -338,8 +366,18 @@ class PrecomputedKey:
             #: Orders of the multiplicative groups mod p^{s+1} / q^{s+1}.
             self.order_p = self.p_to_s * (p - 1)
             self.order_q = self.q_to_s * (q - 1)
-            # Garner recombination constant of the ciphertext space.
+            # Garner recombination constants: ciphertext and plaintext spaces.
             self.p_to_s1_inv_q = mod_inverse(self.p_to_s1 % self.q_to_s1, self.q_to_s1)
+            self.p_to_s_inv_q = mod_inverse(self.p_to_s % self.q_to_s, self.q_to_s)
+            # Decryption constants: c^{p-1} mod p^{s+1} lands in the cyclic
+            # subgroup generated by (1+p); dividing out the fixed discrete
+            # log of (1+n)^{p-1} recovers the message residue directly.
+            self.h_p = mod_inverse(
+                _dlog_one_plus_base(p, s, pow(1 + n, p - 1, self.p_to_s1)), self.p_to_s
+            )
+            self.h_q = mod_inverse(
+                _dlog_one_plus_base(q, s, pow(1 + n, q - 1, self.q_to_s1)), self.q_to_s
+            )
             self._exponent_residues: dict[int, tuple[int, int]] = {}
             #: ciphertext -> (c^{p-1} mod p^{s+1}, c^{q-1} mod q^{s+1}), oldest first.
             self._fermat_powers: dict[int, tuple[int, int]] = {}
@@ -481,6 +519,24 @@ class PrecomputedKey:
         residue_p = _table_pow(self._blinder_table_p, draw % (self.p - 1), self.p_to_s1)
         residue_q = _table_pow(self._blinder_table_q, draw % (self.q - 1), self.q_to_s1)
         return self._recombine(residue_p, residue_q)
+
+    def decrypt(self, ciphertext: int) -> int:
+        """CRT decryption: half-width moduli *and* half-size exponents.
+
+        ``c^{p-1} mod p^{s+1}`` kills the ``r^{n^s}`` randomness outright
+        (its order divides ``p^s (p-1)``), so the discrete log of the result
+        is ``m (p-1) α_p mod p^s`` — one constant multiplication away from
+        the message residue.  Combining the two residues with Garner yields
+        exactly the plaintext the full-width ``c^λ`` decryption produces.
+        The two powers are the Fermat powers partial decryption caches.
+        """
+        if not self.has_private:
+            raise CryptoError("CRT decryption requires the private key")
+        fermat_p, fermat_q = self._fermat_powers_of(ciphertext)
+        residue_p = (_dlog_one_plus_base(self.p, self.s, fermat_p) * self.h_p) % self.p_to_s
+        residue_q = (_dlog_one_plus_base(self.q, self.s, fermat_q) * self.h_q) % self.q_to_s
+        difference = ((residue_q - residue_p) * self.p_to_s_inv_q) % self.q_to_s
+        return residue_p + self.p_to_s * difference
 
 
 # --------------------------------------------------------------------------- blinder source

@@ -146,7 +146,7 @@ def load_dataset_for_population(
     parameters.update(overrides)
     parameters[entry.size_parameter] = n_participants
     parameters["seed"] = seed
-    collection = load_dataset(name, **parameters)
+    collection = entry.factory(**parameters)
     if len(collection) != n_participants:
         raise DatasetError(
             f"dataset {name!r} produced {len(collection)} series for a "

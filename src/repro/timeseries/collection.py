@@ -48,6 +48,9 @@ class TimeSeriesCollection:
         return len(self._series)
 
     def __getitem__(self, index: int) -> TimeSeries:
+        return self._row(range(len(self))[index])
+
+    def _row(self, index: int) -> TimeSeries:
         return self._series[index]
 
     # ------------------------------------------------------------------ views
@@ -76,9 +79,9 @@ class TimeSeriesCollection:
     # ------------------------------------------------------------------ transforms
     def subset(self, indices: Sequence[int], name: str | None = None) -> "TimeSeriesCollection":
         """Return the sub-collection at the given positions (order preserved)."""
-        if not indices:
+        if not len(indices):
             raise TimeSeriesError("subset requires at least one index")
-        picked = [self._series[int(i)] for i in indices]
+        picked = [self._row(int(i)) for i in indices]
         return TimeSeriesCollection(picked, name=self.name if name is None else name)
 
     # ------------------------------------------------------------------ serialisation
@@ -110,11 +113,12 @@ class TimeSeriesCollection:
 class MatrixBackedCollection(TimeSeriesCollection):
     """A collection backed by one dense matrix, without per-series objects.
 
-    It answers the views the engines read — its length, the matrix, the
-    labels and subsets — and wraps only the rows a subset picks into
-    :class:`TimeSeries` objects, so building a ten-million-row population
-    costs one matrix allocation instead of ten million Python objects.  The backing matrix keeps its dtype (the slab
-    engine's ``float32`` path relies on this to halve resident memory).
+    Behaviourally equivalent to :class:`TimeSeriesCollection`, but rows are
+    wrapped into :class:`TimeSeries` objects lazily on access (indexing,
+    iteration, subsets), so building a ten-million-row population costs one
+    matrix allocation instead of ten million Python objects.  The backing
+    matrix keeps its dtype (the slab engine's ``float32`` path relies on this
+    to halve resident memory).
 
     Parameters
     ----------
@@ -172,6 +176,10 @@ class MatrixBackedCollection(TimeSeriesCollection):
         return int(self._matrix.shape[0])
 
     # -------------------------------------------------------------- views
+    @property
+    def series_ids(self) -> list[str]:
+        return [f"{self._id_prefix}-{i}" for i in range(len(self))]
+
     def to_matrix(self) -> np.ndarray:
         """Return the backing matrix itself (no copy — do not mutate)."""
         return self._matrix
@@ -180,11 +188,3 @@ class MatrixBackedCollection(TimeSeriesCollection):
         if self._labels is None or key != self._label_key:
             return [None] * len(self)
         return [value.item() for value in self._labels]
-
-    # -------------------------------------------------------------- transforms
-    def subset(self, indices: Sequence[int], name: str | None = None) -> "TimeSeriesCollection":
-        """Materialise only the picked rows into a dense sub-collection."""
-        if not len(indices):
-            raise TimeSeriesError("subset requires at least one index")
-        picked = [self._row(int(i)) for i in indices]
-        return TimeSeriesCollection(picked, name=self.name if name is None else name)

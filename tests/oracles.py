@@ -8,15 +8,13 @@ program takes it as its first argument.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 
 from repro.crypto import damgard_jurik as dj
-from repro.crypto.backends import CipherBackend, DamgardJurikBackend, EncryptedVector
+from repro.crypto.backends import CipherBackend
 from repro.crypto.fastmath import PrecomputedKey
-from repro.crypto.math_utils import mod_inverse
 from repro.crypto.threshold import (
     KeyShare,
     ThresholdPublicKey,
@@ -24,31 +22,12 @@ from repro.crypto.threshold import (
     partial_decrypt,
 )
 from repro.crypto.wire import MAX_NAME_BYTES, WireReader, _unfit_ciphertext
-from repro.exceptions import CryptoError, DecryptionError, WireFormatError
+from repro.exceptions import WireFormatError
 from repro.gossip.encrypted_sum import EncryptedEstimate
 from repro.privacy.noise_shares import NoiseShareSpec, draw_noise_share
 
 
 # ------------------------------------------------------------------ Damgård–Jurik
-def dj_decrypt(private_key: dj.DamgardJurikPrivateKey, ciphertext: int,
-               precomputed: PrecomputedKey | None = None) -> int:
-    """Decrypt with the non-threshold private key (textbook ``c^λ``, or the
-    CRT split of :func:`precomputed_decrypt` given a private context)."""
-    public = private_key.public_key
-    modulus = public.ciphertext_modulus
-    if not 0 <= ciphertext < modulus:
-        raise DecryptionError("ciphertext out of range")
-    if math.gcd(ciphertext, public.n) != 1:
-        raise DecryptionError("ciphertext is not invertible")
-    if precomputed is not None and precomputed.has_private:
-        return precomputed_decrypt(precomputed, ciphertext)
-    powered = pow(ciphertext, private_key.lam, modulus)
-    exponent = dj.dlog_one_plus_n(public, powered)
-    lam_inverse = mod_inverse(private_key.lam % public.plaintext_modulus,
-                              public.plaintext_modulus)
-    return (exponent * lam_inverse) % public.plaintext_modulus
-
-
 def multiply_plaintext(public_key: dj.DamgardJurikPublicKey, ciphertext: int, factor: int,
                        precomputed: PrecomputedKey | None = None) -> int:
     """Homomorphically multiply an encrypted value by a public integer."""
@@ -56,48 +35,6 @@ def multiply_plaintext(public_key: dj.DamgardJurikPublicKey, ciphertext: int, fa
     if precomputed is not None:
         return precomputed.crt_pow(ciphertext, factor)
     return pow(ciphertext, factor, public_key.ciphertext_modulus)
-
-
-def _dlog_one_plus_base(base: int, s: int, value: int) -> int:
-    """Extract ``i`` from ``(1 + base)^i mod base^(s+1)`` for a prime *base*
-    (Damgård–Jurik Section 4.2 with ``n`` replaced by ``p`` or ``q``)."""
-    i = 0
-    for j in range(1, s + 1):
-        base_to_j = base**j
-        reduced = value % (base_to_j * base)
-        if (reduced - 1) % base != 0:
-            raise CryptoError("value is not of the form (1 + base)^i")
-        t1 = ((reduced - 1) // base) % base_to_j
-        t2 = i
-        for k in range(2, j + 1):
-            i = i - 1
-            t2 = (t2 * i) % base_to_j
-            factor = (t2 * base ** (k - 1)) % base_to_j
-            t1 = (t1 - factor * mod_inverse(math.factorial(k), base_to_j)) % base_to_j
-        i = t1
-    return i
-
-
-def precomputed_decrypt(key: PrecomputedKey, ciphertext: int) -> int:
-    """CRT decryption: half-width moduli *and* half-size exponents.
-
-    ``c^{p-1} mod p^{s+1}`` kills the ``r^{n^s}`` randomness outright, so the
-    discrete log of the result is ``m (p-1) α_p mod p^s``, one constant
-    multiplication away from the message residue; Garner recombines the two
-    residues into exactly the plaintext the full-width ``c^λ`` gives.  The
-    two powers are the Fermat powers partial decryption caches.
-    """
-    if not key.has_private:
-        raise CryptoError("CRT decryption requires the private key")
-    p, q, s, n = key.p, key.q, key.s, key.n
-    h_p = mod_inverse(_dlog_one_plus_base(p, s, pow(1 + n, p - 1, key.p_to_s1)), key.p_to_s)
-    h_q = mod_inverse(_dlog_one_plus_base(q, s, pow(1 + n, q - 1, key.q_to_s1)), key.q_to_s)
-    fermat_p, fermat_q = key._fermat_powers_of(ciphertext)
-    residue_p = (_dlog_one_plus_base(p, s, fermat_p) * h_p) % key.p_to_s
-    residue_q = (_dlog_one_plus_base(q, s, fermat_q) * h_q) % key.q_to_s
-    p_to_s_inv_q = mod_inverse(key.p_to_s % key.q_to_s, key.q_to_s)
-    difference = ((residue_q - residue_p) * p_to_s_inv_q) % key.q_to_s
-    return residue_p + key.p_to_s * difference
 
 
 def threshold_decrypt(threshold_public: ThresholdPublicKey, shares: Sequence[KeyShare],
@@ -108,33 +45,6 @@ def threshold_decrypt(threshold_public: ThresholdPublicKey, shares: Sequence[Key
 
 
 # ------------------------------------------------------------------ backends
-def multiply_scalar(backend: CipherBackend, vector: EncryptedVector,
-                    factor: int) -> EncryptedVector:
-    """Homomorphically multiply every component by a public integer factor,
-    counted and weighted as one lift of a linear combination."""
-    backend._check_vector(vector)
-    if factor < 0:
-        raise CryptoError("scalar factors must be non-negative integers")
-    factor = int(factor)
-    if backend.packing is not None and factor == 0:
-        # A zero factor would also zero the accumulated slot offsets,
-        # which the public weight could no longer describe.
-        raise CryptoError("packed vectors require strictly positive scalar factors")
-    weight = max(vector.weight * factor, 1)
-    if backend.packing is not None:
-        backend.packing.check_weight(weight)
-    if isinstance(backend, DamgardJurikBackend):
-        scaled = tuple(
-            multiply_plaintext(backend.public_key, ciphertext, factor,
-                               precomputed=backend._precomputed)
-            for ciphertext in vector.payload
-        )
-    else:
-        scaled = backend._multiply_payload(vector.payload, factor)
-    backend.counter.additions += len(scaled)
-    return backend._vector(scaled, len(vector), weight=weight)
-
-
 def decode_estimate(backend: CipherBackend, estimate: EncryptedEstimate,
                     share_indices: Sequence[int]) -> np.ndarray:
     """Collaboratively decrypt an estimate and undo the public exponent."""

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis import closest_profiles, match_subsequence
+from repro.analysis import closest_profiles, match_subsequence, profile_recall
 from repro.exceptions import AnalysisError
 
 
@@ -61,3 +61,28 @@ class TestClosestProfiles:
     def test_top_must_be_positive(self, profiles):
         with pytest.raises(Exception):
             closest_profiles(profiles, profiles[0][:15], top=0)
+
+
+class TestProfileRecall:
+    def test_identical_profiles_have_full_recall(self, profiles, fresh_rng):
+        queries = np.vstack([
+            profiles[int(fresh_rng.integers(0, 3))][5:25] for _ in range(10)
+        ])
+        assert profile_recall(profiles, profiles, queries) == 1.0
+
+    def test_mild_noise_keeps_recall_high(self, profiles, fresh_rng):
+        noisy = profiles + fresh_rng.normal(0, 0.02, size=profiles.shape)
+        queries = np.vstack([profiles[i % 3][8:28] for i in range(9)])
+        assert profile_recall(noisy, profiles, queries) >= 2 / 3
+
+    def test_top_parameter_never_decreases_recall(self, profiles, fresh_rng):
+        noisy = profiles + fresh_rng.normal(0, 0.3, size=profiles.shape)
+        queries = np.vstack([profiles[i % 3][0:20] for i in range(6)])
+        top1 = profile_recall(noisy, profiles, queries, top=1)
+        top3 = profile_recall(noisy, profiles, queries, top=3)
+        assert top3 >= top1
+        assert top3 == 1.0  # with k=3 profiles, top-3 always contains the answer
+
+    def test_shape_mismatch_rejected(self, profiles):
+        with pytest.raises(AnalysisError):
+            profile_recall(profiles, profiles[:2], np.zeros((2, 10)))

@@ -13,6 +13,7 @@ from repro.analysis import (
 )
 from repro.core import run_chiaroscuro
 from repro.datasets import generate_gaussian_clusters
+from repro.timeseries import MatrixBackedCollection
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +67,14 @@ class TestComparison:
         assert reports["chiaroscuro"]["relative_inertia"] >= 0.99
         # And the random "clustering" is the worst of all.
         assert reports["random"]["relative_inertia"] >= reports["centralized"]["relative_inertia"]
+
+    def test_a_matrix_backed_collection_compares_like_the_dense_one(self, collection, config):
+        matrix_backed = MatrixBackedCollection(
+            collection.to_matrix(), name=collection.name, label_key="cluster",
+            labels=np.asarray(collection.labels("cluster")),
+        )
+        assert compare_with_baselines(matrix_backed, config, label_key="cluster") \
+            == compare_with_baselines(collection, config, label_key="cluster")
 
 
 class TestAblation:

@@ -22,7 +22,6 @@ from repro.crypto.backends import (
 )
 from repro.exceptions import CryptoError, ThresholdError, ValidationError
 from repro.gossip import EncryptedEstimate, rerandomize_estimate
-import oracles
 
 
 @pytest.fixture(params=["plain", "damgard_jurik"])
@@ -55,13 +54,8 @@ class TestEncryptDecrypt:
 
     def test_scalar_multiplication(self, backend):
         vector = backend.encrypt_vector([0.5, -1.0])
-        decoded = backend.decrypt_with_shares(oracles.multiply_scalar(backend, vector, 4), [1, 2])
+        decoded = backend.decrypt_with_shares(backend.linear_combination([vector], [4]), [1, 2])
         assert np.allclose(decoded, [2.0, -4.0], atol=1e-3)
-
-    def test_scalar_multiplication_rejects_negative(self, backend):
-        vector = backend.encrypt_vector([1.0])
-        with pytest.raises(CryptoError):
-            oracles.multiply_scalar(backend, vector, -2)
 
     def test_add_length_mismatch(self, backend):
         with pytest.raises(CryptoError):
@@ -245,7 +239,7 @@ class TestPlainArithmeticAboveTheInt64Threshold:
         first, second, third = vector(), vector(), vector()
         n = len(first)
         for value in (backend.add(first, second),
-                      oracles.multiply_scalar(backend, first, 1 << 7),
+                      backend.linear_combination([first], [1 << 7]),
                       backend.linear_combination([first, second, third], [4, 1, 2])):
             assert all(type(element) is int for element in value.payload)
         assert backend.counter.additions == n + n + n * (2 + 2)
@@ -253,8 +247,9 @@ class TestPlainArithmeticAboveTheInt64Threshold:
         add, multiply = self.object_array_add, self.object_array_multiply
         assert backend.add(first, second).payload == add(
             first.payload, second.payload, modulus)
-        for factor in (0, 1, 3, 1 << 7, (1 << 70) + 1):
-            assert oracles.multiply_scalar(backend, first, factor).payload == multiply(
+        assert backend._multiply_payload(first.payload, 0) == (0,) * n
+        for factor in (1, 3, 1 << 7, (1 << 70) + 1):
+            assert backend.linear_combination([first], [factor]).payload == multiply(
                 first.payload, factor, modulus)
         assert backend.linear_combination([first, second, third], [4, 1, 2]).payload \
             == add(add(multiply(first.payload, 4, modulus), second.payload, modulus),
@@ -267,13 +262,16 @@ class TestPlainArithmeticAboveTheInt64Threshold:
 
 
 class TestOperationCounter:
-    def test_as_dict(self):
+    def test_as_dict_and_reset(self):
         a = OperationCounter(encryptions=1, additions=2, partial_decryptions=3,
                              combinations=4, pooled_encryptions=1, rerandomizations=5)
         assert a.as_dict() == {
             "encryptions": 1, "additions": 2, "partial_decryptions": 3, "combinations": 4,
             "pooled_encryptions": 1, "rerandomizations": 5,
         }
+        a.reset()
+        assert a.as_dict()["encryptions"] == 0
+        assert a.as_dict()["pooled_encryptions"] == 0
 
 
 class TestFactory:

@@ -54,12 +54,12 @@ class TestRoundTrip:
         public, private = request.getfixturevalue(fixture_name)
         for plaintext in (0, 1, 424242, public.plaintext_modulus - 1):
             ciphertext = dj.encrypt(public, plaintext)
-            assert oracles.dj_decrypt(private, ciphertext) == plaintext
+            assert dj.decrypt(private, ciphertext) == plaintext
 
     def test_large_plaintexts_beyond_n_with_degree_two(self, keypair_s2):
         public, private = keypair_s2
         plaintext = public.n + 12345  # would not fit in a Paillier plaintext
-        assert oracles.dj_decrypt(private, dj.encrypt(public, plaintext)) == plaintext
+        assert dj.decrypt(private, dj.encrypt(public, plaintext)) == plaintext
 
     def test_out_of_range_plaintext(self, keypair_s1):
         public, _ = keypair_s1
@@ -74,7 +74,7 @@ class TestRoundTrip:
     def test_decrypt_range_check(self, keypair_s1):
         public, private = keypair_s1
         with pytest.raises(DecryptionError):
-            oracles.dj_decrypt(private, public.ciphertext_modulus)
+            dj.decrypt(private, public.ciphertext_modulus)
 
 
 class TestHomomorphism:
@@ -82,30 +82,30 @@ class TestHomomorphism:
         public, private = keypair_s2
         a, b = 10**12, 10**11 + 7
         total = dj.add_ciphertexts(public, dj.encrypt(public, a), dj.encrypt(public, b))
-        assert oracles.dj_decrypt(private, total) == a + b
+        assert dj.decrypt(private, total) == a + b
 
     def test_many_term_sum(self, keypair_s1):
         public, private = keypair_s1
         terms = [3, 17, 1000, 42, 9]
         ciphertexts = [dj.encrypt(public, term) for term in terms]
-        assert oracles.dj_decrypt(private, dj.add_ciphertexts(public, *ciphertexts)) == sum(terms)
+        assert dj.decrypt(private, dj.add_ciphertexts(public, *ciphertexts)) == sum(terms)
 
     def test_multiply_plaintext(self, keypair_s2):
         public, private = keypair_s2
         ciphertext = oracles.multiply_plaintext(public, dj.encrypt(public, 6), 7)
-        assert oracles.dj_decrypt(private, ciphertext) == 42
+        assert dj.decrypt(private, ciphertext) == 42
 
     def test_multiply_by_power_of_two(self, keypair_s1):
         public, private = keypair_s1
         ciphertext = oracles.multiply_plaintext(public, dj.encrypt(public, 5), 1 << 20)
-        assert oracles.dj_decrypt(private, ciphertext) == 5 << 20
+        assert dj.decrypt(private, ciphertext) == 5 << 20
 
     def test_rerandomize(self, keypair_s1):
         public, private = keypair_s1
         original = dj.encrypt(public, 99)
         refreshed = dj.rerandomize(public, original)
         assert refreshed != original
-        assert oracles.dj_decrypt(private, refreshed) == 99
+        assert dj.decrypt(private, refreshed) == 99
 
 
 class TestDlogExtraction:

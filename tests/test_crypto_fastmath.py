@@ -92,8 +92,8 @@ class TestCrtDecryption:
         public, private = KEYS[s]
         plaintext = _plaintext(s, fraction)
         ciphertext = dj.encrypt(public, plaintext)
-        plain = oracles.dj_decrypt(private, ciphertext)
-        fast = oracles.dj_decrypt(private, ciphertext, precomputed=PRECOMPUTED[s])
+        plain = dj.decrypt(private, ciphertext)
+        fast = dj.decrypt(private, ciphertext, precomputed=PRECOMPUTED[s])
         assert plain == fast == plaintext
 
     @pytest.mark.parametrize("s", [1, 2, 3])
@@ -101,14 +101,14 @@ class TestCrtDecryption:
         public, private = KEYS[s]
         for plaintext in (0, 1, public.plaintext_modulus - 1):
             ciphertext = dj.encrypt(public, plaintext)
-            assert oracles.dj_decrypt(private, ciphertext, precomputed=PRECOMPUTED[s]) == plaintext
+            assert dj.decrypt(private, ciphertext, precomputed=PRECOMPUTED[s]) == plaintext
 
     def test_crt_decrypt_requires_private_key(self):
         public, _private = KEYS[1]
         public_only = PrecomputedKey.from_public_key(public)
         assert not public_only.has_private
         with pytest.raises(CryptoError):
-            oracles.precomputed_decrypt(public_only, dj.encrypt(public, 5))
+            public_only.decrypt(dj.encrypt(public, 5))
 
     def test_mismatched_primes_rejected(self):
         public, _ = KEYS[1]
@@ -262,7 +262,7 @@ class TestPartialDecryptionPower:
         assert all(e < max(precomputed.p, precomputed.q) for e in short)
         calls.clear()
         for ciphertext in vector.payload:
-            oracles.dj_decrypt(backend._dealer_key, ciphertext, precomputed=precomputed)
+            dj.decrypt(backend._dealer_key, ciphertext, precomputed=precomputed)
         assert calls == []
         np.testing.assert_allclose(backend.combine_vector(partials),
                                    [0.5, -0.25, 0.125, 0.0], atol=1e-5)
@@ -273,9 +273,9 @@ class TestPartialDecryptionPower:
         precomputed = PrecomputedKey.from_private_key(private)
         monkeypatch.setattr(fastmath, "_FERMAT_CACHE_LIMIT", 2)
         ciphertexts = [dj.encrypt(public, m) for m in (3, 4, 5, 6)]
-        assert [oracles.precomputed_decrypt(precomputed, c) for c in ciphertexts] == [3, 4, 5, 6]
+        assert [precomputed.decrypt(c) for c in ciphertexts] == [3, 4, 5, 6]
         assert len(precomputed._fermat_powers) == 2
-        assert [oracles.precomputed_decrypt(precomputed, c) for c in ciphertexts] == [3, 4, 5, 6]
+        assert [precomputed.decrypt(c) for c in ciphertexts] == [3, 4, 5, 6]
 
 
 class TestBlinderPools:
@@ -288,7 +288,7 @@ class TestBlinderPools:
         pool = BlinderPool(PRECOMPUTED[s])
         pooled = dj.encrypt(public, plaintext, precomputed=PRECOMPUTED[s],
                             blinder=pool.take())
-        assert oracles.dj_decrypt(private, pooled) == plaintext
+        assert dj.decrypt(private, pooled) == plaintext
 
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_pooled_rerandomize_preserves_plaintext(self, s):
@@ -298,7 +298,7 @@ class TestBlinderPools:
         ciphertext = dj.encrypt(public, plaintext)
         refreshed = dj.rerandomize(public, ciphertext, blinder=pool.take())
         assert refreshed != ciphertext
-        assert oracles.dj_decrypt(private, refreshed) == plaintext
+        assert dj.decrypt(private, refreshed) == plaintext
 
     @staticmethod
     def fresh_and_pooled(s, precomputed, draws, textbook_randomness):
@@ -406,7 +406,7 @@ class TestBlinderPools:
         assert dj.encrypt(public, plaintext, blinder=blinder) == expected
         assert dj.encrypt(public, plaintext, precomputed=PRECOMPUTED[s],
                           blinder=blinder) == expected
-        assert oracles.dj_decrypt(private, expected) == plaintext
+        assert dj.decrypt(private, expected) == plaintext
 
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_rerandomize_with_a_ready_blinder_is_one_multiplication(self, s):
@@ -415,7 +415,7 @@ class TestBlinderPools:
         blinder = BlinderPool(PRECOMPUTED[s]).take()
         refreshed = dj.rerandomize(public, ciphertext, blinder=blinder)
         assert refreshed == (ciphertext * blinder) % public.ciphertext_modulus
-        assert oracles.dj_decrypt(private, refreshed) == oracles.dj_decrypt(private, ciphertext)
+        assert dj.decrypt(private, refreshed) == dj.decrypt(private, ciphertext)
 
 
 class TestFixedBaseBlinder:
@@ -440,7 +440,7 @@ class TestFixedBaseBlinder:
             blinder = precomputed.blinder(x)
             assert blinder == pow(pow(y, x, public.n), n_to_s, modulus)
             assert precomputed.blinder(x + lam) == blinder
-            assert oracles.dj_decrypt(private, blinder) == 0
+            assert dj.decrypt(private, blinder) == 0
 
     @pytest.mark.parametrize("s", [1, 2, 3])
     @given(fraction=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
@@ -469,7 +469,7 @@ class TestFixedBaseBlinder:
         for _ in range(3):
             blinder = pool.take()
             assert pow(blinder, private.lam, public.ciphertext_modulus) == 1
-            assert oracles.dj_decrypt(private, blinder) == 0
+            assert dj.decrypt(private, blinder) == 0
 
 
 class TestAfterFork:
@@ -512,7 +512,7 @@ class TestAfterFork:
         assert not child & before
         assert not child & after
         dealer = backend._dealer_key
-        assert all(oracles.dj_decrypt(dealer, blinder) == 0 for blinder in child)
+        assert all(dj.decrypt(dealer, blinder) == 0 for blinder in child)
         assert report["decrypted"] == pytest.approx([0.25, 0.5], abs=1e-5)
 
     def test_plain_backend_has_nothing_to_do(self, monkeypatch):
@@ -765,7 +765,7 @@ class TestBackendOperations:
         second = backend.encrypt_vector([0.125, 0.5])
         combined = backend.linear_combination([first, second], [4, 2])
         reference = backend.add(
-            oracles.multiply_scalar(backend, first, 4), oracles.multiply_scalar(backend, second, 2)
+            backend.linear_combination([first], [4]), backend.linear_combination([second], [2])
         )
         assert combined.weight == reference.weight == 6
         assert combined.payload == reference.payload

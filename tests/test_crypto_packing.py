@@ -239,15 +239,10 @@ class TestPackedBackends:
 
     def test_scalar_multiplication_tracks_weight(self, backend):
         vector = backend.encrypt_vector([0.5, -1.0, 0.25])
-        scaled = oracles.multiply_scalar(backend, vector, 4)
+        scaled = backend.linear_combination([vector], [4])
         assert scaled.weight == 4
         decoded = backend.decrypt_with_shares(scaled, [1, 2])
         assert np.allclose(decoded, [2.0, -4.0, 1.0], atol=1e-2)
-
-    def test_zero_factor_rejected_when_packed(self, backend):
-        vector = backend.encrypt_vector([1.0])
-        with pytest.raises(CryptoError):
-            oracles.multiply_scalar(backend, vector, 0)
 
     def test_unpacked_vector_rejected(self, backend):
         foreign = EncryptedVector(payload=(1, 2, 3), backend_name=backend.name)
@@ -416,7 +411,7 @@ class TestPlainSlabArithmetic:
     def test_int64_small_factor_multiplication(self, small_modulus_backend):
         backend = small_modulus_backend
         vector = backend.encrypt_vector([0.5, -1.0])
-        decoded = backend.decrypt_with_shares(oracles.multiply_scalar(backend, vector, 8), [1, 2])
+        decoded = backend.decrypt_with_shares(backend.linear_combination([vector], [8]), [1, 2])
         assert np.allclose(decoded, [4.0, -8.0], atol=1e-5)
 
     def test_large_factor_falls_back_to_object_path(self, small_modulus_backend):
@@ -424,7 +419,7 @@ class TestPlainSlabArithmetic:
         # factor bits + modulus bits > 62: must leave the int64 slab and still
         # wrap correctly modulo 2^48.
         vector = backend.encrypt_integer_vector([3])
-        scaled = oracles.multiply_scalar(backend, vector, 1 << 20)
+        scaled = backend.linear_combination([vector], [1 << 20])
         decoded = backend.decrypt_with_shares(scaled, [1, 2], integer=True)
         assert decoded.tolist() == [float(3 << 20)]
 

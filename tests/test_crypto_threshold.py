@@ -41,7 +41,7 @@ class TestKeyGeneration:
     def test_dealer_key_still_decrypts(self, threshold_setup):
         public, _shares, dealer = threshold_setup
         ciphertext = dj.encrypt(public.public_key, 321)
-        assert oracles.dj_decrypt(dealer, ciphertext) == 321
+        assert dj.decrypt(dealer, ciphertext) == 321
 
 
 class TestThresholdDecryption:

@@ -295,6 +295,19 @@ class TestQualityMetrics:
         assert "adjusted_rand_index" in quality
         assert "relative_inertia" not in quality  # needs the reference
 
+    def test_a_matrix_backed_cell_is_priced_against_the_reference(self, tmp_path):
+        spec = _spec(
+            dataset_params={"n_clusters": 2, "noise_std": 0.05, "matrix_backed": True},
+            sweep={}, repeats=1, metrics={"reference": True, "label_key": "cluster"},
+        )
+        store = ResultStore(tmp_path / "results.jsonl")
+        progress = run_experiment(spec, store)
+        assert progress.failed == 0
+        (row,) = list(store.iter_rows())
+        quality = row["result"]["quality"]
+        assert "relative_inertia" in quality
+        assert "adjusted_rand_index" in quality
+
     def test_no_labels_no_reference_stores_empty_quality(self, tmp_path):
         spec = _spec(
             sweep={}, repeats=1,

@@ -58,14 +58,14 @@ class TestHomomorphism:
         ca = dj.encrypt(DJ_PUBLIC, a)
         cb = dj.encrypt(DJ_PUBLIC, b)
         total = dj.add_ciphertexts(DJ_PUBLIC, ca, cb)
-        assert oracles.dj_decrypt(DJ_PRIVATE, total) == (a + b) % DJ_PUBLIC.plaintext_modulus
+        assert dj.decrypt(DJ_PRIVATE, total) == (a + b) % DJ_PUBLIC.plaintext_modulus
 
     @given(a=st.integers(min_value=0, max_value=2**40),
            k=st.integers(min_value=0, max_value=2**20))
     @settings(max_examples=25, deadline=None)
     def test_exponentiation_multiplies_plaintext(self, a, k):
         ciphertext = oracles.multiply_plaintext(DJ_PUBLIC, dj.encrypt(DJ_PUBLIC, a), k)
-        assert oracles.dj_decrypt(DJ_PRIVATE, ciphertext) == (a * k) % DJ_PUBLIC.plaintext_modulus
+        assert dj.decrypt(DJ_PRIVATE, ciphertext) == (a * k) % DJ_PUBLIC.plaintext_modulus
 
 
 class TestGossipInvariants:

@@ -4,7 +4,6 @@ from .costs import (
     ByteAccounting,
     CostEstimate,
     CostModel,
-    CryptoCostProfile,
     ProtocolWorkload,
     measure_crypto_costs,
     sweep_crypto_costs,
@@ -21,7 +20,6 @@ from .reporting import format_comparison, format_series, format_table, format_va
 
 __all__ = [
     "ByteAccounting",
-    "CryptoCostProfile",
     "CostModel",
     "CostEstimate",
     "ProtocolWorkload",

@@ -7,35 +7,37 @@ measures performed beforehand (e.g., of encryption/decryption/addition
 times)" (Section III.B).  This module reproduces that methodology:
 
 * :func:`measure_crypto_costs` times the real Damgård–Jurik operations for a
-  given key size and degree (:data:`REFERENCE_PROFILE` is its committed
+  given key size and degree, as a
+  :class:`~repro.crypto.cost_profile.CryptoCostProfile`
+  (:data:`~repro.crypto.cost_profile.REFERENCE_PROFILE` is its committed
   2048-bit output, the price list of every run's modelled crypto seconds);
-* :meth:`CryptoCostProfile.price` is the one place a count meets a time: run
-  counters, per-node sample arrays and the model's counts all go through it;
 * :class:`CostModel` combines the measured per-operation times with the
   protocol's operation counts to predict the per-participant compute time and
   bandwidth of a run at any population size — including the 10^6 participants
   Chiaroscuro targets but a laptop cannot simulate with real encryption.
+
+(The slab engine's bootstrap extrapolation from a measured node sample is
+:func:`repro.core.slab_runner.bootstrap_extrapolate`.)
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from .._validation import check_in_choices, check_positive_int
 from ..crypto import damgard_jurik as dj
+from ..crypto.cost_profile import CryptoCostProfile
 from ..crypto.fastmath import BlinderPool, PrecomputedKey
 from ..crypto.threshold import (
     combine_partial_decryptions,
     generate_threshold_keypair,
     partial_decrypt,
 )
-from ..exceptions import AnalysisError
-
 from ..crypto.wire import FRAME_FIXED_OVERHEAD_BYTES, wire_ciphertext_bytes
+from ..exceptions import AnalysisError
 from ..simulation.network import ByteAccounting
 
 #: Approximate wire-format overheads used by the *modelled* wire-byte
@@ -54,113 +56,13 @@ WIRE_ESTIMATE_OVERHEAD_BYTES = 28
 FASTMATH_CHOICES = ("auto", "off")
 
 
-@dataclass(frozen=True)
-class CryptoCostProfile:
-    """Measured average time (seconds) of each cryptographic operation.
-
-    ``pooled_encryption_seconds`` is the hot-path cost of an encryption
-    whose blinder is ready: one multiplication.  The blinder's
-    exponentiation is ``offline`` work, which a device may precompute in
-    idle time; the simulator makes each blinder when it is used, so the
-    split is the model's.  It is 0.0 when the profile was measured with
-    ``fastmath="off"``.  :meth:`price` uses it to charge precomputable and
-    fresh exponentiations differently.
-    """
-
-    key_bits: int
-    degree: int
-    keygen_seconds: float
-    encryption_seconds: float
-    addition_seconds: float
-    partial_decryption_seconds: float
-    combination_seconds: float
-    ciphertext_bytes: int
-    fastmath: str = "off"
-    pooled_encryption_seconds: float = 0.0
-
-    def as_dict(self) -> dict[str, float]:
-        """Plain dictionary view (for reports)."""
-        return {
-            "key_bits": float(self.key_bits),
-            "degree": float(self.degree),
-            "keygen_seconds": self.keygen_seconds,
-            "encryption_seconds": self.encryption_seconds,
-            "addition_seconds": self.addition_seconds,
-            "partial_decryption_seconds": self.partial_decryption_seconds,
-            "combination_seconds": self.combination_seconds,
-            "ciphertext_bytes": float(self.ciphertext_bytes),
-            "pooled_encryption_seconds": self.pooled_encryption_seconds,
-        }
-
-    def price(self, counts: Mapping[str, Any]) -> dict[str, dict[str, Any]]:
-        """Seconds every primitive in *counts* costs, grouped by phase.
-
-        *counts* uses the :class:`~repro.crypto.backends.OperationCounter`
-        vocabulary (``pooled_encryptions`` is the subset of ``encryptions``
-        blinded by a :class:`~repro.crypto.fastmath.BlinderPool`; absent keys
-        count zero), with scalar values or numpy arrays of one shape
-        (per-node counts).  A pooled encryption or a rerandomization is one
-        multiplication ``online`` and one blinder exponentiation
-        ``offline``: the input-independent phase, which a device may
-        precompute in idle time; a profile measured without ready blinders
-        has no offline phase and pays the exponentiation on the hot path.
-        Offline, online and total seconds are sums of the returned values;
-        nothing else in the package multiplies a count by a cost.
-        """
-        pooled = counts.get("pooled_encryptions", 0)
-        rerandomized = counts.get("rerandomizations", 0)
-        has_pool = self.pooled_encryption_seconds > 0
-        draw_seconds = (
-            self.pooled_encryption_seconds if has_pool else self.encryption_seconds
-        )
-        return {
-            "offline": {
-                "blinder_exponentiations": (pooled + rerandomized)
-                * (self.encryption_seconds if has_pool else 0.0),
-            },
-            "online": {
-                "encryptions": (counts.get("encryptions", 0) - pooled)
-                * self.encryption_seconds,
-                "pooled_encryptions": pooled * draw_seconds,
-                "rerandomizations": rerandomized * draw_seconds,
-                "additions": counts.get("additions", 0) * self.addition_seconds,
-                "partial_decryptions": counts.get("partial_decryptions", 0)
-                * self.partial_decryption_seconds,
-                "combinations": counts.get("combinations", 0)
-                * self.combination_seconds,
-            },
-        }
-
-
-#: The price list every run's crypto seconds are computed from: the output of
-#: ``measure_crypto_costs(key_bits=2048, degree=1, threshold=3, n_shares=5,
-#: repetitions=5, fastmath="auto")`` (what ``repro crypto-bench --key-bits 2048
-#: --fastmath auto --repetitions 5`` measures), rounded to four digits.  Once, on
-#: 2026-10-04, on an Intel Xeon @ 2.10 GHz (2 vCPUs), CPython 3.11.7, without
-#: gmpy2 (pure ``int`` arithmetic).  A constant rather than a file, so a run
-#: prices its counts the same wherever it is started from; to compare another
-#: machine, re-run the command and price with its profile.
-REFERENCE_PROFILE = CryptoCostProfile(
-    key_bits=2048,
-    degree=1,
-    keygen_seconds=0.9690,
-    encryption_seconds=8.773e-2,
-    addition_seconds=5.517e-5,
-    partial_decryption_seconds=1.750e-1,
-    combination_seconds=1.911e-3,
-    ciphertext_bytes=512,
-    fastmath="auto",
-    pooled_encryption_seconds=4.896e-5,
-)
-
-
 def measure_crypto_costs(
     key_bits: int = 512,
     degree: int = 1,
     threshold: int = 3,
     n_shares: int = 5,
     repetitions: int = 5,
-    fastmath: str = "off",
+    fastmath: str = "auto",
 ) -> CryptoCostProfile:
     """Time the Damgård–Jurik operations with a real key of the given size.
 
@@ -489,113 +391,3 @@ class CostModel:
             row["aggregate_messages"] = estimate.messages_sent * population
             rows.append(row)
         return rows
-
-
-# --------------------------------------------------------------------- sampling
-@dataclass(frozen=True)
-class ExtrapolatedCost:
-    """Population-total crypto cost extrapolated from a measured node sample.
-
-    ``totals`` maps each metric (``encryptions``, ``crypto_seconds``,
-    ``bytes_sent``, ...) to its ``(estimate, low, high)`` population total:
-    the bootstrap point estimate and the percentile confidence interval at
-    level ``confidence``.  ``method`` records how the numbers were obtained:
-
-    ``"measured"``
-        every node ran the real pipeline (sample = population); the interval
-        is degenerate (low = estimate = high).
-    ``"sampled"``
-        a node subset ran the real pipeline; totals are ``population x`` the
-        bootstrap-resampled per-node mean.
-
-    (Symbolic totals, with nothing measured, are
-    :meth:`CostModel.sweep_population`.)
-    """
-
-    population: int
-    sample_size: int
-    method: str
-    confidence: float = 0.95
-    totals: Mapping[str, tuple[float, float, float]] = field(default_factory=dict)
-
-    def as_dict(self) -> dict[str, Any]:
-        """Plain nested dictionary view (for stored rows and reports)."""
-        return {
-            "population": int(self.population),
-            "sample_size": int(self.sample_size),
-            "method": self.method,
-            "confidence": float(self.confidence),
-            "totals": {
-                key: {
-                    "estimate": float(estimate),
-                    "low": float(low),
-                    "high": float(high),
-                }
-                for key, (estimate, low, high) in self.totals.items()
-            },
-        }
-
-
-def bootstrap_extrapolate(
-    per_node: Mapping[str, Sequence[float]],
-    population: int,
-    n_boot: int = 200,
-    confidence: float = 0.95,
-    seed: int = 0,
-) -> ExtrapolatedCost:
-    """Extrapolate per-node sample measurements to population totals.
-
-    *per_node* maps each metric to the per-node totals measured on the
-    crypto sample (all metrics over the same node sample, so the arrays
-    share a length).  The point estimate of a metric is
-    ``population * mean(values)``; its interval comes from *n_boot*
-    bootstrap resamples of the node sample (percentile method, seeded and
-    deterministic).  When the sample covers the whole population the totals
-    are exact sums and the intervals collapse.
-    """
-    check_positive_int(population, "population")
-    check_positive_int(n_boot, "n_boot")
-    if not 0.0 < confidence < 1.0:
-        raise AnalysisError(f"confidence must be in (0, 1), got {confidence}")
-    if not per_node:
-        raise AnalysisError("bootstrap_extrapolate needs at least one metric")
-    arrays = {
-        key: np.asarray(values, dtype=np.float64) for key, values in per_node.items()
-    }
-    sizes = {array.shape[0] for array in arrays.values()}
-    if len(sizes) != 1 or 0 in sizes:
-        raise AnalysisError(
-            "per-node metric arrays must be non-empty and share one length; "
-            f"got lengths {sorted(array.shape[0] for array in arrays.values())}"
-        )
-    sample_size = sizes.pop()
-    totals: dict[str, tuple[float, float, float]] = {}
-    if sample_size >= population:
-        for key, array in arrays.items():
-            exact = float(array.sum())
-            totals[key] = (exact, exact, exact)
-        return ExtrapolatedCost(
-            population=population,
-            sample_size=sample_size,
-            method="measured",
-            confidence=confidence,
-            totals=totals,
-        )
-    rng = np.random.default_rng(seed)
-    # One resample-index matrix shared by every metric: resamples pick whole
-    # nodes, preserving the cross-metric correlation of each node's costs.
-    indices = rng.integers(0, sample_size, size=(n_boot, sample_size))
-    tail = (1.0 - confidence) / 2.0
-    for key, array in arrays.items():
-        estimate = float(array.mean()) * population
-        replicate_means = array[indices].mean(axis=1)
-        low = float(np.quantile(replicate_means, tail)) * population
-        high = float(np.quantile(replicate_means, 1.0 - tail)) * population
-        totals[key] = (estimate, low, high)
-    return ExtrapolatedCost(
-        population=population,
-        sample_size=sample_size,
-        method="sampled",
-        confidence=confidence,
-        totals=totals,
-    )

@@ -18,7 +18,7 @@ from ..baselines.distributed_plain import distributed_plain_kmeans
 from ..clustering.metrics import quality_report
 from ..config import ChiaroscuroConfig
 from ..core.result import ChiaroscuroResult
-from ..core.runner import run_chiaroscuro
+from ..core.runner import normalize_collection, run_chiaroscuro
 from ..timeseries import TimeSeriesCollection
 
 
@@ -31,8 +31,6 @@ def centralized_reference(
     Chiaroscuro runs on min-max normalised data, so the reference is computed
     in the same space to keep inertia values comparable.
     """
-    from ..core.runner import normalize_collection  # local import to avoid cycles
-
     data, _transform = normalize_collection(collection, config.privacy.value_bound)
     normalised = TimeSeriesCollection.from_matrix(
         data, ids=collection.series_ids, name=f"{collection.name}-normalised"

@@ -434,11 +434,12 @@ def build_parser() -> argparse.ArgumentParser:
     crypto_parser.add_argument("--gossip-cycles", type=int, default=12)
     crypto_parser.add_argument("--slots", type=int, default=1,
                                help="ciphertext slots per plaintext charged by the model")
-    crypto_parser.add_argument("--fastmath", default="off",
+    crypto_parser.add_argument("--fastmath", default="auto",
                                choices=["auto", "off", "sweep"],
-                               help="measure with the modular-arithmetic fast path "
-                                    "(CRT, amortized pools, multi-exp); 'sweep' "
-                                    "measures both modes and prints them side by side")
+                               help="'auto' times the arithmetic every run uses "
+                                    "(per-key caches, ready blinders, multi-exp), "
+                                    "'off' the textbook functions; 'sweep' "
+                                    "measures both and prints them side by side")
     crypto_parser.add_argument("--populations", type=int, nargs="+",
                                default=[10**3, 10**6])
     crypto_parser.add_argument("--json", action="store_true")

@@ -191,7 +191,7 @@ def collaborative_decrypt_many(
     messages, transferred = ledger.messages_sent, ledger.bytes_sent
     per_helper = [
         response_partials(
-            engine.exchange(
+            engine.transport.exchange(
                 requester_id, helper_id, ("decrypt-request", "decrypt-response"),
                 request_frame,
                 lambda request: serve_decrypt_request(backend, helper_id, request),

@@ -210,7 +210,7 @@ class ChiaroscuroParticipant(Node):
 
     def next_cycle(self, engine: CycleEngine, cycle: int) -> None:
         """The cycle engine's driver of :meth:`step`: synchronous, over
-        ``engine.exchange``, peers read from the engine's memory."""
+        ``engine.transport.exchange``, peers read from the engine's memory."""
         steps = self.step(
             engine.rng_registry.stream(peer_sampling_stream(self.node_id)),
             engine.online_id_view,
@@ -237,7 +237,7 @@ class ChiaroscuroParticipant(Node):
             raise ProtocolError("gossip exchange with a non-Chiaroscuro node")
         if isinstance(effect, Probe):
             return peer.answer_probe(effect.iteration)
-        reply = engine.exchange(
+        reply = engine.transport.exchange(
             self.node_id, effect.peer, ("diptych-exchange", "diptych-reply"),
             effect.frame,
             lambda _request: peer.exchange_frame(DiptychReply),

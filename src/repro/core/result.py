@@ -7,6 +7,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
+from ..crypto.cost_profile import REFERENCE_PROFILE
 from ..privacy.probabilistic import ProbabilisticGuarantee
 from ..simulation.network import ByteAccounting
 from .execution_log import ExecutionLog
@@ -35,12 +36,12 @@ class CostSummary:
     wall-clock series, and ``dropped_frames``/``corrupted_frames`` when
     loss or corruption is on.
 
-    ``extrapolated`` is only set by the slab engine's sampled-crypto path:
-    the :meth:`~repro.analysis.costs.ExtrapolatedCost.as_dict` view of the
-    population-total crypto cost with bootstrap confidence intervals.  In
-    that case the plain counter fields above hold what was actually
-    *executed* (the sample), while ``extrapolated`` holds the inferred
-    population totals.
+    ``extrapolated`` is only set by the slab engine: the
+    :meth:`~repro.core.slab_runner.ExtrapolatedCost.as_dict` view of the
+    population-total crypto cost with bootstrap confidence intervals
+    (degenerate ones when every node was measured).  On the sampled path
+    the plain counter fields above hold what was actually *executed* (the
+    sample), while ``extrapolated`` holds the inferred population totals.
 
     ``envelope`` is only set by concurrent live runs
     (``runtime.stepping="concurrent"`` with ``runtime.envelope="auto"``):
@@ -53,7 +54,7 @@ class CostSummary:
     (:meth:`~repro.crypto.backends.OperationCounter.as_dict`); the four count
     attributes and the phase split are read off it.  ``offline_seconds`` /
     ``online_seconds`` split its modelled compute, priced by
-    :data:`~repro.analysis.costs.REFERENCE_PROFILE`, between the
+    :data:`~repro.crypto.cost_profile.REFERENCE_PROFILE`, between the
     input-independent phase (blinder exponentiations, which a device may
     precompute in idle time; the simulator makes each blinder when it is
     used) and the hot path (blinder multiplies, homomorphic additions,
@@ -95,10 +96,6 @@ class CostSummary:
         return self.crypto_counts["combinations"]
 
     def _modelled_seconds(self, phase: str) -> float:
-        # Deferred import: repro.analysis imports this module back for the
-        # quality comparisons.
-        from ..analysis.costs import REFERENCE_PROFILE
-
         return float(sum(REFERENCE_PROFILE.price(self.crypto_counts)[phase].values()))
 
     @property

@@ -18,11 +18,13 @@ import numpy as np
 from ..clustering.kmeans import assign_to_centroids, compute_inertia, public_initial_centroids
 from ..config import ChiaroscuroConfig
 from ..crypto.backends import CipherBackend, make_backend
+from ..crypto.cost_profile import REFERENCE_PROFILE
 from ..exceptions import ConfigurationError, ProtocolError
 from ..gossip.encrypted_sum import check_headroom
 from ..privacy.noise_shares import slot_magnitude_bound
 from ..privacy.probabilistic import guarantee_for_run
 from ..simulation.engine import CycleEngine
+from ..simulation.network import TrafficStats
 from ..timeseries import TimeSeriesCollection
 from .convergence import iteration_policy
 from .execution_log import ExecutionLog, IterationRecord
@@ -274,73 +276,107 @@ def outcome_of(participant: ChiaroscuroParticipant) -> ParticipantOutcome:
 
 def assemble_result(
     setup: RunSetup,
-    collection_name: str,
     outcomes: Sequence[ParticipantOutcome],
-    messages_sent: int,
-    bytes_sent: int,
-    bytes_modelled: int,
+    traffic: TrafficStats,
     crypto_counts: dict[str, int],
     log: ExecutionLog,
     extra_metadata: dict[str, Any] | None = None,
 ) -> ChiaroscuroResult:
-    """Build the :class:`ChiaroscuroResult` both execution modes return."""
+    """The result of an object or live run: the participants' outcomes
+    reduced to consensus profiles, then :func:`finish_result`."""
     ordered = sorted(outcomes, key=lambda outcome: outcome.node_id)
     data = setup.data
     profiles_stack = np.stack([outcome.profiles for outcome in ordered])
     profiles = profiles_stack.mean(axis=0)
     assignments = assign_to_centroids(data, profiles)
-    inertia = compute_inertia(data, profiles, assignments)
-    epsilon_spent = max(outcome.spent_epsilon for outcome in ordered)
-    n_iterations = max(outcome.iteration for outcome in ordered)
     stop_reasons: dict[str, int] = {}
     for outcome in ordered:
         stop_reasons[outcome.stop_reason] = stop_reasons.get(outcome.stop_reason, 0) + 1
-    converged = any(
-        outcome.stop_reason in ("converged", "synchronized") for outcome in ordered
+    return finish_result(
+        setup.config,
+        log,
+        setup.packing_info(),
+        traffic,
+        crypto_counts,
+        profiles=profiles,
+        assignments=assignments,
+        per_participant_profiles={
+            outcome.node_id: outcome.profiles.copy() for outcome in ordered
+        },
+        inertia=compute_inertia(data, profiles, assignments),
+        n_iterations=max(outcome.iteration for outcome in ordered),
+        stop_reasons=stop_reasons,
+        epsilon_spent=max(outcome.spent_epsilon for outcome in ordered),
+        extra_metadata=extra_metadata,
     )
-    guarantee = guarantee_for_run(
-        epsilon=max(epsilon_spent, 1e-12),
-        cycles=setup.config.gossip.cycles_per_aggregation,
-        n_participants=setup.n_participants,
-    )
+
+
+def finish_result(
+    config: ChiaroscuroConfig,
+    log: ExecutionLog,
+    packing: dict[str, Any],
+    traffic: TrafficStats,
+    crypto_counts: dict[str, int],
+    *,
+    profiles: np.ndarray,
+    assignments: np.ndarray,
+    per_participant_profiles: dict[int, np.ndarray],
+    inertia: float,
+    n_iterations: int,
+    stop_reasons: dict[str, int],
+    epsilon_spent: float,
+    extrapolated: dict[str, Any] | None = None,
+    phase_seconds: dict[str, float] | None = None,
+    extra_metadata: dict[str, Any] | None = None,
+) -> ChiaroscuroResult:
+    """The :class:`ChiaroscuroResult` every engine returns.
+
+    The one place a run's guarantee is computed, its cost summary built
+    (the per-iteration costs read off *log*) and its metadata stamped (the
+    dataset, normalization and tracked participants every engine's log
+    records, *packing* and the price list).  The engine passes what only it
+    knows: the profiles, assignments and inertia, the slab engine's
+    ``extrapolated`` block and ``phase_seconds``, and *extra_metadata*
+    (``live``, ``engine``).
+    """
+    n_participants = assignments.shape[0]
     costs = CostSummary(
-        n_participants=setup.n_participants,
+        n_participants=n_participants,
         n_iterations=n_iterations,
-        messages_sent=messages_sent,
-        bytes_sent=bytes_sent,
+        messages_sent=traffic.messages_sent,
+        bytes_sent=traffic.bytes_sent,
         crypto_counts=crypto_counts,
-        bytes_sent_modelled=bytes_modelled,
+        bytes_sent_modelled=traffic.bytes_modelled,
         iteration_costs=tuple(
             {str(key): float(value) for key, value in record.costs.items()}
             for record in log
         ),
+        extrapolated=extrapolated,
+        phase_seconds=phase_seconds,
     )
-    per_participant_profiles = {
-        outcome.node_id: outcome.profiles.copy() for outcome in ordered
-    }
-    # Deferred import: repro.analysis imports this module back for the
-    # quality comparisons.
-    from ..analysis.costs import REFERENCE_PROFILE
-
     metadata: dict[str, Any] = {
-        "normalization": setup.transform,
-        "tracked_participants": setup.tracked_ids,
-        "dataset": collection_name,
-        "packing": setup.packing_info(),
-        "cost_profile": REFERENCE_PROFILE.as_dict(),
+        key: log.metadata[key]
+        for key in ("normalization", "tracked_participants", "dataset")
     }
-    if extra_metadata:
-        metadata.update(extra_metadata)
+    metadata["packing"] = packing
+    metadata["cost_profile"] = REFERENCE_PROFILE.as_dict()
+    metadata.update(extra_metadata or {})
     return ChiaroscuroResult(
         profiles=profiles,
         assignments=assignments,
         per_participant_profiles=per_participant_profiles,
         inertia=inertia,
         n_iterations=n_iterations,
-        converged=converged,
+        converged=any(
+            reason in ("converged", "synchronized") for reason in stop_reasons
+        ),
         stop_reasons=stop_reasons,
         epsilon_spent=epsilon_spent,
-        guarantee=guarantee,
+        guarantee=guarantee_for_run(
+            epsilon=max(epsilon_spent, 1e-12),
+            cycles=config.gossip.cycles_per_aggregation,
+            n_participants=n_participants,
+        ),
         costs=costs,
         log=log,
         metadata=metadata,
@@ -510,13 +546,10 @@ def run_chiaroscuro(
 
     return assemble_result(
         setup,
-        collection.name,
         [outcome_of(participant) for participant in participants],
-        messages_sent=engine.network.total.messages_sent,
-        bytes_sent=engine.network.total.bytes_sent,
-        bytes_modelled=engine.network.total.bytes_modelled,
-        crypto_counts=setup.backend.counter.as_dict(),
-        log=log,
+        engine.network.total,
+        setup.backend.counter.as_dict(),
+        log,
     )
 
 

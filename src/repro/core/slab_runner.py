@@ -6,9 +6,10 @@ protocol's *quality* path — assignment, noisy distributed averaging via
 gossip, convergence — as vectorised struct-of-arrays operations over the
 whole population (see :mod:`repro.simulation.slab`), while the *crypto* path
 (Damgård–Jurik, packing, wire frames) executes for real only on a
-statistically chosen node sample.  A bootstrap extrapolator calibrated
-against the sample's measured per-node operation counts and wire bytes,
-priced by :data:`~repro.analysis.costs.REFERENCE_PROFILE`, reports the
+statistically chosen node sample.  A bootstrap extrapolator
+(:func:`bootstrap_extrapolate`) calibrated against the sample's measured
+per-node operation counts and wire bytes, priced by
+:data:`~repro.crypto.cost_profile.REFERENCE_PROFILE`, reports the
 population-total crypto cost with confidence intervals (the methodology of
 Section III.B: real measurement on what fits, extrapolation for the rest).
 
@@ -26,29 +27,28 @@ Two regimes, selected by ``runtime.crypto_sample_fraction``:
 What the slab loop shares with the object engine it calls rather than
 copies, from :mod:`repro.core.runner` and :mod:`repro.core.convergence`:
 ``prepare_data`` (the clustered matrix), ``perturbed_means`` (step 3 of the
-execution sequence), and — for the sample — ``build_run_setup``,
-``make_engine`` and ``run_to_completion`` (the object run itself).
+execution sequence), ``build_run_setup``, ``make_engine`` and
+``run_to_completion`` for the sample (the object run itself), and
+``finish_result``, which finishes every engine's result; the slab passes it
+only its own parts: profiles, blockwise assignments and inertia, the
+``extrapolated`` block, ``phase_seconds`` and ``metadata["engine"]``.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import replace
-from typing import Any, Iterator, Mapping
+from dataclasses import dataclass, field, replace
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ..analysis.costs import (
-    REFERENCE_PROFILE,
-    ExtrapolatedCost,
-    bootstrap_extrapolate,
-)
+from .._validation import check_positive_int
 from ..clustering.kmeans import public_initial_centroids
 from ..config import ChiaroscuroConfig
-from ..exceptions import ProtocolError
+from ..crypto.cost_profile import REFERENCE_PROFILE
+from ..exceptions import AnalysisError, ProtocolError
 from ..privacy.noise_shares import NoiseShareSpec, draw_noise_share
-from ..privacy.probabilistic import guarantee_for_run
 from ..simulation.rng import RngRegistry
 from ..simulation.slab import (
     ShardCoordinator,
@@ -62,10 +62,11 @@ from ..simulation.slab import (
 from ..timeseries import TimeSeriesCollection
 from .convergence import iteration_policy, perturbed_means
 from .execution_log import ExecutionLog, IterationRecord
-from .result import ChiaroscuroResult, CostSummary
+from .result import ChiaroscuroResult
 from .runner import (
     N_TRACKED_PARTICIPANTS,
     build_run_setup,
+    finish_result,
     make_engine,
     plan_max_cycles,
     prepare_data,
@@ -252,6 +253,115 @@ def _bulk_noise_free_means(
         if counts[cluster] > 0:
             means[cluster] = sums[cluster] / counts[cluster]
     return means
+
+
+@dataclass(frozen=True)
+class ExtrapolatedCost:
+    """Population-total crypto cost extrapolated from a measured node sample.
+
+    ``totals`` maps each metric (``encryptions``, ``crypto_seconds``,
+    ``bytes_sent``, ...) to its ``(estimate, low, high)`` population total:
+    the bootstrap point estimate and the percentile confidence interval at
+    level ``confidence``.  ``method`` records how the numbers were obtained:
+
+    ``"measured"``
+        every node ran the real pipeline (sample = population); the interval
+        is degenerate (low = estimate = high).
+    ``"sampled"``
+        a node subset ran the real pipeline; totals are ``population x`` the
+        bootstrap-resampled per-node mean.
+
+    (Symbolic totals, with nothing measured, are
+    :meth:`~repro.analysis.costs.CostModel.sweep_population`.)
+    """
+
+    population: int
+    sample_size: int
+    method: str
+    confidence: float = 0.95
+    totals: Mapping[str, tuple[float, float, float]] = field(default_factory=dict)
+
+    def as_dict(self) -> dict[str, Any]:
+        """Plain nested dictionary view (for stored rows and reports)."""
+        return {
+            "population": int(self.population),
+            "sample_size": int(self.sample_size),
+            "method": self.method,
+            "confidence": float(self.confidence),
+            "totals": {
+                key: {
+                    "estimate": float(estimate),
+                    "low": float(low),
+                    "high": float(high),
+                }
+                for key, (estimate, low, high) in self.totals.items()
+            },
+        }
+
+
+def bootstrap_extrapolate(
+    per_node: Mapping[str, Sequence[float]],
+    population: int,
+    n_boot: int = 200,
+    confidence: float = 0.95,
+    seed: int = 0,
+) -> ExtrapolatedCost:
+    """Extrapolate per-node sample measurements to population totals.
+
+    *per_node* maps each metric to the per-node totals measured on the
+    crypto sample (all metrics over the same node sample, so the arrays
+    share a length).  The point estimate of a metric is
+    ``population * mean(values)``; its interval comes from *n_boot*
+    bootstrap resamples of the node sample (percentile method, seeded and
+    deterministic).  When the sample covers the whole population the totals
+    are exact sums and the intervals collapse.
+    """
+    check_positive_int(population, "population")
+    check_positive_int(n_boot, "n_boot")
+    if not 0.0 < confidence < 1.0:
+        raise AnalysisError(f"confidence must be in (0, 1), got {confidence}")
+    if not per_node:
+        raise AnalysisError("bootstrap_extrapolate needs at least one metric")
+    arrays = {
+        key: np.asarray(values, dtype=np.float64) for key, values in per_node.items()
+    }
+    sizes = {array.shape[0] for array in arrays.values()}
+    if len(sizes) != 1 or 0 in sizes:
+        raise AnalysisError(
+            "per-node metric arrays must be non-empty and share one length; "
+            f"got lengths {sorted(array.shape[0] for array in arrays.values())}"
+        )
+    sample_size = sizes.pop()
+    totals: dict[str, tuple[float, float, float]] = {}
+    if sample_size >= population:
+        for key, array in arrays.items():
+            exact = float(array.sum())
+            totals[key] = (exact, exact, exact)
+        return ExtrapolatedCost(
+            population=population,
+            sample_size=sample_size,
+            method="measured",
+            confidence=confidence,
+            totals=totals,
+        )
+    rng = np.random.default_rng(seed)
+    # One resample-index matrix shared by every metric: resamples pick whole
+    # nodes, preserving the cross-metric correlation of each node's costs.
+    indices = rng.integers(0, sample_size, size=(n_boot, sample_size))
+    tail = (1.0 - confidence) / 2.0
+    for key, array in arrays.items():
+        estimate = float(array.mean()) * population
+        replicate_means = array[indices].mean(axis=1)
+        low = float(np.quantile(replicate_means, tail)) * population
+        high = float(np.quantile(replicate_means, 1.0 - tail)) * population
+        totals[key] = (estimate, low, high)
+    return ExtrapolatedCost(
+        population=population,
+        sample_size=sample_size,
+        method="sampled",
+        confidence=confidence,
+        totals=totals,
+    )
 
 
 def _extrapolated_metrics(
@@ -545,60 +655,34 @@ def _run_sampled(
 
     # ---------------------------------------------------------------- result
     assignments = blockwise_assign(data, centroids)
-    inertia = blockwise_inertia(data, centroids, assignments)
-    epsilon_spent = accountant.spent_epsilon
-    guarantee = guarantee_for_run(
-        epsilon=max(epsilon_spent, 1e-12),
-        cycles=config.gossip.cycles_per_aggregation,
-        n_participants=population,
-    )
-    traffic, crypto = sample["traffic"], sample["crypto"]
-    costs = CostSummary(
-        n_participants=population,
+    return finish_result(
+        config,
+        log,
+        sample["setup"].packing_info(),
+        sample["traffic"],
+        sample["crypto"],
+        profiles=centroids,
+        assignments=assignments,
+        per_participant_profiles={node_id: centroids.copy() for node_id in tracked_ids},
+        inertia=blockwise_inertia(data, centroids, assignments),
         n_iterations=iterations,
-        messages_sent=traffic.messages_sent,
-        bytes_sent=traffic.bytes_sent,
-        crypto_counts=crypto,
-        bytes_sent_modelled=traffic.bytes_modelled,
-        iteration_costs=tuple(
-            {str(key): float(value) for key, value in record.costs.items()}
-            for record in log
-        ),
+        stop_reasons={stop_reason: population},
+        epsilon_spent=accountant.spent_epsilon,
         extrapolated=extrapolated.as_dict(),
         phase_seconds={
             name: float(seconds) for name, seconds in timer.totals.items()
         },
-    )
-    per_participant_profiles = {node_id: centroids.copy() for node_id in tracked_ids}
-    metadata: dict[str, Any] = {
-        "normalization": transform,
-        "tracked_participants": tracked_ids,
-        "dataset": collection.name,
-        "packing": sample["setup"].packing_info(),
-        "engine": {
-            **_engine_metadata(config),
-            "slab_wall_seconds": float(slab_wall_seconds),
-            "population": population,
-            "sample_size": int(sample_ids.shape[0]),
-            "sample_iterations": sample["iterations"],
-            "bulk_messages_modelled": bulk_messages,
-            "bulk_bytes_modelled": bulk_bytes,
-            "bulk_dropped_frames": bulk_dropped,
-            "bulk_corrupted_frames": bulk_corrupted,
+        extra_metadata={
+            "engine": {
+                **_engine_metadata(config),
+                "slab_wall_seconds": float(slab_wall_seconds),
+                "population": population,
+                "sample_size": int(sample_ids.shape[0]),
+                "sample_iterations": sample["iterations"],
+                "bulk_messages_modelled": bulk_messages,
+                "bulk_bytes_modelled": bulk_bytes,
+                "bulk_dropped_frames": bulk_dropped,
+                "bulk_corrupted_frames": bulk_corrupted,
+            },
         },
-        "cost_profile": REFERENCE_PROFILE.as_dict(),
-    }
-    return ChiaroscuroResult(
-        profiles=centroids,
-        assignments=assignments,
-        per_participant_profiles=per_participant_profiles,
-        inertia=inertia,
-        n_iterations=iterations,
-        converged=stop_reason in ("converged", "synchronized"),
-        stop_reasons={stop_reason: population},
-        epsilon_spent=epsilon_spent,
-        guarantee=guarantee,
-        costs=costs,
-        log=log,
-        metadata=metadata,
     )

@@ -36,7 +36,7 @@ DEFAULT_METRICS = (
     "messages_per_participant",
     "bytes_per_participant",
     "wall_clock_seconds",
-    # Phase-tagged crypto compute, priced by analysis.costs.REFERENCE_PROFILE.
+    # Phase-tagged crypto compute, priced by crypto.cost_profile.REFERENCE_PROFILE.
     "offline_seconds",
     "online_seconds",
     # Nondeterminism envelope of concurrent live runs (absent otherwise).

@@ -25,6 +25,11 @@ from dataclasses import dataclass, field
 from multiprocessing import connection as _mp_connection
 from typing import Any, Callable, Mapping
 
+import numpy as np
+
+from ..analysis.quality import evaluate_result
+from ..clustering.metrics import quality_report
+from ..core.runner import normalize_collection, run_chiaroscuro
 from ..exceptions import ExperimentError
 from .spec import ExperimentSpec, ScenarioCell
 from .store import ResultStore, failure_row, result_row
@@ -74,12 +79,6 @@ def execute_cell(spec: ExperimentSpec, cell: ScenarioCell,
     dataset's ground truth alone.  The recorded wall-clock covers the
     protocol run only, not dataset generation or evaluation.
     """
-    import numpy as np
-
-    from ..analysis.quality import evaluate_result
-    from ..clustering.metrics import quality_report
-    from ..core.runner import normalize_collection, run_chiaroscuro
-
     collection = cell.load_collection()
     config = _cell_runtime_ports(cell.config(), port_slot)
     started = time.perf_counter()

@@ -36,7 +36,12 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from ..config import CONFIG_SECTIONS, ChiaroscuroConfig, PrivacyConfig
-from ..exceptions import ExperimentError
+from ..datasets import (
+    dataset_population_defaults,
+    dataset_size_parameter,
+    load_dataset_for_population,
+)
+from ..exceptions import DatasetError, ExperimentError, ReproError
 from ..timeseries import TimeSeriesCollection
 
 #: Version of the cell-identity schema; bump to invalidate cached results
@@ -175,8 +180,6 @@ class ScenarioCell:
 
     def load_collection(self) -> TimeSeriesCollection:
         """Generate this cell's dataset (exactly one series per participant)."""
-        from ..datasets import load_dataset_for_population
-
         return load_dataset_for_population(
             self.dataset, self.participants, seed=self.seed, **self.dataset_params,
         )
@@ -192,8 +195,6 @@ class ScenarioCell:
         failure is recorded in the store under it) without the expansion of
         the healthy cells being taken down in the parent process.
         """
-        from ..exceptions import ReproError
-
         try:
             described: dict[str, Any] = self.config().describe()
         except (ReproError, TypeError):
@@ -208,9 +209,6 @@ class ScenarioCell:
         # cached rows and an explicitly-spelled default shares keys with an
         # omitted one.  Unregistered datasets fall back to the explicit
         # parameters (they resolve at run time).
-        from ..datasets import dataset_population_defaults
-        from ..exceptions import DatasetError
-
         try:
             resolved_params = {
                 **dataset_population_defaults(self.dataset),
@@ -365,9 +363,6 @@ class ExperimentSpec:
         dataset lets the spec reject them at load time.  Datasets not (yet)
         registered are skipped — they resolve at run time.
         """
-        from ..datasets import dataset_size_parameter
-        from ..exceptions import DatasetError
-
         try:
             size_parameter = dataset_size_parameter(self.dataset)
         except DatasetError:

@@ -1418,13 +1418,10 @@ def run_live_chiaroscuro(
     }
     result = assemble_result(
         setup,
-        collection.name,
         outcomes,
-        messages_sent=traffic.messages_sent,
-        bytes_sent=traffic.bytes_sent,
-        bytes_modelled=traffic.bytes_modelled,
-        crypto_counts=crypto_totals,
-        log=log,
+        traffic,
+        crypto_totals,
+        log,
         extra_metadata=extra_metadata,
     )
     if runtime.stepping == "concurrent" and runtime.envelope == "auto":

@@ -7,8 +7,8 @@ of the protocol step (:meth:`ChiaroscuroParticipant.step
 and committee rounds; a driver performs them over its transport):
 
 * :class:`LoopbackTransport` — the deterministic in-memory delivery of the
-  cycle-driven simulation.  :meth:`CycleEngine.exchange` delegates here
-  verbatim.
+  cycle-driven simulation; the cycle engine's participants call its
+  :meth:`~LoopbackTransport.exchange` as ``engine.transport.exchange``.
 * :class:`~repro.net.live.WorkerTransport` (in :mod:`repro.net.live`) — the
   asyncio TCP transport of the multi-process runner, which moves the same
   serialized frames over real sockets between OS processes and serves
@@ -52,7 +52,7 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Callable
 
 from ..exceptions import SimulationError, WireFormatError
-from ..gossip.messages import Frame
+from ..gossip.messages import Frame, deserialize
 from ..simulation.network import Message, Network
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
@@ -119,8 +119,6 @@ class LoopbackTransport:
         *lossy_request* is false — the committee decryption round, whose
         drops are modelled at the gossip layer, is served regardless.
         """
-        from ..gossip.messages import deserialize
-
         received = self.transmit(sender, recipient, kinds[0], frame,
                                  modelled_bytes=modelled_bytes)
         if received is None:

@@ -16,7 +16,7 @@ cycle.  :class:`CycleEngine` reproduces that model:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,9 +28,6 @@ from .node import Node
 from .observers import Observer
 from .rng import RngRegistry
 from .slab import slab_churn_step
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
-    from ..gossip.messages import WireMessage
 
 
 class CycleEngine:
@@ -129,17 +126,6 @@ class CycleEngine:
     def online_ids(self) -> list[int]:
         """Ids of every node currently online (in node-id order)."""
         return list(self.online_id_view())
-
-    # ------------------------------------------------------------------ messaging
-    def exchange(self, sender: int, recipient: int, kinds: tuple[str, str],
-                 frame: bytes, serve: "Callable[[WireMessage], bytes]",
-                 modelled_bytes: int | None = None,
-                 lossy_request: bool = True) -> "WireMessage | None":
-        """One request/reply round-trip; see :meth:`LoopbackTransport.exchange`."""
-        return self.transport.exchange(
-            sender, recipient, kinds, frame, serve,
-            modelled_bytes=modelled_bytes, lossy_request=lossy_request,
-        )
 
     # ------------------------------------------------------------------ observers
     def add_observer(self, observer: Observer) -> None:

@@ -7,8 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.analysis import CostModel, CryptoCostProfile, ProtocolWorkload, measure_crypto_costs
-from repro.analysis.costs import REFERENCE_PROFILE, bootstrap_extrapolate
+from repro.analysis import CostModel, ProtocolWorkload, measure_crypto_costs
+from repro.core.slab_runner import bootstrap_extrapolate
+from repro.crypto.cost_profile import REFERENCE_PROFILE, CryptoCostProfile
 from repro.crypto.damgard_jurik import DamgardJurikPublicKey
 from repro.crypto.wire import wire_ciphertext_bytes
 from repro.exceptions import AnalysisError, ValidationError
@@ -41,6 +42,13 @@ class TestMeasurement:
     def test_ciphertext_size_reported(self, measured_profile):
         # A degree-1 ciphertext lives modulo n^2, i.e. roughly twice the key size.
         assert measured_profile.ciphertext_bytes >= (2 * 160) // 8 - 2
+
+    def test_default_measures_the_arithmetic_runs_execute(self, measured_profile):
+        """By default a measurement times the fastmath arithmetic every run
+        uses, blinders included, like ``REFERENCE_PROFILE``: its price list
+        has an offline phase."""
+        assert measured_profile.fastmath == REFERENCE_PROFILE.fastmath == "auto"
+        assert measured_profile.pooled_encryption_seconds > 0
 
 
 class TestWorkload:

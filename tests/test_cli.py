@@ -7,8 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.analysis.costs import REFERENCE_PROFILE
 from repro.cli import build_parser, main
+from repro.crypto.cost_profile import REFERENCE_PROFILE
 
 
 class TestParser:
@@ -39,6 +39,7 @@ class TestParser:
             ["crypto-bench", "--populations", "100", "1000"]
         )
         assert args.populations == [100, 1000]
+        assert args.fastmath == "auto"
 
     def test_engine_flags(self):
         args = build_parser().parse_args([

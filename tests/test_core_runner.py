@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro import ChiaroscuroConfig, run_chiaroscuro
-from repro.analysis.costs import REFERENCE_PROFILE
 from repro.baselines import centralized_kmeans
 from repro.clustering import adjusted_rand_index
 from repro.core.convergence import iteration_policy
@@ -17,6 +16,7 @@ from repro.core.runner import (
     plan_max_cycles,
     run_to_completion,
 )
+from repro.crypto.cost_profile import REFERENCE_PROFILE
 from repro.datasets import generate_gaussian_clusters, generate_numed_like
 from repro.exceptions import ConfigurationError, ProtocolError
 from repro.simulation import CycleEngine, Node

@@ -1,9 +1,11 @@
-"""A run imports numpy and nothing else third-party.
+"""A run imports numpy and nothing else third-party, and no analysis.
 
 ``setup.py`` declares ``install_requires=["numpy"]``; these tests hold the
 run path to it.  They import what the benchmark suite imports before it
 starts a run, in a fresh interpreter, and check that neither scipy nor
-networkx was loaded, directly or through another package.
+networkx was loaded, directly or through another package.  The engines sit
+below ``repro.analysis`` (``tests/test_layering.py``), so loading them
+loads none of it.
 """
 
 from __future__ import annotations
@@ -41,3 +43,12 @@ def test_importtime_names_neither_package(package):
     report = _python("-X", "importtime", "-c", RUN_IMPORTS).stderr
     assert "repro.core.runner" in report
     assert package not in report
+
+
+def test_engines_load_no_analysis_module():
+    script = (
+        "import repro.core.runner, repro.core.slab_runner, sys\n"
+        "print('\\n'.join(sorted(m for m in sys.modules "
+        "if m.startswith('repro.analysis'))))\n"
+    )
+    assert _python("-c", script).stdout.split() == []

@@ -143,8 +143,8 @@ class TestExchange:
             served.append(request)
             return self.REPLY.serialize()
 
-        reply = engine.exchange(0, 1, self.KINDS, self.REQUEST, serve,
-                                modelled_bytes=16, **options)
+        reply = engine.transport.exchange(0, 1, self.KINDS, self.REQUEST, serve,
+                                          modelled_bytes=16, **options)
         return engine, nodes, served, reply
 
     def test_clean_round_trip(self):
@@ -211,8 +211,8 @@ class TestExchange:
         nodes = [_EchoNode(0), _EchoNode(1)]
         nodes[1].online = False
         engine = CycleEngine(nodes, seed=0)
-        assert engine.exchange(0, 1, self.KINDS, self.REQUEST,
-                               lambda request: self.REPLY.serialize()) is None
+        assert engine.transport.exchange(0, 1, self.KINDS, self.REQUEST,
+                                         lambda request: self.REPLY.serialize()) is None
         assert engine.network.total.messages_sent == 1
 
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.costs import ExtrapolatedCost, bootstrap_extrapolate
+from repro.core.slab_runner import ExtrapolatedCost, bootstrap_extrapolate
 from repro.exceptions import AnalysisError, SimulationError, ValidationError
 from repro.simulation import (
     CycleEngine,

@@ -14,12 +14,13 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.analysis.costs import REFERENCE_PROFILE
 from repro.clustering.kmeans import reseed_centroid
 from repro.config import ChiaroscuroConfig
 from repro.core.runner import run_chiaroscuro
+from repro.crypto.cost_profile import REFERENCE_PROFILE
 from repro.datasets import load_dataset_for_population
 from repro.exceptions import ConfigurationError
+from repro.privacy.probabilistic import guarantee_for_run
 
 
 def make_config(n: int, **runtime) -> ChiaroscuroConfig:
@@ -148,6 +149,28 @@ class TestSampledCrypto:
         )
         assert np.array_equal(three.profiles, sampled.profiles)
         assert np.array_equal(three.assignments, sampled.assignments)
+
+
+class TestEveryEngineFinishesAlike:
+    """Object, full-fraction slab and sampled slab results are all finished
+    by ``core.runner.finish_result``: one guarantee formula, one metadata
+    stamp (the slab engines add only their ``engine`` block)."""
+
+    @pytest.mark.parametrize("runtime", [
+        {"engine": "object"}, {}, {"crypto_sample_fraction": 0.25},
+    ], ids=["object", "slab_full", "slab_sampled"])
+    def test_guarantee_and_base_metadata(self, collection, runtime):
+        config = make_config(60).with_overrides(runtime=runtime)
+        result = run_chiaroscuro(collection, config)
+        assert result.guarantee == guarantee_for_run(
+            max(result.epsilon_spent, 1e-12),
+            config.gossip.cycles_per_aggregation,
+            60,
+        )
+        assert set(result.metadata) - {"engine"} == {
+            "normalization", "tracked_participants", "dataset", "packing",
+            "cost_profile",
+        }
 
 
 def _bulk_iteration(messages, label_agreement, dropped=None, corrupted=None):

@@ -189,13 +189,13 @@ class TestCorruptionScenarios:
         engine = CycleEngine(participants, seed=5, corruption_rate=1.0)
         before = [_diptych_values(p) for p in participants]
         answers = []
-        exchange = engine.exchange
+        exchange = engine.transport.exchange
 
         def spy(*args, **kwargs):
             answers.append(exchange(*args, **kwargs))
             return answers[-1]
 
-        engine.exchange = spy
+        engine.transport.exchange = spy
         participants[0].next_cycle(engine, 0)
         assert answers == [None]
         assert engine.network.total.messages_corrupted >= 1

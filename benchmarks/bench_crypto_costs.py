@@ -24,7 +24,7 @@ from repro.crypto import threshold as th
 from repro.crypto.backends import DamgardJurikBackend, PlainBackend
 from repro.crypto.fastmath import BlinderPool, PrecomputedKey
 from repro.crypto.math_utils import random_below, random_coprime
-from repro.gossip.encrypted_sum import average_estimates, fresh_estimate
+from repro.gossip.encrypted_sum import average_estimates, fresh_estimates
 
 KEY_SIZES = [256, 512, 1024]
 
@@ -79,10 +79,10 @@ def test_packed_gossip_exchange_costs(benchmark, packing):
 
     def exchanges():
         backend.counter.reset()
-        first = fresh_estimate(backend, series)
-        second = fresh_estimate(backend, series[::-1])
+        first = fresh_estimates(backend, [series])[0]
+        second = fresh_estimates(backend, [series[::-1]])[0]
         for _ in range(50):
-            averaged = average_estimates(backend, first, second)
+            averaged = average_estimates(backend, [first], [second])[0]
             first, second = second, averaged
         return backend.counter.as_dict()
 

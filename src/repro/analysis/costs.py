@@ -142,7 +142,6 @@ def measure_crypto_costs(
         partial_decryption_seconds=partial_decryption_seconds,
         combination_seconds=combination_seconds,
         ciphertext_bytes=wire_ciphertext_bytes(public.public_key),
-        fastmath=fastmath,
         pooled_encryption_seconds=pooled_encryption_seconds,
     )
 

@@ -34,7 +34,7 @@ import numpy as np
 from ..crypto.backends import CipherBackend, PartialVectorDecryption
 from ..crypto.wire import wire_ciphertext_bytes
 from ..exceptions import ThresholdError, WireFormatError
-from ..gossip.encrypted_sum import EncryptedEstimate, estimate_payload_bytes
+from ..gossip.encrypted_sum import EncryptedEstimate, estimates_payload_bytes
 from ..gossip.messages import (
     DecryptRequest,
     DecryptResponse,
@@ -185,7 +185,7 @@ def collaborative_decrypt_many(
     retries at the next cycle).
     """
     helpers = _online_helpers(engine, backend)
-    modelled = sum(estimate_payload_bytes(backend, estimate) for estimate in estimates)
+    modelled = estimates_payload_bytes(backend, estimates)
     request_frame = build_decrypt_request(backend, estimates)
     ledger = engine.network.total
     messages, transferred = ledger.messages_sent, ledger.bytes_sent

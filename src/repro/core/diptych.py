@@ -25,7 +25,7 @@ import numpy as np
 from .._validation import as_2d_float_array, check_positive_int
 from ..crypto.backends import CipherBackend
 from ..exceptions import ProtocolError
-from ..gossip.encrypted_sum import EncryptedEstimate, average_estimates, fresh_estimate
+from ..gossip.encrypted_sum import EncryptedEstimate, average_estimates, fresh_estimates
 
 
 @dataclass
@@ -79,39 +79,56 @@ class Diptych:
                     f"estimate length {len(estimate)} differs from expected {expected_length}"
                 )
 
-    def fits(self, view_data: Sequence[EncryptedEstimate],
+    def fits(self, backend: CipherBackend,
+             view_data: Sequence[EncryptedEstimate],
              view_noise: Sequence[EncryptedEstimate]) -> bool:
-        """Whether a received view has this diptych's shape: one estimate
-        per cluster on each side, each of length ``series_length + 1`` and
-        in the packing layout of the stored one it would be averaged with."""
-        return all(
-            len(view) == self.n_clusters
-            and all(
-                len(estimate) == self.series_length + 1
-                and estimate.vector.packed == stored.vector.packed
-                for estimate, stored in zip(view, mine)
-            )
-            for view, mine in (
-                (view_data, self.data_estimates),
-                (view_noise, self.noise_estimates),
-            )
-        )
+        """Whether :meth:`absorb` can average a received view into this
+        diptych: one estimate per cluster on each side, each of length
+        ``series_length + 1``, made by *backend*, and — against the stored
+        estimate it would be averaged with — in the same packing layout,
+        with as many ciphertexts, at most ``backend.plaintext_capacity_bits``
+        halvings apart and, packed, with a lifted weight the slots hold.
+
+        A peer's frame that passes the decoder can still fail any of these;
+        :meth:`absorb` would then raise, so a server asks this first."""
+        capacity = backend.plaintext_capacity_bits
+        packing = backend.packing
+        for view, mine in ((view_data, self.data_estimates),
+                           (view_noise, self.noise_estimates)):
+            if len(view) != self.n_clusters:
+                return False
+            for estimate, stored in zip(view, mine):
+                vector, own = estimate.vector, stored.vector
+                gap = estimate.halvings - stored.halvings
+                if (len(estimate) != self.series_length + 1
+                        or vector.backend_name != backend.name
+                        or vector.packed != own.packed
+                        or vector.n_ciphertexts != own.n_ciphertexts
+                        or abs(gap) > capacity):
+                    return False
+                if packing is not None:
+                    lifted = (vector.weight << max(-gap, 0)) + (own.weight << max(gap, 0))
+                    if lifted > packing.max_weight:
+                        return False
+        return True
 
     def absorb(self, backend: CipherBackend,
                view_data: Sequence[EncryptedEstimate],
                view_noise: Sequence[EncryptedEstimate]) -> None:
         """Adopt the pairwise average of the stored estimates and a peer's
         view — its (data, noise) estimates as decoded from the frame that
-        carried them.  One device's half of a gossip exchange."""
+        carried them.  One device's half of a gossip exchange: all 2k
+        averages in one call, in the order data 0, noise 0, data 1, …"""
         if len(view_data) != self.n_clusters or len(view_noise) != self.n_clusters:
             raise ProtocolError("peer view does not carry one estimate per cluster")
-        for cluster in range(self.n_clusters):
-            self.data_estimates[cluster] = average_estimates(
-                backend, self.data_estimates[cluster], view_data[cluster]
-            )
-            self.noise_estimates[cluster] = average_estimates(
-                backend, self.noise_estimates[cluster], view_noise[cluster]
-            )
+        averaged = average_estimates(
+            backend,
+            [estimate for pair in zip(self.data_estimates, self.noise_estimates)
+             for estimate in pair],
+            [estimate for pair in zip(view_data, view_noise) for estimate in pair],
+        )
+        self.data_estimates[:] = averaged[0::2]
+        self.noise_estimates[:] = averaged[1::2]
 
 
 def build_contribution(
@@ -157,25 +174,19 @@ def build_contribution(
     if noise_shares is not None and len(noise_shares) != n_clusters:
         raise ProtocolError("noise_shares must contain one vector per cluster")
 
-    data_estimates: list[EncryptedEstimate] = []
-    noise_estimates: list[EncryptedEstimate] = []
-    zero_vector = np.zeros(length)
-    for cluster in range(n_clusters):
-        if cluster == assigned_cluster:
-            contribution = np.concatenate([series_values, [1.0]])
-        else:
-            contribution = zero_vector
-        data_estimates.append(fresh_estimate(backend, contribution))
-        if noise_shares is None:
-            noise_estimates.append(fresh_estimate(backend, zero_vector))
-        else:
-            share = np.asarray(noise_shares[cluster], dtype=float)
-            if share.shape[0] != length:
-                raise ProtocolError(
-                    f"noise share length {share.shape[0]} differs from expected {length}"
-                )
-            noise_estimates.append(fresh_estimate(backend, share))
-    return data_estimates, noise_estimates
+    # One row per estimate, in the order data 0, noise 0, data 1, …
+    rows = np.zeros((2 * n_clusters, length))
+    rows[2 * assigned_cluster, :-1] = series_values
+    rows[2 * assigned_cluster, -1] = 1.0
+    for cluster, share in enumerate(() if noise_shares is None else noise_shares):
+        share = np.asarray(share, dtype=float)
+        if share.shape[0] != length:
+            raise ProtocolError(
+                f"noise share length {share.shape[0]} differs from expected {length}"
+            )
+        rows[2 * cluster + 1] = share
+    estimates = fresh_estimates(backend, rows)
+    return estimates[0::2], estimates[1::2]
 
 
 def merge_diptychs(

@@ -33,8 +33,8 @@ from ..exceptions import ProtocolError, ThresholdError
 from ..gossip.encrypted_sum import (
     EncryptedEstimate,
     add_estimates,
-    estimate_payload_bytes,
-    rerandomize_estimate,
+    estimates_payload_bytes,
+    rerandomize_estimates,
 )
 from ..gossip.messages import DiptychExchange, DiptychReply, Frame
 from ..gossip.peers import sample_peer
@@ -354,14 +354,17 @@ class ChiaroscuroParticipant(Node):
         driver's transport).  It carries the current
         iteration and re-randomized copies of the stored estimates: only
         these copies ever travel, so a hop-by-hop observer sees unlinkable
-        ciphertexts that decrypt to the same plaintexts.
+        ciphertexts that decrypt to the same plaintexts.  All 2k estimates
+        are refreshed in one call, the data side first.
         """
+        diptych = self.diptych
+        refreshed = rerandomize_estimates(
+            self.backend, diptych.data_estimates + diptych.noise_estimates)
+        k = len(diptych.data_estimates)
         return message_type(
             iteration=self.iteration,
-            data_estimates=tuple(rerandomize_estimate(self.backend, estimate)
-                                 for estimate in self.diptych.data_estimates),
-            noise_estimates=tuple(rerandomize_estimate(self.backend, estimate)
-                                  for estimate in self.diptych.noise_estimates),
+            data_estimates=tuple(refreshed[:k]),
+            noise_estimates=tuple(refreshed[k:]),
             ciphertext_bytes=wire_ciphertext_bytes(self.backend),
         ).serialize()
 
@@ -386,10 +389,8 @@ class ChiaroscuroParticipant(Node):
                 continue
             if status != "merge":
                 continue
-            payload = sum(
-                estimate_payload_bytes(self.backend, estimate)
-                for estimate in self.diptych.data_estimates + self.diptych.noise_estimates
-            )
+            payload = estimates_payload_bytes(
+                self.backend, self.diptych.data_estimates + self.diptych.noise_estimates)
             yield Exchange(peer_id, self.exchange_frame(DiptychExchange), payload)
         self.gossip_cycles_done += 1
         if self.gossip_cycles_done >= self.config.gossip.cycles_per_aggregation:
@@ -402,11 +403,8 @@ class ChiaroscuroParticipant(Node):
         # Step 2c, then 2d: add each cluster's noise estimate to its data
         # estimate, and decrypt all k sums in one committee round
         # (2·threshold messages per iteration).
-        decrypted = yield CommitteeRound(tuple(
-            add_estimates(self.backend, data, noise)
-            for data, noise in zip(self.diptych.data_estimates,
-                                   self.diptych.noise_estimates)
-        ))
+        decrypted = yield CommitteeRound(tuple(add_estimates(
+            self.backend, self.diptych.data_estimates, self.diptych.noise_estimates)))
         if decrypted is None:
             return  # retry at the next cycle
         self._converge_from_decrypted(decrypted, n_nodes)

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -255,15 +256,6 @@ class CipherBackend(ABC):
                 f"(vector packed={vector.packed}, backend packed={self.is_packed})"
             )
 
-    def _encode_vector(
-        self, values: Sequence[float] | np.ndarray
-    ) -> tuple[list[int], int]:
-        """Encode(-and-pack) step: values → plaintexts + logical length."""
-        array = np.asarray(values, dtype=float).ravel()
-        if self.packing is not None:
-            return self.packing.pack_vector(array), int(array.size)
-        return self.codec.encode_vector(array), int(array.size)
-
     def _vector(self, payload: Sequence[int], length: int, weight: int = 1) -> EncryptedVector:
         return EncryptedVector(
             payload=tuple(payload), backend_name=self.name, length=length,
@@ -273,7 +265,7 @@ class CipherBackend(ABC):
     # ------------------------------------------------------------------ primitives
     @abstractmethod
     def _encrypt_plaintexts(self, plaintexts: Sequence[int]) -> tuple[int, ...]:
-        """Encrypt each plaintext integer into one ciphertext."""
+        """Encrypt each plaintext integer into one ciphertext, in order."""
 
     @abstractmethod
     def _partial_decrypt_payload(
@@ -281,15 +273,18 @@ class CipherBackend(ABC):
     ) -> tuple[int, ...]:
         """Partially decrypt every ciphertext with one key share."""
 
-    def _rerandomize_payload(self, payload: tuple[int, ...]) -> tuple[int, ...]:
-        """Refresh the randomness of every ciphertext (identity by default).
+    def _rerandomize_payloads(
+        self, payloads: list[tuple[int, ...]]
+    ) -> list[tuple[int, ...]]:
+        """Refresh the randomness of every ciphertext of every payload, in
+        order (identity by default).
 
         Backends without semantic security (the plain simulation backend)
-        have nothing to refresh and return *payload* itself, not a copy, so
-        :meth:`rerandomize` can hand back its input; real backends multiply
-        by a fresh encryption of zero and return a new tuple.
+        have nothing to refresh and return *payloads* itself, not a copy, so
+        :meth:`rerandomize_vectors` can hand back its input; real backends
+        multiply by a fresh encryption of zero and return new tuples.
         """
-        return payload
+        return payloads
 
     @abstractmethod
     def _linear_combination_payloads(
@@ -302,12 +297,38 @@ class CipherBackend(ABC):
         """Combine partial decryptions into the list of plaintext integers."""
 
     # ------------------------------------------------------------------ interface
+    def encrypt_vectors(
+        self, rows: Sequence[Sequence[float]] | np.ndarray
+    ) -> list[EncryptedVector]:
+        """Encrypt each row of a 2-D real-valued array (packed when packing
+        is enabled).
+
+        The rows are encoded together (:meth:`FixedPointCodec.fixed_point_rows`)
+        before any is encrypted; the ciphertexts are then made in row order,
+        so a backend drawing randomness per ciphertext draws it in the order
+        one :meth:`encrypt_vector` call per row would.
+        """
+        rows = np.asarray(rows, dtype=float)
+        if self.packing is not None:
+            encoded = self.packing.pack_rows(rows)
+        else:
+            encoded = self.codec.encode_rows(rows)
+        ciphertexts = self._encrypt_plaintexts(
+            [plaintext for plaintexts in encoded for plaintext in plaintexts]
+        )
+        self.counter.encryptions += len(ciphertexts)
+        length = rows.shape[1]
+        vectors = []
+        start = 0
+        for plaintexts in encoded:
+            stop = start + len(plaintexts)
+            vectors.append(self._vector(ciphertexts[start:stop], length))
+            start = stop
+        return vectors
+
     def encrypt_vector(self, values: Sequence[float] | np.ndarray) -> EncryptedVector:
         """Encrypt a real-valued vector (packed when packing is enabled)."""
-        plaintexts, length = self._encode_vector(values)
-        ciphertexts = self._encrypt_plaintexts(plaintexts)
-        self.counter.encryptions += len(ciphertexts)
-        return self._vector(ciphertexts, length)
+        return self.encrypt_vectors(np.asarray(values, dtype=float).reshape(1, -1))[0]
 
     def encrypt_integer_vector(self, values: Sequence[int]) -> EncryptedVector:
         """Encrypt a vector of exact integers (e.g. cluster counts) unscaled."""
@@ -326,77 +347,102 @@ class CipherBackend(ABC):
 
     def encrypt_zero_vector(self, length: int) -> EncryptedVector:
         """Encrypt the all-zero vector of the given length."""
-        if self.packing is not None:
-            plaintexts = self.packing.pack_vector(np.zeros(length))
-        else:
-            plaintexts = [0] * length
-        ciphertexts = self._encrypt_plaintexts(plaintexts)
-        self.counter.encryptions += len(ciphertexts)
-        return self._vector(ciphertexts, length)
+        return self.encrypt_vectors(np.zeros((1, length)))[0]
 
     def add(self, first: EncryptedVector, second: EncryptedVector) -> EncryptedVector:
         """Homomorphically add two encrypted vectors component-wise."""
         return self.linear_combination([first, second], [1, 1])
 
-    def linear_combination(
-        self, vectors: Sequence[EncryptedVector], factors: Sequence[int]
-    ) -> EncryptedVector:
-        """Homomorphic weighted sum ``Σ factors[j] · vectors[j]`` in one pass.
+    def linear_combinations(
+        self, terms: Sequence[tuple[Sequence[EncryptedVector], Sequence[int]]]
+    ) -> list[EncryptedVector]:
+        """Homomorphic weighted sums ``Σ factors[j] · vectors[j]``, one per
+        ``(vectors, factors)`` term, each in one pass.
 
         This is the primitive behind gossip averaging: lifting two estimates
         to a common fixed-point exponent and adding them is the linear
-        combination with power-of-two factors.  Operation counting matches
-        the equivalent multiply-then-add sequence (one addition-equivalent
-        per ciphertext per non-unit factor, plus one per ciphertext per
-        fold), so the cost model charges the same work either way; fast
-        backends may *evaluate* it jointly (Straus) without changing the
-        charge.
+        combination with power-of-two factors, and one gossip exchange makes
+        one such term per estimate of the diptych.  Operation counting
+        matches the equivalent multiply-then-add sequence (one
+        addition-equivalent per ciphertext per non-unit factor, plus one per
+        ciphertext per fold), so the cost model charges the same work
+        either way; fast backends may *evaluate* it jointly (Straus) without
+        changing the charge.  Every term is checked as it is combined, in
+        order.
         """
-        if not vectors:
-            raise CryptoError("linear_combination requires at least one vector")
-        if len(vectors) != len(factors):
-            raise CryptoError(
-                f"need one factor per vector, got {len(vectors)} vectors "
-                f"and {len(factors)} factors"
-            )
-        length = len(vectors[0])
-        for vector in vectors:
-            self._check_vector(vector)
-            if len(vector) != length:
-                raise CryptoError(f"vector lengths differ: {length} vs {len(vector)}")
-        factors = [int(factor) for factor in factors]
-        for factor in factors:
-            if factor < 1:
+        name, packed, packing = self.name, self.is_packed, self.packing
+        max_weight = None if packing is None else packing.max_weight
+        combine = self._linear_combination_payloads
+        combinations: list[EncryptedVector] = []
+        additions = 0
+        for vectors, factors in terms:
+            if not vectors:
+                raise CryptoError("linear_combination requires at least one vector")
+            if len(vectors) != len(factors):
+                raise CryptoError(
+                    f"need one factor per vector, got {len(vectors)} vectors "
+                    f"and {len(factors)} factors"
+                )
+            length = vectors[0].length
+            for vector in vectors:
+                if vector.backend_name != name or vector.packed != packed:
+                    self._check_vector(vector)
+                if vector.length != length:
+                    raise CryptoError(f"vector lengths differ: {length} vs {vector.length}")
+            factors = list(map(int, factors))
+            if min(factors) < 1:
                 raise CryptoError("linear combination factors must be positive integers")
-        weight = sum(vector.weight * factor for vector, factor in zip(vectors, factors))
-        if self.packing is not None:
-            self.packing.check_weight(weight)
-        combined = self._linear_combination_payloads(
-            [vector.payload for vector in vectors], factors
-        )
-        lifts = sum(1 for factor in factors if factor != 1)
-        self.counter.additions += len(combined) * (lifts + len(vectors) - 1)
-        return self._vector(combined, length, weight=weight)
+            weight = sum(map(mul, [vector.weight for vector in vectors], factors))
+            if max_weight is not None and weight > max_weight:
+                packing.check_weight(weight)
+            combined = combine([vector.payload for vector in vectors], factors)
+            # One addition-equivalent per ciphertext per non-unit factor and
+            # per fold.
+            additions += len(combined) * (2 * len(factors) - 1 - factors.count(1))
+            combinations.append(EncryptedVector(combined, name, length, packed, weight))
+        self.counter.additions += additions
+        return combinations
 
-    def rerandomize(self, vector: EncryptedVector) -> EncryptedVector:
+    def linear_combination(
+        self, vectors: Sequence[EncryptedVector], factors: Sequence[int]
+    ) -> EncryptedVector:
+        """Homomorphic weighted sum ``Σ factors[j] · vectors[j]`` in one pass
+        (the one-term :meth:`linear_combinations`)."""
+        return self.linear_combinations([(vectors, factors)])[0]
+
+    def rerandomize_vectors(
+        self, vectors: Sequence[EncryptedVector]
+    ) -> list[EncryptedVector]:
         """Refresh every ciphertext's randomness without changing the plaintexts.
 
         Past the blinder, which a device may precompute in idle time, this
         costs one multiplication per ciphertext, which makes per-hop
-        re-randomisation of forwarded gossip payloads affordable.
+        re-randomisation of forwarded gossip payloads affordable.  The
+        ciphertexts are refreshed in order, vector after vector.
 
         A refresh is counted per ciphertext whether or not it changes one,
         so the cost model prices every hop alike.  When
-        :meth:`_rerandomize_payload` hands back the very payload it was
-        given (nothing to refresh), the input vector itself is returned
-        rather than an equal copy.
+        :meth:`_rerandomize_payloads` hands back the very payloads it was
+        given (nothing to refresh), the input vectors themselves are
+        returned rather than equal copies.
         """
-        self._check_vector(vector)
-        payload = self._rerandomize_payload(vector.payload)
-        self.counter.rerandomizations += len(payload)
-        if payload is vector.payload:
-            return vector
-        return self._vector(payload, len(vector), weight=vector.weight)
+        name, packed = self.name, self.is_packed
+        for vector in vectors:
+            if vector.backend_name != name or vector.packed != packed:
+                self._check_vector(vector)
+        payloads = [vector.payload for vector in vectors]
+        refreshed = self._rerandomize_payloads(payloads)
+        self.counter.rerandomizations += sum(map(len, payloads))
+        if refreshed is payloads:
+            return list(vectors)
+        return [self._vector(payload, len(vector), weight=vector.weight)
+                for payload, vector in zip(refreshed, vectors)]
+
+    def rerandomize(self, vector: EncryptedVector) -> EncryptedVector:
+        """Refresh one vector's randomness (the one-vector
+        :meth:`rerandomize_vectors`): the plain backend returns *vector*
+        itself."""
+        return self.rerandomize_vectors([vector])[0]
 
     def partial_decrypt_vector(
         self, share_index: int, vector: EncryptedVector
@@ -541,11 +587,15 @@ class DamgardJurikBackend(CipherBackend):
             for value in plaintexts
         )
 
-    def _rerandomize_payload(self, payload: Sequence[int]) -> tuple[int, ...]:
-        return tuple(
-            dj.rerandomize(self.public_key, ciphertext, blinder=self._pool.take())
-            for ciphertext in payload
-        )
+    def _rerandomize_payloads(
+        self, payloads: list[tuple[int, ...]]
+    ) -> list[tuple[int, ...]]:
+        public, take = self.public_key, self._pool.take
+        return [
+            tuple(dj.rerandomize(public, ciphertext, blinder=take())
+                  for ciphertext in payload)
+            for payload in payloads
+        ]
 
     def _linear_combination_payloads(
         self, payloads: Sequence[Sequence[int]], factors: Sequence[int]
@@ -589,11 +639,12 @@ class PlainBackend(CipherBackend):
     counts are identical to the real backend's, so the cost model can charge
     measured per-operation times.
 
-    The modular arithmetic runs on int64 NumPy slabs when the modulus (and
-    scalar factor) leave enough room, so large crypto-free simulations are
-    not bottlenecked on per-coordinate Python loops; above 62 bits it is a
-    plain loop over Python integers (an object array runs the same ``+`` and
-    ``%`` per element and pays for building the arrays on top).
+    The modular arithmetic is one loop over Python integers per combination:
+    a two-term combination (every gossip average and noise addition) is one
+    ``(x * fa + y * fb) % m`` pass.  A packed vector is a couple of
+    ciphertexts, so the per-call cost outweighs the arithmetic; an int64
+    NumPy slab pays for building its arrays and fits no modulus this backend
+    is built with (at least 256 bits unless a caller asks for fewer).
 
     With packing enabled the simulated plaintext space is widened to match
     the plaintext of the simulated ciphertext (``simulated_ciphertext_bits /
@@ -635,32 +686,18 @@ class PlainBackend(CipherBackend):
     def _encrypt_plaintexts(self, plaintexts: Sequence[int]) -> tuple[int, ...]:
         return tuple(int(value) for value in plaintexts)
 
-    def _add_payloads(
-        self, first: Sequence[int], second: Sequence[int]
-    ) -> tuple[int, ...]:
-        modulus = self.codec.modulus
-        if modulus.bit_length() <= 62:
-            a = np.fromiter(first, dtype=np.int64, count=len(first))
-            b = np.fromiter(second, dtype=np.int64, count=len(second))
-            return tuple(int(value) for value in (a + b) % modulus)
-        return tuple([(x + y) % modulus for x, y in zip(first, second, strict=True)])
-
-    def _multiply_payload(self, payload: Sequence[int], factor: int) -> tuple[int, ...]:
-        modulus = self.codec.modulus
-        if modulus.bit_length() + factor.bit_length() <= 62:
-            a = np.fromiter(payload, dtype=np.int64, count=len(payload))
-            return tuple(int(value) for value in (a * factor) % modulus)
-        return tuple([(x * factor) % modulus for x in payload])
-
     def _linear_combination_payloads(
         self, payloads: Sequence[Sequence[int]], factors: Sequence[int]
     ) -> tuple[int, ...]:
-        accumulated: Sequence[int] | None = None
-        for payload, factor in zip(payloads, factors):
-            scaled = payload if factor == 1 else self._multiply_payload(payload, factor)
-            accumulated = scaled if accumulated is None else self._add_payloads(accumulated, scaled)
-        assert accumulated is not None  # guarded by linear_combination()
-        return tuple(accumulated)
+        modulus = self.codec.modulus
+        if len(payloads) == 2:  # a gossip average or a noise addition
+            (first, second), (scale, other) = payloads, factors
+            return tuple([(x * scale + y * other) % modulus
+                          for x, y in zip(first, second, strict=True)])
+        return tuple([
+            sum(value * factor for value, factor in zip(column, factors)) % modulus
+            for column in zip(*payloads, strict=True)
+        ])
 
     def _partial_decrypt_payload(
         self, share_index: int, payload: Sequence[int]

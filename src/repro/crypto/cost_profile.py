@@ -21,8 +21,9 @@ class CryptoCostProfile:
     exponentiation is ``offline`` work, which a device may precompute in
     idle time; the simulator makes each blinder when it is used, so the
     split is the model's.  It is 0.0 when the profile was measured with
-    ``fastmath="off"``.  :meth:`price` uses it to charge precomputable and
-    fresh exponentiations differently.
+    ``fastmath="off"``, and :meth:`price` reads that 0.0 as "no ready
+    blinders": it charges precomputable and fresh exponentiations
+    differently only when this is positive.
     """
 
     key_bits: int
@@ -33,7 +34,6 @@ class CryptoCostProfile:
     partial_decryption_seconds: float
     combination_seconds: float
     ciphertext_bytes: int
-    fastmath: str = "auto"
     pooled_encryption_seconds: float = 0.0
 
     def as_dict(self) -> dict[str, float]:

@@ -90,37 +90,48 @@ class FixedPointCodec:
         return self.modulus // 2
 
     # ------------------------------------------------------------------ vectors
-    def fixed_point_vector(self, values: Sequence[float] | np.ndarray) -> list[int]:
-        """Vectorised ``round(value * scale)`` with the overflow check.
+    def fixed_point_rows(self, rows: Sequence[Sequence[float]] | np.ndarray,
+                         ) -> list[list[int]]:
+        """Vectorised ``round(value * scale)`` of every row of a 2-D array,
+        with the overflow check.
 
-        Returns *signed* fixed-point integers (no modular reduction); both
-        codecs build on this so the quantisation step is identical whether
-        packing is enabled or not.
+        Returns *signed* fixed-point integers (no modular reduction), one
+        list per row; both codecs build on this so the quantisation step is
+        identical whether packing is enabled or not.  The whole array is
+        scaled and rounded in one pass; the rows are then checked in order,
+        so the error names the first row holding a non-finite value or one
+        of at least half the modulus.
         """
-        array = np.asarray(values, dtype=float).ravel()
-        if array.size == 0:
-            return []
-        if not np.all(np.isfinite(array)):
-            bad = array[~np.isfinite(array)][0]
-            raise ValidationError(f"cannot encode non-finite value {bad!r}")
+        array = np.asarray(rows, dtype=float)
+        if array.ndim != 2:
+            raise ValidationError(
+                f"expected a 2-D array of rows, got {array.ndim} dimension(s)")
         scaled = array * float(self.scale)
+        in_range = np.abs(scaled) < 2**62  # False for non-finite values too
         # np.rint rounds half to even, exactly like Python's round() on floats.
-        if np.all(np.abs(scaled) < 2**62):
-            fixed = np.rint(scaled).astype(np.int64).tolist()
-        else:  # pragma: no cover - astronomically large scales only
-            fixed = [int(round(float(value))) for value in scaled]
-        worst = max(abs(value) for value in fixed)
-        if worst >= self.half_modulus:
-            raise EncodingOverflowError(
-                f"value does not fit: |{worst}| >= modulus/2 ({self.half_modulus})"
-            )
-        return fixed
+        fixed_rows = np.rint(np.where(in_range, scaled, 0.0)).astype(np.int64).tolist()
+        half = self.half_modulus
+        for index, row_in_range in enumerate(in_range.all(axis=1).tolist()):
+            if not row_in_range:
+                row = array[index]
+                if not np.all(np.isfinite(row)):
+                    bad = row[~np.isfinite(row)][0]
+                    raise ValidationError(f"cannot encode non-finite value {bad!r}")
+                # Beyond int64: astronomically large scales only.
+                fixed_rows[index] = [int(round(float(value))) for value in scaled[index]]
+            worst = max(map(abs, fixed_rows[index]), default=0)
+            if worst >= half:
+                raise EncodingOverflowError(
+                    f"value does not fit: |{worst}| >= modulus/2 ({half})"
+                )
+        return fixed_rows
 
-    def encode_vector(self, values: Sequence[float] | np.ndarray) -> list[int]:
-        """Encode every component of a vector."""
+    def encode_rows(self, rows: Sequence[Sequence[float]] | np.ndarray,
+                    ) -> list[list[int]]:
+        """Encode every component of every row of a 2-D array."""
         modulus = self.modulus
-        return [fixed if fixed >= 0 else fixed + modulus
-                for fixed in self.fixed_point_vector(values)]
+        return [[fixed if fixed >= 0 else fixed + modulus for fixed in row]
+                for row in self.fixed_point_rows(rows)]
 
     def decode_vector(self, encoded: Sequence[int]) -> np.ndarray:
         """Decode a vector of plaintext-space integers."""
@@ -275,22 +286,28 @@ class PackedCodec:
         """Offset-encode signed fixed-point integers and pack them into plaintexts."""
         offset = self.offset
         limit = offset - 1
+        if fixed and (max(fixed) > limit or min(fixed) < -limit):
+            value = next(value for value in fixed if abs(value) > limit)
+            raise EncodingOverflowError(
+                f"fixed-point value {value} does not fit one packed slot "
+                f"(|value| > {limit}); lower the scale or widen the slots"
+            )
+        slot_bits = self.slot_bits
         packed: list[int] = []
         for start in range(0, len(fixed), self.slots):
             plaintext = 0
-            for position, value in enumerate(fixed[start:start + self.slots]):
-                if abs(value) > limit:
-                    raise EncodingOverflowError(
-                        f"fixed-point value {value} does not fit one packed slot "
-                        f"(|value| > {limit}); lower the scale or widen the slots"
-                    )
-                plaintext |= (value + offset) << (position * self.slot_bits)
+            # Slot 0 is the least significant: fold from the last slot down.
+            for value in reversed(fixed[start:start + self.slots]):
+                plaintext = (plaintext << slot_bits) | (value + offset)
             packed.append(plaintext)
         return packed
 
-    def pack_vector(self, values: Sequence[float] | np.ndarray) -> list[int]:
-        """Encode a real-valued vector into packed plaintexts (weight 1)."""
-        return self.pack_fixed(self._scalar_codec.fixed_point_vector(values))
+    def pack_rows(self, rows: Sequence[Sequence[float]] | np.ndarray,
+                  ) -> list[list[int]]:
+        """Encode every row of a 2-D real-valued array into packed plaintexts
+        (weight 1), the rows quantised in one pass."""
+        return [self.pack_fixed(fixed)
+                for fixed in self._scalar_codec.fixed_point_rows(rows)]
 
     def unpack_vector(
         self, packed: Sequence[int], length: int, weight: int = 1,

@@ -3,8 +3,8 @@ encrypted gossip averaging primitive used by the Chiaroscuro computation
 step, and the wire messages.
 
 The protocol averages by one rule, written twice: pairwise over encrypted
-estimates (:func:`average_estimates`, run by every participant's exchange)
-and vectorised over a cleartext slab
+estimates (:func:`average_estimates`, one call per side of every
+participant's exchange) and vectorised over a cleartext slab
 (:func:`repro.simulation.slab.average_pairs_inplace`, the slab engine and the
 plain distributed baseline)."""
 
@@ -13,10 +13,10 @@ from .encrypted_sum import (
     add_estimates,
     average_estimates,
     check_headroom,
-    estimate_payload_bytes,
-    fresh_estimate,
+    estimates_payload_bytes,
+    fresh_estimates,
     required_headroom_bits,
-    rerandomize_estimate,
+    rerandomize_estimates,
 )
 from .messages import (
     MESSAGE_TYPES,
@@ -34,11 +34,11 @@ from .peers import sample_peer
 __all__ = [
     "sample_peer",
     "EncryptedEstimate",
-    "fresh_estimate",
+    "fresh_estimates",
     "average_estimates",
     "add_estimates",
-    "rerandomize_estimate",
-    "estimate_payload_bytes",
+    "rerandomize_estimates",
+    "estimates_payload_bytes",
     "required_headroom_bits",
     "check_headroom",
     "MESSAGE_TYPES",

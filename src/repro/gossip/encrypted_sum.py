@@ -59,15 +59,20 @@ class EncryptedEstimate:
         return self.vector.length  # type: ignore[return-value]
 
 
-def fresh_estimate(backend: CipherBackend, values: Sequence[float] | np.ndarray,
-                   ) -> EncryptedEstimate:
-    """Encrypt a real-valued vector as an estimate with exponent zero."""
-    return EncryptedEstimate(vector=backend.encrypt_vector(values), halvings=0)
+def fresh_estimates(backend: CipherBackend,
+                    rows: Sequence[Sequence[float]] | np.ndarray,
+                    ) -> list[EncryptedEstimate]:
+    """Encrypt each row of *rows* as an estimate with exponent zero, in one
+    backend call (rows encrypted in order)."""
+    return [EncryptedEstimate(vector=vector, halvings=0)
+            for vector in backend.encrypt_vectors(rows)]
 
 
-def _lift_and_sum(backend: CipherBackend, first: EncryptedEstimate,
-                  second: EncryptedEstimate) -> tuple[int, "EncryptedVector"]:
-    """Common exponent and the homomorphic sum of both estimates lifted to it.
+def _lift_and_sum(backend: CipherBackend, firsts: Sequence[EncryptedEstimate],
+                  seconds: Sequence[EncryptedEstimate],
+                  ) -> list[tuple[int, EncryptedVector]]:
+    """Common exponent and homomorphic sum of each pair ``firsts[i]``,
+    ``seconds[i]`` lifted to it, in one backend call.
 
     The lift-to-common-exponent-then-add sequence is a single homomorphic
     linear combination with power-of-two factors, which the backend may
@@ -75,62 +80,79 @@ def _lift_and_sum(backend: CipherBackend, first: EncryptedEstimate,
     across both ciphertexts) while charging exactly the operations the
     historical multiply-then-add path charged.
     """
-    if len(first) != len(second):
-        raise GossipError(f"estimate lengths differ: {len(first)} vs {len(second)}")
-    common = max(first.halvings, second.halvings)
-    summed = backend.linear_combination(
-        [first.vector, second.vector],
-        [1 << (common - first.halvings), 1 << (common - second.halvings)],
-    )
-    return common, summed
+    if len(firsts) != len(seconds):
+        raise GossipError(
+            f"cannot pair {len(firsts)} estimates with {len(seconds)}")
+    commons = []
+    terms = []
+    for first, second in zip(firsts, seconds):
+        vector, other = first.vector, second.vector
+        if vector.length != other.length:
+            raise GossipError(f"estimate lengths differ: {vector.length} vs {other.length}")
+        common = max(first.halvings, second.halvings)
+        commons.append(common)
+        terms.append((
+            (vector, other),
+            (1 << (common - first.halvings), 1 << (common - second.halvings)),
+        ))
+    return list(zip(commons, backend.linear_combinations(terms)))
 
 
-def average_estimates(backend: CipherBackend, first: EncryptedEstimate,
-                      second: EncryptedEstimate) -> EncryptedEstimate:
-    """Homomorphic pairwise average of two estimates.
+def average_estimates(backend: CipherBackend, firsts: Sequence[EncryptedEstimate],
+                      seconds: Sequence[EncryptedEstimate]) -> list[EncryptedEstimate]:
+    """Homomorphic pairwise averages of two equally long estimate sequences.
 
-    The result represents (value(first) + value(second)) / 2.
+    Item *i* of the result represents (value(firsts[i]) + value(seconds[i])) / 2.
     """
-    common, summed = _lift_and_sum(backend, first, second)
-    return EncryptedEstimate(vector=summed, halvings=common + 1)
+    return [EncryptedEstimate(vector=summed, halvings=common + 1)
+            for common, summed in _lift_and_sum(backend, firsts, seconds)]
 
 
-def add_estimates(backend: CipherBackend, first: EncryptedEstimate,
-                  second: EncryptedEstimate) -> EncryptedEstimate:
-    """Homomorphic addition of the values of two estimates (no halving).
+def add_estimates(backend: CipherBackend, firsts: Sequence[EncryptedEstimate],
+                  seconds: Sequence[EncryptedEstimate]) -> list[EncryptedEstimate]:
+    """Homomorphic sums of the values of two equally long estimate sequences
+    (no halving), pair by pair.
 
     Used by the protocol's "local addition of the encrypted noises to the
     encrypted means" step.
     """
-    common, summed = _lift_and_sum(backend, first, second)
-    return EncryptedEstimate(vector=summed, halvings=common)
+    return [EncryptedEstimate(vector=summed, halvings=common)
+            for common, summed in _lift_and_sum(backend, firsts, seconds)]
 
 
-def rerandomize_estimate(backend: CipherBackend,
-                         estimate: EncryptedEstimate) -> EncryptedEstimate:
-    """Refresh the ciphertext randomness of an estimate (same value, exponent).
+def rerandomize_estimates(backend: CipherBackend,
+                          estimates: Sequence[EncryptedEstimate],
+                          ) -> list[EncryptedEstimate]:
+    """Refresh the ciphertext randomness of every estimate (same values,
+    same exponents), in order, in one backend call.
 
     Past the blinder, which a device may precompute in idle time, this costs
     one bigint multiplication per ciphertext, making per-hop
     re-randomisation of forwarded estimates affordable for
-    unlinkability-sensitive deployments.  A backend with
-    nothing to refresh (the plain one) still counts the refresh, but hands
-    back the same vector, so the same *estimate* is returned, not a copy.
+    unlinkability-sensitive deployments.  A backend with nothing to refresh
+    (the plain one) still counts the refresh, but hands back the same
+    vectors, so the same *estimates* are returned, not copies.
     """
-    vector = backend.rerandomize(estimate.vector)
-    if vector is estimate.vector:
-        return estimate
-    return EncryptedEstimate(vector=vector, halvings=estimate.halvings)
+    vectors = backend.rerandomize_vectors([estimate.vector for estimate in estimates])
+    return [
+        estimate if vector is estimate.vector
+        else EncryptedEstimate(vector=vector, halvings=estimate.halvings)
+        for estimate, vector in zip(estimates, vectors)
+    ]
 
 
-def estimate_payload_bytes(backend: CipherBackend, estimate: EncryptedEstimate) -> int:
-    """Serialised size of an estimate (ciphertexts plus the public exponent).
+def estimates_payload_bytes(backend: CipherBackend,
+                            estimates: Sequence[EncryptedEstimate]) -> int:
+    """Serialised size of *estimates* (ciphertexts plus one public exponent
+    each).
 
     Charges for the ciphertexts actually carried: with a packed backend that
-    is ``ceil(length / slots)`` ciphertexts, which is where the bandwidth
-    saving of packing shows up in the cost accounting.
+    is ``ceil(length / slots)`` ciphertexts per estimate, which is where the
+    bandwidth saving of packing shows up in the cost accounting.
     """
-    return wire_ciphertext_bytes(backend) * estimate.vector.n_ciphertexts + 8
+    return (wire_ciphertext_bytes(backend)
+            * sum(estimate.vector.n_ciphertexts for estimate in estimates)
+            + 8 * len(estimates))
 
 
 def required_headroom_bits(value_bound: float, scale: int, total_halvings: int) -> int:

@@ -117,7 +117,7 @@ from ..core.runner import (
     run_log_metadata,
 )
 from ..exceptions import CryptoError, ProtocolError, ThresholdError, WireFormatError
-from ..gossip.encrypted_sum import EncryptedEstimate, estimate_payload_bytes
+from ..gossip.encrypted_sum import EncryptedEstimate, estimates_payload_bytes
 from ..gossip.messages import (
     MAX_BATCH_FRAMES,
     BatchEnvelope,
@@ -490,7 +490,8 @@ class WorkerTransport:
         if peer.phase is not Phase.GOSSIP or peer.diptych is None \
                 or peer.iteration != message.iteration:
             return {"error": "state"}, b""
-        if not peer.diptych.fits(message.data_estimates, message.noise_estimates):
+        if not peer.diptych.fits(self.setup.backend, message.data_estimates,
+                                 message.noise_estimates):
             return {"error": "shape"}, b""
         # The reply carries the peer's *pre-merge* re-randomized estimates
         # (the view that travels), exactly as the cycle-mode responder's
@@ -723,7 +724,8 @@ class LiveParticipantDriver:
         # The responder absorbed its half on its own worker; a reply of the
         # wrong type, shape or packing layout is a lost exchange on this side.
         if isinstance(reply, DiptychReply) \
-                and participant.diptych.fits(reply.data_estimates, reply.noise_estimates):
+                and participant.diptych.fits(self.setup.backend, reply.data_estimates,
+                                             reply.noise_estimates):
             participant.diptych.absorb(
                 self.setup.backend, reply.data_estimates, reply.noise_estimates
             )
@@ -736,7 +738,7 @@ class LiveParticipantDriver:
         ``threshold`` usable partial decryptions came back."""
         backend = self.setup.backend
         helpers = tuple(share_holder_ids(backend.n_shares)[: backend.threshold])
-        modelled = sum(estimate_payload_bytes(backend, estimate) for estimate in estimates)
+        modelled = estimates_payload_bytes(backend, estimates)
         request_frame = build_decrypt_request(backend, estimates)
         # Every helper receives the same request frame, so helpers hosted
         # on the same worker share one batched socket record.

@@ -8,11 +8,15 @@ generations so they happen once.
 
 from __future__ import annotations
 
+import random
+from typing import Callable
+
 import numpy as np
 import pytest
 
 from repro.config import ChiaroscuroConfig
-from repro.crypto.backends import DamgardJurikBackend, PlainBackend
+from repro.crypto.backends import CipherBackend, DamgardJurikBackend, PlainBackend, make_backend
+from repro.crypto.fastmath import BlinderPool
 from repro.datasets import generate_gaussian_clusters
 from repro.timeseries import TimeSeries, TimeSeriesCollection
 
@@ -56,6 +60,44 @@ def dj_backend() -> DamgardJurikBackend:
     return DamgardJurikBackend(
         key_bits=192, degree=1, threshold=2, n_shares=4, encoding_scale=10**4
     )
+
+
+@pytest.fixture(scope="session", params=["plain_packed", "plain_unpacked", "dj256"])
+def layout_backend(request) -> CipherBackend:
+    """One backend per ciphertext layout the batched operations must match
+    their one-vector loops on: plain packed, plain unpacked, and packed
+    Damgård–Jurik with a 256-bit key."""
+    if request.param == "dj256":
+        backend = make_backend("damgard_jurik", key_bits=256, threshold=2, n_shares=3,
+                               packing="auto")
+    else:
+        backend = make_backend("plain", threshold=2, n_shares=3,
+                               packing="auto" if request.param == "plain_packed" else "off")
+    assert backend.is_packed == (request.param != "plain_unpacked")
+    return backend
+
+
+@pytest.fixture()
+def replay() -> Callable[[CipherBackend, int], list[int]]:
+    """``replay(backend, seed)`` zeroes *backend*'s counter and, on
+    Damgård–Jurik, gives it a ``BlinderPool(rng=)`` drawing from a stream
+    seeded by *seed*; it returns the list each draw is appended to.  Two
+    runs replayed from one seed make the same ciphertexts exactly when
+    they draw in the same order."""
+    def install(backend: CipherBackend, seed: int) -> list[int]:
+        backend.counter.reset()
+        draws: list[int] = []
+        if isinstance(backend, DamgardJurikBackend):
+            stream = random.Random(seed)
+
+            def draw(bound: int) -> int:
+                draws.append(stream.randrange(bound))
+                return draws[-1]
+
+            backend._pool = BlinderPool(backend._precomputed, rng=draw)
+        return draws
+
+    return install
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,7 @@ from repro.core.collaborative import (
 )
 from repro.crypto.wire import wire_ciphertext_bytes
 from repro.exceptions import ThresholdError
-from repro.gossip import average_estimates, fresh_estimate
+from repro.gossip import average_estimates, fresh_estimates
 from repro.gossip.messages import DecryptRequest, deserialize
 from repro.simulation import CycleEngine, Node
 
@@ -47,7 +47,7 @@ class TestCollaborativeDecrypt:
     def test_round_trip(self, plain_backend):
         engine = make_engine(6)
         values = np.array([0.25, -0.5, 1.0])
-        estimate = fresh_estimate(plain_backend, values)
+        estimate = fresh_estimates(plain_backend, [values])[0]
         outcome = collaborative_decrypt(engine, requester_id=5, backend=plain_backend,
                                         estimate=estimate)
         assert np.allclose(outcome.values, values, atol=1e-5)
@@ -57,7 +57,7 @@ class TestCollaborativeDecrypt:
     def test_real_crypto_round_trip(self, dj_backend):
         engine = make_engine(5)
         values = np.array([0.5, -1.5])
-        estimate = fresh_estimate(dj_backend, values)
+        estimate = fresh_estimates(dj_backend, [values])[0]
         outcome = collaborative_decrypt(engine, 4, dj_backend, estimate)
         assert np.allclose(outcome.values, values, atol=1e-3)
 
@@ -65,15 +65,15 @@ class TestCollaborativeDecrypt:
         from repro.gossip import average_estimates
 
         engine = make_engine(4)
-        a = fresh_estimate(plain_backend, [1.0, 0.0])
-        b = fresh_estimate(plain_backend, [0.0, 1.0])
-        averaged = average_estimates(plain_backend, a, b)
+        a = fresh_estimates(plain_backend, [[1.0, 0.0]])[0]
+        b = fresh_estimates(plain_backend, [[0.0, 1.0]])[0]
+        averaged = average_estimates(plain_backend, [a], [b])[0]
         outcome = collaborative_decrypt(engine, 3, plain_backend, averaged)
         assert np.allclose(outcome.values, [0.5, 0.5], atol=1e-5)
 
     def test_network_traffic_accounted(self, plain_backend):
         engine = make_engine(4)
-        estimate = fresh_estimate(plain_backend, [1.0, 2.0, 3.0])
+        estimate = fresh_estimates(plain_backend, [[1.0, 2.0, 3.0]])[0]
         before = engine.network.total.bytes_sent
         outcome = collaborative_decrypt(engine, 3, plain_backend, estimate)
         assert engine.network.total.bytes_sent - before == outcome.bytes_transferred
@@ -84,14 +84,14 @@ class TestCollaborativeDecrypt:
         # Take the whole committee (nodes 0..3) offline except one.
         for node_id in range(3):
             engine.node(node_id).online = False
-        estimate = fresh_estimate(plain_backend, [1.0])
+        estimate = fresh_estimates(plain_backend, [[1.0]])[0]
         with pytest.raises(ThresholdError):
             collaborative_decrypt(engine, 5, plain_backend, estimate)
 
     def test_succeeds_with_partial_committee(self, plain_backend):
         engine = make_engine(6)
         engine.node(0).online = False  # 3 committee members remain, threshold is 2
-        estimate = fresh_estimate(plain_backend, [0.75])
+        estimate = fresh_estimates(plain_backend, [[0.75]])[0]
         outcome = collaborative_decrypt(engine, 5, plain_backend, estimate)
         assert np.allclose(outcome.values, [0.75], atol=1e-5)
         assert 0 not in outcome.helpers
@@ -102,7 +102,7 @@ class TestCollaborativeDecrypt:
         assert not plain_backend.is_packed
         engine = make_engine(6)
         vectors = [np.array([0.25, -0.5, 1.0]), np.zeros(3), np.array([2.0, 0.5, -1.0])]
-        estimates = [fresh_estimate(plain_backend, values) for values in vectors]
+        estimates = fresh_estimates(plain_backend, vectors)
         ledger = engine.network.total
         messages, transferred = ledger.messages_sent, ledger.bytes_sent
         outcome = collaborative_decrypt_many(engine, 5, plain_backend, estimates)
@@ -119,9 +119,9 @@ class TestRoundPieces:
 
     @staticmethod
     def estimates(backend):
-        a = fresh_estimate(backend, [1.0, -0.5])
-        b = fresh_estimate(backend, [0.0, 0.5])
-        return [fresh_estimate(backend, [0.25, 0.75]), average_estimates(backend, a, b)]
+        a = fresh_estimates(backend, [[1.0, -0.5]])[0]
+        b = fresh_estimates(backend, [[0.0, 0.5]])[0]
+        return [fresh_estimates(backend, [[0.25, 0.75]])[0], average_estimates(backend, [a], [b])[0]]
 
     def test_request_frame_carries_every_estimate(self, plain_backend):
         estimates = self.estimates(plain_backend)

@@ -16,7 +16,7 @@ from repro.core.participant import (
 )
 from repro.crypto.backends import PlainBackend
 from repro.exceptions import ProtocolError
-from repro.gossip.encrypted_sum import estimate_payload_bytes
+from repro.gossip.encrypted_sum import estimates_payload_bytes
 from repro.gossip.messages import DiptychExchange, deserialize
 from repro.simulation import CycleEngine
 
@@ -283,7 +283,7 @@ class TestStepWithAScriptedDriver:
         assert message.iteration == participant.iteration == 1
         diptych = participant.diptych
         assert exchange.modelled_bytes == sum(
-            estimate_payload_bytes(participant.backend, estimate)
+            estimates_payload_bytes(participant.backend, [estimate])
             for estimate in diptych.data_estimates + diptych.noise_estimates
         )
         assert participant.gossip_cycles_done == 1

@@ -21,7 +21,7 @@ from repro.crypto.backends import (
     make_backend,
 )
 from repro.exceptions import CryptoError, ThresholdError, ValidationError
-from repro.gossip import EncryptedEstimate, rerandomize_estimate
+from repro.gossip import EncryptedEstimate, rerandomize_estimates
 
 
 @pytest.fixture(params=["plain", "damgard_jurik"])
@@ -181,7 +181,7 @@ class TestRefreshWithNothingToRefresh:
         before = backend.counter.rerandomizations
         assert backend.rerandomize(vector) is vector
         assert backend.counter.rerandomizations == before + vector.n_ciphertexts
-        assert rerandomize_estimate(backend, estimate) is estimate
+        assert rerandomize_estimates(backend, [estimate])[0] is estimate
         assert backend.counter.rerandomizations == before + 2 * vector.n_ciphertexts
 
     def test_damgard_jurik_refresh_builds_new_ciphertexts(self):
@@ -192,7 +192,7 @@ class TestRefreshWithNothingToRefresh:
 
         before = backend.counter.rerandomizations
         refreshed = backend.rerandomize(vector)
-        forwarded = rerandomize_estimate(backend, estimate)
+        forwarded = rerandomize_estimates(backend, [estimate])[0]
         assert backend.counter.rerandomizations == before + 2 * vector.n_ciphertexts
         for result in (refreshed, forwarded.vector):
             assert result is not vector
@@ -204,11 +204,83 @@ class TestRefreshWithNothingToRefresh:
         assert forwarded.halvings == estimate.halvings
 
 
+class TestBatchedOperationsEqualTheirLoops:
+    """Each batched operation equals the loop of one-vector calls it
+    replaces: payloads, lengths and weights, every counter, and on
+    Damgård–Jurik the blinder draws in the same order (both sides replay
+    one seeded draw stream, so equal ciphertexts mean equal order)."""
+
+    ROWS = np.random.default_rng(3).uniform(-1.0, 1.0, size=(8, 25))
+
+    @staticmethod
+    def same(backend, replay, batched, looped):
+        draws = replay(backend, 11)
+        together = batched()
+        counts, drawn = backend.counter.as_dict(), list(draws)
+        draws = replay(backend, 11)
+        assert looped() == together
+        assert backend.counter.as_dict() == counts
+        assert draws == drawn
+        assert len(drawn) == (counts["pooled_encryptions"] + counts["rerandomizations"]
+                              if isinstance(backend, DamgardJurikBackend) else 0)
+        return together, counts
+
+    def test_encrypt_vectors(self, layout_backend, replay):
+        backend = layout_backend
+        vectors, counts = self.same(
+            backend, replay,
+            lambda: backend.encrypt_vectors(self.ROWS),
+            lambda: [backend.encrypt_vector(row) for row in self.ROWS],
+        )
+        assert [len(vector) for vector in vectors] == [25] * 8
+        assert counts["encryptions"] == sum(v.n_ciphertexts for v in vectors)
+        assert np.allclose(backend.decrypt_with_shares(vectors[5], [1, 2]),
+                           self.ROWS[5], atol=1e-5)
+
+    def test_rerandomize_vectors(self, layout_backend, replay):
+        backend = layout_backend
+        vectors = backend.encrypt_vectors(self.ROWS)
+        refreshed, counts = self.same(
+            backend, replay,
+            lambda: backend.rerandomize_vectors(vectors),
+            lambda: [backend.rerandomize(vector) for vector in vectors],
+        )
+        assert counts["rerandomizations"] == sum(v.n_ciphertexts for v in vectors)
+        assert (refreshed == vectors) == isinstance(backend, PlainBackend)
+
+    def test_linear_combinations(self, layout_backend, replay):
+        backend = layout_backend
+        a, b, c, d = backend.encrypt_vectors(self.ROWS[:4])
+        lifted = backend.linear_combination([a, b], [4, 1])
+        terms = [([a, b], [1, 1]), ([lifted, c], [1, 4]), ([d], [8]),
+                 ([a, b, c], [1, 2, 8]), ([c], [1])]
+        combined, counts = self.same(
+            backend, replay,
+            lambda: backend.linear_combinations(terms),
+            lambda: [backend.linear_combination(vectors, factors)
+                     for vectors, factors in terms],
+        )
+        assert [vector.weight for vector in combined] == [2, 9, 8, 11, 1]
+        assert counts["additions"] > 0 and counts["encryptions"] == 0
+
+    def test_an_invalid_term_raises_as_its_own_call_would(self, layout_backend):
+        backend = layout_backend
+        a, b = backend.encrypt_vectors(self.ROWS[:2])
+        short = backend.encrypt_vector(self.ROWS[2][:3])
+        for term, text in [(([a, short], [1, 1]), "vector lengths differ: 25 vs 3"),
+                           (([a, b], [1, 0]), "factors must be positive"),
+                           (([a], [1, 1]), "need one factor per vector")]:
+            with pytest.raises(CryptoError, match=text):
+                backend.linear_combinations([([a, b], [1, 1]), term])
+            with pytest.raises(CryptoError, match=text):
+                backend.linear_combination(*term)
+
+
 class TestPlainArithmeticAboveTheInt64Threshold:
-    """Above 62 modulus bits the plain backend loops over Python integers;
-    it used to build ``dtype=object`` arrays.  Same integers, same charges,
-    on both sides of the threshold (60 and 61 bits still take the int64
-    slab; a scalar factor pushes 61 over)."""
+    """The plain backend combines payloads with one loop over Python
+    integers at every modulus width; a ``dtype=object`` array is the
+    reference.  Same integers, same charges, on both sides of the 62-bit
+    line where an int64 slab would stop fitting."""
 
     @staticmethod
     def object_array_add(first, second, modulus):
@@ -247,7 +319,7 @@ class TestPlainArithmeticAboveTheInt64Threshold:
         add, multiply = self.object_array_add, self.object_array_multiply
         assert backend.add(first, second).payload == add(
             first.payload, second.payload, modulus)
-        assert backend._multiply_payload(first.payload, 0) == (0,) * n
+        assert backend._linear_combination_payloads([first.payload], [0]) == (0,) * n
         for factor in (1, 3, 1 << 7, (1 << 70) + 1):
             assert backend.linear_combination([first], [factor]).payload == multiply(
                 first.payload, factor, modulus)
@@ -258,7 +330,7 @@ class TestPlainArithmeticAboveTheInt64Threshold:
     def test_payloads_of_different_sizes_are_refused(self):
         backend = PlainBackend(modulus_bits=256)
         with pytest.raises(ValueError):
-            backend._add_payloads((1, 2), (1,))
+            backend._linear_combination_payloads([(1, 2), (1,)], [1, 1])
 
 
 class TestOperationCounter:

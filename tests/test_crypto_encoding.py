@@ -15,8 +15,8 @@ def codec():
 
 
 def encode(codec, value):
-    """One value through the vector encoder."""
-    return codec.encode_vector([value])[0]
+    """One value through the row encoder."""
+    return codec.encode_rows([[value]])[0][0]
 
 
 def decode(codec, encoded):
@@ -85,27 +85,42 @@ class TestAdditiveStructure:
 class TestVectors:
     def test_vector_round_trip(self, codec):
         values = np.array([0.5, -1.25, 2.0, 0.0])
-        decoded = codec.decode_vector(codec.encode_vector(values))
+        decoded = codec.decode_vector(codec.encode_rows([values])[0])
         assert np.allclose(decoded, values, atol=1e-6)
 
-    def test_fixed_point_vector_is_the_scalar_rounding(self, codec):
+    def test_fixed_point_rows_are_the_scalar_rounding(self, codec):
         values = [0.5, -1.25, 2.0000005, -2.0000005, 1e-7, 0.0]
-        fixed = codec.fixed_point_vector(values)
+        (fixed,) = codec.fixed_point_rows([values])
         assert fixed == [int(round(value * codec.scale)) for value in values]
         assert fixed[2] == 2_000_000 and fixed[3] == -2_000_000  # half to even
         assert all(type(value) is int for value in fixed)
 
-    def test_fixed_point_vector_is_signed_and_encode_vector_reduces_it(self, codec):
-        values = np.array([-0.75, 0.25])
-        assert codec.fixed_point_vector(values) == [-750_000, 250_000]
-        assert codec.encode_vector(values) == [codec.modulus - 750_000, 250_000]
+    def test_fixed_point_rows_are_signed_and_encode_rows_reduces_them(self, codec):
+        values = np.array([[-0.75, 0.25]])
+        assert codec.fixed_point_rows(values) == [[-750_000, 250_000]]
+        assert codec.encode_rows(values) == [[codec.modulus - 750_000, 250_000]]
 
-    def test_fixed_point_vector_flattens_and_accepts_empty(self, codec):
-        assert codec.fixed_point_vector(np.array([[1.0], [-1.0]])) == [10**6, -(10**6)]
-        assert codec.fixed_point_vector([]) == []
+    def test_fixed_point_rows_keep_rows_and_accept_empty(self, codec):
+        assert codec.fixed_point_rows(np.array([[1.0], [-1.0]])) == [[10**6], [-(10**6)]]
+        assert codec.fixed_point_rows(np.zeros((2, 0))) == [[], []]
+        assert codec.fixed_point_rows(np.zeros((0, 3))) == []
+        with pytest.raises(ValidationError, match="2-D"):
+            codec.fixed_point_rows([1.0, 2.0])
 
-    def test_fixed_point_vector_rejects_non_finite_and_overflow(self, codec):
+    def test_fixed_point_rows_reject_non_finite_and_overflow(self, codec):
         with pytest.raises(ValidationError):
-            codec.fixed_point_vector([0.0, float("inf")])
+            codec.fixed_point_rows([[0.0, float("inf")]])
         with pytest.raises(EncodingOverflowError):
-            codec.fixed_point_vector([0.0, codec.half_modulus / codec.scale * 2])
+            codec.fixed_point_rows([[0.0, codec.half_modulus / codec.scale * 2]])
+
+    def test_the_first_failing_row_is_the_one_named(self, codec):
+        """Rows are checked in order, each as a whole: a row that overflows
+        is reported before a later row holding a non-finite value, with that
+        row's largest magnitude."""
+        big = codec.half_modulus / codec.scale
+        with pytest.raises(EncodingOverflowError) as raised:
+            codec.fixed_point_rows([[0.5, 0.25, 0.0], [0.0, 2 * big, 3 * big],
+                                    [float("nan"), 0.0, 0.0]])
+        assert str(raised.value).startswith(f"value does not fit: |{round(3 * big * codec.scale)}|")
+        with pytest.raises(ValidationError, match="non-finite value"):
+            codec.fixed_point_rows([[0.5, 0.25, 0.0], [0.0, float("nan"), 4 * big]])

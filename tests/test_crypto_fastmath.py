@@ -33,8 +33,8 @@ from repro.crypto.math_utils import random_below, random_coprime
 from repro.exceptions import CryptoError
 from repro.gossip.encrypted_sum import (
     average_estimates,
-    fresh_estimate,
-    rerandomize_estimate,
+    fresh_estimates,
+    rerandomize_estimates,
 )
 import oracles
 
@@ -656,10 +656,10 @@ class TestBackendAgainstTextbook:
 
     @staticmethod
     def plaintexts(backend, values):
-        array = np.asarray(values, dtype=float)
+        rows = np.asarray(values, dtype=float).reshape(1, -1)
         if backend.packing is not None:
-            return backend.packing.pack_vector(array)
-        return backend.codec.encode_vector(array)
+            return backend.packing.pack_rows(rows)[0]
+        return backend.codec.encode_rows(rows)[0]
 
     def textbook_encrypt(self, backend, values):
         return tuple(
@@ -780,10 +780,10 @@ class TestBackendOperations:
             backend.linear_combination([vector], [0])
 
     def test_pair_average_then_rerandomize_decrypts_to_the_mean(self, backend):
-        first = fresh_estimate(backend, [0.8, -0.4])
-        second = fresh_estimate(backend, [0.2, 0.6])
-        averaged = average_estimates(backend, first, second)
-        refreshed = rerandomize_estimate(backend, averaged)
+        first = fresh_estimates(backend, [[0.8, -0.4]])[0]
+        second = fresh_estimates(backend, [[0.2, 0.6]])[0]
+        averaged = average_estimates(backend, [first], [second])[0]
+        refreshed = rerandomize_estimates(backend, [averaged])[0]
         decoded = backend.decrypt_with_shares(refreshed.vector, [1, 2])
         np.testing.assert_allclose(
             decoded / (1 << refreshed.halvings), [0.5, 0.1], atol=1e-5

@@ -42,8 +42,8 @@ from repro.exceptions import (
 )
 from repro.gossip.encrypted_sum import (
     average_estimates,
-    estimate_payload_bytes,
-    fresh_estimate,
+    estimates_payload_bytes,
+    fresh_estimates,
 )
 import oracles
 
@@ -59,6 +59,11 @@ def small_codec(value_bound: float = 10.0, weight_bits: int = 20,
     return codec
 
 
+def pack(codec: PackedCodec, values) -> list[int]:
+    """One row through the packed row encoder."""
+    return codec.pack_rows([values])[0]
+
+
 values_strategy = st.lists(
     st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False),
     min_size=0, max_size=40,
@@ -70,7 +75,7 @@ class TestPackedCodecRoundTrip:
     @settings(max_examples=100, deadline=None)
     def test_pack_unpack_round_trip(self, values):
         codec = small_codec()
-        packed = codec.pack_vector(values)
+        packed = pack(codec, values)
         assert len(packed) == codec.n_ciphertexts(len(values))
         decoded = codec.unpack_vector(packed, len(values), weight=1)
         assert np.allclose(decoded, values, atol=0.5 / SCALE + 1e-12)
@@ -96,8 +101,8 @@ class TestPackedCodecRoundTrip:
         length = min(len(first), len(second))
         first, second = first[:length], second[:length]
         codec = small_codec()
-        packed_sum = [a + b for a, b in zip(codec.pack_vector(first),
-                                            codec.pack_vector(second))]
+        packed_sum = [a + b for a, b in zip(pack(codec, first),
+                                            pack(codec, second))]
         decoded = codec.unpack_vector(packed_sum, length, weight=2)
         expected = np.asarray(first) + np.asarray(second)
         assert np.allclose(decoded, expected, atol=1.0 / SCALE + 1e-12)
@@ -107,13 +112,13 @@ class TestPackedCodecRoundTrip:
         codec = small_codec()
         edge = (codec.offset - 1) / SCALE
         values = [-edge, edge] * codec.slots  # spans two plaintexts
-        packed = codec.pack_vector(values)
+        packed = pack(codec, values)
         decoded = codec.unpack_vector(packed, len(values), weight=1)
         assert np.allclose(decoded, values, atol=0.5 / SCALE)
 
     def test_unpack_rejects_wrong_ciphertext_count(self):
         codec = small_codec()
-        packed = codec.pack_vector([1.0] * 5)
+        packed = pack(codec, [1.0] * 5)
         with pytest.raises(ValidationError):
             codec.unpack_vector(packed, 5 + codec.slots, weight=1)
 
@@ -124,7 +129,7 @@ class TestPackedCodecRoundTrip:
         assert codec.slot_mask == (1 << codec.slot_bits) - 1
         assert codec.slot_mask.bit_length() == codec.slot_bits
         values = [-2.5, 0.0, 4.25]
-        (plaintext,) = codec.pack_vector(values)
+        (plaintext,) = pack(codec, values)
         slots = [(plaintext >> (i * codec.slot_bits)) & codec.slot_mask for i in range(3)]
         assert slots == [codec.offset + int(round(v * SCALE)) for v in values]
 
@@ -134,7 +139,7 @@ class TestPackedCodecHeadroom:
         """Doubling the weight up to max_weight keeps decoding exact."""
         codec = small_codec(weight_bits=12)
         values = [-3.25, 7.5, -0.125]
-        packed = codec.pack_vector(values)
+        packed = pack(codec, values)
         weight = 1
         while weight < codec.max_weight:
             packed = [2 * p for p in packed]
@@ -147,14 +152,14 @@ class TestPackedCodecHeadroom:
         codec = small_codec(weight_bits=8)
         with pytest.raises(EncodingOverflowError):
             codec.check_weight(codec.max_weight + 1)
-        packed = codec.pack_vector([1.0])
+        packed = pack(codec, [1.0])
         with pytest.raises(EncodingOverflowError):
             codec.unpack_vector(packed, 1, weight=codec.max_weight * 2)
 
     def test_slot_overflow_raises(self):
         codec = small_codec(value_bound=1.0)
         with pytest.raises(EncodingOverflowError):
-            codec.pack_vector([(codec.offset - 1) / codec.scale + 1.0])
+            pack(codec, [(codec.offset - 1) / codec.scale + 1.0])
 
     def test_plan_respects_slot_cap(self):
         assert small_codec(slots=4).slots == 4
@@ -261,19 +266,19 @@ class TestPackedBackends:
 
 class TestPackedGossip:
     def test_average_estimates_packed(self, packed_plain):
-        first = fresh_estimate(packed_plain, [1.0, 3.0, -1.0])
-        second = fresh_estimate(packed_plain, [3.0, 1.0, 2.0])
-        averaged = average_estimates(packed_plain, first, second)
+        first = fresh_estimates(packed_plain, [[1.0, 3.0, -1.0]])[0]
+        second = fresh_estimates(packed_plain, [[3.0, 1.0, 2.0]])[0]
+        averaged = average_estimates(packed_plain, [first], [second])[0]
         decoded = oracles.decode_estimate(packed_plain, averaged, [1, 2])
         assert np.allclose(decoded, [2.0, 2.0, 0.5], atol=1e-5)
 
     def test_payload_bytes_shrink(self, packed_plain):
         unpacked = PlainBackend(threshold=2, n_shares=4, encoding_scale=10**6)
         values = np.linspace(0.0, 1.0, 64)
-        packed_estimate = fresh_estimate(packed_plain, values)
-        plain_estimate = fresh_estimate(unpacked, values)
-        assert estimate_payload_bytes(packed_plain, packed_estimate) < (
-            estimate_payload_bytes(unpacked, plain_estimate) / 4
+        packed_estimate = fresh_estimates(packed_plain, [values])[0]
+        plain_estimate = fresh_estimates(unpacked, [values])[0]
+        assert estimates_payload_bytes(packed_plain, [packed_estimate]) < (
+            estimates_payload_bytes(unpacked, [plain_estimate]) / 4
         )
 
     def test_pair_sequence_matches_unpacked(self):
@@ -288,9 +293,9 @@ class TestPackedGossip:
         decoded = {}
         for packing in ("auto", "off"):
             backend = PlainBackend(threshold=2, n_shares=4, packing=packing)
-            estimates = [fresh_estimate(backend, row) for row in values]
+            estimates = fresh_estimates(backend, values)
             for left, right in pairs:
-                merged = average_estimates(backend, estimates[left], estimates[right])
+                merged = average_estimates(backend, [estimates[left]], [estimates[right]])[0]
                 estimates[left] = estimates[right] = merged
             assert {e.halvings for e in estimates} == {2, 3, 5}
             decoded[packing] = np.vstack(
@@ -318,9 +323,9 @@ class TestAcceptanceRatio:
 
         for backend in (packed, unpacked):
             backend.counter = OperationCounter()
-            first = fresh_estimate(backend, series)
-            second = fresh_estimate(backend, series[::-1])
-            average_estimates(backend, first, second)
+            first = fresh_estimates(backend, [series])[0]
+            second = fresh_estimates(backend, [series[::-1]])[0]
+            average_estimates(backend, [first], [second])[0]
         packed_ops = packed.counter.as_dict()
         unpacked_ops = unpacked.counter.as_dict()
         assert packed_ops["encryptions"] * 4 <= unpacked_ops["encryptions"]
@@ -328,9 +333,9 @@ class TestAcceptanceRatio:
 
     def test_packed_dj_round_trip_through_gossip(self, packed_dj):
         """Real packed Damgård–Jurik survives averaging + threshold decryption."""
-        first = fresh_estimate(packed_dj, [0.5, -1.5, 2.0, 0.0, 1.0])
-        second = fresh_estimate(packed_dj, [1.5, 0.5, -1.0, 2.0, 0.0])
-        averaged = average_estimates(packed_dj, first, second)
+        first = fresh_estimates(packed_dj, [[0.5, -1.5, 2.0, 0.0, 1.0]])[0]
+        second = fresh_estimates(packed_dj, [[1.5, 0.5, -1.0, 2.0, 0.0]])[0]
+        averaged = average_estimates(packed_dj, [first], [second])[0]
         decoded = oracles.decode_estimate(packed_dj, averaged, [1, 2])
         assert np.allclose(decoded, [1.0, -0.5, 0.5, 1.0, 0.5], atol=1e-3)
 

@@ -99,7 +99,7 @@ class TestRoundTrip:
         values = [0.25, -0.5, 0.0, 1.0]
         vector = backend.encrypt_vector(values)
         plaintexts = [classic_decrypt(backend, c) for c in vector.payload]
-        assert plaintexts == backend.codec.encode_vector(values)
+        assert plaintexts == backend.codec.encode_rows([values])[0]
         np.testing.assert_allclose(backend.codec.decode_vector(plaintexts), values)
 
     def test_encryption_is_randomised(self, backend):

@@ -10,9 +10,10 @@ from repro.gossip import (
     add_estimates,
     average_estimates,
     check_headroom,
-    estimate_payload_bytes,
-    fresh_estimate,
+    estimates_payload_bytes,
+    fresh_estimates,
     required_headroom_bits,
+    rerandomize_estimates,
 )
 from repro.simulation import average_pairs_inplace, pair_online
 import oracles
@@ -21,33 +22,33 @@ import oracles
 class TestEstimateAlgebra:
     def test_fresh_estimate_round_trip(self, plain_backend):
         values = np.array([0.5, -0.25, 1.0])
-        estimate = fresh_estimate(plain_backend, values)
+        estimate = fresh_estimates(plain_backend, [values])[0]
         assert estimate.halvings == 0
         decoded = oracles.decode_estimate(plain_backend, estimate, [1, 2])
         assert np.allclose(decoded, values, atol=1e-5)
 
     def test_average_of_two_estimates(self, plain_backend):
-        a = fresh_estimate(plain_backend, [1.0, 0.0])
-        b = fresh_estimate(plain_backend, [0.0, 1.0])
-        averaged = average_estimates(plain_backend, a, b)
+        a = fresh_estimates(plain_backend, [[1.0, 0.0]])[0]
+        b = fresh_estimates(plain_backend, [[0.0, 1.0]])[0]
+        averaged = average_estimates(plain_backend, [a], [b])[0]
         assert averaged.halvings == 1
         assert np.allclose(oracles.decode_estimate(plain_backend, averaged, [1, 2]), [0.5, 0.5],
                            atol=1e-5)
 
     def test_average_with_mismatched_exponents(self, plain_backend):
-        a = fresh_estimate(plain_backend, [1.0])
-        b = fresh_estimate(plain_backend, [0.0])
-        once = average_estimates(plain_backend, a, b)          # 0.5 at exponent 1
-        again = average_estimates(plain_backend, once, a)      # (0.5 + 1)/2 = 0.75
+        a = fresh_estimates(plain_backend, [[1.0]])[0]
+        b = fresh_estimates(plain_backend, [[0.0]])[0]
+        once = average_estimates(plain_backend, [a], [b])[0]          # 0.5 at exponent 1
+        again = average_estimates(plain_backend, [once], [a])[0]      # (0.5 + 1)/2 = 0.75
         assert np.allclose(oracles.decode_estimate(plain_backend, again, [1, 2]), [0.75], atol=1e-5)
 
     def test_repeated_averaging_matches_cleartext(self, plain_backend, fresh_rng):
         values = fresh_rng.uniform(-1, 1, size=(4, 3))
-        estimates = [fresh_estimate(plain_backend, row) for row in values]
+        estimates = fresh_estimates(plain_backend, values)
         clear = [row.copy() for row in values]
         pairs = [(0, 1), (2, 3), (0, 2), (1, 3), (0, 3)]
         for i, j in pairs:
-            merged = average_estimates(plain_backend, estimates[i], estimates[j])
+            merged = average_estimates(plain_backend, [estimates[i]], [estimates[j]])[0]
             estimates[i] = merged
             estimates[j] = merged
             mean = (clear[i] + clear[j]) / 2
@@ -58,30 +59,30 @@ class TestEstimateAlgebra:
                                atol=1e-4)
 
     def test_add_estimates_no_halving(self, plain_backend):
-        a = fresh_estimate(plain_backend, [1.0, 2.0])
-        b = fresh_estimate(plain_backend, [0.5, -1.0])
-        total = add_estimates(plain_backend, a, b)
+        a = fresh_estimates(plain_backend, [[1.0, 2.0]])[0]
+        b = fresh_estimates(plain_backend, [[0.5, -1.0]])[0]
+        total = add_estimates(plain_backend, [a], [b])[0]
         assert total.halvings == 0
         assert np.allclose(oracles.decode_estimate(plain_backend, total, [1, 2]), [1.5, 1.0], atol=1e-5)
 
     def test_add_estimates_with_exponents(self, plain_backend):
-        a = fresh_estimate(plain_backend, [1.0])
-        b = fresh_estimate(plain_backend, [1.0])
-        half = average_estimates(plain_backend, a, b)  # value 1.0, exponent 1
-        total = add_estimates(plain_backend, half, a)  # 1.0 + 1.0
+        a = fresh_estimates(plain_backend, [[1.0]])[0]
+        b = fresh_estimates(plain_backend, [[1.0]])[0]
+        half = average_estimates(plain_backend, [a], [b])[0]  # value 1.0, exponent 1
+        total = add_estimates(plain_backend, [half], [a])[0]  # 1.0 + 1.0
         assert np.allclose(oracles.decode_estimate(plain_backend, total, [1, 2]), [2.0], atol=1e-5)
 
     def test_length_mismatch_rejected(self, plain_backend):
         with pytest.raises(GossipError):
             average_estimates(
                 plain_backend,
-                fresh_estimate(plain_backend, [1.0]),
-                fresh_estimate(plain_backend, [1.0, 2.0]),
+                fresh_estimates(plain_backend, [[1.0]]),
+                fresh_estimates(plain_backend, [[1.0, 2.0]]),
             )
 
     def test_payload_bytes_positive(self, plain_backend):
-        estimate = fresh_estimate(plain_backend, [1.0, 2.0, 3.0])
-        assert estimate_payload_bytes(plain_backend, estimate) > 0
+        estimate = fresh_estimates(plain_backend, [[1.0, 2.0, 3.0]])[0]
+        assert estimates_payload_bytes(plain_backend, [estimate]) > 0
 
     def test_payload_bytes_charge_the_wire_width(self):
         """A ciphertext space that is not a whole number of bytes is charged
@@ -90,11 +91,80 @@ class TestEstimateAlgebra:
         from repro.crypto.wire import wire_ciphertext_bytes
 
         backend = PlainBackend(threshold=2, n_shares=4, simulated_ciphertext_bits=4092)
-        estimate = fresh_estimate(backend, [1.0, 2.0, 3.0])
+        estimate = fresh_estimates(backend, [[1.0, 2.0, 3.0]])[0]
         assert wire_ciphertext_bytes(backend) == 512
-        assert estimate_payload_bytes(backend, estimate) == (
+        assert estimates_payload_bytes(backend, [estimate]) == (
             512 * estimate.vector.n_ciphertexts + 8
         )
+
+
+class TestSequenceCallsEqualTheirLoops:
+    """Each sequence call equals the loop of one-estimate calls it replaces:
+    payloads, weights and exponents, every counter, and on Damgård–Jurik the
+    blinder draws in the same order (see the ``replay`` fixture)."""
+
+    ROWS = np.random.default_rng(5).uniform(-1.0, 1.0, size=(8, 9))
+
+    def estimates(self, backend):
+        """Eight estimates at exponents 0–3 and weights that differ."""
+        fresh = fresh_estimates(backend, self.ROWS)
+        once = average_estimates(backend, fresh[:4], fresh[4:])
+        twice = average_estimates(backend, once[:2], once[2:])
+        return [fresh[0], once[1], twice[0], fresh[3], twice[1], once[3],
+                average_estimates(backend, twice[:1], once[:1])[0], fresh[7]]
+
+    @staticmethod
+    def same(backend, replay, batched, looped):
+        draws = replay(backend, 13)
+        together = batched()
+        counts, drawn = backend.counter.as_dict(), list(draws)
+        draws = replay(backend, 13)
+        one_by_one = looped()
+        assert [(e.vector, e.halvings) for e in one_by_one] \
+            == [(e.vector, e.halvings) for e in together]
+        assert backend.counter.as_dict() == counts
+        assert draws == drawn
+        return together
+
+    def test_fresh_estimates(self, layout_backend, replay):
+        backend = layout_backend
+        estimates = self.same(
+            backend, replay,
+            lambda: fresh_estimates(backend, self.ROWS),
+            lambda: [fresh_estimates(backend, [row])[0] for row in self.ROWS],
+        )
+        assert {estimate.halvings for estimate in estimates} == {0}
+
+    @pytest.mark.parametrize("operation", [average_estimates, add_estimates])
+    def test_pairwise_sums(self, layout_backend, replay, operation):
+        backend = layout_backend
+        firsts = self.estimates(backend)
+        seconds = firsts[3:] + firsts[:3]
+        summed = self.same(
+            backend, replay,
+            lambda: operation(backend, firsts, seconds),
+            lambda: [operation(backend, [first], [second])[0]
+                     for first, second in zip(firsts, seconds)],
+        )
+        step = operation is average_estimates
+        assert [estimate.halvings for estimate in summed] == [
+            max(first.halvings, second.halvings) + step
+            for first, second in zip(firsts, seconds)]
+
+    def test_rerandomize_estimates(self, layout_backend, replay):
+        backend = layout_backend
+        estimates = self.estimates(backend)
+        self.same(
+            backend, replay,
+            lambda: rerandomize_estimates(backend, estimates),
+            lambda: [rerandomize_estimates(backend, [estimate])[0]
+                     for estimate in estimates],
+        )
+
+    def test_sequences_of_different_lengths_are_refused(self, plain_backend):
+        estimates = fresh_estimates(plain_backend, [[1.0], [2.0]])
+        with pytest.raises(GossipError, match="cannot pair 2 estimates with 1"):
+            average_estimates(plain_backend, estimates, estimates[:1])
 
 
 class TestHeadroom:
@@ -129,11 +199,11 @@ class TestEncryptedRoundsMatchTheSlabKernel:
     slab twin are one rule."""
 
     def _check(self, backend, values, rounds, seed, atol):
-        estimates = [fresh_estimate(backend, row) for row in values]
+        estimates = fresh_estimates(backend, values)
         clear = values.copy()
         for pairs in _matched_rounds(len(values), rounds, seed):
             for left, right in pairs:
-                merged = average_estimates(backend, estimates[left], estimates[right])
+                merged = average_estimates(backend, [estimates[left]], [estimates[right]])[0]
                 estimates[left] = estimates[right] = merged
             average_pairs_inplace(clear, pairs)
         decoded = np.vstack([oracles.decode_estimate(backend, e, [1, 2]) for e in estimates])

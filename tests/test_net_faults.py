@@ -11,11 +11,13 @@ transports (the in-process loopback and the live worker's frame service).
 from __future__ import annotations
 
 import asyncio
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.crypto.backends import EncryptedVector, PartialVectorDecryption
+from repro.crypto.wire import wire_ciphertext_bytes
 from repro.exceptions import WireFormatError
 from repro.gossip.encrypted_sum import EncryptedEstimate
 from repro.gossip.messages import (
@@ -184,6 +186,23 @@ def _peer_record(worker, header, payload, is_batch=False) -> Envelope:
     """The reply *worker* sends to a peer's frame record."""
     return asyncio.run(worker.handle_peer_record(Envelope(
         kind=KIND_FRAME, header=header, payload=payload, is_batch=is_batch)))
+
+
+def _own_view_frame(worker, change=lambda estimate: estimate) -> bytes:
+    """The bytes of a diptych exchange carrying node 0's own estimates, each
+    passed through *change*."""
+    diptych = worker.participants[0].diptych
+    return bytes(DiptychExchange(
+        iteration=1,
+        data_estimates=tuple(map(change, diptych.data_estimates)),
+        noise_estimates=tuple(map(change, diptych.noise_estimates)),
+        ciphertext_bytes=wire_ciphertext_bytes(worker.setup.backend),
+    ).serialize())
+
+
+def _vector_with(**fields):
+    """A *change* for :func:`_own_view_frame`: replace these vector fields."""
+    return lambda estimate: replace(estimate, vector=replace(estimate.vector, **fields))
 
 
 def _diptych_frame(message_type, count: int, length: int) -> bytes:
@@ -392,6 +411,31 @@ class TestWellFormedFramesOfTheWrongShape:
             _diptych_frame(DiptychExchange, count, length),
         ) == ({"error": "shape"}, b"")
         assert (diptych.data_estimates, diptych.noise_estimates) == before
+
+    @pytest.mark.parametrize("change", [
+        _vector_with(backend_name="damgard_jurik"),
+        _vector_with(weight=1 << 200),  # beyond the packed slots' weight headroom
+        lambda estimate: replace(estimate, halvings=1 << 20),  # gap beyond a slot
+        lambda estimate: replace(estimate, vector=replace(
+            estimate.vector, payload=estimate.vector.payload + (1,))),
+    ], ids=["foreign_backend", "weight", "halvings", "ciphertext_count"])
+    def test_diptych_exchange_the_stored_estimates_cannot_absorb(self, change):
+        """The frame decodes and has the diptych's count, length and
+        packing, but averaging it into the stored estimates would raise."""
+        worker = _worker_with_node_zero_gossiping()
+        diptych = worker.participants[0].diptych
+        before = list(diptych.data_estimates), list(diptych.noise_estimates)
+        assert worker.transport.serve(
+            "diptych-exchange", 1, 0, None, _own_view_frame(worker, change),
+        ) == ({"error": "shape"}, b"")
+        assert (diptych.data_estimates, diptych.noise_estimates) == before
+
+    def test_own_view_frame_is_absorbed(self):
+        """The control of the test above: the unchanged view is served."""
+        worker = _worker_with_node_zero_gossiping()
+        header, reply = worker.transport.serve(
+            "diptych-exchange", 1, 0, None, _own_view_frame(worker))
+        assert header == {} and reply
 
     def test_decrypt_request_in_another_packing_layout(self):
         """Node 0 holds a key share; the request's vector is unpacked, the

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.clustering import adjusted_rand_index, centroid_displacement
 from repro.crypto import damgard_jurik as dj
 from repro.crypto.encoding import FixedPointCodec
-from repro.gossip import average_estimates, fresh_estimate
+from repro.gossip import average_estimates, fresh_estimates
 from repro.privacy import NoiseShareSpec, make_budget_strategy
 from repro.timeseries import pairwise_distances
 import oracles
@@ -40,13 +40,13 @@ class TestFixedPointCodec:
         # slack must scale with |value| (a flat 1e-12 fails near 2^16 when
         # value*scale lands exactly on a .5 rounding boundary).
         slack = 0.5 / codec.scale + 8 * np.finfo(float).eps * max(1.0, abs(value))
-        assert abs(codec.decode_vector(codec.encode_vector([value]))[0] - value) <= slack
+        assert abs(codec.decode_vector(codec.encode_rows([[value]])[0])[0] - value) <= slack
 
     @given(values=st.lists(small_floats, min_size=1, max_size=20))
     @settings(max_examples=100)
     def test_sum_of_encodings_decodes_to_sum(self, values):
         codec = FixedPointCodec(modulus=2**80, scale=10**6)
-        encoded_sum = sum(codec.encode_vector(values)) % codec.modulus
+        encoded_sum = sum(codec.encode_rows([values])[0]) % codec.modulus
         assert codec.decode_vector([encoded_sum])[0] == pytest.approx(sum(values), abs=1e-4)
 
 
@@ -75,11 +75,11 @@ class TestGossipInvariants:
     @settings(max_examples=50, suppress_health_check=[HealthCheck.too_slow], deadline=None)
     def test_pairwise_averaging_conserves_the_mean(self, values, pair_count, plain_backend):
         rng = np.random.default_rng(0)
-        estimates = [fresh_estimate(plain_backend, [v]) for v in values]
+        estimates = [fresh_estimates(plain_backend, [[v]])[0] for v in values]
         clear = list(values)
         for _ in range(pair_count):
             i, j = rng.choice(len(values), size=2, replace=False)
-            merged = average_estimates(plain_backend, estimates[i], estimates[j])
+            merged = average_estimates(plain_backend, [estimates[i]], [estimates[j]])[0]
             estimates[i] = merged
             estimates[j] = merged
             mean = (clear[i] + clear[j]) / 2

@@ -16,6 +16,8 @@ corpus of ``frame_mutations`` cover the rest.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,7 +41,7 @@ from repro.crypto.wire import (
 from repro.exceptions import WireFormatError
 from repro.gossip import messages
 from repro.gossip.encrypted_sum import EncryptedEstimate
-from repro.gossip.messages import DecryptRequest, deserialize
+from repro.gossip.messages import DecryptRequest, DiptychExchange, deserialize
 from test_net_faults import ALL_MUTATIONS, FRAMES, _mutation_id
 import oracles
 
@@ -431,6 +433,45 @@ class TestAgainstTheOracle:
         size = outcome(wire._vector_block_size, *arguments)
         assert size == (("value", len(data) - 1) if kind == "value" else (kind, data))
 
+    @given(st.lists(block_arguments(), max_size=6), st.sampled_from(WIDTHS))
+    @settings(max_examples=200, deadline=None)
+    def test_the_batched_size_twin_agrees_with_the_ordered_writer(self, blocks, width):
+        """``encrypted_vectors_size`` is the length the writer appends for
+        the vectors one after another, or the writer's first error."""
+        vectors = [EncryptedVector(payload=payload, backend_name=name, length=length,
+                                   packed=packed, weight=weight)
+                   for name, length, packed, weight, payload, _ in blocks]
+
+        def write_all():
+            out = bytearray()
+            for vector in vectors:
+                wire.write_encrypted_vector(out, vector, width)
+            return len(out)
+
+        assert outcome(wire.encrypted_vectors_size, vectors, width) == outcome(write_all)
+
+    @given(st.lists(st.tuples(block_arguments(),
+                              st.sampled_from((0, 1, 300, 1 << 20, (1 << 20) + 1))),
+                    max_size=6),
+           st.sampled_from(WIDTHS))
+    @settings(max_examples=200, deadline=None)
+    def test_the_estimates_size_twin_agrees_with_the_ordered_writer(self, blocks, width):
+        """The same with each block's exponent in front of it, some out of
+        the field's range."""
+        estimates = [
+            EncryptedEstimate(vector=EncryptedVector(
+                payload=payload, backend_name=name, length=length, packed=packed,
+                weight=weight), halvings=halvings)
+            for (name, length, packed, weight, payload, _), halvings in blocks]
+
+        def write_all():
+            out = bytearray()
+            for estimate in estimates:
+                messages._write_estimate(out, estimate, width)
+            return len(out)
+
+        assert outcome(messages._estimates_size, estimates, width) == outcome(write_all)
+
     @given(damaged_blocks())
     @settings(max_examples=600, deadline=None)
     def test_readers_agree_on_damaged_blocks(self, case):
@@ -462,3 +503,41 @@ class TestAgainstTheOracle:
                                          length=2, packed=True, weight=1)
         assert vector.packed is True  # a bool as before, not the flag byte
         assert read_encrypted_vector(WireReader(block()), 2).packed is False
+
+
+class TestDiptychFrameSize:
+    """A diptych frame is sized in one call over all its estimates."""
+
+    @staticmethod
+    def message(width: int, **changes) -> DiptychExchange:
+        """Eight packed estimates (exponents 0-7) of 25 coordinates in two
+        ciphertexts each; *changes* maps an estimate index to the fields of
+        its vector to replace."""
+        estimates = []
+        for index in range(8):
+            vector = EncryptedVector(payload=(7 * index, 9 * index + 1),
+                                     backend_name="plain", length=25, packed=True,
+                                     weight=1 << index)
+            vector = replace(vector, **changes.get(f"e{index}", {}))
+            estimates.append(EncryptedEstimate(vector=vector, halvings=index))
+        return DiptychExchange(iteration=3, data_estimates=tuple(estimates[:4]),
+                               noise_estimates=tuple(estimates[4:]),
+                               ciphertext_bytes=width)
+
+    @pytest.mark.parametrize("width", [1, 2, 64, 512])
+    def test_the_batched_size_is_the_frame_length(self, width):
+        frame = self.message(width).serialize()
+        assert len(frame) == len(bytes(frame)) == len(self.message(width)._encode())
+
+    @pytest.mark.parametrize("later", [{}, {"e6": {"weight": 0}}])
+    def test_an_unfit_ciphertext_in_the_fifth_estimate_is_the_one_named(self, later):
+        """The range check over every payload fails, and the ordered walk
+        names the first unfit ciphertext, as the writer does, and not a
+        later estimate's bad weight."""
+        message = self.message(2, e4={"payload": (5, 1 << 16)}, **later)
+        with pytest.raises(WireFormatError) as sized:
+            message.serialize()
+        with pytest.raises(WireFormatError) as written:
+            message._encode()
+        assert str(sized.value) == str(written.value) \
+            == "ciphertext needs 3 bytes but the declared width is 2"

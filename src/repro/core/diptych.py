@@ -87,10 +87,15 @@ class Diptych:
         ``series_length + 1``, made by *backend*, and — against the stored
         estimate it would be averaged with — in the same packing layout,
         with as many ciphertexts, at most ``backend.plaintext_capacity_bits``
-        halvings apart and, packed, with a lifted weight the slots hold.
+        halvings apart and with a lifted weight of at most 2^(h + 1), h the
+        larger exponent, that the slots hold when packed.  An honest
+        estimate's weight is at most 2^halvings (1 when fresh, each average
+        at most doubling it), so a heavier view is forged.
 
         A peer's frame that passes the decoder can still fail any of these;
-        :meth:`absorb` would then raise, so a server asks this first."""
+        :meth:`absorb` would then raise, or store a weight that grows past
+        what the node's later frames can carry, so a server asks this
+        first."""
         capacity = backend.plaintext_capacity_bits
         packing = backend.packing
         for view, mine in ((view_data, self.data_estimates),
@@ -106,10 +111,10 @@ class Diptych:
                         or vector.n_ciphertexts != own.n_ciphertexts
                         or abs(gap) > capacity):
                     return False
-                if packing is not None:
-                    lifted = (vector.weight << max(-gap, 0)) + (own.weight << max(gap, 0))
-                    if lifted > packing.max_weight:
-                        return False
+                lifted = (vector.weight << max(-gap, 0)) + (own.weight << max(gap, 0))
+                if (lifted > 1 << (max(estimate.halvings, stored.halvings) + 1)
+                        or packing is not None and lifted > packing.max_weight):
+                    return False
         return True
 
     def absorb(self, backend: CipherBackend,

@@ -245,16 +245,24 @@ class CipherBackend(ABC):
             return self.packing.slot_bits
         return self.codec.modulus.bit_length() - 1
 
-    def _check_vector(self, vector: EncryptedVector) -> None:
-        if vector.backend_name != self.name:
-            raise CryptoError(
-                f"vector produced by backend {vector.backend_name!r} passed to {self.name!r}"
-            )
-        if vector.packed != self.is_packed:
-            raise CryptoError(
-                "vector packing layout does not match the backend "
-                f"(vector packed={vector.packed}, backend packed={self.is_packed})"
-            )
+    def _check_vectors(self, vectors: Sequence[EncryptedVector],
+                       length: int | None = None) -> None:
+        """Raise :class:`CryptoError` at the first of *vectors* made by
+        another backend or in another packing layout or, given *length*,
+        of another length."""
+        name, packed = self.name, self.is_packed
+        for vector in vectors:
+            if vector.backend_name != name:
+                raise CryptoError(
+                    f"vector produced by backend {vector.backend_name!r} passed to {name!r}"
+                )
+            if vector.packed != packed:
+                raise CryptoError(
+                    "vector packing layout does not match the backend "
+                    f"(vector packed={vector.packed}, backend packed={packed})"
+                )
+            if length is not None and vector.length != length:
+                raise CryptoError(f"vector lengths differ: {length} vs {vector.length}")
 
     def _vector(self, payload: Sequence[int], length: int, weight: int = 1) -> EncryptedVector:
         return EncryptedVector(
@@ -371,10 +379,9 @@ class CipherBackend(ABC):
         order.
         """
         name, packed, packing = self.name, self.is_packed, self.packing
-        max_weight = None if packing is None else packing.max_weight
-        combine = self._linear_combination_payloads
+        check_vectors, combine = self._check_vectors, self._linear_combination_payloads
+        counter = self.counter
         combinations: list[EncryptedVector] = []
-        additions = 0
         for vectors, factors in terms:
             if not vectors:
                 raise CryptoError("linear_combination requires at least one vector")
@@ -384,23 +391,18 @@ class CipherBackend(ABC):
                     f"and {len(factors)} factors"
                 )
             length = vectors[0].length
-            for vector in vectors:
-                if vector.backend_name != name or vector.packed != packed:
-                    self._check_vector(vector)
-                if vector.length != length:
-                    raise CryptoError(f"vector lengths differ: {length} vs {vector.length}")
+            check_vectors(vectors, length)
             factors = list(map(int, factors))
             if min(factors) < 1:
                 raise CryptoError("linear combination factors must be positive integers")
             weight = sum(map(mul, [vector.weight for vector in vectors], factors))
-            if max_weight is not None and weight > max_weight:
+            if packing is not None:
                 packing.check_weight(weight)
             combined = combine([vector.payload for vector in vectors], factors)
             # One addition-equivalent per ciphertext per non-unit factor and
             # per fold.
-            additions += len(combined) * (2 * len(factors) - 1 - factors.count(1))
+            counter.additions += len(combined) * (2 * len(factors) - 1 - factors.count(1))
             combinations.append(EncryptedVector(combined, name, length, packed, weight))
-        self.counter.additions += additions
         return combinations
 
     def linear_combination(
@@ -426,10 +428,7 @@ class CipherBackend(ABC):
         given (nothing to refresh), the input vectors themselves are
         returned rather than equal copies.
         """
-        name, packed = self.name, self.is_packed
-        for vector in vectors:
-            if vector.backend_name != name or vector.packed != packed:
-                self._check_vector(vector)
+        self._check_vectors(vectors)
         payloads = [vector.payload for vector in vectors]
         refreshed = self._rerandomize_payloads(payloads)
         self.counter.rerandomizations += sum(map(len, payloads))
@@ -448,7 +447,7 @@ class CipherBackend(ABC):
         self, share_index: int, vector: EncryptedVector
     ) -> PartialVectorDecryption:
         """Produce the partial decryption of a vector with one key share."""
-        self._check_vector(vector)
+        self._check_vectors((vector,))
         payload = self._partial_decrypt_payload(share_index, vector.payload)
         self.counter.partial_decryptions += len(payload)
         return PartialVectorDecryption(
@@ -690,14 +689,8 @@ class PlainBackend(CipherBackend):
         self, payloads: Sequence[Sequence[int]], factors: Sequence[int]
     ) -> tuple[int, ...]:
         modulus = self.codec.modulus
-        if len(payloads) == 2:  # a gossip average or a noise addition
-            (first, second), (scale, other) = payloads, factors
-            return tuple([(x * scale + y * other) % modulus
-                          for x, y in zip(first, second, strict=True)])
-        return tuple([
-            sum(value * factor for value, factor in zip(column, factors)) % modulus
-            for column in zip(*payloads, strict=True)
-        ])
+        return tuple([sum(map(mul, column, factors)) % modulus
+                      for column in zip(*payloads, strict=True)])
 
     def _partial_decrypt_payload(
         self, share_index: int, payload: Sequence[int]

@@ -41,8 +41,6 @@ which CI enforces).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from ..exceptions import WireFormatError
 from .backends import CipherBackend, EncryptedVector, PartialVectorDecryption
 from .damgard_jurik import DamgardJurikPublicKey
@@ -431,64 +429,11 @@ def write_encrypted_vector(
     )
 
 
-def _blocks_size_if_all_fit(
-    vectors: Sequence[EncryptedVector], ciphertext_bytes: int
-) -> int | None:
-    """The summed block sizes of *vectors* when every field and ciphertext
-    passes the writer's checks, else ``None``: decides, raises nothing."""
-    if not 0 < ciphertext_bytes <= MAX_CIPHERTEXT_BYTES:
-        return None
-    size = 0
-    # A diptych's estimates mostly share one header (same backend, length,
-    # weight and count): size each distinct header once.
-    blocks: dict[tuple, int] = {}
-    try:
-        for vector in vectors:
-            header = (vector.backend_name, vector.length, vector.weight,
-                      len(vector.payload))
-            block = blocks.get(header)
-            if block is None:
-                name, length, weight, count = header
-                name_bytes = len(name.encode("utf-8"))
-                weight_bytes = (int(weight).bit_length() + 7) // 8
-                if (length > MAX_VECTOR_COMPONENTS or weight < 1
-                        or name_bytes > MAX_NAME_BYTES
-                        or weight_bytes > MAX_CIPHERTEXT_BYTES):
-                    return None
-                # _vector_block_size's sum, field by field.
-                block = blocks[header] = (
-                    1 + name_bytes + ((length.bit_length() + 6) // 7 or 1) + 1
-                    + ((weight_bytes.bit_length() + 6) // 7 or 1) + weight_bytes
-                    + ((count.bit_length() + 6) // 7 or 1) + count * ciphertext_bytes)
-            size += block
-        ciphertexts = [value for vector in vectors for value in vector.payload]
-        if ciphertexts and not (0 <= min(ciphertexts)
-                                and max(ciphertexts) < 1 << (8 * ciphertext_bytes)):
-            return None
-    except (AttributeError, TypeError, ValueError):
-        return None  # the ordered walk raises what the writer would
-    return size
-
-
-def encrypted_vectors_size(
-    vectors: Sequence[EncryptedVector], ciphertext_bytes: int
-) -> int:
-    """Bytes :func:`write_encrypted_vector` appends for each of *vectors* in
-    turn, no bytes built; raises what the first failing write raises.
-
-    One pass checks every vector's header fields, and one ``min`` and one
-    ``max`` range-check the ciphertexts of every payload together.  Only
-    when something fails are the vectors sized one by one in order
-    (:func:`_vector_block_size`), so the writer's first error is the one
-    raised: the first unfit ciphertext is the one named.
-    """
-    size = _blocks_size_if_all_fit(vectors, ciphertext_bytes)
-    if size is not None:
-        return size
-    return sum(
-        _vector_block_size(vector.backend_name, len(vector), vector.packed,
-                           vector.weight, vector.payload, ciphertext_bytes)
-        for vector in vectors
+def encrypted_vector_size(vector: EncryptedVector, ciphertext_bytes: int) -> int:
+    """Bytes :func:`write_encrypted_vector` appends; raises what it raises."""
+    return _vector_block_size(
+        vector.backend_name, len(vector), vector.packed, vector.weight,
+        vector.payload, ciphertext_bytes,
     )
 
 

@@ -78,7 +78,9 @@ def _lift_and_sum(backend: CipherBackend, firsts: Sequence[EncryptedEstimate],
     linear combination with power-of-two factors, which the backend may
     evaluate jointly (Straus multi-exponentiation shares one squaring chain
     across both ciphertexts) while charging exactly the operations the
-    historical multiply-then-add path charged.
+    historical multiply-then-add path charged.  The pairs fail in order:
+    a pair of unequal lengths raises only once the pairs before it are
+    combined, so an earlier pair's error is the one raised.
     """
     if len(firsts) != len(seconds):
         raise GossipError(
@@ -88,6 +90,7 @@ def _lift_and_sum(backend: CipherBackend, firsts: Sequence[EncryptedEstimate],
     for first, second in zip(firsts, seconds):
         vector, other = first.vector, second.vector
         if vector.length != other.length:
+            backend.linear_combinations(terms)
             raise GossipError(f"estimate lengths differ: {vector.length} vs {other.length}")
         common = max(first.halvings, second.halvings)
         commons.append(common)

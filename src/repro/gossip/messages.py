@@ -60,7 +60,7 @@ from ..crypto.wire import (
     MAX_SHARE_INDEX,
     WIRE_VERSION,
     WireReader,
-    encrypted_vectors_size,
+    encrypted_vector_size,
     partial_decryption_size,
     read_encrypted_vector,
     read_partial_decryption,
@@ -102,22 +102,9 @@ def _write_estimate(out: bytearray, estimate: EncryptedEstimate, width: int) -> 
     write_encrypted_vector(out, estimate.vector, width)
 
 
-def _estimates_size(estimates: Sequence[EncryptedEstimate], width: int) -> int:
-    """Bytes :func:`_write_estimate` appends for each of *estimates* in turn;
-    raises what the first failing write raises.
-
-    Every vector is sized in one :func:`encrypted_vectors_size` call; an
-    exponent out of range sends the estimates through one by one in the
-    writer's order instead, so an earlier estimate's unfit vector is still
-    the error raised.
-    """
-    halvings = [estimate.halvings for estimate in estimates]
-    if halvings and not 0 <= min(halvings) <= max(halvings) <= _MAX_HALVINGS:
-        for estimate in estimates:
-            _check_field(estimate.halvings, _MAX_HALVINGS, "halvings")
-            encrypted_vectors_size((estimate.vector,), width)
-    return (sum((value.bit_length() + 6) // 7 or 1 for value in halvings)
-            + encrypted_vectors_size([estimate.vector for estimate in estimates], width))
+def _estimate_size(estimate: EncryptedEstimate, width: int) -> int:
+    return (varint_size(_check_field(estimate.halvings, _MAX_HALVINGS, "halvings"))
+            + encrypted_vector_size(estimate.vector, width))
 
 
 def _read_estimate(reader: WireReader, width: int) -> EncryptedEstimate:
@@ -267,10 +254,14 @@ class _DiptychEnvelope(WireMessage):
     def _body_size(self) -> int:
         self._check_counts()
         width = _check_width(self.ciphertext_bytes)
-        return (varint_size(width)
+        size = (varint_size(width)
                 + varint_size(_check_field(self.iteration, _MAX_ITERATION, "iteration"))
-                + varint_size(len(self.data_estimates))
-                + _estimates_size(self.data_estimates + self.noise_estimates, width))
+                + varint_size(len(self.data_estimates)))
+        for estimate in self.data_estimates:
+            size += _estimate_size(estimate, width)
+        for estimate in self.noise_estimates:
+            size += _estimate_size(estimate, width)
+        return size
 
     @classmethod
     def _read_body(cls, reader: WireReader) -> "_DiptychEnvelope":
@@ -317,8 +308,9 @@ class DecryptRequest(WireMessage):
     def _body_size(self) -> int:
         self._check_count()
         width = _check_width(self.ciphertext_bytes)
-        return (varint_size(width) + varint_size(len(self.estimates))
-                + _estimates_size(self.estimates, width))
+        return varint_size(width) + varint_size(len(self.estimates)) + sum(
+            _estimate_size(estimate, width) for estimate in self.estimates
+        )
 
     @classmethod
     def _read_body(cls, reader: WireReader) -> "DecryptRequest":

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.exceptions import GossipError
+from repro.exceptions import CryptoError, GossipError
 from repro.gossip import (
+    EncryptedEstimate,
     add_estimates,
     average_estimates,
     check_headroom,
@@ -160,6 +163,24 @@ class TestSequenceCallsEqualTheirLoops:
             lambda: [rerandomize_estimates(backend, [estimate])[0]
                      for estimate in estimates],
         )
+
+    def test_the_first_failing_pair_is_the_one_raised(self, plain_backend):
+        """A foreign vector (the backend's ``CryptoError``) and a length
+        mismatch (``GossipError``) raise in pair order, as the one-pair loop
+        does; the pairs before the failing one are combined and counted."""
+        short, other = fresh_estimates(plain_backend, [[1.0, 2.0], [3.0, 4.0]])
+        [long_] = fresh_estimates(plain_backend, [[1.0, 2.0, 3.0]])
+        foreign = EncryptedEstimate(replace(short.vector, backend_name="damgard_jurik"))
+        for pairs, error in [([(other, other), (foreign, short), (short, long_)], CryptoError),
+                             ([(other, other), (short, long_), (foreign, short)], GossipError)]:
+            firsts, seconds = zip(*pairs)
+            before = plain_backend.counter.additions
+            with pytest.raises(error):
+                average_estimates(plain_backend, firsts, seconds)
+            with pytest.raises(error):
+                for first, second in pairs:
+                    average_estimates(plain_backend, [first], [second])
+            assert plain_backend.counter.additions - before == 2 * other.vector.n_ciphertexts
 
     def test_sequences_of_different_lengths_are_refused(self, plain_backend):
         estimates = fresh_estimates(plain_backend, [[1.0], [2.0]])

@@ -151,7 +151,7 @@ class _SinkNode(Node):
         self.received.append(message.payload)
 
 
-def _worker_hosting_node_zero(node_id: int = 0):
+def _worker_hosting_node_zero(node_id: int = 0, packing: str = "auto"):
     """A live worker hosting node 0 (or *node_id*) of a 4-node run whose
     key shares nodes 0 and 1 hold; never connected, so only its frame
     service, probe answers and peer-record handler are used."""
@@ -163,7 +163,8 @@ def _worker_hosting_node_zero(node_id: int = 0):
     config = ChiaroscuroConfig().with_overrides(
         kmeans={"n_clusters": 2, "max_iterations": 2},
         privacy={"noise_shares": 2},
-        crypto={"backend": "plain", "threshold": 2, "n_key_shares": 2},
+        crypto={"backend": "plain", "threshold": 2, "n_key_shares": 2,
+                "packing": packing},
         simulation={"n_participants": 4},
     )
     collection = load_dataset("gaussian", n_series=4, series_length=4,
@@ -172,10 +173,10 @@ def _worker_hosting_node_zero(node_id: int = 0):
     return LiveWorker(node_id, setup, [node_id])
 
 
-def _worker_with_node_zero_gossiping():
+def _worker_with_node_zero_gossiping(packing: str = "auto"):
     """The same worker, node 0 past its first assignment: GOSSIP phase,
     iteration 1, a diptych of 2 + 2 estimates of length 5."""
-    worker = _worker_hosting_node_zero()
+    worker = _worker_hosting_node_zero(packing=packing)
     participant = worker.participants[0]
     assert list(participant.step(np.random.default_rng(0), tuple, 4)) == []
     assert participant.iteration == 1 and len(participant.diptych.data_estimates[0]) == 5
@@ -412,27 +413,41 @@ class TestWellFormedFramesOfTheWrongShape:
         ) == ({"error": "shape"}, b"")
         assert (diptych.data_estimates, diptych.noise_estimates) == before
 
-    @pytest.mark.parametrize("change", [
-        _vector_with(backend_name="damgard_jurik"),
-        _vector_with(weight=1 << 200),  # beyond the packed slots' weight headroom
-        lambda estimate: replace(estimate, halvings=1 << 20),  # gap beyond a slot
-        lambda estimate: replace(estimate, vector=replace(
-            estimate.vector, payload=estimate.vector.payload + (1,))),
-    ], ids=["foreign_backend", "weight", "halvings", "ciphertext_count"])
-    def test_diptych_exchange_the_stored_estimates_cannot_absorb(self, change):
+    @pytest.mark.parametrize("change, packing", [
+        pytest.param(change, packing, id=f"{name}-{packing}")
+        for name, change, packings in [
+            ("foreign_backend", _vector_with(backend_name="damgard_jurik"), ("auto", "off")),
+            # beyond an honest weight's 2^(halvings + 1) and the packed
+            # slots' headroom; unpacked, averaged in twice it would outgrow
+            # the wire
+            ("weight", _vector_with(weight=1 << 200), ("auto", "off")),
+            ("wire_weight", _vector_with(weight=1 << 524287), ("auto", "off")),
+            ("halvings", lambda estimate: replace(estimate, halvings=1 << 20),
+             ("auto", "off")),  # a gap beyond the capacity
+            # unpacked, the decoder refuses an extra ciphertext itself
+            ("ciphertext_count", lambda estimate: replace(estimate, vector=replace(
+                estimate.vector, payload=estimate.vector.payload + (1,))), ("auto",)),
+        ]
+        for packing in packings
+    ])
+    def test_diptych_exchange_the_stored_estimates_cannot_absorb(self, change, packing):
         """The frame decodes and has the diptych's count, length and
-        packing, but averaging it into the stored estimates would raise."""
-        worker = _worker_with_node_zero_gossiping()
+        packing, but averaging it into the stored estimates would raise, now
+        or in the node's next frame."""
+        worker = _worker_with_node_zero_gossiping(packing)
+        assert worker.setup.backend.is_packed is (packing == "auto")
         diptych = worker.participants[0].diptych
         before = list(diptych.data_estimates), list(diptych.noise_estimates)
         assert worker.transport.serve(
             "diptych-exchange", 1, 0, None, _own_view_frame(worker, change),
         ) == ({"error": "shape"}, b"")
         assert (diptych.data_estimates, diptych.noise_estimates) == before
+        assert bytes(worker.participants[0].exchange_frame(DiptychExchange))
 
-    def test_own_view_frame_is_absorbed(self):
-        """The control of the test above: the unchanged view is served."""
-        worker = _worker_with_node_zero_gossiping()
+    @pytest.mark.parametrize("packing", ["auto", "off"])
+    def test_own_view_frame_is_absorbed(self, packing):
+        """The control of the tests above: the unchanged view is served."""
+        worker = _worker_with_node_zero_gossiping(packing)
         header, reply = worker.transport.serve(
             "diptych-exchange", 1, 0, None, _own_view_frame(worker))
         assert header == {} and reply

@@ -433,45 +433,6 @@ class TestAgainstTheOracle:
         size = outcome(wire._vector_block_size, *arguments)
         assert size == (("value", len(data) - 1) if kind == "value" else (kind, data))
 
-    @given(st.lists(block_arguments(), max_size=6), st.sampled_from(WIDTHS))
-    @settings(max_examples=200, deadline=None)
-    def test_the_batched_size_twin_agrees_with_the_ordered_writer(self, blocks, width):
-        """``encrypted_vectors_size`` is the length the writer appends for
-        the vectors one after another, or the writer's first error."""
-        vectors = [EncryptedVector(payload=payload, backend_name=name, length=length,
-                                   packed=packed, weight=weight)
-                   for name, length, packed, weight, payload, _ in blocks]
-
-        def write_all():
-            out = bytearray()
-            for vector in vectors:
-                wire.write_encrypted_vector(out, vector, width)
-            return len(out)
-
-        assert outcome(wire.encrypted_vectors_size, vectors, width) == outcome(write_all)
-
-    @given(st.lists(st.tuples(block_arguments(),
-                              st.sampled_from((0, 1, 300, 1 << 20, (1 << 20) + 1))),
-                    max_size=6),
-           st.sampled_from(WIDTHS))
-    @settings(max_examples=200, deadline=None)
-    def test_the_estimates_size_twin_agrees_with_the_ordered_writer(self, blocks, width):
-        """The same with each block's exponent in front of it, some out of
-        the field's range."""
-        estimates = [
-            EncryptedEstimate(vector=EncryptedVector(
-                payload=payload, backend_name=name, length=length, packed=packed,
-                weight=weight), halvings=halvings)
-            for (name, length, packed, weight, payload, _), halvings in blocks]
-
-        def write_all():
-            out = bytearray()
-            for estimate in estimates:
-                messages._write_estimate(out, estimate, width)
-            return len(out)
-
-        assert outcome(messages._estimates_size, estimates, width) == outcome(write_all)
-
     @given(damaged_blocks())
     @settings(max_examples=600, deadline=None)
     def test_readers_agree_on_damaged_blocks(self, case):
@@ -506,7 +467,7 @@ class TestAgainstTheOracle:
 
 
 class TestDiptychFrameSize:
-    """A diptych frame is sized in one call over all its estimates."""
+    """A diptych frame is sized without being built, to its exact length."""
 
     @staticmethod
     def message(width: int, **changes) -> DiptychExchange:
@@ -525,15 +486,14 @@ class TestDiptychFrameSize:
                                ciphertext_bytes=width)
 
     @pytest.mark.parametrize("width", [1, 2, 64, 512])
-    def test_the_batched_size_is_the_frame_length(self, width):
+    def test_the_size_is_the_frame_length(self, width):
         frame = self.message(width).serialize()
         assert len(frame) == len(bytes(frame)) == len(self.message(width)._encode())
 
     @pytest.mark.parametrize("later", [{}, {"e6": {"weight": 0}}])
     def test_an_unfit_ciphertext_in_the_fifth_estimate_is_the_one_named(self, later):
-        """The range check over every payload fails, and the ordered walk
-        names the first unfit ciphertext, as the writer does, and not a
-        later estimate's bad weight."""
+        """Sizing names the first unfit ciphertext, as the writer does, and
+        not a later estimate's bad weight."""
         message = self.message(2, e4={"payload": (5, 1 << 16)}, **later)
         with pytest.raises(WireFormatError) as sized:
             message.serialize()

@@ -638,12 +638,12 @@ class PlainBackend(CipherBackend):
     counts are identical to the real backend's, so the cost model can charge
     measured per-operation times.
 
-    The modular arithmetic is one loop over Python integers per combination:
-    a two-term combination (every gossip average and noise addition) is one
-    ``(x * fa + y * fb) % m`` pass.  A packed vector is a couple of
-    ciphertexts, so the per-call cost outweighs the arithmetic; an int64
-    NumPy slab pays for building its arrays and fits no modulus this backend
-    is built with (at least 256 bits unless a caller asks for fewer).
+    The modular arithmetic is one loop over Python integers per combination,
+    ``sum(f_j * x_j) % m`` per ciphertext column.  A packed vector is a
+    couple of ciphertexts, so the per-call cost outweighs the arithmetic; an
+    int64 NumPy slab pays for building its arrays and fits no modulus this
+    backend is built with (at least 256 bits unless a caller asks for
+    fewer).
 
     With packing enabled the simulated plaintext space is widened to match
     the plaintext of the simulated ciphertext (``simulated_ciphertext_bits /
